@@ -57,7 +57,7 @@ fn overhead_section() -> Result<Json, String> {
     h.init_world(&mut m);
     let mut sched = RoundRobin::new();
     let mut rec = Recorder::with_series(512, SeriesConfig { window_ticks: 16, ring: 4 });
-    let observed = h.run_observed(&mut m, &mut sched, Path::Ilp, &mut rec);
+    let observed = h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
     if h.verify_outputs(&mut m).is_some() {
         return Err("overhead: observed run corrupted a delivered file".into());
     }

@@ -67,7 +67,7 @@ fn run_traced(cfg: ServerConfig, path: Path) -> Result<PathRun, String> {
     h.init_world(&mut m);
     let mut sched = RoundRobin::new();
     let mut rec = Recorder::new(TRACE_CAP);
-    let report = h.run_observed(&mut m, &mut sched, path, &mut rec);
+    let report = h.run(&mut m, &mut sched, (path, &mut rec));
     if h.verify_outputs(&mut m).is_some() {
         return Err(format!("{path:?}: traced run corrupted a delivered file"));
     }

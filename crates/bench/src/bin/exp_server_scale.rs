@@ -62,7 +62,7 @@ fn run_point(n: usize, path: Path, host: &HostModel) -> Point {
 
     let mut sched = RoundRobin::new();
     let mut rec = Recorder::new(4096);
-    let report = h.run_observed(&mut m, &mut sched, path, &mut rec);
+    let report = h.run(&mut m, &mut sched, (path, &mut rec));
     let (user, system) = m.take_phase_stats();
     assert_eq!(
         h.verify_outputs(&mut m),

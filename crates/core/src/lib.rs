@@ -56,6 +56,6 @@ pub use stage::{
     ChecksumTap, CrcStage, DecryptStage, DynPipeline, EncryptStage, Fused, Identity, Ordering,
     UnitStage,
 };
-pub use three_stage::{three_stage, three_stage_observed, Reject};
+pub use three_stage::{three_stage, Reject};
 pub use unitbuf::UnitBuf;
 pub use units::{exchange_unit, lcm};

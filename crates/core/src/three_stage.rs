@@ -11,13 +11,13 @@
 //!    rejected", i.e. where the checksum verdict and unmarshalling errors
 //!    are turned into protocol actions.
 //!
-//! [`three_stage`] encodes the shape as a combinator so the send and
-//! receive paths in `rpcapp` cannot accidentally interleave control
+//! [`three_stage`] encodes the shape as a combinator so the ILP receive
+//! path in `rpcapp::paths` cannot accidentally interleave control
 //! decisions with the loop: the integrated closure has no way to reject,
 //! and the final closure is the only place a verdict can be produced.
 
 use memsim::Mem;
-use obs::{Layer, NoopObserver, PathLabel, SpanObserver, Stage, Work};
+use obs::{Layer, PathLabel, SpanObserver, Stage, Work};
 
 /// Why the final stage rejected a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,69 +59,45 @@ impl std::error::Error for Reject {}
 /// * `integrated` is the ILP loop: it may transform data and accumulate
 ///   results `T`, but cannot reject.
 /// * `final_stage` accepts or rejects using both the context and the
-///   loop's results.
-///
-/// # Errors
-/// Propagates a [`Reject`] from the initial or final stage.
-pub fn three_stage<M: Mem, C, T>(
-    m: &mut M,
-    initial: impl FnOnce(&mut M) -> Result<C, Reject>,
-    integrated: impl FnOnce(&mut M, &C) -> T,
-    final_stage: impl FnOnce(&mut M, &C, &T) -> Result<(), Reject>,
-) -> Result<T, Reject> {
-    three_stage_observed(
-        m,
-        &mut NoopObserver,
-        PathLabel::Ilp,
-        [Layer::Tcp, Layer::Fused, Layer::Tcp],
-        initial,
-        integrated,
-        final_stage,
-    )
-}
-
-/// [`three_stage`] with per-stage work attribution.
+///   loop's results. It alone receives the observer, because it alone
+///   takes protocol actions (accept, hold, ACK) worth tracing.
 ///
 /// Each stage is bracketed with [`Mem::work_counters`] snapshots; the
-/// delta is reported to `obs` as a span tagged `path`, the stage it ran
-/// in, and the corresponding entry of `layers` (`[initial, integrated,
-/// final]`). A rejecting stage still reports its span — the work of
+/// delta is reported to `obs` as a span of `path` in that stage, under
+/// [`Layer::Tcp`] for the two control stages and [`Layer::Fused`] for
+/// the loop. A rejecting stage still reports its span — the work of
 /// parsing a bad header or verifying a failing checksum is real cost —
-/// before the reject propagates. With [`NoopObserver`] the snapshots
-/// are guarded out by `O::ENABLED` and this compiles to exactly
-/// [`three_stage`].
+/// before the reject propagates. With [`obs::NoopObserver`] the
+/// snapshots are guarded out by `O::ENABLED` and only the three calls
+/// remain.
 ///
 /// # Errors
 /// Propagates a [`Reject`] from the initial or final stage.
-#[allow(clippy::too_many_arguments)]
-pub fn three_stage_observed<M: Mem, C, T, O: SpanObserver>(
+pub fn three_stage<M: Mem, O: SpanObserver, C, T>(
     m: &mut M,
     obs: &mut O,
     path: PathLabel,
-    layers: [Layer; 3],
     initial: impl FnOnce(&mut M) -> Result<C, Reject>,
     integrated: impl FnOnce(&mut M, &C) -> T,
-    final_stage: impl FnOnce(&mut M, &C, &T) -> Result<(), Reject>,
+    final_stage: impl FnOnce(&mut M, &mut O, &C, &T) -> Result<(), Reject>,
 ) -> Result<T, Reject> {
-    let stages = [Stage::Initial, Stage::Integrated, Stage::Final];
-
     let before = if O::ENABLED { m.work_counters() } else { (0, 0) };
     let ctx = initial(m);
     if O::ENABLED {
-        obs.span(path, stages[0], layers[0], Work::delta(before, m.work_counters()));
+        obs.span(path, Stage::Initial, Layer::Tcp, Work::delta(before, m.work_counters()));
     }
     let ctx = ctx?;
 
     let before = if O::ENABLED { m.work_counters() } else { (0, 0) };
     let out = integrated(m, &ctx);
     if O::ENABLED {
-        obs.span(path, stages[1], layers[1], Work::delta(before, m.work_counters()));
+        obs.span(path, Stage::Integrated, Layer::Fused, Work::delta(before, m.work_counters()));
     }
 
     let before = if O::ENABLED { m.work_counters() } else { (0, 0) };
-    let verdict = final_stage(m, &ctx, &out);
+    let verdict = final_stage(m, obs, &ctx, &out);
     if O::ENABLED {
-        obs.span(path, stages[2], layers[2], Work::delta(before, m.work_counters()));
+        obs.span(path, Stage::Final, Layer::Tcp, Work::delta(before, m.work_counters()));
     }
     verdict?;
     Ok(out)
@@ -131,6 +107,7 @@ pub fn three_stage_observed<M: Mem, C, T, O: SpanObserver>(
 mod tests {
     use super::*;
     use memsim::{AddressSpace, NativeMem};
+    use obs::NoopObserver;
 
     fn with_mem(f: impl FnOnce(&mut NativeMem<'_>)) {
         let mut space = AddressSpace::new();
@@ -145,9 +122,11 @@ mod tests {
         with_mem(|m| {
             let out = three_stage(
                 m,
+                &mut NoopObserver,
+                PathLabel::Ilp,
                 |_m| Ok(10u32),
                 |_m, ctx| ctx * 2,
-                |_m, ctx, out| {
+                |_m, _obs, ctx, out| {
                     assert_eq!(*ctx, 10);
                     assert_eq!(*out, 20);
                     Ok(())
@@ -163,9 +142,11 @@ mod tests {
             let mut loop_ran = false;
             let out: Result<(), Reject> = three_stage(
                 m,
+                &mut NoopObserver,
+                PathLabel::Ilp,
                 |_m| Err::<u32, _>(Reject::NoConnection),
                 |_m, _ctx: &u32| loop_ran = true,
-                |_m, _ctx, _out| Ok(()),
+                |_m, _obs, _ctx, _out| Ok(()),
             );
             assert_eq!(out, Err(Reject::NoConnection));
             assert!(!loop_ran, "integrated stage must not run after initial reject");
@@ -177,9 +158,11 @@ mod tests {
         with_mem(|m| {
             let out = three_stage(
                 m,
+                &mut NoopObserver,
+                PathLabel::Ilp,
                 |_m| Ok(()),
                 |_m, _ctx| 0xABCDu16,
-                |_m, _ctx, &computed| {
+                |_m, _obs, _ctx, &computed| {
                     Err(Reject::BadChecksum { expected: 0x1234, computed })
                 },
             );

@@ -518,4 +518,45 @@ mod tests {
             assert_eq!(c.counters().dropped, 1);
         }
     }
+
+    #[test]
+    fn largest_admissible_frame_cannot_overrun_a_connections_staging() {
+        // The codec admits inner datagrams up to MAX_INNER (2 KB); a
+        // connection's receive staging is MTU + headers (1 588 B). Any
+        // sender can put such a frame on the socket, so the connection
+        // must refuse it before the system copy.
+        let mut space = AddressSpace::new();
+        let Some((a, mut b)) = pair(&mut space) else {
+            eprintln!("skipping: sandbox denies UDP sockets");
+            return;
+        };
+        let cfg = utcp::UtcpConfig {
+            local_port: 8080,
+            peer_port: 1111,
+            local_ip: 0x0A00_0002,
+            peer_ip: 0x0A00_0001,
+            ..Default::default()
+        };
+        let mut conn = utcp::Connection::new(&mut space, &mut b, cfg, 1);
+        let tcb = *space.regions().iter().find(|r| r.name == "tcb").expect("connection TCB");
+        let frame = space.alloc("frame", codec::MAX_INNER, 8);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        let tcp_len = codec::MAX_INNER - IP_HEADER_LEN;
+        utcp::Ipv4Header::at(frame.base).build(&mut m, cfg.peer_ip, cfg.local_ip, tcp_len, 9, 0, false, 64);
+        TcpHeader::at(frame.at(IP_HEADER_LEN)).build(&mut m, 1111, 8080, 77, 0, TcpFlags::DATA, 512);
+        let wire = codec::encode(m.bytes(frame.base, frame.len)).expect("MAX_INNER is admissible");
+        m.bytes_mut(tcb.base, tcb.len).fill(0xA5);
+        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+        raw.send_to(&wire, b.local_addr().unwrap()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while conn.stats.rejected == 0 && Instant::now() < deadline {
+            assert!(conn.poll_input(&mut m, &mut b).is_none(), "oversized datagram surfaced");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(conn.stats.rejected, 1);
+        assert_eq!(b.decode_errors, 0, "the frame itself is codec-valid");
+        assert!(m.bytes(tcb.base, tcb.len).iter().all(|&x| x == 0xA5), "TCB overwritten");
+        let _ = a;
+    }
 }

@@ -54,7 +54,7 @@ pub fn send_request<C: CipherKernel, M: Mem>(
     m: &mut M,
     req: &FileRequest,
 ) -> Result<(), SendError> {
-    let buf = s.marshal_buf.base;
+    let buf = s.scratch.marshal_buf.base;
     let mut enc = XdrEncoder::new(m, buf + ENC_HDR_LEN);
     req.marshal(&mut enc);
     let msg_len = ENC_HDR_LEN + enc.written();
@@ -63,8 +63,8 @@ pub fn send_request<C: CipherKernel, M: Mem>(
     for off in msg_len..padded {
         m.write_u8(buf + off, 0);
     }
-    cipher::encrypt_buf(&s.cipher, m, buf, s.encrypt_buf.base, padded);
-    s.req_tx.send_buf(m, &mut s.lb, s.encrypt_buf.base, padded)
+    cipher::encrypt_buf(&s.cipher, m, buf, s.scratch.encrypt_buf.base, padded);
+    s.req_tx.send_buf(m, &mut s.lb, s.scratch.encrypt_buf.base, padded)
 }
 
 /// Server side: poll for, verify, decrypt and unmarshal a request.
@@ -77,12 +77,12 @@ pub fn recv_request<C: CipherKernel, M: Mem>(
     if let Err(e) = s.req_rx.finish_recv(m, &mut s.lb, &d, sum) {
         return Some(Err(e));
     }
-    cipher::decrypt_buf(&s.cipher, m, d.payload_addr, s.decrypt_buf.base, d.payload_len);
-    let msg_len = m.read_u32_be(s.decrypt_buf.base) as usize;
+    cipher::decrypt_buf(&s.cipher, m, d.payload_addr, s.scratch.decrypt_buf.base, d.payload_len);
+    let msg_len = m.read_u32_be(s.scratch.decrypt_buf.base) as usize;
     if msg_len < ENC_HDR_LEN || msg_len > d.payload_len {
         return Some(Err(Reject::BadFormat("request length field")));
     }
-    let mut dec = XdrDecoder::new(m, s.decrypt_buf.base + ENC_HDR_LEN, msg_len - ENC_HDR_LEN);
+    let mut dec = XdrDecoder::new(m, s.scratch.decrypt_buf.base + ENC_HDR_LEN, msg_len - ENC_HDR_LEN);
     match FileRequest::unmarshal(&mut dec) {
         Ok(req) => Some(Ok(req)),
         Err(_) => Some(Err(Reject::BadFormat("request body"))),

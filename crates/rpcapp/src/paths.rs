@@ -20,20 +20,96 @@
 //! application buffer; the accept/reject verdict falls in the final
 //! stage (the three-stage split of §2.1: `poll_input` is the initial
 //! stage, the fused loop the integrated stage, `finish_recv` the final
-//! stage).
+//! stage — shaped by [`ilp_core::three_stage`]).
+//!
+//! There is one implementation of each path, and it names the
+//! connection it operates on and the [`Scratch`] it may use: the
+//! single-pair [`Suite`] (every paper figure), the multi-connection
+//! server harness, the two-process UDP demo and the native benchmark
+//! all run these functions. What is *shared* across connections
+//! ([`Scratch`]: the non-ILP intermediate buffers and every loop's
+//! instruction footprint) versus *private* (ring, TCB, staging, file,
+//! output — inside [`utcp::Connection`] and the caller's session)
+//! mirrors a real server process: one code image and one set of static
+//! buffers, N connection states. The `send_reply_*`/`recv_reply_*`
+//! forms are the same calls with a [`Suite`]'s own pair filled in.
+//!
+//! Observation rides in on the kernel-part handle ([`utcp::KernelCtx`]):
+//! pass a bare `&mut` kernel part and every span and trace mark
+//! compiles away; pass [`utcp::observed`] and each separate pass
+//! reports under its own layer (the fused loops as one inseparable
+//! [`Layer::Fused`] span), in the stage it ran in.
 
 use checksum::internet::checksum_buf;
+use checksum::InetChecksum;
 use cipher::CipherKernel;
-use ilp_core::{ilp_run, ChecksumTap, DecryptStage, EncryptStage, Fused, Ordering, Reject, SegmentPlan};
-use memsim::Mem;
-use utcp::SendError;
+use ilp_core::{
+    ilp_run, three_stage, ChecksumTap, DecryptStage, EncryptStage, Fused, LinearSink, Ordering,
+    Reject, SegmentPlan, UnitSink,
+};
+use memsim::layout::AddressSpace;
+use memsim::region::{Region, RegionKind};
+use memsim::{CodeRegion, Mem};
+use obs::{Layer, SegEv, Stage};
+use utcp::{observed, Connection, KernelCtx, SendError};
 use xdr::stream::OpaqueSource;
 
 use crate::msg::{ReplyMeta, ReplyUnmarshalSink, ReplyWords, ENC_HDR_LEN, PREFIX_BYTES, RPC_HDR_WORDS};
-use crate::suite::Suite;
+use crate::suite::{Suite, MAX_MSG};
 
 /// Outcome of a receive poll.
 pub type RecvOutcome = Option<Result<ReplyMeta, Reject>>;
+
+/// Buffers and instruction footprints shared by every connection of one
+/// process.
+#[derive(Debug, Clone, Copy)]
+pub struct Scratch {
+    /// Non-ILP: marshalling output buffer.
+    pub marshal_buf: Region,
+    /// Non-ILP: encryption output buffer.
+    pub encrypt_buf: Region,
+    /// Non-ILP: decryption output buffer.
+    pub decrypt_buf: Region,
+    /// ILP staging (§3.2.2 pre-manipulation): the receive loop's target
+    /// for segments that are not the next in-order one — their fused
+    /// pass must not touch application memory, since the final stage
+    /// will reject them — and the early-manipulation send experiment's
+    /// holding buffer.
+    pub staging: Region,
+    /// Fused send loop footprint (marshal + encrypt + checksum + store
+    /// — the paper's ~3% code-size cost of inlining).
+    pub code_ilp_send: CodeRegion,
+    /// Fused receive loop footprint.
+    pub code_ilp_recv: CodeRegion,
+    /// Non-ILP marshalling loop footprint.
+    pub code_marshal: CodeRegion,
+    /// Non-ILP unmarshal+copy loop footprint.
+    pub code_unmarshal: CodeRegion,
+    /// Non-ILP checksum pass footprint.
+    pub code_checksum: CodeRegion,
+    /// `tcp_send` copy loop footprint.
+    pub code_copy: CodeRegion,
+}
+
+impl Scratch {
+    /// Allocate the shared buffers and code footprints, contiguously —
+    /// the server layout. ([`Suite`] places the same regions around its
+    /// application buffers instead.)
+    pub fn alloc(space: &mut AddressSpace) -> Self {
+        Scratch {
+            marshal_buf: space.alloc_kind("marshal_buf", MAX_MSG, 8, RegionKind::Buffer),
+            encrypt_buf: space.alloc_kind("encrypt_buf", MAX_MSG, 8, RegionKind::Buffer),
+            decrypt_buf: space.alloc_kind("decrypt_buf", MAX_MSG, 8, RegionKind::Buffer),
+            staging: space.alloc_kind("recv_staging", MAX_MSG, 8, RegionKind::Buffer),
+            code_ilp_send: space.alloc_code("ilp_send_loop", 240 + 480 + 96 + 120),
+            code_ilp_recv: space.alloc_code("ilp_recv_loop", 280 + 560 + 96 + 120),
+            code_marshal: space.alloc_code("marshal_loop", 240),
+            code_unmarshal: space.alloc_code("unmarshal_loop", 280),
+            code_checksum: space.alloc_code("checksum_loop", 96),
+            code_copy: space.alloc_code("tcp_send_copy", 64),
+        }
+    }
+}
 
 // ----------------------------------------------------------------------
 // Send
@@ -44,7 +120,7 @@ pub type RecvOutcome = Option<Result<ReplyMeta, Reject>>;
 /// `marshal_buf`. One read of the application data, one write of the
 /// message.
 fn marshal_pass<C: CipherKernel, M: Mem>(
-    s: &Suite<C>,
+    s: &Scratch,
     m: &mut M,
     meta: &ReplyMeta,
     data_addr: usize,
@@ -81,8 +157,122 @@ fn marshal_pass<C: CipherKernel, M: Mem>(
     padded
 }
 
-/// **Non-ILP send**: marshal → encrypt → `tcp_send`/`tcp_output`
-/// (copy + checksum + header + system copy).
+/// **Non-ILP send** of one chunk on `tx`: marshal → encrypt →
+/// `tcp_send`/`tcp_output` (copy + checksum + header + system copy),
+/// each pass under its own layer in the integrated-stage position.
+///
+/// # Errors
+/// Propagates transport back-pressure ([`SendError`]).
+pub fn send_chunk_non_ilp<C: CipherKernel, M: Mem>(
+    s: &Scratch,
+    cipher: &C,
+    m: &mut M,
+    tx: &mut Connection,
+    k: &mut impl KernelCtx,
+    meta: &ReplyMeta,
+    data_addr: usize,
+) -> Result<usize, SendError> {
+    let seg = tx.seg_begin(meta.seq);
+    k.seg(seg, SegEv::SendStage(Stage::Initial));
+    let t = k.mark(m);
+    let padded = marshal_pass::<C, M>(s, m, meta, data_addr); // step 1
+    k.span(m, Stage::Integrated, Layer::Marshal, t);
+    let t = k.mark(m);
+    cipher::encrypt_buf(cipher, m, s.marshal_buf.base, s.encrypt_buf.base, padded); // step 2
+    k.span(m, Stage::Integrated, Layer::Cipher, t);
+    k.seg(seg, SegEv::SendStage(Stage::Integrated));
+    let t = k.mark(m);
+    m.fetch(s.code_copy);
+    k.span(m, Stage::Integrated, Layer::Tcp, t);
+    let t = k.mark(m);
+    m.fetch(s.code_checksum);
+    k.span(m, Stage::Integrated, Layer::Checksum, t);
+    k.seg(seg, SegEv::SendStage(Stage::Final));
+    tx.send_buf(m, k, s.encrypt_buf.base, padded)?; // steps 3–5
+    Ok(padded)
+}
+
+/// The fused marshal+encrypt+checksum loop, one run per message part in
+/// the B→C→A order of §3.2.2; `sink_at(offset)` yields the sink for the
+/// part that starts `offset` bytes into the message. Returns the
+/// register-resident payload checksum.
+fn fused_send<C: CipherKernel + Copy, M: Mem, S: UnitSink<M>>(
+    code: CodeRegion,
+    cipher: C,
+    m: &mut M,
+    meta: &ReplyMeta,
+    data_addr: usize,
+    mut sink_at: impl FnMut(usize) -> S,
+) -> InetChecksum {
+    let plan = SegmentPlan::for_message(
+        ENC_HDR_LEN,
+        meta.marshalled_len(),
+        C::UNIT,
+        Ordering::Unconstrained,
+    )
+    .expect("block cipher stack is fusible");
+    debug_assert_eq!(plan.padded_len, meta.padded_len(C::UNIT));
+    let words = ReplyWords::new(meta, data_addr, C::UNIT);
+    let mut stages = Fused::new(EncryptStage::new(cipher), ChecksumTap::new());
+    for part in plan.processing_order() {
+        if part.is_empty() {
+            continue;
+        }
+        // The per-part checksum taps are merged with InetChecksum::combine,
+        // which only reassociates over even byte counts at even offsets
+        // (an odd part would pad mid-message per RFC 1071 and silently
+        // corrupt the patched header checksum). SegmentPlan aligns parts
+        // to the cipher block (a multiple of 4), so this always holds.
+        debug_assert!(
+            part.start % 2 == 0 && part.len() % 2 == 0,
+            "combine precondition: part [{}, {}) must be even-aligned",
+            part.start,
+            part.end
+        );
+        let mut source = words.range_source(part.start / 4, part.end / 4);
+        let mut sink = sink_at(part.start);
+        ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(code))
+            .expect("negotiated unit fits registers");
+    }
+    stages.b.sum()
+}
+
+/// **ILP send** of one chunk on `tx`: one fused
+/// marshal+encrypt+checksum loop per message part, stored straight into
+/// the connection's ring; the header checksum is patched from the
+/// register-resident sum. Ring reservation reports as initial-stage
+/// work, the fused loop as the integrated stage (one span — the layers
+/// are inseparable by construction), the commit as the final stage.
+///
+/// # Errors
+/// Propagates transport back-pressure ([`SendError`]).
+pub fn send_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
+    s: &Scratch,
+    cipher: C,
+    m: &mut M,
+    tx: &mut Connection,
+    k: &mut impl KernelCtx,
+    meta: &ReplyMeta,
+    data_addr: usize,
+) -> Result<usize, SendError> {
+    let seg = tx.seg_begin(meta.seq);
+    let t = k.mark(m);
+    let padded = meta.padded_len(C::UNIT);
+    let (extent, _writer0) = tx.begin_ilp_send(padded)?;
+    k.span(m, Stage::Initial, Layer::Tcp, t);
+    k.seg(seg, SegEv::SendStage(Stage::Initial));
+    let t = k.mark(m);
+    let sum = fused_send(s.code_ilp_send, cipher, m, meta, data_addr, |off| {
+        tx.ring_writer_at(extent, off)
+    });
+    k.span(m, Stage::Integrated, Layer::Fused, t);
+    k.seg(seg, SegEv::SendStage(Stage::Integrated));
+    k.seg(seg, SegEv::SendStage(Stage::Final));
+    tx.commit_send(m, k, extent, sum);
+    Ok(padded)
+}
+
+/// [`send_chunk_non_ilp`] on the suite's own pair.
 ///
 /// # Errors
 /// Propagates transport back-pressure ([`SendError`]).
@@ -92,17 +282,10 @@ pub fn send_reply_non_ilp<C: CipherKernel, M: Mem>(
     meta: &ReplyMeta,
     data_addr: usize,
 ) -> Result<usize, SendError> {
-    let padded = marshal_pass(s, m, meta, data_addr); // step 1
-    cipher::encrypt_buf(&s.cipher, m, s.marshal_buf.base, s.encrypt_buf.base, padded); // step 2
-    m.fetch(s.code_copy);
-    m.fetch(s.code_checksum);
-    s.tx.send_buf(m, &mut s.lb, s.encrypt_buf.base, padded)?; // steps 3–5
-    Ok(padded)
+    send_chunk_non_ilp(&s.scratch, &s.cipher, m, &mut s.tx, &mut s.lb, meta, data_addr)
 }
 
-/// **ILP send**: one fused marshal+encrypt+checksum loop per message
-/// part, stored directly into the TCP ring in B→C→A order; the header
-/// checksum is patched from the register-resident sum.
+/// [`send_chunk_ilp`] on the suite's own pair.
 ///
 /// # Errors
 /// Propagates transport back-pressure ([`SendError`]).
@@ -112,40 +295,7 @@ pub fn send_reply_ilp<C: CipherKernel + Copy, M: Mem>(
     meta: &ReplyMeta,
     data_addr: usize,
 ) -> Result<usize, SendError> {
-    let padded = meta.padded_len(C::UNIT);
-    let plan = SegmentPlan::for_message(
-        ENC_HDR_LEN,
-        meta.marshalled_len(),
-        C::UNIT,
-        Ordering::Unconstrained,
-    )
-    .expect("block cipher stack is fusible");
-    debug_assert_eq!(plan.padded_len, padded);
-
-    let (extent, _writer0) = s.tx.begin_ilp_send(padded)?;
-    let words = ReplyWords::new(meta, data_addr, C::UNIT);
-    let mut stages = Fused::new(EncryptStage::new(s.cipher), ChecksumTap::new());
-    for part in plan.processing_order() {
-        if part.is_empty() {
-            continue;
-        }
-        // The part taps merge via InetChecksum::combine, which requires
-        // even byte counts at even offsets; SegmentPlan's block-aligned
-        // parts (block % 4 == 0) guarantee it, and a future odd-sized
-        // part C would otherwise corrupt the patched header checksum.
-        debug_assert!(
-            part.start % 2 == 0 && part.len() % 2 == 0,
-            "combine precondition: part [{}, {}) must be even-aligned",
-            part.start,
-            part.end
-        );
-        let mut source = words.range_source(part.start / 4, part.end / 4);
-        let mut sink = s.tx.ring_writer_at(extent, part.start);
-        ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.code_ilp_send))
-            .expect("negotiated unit fits registers");
-    }
-    s.tx.commit_send(m, &mut s.lb, extent, stages.b.sum());
-    Ok(padded)
+    send_chunk_ilp(&s.scratch, s.cipher, m, &mut s.tx, &mut s.lb, meta, data_addr)
 }
 
 /// **ILP send with early manipulation** (§3.2.2's alternative policy):
@@ -163,42 +313,18 @@ pub fn send_reply_ilp_staged<C: CipherKernel + Copy, M: Mem>(
     meta: &ReplyMeta,
     data_addr: usize,
 ) -> Result<usize, SendError> {
-    use ilp_core::LinearSink;
     let padded = meta.padded_len(C::UNIT);
-    let plan = SegmentPlan::for_message(
-        ENC_HDR_LEN,
-        meta.marshalled_len(),
-        C::UNIT,
-        Ordering::Unconstrained,
-    )
-    .expect("fusible");
     // Manipulate early, into the staging buffer.
-    let words = ReplyWords::new(meta, data_addr, C::UNIT);
-    let mut stages = Fused::new(EncryptStage::new(s.cipher), ChecksumTap::new());
-    for part in plan.processing_order() {
-        if part.is_empty() {
-            continue;
-        }
-        // Same combine precondition as the direct ILP send: parts must
-        // cover even byte counts at even offsets for the checksum taps
-        // to reassociate.
-        debug_assert!(
-            part.start % 2 == 0 && part.len() % 2 == 0,
-            "combine precondition: part [{}, {}) must be even-aligned",
-            part.start,
-            part.end
-        );
-        let mut source = words.range_source(part.start / 4, part.end / 4);
-        let mut sink = LinearSink::new(s.staging.base + part.start);
-        ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.code_ilp_send))
-            .expect("negotiated unit fits registers");
-    }
+    let staging = s.scratch.staging.base;
+    let sum = fused_send(s.scratch.code_ilp_send, s.cipher, m, meta, data_addr, |off| {
+        LinearSink::new(staging + off)
+    });
     // Later (here: immediately), when buffer space is available: copy
     // staging → ring and ship with the precomputed checksum.
     let (extent, _) = s.tx.begin_ilp_send(padded)?;
-    m.fetch(s.code_copy);
-    m.copy(s.staging.base, s.tx.ring_writer_at(extent, 0).base_addr(), padded);
-    s.tx.commit_send(m, &mut s.lb, extent, stages.b.sum());
+    m.fetch(s.scratch.code_copy);
+    m.copy(staging, s.tx.ring_writer_at(extent, 0).base_addr(), padded);
+    s.tx.commit_send(m, &mut s.lb, extent, sum);
     Ok(padded)
 }
 
@@ -207,11 +333,13 @@ pub fn send_reply_ilp_staged<C: CipherKernel + Copy, M: Mem>(
 // ----------------------------------------------------------------------
 
 /// Non-ILP unmarshal+copy pass: parse the decrypted message in
-/// `decrypt_buf` and copy the chunk into the output file.
-fn unmarshal_pass<C: CipherKernel, M: Mem>(
-    s: &Suite<C>,
+/// `decrypt_buf` and copy the chunk into `app_out` at the header's
+/// offset.
+fn unmarshal_pass<M: Mem>(
+    s: &Scratch,
     m: &mut M,
     payload_len: usize,
+    app_out: Region,
 ) -> Result<ReplyMeta, Reject> {
     m.fetch(s.code_unmarshal);
     let buf = s.decrypt_buf.base;
@@ -228,10 +356,10 @@ fn unmarshal_pass<C: CipherKernel, M: Mem>(
     }
     let data_len = meta.data_len as usize;
     let offset = meta.offset as usize;
-    if offset + data_len > s.app_out.len {
+    if offset + data_len > app_out.len {
         return Err(Reject::BadFormat("chunk beyond file bounds"));
     }
-    let dst = s.app_out.base + offset;
+    let dst = app_out.base + offset;
     let words = data_len / 4;
     for i in 0..words {
         let w = m.read_u32_be(buf + PREFIX_BYTES + 4 * i);
@@ -246,47 +374,107 @@ fn unmarshal_pass<C: CipherKernel, M: Mem>(
     Ok(meta)
 }
 
-/// **Non-ILP receive**: checksum pass (in `tcp_input`), then decrypt
-/// pass, then unmarshal+copy pass — each over the whole message.
-pub fn recv_reply_non_ilp<C: CipherKernel, M: Mem>(s: &mut Suite<C>, m: &mut M) -> RecvOutcome {
-    let d = s.rx.poll_input(m, &mut s.lb)?;
+/// **Non-ILP receive** of one chunk on `rx` into `app_out`: checksum
+/// pass (in `tcp_input`), accept/reject, then decrypt pass, then
+/// unmarshal+copy pass — each over the whole message, each under its
+/// own layer, with the verdict as the final stage.
+pub fn recv_chunk_non_ilp<C: CipherKernel, M: Mem>(
+    s: &Scratch,
+    cipher: &C,
+    m: &mut M,
+    rx: &mut Connection,
+    k: &mut impl KernelCtx,
+    app_out: Region,
+) -> RecvOutcome {
+    let d = rx.poll_input(m, k)?;
+    k.seg(d.ctx, SegEv::RecvStage(Stage::Initial));
+    let t = k.mark(m);
     m.fetch(s.code_checksum);
     let payload_sum = checksum_buf(m, d.payload_addr, d.payload_len); // step 2
-    if let Err(e) = s.rx.finish_recv(m, &mut s.lb, &d, payload_sum) {
+    k.span(m, Stage::Integrated, Layer::Checksum, t);
+    k.seg(d.ctx, SegEv::RecvStage(Stage::Integrated));
+    let t = k.mark(m);
+    let verdict = rx.finish_recv(m, k, &d, payload_sum);
+    k.span(m, Stage::Final, Layer::Tcp, t);
+    if let Err(e) = verdict {
         return Some(Err(e));
     }
-    cipher::decrypt_buf(&s.cipher, m, d.payload_addr, s.decrypt_buf.base, d.payload_len); // step 3
-    Some(unmarshal_pass(s, m, d.payload_len)) // step 4
+    let t = k.mark(m);
+    cipher::decrypt_buf(cipher, m, d.payload_addr, s.decrypt_buf.base, d.payload_len); // step 3
+    k.span(m, Stage::Integrated, Layer::Cipher, t);
+    let t = k.mark(m);
+    let out = unmarshal_pass(s, m, d.payload_len, app_out); // step 4
+    k.span(m, Stage::Integrated, Layer::Marshal, t);
+    k.seg(d.ctx, SegEv::RecvStage(Stage::Final));
+    Some(out)
 }
 
-/// **ILP receive**: one fused checksum+decrypt+unmarshal loop straight
-/// off the staging buffer, then the final accept/reject stage.
+/// **ILP receive** of one chunk on `rx` into `app_out`, shaped by the
+/// [`three_stage`] combinator: the initial stage staged the segment
+/// ([`Connection::poll_input`]), the integrated stage runs the fused
+/// checksum+decrypt+unmarshal loop straight off the staging buffer (and
+/// cannot reject), and the final stage renders the accept/reject
+/// verdict — checksum and unmarshalling errors are both known there,
+/// before any TCP state was touched.
+pub fn recv_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
+    s: &Scratch,
+    cipher: C,
+    m: &mut M,
+    rx: &mut Connection,
+    k: &mut impl KernelCtx,
+    app_out: Region,
+) -> RecvOutcome {
+    let d = rx.poll_input(m, k)?;
+    let seg = d.ctx;
+    k.seg(seg, SegEv::RecvStage(Stage::Initial));
+    let (kernel, obs, path) = k.parts();
+    let verdict = three_stage(
+        m,
+        obs,
+        path,
+        |_m| Ok(d),
+        |m, d| {
+            let mut stages = Fused::new(ChecksumTap::new(), DecryptStage::new(cipher));
+            // An out-of-order or duplicate segment is certain to be
+            // rejected by the final stage — the fused pass still runs
+            // in full (its checksum drives the repeat-ACK decision) but
+            // unmarshals into staging so a stale retransmission that
+            // was corrupted in flight cannot scribble over bytes the
+            // application already owns.
+            let mut sink = if d.in_order {
+                ReplyUnmarshalSink::new(app_out.base, app_out.len)
+            } else {
+                ReplyUnmarshalSink::staging(s.staging.base, s.staging.len)
+            };
+            let mut source = OpaqueSource::new(d.payload_addr, d.payload_len);
+            ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.code_ilp_recv))
+                .expect("negotiated unit fits registers");
+            (stages.a.sum(), sink)
+        },
+        |m, obs, d, (sum, sink)| {
+            let mut k = observed(kernel, obs, path);
+            k.seg(seg, SegEv::RecvStage(Stage::Integrated));
+            rx.finish_recv(m, &mut k, d, *sum)?;
+            if sink.meta().is_none() {
+                return Err(Reject::BadFormat("reply prefix"));
+            }
+            Ok(())
+        },
+    );
+    if verdict.is_ok() {
+        k.seg(seg, SegEv::RecvStage(Stage::Final));
+    }
+    Some(verdict.map(|(_, sink)| sink.meta().expect("checked in final stage").1))
+}
+
+/// [`recv_chunk_non_ilp`] on the suite's own pair.
+pub fn recv_reply_non_ilp<C: CipherKernel, M: Mem>(s: &mut Suite<C>, m: &mut M) -> RecvOutcome {
+    recv_chunk_non_ilp(&s.scratch, &s.cipher, m, &mut s.rx, &mut s.lb, s.app_out)
+}
+
+/// [`recv_chunk_ilp`] on the suite's own pair.
 pub fn recv_reply_ilp<C: CipherKernel + Copy, M: Mem>(s: &mut Suite<C>, m: &mut M) -> RecvOutcome {
-    // Initial stage: system copy + header parse + demux.
-    let d = s.rx.poll_input(m, &mut s.lb)?;
-    // Integrated stage: checksum over the ciphertext, then decrypt, then
-    // unmarshal into the application buffer — one pass.
-    let mut stages = Fused::new(ChecksumTap::new(), DecryptStage::new(s.cipher));
-    // Out-of-order segments will be rejected in the final stage; run
-    // the fused pass into staging (§3.2.2 pre-manipulation) so a stale
-    // corrupted retransmission cannot scribble on delivered app bytes.
-    let mut sink = if d.in_order {
-        ReplyUnmarshalSink::new(s.app_out.base, s.app_out.len)
-    } else {
-        ReplyUnmarshalSink::staging(s.staging.base, s.staging.len)
-    };
-    let mut source = OpaqueSource::new(d.payload_addr, d.payload_len);
-    ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.code_ilp_recv))
-        .expect("negotiated unit fits registers");
-    // Final stage: verdict. Checksum errors and unmarshalling errors are
-    // both known here, before any TCP state was touched.
-    if let Err(e) = s.rx.finish_recv(m, &mut s.lb, &d, stages.a.sum()) {
-        return Some(Err(e));
-    }
-    match sink.meta() {
-        Some((_, meta)) => Some(Ok(meta)),
-        None => Some(Err(Reject::BadFormat("reply prefix"))),
-    }
+    recv_chunk_ilp(&s.scratch, s.cipher, m, &mut s.rx, &mut s.lb, s.app_out)
 }
 
 /// **ILP receive, late-manipulation variant** (§3.2.2): TCP verifies the
@@ -299,7 +487,7 @@ pub fn recv_reply_ilp_late<C: CipherKernel + Copy, M: Mem>(
     m: &mut M,
 ) -> RecvOutcome {
     let d = s.rx.poll_input(m, &mut s.lb)?;
-    m.fetch(s.code_checksum);
+    m.fetch(s.scratch.code_checksum);
     let payload_sum = checksum_buf(m, d.payload_addr, d.payload_len);
     if let Err(e) = s.rx.finish_recv(m, &mut s.lb, &d, payload_sum) {
         return Some(Err(e));
@@ -309,7 +497,7 @@ pub fn recv_reply_ilp_late<C: CipherKernel + Copy, M: Mem>(
     let mut stages = DecryptStage::new(s.cipher);
     let mut sink = ReplyUnmarshalSink::new(s.app_out.base, s.app_out.len);
     let mut source = OpaqueSource::new(d.payload_addr, d.payload_len);
-    ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.code_ilp_recv))
+    ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.scratch.code_ilp_recv))
         .expect("negotiated unit fits registers");
     match sink.meta() {
         Some((_, meta)) => Some(Ok(meta)),
@@ -540,5 +728,64 @@ mod tests {
             send_reply_non_ilp(&mut s, &mut m, &chunk, file.base),
             Err(SendError::WindowClosed) | Err(SendError::BufferFull)
         ));
+    }
+
+    /// Four chunks through the explicit-connection paths; returns the
+    /// receiver's staged datagram (headers + ciphertext) after each.
+    fn drive<K: KernelCtx>(
+        s: &Scratch,
+        cipher: cipher::SimplifiedSafer,
+        m: &mut memsim::SimMem,
+        (tx, rx): (&mut Connection, &mut Connection),
+        k: &mut K,
+        (file, app_out): (Region, Region),
+        ilp: bool,
+    ) -> Vec<Vec<u8>> {
+        let mut wire = Vec::new();
+        for seq in 0..4u32 {
+            let chunk = meta(seq, seq * 1000, 1000);
+            let addr = file.at(seq as usize * 1000);
+            let got = if ilp {
+                send_chunk_ilp(s, cipher, m, tx, k, &chunk, addr).unwrap();
+                recv_chunk_ilp(s, cipher, m, rx, k, app_out)
+            } else {
+                send_chunk_non_ilp(s, &cipher, m, tx, k, &chunk, addr).unwrap();
+                recv_chunk_non_ilp(s, &cipher, m, rx, k, app_out)
+            };
+            assert_eq!(got.expect("delivered").expect("accepted"), chunk);
+            let staged = rx.recv_region();
+            wire.push(m.peek(staged.base, staged.len).to_vec());
+            while tx.poll_input(m, k).is_some() {}
+        }
+        wire
+    }
+
+    #[test]
+    fn observing_the_suite_paths_moves_neither_wire_bytes_nor_memory_traffic() {
+        use memsim::{HostModel, SimMem};
+        use obs::{PathLabel, Recorder};
+        for (ilp, label) in [(false, PathLabel::NonIlp), (true, PathLabel::Ilp)] {
+            let run = |rec: Option<&mut Recorder>| {
+                let mut space = AddressSpace::new();
+                let mut s = Suite::simplified(&mut space);
+                let mut m = SimMem::new(&space, &HostModel::ss20_60());
+                s.init_world(&mut m);
+                fill_file(&s, &mut m, 4096);
+                let _ = m.take_stats();
+                let Suite { scratch, cipher, tx, rx, lb, file, app_out, .. } = &mut s;
+                let (pair, bufs) = ((tx, rx), (*file, *app_out));
+                let wire = match rec {
+                    None => drive(scratch, *cipher, &mut m, pair, lb, bufs, ilp),
+                    Some(rec) => {
+                        drive(scratch, *cipher, &mut m, pair, &mut observed(lb, rec, label), bufs, ilp)
+                    }
+                };
+                let st = m.stats();
+                (wire, st.data_accesses(), st.total_read_misses(), st.total_write_misses())
+            };
+            let mut rec = Recorder::new(16);
+            assert_eq!(run(None), run(Some(&mut rec)), "ilp={ilp}");
+            assert!(rec.path_total(label) > 0, "the observer saw the {label:?} spans");
+        }
     }
 }

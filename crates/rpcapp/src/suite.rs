@@ -18,8 +18,10 @@
 use cipher::{CipherKernel, Des, SaferK64, SimplifiedSafer, VerySimple};
 use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
-use memsim::{CodeRegion, Mem};
+use memsim::Mem;
 use utcp::{Connection, Loopback, UtcpConfig};
+
+use crate::paths::Scratch;
 
 /// Which cipher the suite runs — the paper's §4.1 ablation axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,28 +53,10 @@ pub struct Suite<C> {
     pub file: Region,
     /// The client's reassembled output file.
     pub app_out: Region,
-    /// Non-ILP: marshalling output buffer.
-    pub marshal_buf: Region,
-    /// Non-ILP: encryption output buffer.
-    pub encrypt_buf: Region,
-    /// Non-ILP: decryption output buffer.
-    pub decrypt_buf: Region,
-    /// ILP staging buffer for the pre-manipulation policy (§3.2.2, when
-    /// the ring is full).
-    pub staging: Region,
-    /// Instruction footprint of the fused send loop (marshal + encrypt +
-    /// checksum + store — the paper's ~3% code-size cost of inlining).
-    pub code_ilp_send: CodeRegion,
-    /// Instruction footprint of the fused receive loop.
-    pub code_ilp_recv: CodeRegion,
-    /// Non-ILP marshalling loop footprint.
-    pub code_marshal: CodeRegion,
-    /// Non-ILP unmarshal+copy loop footprint.
-    pub code_unmarshal: CodeRegion,
-    /// Non-ILP checksum pass footprint.
-    pub code_checksum: CodeRegion,
-    /// `tcp_send` copy loop footprint.
-    pub code_copy: CodeRegion,
+    /// The non-ILP intermediate buffers, the ILP staging buffer and the
+    /// instruction footprint of every loop — what [`crate::paths`] runs
+    /// over.
+    pub scratch: Scratch,
 }
 
 /// Maximum file size the suite's buffers accommodate.
@@ -153,7 +137,10 @@ impl<C: CipherKernel> Suite<C> {
 
         // Instruction footprints. The fused loops carry the sum of their
         // constituent bodies plus glue — measured in the paper as ≈3%
-        // total code growth from inlining.
+        // total code growth from inlining. The scratch is assembled
+        // field by field (not through `Scratch::alloc`) because every
+        // calibrated figure depends on this allocation order: buffers,
+        // then the application files, then code.
         let code_marshal = space.alloc_code("marshal_loop", 240);
         let code_unmarshal = space.alloc_code("unmarshal_loop", 280);
         let code_checksum = space.alloc_code("checksum_loop", 96);
@@ -170,16 +157,18 @@ impl<C: CipherKernel> Suite<C> {
             req_rx,
             file,
             app_out,
-            marshal_buf,
-            encrypt_buf,
-            decrypt_buf,
-            staging,
-            code_ilp_send,
-            code_ilp_recv,
-            code_marshal,
-            code_unmarshal,
-            code_checksum,
-            code_copy,
+            scratch: Scratch {
+                marshal_buf,
+                encrypt_buf,
+                decrypt_buf,
+                staging,
+                code_ilp_send,
+                code_ilp_recv,
+                code_marshal,
+                code_unmarshal,
+                code_checksum,
+                code_copy,
+            },
         }
     }
 
@@ -237,7 +226,8 @@ mod tests {
     fn regions_are_distinct() {
         let mut space = AddressSpace::new();
         let s = Suite::simplified(&mut space);
-        let regions = [s.file, s.app_out, s.marshal_buf, s.encrypt_buf, s.decrypt_buf, s.staging];
+        let b = s.scratch;
+        let regions = [s.file, s.app_out, b.marshal_buf, b.encrypt_buf, b.decrypt_buf, b.staging];
         for (i, a) in regions.iter().enumerate() {
             for b in regions.iter().skip(i + 1) {
                 assert!(a.end() <= b.base || b.end() <= a.base, "{} overlaps {}", a.name, b.name);
@@ -249,8 +239,67 @@ mod tests {
     fn fused_code_is_larger_than_parts_but_modest() {
         let mut space = AddressSpace::new();
         let s = Suite::simplified(&mut space);
-        let parts = s.code_marshal.len + 480 + s.code_checksum.len;
-        assert!(s.code_ilp_send.len > parts);
-        assert!(s.code_ilp_send.len < parts + parts / 4, "glue should stay small");
+        let parts = s.scratch.code_marshal.len + 480 + s.scratch.code_checksum.len;
+        assert!(s.scratch.code_ilp_send.len > parts);
+        assert!(s.scratch.code_ilp_send.len < parts + parts / 4, "glue should stay small");
+    }
+
+    /// Every calibrated figure (Table 1, Figs. 6–14) is a function of
+    /// this layout: which buffers share cache sets with the cipher
+    /// tables is decided here. A reordering must be a deliberate,
+    /// re-calibrated change — never a side effect.
+    #[test]
+    fn simplified_suite_layout_is_pinned() {
+        const GOLDEN: &[(&str, usize, usize)] = &[
+            ("safer_exp", 0x10000, 256),
+            ("safer_log", 0x10100, 256),
+            ("safer_key", 0x10200, 8),
+            ("safer_scratch", 0x10208, 16),
+            ("simplified_safer_enc", 0x1000000, 480),
+            ("simplified_safer_dec", 0x1000200, 560),
+            ("kernel_slots", 0x10240, 131072),
+            ("os_ip_driver", 0x1000440, 6144),
+            ("os_working_set", 0x30240, 16384),
+            ("tcp_ring", 0x34240, 16384),
+            ("tcp_hdr", 0x38240, 48),
+            ("tcp_recv", 0x38280, 1588),
+            ("tcb", 0x388b8, 64),
+            ("tcp_ooo", 0x38900, 4608),
+            ("utcp_control", 0x1001c40, 3072),
+            ("tcp_ring", 0x39b00, 16384),
+            ("tcp_hdr", 0x3db00, 48),
+            ("tcp_recv", 0x3db40, 1588),
+            ("tcb", 0x3e178, 64),
+            ("tcp_ooo", 0x3e1c0, 4608),
+            ("utcp_control", 0x1002840, 3072),
+            ("tcp_ring", 0x3f3c0, 16384),
+            ("tcp_hdr", 0x433c0, 48),
+            ("tcp_recv", 0x43400, 1588),
+            ("tcb", 0x43a38, 64),
+            ("tcp_ooo", 0x43a80, 4608),
+            ("utcp_control", 0x1003440, 3072),
+            ("tcp_ring", 0x44c80, 16384),
+            ("tcp_hdr", 0x48c80, 48),
+            ("tcp_recv", 0x48cc0, 1588),
+            ("tcb", 0x492f8, 64),
+            ("tcp_ooo", 0x49340, 4608),
+            ("utcp_control", 0x1004040, 3072),
+            ("marshal_buf", 0x4a540, 2048),
+            ("encrypt_buf", 0x4ad40, 2048),
+            ("decrypt_buf", 0x4b540, 2048),
+            ("ilp_staging", 0x4bd40, 2048),
+            ("app_file", 0x4c540, 65536),
+            ("app_out", 0x5c540, 65536),
+            ("marshal_loop", 0x1004c40, 240),
+            ("unmarshal_loop", 0x1004d40, 280),
+            ("checksum_loop", 0x1004e80, 96),
+            ("tcp_send_copy", 0x1004f00, 64),
+            ("ilp_send_loop", 0x1004f40, 936),
+            ("ilp_recv_loop", 0x1005300, 1056),
+        ];
+        let mut space = AddressSpace::new();
+        let _suite = Suite::simplified(&mut space);
+        let table: Vec<_> = space.regions().iter().map(|r| (r.name, r.base, r.len)).collect();
+        assert_eq!(table, GOLDEN);
     }
 }

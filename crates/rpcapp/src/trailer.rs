@@ -255,7 +255,7 @@ pub fn send_reply_ilp_trailer<C: CipherKernel + Copy, M: Mem>(
     let (extent, mut writer) = s.tx.begin_ilp_send(padded)?;
     let mut source = TrailerSource::new(TrailerReplyWords::new(meta, data_addr, C::UNIT));
     let mut stages = Fused::new(EncryptStage::new(s.cipher), ChecksumTap::new());
-    ilp_run(m, &mut source, &mut stages, &mut writer, 1, Some(s.code_ilp_send))
+    ilp_run(m, &mut source, &mut stages, &mut writer, 1, Some(s.scratch.code_ilp_send))
         .expect("negotiated unit fits registers");
     s.tx.commit_send(m, &mut s.lb, extent, stages.b.sum());
     Ok(padded)
@@ -272,7 +272,7 @@ pub fn recv_reply_ilp_trailer<C: CipherKernel + Copy, M: Mem>(
     let mut stages = Fused::new(ChecksumTap::new(), DecryptStage::new(s.cipher));
     let mut sink = TrailerUnmarshalSink::new(s.app_out.base, s.app_out.len, d.payload_len);
     let mut source = xdr::stream::OpaqueSource::new(d.payload_addr, d.payload_len);
-    ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.code_ilp_recv))
+    ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.scratch.code_ilp_recv))
         .expect("negotiated unit fits registers");
     if let Err(e) = s.rx.finish_recv(m, &mut s.lb, &d, stages.a.sum()) {
         return Some(Err(e));

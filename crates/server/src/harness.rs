@@ -17,9 +17,9 @@
 //! all connections from one CPU, and the cache effects the experiment
 //! measures come precisely from that interleaving.
 //!
-//! When observed ([`ScaleHarness::run_observed`]), the harness calls
-//! [`obs::SpanObserver::tick`] at the top of every round, which is also
-//! what flushes the recorder's windowed time series: a window seals
+//! When observed (a [`RunPath`] with an observer attached), the harness
+//! calls [`obs::SpanObserver::tick`] at the top of every round, which is
+//! also what flushes the recorder's windowed time series: a window seals
 //! exactly when the virtual clock crosses a window boundary, so the
 //! series' shape is a pure function of the run, never of host timing.
 
@@ -33,14 +33,15 @@ use obs::{
 };
 use obs::{ConnView, HealthConfig, QueueStat, Verdict};
 pub use rpcapp::app::Path;
-use utcp::{Connection, EndpointId, FaultPlan, KernelPart, Loopback, SendError, UtcpConfig};
+use utcp::{
+    observed, Connection, EndpointId, FaultPlan, KernelPart, Loopback, SendError, UtcpConfig,
+};
 
 use crate::clock::VirtualClock;
 use crate::conn_table::{ConnId, ConnTable, Session, SessionState};
 use crate::handshake::{self, LISTEN_PORT};
 use crate::pipeline::{
-    recv_chunk_ilp_obs, recv_chunk_non_ilp_obs, send_chunk_ilp_obs, send_chunk_non_ilp_obs,
-    Scratch,
+    recv_chunk_ilp, recv_chunk_non_ilp, send_chunk_ilp, send_chunk_non_ilp, Scratch,
 };
 use crate::sched::Scheduler;
 use crate::stats::{jain_fairness, PerConnStats};
@@ -50,6 +51,30 @@ fn path_label(path: Path) -> PathLabel {
     match path {
         Path::Ilp => PathLabel::Ilp,
         Path::NonIlp => PathLabel::NonIlp,
+    }
+}
+
+/// The `path` argument of [`ScaleHarness::run`]: a bare [`Path`] runs
+/// unobserved ([`NoopObserver`] — every observation site compiles
+/// away), `(path, &mut observer)` attaches an observer.
+pub trait RunPath {
+    /// The observer the run reports to.
+    type Obs: SpanObserver;
+    /// The data path to run, and the observer watching it.
+    fn split(self) -> (Path, Self::Obs);
+}
+
+impl RunPath for Path {
+    type Obs = NoopObserver;
+    fn split(self) -> (Path, NoopObserver) {
+        (self, NoopObserver)
+    }
+}
+
+impl<'a, O: SpanObserver> RunPath for (Path, &'a mut O) {
+    type Obs = &'a mut O;
+    fn split(self) -> (Path, &'a mut O) {
+        self
     }
 }
 
@@ -403,50 +428,37 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
         &self.cfg
     }
 
-    /// Run the server loop to completion of every transfer.
+    /// Run the server loop to completion of every transfer, on a bare
+    /// [`Path`] or on `(path, &mut observer)` (see [`RunPath`]).
+    ///
+    /// With an observer attached, per-stage spans flow out of every
+    /// pipeline call, and the harness itself emits run counters
+    /// (chunks, rejects by cause, retransmits, handshakes), latency
+    /// samples (per-chunk send→accept, first SYN→established),
+    /// queue-depth samples, and a packet-level event trace stamped with
+    /// the virtual clock. An observer issues no [`Mem`] accesses, so
+    /// simulated cost is bit-identical either way.
     ///
     /// # Panics
     /// Panics if no byte is delivered for [`STALL_LIMIT`] rounds or the
     /// configured `max_rounds` is exceeded — both indicate a protocol or
     /// scheduling bug, not a recoverable condition.
-    pub fn run<M: Mem>(
+    pub fn run<M: Mem, P: RunPath>(
         &mut self,
         m: &mut M,
         sched: &mut dyn Scheduler,
-        path: Path,
+        path: P,
     ) -> AggregateReport {
-        self.run_observed(m, sched, path, &mut NoopObserver)
-    }
-
-    /// [`ScaleHarness::run`] with an observer attached: per-stage spans
-    /// flow out of every pipeline call, and the harness itself emits
-    /// run counters (chunks, rejects by cause, retransmits,
-    /// handshakes), latency samples (per-chunk send→accept, first
-    /// SYN→established), queue-depth samples, and a packet-level event
-    /// trace stamped with the virtual clock. With [`NoopObserver`] this
-    /// is exactly [`ScaleHarness::run`] — every observation site is
-    /// guarded by `O::ENABLED` and compiles away, and an attached
-    /// observer issues no [`Mem`] accesses, so simulated cost is
-    /// bit-identical either way.
-    ///
-    /// # Panics
-    /// Same stall / `max_rounds` conditions as [`ScaleHarness::run`].
-    pub fn run_observed<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        sched: &mut dyn Scheduler,
-        path: Path,
-        obs: &mut O,
-    ) -> AggregateReport {
-        let mut run = self.begin_run::<O>();
-        while self.step(m, sched, path, obs, &mut run) {}
-        self.finish_run(obs, sched.name())
+        let (path, mut obs) = path.split();
+        let mut run = self.begin_run::<P::Obs>();
+        while self.step(m, sched, path, &mut obs, &mut run) {}
+        self.finish_run(&mut obs, sched.name())
     }
 
     /// Start a steppable run (the deterministic simulation runner drives
     /// [`ScaleHarness::step`] directly so it can interpose oracle checks
-    /// between rounds; [`ScaleHarness::run_observed`] is exactly
-    /// `begin_run` + `step` until done + `finish_run`).
+    /// between rounds; [`ScaleHarness::run`] is exactly `begin_run` +
+    /// `step` until done + `finish_run`).
     pub fn begin_run<O: SpanObserver>(&mut self) -> RunState {
         let chunks_per_conn: Vec<usize> = self.table.iter().map(|s| s.chunks_total()).collect();
         // Anchor progress at the current clock so a churn wave that
@@ -655,27 +667,11 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
             let Some(id) = sched.pick(&ready) else { break };
             let sess = self.table.get_mut(id);
             let (meta, addr) = sess.next_meta().expect("ready implies work");
+            let k = &mut observed(&mut self.lb, obs, path_label(path));
+            let (s, tx) = (&self.scratch, &mut sess.tx);
             let outcome = match path {
-                Path::Ilp => send_chunk_ilp_obs(
-                    &self.scratch,
-                    self.cipher,
-                    m,
-                    &mut sess.tx,
-                    &mut self.lb,
-                    &meta,
-                    addr,
-                    obs,
-                ),
-                Path::NonIlp => send_chunk_non_ilp_obs(
-                    &self.scratch,
-                    &self.cipher,
-                    m,
-                    &mut sess.tx,
-                    &mut self.lb,
-                    &meta,
-                    addr,
-                    obs,
-                ),
+                Path::Ilp => send_chunk_ilp(s, self.cipher, m, tx, k, &meta, addr),
+                Path::NonIlp => send_chunk_non_ilp(s, &self.cipher, m, tx, k, &meta, addr),
             };
             match outcome {
                 Ok(padded) => {
@@ -732,25 +728,11 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
             }
             loop {
                 let c = &mut self.clients[i];
+                let k = &mut observed(&mut self.lb, obs, path_label(path));
+                let (s, rx) = (&self.scratch, &mut c.rx);
                 let outcome = match path {
-                    Path::Ilp => recv_chunk_ilp_obs(
-                        &self.scratch,
-                        self.cipher,
-                        m,
-                        &mut c.rx,
-                        &mut self.lb,
-                        c.app_out,
-                        obs,
-                    ),
-                    Path::NonIlp => recv_chunk_non_ilp_obs(
-                        &self.scratch,
-                        &self.cipher,
-                        m,
-                        &mut c.rx,
-                        &mut self.lb,
-                        c.app_out,
-                        obs,
-                    ),
+                    Path::Ilp => recv_chunk_ilp(s, self.cipher, m, rx, k, c.app_out),
+                    Path::NonIlp => recv_chunk_non_ilp(s, &self.cipher, m, rx, k, c.app_out),
                 };
                 match outcome {
                     None => break,
@@ -806,8 +788,9 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
         let pl = path_label(path);
         for (i, sess) in self.table.iter_mut().enumerate() {
             let retrans_before = if O::ENABLED { sess.tx.stats.retransmits } else { 0 };
-            while sess.tx.poll_input_obs(m, &mut self.lb, obs, pl).is_some() {}
-            sess.tx.tick_obs(m, &mut self.lb, obs, pl);
+            let k = &mut observed(&mut self.lb, obs, pl);
+            while sess.tx.poll_input(m, k).is_some() {}
+            sess.tx.tick(m, k);
             if O::ENABLED {
                 let delta = sess.tx.stats.retransmits - retrans_before;
                 if delta > 0 {
@@ -823,7 +806,7 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
                 // The FIN rides the same fixed-header discipline as
                 // data, so wire identity between paths holds through
                 // teardown.
-                sess.tx.close_obs(m, &mut self.lb, obs);
+                sess.tx.close(m, &mut observed(&mut self.lb, obs, pl));
                 sess.state = SessionState::Closing;
                 if O::ENABLED {
                     let took = now.saturating_sub(sess.stats.established_at);
@@ -840,10 +823,11 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
             if !c.established {
                 continue;
             }
+            let k = &mut observed(&mut self.lb, obs, pl);
             if c.rx.state() == utcp::State::CloseWait {
-                c.rx.close_obs(m, &mut self.lb, obs);
+                c.rx.close(m, k);
             }
-            c.rx.tick_obs(m, &mut self.lb, obs, pl);
+            c.rx.tick(m, k);
         }
         for (i, sess) in self.table.iter_mut().enumerate() {
             if sess.state == SessionState::Closing
@@ -964,19 +948,20 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
             if O::ENABLED {
                 obs.tick(now);
             }
+            let k = &mut observed(&mut self.lb, obs, pl);
             for c in &mut self.clients {
                 if !c.established {
                     continue;
                 }
-                while c.rx.poll_input_obs(m, &mut self.lb, obs, pl).is_some() {}
+                while c.rx.poll_input(m, k).is_some() {}
                 if c.rx.state() == utcp::State::CloseWait {
-                    c.rx.close_obs(m, &mut self.lb, obs);
+                    c.rx.close(m, k);
                 }
-                c.rx.tick_obs(m, &mut self.lb, obs, pl);
+                c.rx.tick(m, k);
             }
             for sess in self.table.iter_mut() {
-                while sess.tx.poll_input_obs(m, &mut self.lb, obs, pl).is_some() {}
-                sess.tx.tick_obs(m, &mut self.lb, obs, pl);
+                while sess.tx.poll_input(m, k).is_some() {}
+                sess.tx.tick(m, k);
             }
         }
         // Release every data port — the whole point of closing — and
@@ -1204,7 +1189,7 @@ mod tests {
         h.init_world(&mut m);
         let mut sched = RoundRobin::new();
         let mut rec = Recorder::new(256);
-        h.run_observed(&mut m, &mut sched, Path::Ilp, &mut rec);
+        h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
         let verdicts = h.health(&rec, &HealthConfig::default());
         assert!(verdicts.is_empty(), "clean loop-back run must be healthy: {verdicts:?}");
         // Flight recorders exist for every connection (global ids) and

@@ -287,7 +287,7 @@ fn run_shard(
     h.init_world(&mut m);
     let mut sched = policy.build(cfg);
     let mut recorder = Recorder::new(trace_capacity);
-    let report = h.run_observed(&mut m, sched.as_mut(), path, &mut recorder);
+    let report = h.run(&mut m, sched.as_mut(), (path, &mut recorder));
     let corrupted = h.verify_outputs(&mut m);
     let views = h.health_views();
     let queue = h.queue_stat();

@@ -22,7 +22,7 @@ fn faulty_cfg() -> ServerConfig {
     }
 }
 
-fn run_observed(path: Path) -> (server::AggregateReport, Recorder) {
+fn run_recorded(path: Path) -> (server::AggregateReport, Recorder) {
     let mut space = AddressSpace::new();
     let mut h = ScaleHarness::simplified(&mut space, faulty_cfg());
     let mut arena = space.native_arena();
@@ -30,15 +30,15 @@ fn run_observed(path: Path) -> (server::AggregateReport, Recorder) {
     h.init_world(&mut m);
     let mut rec = Recorder::new(1024);
     let mut sched = RoundRobin::new();
-    let report = h.run_observed(&mut m, &mut sched, path, &mut rec);
+    let report = h.run(&mut m, &mut sched, (path, &mut rec));
     assert_eq!(h.verify_outputs(&mut m), None, "{path:?}: delivered data corrupted");
     (report, rec)
 }
 
 #[test]
 fn both_paths_report_identical_reject_counts_under_faults() {
-    let (rep_ilp, rec_ilp) = run_observed(Path::Ilp);
-    let (rep_non, rec_non) = run_observed(Path::NonIlp);
+    let (rep_ilp, rec_ilp) = run_recorded(Path::Ilp);
+    let (rep_non, rec_non) = run_recorded(Path::NonIlp);
 
     // The two paths marshal/encrypt/checksum to identical wire bytes, so
     // deterministic fault injection must bite identically.
@@ -77,7 +77,7 @@ fn both_paths_report_identical_reject_counts_under_faults() {
 
 #[test]
 fn observed_run_matches_unobserved_run() {
-    let (observed, _) = run_observed(Path::Ilp);
+    let (observed, _) = run_recorded(Path::Ilp);
 
     let mut space = AddressSpace::new();
     let mut h = ScaleHarness::simplified(&mut space, faulty_cfg());
@@ -95,7 +95,7 @@ fn observed_run_matches_unobserved_run() {
 
 #[test]
 fn recorder_captures_latency_and_trace() {
-    let (report, rec) = run_observed(Path::Ilp);
+    let (report, rec) = run_recorded(Path::Ilp);
 
     let lat = rec.hist(Metric::ChunkLatencyTicks);
     let delivered: u64 = report.per_conn.iter().map(|p| p.chunks).sum();
@@ -124,7 +124,7 @@ fn recorder_captures_latency_and_trace() {
 
 #[test]
 fn series_windows_tile_the_run_and_account_for_every_event() {
-    let (report, rec) = run_observed(Path::Ilp);
+    let (report, rec) = run_recorded(Path::Ilp);
     let series = rec.series();
 
     // A real transfer spans several windows (default width 64 ticks).
@@ -168,7 +168,7 @@ fn run_traced(path: Path, every: u32) -> (server::AggregateReport, Recorder) {
     h.init_world(&mut m);
     let mut rec = Recorder::new(1024);
     let mut sched = RoundRobin::new();
-    let report = h.run_observed(&mut m, &mut sched, path, &mut rec);
+    let report = h.run(&mut m, &mut sched, (path, &mut rec));
     assert_eq!(h.verify_outputs(&mut m), None, "{path:?}: delivered data corrupted");
     (report, rec)
 }
@@ -228,7 +228,7 @@ fn sampled_traces_are_deterministic_and_do_not_perturb_the_run() {
 
     // Tracing is out-of-band: the traced run is indistinguishable from
     // the untraced one in every protocol-visible way.
-    let (plain, plain_rec) = run_observed(Path::Ilp);
+    let (plain, plain_rec) = run_recorded(Path::Ilp);
     assert_eq!(rep_a.rounds, plain.rounds, "tracing must not change scheduling");
     assert_eq!(rep_a.payload_bytes, plain.payload_bytes);
     assert_eq!(rep_a.retransmits, plain.retransmits);

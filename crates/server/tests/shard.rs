@@ -37,7 +37,7 @@ fn s1_sharded_run_is_byte_identical_to_unsharded() {
     h.init_world(&mut m);
     let mut sched = RoundRobin::new();
     let mut rec = Recorder::new(TRACE_CAP);
-    let plain = h.run_observed(&mut m, &mut sched, Path::Ilp, &mut rec);
+    let plain = h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
     assert_eq!(h.verify_outputs(&mut m), None);
 
     // The same workload through the sharded front end with S = 1.

@@ -119,7 +119,7 @@ fn run_to_completion(
     h.init_world(&mut m);
     let mut sched = RoundRobin::new();
     let mut rec = health_recorder();
-    let report = h.run_observed(&mut m, &mut sched, Path::Ilp, &mut rec);
+    let report = h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
     if let Some(i) = h.verify_outputs(&mut m) {
         return Err(format!("client {i} reassembled a corrupted file"));
     }
@@ -232,7 +232,7 @@ fn saturation_world() -> Result<Vec<Verdict>, String> {
     h.init_world(&mut m);
     let mut sched = RoundRobin::new();
     let mut rec = health_recorder();
-    let report = h.run_observed(&mut m, &mut sched, Path::Ilp, &mut rec);
+    let report = h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
     if let Some(i) = h.verify_outputs(&mut m) {
         return Err(format!("saturation: client {i} reassembled a corrupted file"));
     }
@@ -288,7 +288,7 @@ pub fn run_clean(seed: u64) -> Result<u64, String> {
     h.init_world(&mut m);
     let mut sched = RoundRobin::new();
     let mut rec = health_recorder();
-    let observed = h.run_observed(&mut m, &mut sched, Path::Ilp, &mut rec);
+    let observed = h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
     if let Some(i) = h.verify_outputs(&mut m) {
         return Err(format!("clean seed {seed}: client {i} corrupted"));
     }

@@ -29,12 +29,18 @@
 //! exercises the sweep and tracks its throughput.
 //!
 //! The `inject_ring_bug` option re-introduces a real historical bug
-//! (the send ring's saturated-tail wrap, fixed in PR 3) behind a
-//! test-only hook — the mutation the sweep must catch to prove the
-//! oracles have teeth. See `tests/mutation.rs`.
+//! (the send ring's saturated-tail wrap, fixed in PR 3) — the mutation
+//! the sweep must catch to prove the oracles have teeth. The bug
+//! switches compile only under the `mutation` feature, which only
+//! dev-dependencies enable. See `tests/mutation.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// Why a bug-injection request panics in a build without the switches.
+#[cfg(not(feature = "mutation"))]
+const NEEDS_MUTATION: &str = "bug injection needs sim's `mutation` feature (tests and examples \
+     enable it through dev-dependencies; release code never carries the switches)";
 
 pub mod health;
 pub mod lifecycle;

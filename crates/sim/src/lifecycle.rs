@@ -512,6 +512,17 @@ pub fn rst_storm() -> Result<u64, String> {
     Ok(t.checks + 8)
 }
 
+/// Arm the receiver's accept-after-FIN mutation.
+fn arm_fin_bug(rx: &mut Connection) {
+    #[cfg(feature = "mutation")]
+    rx.inject_accept_after_fin_bug(true);
+    #[cfg(not(feature = "mutation"))]
+    {
+        let _ = rx;
+        panic!("{}", crate::NEEDS_MUTATION);
+    }
+}
+
 /// Pinned world: a stale data retransmission lands *after* the FIN was
 /// accepted. The gate must drop it and re-ACK `fin + 1`; with the
 /// test-only accept-after-FIN mutation injected the oracles must fail —
@@ -519,7 +530,7 @@ pub fn rst_storm() -> Result<u64, String> {
 pub fn stale_data_after_fin(inject_bug: bool) -> Result<u64, String> {
     let mut w = pair_world(FaultPlan::default());
     if inject_bug {
-        w.rx.inject_accept_after_fin_bug(true);
+        arm_fin_bug(&mut w.rx);
     }
     let mut t = PairTracker::new();
     let mut arena = w.space.native_arena();
@@ -693,7 +704,7 @@ fn teardown_repro_seed_{seed:x}() {{
 pub fn run_teardown(spec: &TeardownSpec, inject_fin_bug: bool) -> Result<u64, String> {
     let mut w = pair_world(spec.fault_plan());
     if inject_fin_bug {
-        w.rx.inject_accept_after_fin_bug(true);
+        arm_fin_bug(&mut w.rx);
     }
     let mut t = PairTracker::new();
     let script = Script {

@@ -248,7 +248,7 @@ pub fn twins_agree(cfg: &ServerConfig, path: Path) -> Result<(), String> {
         h.init_world(&mut m);
         let mut sched = RoundRobin::new();
         let mut rec = Recorder::with_series(128, SeriesConfig { window_ticks: 16, ring: 4 });
-        h.run_observed(&mut m, &mut sched, path, &mut rec)
+        h.run(&mut m, &mut sched, (path, &mut rec))
     };
     let plain = {
         let mut space = AddressSpace::new();

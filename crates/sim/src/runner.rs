@@ -96,7 +96,10 @@ fn run_ring(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioStats, String> {
     let region = space.alloc_kind("sim_ring", cap, 64, memsim::RegionKind::Ring);
     let mut r = SendRing::new(region);
     if opts.inject_ring_bug {
+        #[cfg(feature = "mutation")]
         r.inject_legacy_wrap_bug(true);
+        #[cfg(not(feature = "mutation"))]
+        panic!("{}", crate::NEEDS_MUTATION);
     }
     let lens = [(cap / 16).max(1), (cap / 8).max(1), cap / 4, cap / 2];
     let mut seq = rng.next_u32();
@@ -159,9 +162,12 @@ fn run_one_path(sc: &Scenario, opts: &RunOptions, path: Path) -> Result<Transfer
     let mut space = AddressSpace::new();
     let mut h = ScaleHarness::simplified(&mut space, cfg);
     if opts.inject_ring_bug {
+        #[cfg(feature = "mutation")]
         for sess in h.table.iter_mut() {
             sess.tx.inject_legacy_wrap_bug(true);
         }
+        #[cfg(not(feature = "mutation"))]
+        panic!("{}", crate::NEEDS_MUTATION);
     }
     let mut arena = space.native_arena();
     let mut m = NativeMem::new(&mut arena);

@@ -32,6 +32,7 @@
 
 use crate::kernelpart::{Datagram, EndpointId, Loopback};
 use memsim::Mem;
+use obs::{Layer, NoopObserver, PathLabel, SegEv, SegTag, SpanObserver, Stage, Work};
 
 /// Fault/garbage accounting a backend exposes to harnesses and
 /// observers. For `Loopback` these are the injected-fault counters;
@@ -144,6 +145,113 @@ pub trait KernelPart {
     /// returns `None`.
     fn take_recv_ctx(&mut self) -> Option<obs::SegTag> {
         None
+    }
+}
+
+/// A kernel part as a call site hands it to the transport: the backend,
+/// plus who is watching and which data path the call serves.
+///
+/// Every [`Connection`](crate::conn::Connection) entry point (and the
+/// data paths above it) takes `&mut impl KernelCtx`, so each exists
+/// once. A bare `&mut K` for any [`KernelPart`] `K` is the unobserved
+/// handle — [`NoopObserver`], whose `ENABLED = false` compiles every
+/// observation site away — and [`observed`] bundles a backend with a
+/// live observer and the [`PathLabel`] its spans report under.
+pub trait KernelCtx {
+    /// The backend datagrams move through.
+    type Kernel: KernelPart;
+    /// The observer that receives spans, counters and trace marks.
+    type Obs: SpanObserver;
+
+    /// Backend, observer and path label borrowed together, for callers
+    /// that hand them to different callees at once.
+    fn parts(&mut self) -> (&mut Self::Kernel, &mut Self::Obs, PathLabel);
+
+    /// The backend.
+    #[inline]
+    fn kernel(&mut self) -> &mut Self::Kernel {
+        self.parts().0
+    }
+
+    /// The observer.
+    #[inline]
+    fn obs(&mut self) -> &mut Self::Obs {
+        self.parts().1
+    }
+
+    /// Open a span bracket: the work-counter snapshot [`KernelCtx::span`]
+    /// measures from. Free when unobserved.
+    #[inline]
+    fn mark<M: Mem>(&self, m: &M) -> (u64, u64) {
+        if Self::Obs::ENABLED {
+            m.work_counters()
+        } else {
+            (0, 0)
+        }
+    }
+
+    /// Close a span bracket: report the work since `since` as spent in
+    /// `layer` during `stage` of this handle's path.
+    #[inline]
+    fn span<M: Mem>(&mut self, m: &M, stage: Stage, layer: Layer, since: (u64, u64)) {
+        if Self::Obs::ENABLED {
+            let (_, obs, path) = self.parts();
+            obs.span(path, stage, layer, Work::delta(since, m.work_counters()));
+        }
+    }
+
+    /// Record a segment-trace edge for a traced chunk (`tag` is `None`
+    /// for untraced ones).
+    #[inline]
+    fn seg(&mut self, tag: Option<SegTag>, ev: SegEv) {
+        if Self::Obs::ENABLED {
+            if let Some(tag) = tag {
+                self.obs().seg(tag, ev);
+            }
+        }
+    }
+}
+
+impl<K: KernelPart> KernelCtx for K {
+    type Kernel = K;
+    type Obs = NoopObserver;
+
+    #[inline]
+    fn parts(&mut self) -> (&mut K, &mut NoopObserver, PathLabel) {
+        // `NoopObserver` is zero-sized: boxing it allocates nothing and
+        // leaking it leaks nothing.
+        (self, Box::leak(Box::new(NoopObserver)), PathLabel::NonIlp)
+    }
+}
+
+/// A backend bundled with a live observer — see [`observed`].
+#[derive(Debug)]
+pub struct Observed<'a, K, O> {
+    /// The backend.
+    pub kernel: &'a mut K,
+    /// The observer.
+    pub obs: &'a mut O,
+    /// The data path spans report under.
+    pub path: PathLabel,
+}
+
+/// The observed [`KernelCtx`]: calls made through it report to `obs`
+/// under `path`, e.g. `conn.poll_input(m, &mut observed(lb, obs, path))`.
+pub fn observed<'a, K: KernelPart, O: SpanObserver>(
+    kernel: &'a mut K,
+    obs: &'a mut O,
+    path: PathLabel,
+) -> Observed<'a, K, O> {
+    Observed { kernel, obs, path }
+}
+
+impl<K: KernelPart, O: SpanObserver> KernelCtx for Observed<'_, K, O> {
+    type Kernel = K;
+    type Obs = O;
+
+    #[inline]
+    fn parts(&mut self) -> (&mut K, &mut O, PathLabel) {
+        (self.kernel, self.obs, self.path)
     }
 }
 

@@ -32,13 +32,13 @@ use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
 use memsim::{CodeRegion, Mem};
 use obs::{
-    Counter, EventKind, FlightEdge, FlightSnap, Layer, NoopObserver, PathLabel, SegEv, SegTag,
-    SpanObserver, Stage, Work, XmitKind,
+    Counter, EventKind, FlightEdge, FlightSnap, Layer, SegEv, SegTag, SpanObserver, Stage,
+    XmitKind,
 };
 
 use std::collections::BTreeMap;
 
-use crate::backend::KernelPart;
+use crate::backend::{KernelCtx, KernelPart};
 use crate::ip::{Ipv4Header, IP_HEADER_LEN, PROTO_TCP};
 use crate::kernelpart::EndpointId;
 use crate::ring::{Extent, RingWriter, SendRing};
@@ -368,11 +368,6 @@ pub struct Connection {
     /// extent) rejoin their chunk's trace. Pruned as ACKs retire
     /// extents.
     seg_map: BTreeMap<u32, SegEntry>,
-    /// Receiver-side trace marks queued for the next observed drain —
-    /// deep receive paths (`finish_recv` inside the fused combinator)
-    /// have no observer in scope, so marks buffer here and
-    /// [`Connection::drain_seg_marks`] forwards them.
-    seg_out: Vec<(SegTag, SegEv)>,
     /// Lifecycle state (RFC 793 machine). Renamed from the obvious
     /// `state` because that names the TCB region above.
     lifecycle: State,
@@ -385,8 +380,9 @@ pub struct Connection {
     time_wait_enter: u32,
     /// Accumulated TIME_WAIT residency across incarnations, in ticks.
     time_wait_ticks: u64,
-    /// Test-only re-injected bug: accept data arriving after the peer's
-    /// FIN was consumed. Exists to prove the lifecycle oracles catch it.
+    /// Re-injected bug for the mutation proofs: accept data arriving
+    /// after the peer's FIN was consumed.
+    #[cfg(feature = "mutation")]
     accept_after_fin_bug: bool,
     /// Statistics.
     pub stats: ConnStats,
@@ -480,12 +476,12 @@ impl Connection {
             seg_every: 0,
             pending_seg: None,
             seg_map: BTreeMap::new(),
-            seg_out: Vec::new(),
             lifecycle: State::Established,
             fin_sent: None,
             fin_rcvd: None,
             time_wait_enter: 0,
             time_wait_ticks: 0,
+            #[cfg(feature = "mutation")]
             accept_after_fin_bug: false,
             stats: ConnStats::default(),
         }
@@ -528,26 +524,6 @@ impl Connection {
         self.pending_seg = Some(chunk);
         obs::segtrace::sampled(self.seg_every, self.obs_id, chunk)
             .then_some(SegTag { conn: self.obs_id, chunk, xmit: 0 })
-    }
-
-    /// Queue a receiver-side trace mark for the next
-    /// [`Connection::drain_seg_marks`]. Public so the server pipeline
-    /// can mark fused-stage completion from inside combinator closures
-    /// that have no observer in scope.
-    pub fn seg_mark(&mut self, tag: SegTag, ev: SegEv) {
-        self.seg_out.push((tag, ev));
-    }
-
-    /// Forward queued receiver-side trace marks to `obs`. Under a
-    /// disabled observer the marks are kept for a later observed drain
-    /// (the fused receive path finishes under a `NoopObserver` and the
-    /// pipeline drains afterwards).
-    pub fn drain_seg_marks<O: SpanObserver>(&mut self, obs: &mut O) {
-        if O::ENABLED {
-            for (tag, ev) in self.seg_out.drain(..) {
-                obs.seg(tag, ev);
-            }
-        }
     }
 
     /// The sender-state snapshot the flight recorder retains at
@@ -685,8 +661,9 @@ impl Connection {
         self.lifecycle = to;
     }
 
-    /// Test-only: re-inject the "accept data after FIN" bug so the
-    /// lifecycle oracle sweep can prove it still catches it.
+    /// Re-inject the "accept data after FIN" bug so the lifecycle
+    /// oracle sweep can prove it still catches it.
+    #[cfg(feature = "mutation")]
     #[doc(hidden)]
     pub fn inject_accept_after_fin_bug(&mut self, on: bool) {
         self.accept_after_fin_bug = on;
@@ -696,29 +673,18 @@ impl Connection {
     /// after any data already sent and move to `FinWait1` (active) or
     /// `LastAck` (passive, after the peer's FIN). Idempotent in every
     /// other state.
-    pub fn close<M: Mem>(&mut self, m: &mut M, lb: &mut impl KernelPart) {
-        self.close_obs(m, lb, &mut NoopObserver);
-    }
-
-    /// [`Connection::close`] with the lifecycle transition and segment
-    /// emission reported through `obs`.
-    pub fn close_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        obs: &mut O,
-    ) {
+    pub fn close<M: Mem>(&mut self, m: &mut M, k: &mut impl KernelCtx) {
         match self.lifecycle {
             State::Established => {
-                self.send_fin_obs(m, lb, obs);
-                self.set_state(State::FinWait1, obs);
+                self.send_fin(m, k);
+                self.set_state(State::FinWait1, k.obs());
             }
             State::CloseWait => {
-                self.send_fin_obs(m, lb, obs);
-                self.set_state(State::LastAck, obs);
+                self.send_fin(m, k);
+                self.set_state(State::LastAck, k.obs());
             }
             State::Listen | State::SynSent | State::SynRcvd => {
-                self.set_state(State::Closed, obs);
+                self.set_state(State::Closed, k.obs());
             }
             _ => {} // already closing or closed
         }
@@ -727,25 +693,15 @@ impl Connection {
     /// Abortive close (RFC 793 ABORT): send a RST, discard all send and
     /// receive state, and go straight to `Closed`. Teardown is total —
     /// nothing is retransmitted, held or resurrected afterwards.
-    pub fn abort<M: Mem>(&mut self, m: &mut M, lb: &mut impl KernelPart) {
-        self.abort_obs(m, lb, &mut NoopObserver);
-    }
-
-    /// [`Connection::abort`] with observer attribution.
-    pub fn abort_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        obs: &mut O,
-    ) {
+    pub fn abort<M: Mem>(&mut self, m: &mut M, k: &mut impl KernelCtx) {
         if self.lifecycle == State::Closed {
             return;
         }
         if !matches!(self.lifecycle, State::Listen | State::SynSent) {
-            self.send_rst_obs(m, lb, obs);
+            self.send_rst(m, k.kernel());
         }
         self.teardown_total();
-        self.set_state(State::Closed, obs);
+        self.set_state(State::Closed, k.obs());
     }
 
     /// Scrub every piece of transfer state so a reset connection can
@@ -853,8 +809,9 @@ impl Connection {
         &self.ring
     }
 
-    /// Test-only passthrough to
+    /// Passthrough to
     /// [`SendRing::inject_legacy_wrap_bug`](crate::ring::SendRing::inject_legacy_wrap_bug).
+    #[cfg(feature = "mutation")]
     #[doc(hidden)]
     pub fn inject_legacy_wrap_bug(&mut self, on: bool) {
         self.ring.inject_legacy_wrap_bug(on);
@@ -943,40 +900,24 @@ impl Connection {
     }
 
     /// **Non-ILP send**: copy the prepared segment from `src` into the
-    /// ring (`tcp_send`), checksum it with a separate read pass and ship
-    /// it (`tcp_output`).
+    /// ring (`tcp_send`, reported as integrated-stage TCP work), checksum
+    /// it with a separate read pass and ship it (`tcp_output`).
+    ///
+    /// # Errors
+    /// Refused when the send direction is shut, the TSDU exceeds the
+    /// MTU, or the window or ring has no room.
     pub fn send_buf<M: Mem>(
         &mut self,
         m: &mut M,
-        lb: &mut impl KernelPart,
+        k: &mut impl KernelCtx,
         src: usize,
         len: usize,
-    ) -> Result<(), SendError> {
-        self.send_buf_obs(m, lb, src, len, &mut NoopObserver, PathLabel::NonIlp)
-    }
-
-    /// [`Connection::send_buf`] with span attribution: the `tcp_send`
-    /// ring copy reports as integrated-stage TCP work, then
-    /// `tcp_output` reports through [`Connection::output_obs`].
-    ///
-    /// # Errors
-    /// Same refusals as [`Connection::send_buf`].
-    pub fn send_buf_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        src: usize,
-        len: usize,
-        obs: &mut O,
-        path: PathLabel,
     ) -> Result<(), SendError> {
         let extent = self.reserve(len)?;
-        let before = if O::ENABLED { m.work_counters() } else { (0, 0) };
+        let t = k.mark(m);
         m.copy(src, self.ring.addr(extent.off), len); // tcp_send
-        if O::ENABLED {
-            obs.span(path, Stage::Integrated, Layer::Tcp, Work::delta(before, m.work_counters()));
-        }
-        self.output_obs(m, lb, extent, None, obs, path, XmitKind::Fresh);
+        k.span(m, Stage::Integrated, Layer::Tcp, t);
+        self.output(m, k, extent, None, XmitKind::Fresh);
         Ok(())
     }
 
@@ -998,72 +939,37 @@ impl Connection {
     pub fn commit_send<M: Mem>(
         &mut self,
         m: &mut M,
-        lb: &mut impl KernelPart,
+        k: &mut impl KernelCtx,
         extent: Extent,
         payload_sum: InetChecksum,
     ) {
-        self.output(m, lb, extent, Some(payload_sum));
-    }
-
-    /// [`Connection::commit_send`] with span attribution (see
-    /// [`Connection::output_obs`]).
-    pub fn commit_send_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        extent: Extent,
-        payload_sum: InetChecksum,
-        obs: &mut O,
-        path: PathLabel,
-    ) {
-        self.output_obs(m, lb, extent, Some(payload_sum), obs, path, XmitKind::Fresh);
+        self.output(m, k, extent, Some(payload_sum), XmitKind::Fresh);
     }
 
     /// `tcp_output`: complete the header (checksumming the ring data only
     /// when no precomputed sum exists), update the TCB, system-copy into
-    /// the kernel part.
-    fn output<M: Mem>(
+    /// the kernel part. The separate checksum read pass (non-ILP only)
+    /// reports as integrated-stage checksum work; header build, TCB
+    /// update and the kernel hand-off report as final-stage TCP work,
+    /// with the kernel part's system copy landing in the kernel layer
+    /// via the system counter. `kind` names how the transmission left
+    /// the sender for the segment tracer.
+    fn output<M: Mem, K: KernelCtx>(
         &mut self,
         m: &mut M,
-        lb: &mut impl KernelPart,
+        k: &mut K,
         extent: Extent,
         payload_sum: Option<InetChecksum>,
-    ) {
-        self.output_obs(m, lb, extent, payload_sum, &mut NoopObserver, PathLabel::NonIlp, XmitKind::Fresh);
-    }
-
-    /// `tcp_output` with span attribution: the separate checksum read
-    /// pass (non-ILP only) reports as integrated-stage checksum work;
-    /// header build, TCB update and the kernel hand-off report as
-    /// final-stage TCP work, with the kernel part's system copy landing
-    /// in the kernel layer via the system counter. `kind` names how the
-    /// transmission left the sender for the segment tracer.
-    #[allow(clippy::too_many_arguments)]
-    fn output_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        extent: Extent,
-        payload_sum: Option<InetChecksum>,
-        obs: &mut O,
-        path: PathLabel,
         kind: XmitKind,
     ) {
         let data_addr = self.ring.addr(extent.off);
         let payload_sum = payload_sum.unwrap_or_else(|| {
-            let before = if O::ENABLED { m.work_counters() } else { (0, 0) };
+            let t = k.mark(m);
             let sum = checksum_buf(m, data_addr, extent.len); // step 4, non-ILP only
-            if O::ENABLED {
-                obs.span(
-                    path,
-                    Stage::Integrated,
-                    Layer::Checksum,
-                    Work::delta(before, m.work_counters()),
-                );
-            }
+            k.span(m, Stage::Integrated, Layer::Checksum, t);
             sum
         });
-        let before = if O::ENABLED { m.work_counters() } else { (0, 0) };
+        let t = k.mark(m);
         let hdr = TcpHeader::at(self.hdr.base);
         hdr.build(
             m,
@@ -1113,15 +1019,13 @@ impl Connection {
                 })
             };
             if let Some((tag, traced)) = identity {
-                if O::ENABLED {
-                    obs.seg(tag, SegEv::Send { kind, traced });
-                }
+                k.seg(Some(tag), SegEv::Send { kind, traced });
                 if traced {
-                    lb.set_send_ctx(Some(tag));
+                    k.kernel().set_send_ctx(Some(tag));
                 }
             }
         }
-        lb.send(
+        k.kernel().send(
             m,
             self.cfg.local_ip,
             self.cfg.peer_ip,
@@ -1130,28 +1034,15 @@ impl Connection {
             data_addr,
             extent.len,
         ); // step 5
-        if O::ENABLED {
-            obs.span(path, Stage::Final, Layer::Tcp, Work::delta(before, m.work_counters()));
-            obs.flight(self.obs_id, self.flight_snap(FlightEdge::Send));
+        k.span(m, Stage::Final, Layer::Tcp, t);
+        if K::Obs::ENABLED {
+            k.obs().flight(self.obs_id, self.flight_snap(FlightEdge::Send));
         }
     }
 
     /// Advance the clock; retransmit the oldest unacknowledged segment on
-    /// RTO expiry.
-    pub fn tick<M: Mem>(&mut self, m: &mut M, lb: &mut impl KernelPart) {
-        self.tick_obs(m, lb, &mut NoopObserver, PathLabel::NonIlp);
-    }
-
-    /// [`Connection::tick`] with span attribution: a retransmission's
-    /// `tcp_output` reports through [`Connection::output_obs`] like any
-    /// other send.
-    pub fn tick_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        obs: &mut O,
-        path: PathLabel,
-    ) {
+    /// RTO expiry (its `tcp_output` reports like any other send).
+    pub fn tick<M: Mem, K: KernelCtx>(&mut self, m: &mut M, k: &mut K) {
         self.ticks += 1;
         if self.lifecycle == State::Closed {
             self.last_progress = self.ticks;
@@ -1162,7 +1053,7 @@ impl Connection {
             // machine only waits out stragglers, then dies for real.
             self.last_progress = self.ticks;
             if self.ticks.wrapping_sub(self.time_wait_enter) >= 2 * MSL_TICKS {
-                self.set_state(State::Closed, obs);
+                self.set_state(State::Closed, k.obs());
             }
             return;
         }
@@ -1180,12 +1071,12 @@ impl Connection {
                 self.rtt_probe = None; // Karn
                 self.rto = self.clamp_rto(self.rto.saturating_mul(2));
                 self.stats.retransmits += 1;
-                if O::ENABLED {
-                    obs.count(Counter::RtoBackoffs, 1);
-                    obs.event(EventKind::RtoBackoff, self.obs_id, self.rto as u64);
+                if K::Obs::ENABLED {
+                    k.obs().count(Counter::RtoBackoffs, 1);
+                    k.obs().event(EventKind::RtoBackoff, self.obs_id, self.rto as u64);
                 }
                 let seq = self.fin_sent.expect("fin_in_flight implies fin_sent");
-                self.emit_ctl(m, lb, seq, TcpFlags::FIN_ACK);
+                self.emit_ctl(m, k.kernel(), seq, TcpFlags::FIN_ACK);
                 return;
             }
             if let Some(oldest) = self.ring.oldest() {
@@ -1205,12 +1096,13 @@ impl Connection {
                 self.sacked.clear();
                 self.high_rxt = self.snd_una;
                 self.rto = self.clamp_rto(self.rto.saturating_mul(2)); // exponential back-off
-                if O::ENABLED {
+                if K::Obs::ENABLED {
+                    let obs = k.obs();
                     obs.count(Counter::RtoBackoffs, 1);
                     obs.event(EventKind::RtoBackoff, self.obs_id, self.rto as u64);
                     obs.flight(self.obs_id, self.flight_snap(FlightEdge::Rto));
                 }
-                self.output_obs(m, lb, oldest, None, obs, path, XmitKind::Rto);
+                self.output(m, k, oldest, None, XmitKind::Rto);
             }
         }
     }
@@ -1224,47 +1116,25 @@ impl Connection {
     /// returned for the integrated stage. This is the receive-side system
     /// copy + the *initial* control operations (demux happened in the
     /// kernel part; header parsing happens here).
-    pub fn poll_input<M: Mem>(&mut self, m: &mut M, lb: &mut impl KernelPart) -> Option<Delivered> {
-        self.poll_input_obs(m, lb, &mut NoopObserver, PathLabel::NonIlp)
-    }
-
-    /// [`Connection::poll_input`] with span attribution: the whole poll
-    /// — kernel IP validation, the system copy into staging (attributed
-    /// to the kernel layer via the system counter), header parse and
-    /// internal ACK processing — reports as initial-stage TCP work.
-    pub fn poll_input_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        obs: &mut O,
-        path: PathLabel,
-    ) -> Option<Delivered> {
-        let before = if O::ENABLED { m.work_counters() } else { (0, 0) };
-        let pre = if O::ENABLED {
-            (self.snd_una, self.rcv_nxt, self.peer_window)
-        } else {
-            (0, 0, 0)
-        };
-        let out = self.poll_input_inner(m, lb, obs, path);
-        if O::ENABLED {
-            obs.span(path, Stage::Initial, Layer::Tcp, Work::delta(before, m.work_counters()));
-            // Only state *transitions* earn a flight snapshot — an idle
-            // poll would otherwise flood the tiny ring with no-ops.
-            if pre != (self.snd_una, self.rcv_nxt, self.peer_window) {
-                obs.flight(self.obs_id, self.flight_snap(FlightEdge::Recv));
-            }
-            self.drain_seg_marks(obs);
+    ///
+    /// The whole poll — kernel IP validation, the system copy into
+    /// staging (attributed to the kernel layer via the system counter),
+    /// header parse and internal ACK processing — reports as
+    /// initial-stage TCP work.
+    pub fn poll_input<M: Mem, K: KernelCtx>(&mut self, m: &mut M, k: &mut K) -> Option<Delivered> {
+        let t = k.mark(m);
+        let pre = (self.snd_una, self.rcv_nxt, self.peer_window);
+        let out = self.poll_input_inner(m, k);
+        k.span(m, Stage::Initial, Layer::Tcp, t);
+        // Only state *transitions* earn a flight snapshot — an idle
+        // poll would otherwise flood the tiny ring with no-ops.
+        if K::Obs::ENABLED && pre != (self.snd_una, self.rcv_nxt, self.peer_window) {
+            k.obs().flight(self.obs_id, self.flight_snap(FlightEdge::Recv));
         }
         out
     }
 
-    fn poll_input_inner<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        obs: &mut O,
-        path: PathLabel,
-    ) -> Option<Delivered> {
+    fn poll_input_inner<M: Mem, K: KernelCtx>(&mut self, m: &mut M, k: &mut K) -> Option<Delivered> {
         // A held out-of-order segment whose gap has filled replays ahead
         // of fresh datagrams — it is the next in-order TSDU now.
         if self.cfg.loss_recovery {
@@ -1273,13 +1143,17 @@ impl Connection {
             }
         }
         loop {
-            let datagram = lb.recv_into(m, self.endpoint)?;
-            let ctx = lb.take_recv_ctx();
+            let datagram = k.kernel().recv_into(m, self.endpoint)?;
+            let ctx = k.kernel().take_recv_ctx();
             // Kernel: IP validation + demultiplexing, then the system
             // copy into the receive staging buffer (step 1, Fig. 5).
             m.phase_push(memsim::mem::PhaseTag::System);
             let ip = Ipv4Header::at(datagram.addr);
-            let ip_ok = ip.verify(m)
+            // A backend may admit frames larger than the staging buffer
+            // (`netback::codec` frames up to 2 KB): refuse them before
+            // the copy, not after it has run over the TCB.
+            let ip_ok = datagram.len <= self.recv.len
+                && ip.verify(m)
                 && ip.protocol(m) == PROTO_TCP
                 && ip.dst(m) == self.cfg.local_ip
                 && ip.total_len(m) == datagram.len;
@@ -1304,6 +1178,12 @@ impl Connection {
             }
             let opt_len = hdr_len - TCP_HEADER_LEN;
             let payload_len = tcp_total - hdr_len;
+            if payload_len > self.cfg.mtu {
+                // One TSDU = one TPDU ≤ MTU, and the out-of-order hold
+                // slots are MTU-sized.
+                self.stats.rejected += 1;
+                continue;
+            }
             m.compute(40); // header prediction / initial parse
 
             if flags.contains(TcpFlags::RST) {
@@ -1327,7 +1207,7 @@ impl Connection {
                 }
                 self.stats.resets_received += 1;
                 self.teardown_total();
-                self.set_state(State::Closed, obs);
+                self.set_state(State::Closed, k.obs());
                 continue;
             }
 
@@ -1337,7 +1217,7 @@ impl Connection {
                 // void (RFC 793: "if the connection does not exist ...
                 // a reset is sent").
                 self.stats.rejected += 1;
-                self.send_rst_obs(m, lb, obs);
+                self.send_rst(m, k.kernel());
                 continue;
             }
 
@@ -1355,29 +1235,30 @@ impl Connection {
                     continue;
                 }
                 if flags.contains(TcpFlags::ACK) {
-                    self.process_ack(m, lb, ack, window, &SackBlocks::default(), obs, path);
+                    self.process_ack(m, k, ack, window, &SackBlocks::default());
                 }
-                self.handle_fin(m, lb, seq, obs);
+                self.handle_fin(m, k, seq);
                 continue;
             }
 
             if payload_len > 0 && self.fin_rcvd.is_some() {
+                #[cfg(feature = "mutation")]
                 if self.accept_after_fin_bug {
-                    // Deliberately wrong (test-only, see
+                    // Deliberately wrong (see
                     // `inject_accept_after_fin_bug`): counts the segment
                     // accepted and moves `rcv_nxt` past the consumed FIN
                     // — exactly the corruption the lifecycle oracles pin
                     // (`rcv_nxt` stays at fin+1, `accepted` frozen).
                     self.stats.accepted += 1;
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(payload_len as u32);
-                } else {
-                    // Data past the peer's FIN: the FIN promised no more.
-                    // Drop it and re-ACK fin+1 (covers the common benign
-                    // case — a retransmission whose original ACK was
-                    // lost racing the FIN).
-                    self.stats.rejected += 1;
-                    self.send_ack(m, lb);
+                    continue;
                 }
+                // Data past the peer's FIN: the FIN promised no more.
+                // Drop it and re-ACK fin+1 (covers the common benign
+                // case — a retransmission whose original ACK was lost
+                // racing the FIN).
+                self.stats.rejected += 1;
+                self.send_ack(m, k.kernel());
                 continue;
             }
 
@@ -1398,7 +1279,7 @@ impl Connection {
                 } else {
                     SackBlocks::default()
                 };
-                self.process_ack(m, lb, ack, window, &sacks, obs, path);
+                self.process_ack(m, k, ack, window, &sacks);
                 continue; // keep polling for data
             }
 
@@ -1411,9 +1292,7 @@ impl Connection {
                 hdr.add_options_to_checksum(m, opt_len, &mut control_sum);
             }
 
-            if let Some(tag) = ctx {
-                self.seg_out.push((tag, SegEv::KernelRecv));
-            }
+            k.seg(ctx, SegEv::KernelRecv);
             return Some(Delivered {
                 payload_addr: self.recv.base + IP_HEADER_LEN + hdr_len,
                 payload_len,
@@ -1518,43 +1397,18 @@ impl Connection {
     /// manipulation: "TCP processing can proceed without a possible roll
     /// back later on") — except that a duplicate/out-of-order segment
     /// still triggers a (repeat) ACK so the sender can make progress.
+    ///
+    /// Reports the hold/accept/ACK trace marks but no span: the final
+    /// stage is bracketed by whoever shaped it (`ilp_core::three_stage`
+    /// on the ILP path, the non-ILP receive path's own bracket).
+    ///
+    /// # Errors
+    /// [`Reject::BadChecksum`] on a failed verdict, [`Reject::Malformed`]
+    /// for a segment that is not the next in order.
     pub fn finish_recv<M: Mem>(
         &mut self,
         m: &mut M,
-        lb: &mut impl KernelPart,
-        d: &Delivered,
-        payload_sum: InetChecksum,
-    ) -> Result<(), Reject> {
-        self.finish_recv_obs(m, lb, d, payload_sum, &mut NoopObserver, PathLabel::NonIlp)
-    }
-
-    /// [`Connection::finish_recv`] with span attribution: the verdict,
-    /// TCB update and ACK emission report as final-stage TCP work.
-    ///
-    /// # Errors
-    /// Same rejects as [`Connection::finish_recv`].
-    pub fn finish_recv_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        d: &Delivered,
-        payload_sum: InetChecksum,
-        obs: &mut O,
-        path: PathLabel,
-    ) -> Result<(), Reject> {
-        let before = if O::ENABLED { m.work_counters() } else { (0, 0) };
-        let out = self.finish_recv_inner(m, lb, d, payload_sum);
-        if O::ENABLED {
-            obs.span(path, Stage::Final, Layer::Tcp, Work::delta(before, m.work_counters()));
-            self.drain_seg_marks(obs);
-        }
-        out
-    }
-
-    fn finish_recv_inner<M: Mem>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
+        k: &mut impl KernelCtx,
         d: &Delivered,
         payload_sum: InetChecksum,
     ) -> Result<(), Reject> {
@@ -1567,13 +1421,10 @@ impl Connection {
         }
         if !d.in_order {
             self.stats.rejected += 1;
-            let stored = self.cfg.loss_recovery && self.store_out_of_order(m, d);
-            if stored {
-                if let Some(tag) = d.ctx {
-                    self.seg_out.push((tag, SegEv::Hold));
-                }
+            if self.cfg.loss_recovery && self.store_out_of_order(m, d) {
+                k.seg(d.ctx, SegEv::Hold);
             }
-            self.send_ack(m, lb); // duplicate ACK (carries SACK if holding)
+            self.send_ack(m, k.kernel()); // duplicate ACK (carries SACK if holding)
             return Err(Reject::Malformed("out-of-order segment"));
         }
         self.rcv_nxt = self.rcv_nxt.wrapping_add(d.payload_len as u32);
@@ -1581,14 +1432,10 @@ impl Connection {
         if self.cfg.loss_recovery {
             self.prune_ooo();
         }
-        if let Some(tag) = d.ctx {
-            self.seg_out.push((tag, SegEv::Accept));
-        }
+        k.seg(d.ctx, SegEv::Accept);
         self.touch_state(m);
-        self.send_ack(m, lb);
-        if let Some(tag) = d.ctx {
-            self.seg_out.push((tag, SegEv::AckGen));
-        }
+        self.send_ack(m, k.kernel());
+        k.seg(d.ctx, SegEv::AckGen);
         Ok(())
     }
 
@@ -1661,12 +1508,7 @@ impl Connection {
     /// (`snd_nxt` advances past it) without occupying ring space; the
     /// retransmission timer keeps it alive through
     /// [`Connection::fin_in_flight`] until the peer acknowledges it.
-    fn send_fin_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        obs: &mut O,
-    ) {
+    fn send_fin<M: Mem, K: KernelCtx>(&mut self, m: &mut M, k: &mut K) {
         let seq = self.snd_nxt;
         self.fin_sent = Some(seq);
         self.snd_nxt = self.snd_nxt.wrapping_add(1);
@@ -1675,22 +1517,17 @@ impl Connection {
         // Karn: never sample RTT across the FIN exchange — a teardown
         // ACK may cover a retransmitted FIN.
         self.rtt_probe = None;
-        self.emit_ctl(m, lb, seq, TcpFlags::FIN_ACK);
+        self.emit_ctl(m, k.kernel(), seq, TcpFlags::FIN_ACK);
         self.touch_state(m);
-        if O::ENABLED {
-            obs.flight(self.obs_id, self.flight_snap(FlightEdge::Send));
+        if K::Obs::ENABLED {
+            k.obs().flight(self.obs_id, self.flight_snap(FlightEdge::Send));
         }
     }
 
     /// Emit a RST at the current `snd_nxt`. A RST consumes no sequence
     /// number and is never retransmitted (teardown by RST is total on
     /// both sides; a lost RST is re-elicited by the peer's next segment).
-    fn send_rst_obs<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        _obs: &mut O,
-    ) {
+    fn send_rst<M: Mem>(&mut self, m: &mut M, lb: &mut impl KernelPart) {
         self.stats.resets_sent += 1;
         self.emit_ctl(m, lb, self.snd_nxt, TcpFlags::RST);
     }
@@ -1700,26 +1537,21 @@ impl Connection {
     /// consumed) is re-ACKed, and in TIME_WAIT it also restarts the
     /// 2·MSL quiet period (RFC 793 §3.9); an out-of-order FIN (data
     /// still missing before it) only repeats the cumulative ACK.
-    fn handle_fin<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        seq: u32,
-        obs: &mut O,
-    ) {
+    fn handle_fin<M: Mem>(&mut self, m: &mut M, k: &mut impl KernelCtx, seq: u32) {
         if self.fin_rcvd == Some(seq) {
             if self.lifecycle == State::TimeWait {
                 self.time_wait_ticks += u64::from(self.ticks - self.time_wait_enter);
                 self.time_wait_enter = self.ticks;
             }
-            self.send_ack(m, lb);
+            self.send_ack(m, k.kernel());
             return;
         }
         if seq != self.rcv_nxt {
             self.stats.rejected += 1;
-            self.send_ack(m, lb);
+            self.send_ack(m, k.kernel());
             return;
         }
+        let obs = k.obs();
         self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
         self.fin_rcvd = Some(seq);
         self.stats.fins_received += 1;
@@ -1738,23 +1570,20 @@ impl Connection {
             _ => {}
         }
         self.touch_state(m);
-        self.send_ack(m, lb);
+        self.send_ack(m, k.kernel());
     }
 
     /// Process an incoming cumulative ACK (and its SACK option, if
     /// any). Duplicate ACKs feed the fast-retransmit counter; forward
     /// ACKs advance the window, the RTT estimator and — outside
     /// recovery — the congestion window.
-    #[allow(clippy::too_many_arguments)]
-    fn process_ack<M: Mem, O: SpanObserver>(
+    fn process_ack<M: Mem, K: KernelCtx>(
         &mut self,
         m: &mut M,
-        lb: &mut impl KernelPart,
+        k: &mut K,
         ack: u32,
         window: u16,
         sacks: &SackBlocks,
-        obs: &mut O,
-        path: PathLabel,
     ) {
         let window_update = window != self.peer_window;
         self.peer_window = window;
@@ -1762,8 +1591,8 @@ impl Connection {
             let fresh = self.scoreboard_insert(sacks);
             if fresh > 0 {
                 self.stats.sacked_bytes += fresh;
-                if O::ENABLED {
-                    obs.count(Counter::SackedBytes, fresh);
+                if K::Obs::ENABLED {
+                    k.obs().count(Counter::SackedBytes, fresh);
                 }
             }
         }
@@ -1778,7 +1607,7 @@ impl Connection {
                 && !window_update
                 && self.in_flight() > 0
             {
-                self.on_dup_ack(m, lb, obs, path);
+                self.on_dup_ack(m, k);
             }
             return;
         }
@@ -1833,7 +1662,7 @@ impl Connection {
                 // Partial ACK: the next hole was lost too (NewReno §3.2)
                 // — fill it now instead of waiting for more dup ACKs.
                 grow = false;
-                self.retransmit_hole(m, lb, obs, path);
+                self.retransmit_hole(m, k);
             }
         } else {
             self.dup_acks = 0;
@@ -1854,9 +1683,9 @@ impl Connection {
         // the machine (RFC 793 §3.9, "if our FIN is now acknowledged").
         if self.fin_sent.is_some() && self.snd_una == self.snd_nxt {
             match self.lifecycle {
-                State::FinWait1 => self.set_state(State::FinWait2, obs),
-                State::Closing => self.set_state(State::TimeWait, obs),
-                State::LastAck => self.set_state(State::Closed, obs),
+                State::FinWait1 => self.set_state(State::FinWait2, k.obs()),
+                State::Closing => self.set_state(State::TimeWait, k.obs()),
+                State::LastAck => self.set_state(State::Closed, k.obs()),
                 _ => {}
             }
         }
@@ -1866,20 +1695,14 @@ impl Connection {
 
     /// One more duplicate ACK for `snd_una`: the third arms fast
     /// retransmit; further ones during recovery keep filling holes.
-    fn on_dup_ack<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        obs: &mut O,
-        path: PathLabel,
-    ) {
+    fn on_dup_ack<M: Mem>(&mut self, m: &mut M, k: &mut impl KernelCtx) {
         self.dup_acks += 1;
         if self.recovery.is_some() {
             // Each additional dup ACK during recovery means another
             // segment left the network; use it to fill the next hole.
-            self.retransmit_hole(m, lb, obs, path);
+            self.retransmit_hole(m, k);
         } else if self.dup_acks >= DUP_ACK_THRESHOLD {
-            self.enter_recovery(m, lb, obs, path);
+            self.enter_recovery(m, k);
         }
     }
 
@@ -1888,13 +1711,7 @@ impl Connection {
     /// the RFC: no +3·MSS inflation — the loop-back harness drains ACKs
     /// within the same virtual tick, so inflation would only distort
     /// the cwnd traces the simulation oracles pin.
-    fn enter_recovery<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        obs: &mut O,
-        path: PathLabel,
-    ) {
+    fn enter_recovery<M: Mem>(&mut self, m: &mut M, k: &mut impl KernelCtx) {
         if self.cfg.congestion_control {
             let mss = self.cfg.mtu as u32;
             self.ssthresh = (self.in_flight() / 2).max(2 * mss);
@@ -1903,29 +1720,23 @@ impl Connection {
         }
         self.recovery = Some(self.snd_nxt);
         self.high_rxt = self.snd_una;
-        self.retransmit_hole(m, lb, obs, path);
+        self.retransmit_hole(m, k);
     }
 
     /// Retransmit the first hole — the oldest un-sacked extent past
     /// `high_rxt`, below the recovery point — if there is one.
-    fn retransmit_hole<M: Mem, O: SpanObserver>(
-        &mut self,
-        m: &mut M,
-        lb: &mut impl KernelPart,
-        obs: &mut O,
-        path: PathLabel,
-    ) {
+    fn retransmit_hole<M: Mem, K: KernelCtx>(&mut self, m: &mut M, k: &mut K) {
         let Some(extent) = self.next_hole() else { return };
         self.high_rxt = extent.seq.wrapping_add(extent.len as u32);
         // A recovery retransmission is forward progress — it must not
         // race the retransmission timer into a spurious back-off.
         self.last_progress = self.ticks;
         self.stats.fast_retransmits += 1;
-        if O::ENABLED {
-            obs.count(Counter::FastRetransmits, 1);
-            obs.event(EventKind::FastRetransmit, self.obs_id, u64::from(extent.seq));
+        if K::Obs::ENABLED {
+            k.obs().count(Counter::FastRetransmits, 1);
+            k.obs().event(EventKind::FastRetransmit, self.obs_id, u64::from(extent.seq));
         }
-        self.output_obs(m, lb, extent, None, obs, path, XmitKind::Fast);
+        self.output(m, k, extent, None, XmitKind::Fast);
     }
 
     /// The first ring extent at or past `high_rxt`, below the recovery
@@ -2476,13 +2287,13 @@ mod tests {
         let none = SackBlocks::default();
         // Same ack, changing window: pure window updates, not dup ACKs.
         for wnd in [4000u16, 5000, 6000] {
-            w.tx.process_ack(&mut m, &mut w.lb, una, wnd, &none, &mut NoopObserver, PathLabel::NonIlp);
+            w.tx.process_ack(&mut m, &mut w.lb, una, wnd, &none);
         }
         assert_eq!(w.tx.dup_acks(), 0, "window updates must not count toward the threshold");
         assert_eq!(w.tx.stats.fast_retransmits, 0);
         // Same ack, same window: true duplicates.
         for _ in 0..3 {
-            w.tx.process_ack(&mut m, &mut w.lb, una, 6000, &none, &mut NoopObserver, PathLabel::NonIlp);
+            w.tx.process_ack(&mut m, &mut w.lb, una, 6000, &none);
         }
         assert_eq!(w.tx.stats.fast_retransmits, 1, "the third true dup ACK arms fast retransmit");
         assert!(w.tx.in_recovery());
@@ -2501,7 +2312,7 @@ mod tests {
         let none = SackBlocks::default();
         // An already-ACKed sequence, and an ACK beyond snd_nxt.
         for stale in [una.wrapping_sub(100), una.wrapping_add(1)] {
-            w.tx.process_ack(&mut m, &mut w.lb, stale, wnd, &none, &mut NoopObserver, PathLabel::NonIlp);
+            w.tx.process_ack(&mut m, &mut w.lb, stale, wnd, &none);
             assert_eq!(w.tx.cwnd(), cwnd, "stale ACK {stale:#x} must not grow cwnd");
             assert_eq!(w.tx.snd_una(), una, "stale ACK {stale:#x} must not move snd_una");
         }
@@ -2913,5 +2724,70 @@ mod tests {
         w.tx.send_buf(&mut m, &mut w.lb, w.src.base, 40).unwrap();
         assert!(w.rx.poll_input(&mut m, &mut w.lb).is_none());
         assert_eq!(KernelPart::counters(&w.lb).unroutable, 1);
+    }
+
+    /// A kernel part that delivers one hand-built datagram — the shape
+    /// of a socket backend, whose codec admits frames larger than the
+    /// receive staging buffer.
+    struct Feed(Option<crate::kernelpart::Datagram>);
+
+    impl KernelPart for Feed {
+        fn register(&mut self, _port: u16) -> EndpointId {
+            unreachable!("the connection registered with the loop-back")
+        }
+        #[allow(clippy::too_many_arguments)]
+        fn send<M: Mem>(&mut self, _: &mut M, _: u32, _: u32, _: u16, _: usize, _: usize, _: usize) {}
+        fn recv_into<M: Mem>(
+            &mut self,
+            _m: &mut M,
+            _id: EndpointId,
+        ) -> Option<crate::kernelpart::Datagram> {
+            self.0.take()
+        }
+        fn pending(&self, _id: EndpointId) -> usize {
+            usize::from(self.0.is_some())
+        }
+        fn counters(&self) -> crate::backend::KernelCounters {
+            crate::backend::KernelCounters::default()
+        }
+    }
+
+    #[test]
+    fn oversized_datagrams_are_refused_before_any_copy() {
+        let mut w = world();
+        let mut arena = w.space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        let (tcb, ooo, staging) = (w.rx.state, w.rx.ooo, w.rx.recv.len);
+        // IP-valid, out-of-order data datagrams of `len` bytes in all.
+        let feed = |m: &mut NativeMem<'_>, rx: &mut Connection, len: usize| {
+            m.bytes_mut(tcb.base, tcb.len).fill(0xA5);
+            m.bytes_mut(ooo.base, 64).fill(0xA5);
+            let at = w.src.base;
+            Ipv4Header::at(at).build(m, 0x0A00_0001, 0x0A00_0002, len - IP_HEADER_LEN, 1, 0, false, 64);
+            let hdr = TcpHeader::at(at + IP_HEADER_LEN);
+            hdr.build(m, 1000, 2000, rx.rcv_nxt.wrapping_add(4096), 0, TcpFlags::DATA, 8192);
+            let payload = len - IP_HEADER_LEN - TCP_HEADER_LEN;
+            let sum = checksum_buf(m, at + IP_HEADER_LEN + TCP_HEADER_LEN, payload);
+            let pseudo = PseudoHeader {
+                src: 0x0A00_0001,
+                dst: 0x0A00_0002,
+                protocol: 6,
+                tcp_len: (TCP_HEADER_LEN + payload) as u16,
+            };
+            let csum = hdr.segment_checksum(m, pseudo, sum);
+            hdr.set_checksum(m, csum);
+            let before = rx.stats.rejected;
+            let got = rx.poll_input(m, &mut Feed(Some(crate::kernelpart::Datagram { addr: at, len })));
+            assert!(got.is_none(), "a {len}-byte datagram must never surface");
+            assert_eq!(rx.stats.rejected, before + 1);
+            assert!(m.bytes(tcb.base, tcb.len).iter().all(|&b| b == 0xA5), "TCB overwritten");
+            assert!(m.bytes(ooo.base, 64).iter().all(|&b| b == 0xA5), "hold slots overwritten");
+        };
+        // The largest frame `netback::codec` admits: longer than the
+        // whole staging buffer.
+        feed(&mut m, &mut w.rx, 2048);
+        // Fits staging, but its payload exceeds the MTU-sized hold slot.
+        assert!(staging - IP_HEADER_LEN - TCP_HEADER_LEN > w.rx.cfg.mtu);
+        feed(&mut m, &mut w.rx, staging);
     }
 }

@@ -52,7 +52,7 @@ pub mod ring;
 pub mod rng;
 pub mod wire;
 
-pub use backend::{KernelCounters, KernelPart};
+pub use backend::{observed, KernelCounters, KernelCtx, KernelPart, Observed};
 pub use conn::{Connection, Delivered, SendError, State, UtcpConfig, MSL_TICKS};
 pub use kernelpart::{Datagram, EndpointId, FaultDice, FaultPlan, FaultProbs, Loopback};
 pub use ring::{RingWriter, SendRing};

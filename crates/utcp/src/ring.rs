@@ -53,8 +53,9 @@ pub struct SendRing {
     /// so the simulation oracle's `in_flight == buffered_bytes` check is
     /// O(1) per tick.
     data_bytes: usize,
-    /// Test-only: reintroduce the pre-fix saturated-tail wrap bug (see
+    /// Reintroduce the pre-fix saturated-tail wrap bug (see
     /// [`SendRing::inject_legacy_wrap_bug`]).
+    #[cfg(feature = "mutation")]
     buggy_wrap: bool,
     extents: VecDeque<Extent>,
 }
@@ -67,6 +68,7 @@ impl SendRing {
             tail: 0,
             used: 0,
             data_bytes: 0,
+            #[cfg(feature = "mutation")]
             buggy_wrap: false,
             extents: VecDeque::new(),
         }
@@ -98,11 +100,10 @@ impl SendRing {
         // end — including the saturated case `tail == capacity`, where the
         // skipped fragment is empty (`waste == 0`). Deciding the wrap by
         // `waste > 0` alone allocated extents at `off == capacity` there.
-        let mut wrap = self.tail + len > self.capacity();
-        if self.buggy_wrap && self.tail == self.capacity() {
-            // The pre-fix condition never fired for a saturated tail.
-            wrap = false;
-        }
+        let wrap = self.tail + len > self.capacity();
+        // The pre-fix condition never fired for a saturated tail.
+        #[cfg(feature = "mutation")]
+        let wrap = wrap && !(self.buggy_wrap && self.tail == self.capacity());
         let waste = if wrap {
             self.capacity() - self.tail // skip the fragment at the end
         } else {
@@ -126,7 +127,9 @@ impl SendRing {
     /// ring). Exists solely so the deterministic simulation sweep can
     /// prove it would have caught the bug: with the hook on, the fault
     /// scenarios that saturate the tail make [`SendRing::writer`] panic /
-    /// [`SendRing::check_invariants`] fail. Never enable outside tests.
+    /// [`SendRing::check_invariants`] fail. Compiled only under the
+    /// `mutation` feature, which only the mutation proofs enable.
+    #[cfg(feature = "mutation")]
     #[doc(hidden)]
     pub fn inject_legacy_wrap_bug(&mut self, on: bool) {
         self.buggy_wrap = on;

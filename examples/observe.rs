@@ -49,7 +49,7 @@ fn run(path: Path) -> (Recorder, KernelCounters) {
 
     let mut rec = Recorder::new(2048);
     let mut sched = RoundRobin::new();
-    let report = h.run_observed(&mut m, &mut sched, path, &mut rec);
+    let report = h.run(&mut m, &mut sched, (path, &mut rec));
     assert_eq!(h.verify_outputs(&mut m), None, "faults must never corrupt delivered data");
     assert!(report.retransmits > 0, "the fault plan should force retransmissions");
     (rec, h.lb.counters())

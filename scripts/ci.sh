@@ -8,6 +8,15 @@ cd "$(dirname "$0")/.."
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+echo "== frozen consumer: the benchmark must compile against the public API, unchanged =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# cargo re-resolves the benchmark's lock when a workspace crate's
+# dependency list moved; nothing under benchmark/ is this script's to change.
+git checkout -q -- benchmark/Cargo.lock 2>/dev/null || true
+
+echo "== one call shape: no foo/foo_obs twins =="
+! grep -rnE 'fn [a-z_]+_(obs|observed)\b' crates/
+
 echo "== tests =="
 cargo test -q --offline
 
