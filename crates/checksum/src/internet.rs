@@ -25,8 +25,11 @@ use memsim::Mem;
 /// fusing it into a loop adds compute operations but zero memory traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InetChecksum {
-    /// 32-bit running sum of 16-bit big-endian words (deferred carry).
-    sum: u32,
+    /// Running sum with every carry deferred to [`InetChecksum::fold`]:
+    /// 2^16 ≡ 1 (mod 0xFFFF), so a 32-bit word can be added whole and
+    /// the 64-bit total folded down once. Adding is one branch-free add;
+    /// 2^32 word additions (16 GiB through one accumulator) fit.
+    sum: u64,
 }
 
 impl InetChecksum {
@@ -38,19 +41,13 @@ impl InetChecksum {
     /// Add one 16-bit big-endian word.
     #[inline(always)]
     pub fn add_u16(&mut self, word: u16) {
-        self.sum += u32::from(word);
-        // Deferred fold: keep the sum from overflowing 32 bits. With 16-bit
-        // addends this triggers at most every 2^16 additions.
-        if self.sum >= 0xFFFF_0000 {
-            self.sum = (self.sum & 0xFFFF) + (self.sum >> 16);
-        }
+        self.sum += u64::from(word);
     }
 
     /// Add a 32-bit big-endian word (two 16-bit halves).
     #[inline(always)]
     pub fn add_u32(&mut self, word: u32) {
-        self.add_u16((word >> 16) as u16);
-        self.add_u16(word as u16);
+        self.sum += u64::from(word);
     }
 
     /// Add a 64-bit big-endian word (four 16-bit halves) — the natural
@@ -159,20 +156,36 @@ mod tests {
     use super::*;
     use memsim::{AddressSpace, NativeMem};
 
-    /// Reference bit-at-a-time implementation over a byte slice.
+    /// Reference RFC 1071 implementation over a byte slice: a 16-bit
+    /// one's-complement adder with the end-around carry applied on every
+    /// addition — nothing deferred, nothing to overflow.
     fn reference(bytes: &[u8]) -> u16 {
         let mut sum = 0u32;
+        let mut add = |w: u16| {
+            sum += u32::from(w);
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        };
         let mut chunks = bytes.chunks_exact(2);
         for c in &mut chunks {
-            sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+            add(u16::from_be_bytes([c[0], c[1]]));
         }
         if let [b] = chunks.remainder() {
-            sum += u32::from(*b) << 8;
-        }
-        while sum >> 16 != 0 {
-            sum = (sum & 0xFFFF) + (sum >> 16);
+            add(u16::from(*b) << 8);
         }
         !(sum as u16)
+    }
+
+    /// Seeded pseudo-random bytes (xorshift; tests only need variety).
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
     }
 
     fn with_buf(bytes: &[u8], f: impl FnOnce(&mut NativeMem<'_>, usize)) {
@@ -198,12 +211,41 @@ mod tests {
 
     #[test]
     fn matches_reference_on_assorted_lengths() {
-        for len in [0usize, 1, 2, 3, 4, 7, 8, 15, 20, 64, 1023, 1024] {
-            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
-            with_buf(&bytes, |m, addr| {
-                let got = checksum_buf(m, addr, len).finish();
-                assert_eq!(got, reference(&bytes), "len {len}");
-            });
+        for len in (0..=65).chain([1023, 1024]) {
+            for seed in 1..=8u64 {
+                let bytes = random_bytes(seed * 0x9E37_79B9 + len as u64, len);
+                with_buf(&bytes, |m, addr| {
+                    let got = checksum_buf(m, addr, len).finish();
+                    assert_eq!(got, reference(&bytes), "len {len} seed {seed}");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn every_add_width_and_any_mix_of_them_agree_with_the_reference() {
+        let bytes = random_bytes(0xC0FFEE, 8 * 97);
+        let want = reference(&bytes);
+        let words: Vec<u64> =
+            bytes.chunks_exact(8).map(|c| u64::from_be_bytes(c.try_into().unwrap())).collect();
+        // One width throughout, then the width chosen per 8-byte group.
+        for pick in [|_| 0, |_| 1, |_| 2, |i: usize| i % 3, |i: usize| (i * 7 + i / 5) % 3] {
+            let mut s = InetChecksum::new();
+            for (i, &w) in words.iter().enumerate() {
+                match pick(i) {
+                    0 => s.add_u64(w),
+                    1 => {
+                        s.add_u32((w >> 32) as u32);
+                        s.add_u32(w as u32);
+                    }
+                    _ => {
+                        for shift in [48, 32, 16, 0] {
+                            s.add_u16((w >> shift) as u16);
+                        }
+                    }
+                }
+            }
+            assert_eq!(s.finish(), want);
         }
     }
 
@@ -233,9 +275,10 @@ mod tests {
         let bytes: Vec<u8> = (0..48).map(|i| (i * 73 + 11) as u8).collect();
         with_buf(&bytes, |m, addr| {
             let whole = checksum_buf(m, addr, 48).finish();
-            let a = checksum_buf(m, addr, 16);
-            let b = checksum_buf(m, addr + 16, 16);
-            let c = checksum_buf(m, addr + 32, 16);
+            // Shaped like a message: a one-block part A, the bulk, a short tail.
+            let a = checksum_buf(m, addr, 8);
+            let b = checksum_buf(m, addr + 8, 36);
+            let c = checksum_buf(m, addr + 44, 4);
             for order in [[b, c, a], [c, a, b], [a, b, c], [c, b, a]] {
                 let mut s = InetChecksum::new();
                 for part in order {
@@ -300,12 +343,18 @@ mod tests {
 
     #[test]
     fn deferred_fold_does_not_overflow() {
+        // Every addend at its maximum, well past where a 32-bit deferred
+        // sum would have had to fold (2^16 halfwords = 128 KiB).
         let mut s = InetChecksum::new();
         for _ in 0..200_000 {
             s.add_u16(0xFFFF);
         }
-        // Sum of n all-ones words folds back to 0xFFFF.
         assert_eq!(s.fold(), 0xFFFF);
+        let bytes = vec![0xFFu8; 256 * 1024 + 6];
+        with_buf(&bytes, |m, addr| {
+            let sum = checksum_buf(m, addr, bytes.len());
+            assert_eq!((sum.fold(), sum.finish()), (0xFFFF, reference(&bytes)));
+        });
     }
 
     #[test]

@@ -8,6 +8,15 @@
 //! read and one write per unit; everything else is register traffic plus
 //! whatever table/key/scratch accesses the stages themselves make.
 //!
+//! Each (source, stages, sink) instantiation compiles to one loop body:
+//! the `next_word` / `process` / `store` implementations of this
+//! workspace are `#[inline(always)]` — the cipher kernels deliberately
+//! are not, a loop body with two of them inlined spills — their rare
+//! cases (tail word, padding, header capture) sit in `#[cold]` helpers,
+//! and `scripts/ci.sh` fails when the native benchmark binary carries
+//! any of the three as an out-of-line symbol. DESIGN.md §18 has the
+//! measurements.
+//!
 //! The sink stores at a [`StoreGrain`] derived from the stages' output
 //! granularity: the byte-oriented SAFER family stores single bytes (the
 //! paper's observed behaviour and the source of its 1-byte cache-miss
@@ -69,6 +78,7 @@ impl LinearSink {
 }
 
 impl<M: Mem> UnitSink<M> for LinearSink {
+    #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
         let base = self.addr + self.written;
         match grain {
@@ -103,6 +113,7 @@ impl<'k, K> WordSinkUnit<'k, K> {
 }
 
 impl<M: Mem, K: WordSink<M>> UnitSink<M> for WordSinkUnit<'_, K> {
+    #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, _grain: StoreGrain) {
         for i in 0..unit.words() {
             self.sink.push_word(m, unit.word(i));
@@ -115,6 +126,7 @@ impl<M: Mem, K: WordSink<M>> UnitSink<M> for WordSinkUnit<'_, K> {
 pub struct NullSink;
 
 impl<M: Mem> UnitSink<M> for NullSink {
+    #[inline(always)]
     fn store(&mut self, _m: &mut M, _unit: &UnitBuf, _grain: StoreGrain) {}
 }
 
@@ -155,31 +167,49 @@ pub fn ilp_run<M: Mem>(
     let le = exchange_unit(&[4, stages.natural_unit()], system_len)?;
     let grain = StoreGrain::from_output_grain(stages.output_grain());
     let total_words = source.total_words();
-    assert_eq!(
-        (total_words * 4) % le,
-        0,
-        "source length {total_words} words is not a whole number of {le}-byte exchange units"
-    );
+    // One loop per unit width (`exchange_unit` caps `le` at 16 bytes): the
+    // width is a constant of the loop body, so the unit lives in registers
+    // and the stages' per-word loops unroll.
+    let units = match le / 4 {
+        1 => run_units::<1, M>(m, source, stages, sink, grain, code, total_words),
+        2 => run_units::<2, M>(m, source, stages, sink, grain, code, total_words),
+        3 => run_units::<3, M>(m, source, stages, sink, grain, code, total_words),
+        _ => run_units::<4, M>(m, source, stages, sink, grain, code, total_words),
+    };
+    Ok(IlpRun { bytes: units * le, exchange_unit: le })
+}
 
-    let mut bytes = 0usize;
-    let words_per_unit = le / 4;
-    'outer: loop {
-        let mut unit = UnitBuf::new(le);
-        for i in 0..words_per_unit {
-            match source.next_word(m) {
-                Some(w) => unit.set_word(i, w),
-                None if i == 0 => break 'outer,
-                None => unreachable!("source violated its declared word count"),
-            }
+/// The loop of [`ilp_run`] over `W`-word exchange units; returns how many
+/// it moved.
+fn run_units<const W: usize, M: Mem>(
+    m: &mut M,
+    source: &mut impl WordSource<M>,
+    stages: &mut impl UnitStage<M>,
+    sink: &mut impl UnitSink<M>,
+    grain: StoreGrain,
+    code: Option<CodeRegion>,
+    total_words: usize,
+) -> usize {
+    assert_eq!(
+        total_words % W,
+        0,
+        "source length {total_words} words is not a whole number of {}-byte exchange units",
+        4 * W
+    );
+    let units = total_words / W;
+    let mut unit = UnitBuf::new(4 * W);
+    for _ in 0..units {
+        for i in 0..W {
+            let w = source.next_word(m).expect("source violated its declared word count");
+            unit.set_word(i, w);
         }
         if let Some(code) = code {
             m.fetch(code);
         }
         stages.process(m, &mut unit);
         sink.store(m, &unit, grain);
-        bytes += le;
     }
-    Ok(IlpRun { bytes, exchange_unit: le })
+    units
 }
 
 #[cfg(test)]

@@ -6,7 +6,11 @@
 //!
 //! * [`Fused`] — static composition. The composed type monomorphises
 //!   into a single loop body, the moral equivalent of the paper's macro
-//!   inlining ("a much more efficient solution is macro inlining").
+//!   inlining ("a much more efficient solution is macro inlining") —
+//!   literally so: every static stage's `process` is
+//!   `#[inline(always)]`, and CI checks that none survives as a symbol
+//!   of the native benchmark binary. (Monomorphisation alone was not
+//!   enough: the stages used to be *called* once per unit.)
 //! * [`DynPipeline`] — a vector of boxed stages invoked through vtables,
 //!   the equivalent of "function calls and function pointers", which
 //!   "supports a dynamically adaptable implementation" at the cost the
@@ -80,6 +84,7 @@ impl<M: Mem, C: CipherKernel> UnitStage<M> for EncryptStage<C> {
         C::UNIT
     }
 
+    #[inline(always)]
     fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
         match C::UNIT {
             8 => {
@@ -121,6 +126,7 @@ impl<M: Mem, C: CipherKernel> UnitStage<M> for DecryptStage<C> {
         C::UNIT
     }
 
+    #[inline(always)]
     fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
         match C::UNIT {
             8 => {
@@ -174,6 +180,7 @@ impl<M: Mem> UnitStage<M> for ChecksumTap {
         2
     }
 
+    #[inline(always)]
     fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
         for i in 0..unit.words() {
             self.sum.add_u32(unit.word(i));
@@ -207,6 +214,7 @@ impl<M: Mem> UnitStage<M> for CrcStage {
         1
     }
 
+    #[inline(always)]
     fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
         for i in 0..unit.len() {
             self.state = self.crc.update_byte(m, self.state, unit.byte(i));
@@ -240,6 +248,7 @@ impl<M: Mem, A: UnitStage<M>, B: UnitStage<M>> UnitStage<M> for Fused<A, B> {
         lcm(self.a.natural_unit(), self.b.natural_unit())
     }
 
+    #[inline(always)]
     fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
         self.a.process(m, unit);
         self.b.process(m, unit);
@@ -266,6 +275,7 @@ impl<M: Mem> UnitStage<M> for Identity {
         1
     }
 
+    #[inline(always)]
     fn process(&mut self, _m: &mut M, _unit: &mut UnitBuf) {}
 }
 

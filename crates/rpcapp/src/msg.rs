@@ -20,7 +20,7 @@
 use ilp_core::{StoreGrain, UnitBuf, UnitSink};
 use memsim::Mem;
 use xdr::ilp_messages;
-use xdr::stream::WordSource;
+use xdr::stream::{opaque_word, WordSource};
 use xdr::stubgen::Opaque;
 
 /// Length of the encryption header: one 4-byte length field (Figure 2).
@@ -156,27 +156,16 @@ impl ReplyWords {
         self.range_source(0, self.total_words)
     }
 
-    /// Produce word `i` of the message.
+    /// Produce word `i` of the message: a prefix word from registers, or
+    /// a word of the XDR opaque body (data, then padding / alignment).
+    #[inline(always)]
     fn word<M: Mem>(&self, m: &mut M, i: usize) -> u32 {
-        if i < self.prefix.len() {
-            m.compute(1);
-            return self.prefix[i];
-        }
-        let data_off = (i - self.prefix.len()) * 4;
-        if data_off >= self.data_len {
-            m.compute(1);
-            return 0; // XDR padding / cipher alignment
-        }
-        let remaining = self.data_len - data_off;
-        if remaining >= 4 {
-            m.read_u32_be(self.data_addr + data_off)
-        } else {
-            let mut w = 0u32;
-            for k in 0..remaining {
-                w |= u32::from(m.read_u8(self.data_addr + data_off + k)) << (24 - 8 * k);
+        match i.checked_sub(self.prefix.len()) {
+            Some(k) => opaque_word(m, self.data_addr, self.data_len, 4 * k),
+            None => {
+                m.compute(1);
+                self.prefix[i]
             }
-            m.compute(remaining as u32);
-            w
         }
     }
 }
@@ -190,6 +179,7 @@ pub struct ReplyRangeSource {
 }
 
 impl<M: Mem> WordSource<M> for ReplyRangeSource {
+    #[inline(always)]
     fn next_word(&mut self, m: &mut M) -> Option<u32> {
         if self.next >= self.end {
             return None;
@@ -204,6 +194,63 @@ impl<M: Mem> WordSource<M> for ReplyRangeSource {
     }
 }
 
+/// Where the rest of a chunk goes. Resolved **once**, when the header
+/// words that place the chunk have been decrypted — which in the fused
+/// receive loop is before the checksum verdict, so they are untrusted: a
+/// chunk they put outside the buffer is not placed at all, and the final
+/// stage rejects the segment like any other bad one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placement {
+    dst: usize,
+    left: usize,
+}
+
+impl Placement {
+    /// `declared` bytes at `offset` into the `cap`-byte buffer at `addr`,
+    /// or `None` when they do not fit there.
+    pub(crate) fn resolve(addr: usize, cap: usize, offset: usize, declared: usize) -> Option<Self> {
+        let end = offset.checked_add(declared)?;
+        (end <= cap).then_some(Placement { dst: addr + offset, left: declared })
+    }
+
+    /// Chunk bytes still to be placed.
+    pub(crate) fn left(&self) -> usize {
+        self.left
+    }
+
+    /// Place one decrypted payload word at the cipher's output
+    /// granularity.
+    #[inline(always)]
+    pub(crate) fn place<M: Mem>(&mut self, m: &mut M, w: u32, grain: StoreGrain) {
+        if self.left < 4 {
+            return self.place_tail(m, w, grain);
+        }
+        match grain {
+            StoreGrain::Byte => {
+                for (k, b) in w.to_be_bytes().into_iter().enumerate() {
+                    m.write_u8(self.dst + k, b);
+                }
+            }
+            StoreGrain::Word => m.write_u32_be(self.dst, w),
+        }
+        self.dst += 4;
+        self.left -= 4;
+    }
+
+    /// The chunk's last, partial word; words past the declared length
+    /// are XDR padding / cipher alignment and go nowhere.
+    #[cold]
+    fn place_tail<M: Mem>(&mut self, m: &mut M, w: u32, grain: StoreGrain) {
+        for (k, b) in w.to_be_bytes().into_iter().enumerate().take(self.left) {
+            m.write_u8(self.dst + k, b);
+        }
+        if grain == StoreGrain::Word && self.left > 0 {
+            m.compute(self.left as u32);
+        }
+        self.left = 0;
+    }
+}
+
 /// Receive-side unmarshal-and-copy sink (paper Figure 5, fused form):
 /// captures the decrypted prefix words, then writes the file chunk into
 /// application memory — at `file_base + offset`, where `offset` comes
@@ -215,7 +262,7 @@ pub struct ReplyUnmarshalSink {
     app_cap: usize,
     prefix: [u32; 1 + RPC_HDR_WORDS],
     words_seen: usize,
-    data_written: usize,
+    place: Option<Placement>,
     anchored: bool,
 }
 
@@ -229,7 +276,7 @@ impl ReplyUnmarshalSink {
             app_cap,
             prefix: [0; 1 + RPC_HDR_WORDS],
             words_seen: 0,
-            data_written: 0,
+            place: None,
             anchored: false,
         }
     }
@@ -247,65 +294,53 @@ impl ReplyUnmarshalSink {
     /// The captured prefix words (valid once at least
     /// `1 + RPC_HDR_WORDS` words have been consumed).
     pub fn prefix(&self) -> &[u32] {
-        &self.prefix[..self.words_seen.min(self.prefix.len())]
+        &self.prefix[..self.words_seen]
     }
 
-    /// Parse the captured prefix into a [`ReplyMeta`].
+    /// Parse the captured prefix into a [`ReplyMeta`]; `None` also when
+    /// the chunk it describes does not fit the buffer (nothing was
+    /// written then).
     pub fn meta(&self) -> Option<(usize, ReplyMeta)> {
-        ReplyMeta::parse_prefix(self.prefix())
+        ReplyMeta::parse_prefix(self.prefix()).filter(|_| self.place.is_some())
     }
 
-    /// Chunk bytes delivered so far (clamped to the declared length).
+    /// Chunk bytes delivered so far.
     pub fn data_written(&self) -> usize {
-        match self.meta() {
-            Some((_, meta)) => self.data_written.min(meta.data_len as usize),
-            None => 0,
+        match (self.meta(), self.place) {
+            (Some((_, meta)), Some(place)) => meta.data_len as usize - place.left(),
+            _ => 0,
         }
     }
 }
 
 impl<M: Mem> UnitSink<M> for ReplyUnmarshalSink {
+    #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
+        // Steady state: the whole unit is chunk data.
+        if let Some(place) = self.place.as_mut().filter(|p| p.left() >= unit.len()) {
+            for wi in 0..unit.words() {
+                place.place(m, unit.word(wi), grain);
+            }
+            return;
+        }
         for wi in 0..unit.words() {
+            let w = unit.word(wi);
             if self.words_seen < self.prefix.len() {
-                self.prefix[self.words_seen] = unit.word(wi);
+                self.prefix[self.words_seen] = w;
                 m.compute(1);
                 self.words_seen += 1;
-                continue;
-            }
-            self.words_seen += 1;
-            // Payload word: honour the declared data length (trailing
-            // words are XDR padding / cipher alignment).
-            let declared = self.prefix[self.prefix.len() - 1] as usize;
-            if self.data_written >= declared {
-                continue;
-            }
-            // File offset from the RPC header; a staging sink writes
-            // linearly instead (the header offset points into a file
-            // this buffer does not hold).
-            let offset = if self.anchored { 0 } else { self.prefix[3] as usize };
-            let want = (declared - self.data_written).min(4);
-            assert!(
-                offset + self.data_written + want <= self.app_cap,
-                "reply chunk overruns the application buffer"
-            );
-            let base = self.app_addr + offset + self.data_written;
-            let w = unit.word(wi);
-            match grain {
-                StoreGrain::Byte => {
-                    for k in 0..want {
-                        m.write_u8(base + k, (w >> (24 - 8 * k)) as u8);
-                    }
+                if self.words_seen == self.prefix.len() {
+                    // File offset and XDR opaque length from the RPC
+                    // header; a staging sink writes linearly instead (the
+                    // header offset points into a file this buffer does
+                    // not hold).
+                    let offset = if self.anchored { 0 } else { self.prefix[3] as usize };
+                    let declared = self.prefix[self.prefix.len() - 1] as usize;
+                    self.place = Placement::resolve(self.app_addr, self.app_cap, offset, declared);
                 }
-                StoreGrain::Word if want == 4 => m.write_u32_be(base, w),
-                StoreGrain::Word => {
-                    for k in 0..want {
-                        m.write_u8(base + k, (w >> (24 - 8 * k)) as u8);
-                    }
-                    m.compute(want as u32);
-                }
+            } else if let Some(place) = &mut self.place {
+                place.place(m, w, grain);
             }
-            self.data_written += want;
         }
     }
 }

@@ -730,6 +730,217 @@ mod tests {
         ));
     }
 
+    /// A native world (tables, key, 4 KiB of file pattern) plus the
+    /// loop-back's kernel-slot region, so a test can damage a datagram
+    /// in flight.
+    fn with_world(f: impl FnOnce(&mut Suite<cipher::SimplifiedSafer>, &mut NativeMem<'_>, Region)) {
+        let mut space = AddressSpace::new();
+        let mut s = Suite::simplified(&mut space);
+        let slots = *space.regions().iter().find(|r| r.name == "kernel_slots").expect("slot region");
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        s.init_world(&mut m);
+        fill_file(&s, &mut m, 4096);
+        f(&mut s, &mut m, slots);
+    }
+
+    /// Send 1 000-byte chunks on the fused path (`trailer`: in the trailer
+    /// format), flip payload bit `bit` of the last one in its kernel slot,
+    /// and require a checksum reject followed by recovery through the
+    /// sender's timer with the file intact. With `lose_first` the kernel
+    /// drops chunk 0, so the damaged chunk 1 arrives out of order and is
+    /// unmarshalled by the staging sink. Returns the reassembled file as
+    /// it stood right after the reject.
+    fn flipped_bit_is_rejected_then_recovered(trailer: bool, lose_first: bool, bit: usize) -> Vec<u8> {
+        use crate::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
+        let mut after_reject = Vec::new();
+        with_world(|s, m, slots| {
+            let file = s.file;
+            let recv = |s: &mut Suite<_>, m: &mut NativeMem<'_>| {
+                if trailer { recv_reply_ilp_trailer(s, m) } else { recv_reply_ilp(s, m) }
+            };
+            let chunks = if lose_first { 2 } else { 1 };
+            if lose_first {
+                s.lb.set_faults(utcp::FaultPlan { drop_at: 1, ..Default::default() });
+            }
+            for seq in 0..chunks {
+                let (chunk, addr) = (meta(seq, 1000 + seq * 1000, 1000), file.at(seq as usize * 1000));
+                if trailer {
+                    send_reply_ilp_trailer(s, m, &chunk, addr).unwrap();
+                } else {
+                    send_reply_ilp(s, m, &chunk, addr).unwrap();
+                }
+            }
+            let slot = slots.at((chunks as usize - 1) * (slots.len / s.lb.n_slots()));
+            m.bytes_mut(slot + utcp::IP_HEADER_LEN + utcp::TCP_HEADER_LEN + bit / 8, 1)[0] ^= 0x80 >> (bit % 8);
+            let verdict = recv(s, m).expect("the damaged segment is delivered");
+            assert!(matches!(verdict, Err(Reject::BadChecksum { .. })), "bit {bit}: {verdict:?}");
+            after_reject = m.bytes(s.app_out.base, s.app_out.len).to_vec();
+            let mut accepted = 0;
+            for _ in 0..200 {
+                s.tx.tick(m, &mut s.lb);
+                while let Some(outcome) = recv(s, m) {
+                    accepted += u32::from(outcome.is_ok());
+                }
+                pump_acks(s, m);
+            }
+            assert_eq!(accepted, chunks, "bit {bit}: retransmission never repaired the transfer");
+            let n = chunks as usize * 1000;
+            assert_eq!(m.bytes(s.app_out.at(1000), n), m.bytes(file.base, n), "bit {bit}");
+        });
+        after_reject
+    }
+
+    #[test]
+    fn corrupted_offset_word_is_a_checksum_reject_not_a_panic() {
+        // Ciphertext byte 12 decrypts into the high half of the RPC
+        // header's offset word, and the fused receive loop places the
+        // chunk by that word before the checksum verdict exists. The
+        // offset this flip produces is far outside the file: the sink
+        // must place nothing and leave the reject to the final stage
+        // (it used to assert, and a remote peer could crash the receiver).
+        flipped_bit_is_rejected_then_recovered(false, false, 8 * 12);
+    }
+
+    #[test]
+    fn any_flipped_bit_of_the_first_32_payload_bytes_is_rejected_then_recovered() {
+        // Both prefixes (length / header words before the data) and the
+        // first data words, through both unmarshal sinks and both
+        // constructors of the reply sink.
+        for bit in 0..256 {
+            flipped_bit_is_rejected_then_recovered(false, false, bit);
+            flipped_bit_is_rejected_then_recovered(false, true, bit);
+            flipped_bit_is_rejected_then_recovered(true, false, bit);
+        }
+    }
+
+    #[test]
+    #[ignore = "known hole: an in-range corrupted offset is honoured before the checksum verdict"]
+    fn in_range_corrupted_offset_must_not_overwrite_delivered_bytes() {
+        // Ciphertext bytes 14–15 decrypt into the low half of the offset
+        // word. Flipping payload bit 112 (top bit of byte 14) turns the
+        // chunk's offset 1000 into 13331 — inside the file, so the
+        // in-order fused pass writes the chunk there, over bytes the
+        // application may already own, and only then does the final
+        // stage reject the segment (bits 112–127 all behave so). PR 5
+        // closed this for segments that are not the next in-order one
+        // (they unmarshal into staging); for the in-order one it is open
+        // — see ROADMAP, zero-copy receive.
+        let file = flipped_bit_is_rejected_then_recovered(false, false, 8 * 14);
+        let stray = file.iter().enumerate().filter(|&(i, &b)| b != 0 && !(1000..2000).contains(&i));
+        assert_eq!(stray.count(), 0, "the rejected chunk was written outside its own range");
+    }
+
+    #[test]
+    fn fused_loops_equal_the_layered_passes_for_every_length() {
+        use cipher::{SimplifiedSafer, VerySimple};
+        use xdr::stream::{pump, OpaqueSink};
+        fn check<C: CipherKernel + Copy>(
+            alloc: fn(&mut AddressSpace) -> C,
+            init: impl Fn(&C, &mut NativeMem<'_>),
+        ) {
+            for data_len in (1..=64).chain([1000, 1024]) {
+                let mut space = AddressSpace::new();
+                let cipher = alloc(&mut space);
+                let data = space.alloc("data", 1024, 8);
+                let [plain, layered, linear, out] =
+                    ["plain", "layered", "linear", "out"].map(|n| space.alloc(n, MAX_MSG, 8));
+                let mut ring =
+                    utcp::SendRing::new(space.alloc_kind("ring", MAX_MSG, 64, RegionKind::Ring));
+                let mut arena = space.native_arena();
+                let mut m = NativeMem::new(&mut arena);
+                init(&cipher, &mut m);
+                for i in 0..data_len {
+                    m.write_u8(data.at(i), (i * 31 + 7) as u8);
+                }
+                let chunk = meta(3, 64, data_len as u32);
+                let words = ReplyWords::new(&chunk, data.base, C::UNIT);
+                let padded = chunk.padded_len(C::UNIT);
+
+                // Layered send: marshal, encrypt, checksum — three passes.
+                pump(&mut m, &mut words.full_source(), &mut OpaqueSink::new(0, plain.base, padded));
+                cipher::encrypt_buf(&cipher, &mut m, plain.base, layered.base, padded);
+                let want = checksum_buf(&mut m, layered.base, padded).fold();
+
+                // Fused send, into a flat buffer and into a ring extent.
+                let mut stages = Fused::new(EncryptStage::new(cipher), ChecksumTap::new());
+                let mut flat = LinearSink::new(linear.base);
+                ilp_run(&mut m, &mut words.full_source(), &mut stages, &mut flat, 1, None).unwrap();
+                assert_eq!(stages.b.sum().fold(), want, "{} len {data_len}", C::NAME);
+                assert_eq!(m.bytes(linear.base, padded), m.bytes(layered.base, padded));
+                let extent = ring.alloc(padded, 0).unwrap();
+                let mut stages = Fused::new(EncryptStage::new(cipher), ChecksumTap::new());
+                let mut writer = ring.writer(extent);
+                ilp_run(&mut m, &mut words.full_source(), &mut stages, &mut writer, 1, None).unwrap();
+                assert_eq!(stages.b.sum().fold(), want, "{} len {data_len}", C::NAME);
+                assert_eq!(m.bytes(ring.addr(extent.off), padded), m.bytes(layered.base, padded));
+
+                // Fused receive of that ciphertext: same sum, same chunk.
+                let mut stages = Fused::new(ChecksumTap::new(), DecryptStage::new(cipher));
+                let mut sink = ReplyUnmarshalSink::new(out.base, MAX_MSG);
+                let mut source = OpaqueSource::new(layered.base, padded);
+                ilp_run(&mut m, &mut source, &mut stages, &mut sink, 1, None).unwrap();
+                assert_eq!(stages.a.sum().fold(), want, "{} len {data_len}", C::NAME);
+                assert_eq!(sink.meta().map(|(_, meta)| meta), Some(chunk));
+                assert_eq!(sink.data_written(), data_len);
+                assert_eq!(m.bytes(out.at(64), data_len), m.bytes(data.base, data_len));
+                assert_eq!(m.bytes(out.at(64 + data_len), 8), &[0; 8], "wrote past the chunk");
+            }
+        }
+        check(SimplifiedSafer::alloc, |c, m| c.init(m, *b"ILP95key"));
+        check(VerySimple::alloc, |_, _| {});
+    }
+
+    /// `label:r|w:B1/B2/B4/B8` per region kind that saw traffic, then the
+    /// ALU-op total, instruction bytes fetched and I-cache line fetches.
+    fn access_stream(st: &memsim::RunStats) -> String {
+        use memsim::SizeClass;
+        let row = |dir: &str, (kind, c): &(RegionKind, memsim::AccessCounts)| {
+            let by = SizeClass::all().map(|s| c.by_size(s).to_string()).join("/");
+            format!("{}:{dir}:{by}", kind.label())
+        };
+        let mut rows: Vec<String> = st.reads_by_kind.iter().map(|e| row("r", e)).collect();
+        rows.extend(st.writes_by_kind.iter().map(|e| row("w", e)));
+        rows.retain(|r| !r.ends_with(":0/0/0/0"));
+        rows.sort();
+        rows.push(format!("compute:{}", st.compute_ops));
+        rows.push(format!("fetch:{}B/{}", st.fetch_bytes, st.l1i.fetch_hits + st.l1i.fetch_misses));
+        rows.join(" ")
+    }
+
+    #[test]
+    fn ilp_access_stream_of_one_chunk_is_pinned() {
+        // What `SimMem` counts for one 1 000-byte chunk through the fused
+        // send and receive paths (system copy and TCP control included).
+        // Every simulated figure is a function of this stream, so a change
+        // to the loops, sources, stages or sinks must leave it alone.
+        use memsim::{HostModel, SimMem};
+        let mut space = AddressSpace::new();
+        let mut s = Suite::simplified(&mut space);
+        let file = s.file;
+        let mut m = SimMem::new(&space, &HostModel::ss20_60());
+        s.init_world(&mut m);
+        fill_file(&s, &mut m, 1000);
+        let _ = m.take_stats();
+        let chunk = meta(0, 0, 1000);
+        send_reply_ilp(&mut s, &mut m, &chunk, file.base).unwrap();
+        let send = m.take_stats();
+        assert_eq!(recv_reply_ilp(&mut s, &mut m).unwrap().unwrap(), chunk);
+        let recv = m.take_stats();
+        assert_eq!(
+            access_stream(&send),
+            "app:r:0/0/250/0 kernel:r:0/0/261/0 kernel:w:4/5/265/0 ring:r:0/0/258/0 \
+             ring:w:1032/0/0/0 scratch:r:1032/0/0/0 scratch:w:1032/0/0/0 state:r:0/0/14/0 \
+             state:w:2/6/5/0 table:r:2064/0/0/0 compute:5836 fetch:191880B/3111"
+        );
+        assert_eq!(
+            access_stream(&recv),
+            "app:w:1000/0/0/0 buf:r:2/1/265/0 buf:w:0/0/268/0 kernel:r:1/1/535/0 \
+             kernel:w:4/5/7/0 scratch:r:1032/0/0/0 scratch:w:1032/0/0/0 state:r:0/0/14/0 \
+             state:w:2/6/5/0 table:r:2064/0/0/0 compute:5915 fetch:217680B/3498"
+        );
+    }
+
     /// Four chunks through the explicit-connection paths; returns the
     /// receiver's staged datagram (headers + ciphertext) after each.
     fn drive<K: KernelCtx>(

@@ -30,12 +30,12 @@ use ilp_core::{
 };
 use memsim::Mem;
 
-use crate::msg::{ReplyMeta, RPC_HDR_WORDS};
+use crate::msg::{Placement, ReplyMeta, RPC_HDR_WORDS};
 use crate::paths::RecvOutcome;
 use crate::suite::Suite;
 use cipher::CipherKernel;
 use utcp::SendError;
-use xdr::stream::WordSource;
+use xdr::stream::{opaque_word, WordSource};
 
 /// Trailer length: one 4-byte length field at the end of the message.
 pub const TRAILER_LEN: usize = 4;
@@ -109,6 +109,7 @@ impl TrailerSource {
 }
 
 impl<M: Mem> WordSource<M> for TrailerSource {
+    #[inline(always)]
     fn next_word(&mut self, m: &mut M) -> Option<u32> {
         if self.next >= self.msg.total_words {
             return None;
@@ -123,22 +124,7 @@ impl<M: Mem> WordSource<M> for TrailerSource {
             m.compute(1);
             return Some(self.msg.length_field()); // the trailer
         }
-        let off = (i - RPC_HDR_WORDS) * 4;
-        if off >= self.msg.data_len {
-            m.compute(1);
-            return Some(0); // XDR padding / alignment
-        }
-        let remaining = self.msg.data_len - off;
-        if remaining >= 4 {
-            Some(m.read_u32_be(self.msg.data_addr + off))
-        } else {
-            let mut w = 0u32;
-            for k in 0..remaining {
-                w |= u32::from(m.read_u8(self.msg.data_addr + off + k)) << (24 - 8 * k);
-            }
-            m.compute(remaining as u32);
-            Some(w)
-        }
+        Some(opaque_word(m, self.msg.data_addr, self.msg.data_len, 4 * (i - RPC_HDR_WORDS)))
     }
 
     fn total_words(&self) -> usize {
@@ -156,7 +142,7 @@ pub struct TrailerUnmarshalSink {
     total_words: usize,
     rpc: [u32; RPC_HDR_WORDS],
     words_seen: usize,
-    data_written: usize,
+    place: Option<Placement>,
     last_word: u32,
 }
 
@@ -171,7 +157,7 @@ impl TrailerUnmarshalSink {
             total_words: payload_len / 4,
             rpc: [0; RPC_HDR_WORDS],
             words_seen: 0,
-            data_written: 0,
+            place: None,
             last_word: 0,
         }
     }
@@ -197,11 +183,15 @@ impl TrailerUnmarshalSink {
         if self.last_word != expected {
             return Err(Reject::BadFormat("trailer mismatch"));
         }
+        if self.place.is_none() {
+            return Err(Reject::BadFormat("chunk beyond file bounds"));
+        }
         Ok(meta)
     }
 }
 
 impl<M: Mem> UnitSink<M> for TrailerUnmarshalSink {
+    #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
         for wi in 0..unit.words() {
             let w = unit.word(wi);
@@ -210,32 +200,16 @@ impl<M: Mem> UnitSink<M> for TrailerUnmarshalSink {
             if i < RPC_HDR_WORDS {
                 self.rpc[i] = w;
                 m.compute(1);
+                if self.words_seen == RPC_HDR_WORDS {
+                    let (offset, declared) = (self.rpc[2] as usize, self.rpc[5] as usize);
+                    self.place = Placement::resolve(self.app_addr, self.app_cap, offset, declared);
+                }
                 continue;
             }
             self.last_word = w; // the final assignment holds the trailer
-            let declared = self.rpc[5] as usize;
-            if self.data_written >= declared {
-                continue;
+            if let Some(place) = &mut self.place {
+                place.place(m, w, grain);
             }
-            let offset = self.rpc[2] as usize;
-            let want = (declared - self.data_written).min(4);
-            assert!(offset + self.data_written + want <= self.app_cap, "chunk overruns file");
-            let base = self.app_addr + offset + self.data_written;
-            match grain {
-                StoreGrain::Byte => {
-                    for k in 0..want {
-                        m.write_u8(base + k, (w >> (24 - 8 * k)) as u8);
-                    }
-                }
-                StoreGrain::Word if want == 4 => m.write_u32_be(base, w),
-                StoreGrain::Word => {
-                    for k in 0..want {
-                        m.write_u8(base + k, (w >> (24 - 8 * k)) as u8);
-                    }
-                    m.compute(want as u32);
-                }
-            }
-            self.data_written += want;
         }
     }
 }

@@ -277,6 +277,7 @@ impl RingWriter {
 }
 
 impl<M: Mem> UnitSink<M> for RingWriter {
+    #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
         assert!(
             self.written + unit.len() <= self.len,

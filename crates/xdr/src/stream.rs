@@ -63,6 +63,7 @@ impl HeaderWords {
 }
 
 impl<M: Mem> WordSource<M> for HeaderWords {
+    #[inline(always)]
     fn next_word(&mut self, m: &mut M) -> Option<u32> {
         if self.next >= self.len {
             return None;
@@ -96,22 +97,12 @@ impl OpaqueSource {
 }
 
 impl<M: Mem> WordSource<M> for OpaqueSource {
+    #[inline(always)]
     fn next_word(&mut self, m: &mut M) -> Option<u32> {
         if self.off >= self.len {
             return None;
         }
-        let remaining = self.len - self.off;
-        let w = if remaining >= 4 {
-            m.read_u32_be(self.addr + self.off)
-        } else {
-            // Partial tail word: gather bytes, zero-pad (register work).
-            let mut w = 0u32;
-            for i in 0..remaining {
-                w |= u32::from(m.read_u8(self.addr + self.off + i)) << (24 - 8 * i);
-            }
-            m.compute(remaining as u32);
-            w
-        };
+        let w = opaque_word(m, self.addr, self.len, self.off);
         self.off += 4;
         Some(w)
     }
@@ -119,6 +110,37 @@ impl<M: Mem> WordSource<M> for OpaqueSource {
     fn total_words(&self) -> usize {
         crate::runtime::pad4(self.len) / 4
     }
+}
+
+/// The word at byte offset `off` (a multiple of 4) of an RFC 1014 opaque
+/// body of `len` bytes at `addr`. The steady state — a whole data word —
+/// is one compare and one read, so a fused loop that inlines this
+/// carries nothing else per word.
+#[inline(always)]
+pub fn opaque_word<M: Mem>(m: &mut M, addr: usize, len: usize, off: usize) -> u32 {
+    if off + 4 <= len {
+        m.read_u32_be(addr + off)
+    } else {
+        opaque_edge_word(m, addr, len, off)
+    }
+}
+
+/// The words at the end of an opaque body: the partial tail word, its
+/// bytes gathered and zero-padded in registers, or a zero word past the
+/// end (XDR padding / cipher alignment).
+#[cold]
+fn opaque_edge_word<M: Mem>(m: &mut M, addr: usize, len: usize, off: usize) -> u32 {
+    let remaining = len.saturating_sub(off);
+    if remaining == 0 {
+        m.compute(1);
+        return 0;
+    }
+    let mut w = 0u32;
+    for i in 0..remaining {
+        w |= u32::from(m.read_u8(addr + off + i)) << (24 - 8 * i);
+    }
+    m.compute(remaining as u32);
+    w
 }
 
 /// Two word sources in sequence.
@@ -136,6 +158,7 @@ impl<A, B> Chain<A, B> {
 }
 
 impl<M: Mem, A: WordSource<M>, B: WordSource<M>> WordSource<M> for Chain<A, B> {
+    #[inline(always)]
     fn next_word(&mut self, m: &mut M) -> Option<u32> {
         self.a.next_word(m).or_else(|| self.b.next_word(m))
     }

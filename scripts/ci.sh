@@ -10,9 +10,31 @@ cargo build --release --offline
 
 echo "== frozen consumer: the benchmark must compile against the public API, unchanged =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "== native path: every delivered byte verified through both stacks, fault-free and under faults =="
+for workload in bulk lossy; do
+    out=$(./benchmark/target/release/ilpbench --workload "$workload" --seconds 3 --trace 0)
+    if grep -q INVALID <<<"$out" || ! grep -qx 'ops_failed 0' <<<"$out"; then
+        tail -n 20 <<<"$out"
+        echo "ilpbench $workload: failed operations or an INVALID run"
+        exit 1
+    fi
+done
 # cargo re-resolves the benchmark's lock when a workspace crate's
 # dependency list moved; nothing under benchmark/ is this script's to change.
 git checkout -q -- benchmark/Cargo.lock 2>/dev/null || true
+
+echo "== fused stays fused: no out-of-line word source, stage or sink in the native binary =="
+if command -v objdump >/dev/null; then
+    # (`! pipeline` would not trip `set -e`.)
+    if objdump -d -C benchmark/target/release/ilpbench \
+        | grep -E '^[0-9a-f]+ <.* as (xdr::stream::WordSource<M>>::next_word|ilp_core::stage::UnitStage<M>>::process|ilp_core::pipeline::UnitSink<M>>::store)>:'; then
+        echo "the fused loops call the symbols above once per word or unit"
+        exit 1
+    fi
+else
+    echo "objdump not on PATH; skipping the symbol check"
+fi
 
 echo "== one call shape: no foo/foo_obs twins =="
 ! grep -rnE 'fn [a-z_]+_(obs|observed)\b' crates/
