@@ -10,15 +10,12 @@
 //! Absolute seconds depend on the (unpublished) run length; the claims
 //! under test are the *ratios* and the I-cache share.
 
-use bench::measure::{measure, MeasureCfg, Measurement};
-use bench::paper::atom;
-use bench::report::{banner, Table};
+use crate::measure::{measure, volume_mb, MeasureCfg, Measurement};
+use crate::paper::atom;
+use crate::report::{banner, Table};
 use memsim::{HostModel, RunStats};
+use obs::Json;
 use rpcapp::app::Path;
-
-fn volume_mb() -> f64 {
-    std::env::var("ILP_VOLUME_MB").ok().and_then(|v| v.parse().ok()).unwrap_or(10.7)
-}
 
 /// Memory-system time of a phase in seconds: everything spent below the
 /// registers/pipeline (cache and memory service).
@@ -39,7 +36,8 @@ fn icache_share(host: &HostModel, stats: &RunStats) -> f64 {
     icache_us / (memsys_s(host, stats) * 1e6)
 }
 
-fn main() {
+/// Run the experiment.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     let mb = volume_mb();
     banner("§4.2 ATOM", "whole-run accounting on the AXP 3000/500");
     println!("volume: {mb} MB in 1 kbyte messages\n");
@@ -85,14 +83,12 @@ fn main() {
         atom::RECV_EXEC_S.0 / atom::RECV_EXEC_S.1,
     );
 
-    let mut user_ilp = ilp.send_stats.clone();
-    user_ilp.absorb(&ilp.recv_stats);
-    let mut user_non = non.send_stats.clone();
-    user_non.absorb(&non.recv_stats);
+    let (user_ilp, user_non) = (ilp.user_stats(), non.user_stats());
     println!(
         "\nI-cache share of memory-system time: ILP {:.0}% vs non-ILP {:.0}%  \
          (paper: ILP 24–28%, and higher than non-ILP)",
         icache_share(&host, &user_ilp) * 100.0,
         icache_share(&host, &user_non) * 100.0
     );
+    Ok(None)
 }

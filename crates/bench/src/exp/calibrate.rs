@@ -1,10 +1,13 @@
-//! Calibration probe: paper vs measured with component breakdown.
-use bench::measure::{measure, MeasureCfg};
-use bench::paper;
+//! Calibration probe: paper vs measured with component breakdown
+//! (`DETAIL=1` adds the per-phase access and cost split).
+use crate::measure::{measure, MeasureCfg};
+use crate::paper;
 use memsim::HostModel;
+use obs::Json;
 use rpcapp::app::Path;
 
-fn main() {
+/// Run the probe.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     let detail = std::env::var("DETAIL").is_ok();
     println!("{:<13} {:>5} | {:>7} {:>7} | {:>7} {:>7} | {:>7} {:>7} | {:>7} {:>7} | {:>6} {:>6}",
         "host", "size", "pSendN", "mSendN", "pSendI", "mSendI", "pRecvN", "mRecvN", "pRecvI", "mRecvI", "pTputI", "mTputI");
@@ -30,4 +33,5 @@ fn main() {
             }
         }
     }
+    Ok(None)
 }

@@ -15,15 +15,10 @@
 //! sweep's pass count and oracle volume bit-exact alongside the churn
 //! quantities: closes completed, cumulative TIME_WAIT residency, ports
 //! recycled, and the settle rounds spent reaching full quiescence.
-//!
-//! ```bash
-//! cargo run --release -p bench --bin exp_churn   # writes BENCH_churn.json
-//! ```
 
 use obs::Json;
 use server::Path;
 use sim::{run_churn, sweep_teardown, ChurnOutcome, ChurnSpec};
-use std::process::ExitCode;
 use utcp::FaultProbs;
 
 /// The pinned churn workload: four connections, four waves, a 4 KiB
@@ -65,8 +60,9 @@ fn outcome_json(out: &ChurnOutcome) -> Json {
         )
 }
 
-fn main() -> ExitCode {
-    let mut failed = false;
+/// Run the churn workload and the teardown sweep.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
+    let mut failures = Vec::new();
     let spec = churn_spec();
     let mut paths = Json::obj();
     let mut outcomes: Vec<ChurnOutcome> = Vec::new();
@@ -87,16 +83,12 @@ fn main() -> ExitCode {
                 paths = paths.set(name, outcome_json(&out));
                 outcomes.push(out);
             }
-            Err(e) => {
-                eprintln!("exp_churn ({name}) FAILED: {e}");
-                failed = true;
-            }
+            Err(e) => failures.push(format!("{name}: {e}")),
         }
     }
     let agree = outcomes.len() == 2 && outcomes[0] == outcomes[1];
     if !agree {
-        eprintln!("exp_churn: ILP and non-ILP churn diverge: {outcomes:?}");
-        failed = true;
+        failures.push(format!("ILP and non-ILP churn diverge: {outcomes:?}"));
     }
 
     // The lifecycle sweep: every pinned teardown world and 200 seeded
@@ -114,12 +106,14 @@ fn main() -> ExitCode {
             sweep.passed, sweep.oracle_checks
         ),
         Some((shrunk, message, test_case)) => {
-            eprintln!("exp_churn: teardown sweep FAILED: {message}\nspec: {shrunk:?}\n{test_case}");
-            failed = true;
+            failures.push(format!("teardown sweep: {message}\nspec: {shrunk:?}\n{test_case}"));
         }
     }
+    if !failures.is_empty() {
+        return Err(failures.join("\n"));
+    }
 
-    let report = Json::obj()
+    Ok(Some(Json::obj()
         .set("experiment", Json::Str("churn".into()))
         .set("seed", Json::U64(spec.seed))
         .set("waves", Json::U64(spec.waves as u64))
@@ -128,14 +122,5 @@ fn main() -> ExitCode {
         .set("drop_prob", Json::U64(u64::from(spec.probs.drop)))
         .set("paths", paths)
         .set("paths_agree", Json::Bool(agree))
-        .set("teardown_sweep", sweep_json);
-    if let Err(e) = obs::write_report(std::path::Path::new("BENCH_churn.json"), &report) {
-        eprintln!("exp_churn: cannot write BENCH_churn.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    println!("exp_churn: wrote BENCH_churn.json");
-    ExitCode::SUCCESS
+        .set("teardown_sweep", sweep_json)))
 }

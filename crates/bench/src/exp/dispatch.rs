@@ -12,33 +12,24 @@
 //! paper's ordering; in particular the dyn pipeline should give back
 //! most of the fusion gain.
 
-use bench::report::banner;
+use crate::report::banner;
 use cipher::{encrypt_buf, VerySimple};
 use checksum::internet::checksum_buf;
 use ilp_core::{ilp_run, ChecksumTap, DynPipeline, EncryptStage, Fused, LinearSink, UnitStage};
 use memsim::{AddressSpace, Mem, NativeMem};
-use std::hint::black_box;
-use std::time::Instant;
+use obs::Json;
 use xdr::stream::OpaqueSource;
 
 const LEN: usize = 16 * 1024;
 
-fn time_mbps(label: &str, mut f: impl FnMut()) -> f64 {
-    for _ in 0..20 {
-        f();
-    }
-    let iters = 400u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let mbps = (iters as f64 * LEN as f64 * 8.0) / secs / 1e6;
+fn time_mbps<T>(label: &str, f: impl FnMut() -> T) -> f64 {
+    let mbps = super::time_mbps(LEN, 20, 400, f);
     println!("{label:>14}: {mbps:8.0} Mbps");
     mbps
 }
 
-fn main() {
+/// Run the experiment.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     banner("§3.2.1", "macro-style (generic) vs function-call (dyn) stage composition");
     println!("workload: encrypt (very simple cipher) + checksum over {} KB, native CPU\n", LEN / 1024);
 
@@ -55,7 +46,7 @@ fn main() {
     // Layered: two full passes.
     let layered = time_mbps("layered", || {
         encrypt_buf(&cipher, &mut m, src.base, dst.base, LEN);
-        black_box(checksum_buf(&mut m, dst.base, LEN).finish());
+        checksum_buf(&mut m, dst.base, LEN).finish()
     });
 
     // Statically fused (the "macro" form): one pass, monomorphised.
@@ -64,7 +55,7 @@ fn main() {
         let mut stages = Fused::new(EncryptStage::new(cipher), ChecksumTap::new());
         let mut sink = LinearSink::new(dst.base);
         ilp_run(&mut m, &mut source, &mut stages, &mut sink, 1, None).unwrap();
-        black_box(stages.b.sum().finish());
+        stages.b.sum().finish()
     });
 
     // Dyn-fused (the "function pointer" form): one pass, vtable calls.
@@ -75,7 +66,7 @@ fn main() {
             .push(Box::new(ChecksumTap::new()));
         let mut sink = LinearSink::new(dst.base);
         ilp_run(&mut m, &mut source, &mut stages, &mut sink, 1, None).unwrap();
-        black_box(UnitStage::<NativeMem>::natural_unit(&stages));
+        UnitStage::<NativeMem>::natural_unit(&stages)
     });
 
     println!("\nstatic fusion vs layered: {:+.0}%", 100.0 * (fused_static - layered) / layered);
@@ -93,4 +84,5 @@ fn main() {
              §1 microbenchmark (exp_micro) still reproduces the paper's fusion gain."
         );
     }
+    Ok(None)
 }

@@ -2,18 +2,18 @@
 //!
 //! Runs the same seeded scenario sweep the `sim` crate's smoke test
 //! runs (seeded fault plans, per-tick TCP reference-model oracles,
-//! ILP ≡ non-ILP equivalence, obs conservation) and writes
-//! `BENCH_dst.json`. Every count in the report — fault mix, oracle
+//! ILP ≡ non-ILP equivalence, obs conservation) and reports it. Every
+//! count in the report — fault mix, oracle
 //! evaluations, rounds, payload — is a pure function of the seed block,
 //! so the perf gate holds them bit-exact: a behaviour change anywhere
 //! in the stack (an extra retransmission, a changed rejection, a
 //! different fault draw) moves one of them and fails CI. Sweep
 //! throughput (`seeds_per_sec`) is wall-clock and report-only.
 //!
-//! Usage: `exp_dst [--seeds N] [--base SEED]` (defaults match the CI
-//! smoke block: 200 seeds from 0x11F95000).
+//! Usage: `bench -- exp_dst [--seeds N] [--base SEED]` (defaults match
+//! the CI smoke block: 200 seeds from 0x11F95000).
 
-use bench::report::{banner, Table};
+use crate::report::{banner, Table};
 use obs::Json;
 use sim::{sweep, SweepOpts};
 
@@ -24,18 +24,14 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
-fn main() -> std::process::ExitCode {
+/// Run the sweep.
+pub fn run(args: &[String]) -> Result<Option<Json>, String> {
     let mut opts = SweepOpts { base_seed: 0x11F9_5000, seeds: 200, inject_ring_bug: false };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let val = args.next().and_then(|v| parse_u64(&v));
-        match (a.as_str(), val) {
+    for flag in args.chunks(2) {
+        match (flag[0].as_str(), flag.get(1).and_then(|v| parse_u64(v))) {
             ("--seeds", Some(n)) => opts.seeds = n as usize,
             ("--base", Some(b)) => opts.base_seed = b,
-            _ => {
-                eprintln!("usage: exp_dst [--seeds N] [--base SEED]");
-                return std::process::ExitCode::FAILURE;
-            }
+            _ => return Err("usage: exp_dst [--seeds N] [--base SEED]".into()),
         }
     }
 
@@ -45,10 +41,10 @@ fn main() -> std::process::ExitCode {
     let wall_us = (start.elapsed().as_micros() as u64).max(1);
 
     if let Some(f) = &rep.failure {
-        eprintln!("seed sweep FAILED after {} seeds: {}", rep.seeds_run, f.message);
-        eprintln!("original scenario: {:?}", f.scenario);
-        eprintln!("shrunk reproducer:\n{}", f.test_case);
-        return std::process::ExitCode::FAILURE;
+        return Err(format!(
+            "seed sweep FAILED after {} seeds: {}\noriginal scenario: {:?}\nshrunk reproducer:\n{}",
+            rep.seeds_run, f.message, f.scenario, f.test_case
+        ));
     }
 
     let seeds_per_sec = rep.passed as f64 / (wall_us as f64 / 1e6);
@@ -76,7 +72,7 @@ fn main() -> std::process::ExitCode {
     table.row(vec!["seeds/sec (wall)".into(), format!("{seeds_per_sec:.0}")]);
     table.print();
 
-    let report = Json::obj()
+    Ok(Some(Json::obj()
         .set("experiment", Json::Str("dst".into()))
         .set("base_seed", Json::U64(opts.base_seed))
         .set("seeds", Json::U64(opts.seeds as u64))
@@ -99,14 +95,5 @@ fn main() -> std::process::ExitCode {
         .set("payload_bytes", Json::U64(rep.payload_bytes))
         .set("retransmits", Json::U64(rep.retransmits))
         .set("wall_us", Json::U64(wall_us))
-        .set("seeds_per_sec", Json::F64(seeds_per_sec));
-    let out = std::path::Path::new("BENCH_dst.json");
-    match obs::write_report(out, &report) {
-        Ok(()) => println!("\nwrote {}", out.display()),
-        Err(e) => {
-            eprintln!("\nfailed to write {}: {e}", out.display());
-            return std::process::ExitCode::FAILURE;
-        }
-    }
-    std::process::ExitCode::SUCCESS
+        .set("seeds_per_sec", Json::F64(seeds_per_sec))))
 }

@@ -17,16 +17,11 @@
 //!   Exact `true`), and [`obs::health::analyze`] is timed over the
 //!   observed recorder (report-only: analysis happens after the run,
 //!   off the hot path, so its cost is informational).
-//!
-//! ```bash
-//! cargo run --release -p bench --bin exp_health   # writes BENCH_health.json
-//! ```
 
 use memsim::{AddressSpace, NativeMem};
 use obs::{HealthConfig, Json, Recorder, SeriesConfig};
 use server::{Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
 use sim::health::{clean_sweep, detectors_of, run_trigger, Trigger};
-use std::process::ExitCode;
 use std::time::Instant;
 use utcp::FaultPlan;
 
@@ -105,10 +100,11 @@ fn overhead_section() -> Result<Json, String> {
         ))
 }
 
-fn main() -> ExitCode {
+/// Run the three sections.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     // Trigger matrix.
     let mut triggers = Json::obj();
-    let mut failed = false;
+    let mut failures = Vec::new();
     for t in Trigger::ALL {
         match run_trigger(t) {
             Ok(verdicts) => {
@@ -130,17 +126,7 @@ fn main() -> ExitCode {
                         .set("pass", Json::Bool(true)),
                 );
             }
-            Err(e) => {
-                eprintln!("exp_health: trigger {} FAILED: {e}", t.name());
-                triggers = triggers.set(
-                    t.name(),
-                    Json::obj()
-                        .set("verdicts", Json::U64(0))
-                        .set("detectors", Json::Arr(Vec::new()))
-                        .set("pass", Json::Bool(false)),
-                );
-                failed = true;
-            }
+            Err(e) => failures.push(format!("trigger {}: {e}", t.name())),
         }
     }
 
@@ -158,13 +144,8 @@ fn main() -> ExitCode {
                 .set("false_positives", Json::U64(0))
         }
         Err(e) => {
-            eprintln!("exp_health: clean sweep FAILED: {e}");
-            failed = true;
-            Json::obj()
-                .set("base_seed", Json::U64(CLEAN_BASE_SEED))
-                .set("seeds", Json::U64(CLEAN_SEEDS as u64))
-                .set("checks", Json::U64(0))
-                .set("false_positives", Json::U64(1))
+            failures.push(format!("clean sweep: {e}"));
+            Json::Null
         }
     };
 
@@ -178,24 +159,19 @@ fn main() -> ExitCode {
             j
         }
         Err(e) => {
-            eprintln!("exp_health: overhead section FAILED: {e}");
-            failed = true;
-            Json::obj().set("hot_path_identical", Json::Bool(false))
+            failures.push(format!("overhead section: {e}"));
+            Json::Null
         }
     };
+    if !failures.is_empty() {
+        return Err(failures.join("\n"));
+    }
 
-    let report = Json::obj()
-        .set("experiment", Json::Str("health".into()))
-        .set("triggers", triggers)
-        .set("clean", clean)
-        .set("overhead", overhead);
-    if let Err(e) = obs::write_report(std::path::Path::new("BENCH_health.json"), &report) {
-        eprintln!("exp_health: cannot write BENCH_health.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    println!("exp_health: wrote BENCH_health.json");
-    ExitCode::SUCCESS
+    Ok(Some(
+        Json::obj()
+            .set("experiment", Json::Str("health".into()))
+            .set("triggers", triggers)
+            .set("clean", clean)
+            .set("overhead", overhead),
+    ))
 }

@@ -13,15 +13,10 @@
 //! the dup-ACK/SACK machinery must finish in strictly fewer rounds
 //! than waiting for the timer. Everything here is virtual-clock
 //! output, so the whole curve is bit-exact across machines.
-//!
-//! ```bash
-//! cargo run --release -p bench --bin exp_loss   # writes BENCH_loss.json
-//! ```
 
 use obs::Json;
 use server::{Path, ServerConfig};
 use sim::recovery::run_recovery_world;
-use std::process::ExitCode;
 use utcp::{FaultPlan, FaultProbs};
 
 /// The seed every point shares. Chosen (by probing) so the 1 % dice
@@ -49,8 +44,9 @@ fn loss_config(drop: u16, loss_recovery: bool) -> ServerConfig {
     }
 }
 
-fn main() -> ExitCode {
-    let mut failed = false;
+/// Run the curve and the RTO-only baseline.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
+    let mut failures = Vec::new();
     let mut points = Vec::new();
     let mut rounds_1pct_recovery = 0u64;
 
@@ -87,16 +83,12 @@ fn main() -> ExitCode {
                             ),
                     );
                 }
-                Err(e) => {
-                    eprintln!("exp_loss: {pct}% {name} FAILED: {e}");
-                    failed = true;
-                }
+                Err(e) => failures.push(format!("{pct}% {name}: {e}")),
             }
         }
         let agree = behaviour.len() == 2 && behaviour[0] == behaviour[1];
         if !agree {
-            eprintln!("exp_loss: {pct}%: ILP and non-ILP diverge: {behaviour:?}");
-            failed = true;
+            failures.push(format!("{pct}%: ILP and non-ILP diverge: {behaviour:?}"));
         }
         if let Some((rounds, _, fast, rto, _)) = behaviour.first() {
             println!(
@@ -120,12 +112,11 @@ fn main() -> ExitCode {
                 && out.fast_retransmits == 0
                 && rounds_1pct_recovery < out.report.rounds;
             if !beats {
-                eprintln!(
-                    "exp_loss: recovery ({rounds_1pct_recovery} rounds) failed to beat \
+                failures.push(format!(
+                    "recovery ({rounds_1pct_recovery} rounds) failed to beat \
                      RTO-only ({} rounds, {} fast retransmits)",
                     out.report.rounds, out.fast_retransmits
-                );
-                failed = true;
+                ));
             }
             println!(
                 "exp_loss: 1% drop RTO-only baseline: {} rounds vs {} with recovery",
@@ -139,25 +130,18 @@ fn main() -> ExitCode {
                 .set("recovery_beats_rto_only", Json::Bool(beats))
         }
         Err(e) => {
-            eprintln!("exp_loss: RTO-only baseline FAILED: {e}");
-            failed = true;
-            Json::obj().set("recovery_beats_rto_only", Json::Bool(false))
+            failures.push(format!("RTO-only baseline: {e}"));
+            Json::Null
         }
     };
+    if !failures.is_empty() {
+        return Err(failures.join("\n"));
+    }
 
-    let report = Json::obj()
+    Ok(Some(Json::obj()
         .set("experiment", Json::Str("loss".into()))
         .set("seed", Json::U64(SEED))
         .set("file_len", Json::U64(FILE_LEN as u64))
         .set("points", Json::Arr(points))
-        .set("baseline_1pct", baseline);
-    if let Err(e) = obs::write_report(std::path::Path::new("BENCH_loss.json"), &report) {
-        eprintln!("exp_loss: cannot write BENCH_loss.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    println!("exp_loss: wrote BENCH_loss.json");
-    ExitCode::SUCCESS
+        .set("baseline_1pct", baseline)))
 }

@@ -8,16 +8,13 @@
 //! This experiment runs on the **native CPU** (real wall-clock through
 //! `NativeMem`, which erases to raw loads/stores): the claim — fusing
 //! removes a full read+write pass and wins — survives on modern
-//! hardware; the magnitude differs. The `microbench` Criterion bench
-//! measures the same kernels with statistical rigour.
+//! hardware; the magnitude differs.
 
-use bench::paper::micro;
-use bench::report::banner;
+use crate::paper::micro;
+use crate::report::banner;
 use checksum::InetChecksum;
 use memsim::{AddressSpace, Mem, NativeMem};
 use obs::Json;
-use std::hint::black_box;
-use std::time::Instant;
 
 const INTS: usize = 20;
 const BYTES: usize = INTS * 4;
@@ -89,23 +86,14 @@ fn fused_dyn<M: Mem>(m: &mut M, src: usize, dst: usize, stages: &mut [Box<dyn Wo
     0 // checksum extracted by the caller from the SumStage
 }
 
-fn time_it(label: &str, mut f: impl FnMut() -> u16) -> f64 {
-    // Warm up, then measure.
-    for _ in 0..50_000 {
-        black_box(f());
-    }
-    let iters = 2_000_000u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let mbps = (iters as f64 * BYTES as f64 * 8.0) / secs / 1e6;
-    println!("{label:>12}: {mbps:8.0} Mbps  ({:.1} ns/message)", secs / iters as f64 * 1e9);
+fn time_it(label: &str, f: impl FnMut() -> u16) -> f64 {
+    let mbps = super::time_mbps(BYTES, 50_000, 2_000_000, f);
+    println!("{label:>12}: {mbps:8.0} Mbps  ({:.1} ns/message)", BYTES as f64 * 8e3 / mbps);
     mbps
 }
 
-fn main() {
+/// Run the microbenchmark; the report carries the three throughputs.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     banner("§1 microbenchmark", "XDR marshal (20 ints) + TCP checksum, sequential vs fused");
     println!(
         "paper (SPARCstation): sequential {} Mbps, fused {} Mbps (+{:.0}%)\n",
@@ -143,7 +131,7 @@ fn main() {
         100.0 * (dynf - seq) / seq
     );
 
-    let report = Json::obj()
+    Ok(Some(Json::obj()
         .set("experiment", Json::Str("micro".into()))
         .set("message_bytes", Json::U64(BYTES as u64))
         .set(
@@ -160,10 +148,5 @@ fn main() {
                 .set("fused_dyn_mbps", Json::F64(dynf)),
         )
         .set("fused_gain_pct", Json::F64(100.0 * (fus - seq) / seq))
-        .set("fused_dyn_gain_pct", Json::F64(100.0 * (dynf - seq) / seq));
-    let out = std::path::Path::new("BENCH_micro.json");
-    match obs::write_report(out, &report) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", out.display()),
-    }
+        .set("fused_dyn_gain_pct", Json::F64(100.0 * (dynf - seq) / seq))))
 }

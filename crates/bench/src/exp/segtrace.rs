@@ -18,16 +18,11 @@
 //! * **zero perturbation** — the traced run must report the same
 //!   rounds / payload / retransmits / rejects as an untraced plain run:
 //!   context rides beside the datagrams, never in them.
-//!
-//! ```bash
-//! cargo run --release -p bench --bin exp_segtrace   # writes BENCH_trace.json
-//! ```
 
-use bench::report::{banner, Table};
+use crate::report::{banner, Table};
 use memsim::{AddressSpace, NativeMem};
 use obs::{Json, Metric, Recorder, SegStore};
 use server::{Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
-use std::process::ExitCode;
 use utcp::FaultPlan;
 
 const TRACE_CAP: usize = 512;
@@ -108,34 +103,20 @@ fn path_section(run: &PathRun, full_coverage: bool) -> Json {
         .set("components", totals.to_json())
 }
 
-fn main() -> ExitCode {
+/// Run the traced worlds and their invariants.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     banner("Causal segment tracing", "critical-path latency decomposition");
     let start = std::time::Instant::now();
 
-    let runs = (
-        run_traced(traced_cfg(), Path::Ilp),
-        run_traced(traced_cfg(), Path::NonIlp),
-        run_traced(sampled_cfg(), Path::Ilp),
-    );
-    let (ilp, non_ilp, sampled_run) = match runs {
-        (Ok(a), Ok(b), Ok(c)) => (a, b, c),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
-            eprintln!("exp_segtrace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let ilp = run_traced(traced_cfg(), Path::Ilp)?;
+    let non_ilp = run_traced(traced_cfg(), Path::NonIlp)?;
+    let sampled_run = run_traced(sampled_cfg(), Path::Ilp)?;
 
     // Determinism: a second ILP run of the same seed must render a
     // byte-identical trace store.
-    let deterministic = match run_traced(traced_cfg(), Path::Ilp) {
-        Ok(again) => {
-            again.rec.segtrace().to_json().render() == ilp.rec.segtrace().to_json().render()
-        }
-        Err(e) => {
-            eprintln!("exp_segtrace: rerun failed: {e}");
-            false
-        }
-    };
+    let again = run_traced(traced_cfg(), Path::Ilp)?;
+    let deterministic =
+        again.rec.segtrace().to_json().render() == ilp.rec.segtrace().to_json().render();
 
     // Zero perturbation: an untraced, unobserved run of the same world
     // must be behaviourally indistinguishable — trace context rides
@@ -181,8 +162,11 @@ fn main() -> ExitCode {
         t.completed
     );
 
+    if !deterministic || !unperturbed {
+        return Err("invariant FAILED (see flags above)".into());
+    }
     let cfg = traced_cfg();
-    let report = Json::obj()
+    Ok(Some(Json::obj()
         .set("experiment", Json::Str("segtrace".into()))
         .set("conns", Json::U64(cfg.n_conns as u64))
         .set("file_len", Json::U64(cfg.file_len as u64))
@@ -192,16 +176,5 @@ fn main() -> ExitCode {
         .set("sampled", path_section(&sampled_run, false))
         .set("deterministic", Json::Bool(deterministic))
         .set("unperturbed", Json::Bool(unperturbed))
-        .set("wall_us", Json::U64(wall_us));
-    let out = std::path::Path::new("BENCH_trace.json");
-    if let Err(e) = obs::write_report(out, &report) {
-        eprintln!("exp_segtrace: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    if !deterministic || !unperturbed {
-        eprintln!("exp_segtrace: invariant FAILED (see flags above)");
-        return ExitCode::FAILURE;
-    }
-    println!("exp_segtrace: wrote {}", out.display());
-    ExitCode::SUCCESS
+        .set("wall_us", Json::U64(wall_us))))
 }

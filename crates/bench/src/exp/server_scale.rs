@@ -15,13 +15,13 @@
 //! stays tractable under cache simulation.
 //!
 //! Besides the tables, the run attaches an [`obs::Recorder`] to every
-//! point and writes `BENCH_server_scale.json`: per-path throughput,
+//! point and reports per-path throughput,
 //! p50/p99 chunk latency (virtual ticks, send → client accept),
 //! per-stage work shares, and user-phase cache statistics. The recorder
 //! issues no [`memsim::Mem`] accesses, so the simulated numbers are
 //! bit-identical to an unobserved run.
 
-use bench::report::{banner, Table};
+use crate::report::{banner, Table};
 use memsim::layout::AddressSpace;
 use memsim::{HostModel, SimMem};
 use obs::{Json, Metric, PathLabel, Recorder, Stage};
@@ -136,7 +136,8 @@ fn path_json(p: &Point) -> Json {
         .set("rejected", Json::U64(p.rejected))
 }
 
-fn main() {
+/// Run the connection sweep.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     banner("Server scale", "aggregate throughput, 1-1024 connections");
     let host = HostModel::ss10_30();
     let counts = [1usize, 4, 16, 64, 256, 1024];
@@ -208,7 +209,7 @@ fn main() {
         TOTAL_PAYLOAD / 1024
     );
 
-    let report = Json::obj()
+    Ok(Some(Json::obj()
         .set("experiment", Json::Str("server_scale".into()))
         .set("host", Json::Str("ss10_30".into()))
         .set("total_payload_kb", Json::U64((TOTAL_PAYLOAD / 1024) as u64))
@@ -221,10 +222,5 @@ fn main() {
                 .set("throughput", tput.to_json())
                 .set("cache", cache.to_json())
                 .set("latency", lat.to_json()),
-        );
-    let out = std::path::Path::new("BENCH_server_scale.json");
-    match obs::write_report(out, &report) {
-        Ok(()) => println!("\nwrote {}", out.display()),
-        Err(e) => eprintln!("\nfailed to write {}: {e}", out.display()),
-    }
+        )))
 }

@@ -20,9 +20,9 @@
 //! Every point takes the best of [`REPS`] repetitions (minimum wall
 //! time — the usual benchmarking estimator for a noisy shared host) and
 //! cross-checks that payload, per-connection stats, and merged counters
-//! are independent of the shard count. Writes `BENCH_shard_scale.json`.
+//! are independent of the shard count.
 
-use bench::report::{banner, Table};
+use crate::report::{banner, Table};
 use obs::{Counter, Json};
 use server::harness::{Path, ServerConfig};
 use server::shard::{run_sharded, SchedPolicy, ShardedReport};
@@ -82,7 +82,8 @@ fn run_point(conns: usize, shards: usize) -> Point {
     }
 }
 
-fn main() {
+/// Run the shards × connections sweep.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     banner("Shard scale", "wall-clock throughput, shards x connections");
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host threads available: {host_threads}\n");
@@ -135,7 +136,7 @@ fn main() {
          only the smaller per-shard ready scans help)"
     );
 
-    let report = Json::obj()
+    Ok(Some(Json::obj()
         .set("experiment", Json::Str("shard_scale".into()))
         .set("mem_world", Json::Str("native".into()))
         .set("host_threads", Json::U64(host_threads as u64))
@@ -144,10 +145,5 @@ fn main() {
         .set("reps", Json::U64(REPS as u64))
         .set("scheduler", Json::Str("round-robin".into()))
         .set("points", Json::Arr(points))
-        .set("table", table.to_json());
-    let out = std::path::Path::new("BENCH_shard_scale.json");
-    match obs::write_report(out, &report) {
-        Ok(()) => println!("\nwrote {}", out.display()),
-        Err(e) => eprintln!("\nfailed to write {}: {e}", out.display()),
-    }
+        .set("table", table.to_json())))
 }

@@ -12,10 +12,11 @@
 //! line, which is why the paper's advice targets exactly this kind of
 //! machine).
 
-use bench::report::{banner, Table};
+use crate::report::{banner, Table};
 use cipher::SimplifiedSafer;
 use ilp_core::{ilp_run, ChecksumTap, EncryptStage, Fused, StoreGrain, UnitBuf, UnitSink};
 use memsim::{AddressSpace, HostModel, Mem, SimMem};
+use obs::Json;
 use rpcapp::suite::MAX_FILE;
 use xdr::stream::OpaqueSource;
 
@@ -31,7 +32,7 @@ impl<M: Mem> UnitSink<M> for ForceGrain {
     }
 }
 
-fn run(grain: StoreGrain) -> (u64, u64) {
+fn misses_and_writes(grain: StoreGrain) -> (u64, u64) {
     let host = HostModel::axp3000_500();
     let mut space = AddressSpace::new();
     let cipher = SimplifiedSafer::alloc(&mut space);
@@ -49,10 +50,11 @@ fn run(grain: StoreGrain) -> (u64, u64) {
     (stats.total_write_misses(), stats.writes.total())
 }
 
-fn main() {
+/// Run the ablation.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     banner("§2.2", "store granularity: 1-byte-wise vs word-wise writes to cold memory");
-    let (byte_misses, byte_writes) = run(StoreGrain::Byte);
-    let (word_misses, word_writes) = run(StoreGrain::Word);
+    let (byte_misses, byte_writes) = misses_and_writes(StoreGrain::Byte);
+    let (word_misses, word_writes) = misses_and_writes(StoreGrain::Word);
     let mut t = Table::new(vec!["store grain", "writes", "write misses", "misses/KB"]);
     t.row(vec![
         "1 byte".to_string(),
@@ -72,4 +74,5 @@ fn main() {
         byte_misses as f64 / word_misses as f64
     );
     println!("(the paper's n vs n/m argument on a no-write-allocate cache)");
+    Ok(None)
 }

@@ -8,8 +8,9 @@
 //! loop touches each payload line once, the layered stack several times
 //! with short distances in between.
 
-use bench::report::banner;
+use crate::report::banner;
 use memsim::{AddressSpace, HostModel, SimMem};
+use obs::Json;
 use rpcapp::msg::ReplyMeta;
 use rpcapp::paths::{recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp};
 use rpcapp::suite::{Suite, SuiteInit};
@@ -51,11 +52,13 @@ fn trace_one(ilp: bool) {
     println!("hottest cache set: #{} with {} touches\n", max_set.0, max_set.1);
 }
 
-fn main() {
+/// Run the analysis.
+pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     banner("§4.2 trace", "access-trace analysis of one 1 KB packet (SS10-30)");
     trace_one(false);
     trace_one(true);
     println!("(non-ILP shows more total traffic with short reuse distances — the");
     println!(" intermediate buffers; ILP shows less traffic but a higher byte-store");
     println!(" share, the §4.2 signature of fusing a byte-grain cipher)");
+    Ok(None)
 }

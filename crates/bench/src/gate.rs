@@ -1,4 +1,5 @@
-//! The deterministic perf-regression gate behind the `perf_gate` binary.
+//! The deterministic perf-regression gate behind `bench gate` and
+//! `bench ci`.
 //!
 //! Every number the simulation produces — rounds, work units per
 //! stage×layer, simulated cache misses, reject counts, virtual-tick
@@ -9,8 +10,12 @@
 //! distilled set of metrics against committed baselines. A refactor
 //! that silently adds a pass over the data, evicts more cache lines, or
 //! changes retransmit behaviour moves one of these numbers and fails
-//! the gate; an intentional change re-records with `perf_gate --record`
+//! the gate; an intentional change re-records with `bench gate --record`
 //! and the diff of `baselines/` documents the shift in review.
+//!
+//! The gate is also the shape check: every gated path must resolve in
+//! the fresh report whatever its policy, so a refactor that drops or
+//! renames a field fails here.
 //!
 //! Three policies ([`Policy`]):
 //!
@@ -19,11 +24,15 @@
 //!   `l1d_miss_pct`, …). Deterministic too in this workspace, but a
 //!   wide tolerance keeps the gate honest if float formatting or
 //!   evaluation order ever differs across toolchains.
-//! * [`Policy::ReportOnly`] — printed for the log, never fails; the
-//!   place for genuinely wall-clock-dependent numbers.
+//! * [`Policy::ReportOnly`] — the value is printed for the log and
+//!   never fails, but the path must be there and still hold the kind of
+//!   value the baseline holds; the place for genuinely
+//!   wall-clock-dependent numbers.
 
 use crate::schema::walk;
+use crate::table::TABLE;
 use obs::Json;
+use std::path::Path;
 
 /// How strictly a metric is held to its baseline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -32,7 +41,7 @@ pub enum Policy {
     Exact,
     /// Numeric, within this relative tolerance (0.02 = ±2 %).
     RelTol(f64),
-    /// Logged for the record; never a failure.
+    /// Present and of the baseline's kind; the value is only logged.
     ReportOnly,
 }
 
@@ -51,281 +60,19 @@ impl Check {
     }
 }
 
-/// The gated metrics of one report file.
+/// One report file and the metrics gated in it.
 pub struct FileManifest {
-    /// Report file name, emitted into the working directory by its
-    /// experiment binary and mirrored (distilled) under `baselines/`.
+    /// Report file name, written into the working directory by its
+    /// row's runner and mirrored (distilled) under `baselines/`.
     pub file: &'static str,
     /// The metrics gated in that file.
-    pub checks: Vec<Check>,
+    pub checks: &'static [Check],
 }
 
-/// The full gate manifest: which files, which metrics, which policies.
-///
-/// Everything under `Exact` here is virtual-clock output — counts of
-/// simulated events — and therefore machine-independent. The float
-/// metrics under `RelTol` are derived from the same deterministic
-/// inputs through the host cost model; 2 % is far wider than any real
-/// drift, so a tolerance failure means a real behaviour change.
-pub fn manifest() -> Vec<FileManifest> {
-    use Policy::{Exact, RelTol};
-    let e = |p| Check::new(p, Exact);
-    let t = |p| Check::new(p, RelTol(0.02));
-    vec![
-        FileManifest {
-            file: "BENCH_observe.json",
-            checks: vec![
-                e("conns"),
-                e("file_len"),
-                // Counters: delivery, loss handling, rejects by cause.
-                e("ilp.counters.chunks_sent"),
-                e("ilp.counters.chunks_delivered"),
-                e("ilp.counters.retransmits"),
-                e("ilp.counters.reject_checksum"),
-                e("ilp.counters.reject_out_of_order"),
-                e("non_ilp.counters.chunks_delivered"),
-                e("non_ilp.counters.reject_checksum"),
-                // Work units per stage×layer — the paper's core currency.
-                e("ilp.work.ilp.total"),
-                e("ilp.work.ilp.integrated.total"),
-                e("ilp.work.ilp.integrated.by_layer.fused"),
-                e("non_ilp.work.non_ilp.total"),
-                // Virtual-tick latency distribution.
-                e("ilp.metrics.chunk_latency_ticks.count"),
-                e("ilp.metrics.chunk_latency_ticks.p50"),
-                e("ilp.metrics.chunk_latency_ticks.p99"),
-                // Windowed series: the run's shape over virtual time.
-                e("ilp.series.sealed_windows"),
-                e("ilp.series.last_tick"),
-                e("ilp.series.windows.0.chunks_sent"),
-                // Kernel-part backend counters (loop-back: injected
-                // faults + queue high-water), deterministic too.
-                e("ilp.backend.sent"),
-                e("ilp.backend.dropped"),
-                e("ilp.backend.corrupted"),
-                e("ilp.backend.queue_peak"),
-                t("ilp.work.ilp.integrated.share"),
-            ],
-        },
-        FileManifest {
-            file: "BENCH_server_scale.json",
-            checks: vec![
-                // Smallest (1 conn) and largest (1024 conns) sweep points.
-                e("points.0.conns"),
-                e("points.0.paths.ilp.rounds"),
-                e("points.0.paths.ilp.payload_bytes"),
-                e("points.0.paths.ilp.cache.mem_accesses"),
-                e("points.0.paths.ilp.retransmits"),
-                e("points.0.paths.ilp.rejected"),
-                e("points.0.paths.ilp.chunk_latency_ticks.p50"),
-                e("points.0.paths.ilp.chunk_latency_ticks.p99"),
-                e("points.0.paths.non_ilp.rounds"),
-                e("points.0.paths.non_ilp.cache.mem_accesses"),
-                e("points.5.conns"),
-                e("points.5.paths.ilp.rounds"),
-                e("points.5.paths.ilp.payload_bytes"),
-                e("points.5.paths.ilp.cache.mem_accesses"),
-                e("points.5.paths.ilp.chunk_latency_ticks.p99"),
-                e("points.5.paths.non_ilp.cache.mem_accesses"),
-                // Derived floats: throughput, miss rate, fairness.
-                t("points.0.paths.ilp.mbps"),
-                t("points.5.paths.ilp.mbps"),
-                t("points.5.paths.non_ilp.mbps"),
-                t("points.5.paths.ilp.cache.l1d_miss_pct"),
-                t("points.0.paths.ilp.fairness"),
-                Check::new("points.5.gain_pct", Policy::ReportOnly),
-            ],
-        },
-        FileManifest {
-            file: "BENCH_dst.json",
-            checks: vec![
-                // The whole sweep is seed-deterministic: scenario mix,
-                // injected fault mix, oracle evaluation counts, and the
-                // simulated work all gate bit-exact. Any behaviour
-                // change in the stack under faults (one extra
-                // retransmission anywhere in 200 seeds) moves these.
-                e("base_seed"),
-                e("seeds"),
-                e("passed"),
-                e("kind_counts.0"),
-                e("kind_counts.1"),
-                e("kind_counts.2"),
-                e("faults.dropped"),
-                e("faults.duplicated"),
-                e("faults.reordered"),
-                e("faults.corrupted"),
-                e("faults.delayed"),
-                e("oracle_checks"),
-                e("rounds"),
-                e("payload_bytes"),
-                e("retransmits"),
-                Check::new("seeds_per_sec", Policy::ReportOnly),
-            ],
-        },
-        FileManifest {
-            file: "BENCH_health.json",
-            checks: vec![
-                // The verdict counts of the pinned trigger worlds are
-                // virtual-clock output: a detector drifting over- or
-                // under-sensitive, or a protocol change altering how a
-                // fault world unfolds, moves these.
-                e("triggers.storm.verdicts"),
-                e("triggers.storm.pass"),
-                e("triggers.blackout.verdicts"),
-                e("triggers.blackout.pass"),
-                e("triggers.saturation.verdicts"),
-                e("triggers.saturation.pass"),
-                e("triggers.fairness.verdicts"),
-                e("triggers.fairness.pass"),
-                // The no-false-positive sweep: fixed seed set, zero
-                // verdicts, full oracle count.
-                e("clean.base_seed"),
-                e("clean.seeds"),
-                e("clean.checks"),
-                e("clean.false_positives"),
-                // Observation must be free on the hot path: the
-                // observed and unobserved twins matched field for
-                // field. The analysis cost itself is wall-clock.
-                e("overhead.hot_path_identical"),
-                e("overhead.rounds"),
-                e("overhead.retransmits"),
-                e("overhead.verdicts_per_analysis"),
-                Check::new("overhead.analyze_us_each", Policy::ReportOnly),
-            ],
-        },
-        FileManifest {
-            file: "BENCH_loss.json",
-            checks: vec![
-                // The goodput-vs-loss curve is virtual-clock output on a
-                // fixed seed: rounds, retransmission mechanism counts and
-                // SACK volume gate bit-exact at every loss rate, the ILP
-                // and non-ILP paths must agree behaviourally, and fast
-                // retransmit must strictly beat the RTO-only baseline on
-                // the same dice.
-                e("seed"),
-                e("file_len"),
-                e("points.0.drop_prob"),
-                e("points.0.paths.ilp.rounds"),
-                e("points.0.paths.ilp.retransmits"),
-                e("points.0.paths_agree"),
-                e("points.2.drop_prob"),
-                e("points.2.paths.ilp.rounds"),
-                e("points.2.paths.ilp.fast_retransmits"),
-                e("points.2.paths.ilp.rto_backoffs"),
-                e("points.2.paths.ilp.sacked_bytes"),
-                e("points.2.paths_agree"),
-                e("points.3.drop_prob"),
-                e("points.3.paths.ilp.rounds"),
-                e("points.3.paths.ilp.fast_retransmits"),
-                e("points.3.paths.ilp.rto_backoffs"),
-                e("points.3.paths_agree"),
-                e("baseline_1pct.rto_only_rounds"),
-                e("baseline_1pct.recovery_rounds"),
-                e("baseline_1pct.recovery_beats_rto_only"),
-                t("points.2.paths.ilp.goodput_bytes_per_round"),
-                t("points.3.paths.ilp.goodput_bytes_per_round"),
-            ],
-        },
-        FileManifest {
-            file: "BENCH_trace.json",
-            checks: vec![
-                // The segment-trace store is virtual-clock output on a
-                // fixed config: chain counts, origin split (sampled vs
-                // loss-promoted), and the four critical-path components
-                // all gate bit-exact. A protocol change that shifts one
-                // retransmission moves the recovery component; a
-                // sampling or propagation bug moves the origin split or
-                // drops a chain.
-                e("conns"),
-                e("file_len"),
-                e("trace_every"),
-                e("ilp.traces"),
-                e("ilp.origin_sampled"),
-                e("ilp.origin_promoted"),
-                e("ilp.origin_wire"),
-                e("ilp.no_orphans"),
-                e("ilp.decomposition_exact"),
-                e("ilp.latency_matches_histogram"),
-                e("ilp.components.completed"),
-                e("ilp.components.queueing"),
-                e("ilp.components.recovery"),
-                e("ilp.components.propagation"),
-                e("ilp.components.processing"),
-                e("ilp.components.total"),
-                e("ilp.components.measured_latency"),
-                e("non_ilp.traces"),
-                e("non_ilp.decomposition_exact"),
-                e("non_ilp.latency_matches_histogram"),
-                e("non_ilp.components.total"),
-                e("sampled.traces"),
-                e("sampled.origin_sampled"),
-                e("sampled.origin_promoted"),
-                e("sampled.origin_wire"),
-                e("sampled.decomposition_exact"),
-                e("sampled.components.completed"),
-                e("sampled.components.recovery"),
-                e("deterministic"),
-                e("unperturbed"),
-                Check::new("wall_us", Policy::ReportOnly),
-            ],
-        },
-        FileManifest {
-            file: "BENCH_churn.json",
-            checks: vec![
-                // Connection churn is virtual-clock output on a fixed
-                // seed: closes completed, cumulative TIME_WAIT
-                // residency, ports recycled and the drain rounds all
-                // gate bit-exact, as do the lifecycle sweep's pass and
-                // oracle counts. A teardown behaviour change anywhere —
-                // one extra FIN retransmission, one tick more of
-                // TIME_WAIT — moves these.
-                e("seed"),
-                e("waves"),
-                e("conns"),
-                e("file_len"),
-                e("paths.ilp.closes_completed"),
-                e("paths.ilp.time_wait_ticks"),
-                e("paths.ilp.ports_recycled"),
-                e("paths.ilp.rounds_to_quiescence"),
-                e("paths.ilp.rounds_total"),
-                e("paths.ilp.payload_bytes"),
-                e("paths.ilp.retransmits"),
-                e("paths.ilp.oracle_checks"),
-                e("paths.non_ilp.rounds_total"),
-                e("paths.non_ilp.time_wait_ticks"),
-                e("paths_agree"),
-                e("teardown_sweep.base_seed"),
-                e("teardown_sweep.seeds"),
-                e("teardown_sweep.passed"),
-                e("teardown_sweep.oracle_checks"),
-                e("teardown_sweep.all_green"),
-                t("paths.ilp.closes_per_kround"),
-            ],
-        },
-        FileManifest {
-            file: "BENCH_wire.json",
-            checks: vec![
-                // Real-socket wall-clock numbers: machine-dependent by
-                // nature, so every metric is report-only. The file still
-                // goes through the gate so its schema is held stable and
-                // the run-to-run trend lands in the CI log.
-                Check::new("payload_bytes", Policy::ReportOnly),
-                Check::new("reps", Policy::ReportOnly),
-                Check::new("ilp.wall_us", Policy::ReportOnly),
-                Check::new("ilp.mbps", Policy::ReportOnly),
-                Check::new("non_ilp.wall_us", Policy::ReportOnly),
-                Check::new("non_ilp.mbps", Policy::ReportOnly),
-                Check::new("identical", Policy::ReportOnly),
-                Check::new("skipped", Policy::ReportOnly),
-                // Sender-side backend counters: retransmission volume
-                // depends on real scheduling, so these are trends.
-                Check::new("ilp.backend.sent", Policy::ReportOnly),
-                Check::new("ilp.backend.would_block", Policy::ReportOnly),
-                Check::new("ilp.backend.codec_rejects", Policy::ReportOnly),
-                Check::new("non_ilp.backend.sent", Policy::ReportOnly),
-            ],
-        },
-    ]
+/// The full gate manifest: which files, which metrics, which policies
+/// — the report column of [`crate::table::TABLE`], nothing else.
+pub fn manifest() -> impl Iterator<Item = &'static FileManifest> {
+    TABLE.iter().filter_map(|row| row.report.as_ref())
 }
 
 /// Distill a full report into the flat `{dotted path: value}` object
@@ -412,17 +159,72 @@ pub fn compare(baseline: &Json, current: &Json, checks: &[Check]) -> Outcome {
                 )),
             },
             Policy::ReportOnly => {
-                out.checked += 1;
-                out.notes.push(format!(
-                    "{}: baseline {} / current {} (report-only)",
-                    c.path,
-                    base.render(),
-                    cur.render()
-                ));
+                let same_kind = match (base.as_f64(), cur.as_f64()) {
+                    (Some(_), Some(v)) => v.is_finite(),
+                    (None, None) => std::mem::discriminant(base) == std::mem::discriminant(cur),
+                    _ => false,
+                };
+                if same_kind {
+                    out.checked += 1;
+                    out.notes.push(format!(
+                        "{}: baseline {} / current {} (report-only)",
+                        c.path,
+                        base.render(),
+                        cur.render()
+                    ));
+                } else {
+                    out.failures.push(format!(
+                        "{}: baseline {} and current {} are different kinds of value",
+                        c.path,
+                        base.render(),
+                        cur.render()
+                    ));
+                }
             }
         }
     }
     out
+}
+
+fn load(path: &Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    obs::json::parse(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))
+}
+
+/// Gate one report file in the working directory against (or, with
+/// `record`, distil it into) its baseline under `baselines/`. Prints
+/// the notes and the verdict; `Err` carries the failures.
+pub fn gate_file(fm: &FileManifest, record: bool) -> Result<(), String> {
+    let file = fm.file;
+    let report = load(Path::new(file)).map_err(|e| format!("{e} (run its row first)"))?;
+    let distilled = distill(&report, fm.checks).map_err(|e| format!("{file}: {e}"))?;
+    let base_path = Path::new("baselines").join(file);
+    if record {
+        std::fs::create_dir_all("baselines")
+            .and_then(|()| obs::write_report(&base_path, &distilled))
+            .map_err(|e| format!("cannot write {}: {e}", base_path.display()))?;
+        println!("gate: recorded {} ({} metrics)", base_path.display(), fm.checks.len());
+        return Ok(());
+    }
+    let baseline = load(&base_path).map_err(|e| {
+        format!("{e}\nno baseline for {file} — run `bench gate --record` and commit baselines/")
+    })?;
+    let out = compare(&baseline, &report, fm.checks);
+    for note in &out.notes {
+        println!("gate: {file}: {note}");
+    }
+    if out.passed() {
+        println!("gate: {file}: {} metrics match {}", out.checked, base_path.display());
+        return Ok(());
+    }
+    Err(format!(
+        "{file}: {} regression(s) vs {} — if intentional, re-run with `bench gate --record` \
+         and commit the diff\n  FAIL {}",
+        out.failures.len(),
+        base_path.display(),
+        out.failures.join("\n  FAIL ")
+    ))
 }
 
 #[cfg(test)]
@@ -512,13 +314,64 @@ mod tests {
     }
 
     #[test]
+    fn a_report_lacking_a_report_only_path_fails_the_gate() {
+        // What lets the separate shape checker go: wall-clock fields
+        // are never compared, but they must exist and stay numbers.
+        let base = distill(&report(), &checks()).unwrap();
+        let mut doc = report();
+        if let Json::Obj(fields) = &mut doc {
+            fields.remove("wall_us");
+        }
+        let err = distill(&doc, &checks()).unwrap_err();
+        assert!(err.contains("wall_us"), "{err}");
+        let out = compare(&base, &doc, &checks());
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert!(out.failures[0].contains("wall_us: missing"), "{}", out.failures[0]);
+        // Present but no longer a number: also a failure.
+        let out = compare(&base, &report().set("wall_us", Json::Str("fast".into())), &checks());
+        assert!(out.failures[0].contains("wall_us"), "{:?}", out.failures);
+    }
+
+    #[test]
     fn manifest_paths_are_well_formed_and_unique() {
+        let mut files = std::collections::BTreeSet::new();
         for fm in manifest() {
+            assert!(files.insert(fm.file), "report file {} named by two rows", fm.file);
             let mut seen = std::collections::BTreeSet::new();
-            for c in &fm.checks {
+            for c in fm.checks {
                 assert!(!c.path.is_empty() && !c.path.contains(':'), "{}", c.path);
                 assert!(seen.insert(c.path), "duplicate gated path {} in {}", c.path, fm.file);
             }
+        }
+        let mut names = std::collections::BTreeSet::new();
+        for row in TABLE {
+            assert!(names.insert(row.name), "subcommand {} appears twice", row.name);
+            assert!(!["ci", "gate", "list"].contains(&row.name), "{} shadows a command", row.name);
+        }
+    }
+
+    #[test]
+    fn baselines_and_gated_rows_are_in_bijection() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
+        let mut committed: Vec<String> = std::fs::read_dir(dir)
+            .expect("baselines/ at the workspace root")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        committed.sort();
+        let mut gated: Vec<&str> =
+            manifest().filter(|fm| !fm.checks.is_empty()).map(|fm| fm.file).collect();
+        gated.sort_unstable();
+        assert_eq!(committed, gated, "left: baselines/, right: rows with gated paths");
+        // And each baseline holds exactly its row's paths — no stale
+        // key, no unrecorded one.
+        for fm in manifest().filter(|fm| !fm.checks.is_empty()) {
+            let Json::Obj(fields) = load(&Path::new(dir).join(fm.file)).unwrap() else {
+                panic!("{} is not an object", fm.file)
+            };
+            let recorded: Vec<&str> = fields.keys().map(String::as_str).collect();
+            let mut paths: Vec<&str> = fm.checks.iter().map(|c| c.path).collect();
+            paths.sort_unstable();
+            assert_eq!(recorded, paths, "{}", fm.file);
         }
     }
 }

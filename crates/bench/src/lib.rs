@@ -1,38 +1,25 @@
 //! # bench — the experiment harness
 //!
-//! One binary per table/figure of the paper, each printing the paper's
-//! numbers next to the measured ones (absolute agreement is a
-//! calibration outcome; the claims under test are the *shapes* — who
-//! wins, by roughly what factor, and where the crossovers fall).
+//! One binary, `bench`, driven by one table ([`table::TABLE`]): a row
+//! per table/figure of the paper and per systems experiment, each
+//! printing the paper's numbers next to the measured ones (absolute
+//! agreement is a calibration outcome; the claims under test are the
+//! *shapes* — who wins, by roughly what factor, and where the
+//! crossovers fall).
 //!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `fig06_recv_processing` | Fig. 6 — receive packet processing, 1 KB, 7 hosts |
-//! | `fig07_send_processing` | Fig. 7 — send packet processing, 1 KB, 7 hosts |
-//! | `fig08_throughput_1k` | Fig. 8 — throughput, 1 KB, 7 hosts |
-//! | `fig09_throughput_sweep` | Fig. 9 — throughput vs packet size, 4 hosts |
-//! | `fig10_processing_sweep` | Fig. 10 — processing vs packet size, 4 hosts |
-//! | `fig11_cipher_processing` | Fig. 11 — simplified SAFER vs simple cipher |
-//! | `fig12_cipher_throughput` | Fig. 12 — user-level ILP/non-ILP vs kernel TCP |
-//! | `fig13_mem_access` | Fig. 13 — memory accesses for 10.7 MB |
-//! | `fig14_cache_misses` | Fig. 14 — cache misses for 10.7 MB |
-//! | `table1_full_sweep` | Table 1 — the full Annex sweep |
-//! | `exp_micro` | §1 — fused XDR+checksum microbenchmark (native CPU) |
-//! | `exp_dispatch` | §3.2.1 — macro (generic) vs function-call (dyn) fusion |
-//! | `exp_atom_axp` | §4.2 — ATOM-style whole-run accounting on the AXP 3000/500 |
-//! | `exp_placement` | §3.2.2 — early vs late data-manipulation placement |
-//! | `exp_des_ablation` | §2.1/[4] — cipher complexity drowning the ILP gain |
-//! | `exp_store_grain` | §2.2 — byte-wise vs word-wise store cache misses |
+//! ```bash
+//! cargo run --release -p bench -- list                  # the table
+//! cargo run --release -p bench -- fig08_throughput_1k   # one row
+//! cargo run --release -p bench -- ci                    # every reporting row, then the gate
+//! cargo run --release -p bench -- gate --record         # re-record baselines/
+//! ```
 //!
-//! Criterion benches `microbench` and `dispatch` measure the same two
-//! native-CPU experiments with statistical rigour.
-//!
-//! Two CI helper binaries ride along: `check_report` validates the
-//! *shape* of emitted `BENCH_*.json` files against `path:type` specs
-//! ([`schema`]), and `perf_gate` validates their *values* against
-//! committed distilled baselines in `baselines/` ([`gate`]) — the
-//! simulation is virtual-clock-deterministic, so most metrics are held
-//! to exact equality.
+//! Rows that emit a machine-readable report name its file and the
+//! dotted paths held in it in the same table entry; [`gate`] checks the
+//! fresh reports against the committed distillates in `baselines/` —
+//! the simulation is virtual-clock-deterministic, so most metrics are
+//! held to exact equality, and a path that no longer resolves fails
+//! whatever its policy.
 //!
 //! Environment knobs: `ILP_VOLUME_MB` overrides the Fig. 13/14 transfer
 //! volume (default 10.7, the paper's); `ILP_PACKETS` overrides the
@@ -41,12 +28,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod exp;
 pub mod gate;
 pub mod measure;
 pub mod paper;
 pub mod report;
-pub mod rng;
 pub mod schema;
+pub mod table;
 
 pub use measure::{measure, MeasureCfg, Measurement, PathKind};
-pub use rng::XorShift64;

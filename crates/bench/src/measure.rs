@@ -60,6 +60,13 @@ impl MeasureCfg {
     }
 }
 
+/// Transfer volume of the access-count experiments (Figs. 13/14, the
+/// §4.2 ATOM accounting) in megabytes: the paper's 10.7 unless
+/// `ILP_VOLUME_MB` overrides it.
+pub fn volume_mb() -> f64 {
+    std::env::var("ILP_VOLUME_MB").ok().and_then(|v| v.parse().ok()).unwrap_or(10.7)
+}
+
 /// One measured data point.
 #[derive(Debug, Clone)]
 pub struct Measurement {

@@ -1,18 +1,8 @@
-//! Dotted-path lookup and type checks over JSON run reports.
-//!
-//! Shared by the `check_report` binary (shape checks in CI) and the
-//! `perf_gate` binary (value checks against committed baselines), so the
-//! two tools cannot drift apart on what `points.0.paths.ilp.mbps`
-//! means. A path is dot-separated; numeric segments index into arrays.
-//! A spec is `path:type` where `type` is one of [`TYPES`] — an unknown
-//! type tag is an error in the *spec*, reported as such, never a silent
-//! "type mismatch" against data that was actually fine.
+//! Dotted-path lookup over JSON run reports: what
+//! `points.0.paths.ilp.mbps` means to the gate. A path is
+//! dot-separated; numeric segments index into arrays.
 
 use obs::Json;
-
-/// The type tags a spec may name: `str`, `num` (any finite number),
-/// `arr`, `obj`, `bool`.
-pub const TYPES: [&str; 5] = ["str", "num", "arr", "obj", "bool"];
 
 /// Walk a dotted path; `None` when a segment is missing or a non-leaf
 /// value is scalar. Numeric segments step into arrays.
@@ -27,116 +17,18 @@ pub fn walk<'a>(mut j: &'a Json, path: &str) -> Option<&'a Json> {
     Some(j)
 }
 
-/// The type tag a value would satisfy — for error messages.
-pub fn kind_name(j: &Json) -> &'static str {
-    match j {
-        Json::Null => "null",
-        Json::Bool(_) => "bool",
-        Json::U64(_) | Json::I64(_) => "num",
-        Json::F64(f) if f.is_finite() => "num",
-        Json::F64(_) => "non-finite num",
-        Json::Str(_) => "str",
-        Json::Arr(_) => "arr",
-        Json::Obj(_) => "obj",
-    }
-}
-
-/// Check a value against a type tag. An unrecognised tag is its own
-/// error (listing the valid tags) so a typo like `nmu` cannot
-/// masquerade as a data problem.
-pub fn check_type(j: &Json, ty: &str) -> Result<(), String> {
-    let ok = match ty {
-        "str" => j.as_str().is_some(),
-        "num" => j.as_f64().is_some_and(f64::is_finite),
-        "arr" => j.as_arr().is_some(),
-        "obj" => matches!(j, Json::Obj(_)),
-        "bool" => matches!(j, Json::Bool(_)),
-        _ => {
-            return Err(format!(
-                "unknown type {ty:?} in spec (valid types: {})",
-                TYPES.join(", ")
-            ))
-        }
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("expected {ty}, found {}", kind_name(j)))
-    }
-}
-
-/// Check one `path:type` spec against a document. The type tag is
-/// validated first, so a malformed spec is reported even when the path
-/// does not exist either.
-pub fn check_spec(doc: &Json, spec: &str) -> Result<(), String> {
-    let Some((path, ty)) = spec.rsplit_once(':') else {
-        return Err(format!("bad spec {spec:?} (want path:type)"));
-    };
-    if !TYPES.contains(&ty) {
-        return Err(format!(
-            "bad spec {spec:?}: unknown type {ty:?} (valid types: {})",
-            TYPES.join(", ")
-        ));
-    }
-    let v = walk(doc, path).ok_or_else(|| format!("missing {path}"))?;
-    check_type(v, ty).map_err(|e| format!("{path}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc() -> Json {
-        Json::obj()
-            .set("experiment", Json::Str("x".into()))
-            .set("flag", Json::Bool(true))
-            .set("n", Json::U64(7))
-            .set(
-                "points",
-                Json::Arr(vec![Json::obj().set("mbps", Json::F64(3.5))]),
-            )
-    }
-
     #[test]
     fn walk_steps_through_objects_and_arrays() {
-        let d = doc();
+        let d = Json::obj()
+            .set("n", Json::U64(7))
+            .set("points", Json::Arr(vec![Json::obj().set("mbps", Json::F64(3.5))]));
         assert_eq!(walk(&d, "points.0.mbps"), Some(&Json::F64(3.5)));
         assert_eq!(walk(&d, "points.1.mbps"), None, "index out of range");
         assert_eq!(walk(&d, "points.x"), None, "non-numeric array index");
         assert_eq!(walk(&d, "n.deeper"), None, "cannot step into a scalar");
-    }
-
-    #[test]
-    fn unknown_type_suffixes_are_rejected_with_a_clear_error() {
-        // The classic typo: `num` misspelt. Must not be reported as a
-        // data mismatch ("foo is not a nmu") — the spec itself is bad.
-        let err = check_spec(&doc(), "experiment:nmu").unwrap_err();
-        assert!(err.contains("unknown type \"nmu\""), "got: {err}");
-        assert!(err.contains("str, num, arr, obj, bool"), "lists valid tags: {err}");
-        // Even when the path would not resolve, the spec error wins.
-        let err = check_spec(&doc(), "no.such.path:nmu").unwrap_err();
-        assert!(err.contains("unknown type"), "got: {err}");
-        // And a spec with no colon at all is its own error.
-        let err = check_spec(&doc(), "experiment").unwrap_err();
-        assert!(err.contains("bad spec"), "got: {err}");
-    }
-
-    #[test]
-    fn bool_type_tag_accepts_booleans_only() {
-        let d = doc();
-        assert_eq!(check_spec(&d, "flag:bool"), Ok(()));
-        let err = check_spec(&d, "n:bool").unwrap_err();
-        assert!(err.contains("expected bool, found num"), "got: {err}");
-        let err = check_spec(&d, "flag:num").unwrap_err();
-        assert!(err.contains("expected num, found bool"), "got: {err}");
-    }
-
-    #[test]
-    fn happy_paths_for_every_type() {
-        let d = doc();
-        for spec in ["experiment:str", "n:num", "points:arr", "points.0:obj", "flag:bool", "points.0.mbps:num"] {
-            assert_eq!(check_spec(&d, spec), Ok(()), "{spec}");
-        }
-        assert!(check_spec(&d, "absent:num").unwrap_err().contains("missing absent"));
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! * [`NativeMem`] — a zero-cost wrapper over a byte slice. Every method is
 //!   `#[inline(always)]` and the instrumentation hooks compile to nothing,
-//!   so Criterion benchmarks over `NativeMem` measure the real machine code
+//!   so wall-clock timings over `NativeMem` measure the real machine code
 //!   of the fused (ILP) and layered (non-ILP) loops.
 //! * [`SimMem`] — backs the same address space with a byte vector, but
 //!   routes each access through [`CacheSim`] (a set-associative,

@@ -12,7 +12,7 @@
 //!   as one UDP datagram over a `std::net::UdpSocket`. Two OS processes
 //!   on 127.0.0.1 then play the paper's sender/receiver pair with the
 //!   kernel's real syscall, copy, and scheduling costs in the path
-//!   (`examples/serve_udp.rs`, `exp_wire`).
+//!   (`examples/serve_udp.rs`).
 //! * `tun::TunBackend` (feature `tun`, off by default) — writes the raw
 //!   IPv4 packets to a `/dev/net/tun` descriptor instead of framing
 //!   them in UDP. The packet bytes are produced and checked by the

@@ -1,8 +1,8 @@
 //! # sim — deterministic simulation testing for the ILP stack
 //!
-//! Property testing needs a registry (`proptest` is feature-gated off in
-//! this workspace); this crate is the in-tree replacement, shaped after
-//! the FoundationDB/TigerBeetle style of *deterministic simulation*:
+//! Property testing needs a registry crate this workspace cannot have;
+//! this crate is the in-tree replacement, shaped after the
+//! FoundationDB/TigerBeetle style of *deterministic simulation*:
 //!
 //! * one `u64` seed fully determines a run. [`Scenario::from_seed`]
 //!   forks the workspace PRNG ([`utcp::rng::XorShift64::fork`]) into
@@ -51,12 +51,12 @@ pub mod scenario;
 pub mod shrink;
 
 pub use lifecycle::{
-    run_churn, run_teardown, shrink_teardown, sweep_teardown, ChurnOutcome, ChurnSpec,
-    TeardownSpec, TeardownSweepReport,
+    run_churn, run_teardown, sweep_teardown, ChurnOutcome, ChurnSpec, TeardownSpec,
+    TeardownSweepReport,
 };
 pub use runner::{
     run_caught, run_scenario, sweep, FailureReport, FaultTotals, RunOptions, ScenarioStats,
     SweepOpts, SweepReport,
 };
 pub use scenario::{Scenario, ScenarioKind};
-pub use shrink::shrink;
+pub use shrink::{caught, shrink};

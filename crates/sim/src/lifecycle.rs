@@ -28,8 +28,6 @@
 //! actively recycled between waves — the workload behind the
 //! `exp_churn` benchmark.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use checksum::internet::checksum_buf;
 use memsim::layout::AddressSpace;
 use memsim::region::Region;
@@ -40,6 +38,7 @@ use utcp::rng::XorShift64;
 use utcp::{Connection, FaultPlan, FaultProbs, Loopback, State, UtcpConfig, MSL_TICKS};
 
 use crate::oracle::Tracker;
+use crate::shrink::{calmer, caught, shrink};
 
 /// Ticks a teardown world may spend before the liveness oracle fails.
 const LIVENESS_LIMIT: u64 = 30_000;
@@ -663,7 +662,7 @@ impl TeardownSpec {
     }
 
     /// Render a ready-to-paste `#[test]` reproducing this teardown
-    /// world — what [`shrink_teardown`] prints for a minimised failure.
+    /// world — what [`sweep_teardown`] prints for a minimised failure.
     pub fn to_test_case(&self) -> String {
         format!(
             r#"#[test]
@@ -741,84 +740,24 @@ pub fn run_teardown(spec: &TeardownSpec, inject_fin_bug: bool) -> Result<u64, St
     Ok(out.checks + 4)
 }
 
-fn run_teardown_caught(spec: &TeardownSpec, inject_fin_bug: bool) -> Result<u64, String> {
-    match catch_unwind(AssertUnwindSafe(|| run_teardown(spec, inject_fin_bug))) {
-        Ok(r) => r,
-        Err(p) => Err(if let Some(s) = p.downcast_ref::<&str>() {
-            format!("panic: {s}")
-        } else if let Some(s) = p.downcast_ref::<String>() {
-            format!("panic: {s}")
-        } else {
-            "panic: <non-string payload>".to_string()
-        }),
-    }
-}
-
-/// Greedily shrink a failing teardown spec: fewer chunks, smaller
-/// chunks, sequential instead of simultaneous close, fault knobs zeroed
-/// then halved. Budget-bounded; deterministic replay guarantees the
-/// result still fails.
-pub fn shrink_teardown(spec: &TeardownSpec, inject_fin_bug: bool) -> (TeardownSpec, String) {
-    let mut best = *spec;
-    let mut message = match run_teardown_caught(&best, inject_fin_bug) {
-        Err(e) => e,
-        Ok(_) => return (best, "original spec passed on re-run".to_string()),
-    };
-    let mut budget = 64usize;
-    loop {
-        let mut improved = false;
-        for cand in teardown_candidates(&best) {
-            if budget == 0 {
-                return (best, message);
-            }
-            budget -= 1;
-            if let Err(e) = run_teardown_caught(&cand, inject_fin_bug) {
-                best = cand;
-                message = e;
-                improved = true;
-                break;
-            }
+impl TeardownSpec {
+    /// The shrink ladder: fewer chunks, smaller chunks, sequential
+    /// instead of simultaneous close, then calmer faults.
+    pub fn simpler(&self) -> Vec<TeardownSpec> {
+        let sc = self;
+        let mut out = Vec::new();
+        if sc.chunks > 1 {
+            out.push(TeardownSpec { chunks: sc.chunks - 1, ..*sc });
         }
-        if !improved {
-            return (best, message);
+        if sc.chunk > 64 {
+            out.push(TeardownSpec { chunk: sc.chunk / 2, ..*sc });
         }
-    }
-}
-
-fn teardown_candidates(sc: &TeardownSpec) -> Vec<TeardownSpec> {
-    let mut out = Vec::new();
-    if sc.chunks > 1 {
-        out.push(TeardownSpec { chunks: sc.chunks - 1, ..*sc });
-    }
-    if sc.chunk > 64 {
-        out.push(TeardownSpec { chunk: sc.chunk / 2, ..*sc });
-    }
-    if sc.simultaneous {
-        out.push(TeardownSpec { simultaneous: false, ..*sc });
-    }
-    let p = sc.probs;
-    for zeroed in [
-        TeardownSpec { probs: FaultProbs { drop: 0, ..p }, ..*sc },
-        TeardownSpec { probs: FaultProbs { dup: 0, ..p }, ..*sc },
-        TeardownSpec { probs: FaultProbs { reorder: 0, ..p }, ..*sc },
-        TeardownSpec { probs: FaultProbs { corrupt: 0, ..p }, ..*sc },
-        TeardownSpec { probs: FaultProbs { delay: 0, ..p }, ..*sc },
-    ] {
-        if zeroed.probs != p {
-            out.push(zeroed);
+        if sc.simultaneous {
+            out.push(TeardownSpec { simultaneous: false, ..*sc });
         }
+        out.extend(calmer(sc.probs).into_iter().map(|probs| TeardownSpec { probs, ..*sc }));
+        out
     }
-    let halved = FaultProbs {
-        drop: p.drop / 2,
-        dup: p.dup / 2,
-        reorder: p.reorder / 2,
-        corrupt: p.corrupt / 2,
-        delay: p.delay / 2,
-    };
-    if halved != p {
-        out.push(TeardownSpec { probs: halved, ..*sc });
-    }
-    out
 }
 
 /// What a teardown sweep did.
@@ -830,11 +769,10 @@ pub struct TeardownSweepReport {
     pub passed: usize,
     /// Total oracle evaluations over the passing worlds.
     pub oracle_checks: u64,
-    /// First failure, minimised: (spec, message, pasteable `#[test]`).
-    /// Pinned-world failures carry the world's name in the message and
-    /// a `None` spec-less reproducer is not needed — they are already
-    /// committed tests.
-    pub failure: Option<(TeardownSpec, String, String)>,
+    /// First failure: (minimised spec, message, pasteable `#[test]`).
+    /// A pinned world has no spec and no reproducer — it already is a
+    /// committed test — and carries its name in the message.
+    pub failure: Option<(Option<TeardownSpec>, String, String)>,
 }
 
 /// The lifecycle sweep: all pinned teardown worlds, then `seeds`
@@ -843,20 +781,23 @@ pub struct TeardownSweepReport {
 /// with it on would prove the oracles toothless, so `tests/mutation.rs`
 /// demands it fails.
 pub fn sweep_teardown(base_seed: u64, seeds: usize, inject_fin_bug: bool) -> TeardownSweepReport {
+    sweep_worlds(&pinned_worlds(), base_seed, seeds, inject_fin_bug)
+}
+
+fn sweep_worlds(
+    pinned: &[PinnedWorld],
+    base_seed: u64,
+    seeds: usize,
+    inject_fin_bug: bool,
+) -> TeardownSweepReport {
     let mut rep = TeardownSweepReport::default();
-    for (name, world) in pinned_worlds() {
+    for &(name, world) in pinned {
+        // `stale_data_after_fin` is the one pinned world whose
+        // *receiver* exercises the gate the mutation removes.
         let outcome = if name == "stale_data_after_fin" {
-            // The one pinned world whose *receiver* exercises the gate
-            // the mutation removes.
-            match catch_unwind(AssertUnwindSafe(|| stale_data_after_fin(inject_fin_bug))) {
-                Ok(r) => r,
-                Err(_) => Err("panic".into()),
-            }
+            caught(|| stale_data_after_fin(inject_fin_bug))
         } else {
-            match catch_unwind(AssertUnwindSafe(world)) {
-                Ok(r) => r,
-                Err(_) => Err("panic".into()),
-            }
+            caught(world)
         };
         match outcome {
             Ok(checks) => {
@@ -864,25 +805,23 @@ pub fn sweep_teardown(base_seed: u64, seeds: usize, inject_fin_bug: bool) -> Tea
                 rep.oracle_checks += checks;
             }
             Err(e) => {
-                let spec = TeardownSpec::from_seed(0);
-                rep.failure = Some((spec, format!("pinned world {name}: {e}"), String::new()));
+                rep.failure = Some((None, format!("pinned world {name}: {e}"), String::new()));
                 return rep;
             }
         }
     }
     for i in 0..seeds {
-        let seed = base_seed.wrapping_add(i as u64);
-        let spec = TeardownSpec::from_seed(seed);
+        let spec = TeardownSpec::from_seed(base_seed.wrapping_add(i as u64));
         rep.seeds_run += 1;
-        match run_teardown_caught(&spec, inject_fin_bug) {
+        match caught(|| run_teardown(&spec, inject_fin_bug)) {
             Ok(checks) => {
                 rep.passed += 1;
                 rep.oracle_checks += checks;
             }
             Err(_) => {
-                let (shrunk, message) = shrink_teardown(&spec, inject_fin_bug);
-                let test_case = shrunk.to_test_case();
-                rep.failure = Some((shrunk, message, test_case));
+                let (shrunk, message) =
+                    shrink(&spec, TeardownSpec::simpler, |s| run_teardown(s, inject_fin_bug));
+                rep.failure = Some((Some(shrunk), message, shrunk.to_test_case()));
                 return rep;
             }
         }
@@ -1078,6 +1017,19 @@ mod tests {
         assert!(rep.failure.is_none(), "{:?}", rep.failure);
         assert_eq!(rep.passed, 24 + pinned_worlds().len());
         assert!(rep.oracle_checks > 1000, "sweep barely checked anything");
+    }
+
+    #[test]
+    fn a_pinned_world_that_panics_surfaces_its_message() {
+        fn broken() -> Result<u64, String> {
+            panic!("ring extent 17 out of bounds")
+        }
+        let rep = sweep_worlds(&[("clean_close", clean_close), ("broken", broken)], 0, 4, false);
+        assert_eq!((rep.passed, rep.seeds_run), (1, 0), "the sweep stops at the failing world");
+        let (spec, message, test_case) = rep.failure.expect("the panic is a failure");
+        assert_eq!(spec, None, "a pinned world has no seeded spec to blame");
+        assert_eq!(message, "pinned world broken: panic: ring extent 17 out of bounds");
+        assert!(test_case.is_empty());
     }
 
     #[test]

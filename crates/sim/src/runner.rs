@@ -7,8 +7,6 @@
 //! mix and oracle pass counts for reporting, and on the first failure
 //! invokes the shrinker and renders a ready-to-paste reproducer.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use memsim::layout::AddressSpace;
 use memsim::NativeMem;
 use obs::{Counter, Recorder, SeriesConfig};
@@ -20,7 +18,7 @@ use utcp::SendRing;
 
 use crate::oracle::{check_conservation, check_segtrace, Tracker};
 use crate::scenario::{Scenario, ScenarioKind};
-use crate::shrink::shrink;
+use crate::shrink::{caught, shrink};
 
 /// Knobs of a scenario run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -335,20 +333,7 @@ fn run_sharded_scenario(sc: &Scenario) -> Result<ScenarioStats, String> {
 /// Run a scenario, converting panics (stalls, out-of-bounds extents)
 /// into `Err` with the panic message.
 pub fn run_caught(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioStats, String> {
-    match catch_unwind(AssertUnwindSafe(|| run_scenario(sc, opts))) {
-        Ok(r) => r,
-        Err(payload) => Err(panic_message(payload.as_ref())),
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: <non-string payload>".to_string()
-    }
+    caught(|| run_scenario(sc, opts))
 }
 
 /// A seed sweep's shape.
@@ -419,7 +404,8 @@ pub fn sweep(opts: &SweepOpts) -> SweepReport {
                 rep.retransmits += stats.retransmits;
             }
             Err(_first_message) => {
-                let (shrunk, message) = shrink(&sc, &run_opts);
+                let (shrunk, message) =
+                    shrink(&sc, Scenario::simpler, |s| run_scenario(s, &run_opts));
                 let test_case = shrunk.to_test_case();
                 rep.failure = Some(FailureReport { scenario: sc, shrunk, message, test_case });
                 return rep;

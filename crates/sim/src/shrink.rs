@@ -1,84 +1,109 @@
 //! Greedy scenario shrinking: find a smaller scenario that still fails.
 //!
-//! No generic shrinking framework — the scenario space is small and
-//! known, so the shrinker proposes a fixed candidate ladder (simpler
-//! kind, fewer connections, shorter file, individual fault knobs
-//! zeroed, magnitudes halved, plain scheduling) and greedily accepts
-//! any candidate that still fails, restarting the ladder from the new
-//! best. Each accepted step strictly reduces a size measure, and the
-//! total number of runs is budget-bounded, so shrinking always
-//! terminates. The result replays deterministically: a scenario *is*
-//! its field values plus its seed.
+//! No shrinking framework — each spec space is small and known, so its
+//! type proposes a fixed candidate ladder ([`Scenario::simpler`]:
+//! simpler kind, fewer connections, shorter file, plain scheduling,
+//! individual fault knobs zeroed, magnitudes halved;
+//! [`crate::TeardownSpec::simpler`] likewise) and [`shrink`] greedily
+//! accepts any candidate that still fails, restarting the ladder from
+//! the new best. Each accepted step strictly reduces a size measure,
+//! and the total number of runs is budget-bounded, so shrinking always
+//! terminates. The result replays deterministically: a spec *is* its
+//! field values plus its seed.
 
-use crate::runner::{run_caught, RunOptions};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use crate::scenario::{Scenario, ScenarioKind};
+use utcp::FaultProbs;
 
-/// Max scenario executions a shrink may spend.
+/// Max executions a shrink may spend.
 const BUDGET: usize = 64;
 
-/// The candidate ladder, simplest-first for each dimension.
-fn candidates(sc: &Scenario) -> Vec<Scenario> {
-    let mut out = Vec::new();
-    if sc.kind == ScenarioKind::Sharded {
-        out.push(Scenario { kind: ScenarioKind::Transfer, ..*sc });
-    }
-    let min_conns = if sc.kind == ScenarioKind::Sharded { 2 } else { 1 };
-    if sc.n_conns > min_conns {
-        out.push(Scenario { n_conns: (sc.n_conns / 2).max(min_conns), ..*sc });
-        out.push(Scenario { n_conns: sc.n_conns - 1, ..*sc });
-    }
-    if sc.file_len > sc.chunk {
-        out.push(Scenario { file_len: (sc.file_len / 2).max(sc.chunk), ..*sc });
-    }
-    if sc.deficit {
-        out.push(Scenario { deficit: false, ..*sc });
-    }
-    // Zero whole fault knobs before halving magnitudes: removing a
-    // fault kind entirely is a much bigger simplification.
-    let p = sc.probs;
-    for zeroed in [
-        Scenario { probs: utcp::FaultProbs { drop: 0, ..p }, ..*sc },
-        Scenario { probs: utcp::FaultProbs { dup: 0, ..p }, ..*sc },
-        Scenario { probs: utcp::FaultProbs { reorder: 0, ..p }, ..*sc },
-        Scenario { probs: utcp::FaultProbs { corrupt: 0, ..p }, ..*sc },
-        Scenario { probs: utcp::FaultProbs { delay: 0, ..p }, ..*sc },
-    ] {
-        if zeroed.probs != p {
-            out.push(zeroed);
-        }
-    }
-    let halved = utcp::FaultProbs {
-        drop: p.drop / 2,
-        dup: p.dup / 2,
-        reorder: p.reorder / 2,
-        corrupt: p.corrupt / 2,
-        delay: p.delay / 2,
-    };
-    if halved != p {
-        out.push(Scenario { probs: halved, ..*sc });
-    }
+/// Run a world, converting panics (stalls, out-of-bounds extents,
+/// failed assertions) into `Err` with the panic message.
+pub fn caught<T>(run: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        Err(if let Some(s) = payload.downcast_ref::<&str>() {
+            format!("panic: {s}")
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            format!("panic: {s}")
+        } else {
+            "panic: <non-string payload>".to_string()
+        })
+    })
+}
+
+/// The calmer fault mixes of a ladder: each armed knob zeroed on its
+/// own (removing a fault kind entirely is the bigger simplification),
+/// then every magnitude halved.
+pub(crate) fn calmer(p: FaultProbs) -> Vec<FaultProbs> {
+    let mut out = vec![
+        FaultProbs { drop: 0, ..p },
+        FaultProbs { dup: 0, ..p },
+        FaultProbs { reorder: 0, ..p },
+        FaultProbs { corrupt: 0, ..p },
+        FaultProbs { delay: 0, ..p },
+        FaultProbs {
+            drop: p.drop / 2,
+            dup: p.dup / 2,
+            reorder: p.reorder / 2,
+            corrupt: p.corrupt / 2,
+            delay: p.delay / 2,
+        },
+    ];
+    out.retain(|q| *q != p);
     out
 }
 
-/// Shrink a failing scenario. Returns the smallest still-failing
-/// scenario found within the budget and the failure message it
-/// produced. (If the input unexpectedly passes on re-run — it cannot,
-/// runs are deterministic — it is returned unchanged.)
-pub fn shrink(sc: &Scenario, opts: &RunOptions) -> (Scenario, String) {
-    let mut best = *sc;
-    let mut message = match run_caught(&best, opts) {
+impl Scenario {
+    /// The candidate ladder, simplest-first for each dimension.
+    pub fn simpler(&self) -> Vec<Scenario> {
+        let sc = self;
+        let mut out = Vec::new();
+        if sc.kind == ScenarioKind::Sharded {
+            out.push(Scenario { kind: ScenarioKind::Transfer, ..*sc });
+        }
+        let min_conns = if sc.kind == ScenarioKind::Sharded { 2 } else { 1 };
+        if sc.n_conns > min_conns {
+            out.push(Scenario { n_conns: (sc.n_conns / 2).max(min_conns), ..*sc });
+            out.push(Scenario { n_conns: sc.n_conns - 1, ..*sc });
+        }
+        if sc.file_len > sc.chunk {
+            out.push(Scenario { file_len: (sc.file_len / 2).max(sc.chunk), ..*sc });
+        }
+        if sc.deficit {
+            out.push(Scenario { deficit: false, ..*sc });
+        }
+        out.extend(calmer(sc.probs).into_iter().map(|probs| Scenario { probs, ..*sc }));
+        out
+    }
+}
+
+/// Shrink a failing spec: greedily accept the first candidate of
+/// `simpler(best)` on which `run` still fails (panics count), restart
+/// the ladder from it, stop when none fails or the budget is spent.
+/// Returns the smallest still-failing spec found and the failure
+/// message it produced. (If the input unexpectedly passes on re-run —
+/// it cannot, runs are deterministic — it is returned unchanged.)
+pub fn shrink<S: Copy, T>(
+    spec: &S,
+    simpler: impl Fn(&S) -> Vec<S>,
+    run: impl Fn(&S) -> Result<T, String>,
+) -> (S, String) {
+    let mut best = *spec;
+    let mut message = match caught(|| run(&best)) {
         Err(e) => e,
-        Ok(_) => return (best, "original scenario passed on re-run".to_string()),
+        Ok(_) => return (best, "original spec passed on re-run".to_string()),
     };
     let mut budget = BUDGET;
     loop {
         let mut improved = false;
-        for cand in candidates(&best) {
+        for cand in simpler(&best) {
             if budget == 0 {
                 return (best, message);
             }
             budget -= 1;
-            if let Err(e) = run_caught(&cand, opts) {
+            if let Err(e) = caught(|| run(&cand)) {
                 best = cand;
                 message = e;
                 improved = true;
@@ -98,7 +123,7 @@ mod tests {
     #[test]
     fn ladder_candidates_are_strictly_simpler() {
         let sc = Scenario::from_seed(1234);
-        for cand in candidates(&sc) {
+        for cand in sc.simpler() {
             let simpler = cand.n_conns < sc.n_conns
                 || cand.file_len < sc.file_len
                 || (sc.deficit && !cand.deficit)

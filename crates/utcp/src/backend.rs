@@ -64,7 +64,7 @@ pub struct KernelCounters {
 }
 
 impl KernelCounters {
-    /// The counters as a JSON object (for obs reports and `BENCH_wire`).
+    /// The counters as a JSON object (for obs reports).
     pub fn to_json(&self) -> obs::Json {
         obs::Json::obj()
             .set("sent", obs::Json::U64(self.sent))

@@ -72,11 +72,6 @@ pub struct UtcpConfig {
     pub rto_ticks: u32,
     /// Advertised receive window.
     pub window: u16,
-    /// Enable slow start / congestion avoidance (Jacobson). The paper's
-    /// loop-back experiments never build a queue, so the measurement
-    /// harness leaves this on — the window opens within a few packets —
-    /// but it can be disabled for experiments that need a fixed window.
-    pub congestion_control: bool,
     /// Enable duplicate-ACK fast retransmit / fast recovery and SACK
     /// (RFC 5681 / RFC 2018). When off, the connection is the RTO-only
     /// baseline: the sender ignores duplicate ACKs and the receiver
@@ -96,7 +91,6 @@ impl Default for UtcpConfig {
             ring_capacity: 16 * 1024,
             rto_ticks: 8,
             window: 16 * 1024,
-            congestion_control: true,
             loss_recovery: true,
         }
     }
@@ -459,7 +453,7 @@ impl Connection {
             peer_window: cfg.window,
             ticks: 0,
             last_progress: 0,
-            cwnd: if cfg.congestion_control { 2 * mss } else { u32::MAX / 4 },
+            cwnd: 2 * mss,
             ssthresh: u32::MAX / 4,
             rto: cfg.rto_ticks,
             srtt8: 0,
@@ -744,7 +738,7 @@ impl Connection {
         self.peer_window = self.cfg.window;
         self.last_progress = self.ticks;
         let mss = self.cfg.mtu as u32;
-        self.cwnd = if self.cfg.congestion_control { 2 * mss } else { u32::MAX / 4 };
+        self.cwnd = 2 * mss;
         self.ssthresh = u32::MAX / 4;
         self.rto = self.cfg.rto_ticks;
         self.srtt8 = 0;
@@ -1081,13 +1075,11 @@ impl Connection {
             }
             if let Some(oldest) = self.ring.oldest() {
                 self.last_progress = self.ticks; // back-off: one per RTO
-                if self.cfg.congestion_control {
-                    // Timeout: collapse to slow start (Jacobson).
-                    let mss = self.cfg.mtu as u32;
-                    self.ssthresh = (self.in_flight() / 2).max(2 * mss);
-                    self.cwnd = mss;
-                    self.stats.cwnd_cuts += 1;
-                }
+                // Timeout: collapse to slow start (Jacobson).
+                let mss = self.cfg.mtu as u32;
+                self.ssthresh = (self.in_flight() / 2).max(2 * mss);
+                self.cwnd = mss;
+                self.stats.cwnd_cuts += 1;
                 // An RTO supersedes any fast-recovery episode, and the
                 // scoreboard may be stale (SACKs are advisory, RFC 2018
                 // §8) — forget it and rebuild from fresh ACKs.
@@ -1669,7 +1661,7 @@ impl Connection {
         }
         // Congestion window growth: slow start below ssthresh, linear
         // (one MSS per window) above. Frozen during recovery.
-        if grow && self.cfg.congestion_control {
+        if grow {
             debug_assert!(advanced > 0, "cwnd growth requires a forward ACK");
             let mss = self.cfg.mtu as u32;
             if self.cwnd < self.ssthresh {
@@ -1712,12 +1704,10 @@ impl Connection {
     /// within the same virtual tick, so inflation would only distort
     /// the cwnd traces the simulation oracles pin.
     fn enter_recovery<M: Mem>(&mut self, m: &mut M, k: &mut impl KernelCtx) {
-        if self.cfg.congestion_control {
-            let mss = self.cfg.mtu as u32;
-            self.ssthresh = (self.in_flight() / 2).max(2 * mss);
-            self.cwnd = self.ssthresh;
-            self.stats.cwnd_cuts += 1;
-        }
+        let mss = self.cfg.mtu as u32;
+        self.ssthresh = (self.in_flight() / 2).max(2 * mss);
+        self.cwnd = self.ssthresh;
+        self.stats.cwnd_cuts += 1;
         self.recovery = Some(self.snd_nxt);
         self.high_rxt = self.snd_una;
         self.retransmit_hole(m, k);
@@ -2199,20 +2189,6 @@ mod tests {
         let srtt = w.tx.srtt_ticks().expect("estimator has samples");
         assert!(srtt < 4.0, "loop-back RTT must be small, got {srtt}");
         assert!(w.tx.rto() >= 2, "RTO floor");
-    }
-
-    #[test]
-    fn congestion_control_can_be_disabled() {
-        let mut space = AddressSpace::new();
-        let mut lb = Loopback::new(&mut space);
-        let cfg = UtcpConfig {
-            local_port: 1,
-            peer_port: 2,
-            congestion_control: false,
-            ..Default::default()
-        };
-        let tx = Connection::new(&mut space, &mut lb, cfg, 0);
-        assert!(tx.cwnd() > 1 << 24, "disabled cwnd must not constrain");
     }
 
     #[test]

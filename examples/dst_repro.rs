@@ -36,7 +36,7 @@
 use sim::recovery::{
     burst_drop, burst_drop_config, single_drop, single_drop_config, twins_agree, RecoveryOutcome,
 };
-use sim::{run_caught, shrink, RunOptions, Scenario};
+use sim::{run_caught, run_scenario, shrink, RunOptions, Scenario};
 
 fn parse_u64(s: &str) -> Option<u64> {
     match s.strip_prefix("0x") {
@@ -105,11 +105,9 @@ fn replay_teardown(base_seed: u64, inject_fin_bug: bool) -> std::process::ExitCo
         }
         Some((shrunk, message, test_case)) => {
             println!("lifecycle oracle failure: {message}\n");
-            if test_case.is_empty() {
-                println!("(a pinned world failed — it already is a committed test)");
-            } else {
-                println!("minimal spec: {shrunk:?}\n");
-                println!("{test_case}");
+            match shrunk {
+                None => println!("(a pinned world failed — it already is a committed test)"),
+                Some(spec) => println!("minimal spec: {spec:?}\n\n{test_case}"),
             }
             std::process::ExitCode::FAILURE
         }
@@ -159,7 +157,7 @@ fn main() -> std::process::ExitCode {
         Err(msg) => {
             println!("oracle failure: {msg}\n");
             println!("shrinking...");
-            let (shrunk, msg2) = shrink(&sc, &opts);
+            let (shrunk, msg2) = shrink(&sc, Scenario::simpler, |s| run_scenario(s, &opts));
             println!("minimal scenario still fails with: {msg2}\n");
             println!("{}", shrunk.to_test_case());
             std::process::ExitCode::FAILURE

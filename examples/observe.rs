@@ -14,7 +14,7 @@
 //! * windowed time series (64-tick windows), rendered as sparklines of
 //!   delivery rate, retransmissions, and kernel queue depth,
 //! * a Prometheus-style text dump and a JSON run report
-//!   (`BENCH_observe.json`, schema-checked by `scripts/ci.sh`).
+//!   (`BENCH_observe.json`, gated by `bench ci`).
 //!
 //! ```bash
 //! cargo run --release --example observe

@@ -1,14 +1,13 @@
-//! Promoted proptest regressions — always-on, no external crates.
-//!
-//! `tests/proptest_tcp.proptest-regressions` records one shrunk
-//! counterexample: `drop_every = 2, dup_every = 2, reorder_every = 0,
-//! chunk = 256, non-ILP`. The failure is not a protocol bug but a
+//! The one counterexample a property-testing framework ever recorded
+//! against `file_always_arrives_intact` (now the seeded loop in
+//! `tests/properties.rs`), replayed as fixed cases: `drop_every = 2,
+//! dup_every = 2, reorder_every = 0, chunk = 256, non-ILP`. The failure is not a protocol bug but a
 //! degenerate fault plan: once the receiver stalls on a lost segment,
 //! each RTO round emits exactly two datagrams (the retransmission and a
 //! pure ACK), so a strictly periodic mod-2 drop removes the
 //! retransmission forever and the transfer livelocks. The property test
-//! excludes that plan with `prop_assume!`; these tests pin both sides
-//! of that exclusion permanently, with the proptest feature off:
+//! leaves that plan out of its draw; these tests pin both sides of that
+//! exclusion:
 //!
 //! * the phase-lock is real (a bounded run makes zero progress while
 //!   the sender keeps retransmitting), so the exclusion is justified;

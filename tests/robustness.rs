@@ -13,7 +13,7 @@ use ilp_repro::utcp::{Ipv4Header, IP_HEADER_LEN};
 /// application data, and must never panic.
 #[test]
 fn random_corruption_never_panics_or_delivers() {
-    let mut rng = bench::XorShift64::new(0x12345678);
+    let mut rng = ilp_repro::utcp::rng::XorShift64::new(0x12345678);
     let mut rand = move || rng.next_u64();
     for trial in 0..200 {
         let mut space = AddressSpace::new();
@@ -109,73 +109,4 @@ fn bad_ip_headers_dropped_by_kernel_demux() {
         }
     }
     panic!("retransmission never recovered the dropped segments");
-}
-
-// The property-based variants need the `proptest` crate, which this
-// offline environment cannot fetch; see the root Cargo.toml.
-#[cfg(feature = "proptest")]
-mod property {
-    use super::*;
-    use ilp_repro::rpcapp::paths::recv_reply_non_ilp;
-    use proptest::prelude::*;
-
-    proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Arbitrary bytes presented as an IP header never verify unless the
-    /// checksum actually holds, and never panic the accessors.
-    #[test]
-    fn arbitrary_ip_headers_are_safe(bytes in proptest::collection::vec(any::<u8>(), 20)) {
-        let mut space = AddressSpace::new();
-        let buf = space.alloc("hdr", 32, 8);
-        let mut arena = space.native_arena();
-        let mut m = NativeMem::new(&mut arena);
-        m.bytes_mut(buf.base, 20).copy_from_slice(&bytes);
-        let h = Ipv4Header::at(buf.base);
-        let _ = h.total_len(&mut m);
-        let _ = h.ident(&mut m);
-        let _ = h.ttl(&mut m);
-        let _ = h.protocol(&mut m);
-        let _ = h.frag_offset_words(&mut m);
-        let _ = h.more_fragments(&mut m);
-        let verified = h.verify(&mut m);
-        // If it verified, the one's-complement sum must truly be zero.
-        if verified {
-            let sum = ilp_repro::checksum::internet::checksum_buf(&mut m, buf.base, 20).finish();
-            prop_assert_eq!(sum, 0);
-        }
-    }
-
-    /// Arbitrary decrypted garbage never parses as a valid reply prefix
-    /// unless its internal length fields are consistent.
-    #[test]
-    fn arbitrary_prefixes_never_inconsistently_parse(words in proptest::collection::vec(any::<u32>(), 7)) {
-        if let Some((msg_len, meta)) = ReplyMeta::parse_prefix(&words) {
-            prop_assert_eq!(msg_len, 4 + meta.marshalled_len());
-            prop_assert_eq!(words[5], meta.data_len);
-        }
-    }
-
-    /// The non-ILP receiver rejects any single-byte ciphertext flip.
-    #[test]
-    fn non_ilp_receiver_rejects_any_flip(pos_frac in 0.0f64..1.0, flip in 1u8..=255) {
-        let mut space = AddressSpace::new();
-        let mut s = Suite::simplified(&mut space);
-        let file = s.file;
-        let mut arena = space.native_arena();
-        let mut m = NativeMem::new(&mut arena);
-        s.init_world(&mut m);
-        let meta = ReplyMeta { request_id: 1, seq: 0, offset: 0, last: 1, data_len: 256 };
-        send_reply_ilp(&mut s, &mut m, &meta, file.base).unwrap();
-        let d = s.rx.poll_input(&mut m, &mut s.lb).unwrap();
-        let pos = ((d.payload_len - 1) as f64 * pos_frac) as usize;
-        let b = m.read_u8(d.payload_addr + pos);
-        m.write_u8(d.payload_addr + pos, b ^ flip);
-        let sum = ilp_repro::checksum::internet::checksum_buf(&mut m, d.payload_addr, d.payload_len);
-        prop_assert!(s.rx.finish_recv(&mut m, &mut s.lb, &d, sum).is_err());
-        // State must be untouched: a clean resend still goes through.
-        drop(d);
-        let _ = recv_reply_non_ilp(&mut s, &mut m); // nothing queued; must be None
-    }
-    }
 }
