@@ -1,6 +1,6 @@
 //! Annex Table 1 and the five figures read off it (Figs. 6–10): one
 //! measurement procedure — host × packet size × {ILP, non-ILP} over
-//! [`crate::measure`] — printed through a per-figure column list, the
+//! [`mod@crate::measure`] — printed through a per-figure column list, the
 //! paper's value beside the measured one in every cell.
 
 use crate::measure::{measure, MeasureCfg, Measurement};

@@ -15,7 +15,7 @@
 //! | [`stage`] | data-manipulation stages (cipher, checksum tap) and their fusion; static (macro-like) and `dyn` (function-pointer-like) composition (§3.2.1) |
 //! | [`pipeline`] | the ILP loop drivers: word source → fused stages → store, with configurable store granularity (§2.2's n vs n/m cache-miss discussion) |
 //! | [`segment`] | part A/B/C message segmentation around data-dependent headers, the generalisation of segregated messages (§3.2.2, Figure 4) |
-//! | [`three_stage`] | Abbott & Peterson's initial / integrated / final protocol-processing split (§2.1) |
+//! | [`mod@three_stage`] | Abbott & Peterson's initial / integrated / final protocol-processing split (§2.1) |
 //!
 //! ## Fusion = monomorphisation
 //!

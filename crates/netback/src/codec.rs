@@ -51,7 +51,7 @@ pub const TAG_LEN: usize = 10;
 pub const MAX_INNER: usize = 2048;
 /// Smallest inner datagram: one IPv4 header + one TCP header (a pure
 /// ACK). Shorter frames cannot be parsed as a segment.
-pub const MIN_INNER: usize = 40;
+pub const MIN_INNER: usize = utcp::ip::IP_HEADER_LEN + utcp::wire::TCP_HEADER_LEN;
 
 /// Why a frame failed to decode. Every variant is a normal return —
 /// decoding arbitrary bytes never panics.

@@ -1,147 +1,51 @@
-//! Byte-slice IPv4 header codec — real framing for the TUN backend.
+//! The `&[u8]` accessor of the one IPv4 layout.
 //!
-//! [`utcp::Ipv4Header`] reads and writes headers through the
-//! instrumented [`memsim::Mem`] because in-simulation header work must
-//! be costed. A TUN device hands the kernel plain byte buffers, so the
-//! TUN backend needs the same 20-byte header layout over `&[u8]` /
-//! `&mut [u8]`. This module is that codec, always compiled (the tests
-//! cross-check it byte-for-byte against the `Mem`-based builder) even
-//! though its only in-tree consumer is behind the `tun` feature.
+//! [`utcp::Ipv4Header`] states the 20-byte header — field offsets,
+//! checksum rule, admission test — once, over [`memsim::Mem`], because
+//! in-simulation header work must be costed. A socket or TUN device
+//! hands the kernel plain byte buffers; this module runs that same code
+//! over them (a [`NativeMem`] view with base 0 is a byte slice with
+//! `Mem`'s verbs), so there is no second set of offsets to keep in
+//! step. Always compiled, though [`build`]'s only in-tree consumer is
+//! behind the `tun` feature; [`admit`] fronts both backends' receive
+//! queues.
 
-/// IPv4 header length, no options — mirrors [`utcp::IP_HEADER_LEN`].
-pub const HEADER_LEN: usize = 20;
+use memsim::NativeMem;
+use utcp::ip::IP_HEADER_LEN;
+use utcp::wire::TCP_HEADER_LEN;
+use utcp::Ipv4Header;
 
-/// Protocol number carried in every packet of this stack (TCP).
-pub const PROTO_TCP: u8 = 6;
+/// Offset of the TCP destination port inside an inner datagram.
+const DST_PORT_OFF: usize = IP_HEADER_LEN + 2;
 
-/// A parsed IPv4 header (fixed 20-byte form, no options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ipv4 {
-    /// Source address.
-    pub src: u32,
-    /// Destination address.
-    pub dst: u32,
-    /// Total length: header + payload.
-    pub total_len: usize,
-    /// Identification field.
-    pub ident: u16,
-    /// Time to live.
-    pub ttl: u8,
-    /// Protocol number.
-    pub protocol: u8,
-}
-
-/// Why a buffer failed to parse as an IPv4 packet of this stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ipv4Error {
-    /// Fewer than [`HEADER_LEN`] bytes.
-    Truncated {
-        /// Bytes available.
-        got: usize,
-    },
-    /// Version/IHL byte is not 0x45 (v4, 5 words, no options).
-    BadVersionIhl {
-        /// The byte found.
-        got: u8,
-    },
-    /// Header checksum does not verify.
-    BadChecksum,
-    /// Total-length field disagrees with the buffer.
-    BadTotalLen {
-        /// Length the header declared.
-        declared: usize,
-        /// Bytes actually present.
-        actual: usize,
-    },
-}
-
-impl core::fmt::Display for Ipv4Error {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match *self {
-            Ipv4Error::Truncated { got } => write!(f, "IPv4 header truncated: {got} bytes"),
-            Ipv4Error::BadVersionIhl { got } => write!(f, "bad version/IHL byte {got:#04x}"),
-            Ipv4Error::BadChecksum => write!(f, "IPv4 header checksum mismatch"),
-            Ipv4Error::BadTotalLen { declared, actual } => {
-                write!(f, "IPv4 total length {declared} but {actual} bytes present")
-            }
-        }
-    }
-}
-
-impl std::error::Error for Ipv4Error {}
-
-/// One's-complement sum of the 20 header bytes.
-fn header_sum(buf: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    for i in (0..HEADER_LEN).step_by(2) {
-        sum += u32::from(u16::from_be_bytes([buf[i], buf[i + 1]]));
-    }
-    while sum > 0xFFFF {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
-}
-
-/// Write a complete header (checksum filled in) into `buf[..20]`.
+/// Write a complete unfragmented header (checksum filled in) into
+/// `buf[..20]`.
 ///
 /// # Panics
-/// Panics if `buf` is shorter than [`HEADER_LEN`] or
-/// `HEADER_LEN + payload_len` exceeds `u16::MAX` — both are caller
+/// Panics if `buf` is shorter than [`IP_HEADER_LEN`] or
+/// `IP_HEADER_LEN + payload_len` exceeds `u16::MAX` — both are caller
 /// bugs, not wire conditions.
 pub fn build(buf: &mut [u8], src: u32, dst: u32, payload_len: usize, ident: u16, ttl: u8) {
-    assert!(buf.len() >= HEADER_LEN, "need {HEADER_LEN} bytes for an IPv4 header");
-    let total = HEADER_LEN + payload_len;
-    assert!(total <= u16::MAX as usize, "IPv4 total length overflow");
-    buf[0] = 0x45;
-    buf[1] = 0;
-    buf[2..4].copy_from_slice(&(total as u16).to_be_bytes());
-    buf[4..6].copy_from_slice(&ident.to_be_bytes());
-    buf[6..8].copy_from_slice(&[0, 0]); // flags/fragment: unfragmented
-    buf[8] = ttl;
-    buf[9] = PROTO_TCP;
-    buf[10..12].copy_from_slice(&[0, 0]);
-    buf[12..16].copy_from_slice(&src.to_be_bytes());
-    buf[16..20].copy_from_slice(&dst.to_be_bytes());
-    let csum = header_sum(&buf[..HEADER_LEN]);
-    buf[10..12].copy_from_slice(&csum.to_be_bytes());
+    assert!(buf.len() >= IP_HEADER_LEN, "need {IP_HEADER_LEN} bytes for an IPv4 header");
+    assert!(IP_HEADER_LEN + payload_len <= u16::MAX as usize, "IPv4 total length overflow");
+    Ipv4Header::at(0).build(&mut NativeMem::with_base(buf, 0), src, dst, payload_len, ident, 0, false, ttl);
 }
 
-/// Parse and validate the header at the front of `packet`.
-///
-/// # Errors
-/// An [`Ipv4Error`] naming the first check that failed; arbitrary
-/// input never panics.
-pub fn parse(packet: &[u8]) -> Result<Ipv4, Ipv4Error> {
-    if packet.len() < HEADER_LEN {
-        return Err(Ipv4Error::Truncated { got: packet.len() });
+/// The rule for what a backend may queue, stated once: an inner
+/// datagram is at least `IP_HEADER_LEN + TCP_HEADER_LEN` bytes, opens
+/// with an option-less IPv4 header that passes
+/// [`Ipv4Header::admits`] for exactly the bytes present, and carries
+/// its TCP destination port at offset 22 — which is what `admit`
+/// returns. Arbitrary input never panics.
+pub fn admit(packet: &[u8]) -> Option<u16> {
+    if packet.len() < IP_HEADER_LEN + TCP_HEADER_LEN || packet[0] != 0x45 {
+        return None;
     }
-    if packet[0] != 0x45 {
-        return Err(Ipv4Error::BadVersionIhl { got: packet[0] });
-    }
-    // Summing a header whose checksum field is in place yields 0 (the
-    // stored value is the complement of the sum-without-it).
-    let mut sum = 0u32;
-    for i in (0..HEADER_LEN).step_by(2) {
-        sum += u32::from(u16::from_be_bytes([packet[i], packet[i + 1]]));
-    }
-    while sum > 0xFFFF {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    if sum as u16 != 0xFFFF {
-        return Err(Ipv4Error::BadChecksum);
-    }
-    let declared = u16::from_be_bytes([packet[2], packet[3]]) as usize;
-    if declared < HEADER_LEN || declared > packet.len() {
-        return Err(Ipv4Error::BadTotalLen { declared, actual: packet.len() });
-    }
-    Ok(Ipv4 {
-        src: u32::from_be_bytes([packet[12], packet[13], packet[14], packet[15]]),
-        dst: u32::from_be_bytes([packet[16], packet[17], packet[18], packet[19]]),
-        total_len: declared,
-        ident: u16::from_be_bytes([packet[4], packet[5]]),
-        ttl: packet[8],
-        protocol: packet[9],
-    })
+    let mut hdr = [0u8; IP_HEADER_LEN];
+    hdr.copy_from_slice(&packet[..IP_HEADER_LEN]);
+    Ipv4Header::at(0)
+        .admits(&mut NativeMem::with_base(&mut hdr, 0), packet.len(), None)
+        .then(|| u16::from_be_bytes([packet[DST_PORT_OFF], packet[DST_PORT_OFF + 1]]))
 }
 
 #[cfg(test)]
@@ -152,19 +56,21 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let mut buf = [0u8; HEADER_LEN + 100];
+        let mut buf = [0u8; IP_HEADER_LEN + 100];
         build(&mut buf, 0x0A00_0001, 0x0A00_0002, 100, 42, 64);
-        let h = parse(&buf).unwrap();
-        assert_eq!(h.src, 0x0A00_0001);
-        assert_eq!(h.dst, 0x0A00_0002);
-        assert_eq!(h.total_len, HEADER_LEN + 100);
-        assert_eq!(h.ident, 42);
-        assert_eq!(h.ttl, 64);
-        assert_eq!(h.protocol, PROTO_TCP);
+        buf[DST_PORT_OFF..DST_PORT_OFF + 2].copy_from_slice(&8080u16.to_be_bytes());
+        assert_eq!(admit(&buf), Some(8080));
+        let m = &mut NativeMem::with_base(&mut buf, 0);
+        let h = Ipv4Header::at(0);
+        assert_eq!(h.src(m), 0x0A00_0001);
+        assert_eq!(h.dst(m), 0x0A00_0002);
+        assert_eq!(h.total_len(m), IP_HEADER_LEN + 100);
+        assert_eq!(h.ttl(m), 64);
+        assert_eq!(h.protocol(m), utcp::ip::PROTO_TCP);
     }
 
-    /// The byte-slice builder and the instrumented-memory builder must
-    /// produce bit-identical headers — same wire format, two costing
+    /// The byte-slice accessor and the instrumented-memory accessor
+    /// must produce bit-identical headers — one layout, two costing
     /// regimes.
     #[test]
     fn matches_the_mem_based_builder_byte_for_byte() {
@@ -177,9 +83,9 @@ mod tests {
             (0xC0A8_0101, 0x7F00_0001, 1516, 0xBEEF, 1),
             (0, u32::MAX, 20, u16::MAX, 255),
         ] {
-            utcp::Ipv4Header::at(region.base).build(&mut m, src, dst, plen, ident, 0, false, ttl);
-            let reference = m.bytes(region.base, HEADER_LEN).to_vec();
-            let mut ours = [0u8; HEADER_LEN];
+            Ipv4Header::at(region.base).build(&mut m, src, dst, plen, ident, 0, false, ttl);
+            let reference = m.bytes(region.base, IP_HEADER_LEN).to_vec();
+            let mut ours = [0u8; IP_HEADER_LEN];
             build(&mut ours, src, dst, plen, ident, ttl);
             assert_eq!(ours[..], reference[..], "src={src:#x} dst={dst:#x} plen={plen}");
         }
@@ -187,13 +93,29 @@ mod tests {
 
     #[test]
     fn corruption_is_caught() {
-        let mut buf = [0u8; HEADER_LEN + 8];
-        build(&mut buf, 1, 2, 8, 7, 64);
-        assert!(parse(&buf).is_ok());
-        for i in 0..HEADER_LEN {
+        let mut buf = [0u8; IP_HEADER_LEN + TCP_HEADER_LEN];
+        build(&mut buf, 1, 2, TCP_HEADER_LEN, 7, 64);
+        assert!(admit(&buf).is_some());
+        for i in 0..IP_HEADER_LEN {
             let mut dam = buf;
             dam[i] ^= 0x10;
-            assert!(parse(&dam).is_err(), "flip at byte {i} undetected");
+            assert!(admit(&dam).is_none(), "flip at byte {i} undetected");
+        }
+    }
+
+    /// A header-only packet used to index past its end looking for the
+    /// destination port; 24..40 bytes used to queue a datagram with no
+    /// complete TCP header.
+    #[test]
+    fn every_length_with_a_valid_header_is_rejected_or_routed() {
+        for len in 0..=64usize {
+            let mut buf = vec![0u8; len.max(IP_HEADER_LEN)];
+            build(&mut buf, 1, 2, len.saturating_sub(IP_HEADER_LEN), 9, 64);
+            if len >= DST_PORT_OFF + 2 {
+                buf[DST_PORT_OFF..DST_PORT_OFF + 2].copy_from_slice(&9000u16.to_be_bytes());
+            }
+            let expect = (len >= IP_HEADER_LEN + TCP_HEADER_LEN).then_some(9000);
+            assert_eq!(admit(&buf[..len]), expect, "length {len}");
         }
     }
 
@@ -202,8 +124,13 @@ mod tests {
         let mut rng = XorShift64::new(0x1234_5678);
         for _ in 0..20_000 {
             let len = rng.below(64) as usize;
-            let buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            let _ = parse(&buf);
+            let mut buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            // Half the time behind a header that verifies, so the walk
+            // gets past the checksum to the length and port rules.
+            if len >= IP_HEADER_LEN && rng.below(2) == 0 {
+                build(&mut buf, 1, 2, rng.below(64) as usize, 3, 64);
+            }
+            let _ = admit(&buf);
         }
     }
 }

@@ -15,9 +15,14 @@
 //!   (`examples/serve_udp.rs`).
 //! * `tun::TunBackend` (feature `tun`, off by default) — writes the raw
 //!   IPv4 packets to a `/dev/net/tun` descriptor instead of framing
-//!   them in UDP. The packet bytes are produced and checked by the
-//!   in-tree byte-slice IPv4 codec in [`ipv4`]; the device plumbing
-//!   needs `ioctl`, hence the feature gate on `unsafe`.
+//!   them in UDP. The packet bytes are produced by [`ipv4`], the
+//!   byte-slice accessor of the one IPv4 header layout in `utcp::ip`;
+//!   the device plumbing needs `ioctl`, hence the feature gate on
+//!   `unsafe`.
+//!
+//! Both backends queue through the same [`utcp::PortDemux`] the
+//! loop-back holds, and admit an arriving datagram by the same rule,
+//! [`ipv4::admit`].
 //!
 //! What deliberately does **not** move here: determinism. The loop-back
 //! remains the tier-1/DST world with its seeded [`utcp::FaultPlan`];

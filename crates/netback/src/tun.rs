@@ -5,9 +5,8 @@
 //! a TUN device hands the kernel the raw IPv4 packet itself: the bytes
 //! written to `/dev/net/tun` *are* the packet the kernel routes, and
 //! reads return whole packets addressed to the interface. The IPv4
-//! framing on this path is produced and validated by the in-tree
-//! byte-slice codec ([`crate::ipv4`]) — bit-identical to the
-//! instrumented-memory builder, as the ipv4 tests prove.
+//! framing on this path is produced and validated by the byte-slice
+//! accessor ([`crate::ipv4`]) of the one header layout in `utcp::ip`.
 //!
 //! This is a skeleton by design: it compiles (and is clippy-clean)
 //! everywhere, but exercising it end-to-end needs `/dev/net/tun`,
@@ -23,7 +22,6 @@ use crate::ipv4;
 use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
 use memsim::Mem;
-use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
@@ -31,6 +29,7 @@ use utcp::backend::{KernelCounters, KernelPart};
 use utcp::ip::IP_HEADER_LEN;
 use utcp::kernelpart::{Datagram, EndpointId};
 use utcp::wire::TCP_HEADER_LEN;
+use utcp::PortDemux;
 
 /// `TUNSETIFF` ioctl request number (x86-64/aarch64 Linux).
 const TUNSETIFF: u64 = 0x4004_54ca;
@@ -62,12 +61,6 @@ extern "C" {
 const SLOT: usize = 2048;
 const SLOTS: usize = 64;
 
-#[derive(Debug)]
-struct Endpoint {
-    port: u16,
-    queue: VecDeque<Datagram>,
-}
-
 /// A [`KernelPart`] backend over a TUN device.
 #[derive(Debug)]
 pub struct TunBackend {
@@ -77,15 +70,14 @@ pub struct TunBackend {
     slots: Region,
     next_slot: usize,
     staging: Region,
-    endpoints: Vec<Endpoint>,
-    by_port: HashMap<u16, usize>,
+    demux: PortDemux,
     next_ident: u16,
     /// Packets accepted for transmission.
     pub sent: u64,
     /// Well-formed packets received.
     pub received: u64,
-    /// Incoming packets the IPv4 codec rejected (or non-TCP traffic —
-    /// the kernel will happily route us ICMP).
+    /// Incoming packets [`ipv4::admit`] rejected (malformed, runt, or
+    /// non-TCP traffic — the kernel will happily route us ICMP).
     pub parse_errors: u64,
     /// TCP packets for a port nobody listens on.
     pub unroutable: u64,
@@ -93,10 +85,6 @@ pub struct TunBackend {
     pub send_errors: u64,
     /// Receive polls that found the device empty (`EWOULDBLOCK`).
     pub would_block: u64,
-    /// Packets currently queued across all endpoints.
-    queued: usize,
-    /// High-water mark of `queued` (slots recycle at `SLOTS`).
-    pub peak_queued: usize,
 }
 
 impl TunBackend {
@@ -145,8 +133,7 @@ impl TunBackend {
             slots,
             next_slot: 0,
             staging,
-            endpoints: Vec::new(),
-            by_port: HashMap::new(),
+            demux: PortDemux::default(),
             next_ident: 1,
             sent: 0,
             received: 0,
@@ -154,19 +141,12 @@ impl TunBackend {
             unroutable: 0,
             send_errors: 0,
             would_block: 0,
-            queued: 0,
-            peak_queued: 0,
         })
     }
 
     /// The interface name the kernel assigned (e.g. `ilp0`).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The port an endpoint was registered on.
-    pub fn port_of(&self, id: EndpointId) -> u16 {
-        self.endpoints[id.index()].port
     }
 
     /// Drain the device into the per-port queues.
@@ -183,16 +163,11 @@ impl TunBackend {
                 Err(_) => return,
             };
             let packet = &buf[..n];
-            match ipv4::parse(packet) {
-                Ok(h) if h.protocol == ipv4::PROTO_TCP && h.total_len == n => {}
-                _ => {
-                    self.parse_errors += 1;
-                    continue;
-                }
-            }
-            let dst_port =
-                u16::from_be_bytes([packet[IP_HEADER_LEN + 2], packet[IP_HEADER_LEN + 3]]);
-            let Some(&idx) = self.by_port.get(&dst_port) else {
+            let Some(dst_port) = ipv4::admit(packet) else {
+                self.parse_errors += 1;
+                continue;
+            };
+            let Some(id) = self.demux.route(dst_port) else {
                 self.unroutable += 1;
                 continue;
             };
@@ -205,27 +180,18 @@ impl TunBackend {
             }
             m.compute(30);
             m.phase_pop();
-            self.endpoints[idx].queue.push_back(Datagram { addr: slot, len: n });
-            self.queued += 1;
-            self.peak_queued = self.peak_queued.max(self.queued);
+            self.demux.push(id, Datagram { addr: slot, len: n }, None);
         }
     }
 }
 
 impl KernelPart for TunBackend {
     fn register(&mut self, port: u16) -> EndpointId {
-        assert!(!self.by_port.contains_key(&port), "port {port} already registered");
-        self.endpoints.push(Endpoint { port, queue: VecDeque::new() });
-        let id = self.endpoints.len() - 1;
-        self.by_port.insert(port, id);
-        EndpointId::from_index(id)
+        self.demux.register(port)
     }
 
     fn unregister(&mut self, port: u16) {
-        // Same release discipline as the loop-back and UDP backends:
-        // old handles keep draining, new arrivals are unroutable until
-        // the port is registered again.
-        self.by_port.remove(&port);
+        self.demux.unregister(port);
     }
 
     fn send<M: Mem>(
@@ -266,15 +232,11 @@ impl KernelPart for TunBackend {
 
     fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram> {
         self.drain_device(m);
-        let d = self.endpoints[id.index()].queue.pop_front();
-        if d.is_some() {
-            self.queued -= 1;
-        }
-        d
+        self.demux.pop(id).map(|(datagram, _)| datagram)
     }
 
     fn pending(&self, id: EndpointId) -> usize {
-        self.endpoints[id.index()].queue.len()
+        self.demux.pending(id)
     }
 
     fn counters(&self) -> KernelCounters {
@@ -286,7 +248,7 @@ impl KernelPart for TunBackend {
             unroutable: self.unroutable,
             would_block: self.would_block,
             codec_rejects: self.parse_errors,
-            queue_peak: self.peak_queued as u64,
+            queue_peak: self.demux.peak_queued() as u64,
             queue_capacity: SLOTS as u64,
         }
     }

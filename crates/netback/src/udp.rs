@@ -21,36 +21,24 @@
 //! hang a poll loop — timeouts and retransmission are the
 //! [`utcp::Connection`]'s job, exactly as over the loop-back.
 
-use crate::codec::{self, CodecError};
+use crate::{codec, ipv4};
 use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
 use memsim::Mem;
 use obs::SegTag;
-use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use utcp::backend::{KernelCounters, KernelPart};
 use utcp::ip::IP_HEADER_LEN;
 use utcp::kernelpart::{Datagram, EndpointId};
 use utcp::wire::TCP_HEADER_LEN;
+use utcp::PortDemux;
 
 /// Kernel slot size: header room + the largest TPDU (the loop-back's
 /// geometry, kept identical so the same configs run over both).
 const SLOT: usize = 2048;
 /// Number of receive slots.
 const SLOTS: usize = 64;
-
-/// Offset of the TCP destination port inside an inner datagram.
-const DST_PORT_OFF: usize = IP_HEADER_LEN + 2;
-
-#[derive(Debug)]
-struct Endpoint {
-    port: u16,
-    queue: VecDeque<Datagram>,
-    /// Segment-trace tags in lockstep with `queue` (out-of-band
-    /// context from [`codec::KIND_TRACED`] envelopes).
-    tags: VecDeque<Option<SegTag>>,
-}
 
 /// A [`KernelPart`] backend over one UDP socket.
 #[derive(Debug)]
@@ -61,13 +49,11 @@ pub struct UdpBackend {
     next_slot: usize,
     /// Staging area outgoing datagrams are assembled in.
     staging: Region,
-    endpoints: Vec<Endpoint>,
-    by_port: HashMap<u16, usize>,
-    /// Default destination for outgoing datagrams.
+    /// Per-port receive queues (tags are the out-of-band context from
+    /// [`codec::KIND_TRACED`] envelopes).
+    demux: PortDemux,
+    /// Destination for outgoing datagrams.
     peer: Option<SocketAddr>,
-    /// Per-destination-port routes (override `peer`); lets one socket
-    /// speak to several peers, mirroring the loop-back's port demux.
-    routes: HashMap<u16, SocketAddr>,
     /// Adopt the source address of the first well-formed incoming
     /// frame as `peer` (server mode: the client dials first).
     learn_peer: bool,
@@ -76,7 +62,8 @@ pub struct UdpBackend {
     pub sent: u64,
     /// Well-formed datagrams received.
     pub received: u64,
-    /// Incoming UDP datagrams the wire codec rejected.
+    /// Incoming UDP datagrams the wire codec or [`ipv4::admit`]
+    /// rejected.
     pub decode_errors: u64,
     /// Well-formed datagrams for a port nobody listens on.
     pub unroutable: u64,
@@ -84,10 +71,6 @@ pub struct UdpBackend {
     pub send_errors: u64,
     /// Receive polls that found the socket empty (`EWOULDBLOCK`).
     pub would_block: u64,
-    /// Datagrams currently queued across all endpoints.
-    queued: usize,
-    /// High-water mark of `queued` (slots recycle at `SLOTS`).
-    pub peak_queued: usize,
     /// Trace context armed for the next send (rides the envelope as a
     /// [`codec::KIND_TRACED`] frame; inner bytes stay untouched).
     send_ctx: Option<SegTag>,
@@ -113,10 +96,8 @@ impl UdpBackend {
             slots,
             next_slot: 0,
             staging,
-            endpoints: Vec::new(),
-            by_port: HashMap::new(),
+            demux: PortDemux::default(),
             peer: None,
-            routes: HashMap::new(),
             learn_peer: false,
             next_ident: 1,
             sent: 0,
@@ -125,8 +106,6 @@ impl UdpBackend {
             unroutable: 0,
             send_errors: 0,
             would_block: 0,
-            queued: 0,
-            peak_queued: 0,
             send_ctx: None,
             last_ctx: None,
         })
@@ -140,7 +119,7 @@ impl UdpBackend {
         self.socket.local_addr()
     }
 
-    /// Set the default destination for outgoing datagrams.
+    /// Set the destination for outgoing datagrams.
     ///
     /// # Errors
     /// `InvalidInput` when `addr` resolves to nothing.
@@ -153,12 +132,6 @@ impl UdpBackend {
         Ok(())
     }
 
-    /// Route datagrams for TCP destination port `port` to `addr`
-    /// instead of the default peer.
-    pub fn add_route(&mut self, port: u16, addr: SocketAddr) {
-        self.routes.insert(port, addr);
-    }
-
     /// Learn the default peer from the first well-formed incoming
     /// frame (server mode).
     pub fn set_learn_peer(&mut self, on: bool) {
@@ -168,11 +141,6 @@ impl UdpBackend {
     /// The current default peer, if any.
     pub fn peer(&self) -> Option<SocketAddr> {
         self.peer
-    }
-
-    /// The port an endpoint was registered on.
-    pub fn port_of(&self, id: EndpointId) -> u16 {
-        self.endpoints[id.index()].port
     }
 
     /// Pull everything out of the socket into the per-port queues,
@@ -190,19 +158,19 @@ impl UdpBackend {
                 // on Linux) like an empty socket; TCP retransmits.
                 Err(_) => return,
             };
-            let (inner, tag) = match codec::decode_frame(&buf[..n]) {
-                Ok(ok) => ok,
-                Err(_e) => {
-                    self.decode_errors += 1;
-                    continue;
-                }
+            let Ok((inner, tag)) = codec::decode_frame(&buf[..n]) else {
+                self.decode_errors += 1;
+                continue;
+            };
+            let Some(dst_port) = ipv4::admit(inner) else {
+                self.decode_errors += 1;
+                continue;
             };
             if self.learn_peer && self.peer.is_none() {
                 self.peer = Some(from);
             }
             self.received += 1;
-            let dst_port = u16::from_be_bytes([inner[DST_PORT_OFF], inner[DST_PORT_OFF + 1]]);
-            let Some(&idx) = self.by_port.get(&dst_port) else {
+            let Some(id) = self.demux.route(dst_port) else {
                 self.unroutable += 1;
                 continue;
             };
@@ -218,29 +186,18 @@ impl UdpBackend {
             }
             m.compute(30);
             m.phase_pop();
-            self.endpoints[idx].queue.push_back(Datagram { addr: slot, len: inner.len() });
-            self.endpoints[idx].tags.push_back(tag);
-            self.queued += 1;
-            self.peak_queued = self.peak_queued.max(self.queued);
+            self.demux.push(id, Datagram { addr: slot, len: inner.len() }, tag);
         }
     }
 }
 
 impl KernelPart for UdpBackend {
     fn register(&mut self, port: u16) -> EndpointId {
-        assert!(!self.by_port.contains_key(&port), "port {port} already registered");
-        self.endpoints.push(Endpoint { port, queue: VecDeque::new(), tags: VecDeque::new() });
-        let id = self.endpoints.len() - 1;
-        self.by_port.insert(port, id);
-        EndpointId::from_index(id)
+        self.demux.register(port)
     }
 
     fn unregister(&mut self, port: u16) {
-        // Port release mirrors the loop-back: the endpoint slot (and
-        // anything still queued on it) survives for old handles, the
-        // demultiplexer forgets the port so a later `register` can
-        // reuse it — the churn primitive over a real socket.
-        self.by_port.remove(&port);
+        self.demux.unregister(port);
     }
 
     fn send<M: Mem>(
@@ -248,7 +205,7 @@ impl KernelPart for UdpBackend {
         m: &mut M,
         src_ip: u32,
         dst_ip: u32,
-        dst_port: u16,
+        _dst_port: u16,
         hdr_addr: usize,
         payload_addr: usize,
         payload_len: usize,
@@ -286,8 +243,7 @@ impl KernelPart for UdpBackend {
             None => codec::encode(&inner),
         }
         .expect("assembled datagram is within codec bounds");
-        let dest = self.routes.get(&dst_port).copied().or(self.peer);
-        let Some(dest) = dest else {
+        let Some(dest) = self.peer else {
             self.send_errors += 1;
             return;
         };
@@ -299,13 +255,9 @@ impl KernelPart for UdpBackend {
 
     fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram> {
         self.drain_socket(m);
-        let ep = &mut self.endpoints[id.index()];
-        let d = ep.queue.pop_front();
-        if d.is_some() {
-            self.last_ctx = ep.tags.pop_front().flatten();
-            self.queued -= 1;
-        }
-        d
+        let (datagram, tag) = self.demux.pop(id)?;
+        self.last_ctx = tag;
+        Some(datagram)
     }
 
     fn set_send_ctx(&mut self, ctx: Option<SegTag>) {
@@ -317,7 +269,7 @@ impl KernelPart for UdpBackend {
     }
 
     fn pending(&self, id: EndpointId) -> usize {
-        self.endpoints[id.index()].queue.len()
+        self.demux.pending(id)
     }
 
     fn counters(&self) -> KernelCounters {
@@ -329,15 +281,11 @@ impl KernelPart for UdpBackend {
             unroutable: self.unroutable,
             would_block: self.would_block,
             codec_rejects: self.decode_errors,
-            queue_peak: self.peak_queued as u64,
+            queue_peak: self.demux.peak_queued() as u64,
             queue_capacity: SLOTS as u64,
         }
     }
 }
-
-/// A [`CodecError`] re-export site so backend users can match on decode
-/// failures without importing the codec module.
-pub type FrameError = CodecError;
 
 #[cfg(test)]
 mod tests {

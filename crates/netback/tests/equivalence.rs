@@ -48,13 +48,7 @@ fn tx_cfg() -> UtcpConfig {
 }
 
 fn rx_cfg() -> UtcpConfig {
-    UtcpConfig {
-        local_port: RX_PORT,
-        peer_port: TX_PORT,
-        local_ip: RX_IP,
-        peer_ip: TX_IP,
-        ..Default::default()
-    }
+    tx_cfg().mirror()
 }
 
 /// Drive the schedule over the loop-back: sender and receiver share

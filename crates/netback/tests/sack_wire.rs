@@ -41,13 +41,7 @@ fn tx_cfg() -> UtcpConfig {
 }
 
 fn rx_cfg() -> UtcpConfig {
-    UtcpConfig {
-        local_port: RX_PORT,
-        peer_port: CAP_PORT,
-        local_ip: RX_IP,
-        peer_ip: TX_IP,
-        ..Default::default()
-    }
+    UtcpConfig { peer_port: CAP_PORT, ..tx_cfg().mirror() }
 }
 
 /// Send one payload through the chosen path.

@@ -13,10 +13,14 @@
 //! * [`trace::TraceRing`] — a fixed-capacity ring buffer of
 //!   [`trace::TraceEvent`]s stamped with the server's virtual clock,
 //!   overwriting the oldest events on wrap;
-//! * [`span`] — the [`span::SpanObserver`] hook trait that
-//!   `ilp_core::three_stage`, `utcp`, and `server::pipeline` invoke
-//!   around each processing span, with a [`span::NoopObserver`] whose
-//!   `ENABLED = false` lets every instrumentation site compile away;
+//! * [`span`] — the [`span::SpanObserver`] hook trait, with a
+//!   [`span::NoopObserver`] whose `ENABLED = false` lets every
+//!   instrumentation site compile away. Its callers: the
+//!   `ilp_core::three_stage` combinator (initial/integrated spans),
+//!   the `utcp::KernelCtx` handle (`mark`/`span`/`seg`, through which
+//!   `utcp::conn`'s parts and the data paths in `rpcapp::paths`
+//!   report), and `server::harness` (handshake, scheduling and fault
+//!   counters);
 //! * [`recorder::Recorder`] — the everything-in-one observer: atomic
 //!   counters, histograms per metric, the per-(path, stage, layer) work
 //!   matrix, and the event trace;

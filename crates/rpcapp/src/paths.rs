@@ -20,7 +20,7 @@
 //! application buffer; the accept/reject verdict falls in the final
 //! stage (the three-stage split of §2.1: `poll_input` is the initial
 //! stage, the fused loop the integrated stage, `finish_recv` the final
-//! stage — shaped by [`ilp_core::three_stage`]).
+//! stage — shaped by [`ilp_core::three_stage()`]).
 //!
 //! There is one implementation of each path, and it names the
 //! connection it operates on and the [`Scratch`] it may use: the
@@ -410,7 +410,7 @@ pub fn recv_chunk_non_ilp<C: CipherKernel, M: Mem>(
 }
 
 /// **ILP receive** of one chunk on `rx` into `app_out`, shaped by the
-/// [`three_stage`] combinator: the initial stage staged the segment
+/// [`three_stage()`] combinator: the initial stage staged the segment
 /// ([`Connection::poll_input`]), the integrated stage runs the fused
 /// checksum+decrypt+unmarshal loop straight off the staging buffer (and
 /// cannot reject), and the final stage renders the accept/reject

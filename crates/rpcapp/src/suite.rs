@@ -103,30 +103,10 @@ impl<C: CipherKernel> Suite<C> {
     pub fn with_cipher(space: &mut AddressSpace, cipher: C) -> Self {
         let mut lb = Loopback::new(space);
         let tx_cfg = UtcpConfig { local_port: 4000, peer_port: 5000, ..Default::default() };
-        let rx_cfg = UtcpConfig {
-            local_port: 5000,
-            peer_port: 4000,
-            local_ip: tx_cfg.peer_ip,
-            peer_ip: tx_cfg.local_ip,
-            ..Default::default()
-        };
-        let mut tx = Connection::new(space, &mut lb, tx_cfg, 0x1000);
-        let mut rx = Connection::new(space, &mut lb, rx_cfg, 0x9000);
-        rx.set_peer_iss(0x1000);
-        tx.set_peer_iss(0x9000);
+        let (tx, rx) = Connection::pair(space, &mut lb, tx_cfg, 0x1000, 0x9000);
         // Second uni-directional pair for the request direction.
         let req_tx_cfg = UtcpConfig { local_port: 6000, peer_port: 7000, ..Default::default() };
-        let req_rx_cfg = UtcpConfig {
-            local_port: 7000,
-            peer_port: 6000,
-            local_ip: req_tx_cfg.peer_ip,
-            peer_ip: req_tx_cfg.local_ip,
-            ..Default::default()
-        };
-        let mut req_tx = Connection::new(space, &mut lb, req_tx_cfg, 0x4000);
-        let mut req_rx = Connection::new(space, &mut lb, req_rx_cfg, 0xC000);
-        req_rx.set_peer_iss(0x4000);
-        req_tx.set_peer_iss(0xC000);
+        let (req_tx, req_rx) = Connection::pair(space, &mut lb, req_tx_cfg, 0x4000, 0xC000);
 
         let marshal_buf = space.alloc_kind("marshal_buf", MAX_MSG, 8, RegionKind::Buffer);
         let encrypt_buf = space.alloc_kind("encrypt_buf", MAX_MSG, 8, RegionKind::Buffer);

@@ -71,9 +71,7 @@ fn segment_sum<M: Mem>(m: &mut M, d: &Datagram, src_ip: u32, dst_ip: u32) -> u16
 /// header on success.
 fn ip_check<M: Mem>(m: &mut M, d: &Datagram, local_ip: u32) -> Option<Ipv4Header> {
     let ip = Ipv4Header::at(d.addr);
-    (ip.verify(m) && ip.protocol(m) == PROTO_TCP && ip.dst(m) == local_ip
-        && ip.total_len(m) == d.len)
-        .then_some(ip)
+    ip.admits(m, d.len, Some(local_ip)).then_some(ip)
 }
 
 /// Client side: emit a SYN claiming `data_port` with `weight`. `scratch`
@@ -240,7 +238,7 @@ mod tests {
         client_send_syn(
             &mut m, &mut f.lb, f.scratch, CLIENT_IP, SERVER_IP, 40_000, 0x1234, 30_007, 3,
         );
-        let d = f.lb.recv(f.listen).expect("SYN routed to the listener");
+        let d = f.lb.recv_into(&mut m, f.listen).expect("SYN routed to the listener");
         let info = parse_syn(&mut m, &d, SERVER_IP).expect("valid SYN");
         assert_eq!(
             info,
@@ -263,7 +261,7 @@ mod tests {
         client_send_syn(
             &mut m, &mut f.lb, f.scratch, CLIENT_IP, SERVER_IP, 40_000, 0x1234, 30_007, 1,
         );
-        let d = f.lb.recv(f.listen).expect("delivered (corrupted in flight)");
+        let d = f.lb.recv_into(&mut m, f.listen).expect("delivered (corrupted in flight)");
         assert_eq!(parse_syn(&mut m, &d, SERVER_IP), None, "checksum must reject");
     }
 
@@ -314,7 +312,7 @@ mod tests {
         let csum = hdr.segment_checksum(&mut m, pseudo, sum);
         hdr.set_checksum(&mut m, csum);
         f.lb.send(&mut m, CLIENT_IP, SERVER_IP, LISTEN_PORT, f.scratch.base, payload, SYN_PAYLOAD_LEN);
-        let d = f.lb.recv(f.listen).unwrap();
+        let d = f.lb.recv_into(&mut m, f.listen).unwrap();
         assert_eq!(parse_syn(&mut m, &d, SERVER_IP), None);
     }
 }

@@ -367,15 +367,8 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
                 client_ctrl_port: ctrl_port(g),
                 stats: PerConnStats::default(),
             });
-            let rx_cfg = UtcpConfig {
-                local_port: client_data_port(g),
-                peer_port: server_data_port(g),
-                local_ip: client_ip(g),
-                peer_ip: SERVER_IP,
-                ring_capacity: 256, // receive-only: the ring is unused
-                loss_recovery: cfg.loss_recovery,
-                ..Default::default()
-            };
+            // Receive-only: the ring is unused.
+            let rx_cfg = UtcpConfig { ring_capacity: 256, ..tx_cfg.mirror() };
             let mut rx = Connection::new(space, &mut lb, rx_cfg, client_iss(g));
             rx.set_obs_id(g as u32);
             let ctrl_ep = lb.register(ctrl_port(g));

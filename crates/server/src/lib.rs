@@ -25,10 +25,13 @@
 //!   SYN-ACKs that carry the server's initial sequence number back.
 //! * [`sched`] — send scheduling: round-robin and deficit-style
 //!   weighted round-robin over the connections with work and credit.
-//! * [`pipeline`] — the per-connection data paths, ILP and non-ILP,
-//!   shaped by `ilp_core::three_stage` on receive; scratch buffers and
-//!   loop code footprints are shared across connections, per-connection
-//!   state (ring, TCB, staging) is not.
+//! * [`pipeline`] — `rpcapp::paths`' four data-path functions and
+//!   their shared `Scratch` under the names this crate's callers
+//!   import, plus `close_when_drained`; the paths themselves (and the
+//!   observer hooks they fire through `utcp::KernelCtx`) live in
+//!   `rpcapp`. Scratch buffers and loop code footprints are shared
+//!   across connections, per-connection state (ring, TCB, staging) is
+//!   not.
 //! * [`stats`] — per-connection accounting and Jain's fairness index.
 //! * [`clock`] — the virtual clock driving every connection's
 //!   retransmission timer.

@@ -67,17 +67,7 @@ mod tests {
         let mut lb = Loopback::new(&mut space);
         let tx_cfg =
             utcp::UtcpConfig { local_port: 4000, peer_port: 5000, ..Default::default() };
-        let rx_cfg = utcp::UtcpConfig {
-            local_port: 5000,
-            peer_port: 4000,
-            local_ip: tx_cfg.peer_ip,
-            peer_ip: tx_cfg.local_ip,
-            ..Default::default()
-        };
-        let mut tx = Connection::new(&mut space, &mut lb, tx_cfg, 0x1000);
-        let mut rx = Connection::new(&mut space, &mut lb, rx_cfg, 0x9000);
-        rx.set_peer_iss(0x1000);
-        tx.set_peer_iss(0x9000);
+        let (tx, rx) = Connection::pair(&mut space, &mut lb, tx_cfg, 0x1000, 0x9000);
         let scratch = Scratch::alloc(&mut space);
         let file = space.alloc_kind("app_file", 4096, 64, RegionKind::AppData);
         let app_out = space.alloc_kind("app_out", 4096, 64, RegionKind::AppData);

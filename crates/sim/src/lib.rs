@@ -18,7 +18,7 @@
 //!   ring's buffered bytes), [`utcp::SendRing`] structural invariants,
 //!   ILP ≡ non-ILP behavioural equivalence per seed, and
 //!   counter-vs-time-series conservation in the observability layer;
-//! * on failure the runner **shrinks** ([`shrink`]): it greedily
+//! * on failure the runner **shrinks** ([`mod@shrink`]): it greedily
 //!   simplifies the scenario (fewer connections, smaller file, calmer
 //!   fault probabilities, simpler kind) while the failure reproduces,
 //!   and prints a ready-to-paste `#[test]` reproducer

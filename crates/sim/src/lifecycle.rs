@@ -223,17 +223,7 @@ fn pair_world(plan: FaultPlan) -> PairWorld {
     let mut lb = Loopback::new(&mut space);
     lb.set_faults(plan);
     let tx_cfg = UtcpConfig { local_port: 1000, peer_port: 2000, ..Default::default() };
-    let rx_cfg = UtcpConfig {
-        local_port: 2000,
-        peer_port: 1000,
-        local_ip: tx_cfg.peer_ip,
-        peer_ip: tx_cfg.local_ip,
-        ..Default::default()
-    };
-    let mut tx = Connection::new(&mut space, &mut lb, tx_cfg, TX_ISS);
-    let mut rx = Connection::new(&mut space, &mut lb, rx_cfg, RX_ISS);
-    rx.set_peer_iss(TX_ISS);
-    tx.set_peer_iss(RX_ISS);
+    let (tx, rx) = Connection::pair(&mut space, &mut lb, tx_cfg, TX_ISS, RX_ISS);
     let src = space.alloc("lifecycle_src", 4096, 8);
     PairWorld { space, lb, tx, rx, src }
 }

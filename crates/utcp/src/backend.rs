@@ -14,23 +14,24 @@
 //! Design constraints, in order:
 //!
 //! * **Zero cost over Loopback.** Every method is generic over
-//!   [`Mem`] and dispatched statically; the `Loopback` impl is pure
-//!   delegation to its inherent methods, so the deterministic tier-1
-//!   and DST worlds compile to exactly the code they had before the
-//!   trait existed. The perf gate holds this to bit-exactness.
+//!   [`Mem`] and dispatched statically; the loop-back's whole
+//!   datagram API *is* its implementation of this trait, so the
+//!   deterministic tier-1 and DST worlds pay nothing for the seam. The
+//!   perf gate holds this to bit-exactness.
 //! * **Datagrams live in instrumented memory.** A backend deposits
 //!   received datagrams into kernel-buffer slots *inside the
 //!   connection's address space* and hands out a [`Datagram`]
 //!   (address + length), exactly as the loop-back does — the
 //!   receive-side system copy stays visible to the memory model, and
 //!   [`crate::conn::Connection::poll_input`] is backend-agnostic.
-//! * **Faults are not part of the contract.** [`FaultPlan`]
-//!   injection is a property of the deterministic loop-back world
+//! * **Faults are not part of the contract.**
+//!   [`FaultPlan`](crate::kernelpart::FaultPlan) injection is a
+//!   property of the deterministic loop-back world
 //!   (`Loopback::set_faults`); a real network brings its own faults.
 //!   Backends report what actually happened through
 //!   [`KernelPart::counters`].
 
-use crate::kernelpart::{Datagram, EndpointId, Loopback};
+use crate::kernelpart::{Datagram, EndpointId};
 use memsim::Mem;
 use obs::{Layer, NoopObserver, PathLabel, SegEv, SegTag, SpanObserver, Stage, Work};
 
@@ -252,95 +253,5 @@ impl<K: KernelPart, O: SpanObserver> KernelCtx for Observed<'_, K, O> {
     #[inline]
     fn parts(&mut self) -> (&mut K, &mut O, PathLabel) {
         (self.kernel, self.obs, self.path)
-    }
-}
-
-impl KernelPart for Loopback {
-    fn register(&mut self, port: u16) -> EndpointId {
-        Loopback::register(self, port)
-    }
-
-    fn unregister(&mut self, port: u16) {
-        Loopback::unregister(self, port);
-    }
-
-    fn send<M: Mem>(
-        &mut self,
-        m: &mut M,
-        src_ip: u32,
-        dst_ip: u32,
-        dst_port: u16,
-        hdr_addr: usize,
-        payload_addr: usize,
-        payload_len: usize,
-    ) {
-        Loopback::send(self, m, src_ip, dst_ip, dst_port, hdr_addr, payload_addr, payload_len);
-    }
-
-    fn recv_into<M: Mem>(&mut self, _m: &mut M, id: EndpointId) -> Option<Datagram> {
-        Loopback::recv(self, id)
-    }
-
-    fn pending(&self, id: EndpointId) -> usize {
-        Loopback::pending(self, id)
-    }
-
-    fn counters(&self) -> KernelCounters {
-        KernelCounters {
-            sent: self.sent(),
-            received: self.received,
-            dropped: self.dropped,
-            corrupted: self.corrupted,
-            unroutable: self.unroutable,
-            would_block: 0,
-            codec_rejects: 0,
-            queue_peak: self.peak_queued as u64,
-            queue_capacity: self.n_slots() as u64,
-        }
-    }
-
-    fn set_send_ctx(&mut self, ctx: Option<obs::SegTag>) {
-        Loopback::set_send_ctx(self, ctx);
-    }
-
-    fn take_recv_ctx(&mut self) -> Option<obs::SegTag> {
-        Loopback::take_recv_ctx(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use memsim::layout::AddressSpace;
-    use memsim::NativeMem;
-
-    /// Drive the loop-back exclusively through the trait: the contract
-    /// must be indistinguishable from the inherent API.
-    #[test]
-    fn loopback_through_the_trait_matches_inherent_behaviour() {
-        let mut space = AddressSpace::new();
-        let mut lb = Loopback::new(&mut space);
-        let user = space.alloc("user", 4096, 8);
-        let rx = KernelPart::register(&mut lb, 80);
-        let mut arena = space.native_arena();
-        let mut m = NativeMem::new(&mut arena);
-        for i in 0..8 {
-            m.write_u8(user.at(64 + i), 0xB0 + i as u8);
-        }
-        KernelPart::send(&mut lb, &mut m, 1, 2, 80, user.at(0), user.at(64), 8);
-        assert_eq!(KernelPart::pending(&lb, rx), 1);
-        let d = lb.recv_into(&mut m, rx).expect("delivered");
-        assert_eq!(d.len, crate::ip::IP_HEADER_LEN + crate::wire::TCP_HEADER_LEN + 8);
-        assert!(lb.recv_into(&mut m, rx).is_none());
-        let c = lb.counters();
-        assert_eq!(c.sent, 1);
-        assert_eq!(c.received, 1);
-        assert_eq!(c.queue_peak, 1);
-        assert_eq!(c.queue_capacity, 64, "default slot pool");
-        assert_eq!((c.dropped, c.corrupted, c.unroutable), (0, 0, 0), "no faults");
-        assert_eq!((c.would_block, c.codec_rejects), (0, 0), "loop-back queues are exact");
-        // Unroutable traffic is visible through the trait counters.
-        KernelPart::send(&mut lb, &mut m, 1, 2, 81, user.at(0), user.at(64), 0);
-        assert_eq!(lb.counters().unroutable, 1);
     }
 }

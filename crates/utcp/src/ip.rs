@@ -5,19 +5,21 @@
 //! messages received from the user-level TCP to IP. On the receiving
 //! side, the kernel part demultiplexes IP packets to the corresponding
 //! user-level TCP connection" (§3.1). This module provides the IPv4
-//! machinery those sentences assume: a typed 20-byte header over
-//! instrumented memory (version/IHL, total length, identification,
-//! flags/fragment offset, TTL, protocol, header checksum, addresses),
-//! plus fragmentation planning and reassembly for links whose MTU is
-//! smaller than a TPDU.
+//! machinery those sentences assume: the one 20-byte header layout of
+//! this workspace (version/IHL, total length, identification,
+//! flags/fragment offset, TTL, protocol, header checksum, addresses)
+//! and the admission test every receiver applies to it
+//! ([`Ipv4Header::admits`]).
 //!
-//! The loop-back experiments never fragment (the paper's largest TPDU is
-//! 1280 B + headers, well under Ethernet's 1500), so [`crate::Loopback`]
-//! asserts that; the [`fragment_plan`]/[`Reassembler`] pair is exercised
-//! by its own tests and available to embedders running smaller MTUs.
+//! The layout is read and written through [`Mem`], so in-simulation
+//! header work is costed; plain byte buffers (the TUN and UDP backends'
+//! syscall buffers) go through the same code over a
+//! `NativeMem::with_base(buf, 0)` view — see `netback::ipv4`. Nothing
+//! fragments: the paper's largest TPDU is 1280 B + headers, well under
+//! Ethernet's 1500, and every kernel part asserts a segment fits its
+//! slot.
 
 use checksum::internet::checksum_buf;
-use memsim::region::Region;
 use memsim::Mem;
 
 /// IPv4 header length without options (we never emit options, mirroring
@@ -57,11 +59,6 @@ impl Ipv4Header {
         Ipv4Header { addr }
     }
 
-    /// The header's base address.
-    pub fn addr(&self) -> usize {
-        self.addr
-    }
-
     /// Write a complete header (checksum filled in).
     #[allow(clippy::too_many_arguments)]
     pub fn build<M: Mem>(
@@ -96,21 +93,6 @@ impl Ipv4Header {
         m.read_u16_be(self.addr + field::TOTAL_LEN) as usize
     }
 
-    /// Identification field.
-    pub fn ident<M: Mem>(&self, m: &mut M) -> u16 {
-        m.read_u16_be(self.addr + field::IDENT)
-    }
-
-    /// Fragment offset in 8-byte words.
-    pub fn frag_offset_words<M: Mem>(&self, m: &mut M) -> u16 {
-        m.read_u16_be(self.addr + field::FLAGS_FRAG) & 0x1FFF
-    }
-
-    /// Whether more fragments follow.
-    pub fn more_fragments<M: Mem>(&self, m: &mut M) -> bool {
-        m.read_u16_be(self.addr + field::FLAGS_FRAG) & MF != 0
-    }
-
     /// Time to live.
     pub fn ttl<M: Mem>(&self, m: &mut M) -> u8 {
         m.read_u8(self.addr + field::TTL)
@@ -136,6 +118,17 @@ impl Ipv4Header {
         checksum_buf(m, self.addr, IP_HEADER_LEN).finish() == 0
     }
 
+    /// The IP admission test, stated once for every receiver: the
+    /// header verifies, carries TCP, is addressed to `local_ip` (`None`
+    /// for a backend that demultiplexes for any local address) and
+    /// declares exactly the `len` bytes that arrived.
+    pub fn admits<M: Mem>(&self, m: &mut M, len: usize, local_ip: Option<u32>) -> bool {
+        self.verify(m)
+            && self.protocol(m) == PROTO_TCP
+            && local_ip.is_none_or(|ip| self.dst(m) == ip)
+            && self.total_len(m) == len
+    }
+
     /// Decrement TTL and repair the checksum incrementally (RFC 1141
     /// style — recompute here for simplicity; the hop count of a
     /// loop-back is 1 so this exists for the router-less tests).
@@ -152,119 +145,36 @@ impl Ipv4Header {
     }
 }
 
-/// One planned fragment of a datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fragment {
-    /// Payload byte offset within the original datagram.
-    pub offset: usize,
-    /// Payload bytes in this fragment.
-    pub len: usize,
-    /// Whether more fragments follow.
-    pub more: bool,
-}
-
-/// Plan the fragments of a `payload_len`-byte datagram over a link that
-/// carries at most `link_mtu` bytes of IP packet (header + payload).
-/// Fragment payloads are multiples of 8 except the last (RFC 791).
-///
-/// # Panics
-/// Panics if `link_mtu` cannot carry at least one 8-byte payload unit.
-pub fn fragment_plan(payload_len: usize, link_mtu: usize) -> Vec<Fragment> {
-    let per_frag = (link_mtu - IP_HEADER_LEN) & !7;
-    assert!(per_frag >= 8, "link MTU {link_mtu} too small to fragment into");
-    let mut out = Vec::new();
-    let mut offset = 0;
-    while offset < payload_len || (payload_len == 0 && out.is_empty()) {
-        let len = per_frag.min(payload_len - offset);
-        let more = offset + len < payload_len;
-        out.push(Fragment { offset, len, more });
-        offset += len;
-        if payload_len == 0 {
-            break;
-        }
-    }
-    out
-}
-
-/// Reassembles one datagram at a time into a caller-provided region
-/// (single-stream reassembly — the loop-back delivers in order; a full
-/// multi-flow implementation would key a table by (src, ident)).
-#[derive(Debug)]
-pub struct Reassembler {
-    buf: Region,
-    ident: Option<u16>,
-    received: usize,
-    total: Option<usize>,
-}
-
-impl Reassembler {
-    /// Reassemble into `buf`.
-    pub fn new(buf: Region) -> Self {
-        Reassembler { buf, ident: None, received: 0, total: None }
-    }
-
-    /// Accept a fragment whose IP header sits at `hdr`. Returns the
-    /// completed datagram's payload length once every byte has arrived.
-    /// Fragments of a different datagram reset the assembly (in-order
-    /// single-stream discipline).
-    pub fn push<M: Mem>(&mut self, m: &mut M, hdr: Ipv4Header) -> Option<usize> {
-        if !hdr.verify(m) {
-            return None;
-        }
-        let ident = hdr.ident(m);
-        if self.ident != Some(ident) {
-            self.ident = Some(ident);
-            self.received = 0;
-            self.total = None;
-        }
-        let payload_len = hdr.total_len(m) - IP_HEADER_LEN;
-        let offset = hdr.frag_offset_words(m) as usize * 8;
-        assert!(offset + payload_len <= self.buf.len, "fragment beyond reassembly buffer");
-        m.copy(hdr.addr() + IP_HEADER_LEN, self.buf.at(offset), payload_len);
-        self.received += payload_len;
-        if !hdr.more_fragments(m) {
-            self.total = Some(offset + payload_len);
-        }
-        match self.total {
-            Some(total) if self.received >= total => {
-                self.ident = None;
-                self.received = 0;
-                self.total = None;
-                Some(total)
-            }
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim::region::Region;
     use memsim::{AddressSpace, NativeMem};
 
-    fn with_mem(f: impl FnOnce(&mut NativeMem<'_>, Region, Region, Region)) {
+    fn with_mem(f: impl FnOnce(&mut NativeMem<'_>, Region)) {
         let mut space = AddressSpace::new();
         let pkt = space.alloc("pkt", 2048, 8);
-        let frags = space.alloc("frags", 4096, 8);
-        let out = space.alloc("out", 2048, 8);
         let mut arena = space.native_arena();
         let mut m = NativeMem::new(&mut arena);
-        f(&mut m, pkt, frags, out);
+        f(&mut m, pkt);
     }
 
     #[test]
     fn header_roundtrip_and_checksum() {
-        with_mem(|m, pkt, _, _| {
+        with_mem(|m, pkt| {
             let h = Ipv4Header::at(pkt.base);
             h.build(m, 0x0A000001, 0x0A000002, 1044, 77, 0, false, 64);
             assert_eq!(h.total_len(m), 1064);
-            assert_eq!(h.ident(m), 77);
+            assert_eq!(m.read_u16_be(pkt.at(field::IDENT)), 77);
             assert_eq!(h.ttl(m), 64);
             assert_eq!(h.protocol(m), PROTO_TCP);
             assert_eq!(h.src(m), 0x0A000001);
             assert_eq!(h.dst(m), 0x0A000002);
-            assert!(!h.more_fragments(m));
+            assert_eq!(m.read_u16_be(pkt.at(field::FLAGS_FRAG)), 0, "unfragmented");
             assert!(h.verify(m), "fresh header must verify");
+            assert!(h.admits(m, 1064, Some(0x0A000002)) && h.admits(m, 1064, None));
+            assert!(!h.admits(m, 1063, None), "declared length must match what arrived");
+            assert!(!h.admits(m, 1064, Some(0x0A000003)), "addressed elsewhere");
             // Corrupt a byte: verification must fail.
             let b = m.read_u8(pkt.at(4));
             m.write_u8(pkt.at(4), b ^ 0x10);
@@ -274,7 +184,7 @@ mod tests {
 
     #[test]
     fn ttl_decrement_repairs_checksum() {
-        with_mem(|m, pkt, _, _| {
+        with_mem(|m, pkt| {
             let h = Ipv4Header::at(pkt.base);
             h.build(m, 1, 2, 100, 1, 0, false, 3);
             assert!(h.decrement_ttl(m));
@@ -282,69 +192,6 @@ mod tests {
             assert!(h.verify(m), "checksum must be repaired");
             assert!(h.decrement_ttl(m));
             assert!(!h.decrement_ttl(m), "TTL 1 must not be forwarded");
-        });
-    }
-
-    #[test]
-    fn fragment_plan_covers_payload_in_8_byte_units() {
-        for (payload, mtu) in [(1000usize, 576usize), (1480, 576), (8, 28), (100, 68), (555, 576)] {
-            let plan = fragment_plan(payload, mtu);
-            let mut expect_offset = 0;
-            for (i, f) in plan.iter().enumerate() {
-                assert_eq!(f.offset, expect_offset);
-                assert!(f.len + IP_HEADER_LEN <= mtu);
-                if f.more {
-                    assert_eq!(f.len % 8, 0, "non-final fragments are 8-byte multiples");
-                }
-                assert_eq!(f.more, i + 1 < plan.len());
-                expect_offset += f.len;
-            }
-            assert_eq!(expect_offset, payload, "plan must cover the payload: {payload}/{mtu}");
-        }
-    }
-
-    #[test]
-    fn fragment_and_reassemble_roundtrip() {
-        with_mem(|m, pkt, frags, out| {
-            // Original payload.
-            let payload = 700usize;
-            for i in 0..payload {
-                m.write_u8(pkt.at(IP_HEADER_LEN + i), (i % 251) as u8);
-            }
-            let plan = fragment_plan(payload, 300);
-            assert!(plan.len() > 2, "several fragments expected");
-            // Write each fragment as an IP packet into the frags area.
-            let mut cursor = frags.base;
-            let mut packets = Vec::new();
-            for f in &plan {
-                let h = Ipv4Header::at(cursor);
-                h.build(m, 9, 10, f.len, 0xBEEF, (f.offset / 8) as u16, f.more, 64);
-                m.copy(pkt.at(IP_HEADER_LEN + f.offset), cursor + IP_HEADER_LEN, f.len);
-                packets.push(h);
-                cursor += (IP_HEADER_LEN + f.len + 7) & !7;
-            }
-            let mut reasm = Reassembler::new(out);
-            let mut done = None;
-            for h in packets {
-                assert!(done.is_none(), "must not complete early");
-                done = reasm.push(m, h);
-            }
-            assert_eq!(done, Some(payload));
-            for i in 0..payload {
-                assert_eq!(m.read_u8(out.at(i)), (i % 251) as u8, "byte {i}");
-            }
-        });
-    }
-
-    #[test]
-    fn reassembler_ignores_corrupt_fragment() {
-        with_mem(|m, pkt, _, out| {
-            let h = Ipv4Header::at(pkt.base);
-            h.build(m, 1, 2, 64, 5, 0, false, 64);
-            let b = m.read_u8(pkt.at(2));
-            m.write_u8(pkt.at(2), b ^ 0xFF);
-            let mut reasm = Reassembler::new(out);
-            assert_eq!(reasm.push(m, h), None);
         });
     }
 }

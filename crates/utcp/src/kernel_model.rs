@@ -47,14 +47,6 @@ impl KernelTcpModel {
             + host.driver_us * Self::DRIVER_FACTOR
             + 2.0 * host.per_packet_user_us * Self::CONTROL_FACTOR
     }
-
-    /// Per-packet system time (µs) for the *user-level* TCP
-    /// configuration on the same host, for side-by-side assembly: the
-    /// checksum pass is part of user processing there, so only the copy
-    /// and crossings appear here.
-    pub fn user_level_system_us(host: &HostModel, syscopy_us: f64) -> f64 {
-        syscopy_us + 2.0 * host.syscall_us + host.driver_us
-    }
 }
 
 #[cfg(test)]
@@ -65,7 +57,9 @@ mod tests {
     fn kernel_overhead_is_lower_than_user_level() {
         for host in HostModel::all() {
             let kernel = KernelTcpModel::system_us(&host, 50.0, 20.0);
-            let user = KernelTcpModel::user_level_system_us(&host, 50.0) + 20.0
+            // User-level placement: the same copy and checksum, the full
+            // driver charge, full-price control processing.
+            let user = 50.0 + 2.0 * host.syscall_us + host.driver_us + 20.0
                 + 2.0 * host.per_packet_user_us;
             assert!(kernel < user, "{}: kernel {kernel} vs user {user}", host.name);
         }

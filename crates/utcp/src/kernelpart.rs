@@ -24,11 +24,13 @@
 //!   decision of a run — the substrate of the deterministic simulation
 //!   tests in `crates/sim`.
 
+use crate::backend::{KernelCounters, KernelPart};
+use crate::demux::PortDemux;
 use crate::ip::{Ipv4Header, IP_HEADER_LEN};
+use crate::wire::TCP_HEADER_LEN;
 use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
 use memsim::{CodeRegion, Mem};
-use std::collections::{HashMap, VecDeque};
 
 /// Identifies a registered endpoint (index into a backend's tables).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +134,7 @@ impl FaultPlan {
 ///
 /// **Draw order contract** (what makes a seed reproducible anywhere,
 /// including outside the kernel part): for every datagram entering
-/// [`Loopback::send`] while `probs.any()`, exactly five rolls are drawn
+/// [`Loopback`]'s `send` while `probs.any()`, exactly five rolls are drawn
 /// in the order *drop, corrupt, delay, dup, reorder* — regardless of
 /// which faults are enabled or fire — plus one extra
 /// [`FaultDice::delay_ticks`] draw immediately after a delay roll hits.
@@ -201,18 +203,6 @@ struct Delayed {
     tag: Option<obs::SegTag>,
 }
 
-/// Per-endpoint state inside the kernel part.
-#[derive(Debug)]
-struct Endpoint {
-    port: u16,
-    queue: VecDeque<Datagram>,
-    /// Trace contexts in lockstep with `queue`: `tags[i]` rode beside
-    /// `queue[i]`. A side-table rather than a `Datagram` field so the
-    /// wire bytes (and the `Datagram` handle other backends produce)
-    /// stay identical whether or not tracing is on.
-    tags: VecDeque<Option<obs::SegTag>>,
-}
-
 /// The in-process loop-back network + kernel buffers.
 #[derive(Debug)]
 pub struct Loopback {
@@ -220,7 +210,8 @@ pub struct Loopback {
     slot_size: usize,
     n_slots: usize,
     next_slot: usize,
-    endpoints: Vec<Endpoint>,
+    /// Per-port receive queues.
+    demux: PortDemux,
     fault: FaultPlan,
     /// Instruction footprint of the trap/IP/driver path, executed per
     /// datagram — the code that competes with the protocol loops for the
@@ -256,30 +247,14 @@ pub struct Loopback {
     pub delayed_count: u64,
     /// Datagrams that arrived for a port nobody listens on.
     pub unroutable: u64,
-    /// High-water mark of any single endpoint's queue depth — how far
-    /// behind the slowest receiver fell. Updated O(1) on every enqueue.
-    pub max_queue: usize,
-    /// Datagrams currently sitting in endpoint queues, across all
-    /// endpoints.
-    queued: usize,
-    /// High-water mark of `queued`. Slots recycle round-robin, so once
-    /// this reaches `n_slots` a queued datagram may have been
-    /// overwritten in place — the saturation signal the health engine's
-    /// queue detector keys on.
-    pub peak_queued: usize,
-    /// Datagrams handed out by [`Loopback::recv`].
+    /// Datagrams handed out by `recv_into`.
     pub received: u64,
-    /// Trace context armed for the next [`Loopback::send`] (out-of-band
-    /// segment-trace propagation; see `crate::backend::KernelPart`).
+    /// Trace context armed for the next `send` (out-of-band
+    /// segment-trace propagation; see [`KernelPart::set_send_ctx`]).
     send_ctx: Option<obs::SegTag>,
-    /// Trace context that rode beside the last datagram [`Loopback::recv`]
-    /// handed out, awaiting [`Loopback::take_recv_ctx`].
+    /// Trace context that rode beside the last datagram `recv_into`
+    /// handed out, awaiting `take_recv_ctx`.
     last_ctx: Option<obs::SegTag>,
-    /// Port → endpoint index. With two endpoints (the paper's loop-back
-    /// pair) a linear scan is fine; a server multiplexing hundreds of
-    /// connections demultiplexes thousands of datagrams per transfer,
-    /// so lookup is O(1).
-    by_port: HashMap<u16, usize>,
 }
 
 /// Default kernel slot size: room for header + the largest paper TPDU.
@@ -317,7 +292,7 @@ impl Loopback {
             slot_size: DEFAULT_SLOT,
             n_slots,
             next_slot: 0,
-            endpoints: Vec::new(),
+            demux: PortDemux::default(),
             fault: FaultPlan::default(),
             code_os,
             os_data,
@@ -331,44 +306,15 @@ impl Loopback {
             reordered: 0,
             delayed_count: 0,
             unroutable: 0,
-            max_queue: 0,
-            queued: 0,
-            peak_queued: 0,
             received: 0,
             send_ctx: None,
             last_ctx: None,
-            by_port: HashMap::new(),
         }
     }
 
     /// Number of kernel buffer slots in the pool.
     pub fn n_slots(&self) -> usize {
         self.n_slots
-    }
-
-    /// Register a listening port; returns the endpoint handle.
-    pub fn register(&mut self, port: u16) -> EndpointId {
-        assert!(!self.by_port.contains_key(&port), "port {port} already registered");
-        self.endpoints.push(Endpoint { port, queue: VecDeque::new(), tags: VecDeque::new() });
-        let id = self.endpoints.len() - 1;
-        self.by_port.insert(port, id);
-        EndpointId(id)
-    }
-
-    /// Release a port registration so a later [`Loopback::register`]
-    /// can reuse the port. The endpoint slot itself is retained —
-    /// outstanding [`EndpointId`] handles stay valid for draining
-    /// whatever was queued before the release — but the demultiplexer
-    /// forgets the port, so new arrivals count as unroutable until the
-    /// port is registered again. Unregistering a port that is not
-    /// registered is a no-op (teardown is idempotent).
-    pub fn unregister(&mut self, port: u16) {
-        self.by_port.remove(&port);
-    }
-
-    /// The port an endpoint was registered on.
-    pub fn port_of(&self, id: EndpointId) -> u16 {
-        self.endpoints[id.0].port
     }
 
     /// Install a fault plan (tests only). Re-seeds the probabilistic
@@ -384,18 +330,72 @@ impl Loopback {
         self.sent
     }
 
-    /// Arm the out-of-band trace context for the next [`Loopback::send`].
-    /// The tag rides in the side-table beside the datagram — never in
-    /// the wire bytes — and is consumed by that send whether the
-    /// datagram is delivered, dropped, delayed or duplicated.
-    pub fn set_send_ctx(&mut self, ctx: Option<obs::SegTag>) {
-        self.send_ctx = ctx;
+    /// Enqueue a datagram at its destination port, applying the
+    /// duplicate/reorder verdicts. `tag` is the trace context riding
+    /// beside the datagram; it stays in lockstep with the queue through
+    /// duplication (both copies carry it) and reordering (the swap
+    /// swaps both queues).
+    fn deliver(
+        &mut self,
+        datagram: Datagram,
+        dst_port: u16,
+        dup: bool,
+        reorder: bool,
+        tag: Option<obs::SegTag>,
+    ) {
+        let Some(id) = self.demux.route(dst_port) else {
+            self.unroutable += 1;
+            return;
+        };
+        self.demux.push(id, datagram, tag);
+        if dup {
+            self.demux.push(id, datagram, tag);
+            self.duplicated += 1;
+        }
+        if reorder && self.demux.swap_newest(id) {
+            self.reordered += 1;
+        }
     }
 
-    /// Take the trace context that rode beside the last datagram
-    /// [`Loopback::recv`] handed out (consuming).
-    pub fn take_recv_ctx(&mut self) -> Option<obs::SegTag> {
-        self.last_ctx.take()
+    /// Move every delay-fault datagram whose hold expired into its
+    /// destination queue. Release is driven by send events only: a
+    /// delayed datagram stays held until *something* else enters the
+    /// kernel part — and something always does, because an unacked
+    /// segment keeps the sender's RTO firing, so delay can slow a
+    /// transfer but never deadlock it.
+    fn release_due(&mut self) {
+        if self.delayed.is_empty() {
+            return;
+        }
+        let now = self.sent;
+        let mut i = 0;
+        while i < self.delayed.len() {
+            if self.delayed[i].due <= now {
+                let d = self.delayed.swap_remove(i);
+                self.deliver(d.datagram, d.dst_port, false, false, d.tag);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Datagrams currently held back by the delay fault.
+    pub fn delayed_pending(&self) -> usize {
+        self.delayed.len()
+    }
+}
+
+impl KernelPart for Loopback {
+    fn register(&mut self, port: u16) -> EndpointId {
+        self.demux.register(port)
+    }
+
+    /// The endpoint slot is retained — outstanding [`EndpointId`]
+    /// handles stay valid for draining whatever was queued before the
+    /// release — but new arrivals count as unroutable until the port is
+    /// registered again.
+    fn unregister(&mut self, port: u16) {
+        self.demux.unregister(port);
     }
 
     /// Send a segment: the **send-side system copy** of header + payload
@@ -403,8 +403,7 @@ impl Loopback {
     /// messages received from the user-level TCP to IP"), then
     /// demultiplexing into the destination port's queue. `payload_len`
     /// may be zero (pure ACK).
-    #[allow(clippy::too_many_arguments)]
-    pub fn send<M: Mem>(
+    fn send<M: Mem>(
         &mut self,
         m: &mut M,
         src_ip: u32,
@@ -415,7 +414,7 @@ impl Loopback {
         payload_len: usize,
     ) {
         let ctx = self.send_ctx.take();
-        let tcp_total = crate::wire::TCP_HEADER_LEN + payload_len;
+        let tcp_total = TCP_HEADER_LEN + payload_len;
         let total = IP_HEADER_LEN + tcp_total;
         assert!(total <= self.slot_size, "segment exceeds kernel slot / link MTU");
         let slot = self.slots.at(self.next_slot * self.slot_size);
@@ -426,9 +425,9 @@ impl Loopback {
         let ident = self.next_ident;
         self.next_ident = self.next_ident.wrapping_add(1);
         Ipv4Header::at(slot).build(m, src_ip, dst_ip, tcp_total, ident, 0, false, 64);
-        m.copy(hdr_addr, slot + IP_HEADER_LEN, crate::wire::TCP_HEADER_LEN);
+        m.copy(hdr_addr, slot + IP_HEADER_LEN, TCP_HEADER_LEN);
         if payload_len > 0 {
-            m.copy(payload_addr, slot + IP_HEADER_LEN + crate::wire::TCP_HEADER_LEN, payload_len);
+            m.copy(payload_addr, slot + IP_HEADER_LEN + TCP_HEADER_LEN, payload_len);
         }
         m.compute(30); // trap/syscall bookkeeping, not modelled per-access
         m.fetch(self.code_os);
@@ -464,7 +463,7 @@ impl Loopback {
             // Flip one bit in the middle of the TPDU payload — past both
             // headers, so the IP header still verifies and the damage is
             // the TCP checksum's to catch.
-            let addr = slot + IP_HEADER_LEN + crate::wire::TCP_HEADER_LEN + payload_len / 2;
+            let addr = slot + IP_HEADER_LEN + TCP_HEADER_LEN + payload_len / 2;
             m.phase_push(memsim::mem::PhaseTag::System);
             let b = m.read_u8(addr);
             m.write_u8(addr, b ^ 0x04);
@@ -491,93 +490,47 @@ impl Loopback {
         );
     }
 
-    /// Enqueue a datagram at its destination port, applying the
-    /// duplicate/reorder verdicts. `tag` is the trace context riding
-    /// beside the datagram; it stays in lockstep with the queue through
-    /// duplication (both copies carry it) and reordering (the swap
-    /// swaps both queues).
-    fn deliver(
-        &mut self,
-        datagram: Datagram,
-        dst_port: u16,
-        dup: bool,
-        reorder: bool,
-        tag: Option<obs::SegTag>,
-    ) {
-        let Some(endpoint) = self.by_port.get(&dst_port).map(|&i| &mut self.endpoints[i]) else {
-            self.unroutable += 1;
-            return;
-        };
-        endpoint.queue.push_back(datagram);
-        endpoint.tags.push_back(tag);
-        self.queued += 1;
-        if dup {
-            endpoint.queue.push_back(datagram);
-            endpoint.tags.push_back(tag);
-            self.queued += 1;
-            self.duplicated += 1;
-        }
-        if reorder {
-            let qlen = endpoint.queue.len();
-            if qlen >= 2 {
-                endpoint.queue.swap(qlen - 1, qlen - 2);
-                endpoint.tags.swap(qlen - 1, qlen - 2);
-                self.reordered += 1;
-            }
-        }
-        self.max_queue = self.max_queue.max(endpoint.queue.len());
-        self.peak_queued = self.peak_queued.max(self.queued);
+    fn recv_into<M: Mem>(&mut self, _m: &mut M, id: EndpointId) -> Option<Datagram> {
+        let (datagram, tag) = self.demux.pop(id)?;
+        self.last_ctx = tag;
+        self.received += 1;
+        Some(datagram)
     }
 
-    /// Move every delay-fault datagram whose hold expired into its
-    /// destination queue. Release is driven by send events only: a
-    /// delayed datagram stays held until *something* else enters the
-    /// kernel part — and something always does, because an unacked
-    /// segment keeps the sender's RTO firing, so delay can slow a
-    /// transfer but never deadlock it.
-    fn release_due(&mut self) {
-        if self.delayed.is_empty() {
-            return;
-        }
-        let now = self.sent;
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].due <= now {
-                let d = self.delayed.swap_remove(i);
-                self.deliver(d.datagram, d.dst_port, false, false, d.tag);
-            } else {
-                i += 1;
-            }
+    fn pending(&self, id: EndpointId) -> usize {
+        self.demux.pending(id)
+    }
+
+    fn counters(&self) -> KernelCounters {
+        KernelCounters {
+            sent: self.sent,
+            received: self.received,
+            dropped: self.dropped,
+            corrupted: self.corrupted,
+            unroutable: self.unroutable,
+            would_block: 0,
+            codec_rejects: 0,
+            queue_peak: self.demux.peak_queued() as u64,
+            queue_capacity: self.n_slots as u64,
         }
     }
 
-    /// Datagrams currently held back by the delay fault.
-    pub fn delayed_pending(&self) -> usize {
-        self.delayed.len()
+    /// The tag rides in the demultiplexer's side-table beside the
+    /// datagram — never in the wire bytes — and is consumed by the next
+    /// `send` whether the datagram is delivered, dropped, delayed or
+    /// duplicated.
+    fn set_send_ctx(&mut self, ctx: Option<obs::SegTag>) {
+        self.send_ctx = ctx;
     }
 
-    /// Dequeue the next datagram for an endpoint, if any.
-    pub fn recv(&mut self, id: EndpointId) -> Option<Datagram> {
-        let ep = &mut self.endpoints[id.0];
-        let d = ep.queue.pop_front();
-        if d.is_some() {
-            self.last_ctx = ep.tags.pop_front().flatten();
-            self.queued -= 1;
-            self.received += 1;
-        }
-        d
-    }
-
-    /// Number of datagrams waiting for an endpoint.
-    pub fn pending(&self, id: EndpointId) -> usize {
-        self.endpoints[id.0].queue.len()
+    fn take_recv_ctx(&mut self) -> Option<obs::SegTag> {
+        self.last_ctx.take()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::TCP_HEADER_LEN;
     use memsim::NativeMem;
 
     fn fixture() -> (AddressSpace, Loopback, Region) {
@@ -600,7 +553,7 @@ mod tests {
             m.write_u8(user.at(64 + i), 0xA0 + i as u8);
         }
         lb.send(&mut m, 1, 2, 80, user.at(0), user.at(64), 8);
-        let d = lb.recv(rx).expect("delivered");
+        let d = lb.recv_into(&mut m, rx).expect("delivered");
         assert_eq!(d.len, IP_HEADER_LEN + TCP_HEADER_LEN + 8);
         // IP header first, then the TCP header bytes, then the payload.
         let ip = Ipv4Header::at(d.addr);
@@ -611,7 +564,12 @@ mod tests {
             m.bytes(d.addr + IP_HEADER_LEN + TCP_HEADER_LEN, 8),
             &[0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6, 0xA7]
         );
-        assert!(lb.recv(rx).is_none());
+        assert!(lb.recv_into(&mut m, rx).is_none());
+        let c = lb.counters();
+        assert_eq!((c.sent, c.received, c.queue_peak), (1, 1, 1));
+        assert_eq!(c.queue_capacity, 64, "default slot pool");
+        assert_eq!((c.dropped, c.corrupted, c.unroutable), (0, 0, 0), "no faults");
+        assert_eq!((c.would_block, c.codec_rejects), (0, 0), "loop-back queues are exact");
     }
 
     #[test]
@@ -622,6 +580,7 @@ mod tests {
         let mut m = NativeMem::new(&mut arena);
         lb.send(&mut m, 1, 2, 81, user.at(0), user.at(64), 0);
         assert_eq!(lb.unroutable, 1);
+        assert_eq!(lb.counters().unroutable, 1);
     }
 
     #[test]
@@ -659,7 +618,7 @@ mod tests {
             l2.send(&mut m2, 1, 2, 90, u2.at(0), u2.at(64), 0);
             m2.write_u8(u2.at(0), 2);
             l2.send(&mut m2, 1, 2, 90, u2.at(0), u2.at(64), 0);
-            let first = l2.recv(r2).unwrap();
+            let first = l2.recv_into(&mut m2, r2).unwrap();
             // Reordered: the second-sent datagram comes out first.
             assert_eq!(m2.bytes(first.addr + IP_HEADER_LEN, 1)[0], 2);
             l2
@@ -696,8 +655,8 @@ mod tests {
         lb.send(&mut m, 1, 2, 80, user.at(0), user.at(64), 16);
         lb.send(&mut m, 1, 2, 80, user.at(0), user.at(64), 16);
         assert_eq!(lb.corrupted, 1);
-        let clean = lb.recv(rx).unwrap();
-        let dirty = lb.recv(rx).unwrap();
+        let clean = lb.recv_into(&mut m, rx).unwrap();
+        let dirty = lb.recv_into(&mut m, rx).unwrap();
         let payload = |d: &Datagram, m: &mut NativeMem<'_>| {
             m.bytes(d.addr + IP_HEADER_LEN + TCP_HEADER_LEN, 16).to_vec()
         };
@@ -814,12 +773,12 @@ mod tests {
         let mut addrs = std::collections::HashSet::new();
         for _ in 0..DEFAULT_SLOTS {
             lb.send(&mut m, 1, 2, 80, user.at(0), user.at(64), 0);
-            addrs.insert(lb.recv(rx).unwrap().addr);
+            addrs.insert(lb.recv_into(&mut m, rx).unwrap().addr);
         }
         assert_eq!(addrs.len(), DEFAULT_SLOTS);
         // The next send reuses the first slot.
         lb.send(&mut m, 1, 2, 80, user.at(0), user.at(64), 0);
-        assert!(addrs.contains(&lb.recv(rx).unwrap().addr));
+        assert!(addrs.contains(&lb.recv_into(&mut m, rx).unwrap().addr));
     }
 
     #[test]

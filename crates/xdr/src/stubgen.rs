@@ -4,7 +4,7 @@
 //! marshalling routines "generated using the MAVROS ASN.1 stub compiler"
 //! (§3.1); §2.1 notes that generated code is one way to integrate layers
 //! without destroying modularity. The Rust equivalent is compile-time
-//! code generation: the [`ilp_messages!`] macro expands a declarative
+//! code generation: the [`ilp_messages!`](crate::ilp_messages) macro expands a declarative
 //! message description into a struct with `marshal`, `unmarshal` and
 //! `wire_len` methods built from the [`XdrField`] vocabulary.
 //!

@@ -42,6 +42,13 @@ if grep -rnE 'fn [a-z_]+_(obs|observed)\b' crates/ \
     echo "one entry point per operation, one bench binary (src/main.rs), report shapes in its table"
     exit 1
 fi
+# Loopback's datagram API is its KernelPart impl (trait methods carry no
+# `pub`), and one port demultiplexer serves every kernel part.
+if grep -nE '^\s*pub fn (send|register)\b' crates/utcp/src/kernelpart.rs \
+    || [ "$(grep -rn 'struct Endpoint\b' crates/ | wc -l)" -ne 1 ]; then
+    echo "no inherent send/register on Loopback; struct Endpoint lives in utcp::demux alone"
+    exit 1
+fi
 
 echo "== tests =="
 cargo test -q --offline
@@ -54,6 +61,12 @@ cargo clippy --offline --all-targets -- -D warnings
 
 echo "== clippy: netback with the TUN backend compiled in =="
 cargo clippy --offline -p netback --features tun --all-targets -- -D warnings
+
+echo "== tests: netback with the TUN backend (device tests skip without /dev/net/tun) =="
+cargo test -q --offline -p netback --features tun
+
+echo "== docs: no broken intra-doc links =="
+RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" cargo doc --offline --no-deps --workspace -q
 
 echo "== observability: the observed server writes the report the observe row gates =="
 cargo run -q --release --offline --example observe
