@@ -7,15 +7,12 @@
 //! as the hardware allows" goal actually needs: real wall-clock time of
 //! the parallel section (world construction → join → verification) as
 //! the same connection population is split over 1 → 8 OS threads.
-//! Two effects contribute:
-//!
-//! * genuine core parallelism, on hosts that have it (recorded as
-//!   `host_threads` in the report so a single-core CI box is not read
-//!   as a multi-core result);
-//! * per-shard work reduction even on one core: each scheduling round
-//!   scans the shard's ready set per pick, so a shard serving `n/S`
-//!   connections does ~`1/S²` of the scan work per round — sharding is
-//!   an algorithmic win before it is a parallelism win.
+//! What can show is genuine core parallelism, on hosts that have it
+//! (recorded as `host_threads` in the report so a single-core CI box is
+//! not read as a multi-core result). On one core there is nothing for
+//! sharding to win: a scheduling round scans its connections once
+//! whatever their number, so `S` shards of `n/S` do the work of one
+//! shard of `n`.
 //!
 //! Every point takes the best of [`REPS`] repetitions (minimum wall
 //! time — the usual benchmarking estimator for a noisy shared host) and
@@ -132,8 +129,8 @@ pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     println!(
         "\n(native memory world, ILP path, round-robin per shard, best of\n\
          {REPS} reps; speedup is against the 1-shard run of the same\n\
-         population — expect ~1.0x columns on a single-core host, where\n\
-         only the smaller per-shard ready scans help)"
+         population — expect ~1.0x columns on a single-core host: a\n\
+         round scans its connections once, so shards save no work)"
     );
 
     Ok(Some(Json::obj()

@@ -17,6 +17,15 @@ const DATA_BASE: usize = 0x1_0000;
 /// Base address of the text segment (never overlaps data).
 const TEXT_BASE: usize = 0x100_0000;
 
+/// Native arenas from this size up are given a memory mapping of their
+/// own (the size from which glibc maps a *first* request).
+const MAPPED_FROM: usize = 128 << 10;
+
+/// What such an arena reserves: just over the 32 MiB at which glibc's
+/// sliding mmap threshold stops, so the request is mapped however many
+/// arenas of that size the process has freed before.
+const MAPPED_RESERVE: usize = (32 << 20) + 4096;
+
 /// Builder and registry for the simulated process image.
 ///
 /// Allocate every buffer and table the protocol stack needs up front, then
@@ -115,8 +124,24 @@ impl AddressSpace {
     /// A plain byte vector sized for the data arena, indexable by simulated
     /// address minus [`Self::data_base`]. [`crate::NativeMem`] adds the
     /// offset back, so kernels use identical addresses in both worlds.
+    ///
+    /// A process that builds world after world (every benchmark pair,
+    /// every sweep point) frees one multi-megabyte arena and asks for the
+    /// next. Left to `malloc` the second and later ones are carved from
+    /// the heap, where one small allocation landing in the freed arena's
+    /// place sends the next arena to fresh memory and leaves the old
+    /// pages resident — peak RSS doubles by heap-layout accident. So a
+    /// large arena reserves (never touches) enough address space that
+    /// the allocator maps it separately and returns it to the system when
+    /// it is dropped; resident memory is the pages a world wrote, once.
     pub fn native_arena(&self) -> Vec<u8> {
-        vec![0u8; self.data_size()]
+        let len = self.data_size();
+        if len < MAPPED_FROM {
+            return vec![0u8; len];
+        }
+        let mut arena = vec![0u8; len.max(MAPPED_RESERVE)];
+        arena.truncate(len);
+        arena
     }
 }
 
@@ -182,6 +207,17 @@ mod tests {
         let r = space.alloc("r", 1000, 16);
         let arena = space.native_arena();
         assert!(arena.len() >= r.end() - space.data_base());
+    }
+
+    #[test]
+    fn a_large_native_arena_is_exactly_the_data_and_reserves_its_own_mapping() {
+        let mut space = AddressSpace::new();
+        let r = space.alloc("files", 3 * MAPPED_FROM, 64);
+        let arena = space.native_arena();
+        assert_eq!(arena.len(), space.data_size());
+        assert_eq!(arena.len(), r.end() - space.data_base());
+        assert!(arena.capacity() >= MAPPED_RESERVE);
+        assert!(arena.iter().all(|&b| b == 0));
     }
 
     #[test]

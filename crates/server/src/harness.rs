@@ -5,9 +5,11 @@
 //!
 //! 1. unestablished clients (re-)send SYNs; the server accepts and
 //!    answers; clients complete their handshakes;
-//! 2. the scheduler picks ready connections and the server runs one
-//!    pipeline instance (ILP or non-ILP) per pick, until flow control
-//!    or the per-round burst bound stops it;
+//! 2. the harness scans the table once for the ready connections, the
+//!    scheduler picks among them and the server runs one pipeline
+//!    instance (ILP or non-ILP) per pick — a served connection that
+//!    stopped being ready leaves the set, nobody else is looked at
+//!    again — until flow control or the per-round burst bound stops it;
 //! 3. every client drains its data endpoint through its receive
 //!    pipeline;
 //! 4. the server drains ACKs and advances each connection's
@@ -285,6 +287,9 @@ pub struct ScaleHarness<C, K: KernelPart = Loopback> {
     hs_scratch: Region,
     /// Per-connection delivered bytes at the first completion.
     snapshot: Option<Vec<u64>>,
+    /// This round's ready set (ascending ids), reused round after round
+    /// so scheduling allocates nothing.
+    ready: Vec<ConnId>,
 }
 
 impl ScaleHarness<SimplifiedSafer> {
@@ -400,6 +405,7 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
             listen_ep,
             scratch,
             clock: VirtualClock::new(),
+            ready: Vec::with_capacity(cfg.n_conns),
             cfg,
             hs_scratch,
             snapshot: None,
@@ -625,8 +631,19 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
         }
     }
 
+    /// Whether `s` has a chunk left to hand over and its transport would
+    /// take that chunk right now — membership of the ready set.
+    fn sendable(s: &Session) -> bool {
+        s.has_work()
+            && s.next_meta().is_some_and(|(meta, _)| s.tx.can_send(meta.padded_len(C::UNIT)))
+    }
+
     /// Step 2: scheduler-driven sends until nobody is ready (or the
-    /// per-round burst bound trips).
+    /// per-round burst bound trips). The ready set is computed once,
+    /// into the buffer the harness keeps for it, and then maintained: a
+    /// served connection that stopped being ready is removed, nothing
+    /// else is re-examined. That is the ascending, duplicate-free slice
+    /// [`Scheduler::pick`] requires.
     #[allow(clippy::too_many_arguments)]
     fn drive_sends<M: Mem, O: SpanObserver>(
         &mut self,
@@ -638,26 +655,19 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
         obs: &mut O,
         st: &mut ObsState,
     ) {
+        // The one scan of the round. Until `settle_round` consumes ACKs
+        // nothing moves a window, a ring tail or a session state except
+        // a connection's own send, so from here on only the connection
+        // just served is looked at again.
+        self.ready.clear();
+        self.ready.extend(self.table.ids().filter(|&id| Self::sendable(self.table.get(id))));
+        if O::ENABLED {
+            // One depth sample per round, before the scheduler eats
+            // into the ready set.
+            obs.sample(Metric::ReadyQueueDepth, self.ready.len() as u64);
+        }
         let mut burst = 0usize;
-        let mut first_pick = true;
-        loop {
-            let ready: Vec<ConnId> = self
-                .table
-                .ids()
-                .filter(|&id| {
-                    let s = self.table.get(id);
-                    s.has_work()
-                        && s.next_meta()
-                            .is_some_and(|(meta, _)| s.tx.can_send(meta.padded_len(C::UNIT)))
-                })
-                .collect();
-            if O::ENABLED && first_pick {
-                // One depth sample per round, before the scheduler eats
-                // into the ready set.
-                obs.sample(Metric::ReadyQueueDepth, ready.len() as u64);
-                first_pick = false;
-            }
-            let Some(id) = sched.pick(&ready) else { break };
+        while let Some(id) = sched.pick(&self.ready) {
             let sess = self.table.get_mut(id);
             let (meta, addr) = sess.next_meta().expect("ready implies work");
             let k = &mut observed(&mut self.lb, obs, path_label(path));
@@ -671,6 +681,12 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
                     sess.next_chunk += 1;
                     let granted =
                         (sess.next_chunk < sess.chunks_total()).then_some(sess.next_chunk as u32);
+                    if !Self::sendable(sess) {
+                        // Removing in place keeps the set ascending.
+                        if let Ok(at) = self.ready.binary_search_by_key(&id.0, |c| c.0) {
+                            self.ready.remove(at);
+                        }
+                    }
                     sched.charge(id, padded);
                     if O::ENABLED {
                         obs.count(Counter::ChunksSent, 1);

@@ -1,9 +1,12 @@
 //! Send scheduling across connections.
 //!
-//! Each scheduling round the harness computes the set of *ready*
+//! Once per scheduling round the harness computes the set of *ready*
 //! connections — established, chunks remaining, transport willing to
-//! accept a segment — and asks the scheduler which one gets the next
-//! pipeline run. Two policies:
+//! accept a segment — and then asks the scheduler, pick after pick,
+//! which one gets the next pipeline run, dropping a connection from the
+//! set when its own send made it unready. The set is handed over
+//! ascending by id and duplicate-free, so a pick is a binary search for
+//! the cursor rather than a scan. Two policies:
 //!
 //! * [`RoundRobin`] — equal turns, the classic server event loop.
 //! * [`DeficitRoundRobin`] — Shreedhar & Varghese's deficit round-robin
@@ -21,10 +24,24 @@ pub trait Scheduler {
 
     /// Pick one of `ready` (never an id outside it); `None` iff `ready`
     /// is empty.
+    ///
+    /// `ready` must be ascending by id with no duplicates — the cyclic
+    /// order the policies serve in is then a rotation of the slice, found
+    /// by binary search. Both policies here `debug_assert!` it.
     fn pick(&mut self, ready: &[ConnId]) -> Option<ConnId>;
 
     /// Account `bytes` of link usage to `conn` after a send.
     fn charge(&mut self, conn: ConnId, bytes: usize);
+}
+
+/// Where the cyclic order starting at `cursor` begins in `ready`: ids
+/// `ready[i..]` are at or after the cursor, `ready[..i]` wrapped round.
+fn rotation(cursor: u32, ready: &[ConnId]) -> usize {
+    debug_assert!(
+        ready.windows(2).all(|w| w[0].0 < w[1].0),
+        "Scheduler::pick needs an ascending, duplicate-free ready set"
+    );
+    ready.partition_point(|c| c.0 < cursor)
 }
 
 /// Equal-turn round-robin over the ready set.
@@ -39,9 +56,10 @@ impl RoundRobin {
         Self::default()
     }
 
-    /// The ready id closest after the cursor, cyclically.
+    /// The ready id closest after the cursor, cyclically: the first id
+    /// at or after it, else (every id is below it) the lowest.
     fn next_from(cursor: u32, ready: &[ConnId]) -> Option<ConnId> {
-        ready.iter().copied().min_by_key(|c| c.0.wrapping_sub(cursor))
+        ready.get(rotation(cursor, ready)).or(ready.first()).copied()
     }
 }
 
@@ -103,10 +121,9 @@ impl Scheduler for DeficitRoundRobin {
         // several top-ups can be needed before credit turns positive;
         // each adds ≥ quantum to every ready connection, so the loop
         // terminates.
-        let mut order: Vec<ConnId> = ready.to_vec();
-        order.sort_by_key(|c| c.0.wrapping_sub(self.cursor));
+        let (wrapped, ahead) = ready.split_at(rotation(self.cursor, ready));
         loop {
-            for &c in &order {
+            for &c in ahead.iter().chain(wrapped) {
                 if self.deficits[c.index()] > 0 {
                     self.cursor = c.0.wrapping_add(1);
                     return Some(c);
@@ -258,6 +275,116 @@ mod tests {
             assert!(ready.contains(&c), "picked id must come from the ready set");
             drr.charge(c, 1 + rng.below(4096) as usize);
         }
+    }
+
+    /// A random ascending subset of `0..n`: dense, sparse or a single id
+    /// by turns, so empty sets and singletons are routine, not rare.
+    fn random_ready(rng: &mut Rng, n: u32) -> Vec<ConnId> {
+        let mask = match rng.below(4) {
+            0 => rng.next(),
+            1 => rng.next() | rng.next(),
+            2 => rng.next() & rng.next() & rng.next(),
+            _ => 1 << rng.below(64),
+        };
+        (0..n).filter(|i| mask & (1 << i) != 0).map(ConnId).collect()
+    }
+
+    /// A cursor anywhere a run can leave one (`0..=n`), or anywhere at
+    /// all.
+    fn random_cursor(rng: &mut Rng, n: u32) -> u32 {
+        if rng.below(8) == 0 {
+            rng.next() as u32
+        } else {
+            rng.below(u64::from(n) + 1) as u32
+        }
+    }
+
+    /// `RoundRobin::next_from` as it was while `pick` accepted any
+    /// slice: scan for the smallest cyclic distance from the cursor.
+    fn scan_next_from(cursor: u32, ready: &[ConnId]) -> Option<ConnId> {
+        ready.iter().copied().min_by_key(|c| c.0.wrapping_sub(cursor))
+    }
+
+    /// `DeficitRoundRobin::pick` as it was while `pick` accepted any
+    /// slice: clone the ready set and sort it into cyclic order.
+    fn scan_drr_pick(drr: &mut DeficitRoundRobin, ready: &[ConnId]) -> Option<ConnId> {
+        if ready.is_empty() {
+            return None;
+        }
+        let mut order: Vec<ConnId> = ready.to_vec();
+        order.sort_by_key(|c| c.0.wrapping_sub(drr.cursor));
+        loop {
+            for &c in &order {
+                if drr.deficits[c.index()] > 0 {
+                    drr.cursor = c.0.wrapping_add(1);
+                    return Some(c);
+                }
+            }
+            for c in ready {
+                drr.deficits[c.index()] +=
+                    i64::from(drr.quantum) * i64::from(drr.weights[c.index()]);
+            }
+        }
+    }
+
+    #[test]
+    fn round_robin_pick_equals_the_scan_it_replaced() {
+        let mut rng = Rng(0x5EED_0F0A_11CE_2026);
+        let (mut empties, mut singletons, mut wraps) = (0, 0, 0);
+        for trial in 0..10_000 {
+            let n = rng.below(65) as u32;
+            let ready = random_ready(&mut rng, n);
+            let cursor = random_cursor(&mut rng, n);
+            let want = scan_next_from(cursor, &ready);
+            let mut rr = RoundRobin { cursor };
+            assert_eq!(rr.pick(&ready), want, "trial {trial}: cursor {cursor}, ready {ready:?}");
+            assert_eq!(rr.cursor, want.map_or(cursor, |c| c.0 + 1), "trial {trial}");
+            empties += usize::from(ready.is_empty());
+            singletons += usize::from(ready.len() == 1);
+            wraps += usize::from(want.is_some_and(|c| c.0 < cursor));
+        }
+        // The cases a rotation can get wrong were all exercised.
+        assert!(empties > 100 && singletons > 100 && wraps > 100, "{empties} {singletons} {wraps}");
+    }
+
+    #[test]
+    fn drr_pick_equals_the_clone_and_sort_it_replaced() {
+        // Two schedulers from the same weights and quantum, one picking
+        // by rotation and one by the old clone-and-sort, are shown the
+        // same ready sets and charged the same costs: picks, cursors and
+        // every carried deficit must agree after every step.
+        let mut rng = Rng(0x0D0C_57A7_E0DD_5EED);
+        let mut picks = 0;
+        for world in 0..100 {
+            let n = 1 + rng.below(64) as u32;
+            let weights: Vec<u32> = (0..n).map(|_| rng.below(9) as u32).collect(); // 0..=8
+            let quantum = 1 + rng.below(2000) as u32;
+            let mut drr = DeficitRoundRobin::new(weights.clone(), quantum);
+            let mut scan = DeficitRoundRobin::new(weights, quantum);
+            drr.cursor = random_cursor(&mut rng, n);
+            scan.cursor = drr.cursor;
+            for step in 0..100 {
+                let ready = random_ready(&mut rng, n);
+                let got = drr.pick(&ready);
+                assert_eq!(got, scan_drr_pick(&mut scan, &ready), "world {world} step {step}");
+                if let Some(c) = got {
+                    let cost = 1 + rng.below(6000) as usize;
+                    drr.charge(c, cost);
+                    scan.charge(c, cost);
+                    picks += 1;
+                }
+                assert_eq!(drr.cursor, scan.cursor, "world {world} step {step}");
+                assert_eq!(drr.deficits, scan.deficits, "world {world} step {step}");
+            }
+        }
+        assert!(picks > 5_000, "only {picks} of 10 000 ready sets were non-empty");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ascending, duplicate-free")]
+    fn pick_rejects_a_ready_set_out_of_order() {
+        RoundRobin::new().pick(&ids(&[2, 1]));
     }
 
     #[test]

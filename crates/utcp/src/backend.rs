@@ -95,9 +95,10 @@ pub trait KernelPart {
     /// Release a listening port so a later `register` can reuse it —
     /// the final step of connection teardown once the lifecycle machine
     /// reaches `Closed`. Datagrams already queued on the endpoint stay
-    /// readable through the old handle; *new* arrivals for the port
-    /// count as unroutable. The default is a no-op for backends whose
-    /// demultiplexing is fixed at bind time.
+    /// readable through the old handle until the port is registered
+    /// again; *new* arrivals for the port count as unroutable. The
+    /// default is a no-op for backends whose demultiplexing is fixed at
+    /// bind time.
     fn unregister(&mut self, port: u16) {
         let _ = port;
     }

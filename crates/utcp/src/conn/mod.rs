@@ -331,7 +331,9 @@ impl Connection {
     /// memory regions — the churn primitive. The arena is fixed after
     /// construction, so reuse must not allocate: every region (ring,
     /// staging, TCB, hold slots) is recycled and the local port is
-    /// re-registered with the kernel part, yielding a fresh endpoint.
+    /// re-registered with the kernel part, which re-arms the port's one
+    /// endpoint — emptied, its queue buffers kept (see
+    /// [`PortDemux::register`](crate::demux::PortDemux::register)).
     /// Every part is rebuilt by the constructor [`Connection::new`]
     /// used; see [`Connection`] for what survives. Call
     /// [`Connection::set_peer_iss`] afterwards, as at construction.

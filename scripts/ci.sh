@@ -10,8 +10,8 @@ cargo build --release --offline
 echo "== frozen consumer: the benchmark must compile against the public API, unchanged =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== native path: every delivered byte verified through both stacks, fault-free and under faults =="
-for workload in bulk lossy; do
+echo "== native path: every delivered byte verified through both stacks — fault-free, under faults, and 1024 connections in handshake/teardown waves =="
+for workload in bulk lossy fanin; do
     out=$(./benchmark/target/release/ilpbench --workload "$workload" --seconds 3 --trace 0)
     if grep -q INVALID <<<"$out" || ! grep -qx 'ops_failed 0' <<<"$out"; then
         tail -n 20 <<<"$out"
@@ -47,6 +47,15 @@ fi
 if grep -nE '^\s*pub fn (send|register)\b' crates/utcp/src/kernelpart.rs \
     || [ "$(grep -rn 'struct Endpoint\b' crates/ | wc -l)" -ne 1 ]; then
     echo "no inherent send/register on Loopback; struct Endpoint lives in utcp::demux alone"
+    exit 1
+fi
+
+# A scheduling round scans once: the harness maintains its ready set,
+# the schedulers rotate it. The scan, clone and sort they replaced live
+# on as references in sched.rs's test module only.
+if sed '/#\[cfg(test)\]/,$d' crates/server/src/sched.rs | grep -nE 'min_by_key|to_vec\(\)|sort_by_key' \
+    || sed -n '/fn drive_sends/,/fn drive_receives/p' crates/server/src/harness.rs | grep -n '\.collect()'; then
+    echo "no per-pick scan, clone or sort in server::sched; drive_sends builds no collection"
     exit 1
 fi
 
