@@ -17,10 +17,10 @@ use super::time_mbps;
 use crate::measure::{measure_custom, MeasureCfg, Measurement};
 use crate::report::{banner, gain_pct, pct, us, Table};
 use cipher::{encrypt_buf, CipherKernel};
-use memsim::{AddressSpace, HostModel, NativeMem, SimMem};
+use memsim::{AddressSpace, HostModel, NativeMem};
 use obs::Json;
 use rpcapp::app::Path;
-use rpcapp::suite::{Suite, SuiteInit};
+use rpcapp::suite::Suite;
 
 /// Bytes encrypted per native timing iteration.
 const NATIVE_LEN: usize = 8 * 1024;
@@ -32,11 +32,10 @@ struct Row {
     native_mbps: f64,
 }
 
-fn row<C>(name: &'static str, build: impl Fn(&mut AddressSpace) -> Suite<C>) -> Row
-where
-    C: CipherKernel + Copy,
-    Suite<C>: SuiteInit<SimMem> + for<'a> SuiteInit<NativeMem<'a>>,
-{
+fn row<C: CipherKernel + Copy>(
+    name: &'static str,
+    build: impl Fn(&mut AddressSpace) -> Suite<C>,
+) -> Row {
     let host = HostModel::ss10_30();
     let cfg = MeasureCfg::timing(1024);
     let mut space = AddressSpace::new();

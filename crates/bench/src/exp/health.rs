@@ -20,7 +20,7 @@
 
 use memsim::{AddressSpace, NativeMem};
 use obs::{HealthConfig, Json, Recorder, SeriesConfig};
-use server::{Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
+use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 use sim::health::{clean_sweep, detectors_of, run_trigger, Trigger};
 use std::time::Instant;
 use utcp::FaultPlan;

@@ -28,7 +28,7 @@ use rpcapp::msg::ReplyMeta;
 use rpcapp::paths::{
     pump_acks, recv_reply_ilp, recv_reply_ilp_late, send_reply_ilp, send_reply_ilp_staged,
 };
-use rpcapp::suite::{Suite, SuiteInit};
+use rpcapp::suite::Suite;
 use rpcapp::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
 
 const CHUNK: usize = 1024;

@@ -22,7 +22,7 @@
 use crate::report::{banner, Table};
 use memsim::{AddressSpace, NativeMem};
 use obs::{Json, Metric, Recorder, SegStore};
-use server::{Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
+use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 use utcp::FaultPlan;
 
 const TRACE_CAP: usize = 512;

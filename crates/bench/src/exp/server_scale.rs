@@ -24,8 +24,8 @@
 use crate::report::{banner, Table};
 use memsim::layout::AddressSpace;
 use memsim::{HostModel, SimMem};
-use obs::{Json, Metric, PathLabel, Recorder, Stage};
-use server::{Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
+use obs::{Json, Metric, Recorder, Stage};
+use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 
 /// Approximate payload carried per run, split across connections.
 const TOTAL_PAYLOAD: usize = 256 * 1024;
@@ -80,10 +80,6 @@ fn run_point(n: usize, path: Path, host: &HostModel) -> Point {
         + host.cost(&system).total_us
         + chunks as f64 * per_chunk_us;
 
-    let pl = match path {
-        Path::Ilp => PathLabel::Ilp,
-        Path::NonIlp => PathLabel::NonIlp,
-    };
     let lat = rec.hist(Metric::ChunkLatencyTicks);
     Point {
         payload: report.payload_bytes,
@@ -96,9 +92,9 @@ fn run_point(n: usize, path: Path, host: &HostModel) -> Point {
         lat_p90: lat.p90(),
         lat_p99: lat.p99(),
         stage_shares: [
-            rec.stage_share(pl, Stage::Initial),
-            rec.stage_share(pl, Stage::Integrated),
-            rec.stage_share(pl, Stage::Final),
+            rec.stage_share(path, Stage::Initial),
+            rec.stage_share(path, Stage::Integrated),
+            rec.stage_share(path, Stage::Final),
         ],
         retransmits: report.retransmits,
         rejected: report.rejected,

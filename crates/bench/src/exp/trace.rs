@@ -13,7 +13,7 @@ use memsim::{AddressSpace, HostModel, SimMem};
 use obs::Json;
 use rpcapp::msg::ReplyMeta;
 use rpcapp::paths::{recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp};
-use rpcapp::suite::{Suite, SuiteInit};
+use rpcapp::suite::Suite;
 
 fn trace_one(ilp: bool) {
     let mut space = AddressSpace::new();

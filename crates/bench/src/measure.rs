@@ -21,8 +21,8 @@ use cipher::CipherKernel;
 use memsim::{AddressSpace, HostModel, RunStats, SimMem};
 use rpcapp::app::Path;
 use rpcapp::msg::ReplyMeta;
-use rpcapp::paths::{pump_acks, recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp};
-use rpcapp::suite::{Suite, SuiteInit};
+use rpcapp::paths::{pump_acks, recv_reply, send_reply};
+use rpcapp::suite::Suite;
 
 /// Re-export of the application path selector.
 pub type PathKind = Path;
@@ -125,32 +125,24 @@ pub fn measure_simple_cipher(host: &HostModel, cfg: MeasureCfg, path: Path) -> M
 
 /// Run one data point over a caller-built suite (any cipher) — used by
 /// the cipher-complexity ablation.
-pub fn measure_custom<C>(
+pub fn measure_custom<C: CipherKernel + Copy>(
     host: &HostModel,
     cfg: MeasureCfg,
     path: Path,
     build: impl FnOnce(&mut AddressSpace) -> Suite<C>,
-) -> Measurement
-where
-    C: CipherKernel + Copy,
-    Suite<C>: SuiteInit<SimMem>,
-{
+) -> Measurement {
     let mut space = AddressSpace::new();
     let suite = build(&mut space);
     run(host, cfg, path, space, suite)
 }
 
-fn run<C>(
+fn run<C: CipherKernel + Copy>(
     host: &HostModel,
     cfg: MeasureCfg,
     path: Path,
     space: AddressSpace,
     mut suite: Suite<C>,
-) -> Measurement
-where
-    C: CipherKernel + Copy,
-    Suite<C>: SuiteInit<SimMem>,
-{
+) -> Measurement {
     let mut m = SimMem::new(&space, host);
     m.set_region_attribution(cfg.attribute_regions);
     suite.init_world(&mut m);
@@ -181,18 +173,12 @@ where
         };
 
         // --- send phase ---
-        let sent = match path {
-            Path::NonIlp => send_reply_non_ilp(&mut suite, &mut m, &meta, file.at(offset)),
-            Path::Ilp => send_reply_ilp(&mut suite, &mut m, &meta, file.at(offset)),
-        };
-        sent.expect("loop-back send never blocks at this rate");
+        send_reply(path, &mut suite, &mut m, &meta, file.at(offset))
+            .expect("loop-back send never blocks at this rate");
         let (send_user, send_sys) = m.take_phase_stats();
 
         // --- receive phase ---
-        let outcome = match path {
-            Path::NonIlp => recv_reply_non_ilp(&mut suite, &mut m),
-            Path::Ilp => recv_reply_ilp(&mut suite, &mut m),
-        };
+        let outcome = recv_reply(path, &mut suite, &mut m);
         assert!(matches!(outcome, Some(Ok(_))), "clean loop-back must accept");
         let (recv_user, recv_sys) = m.take_phase_stats();
 

@@ -84,9 +84,6 @@ pub fn table1(host: &str, size: usize) -> Option<Table1Row> {
     TABLE1.iter().copied().find(|r| r.host == host && r.size == size)
 }
 
-/// Hosts that appear in Figures 9 and 10.
-pub const FIGURE_HOSTS: [&str; 4] = ["SS10-30", "SS10-41", "SS20-60", "AXP3000/800"];
-
 /// §1 microbenchmark: XDR marshal of a 20-int array + TCP checksum.
 pub mod micro {
     /// Sequential execution throughput (Mbps).
@@ -162,8 +159,6 @@ pub mod atom {
     pub const RECV_MEMSYS_S: (f64, f64) = (0.292, 0.295);
     /// Receive: (ILP, non-ILP) total execution seconds.
     pub const RECV_EXEC_S: (f64, f64) = (2.335, 2.427);
-    /// ILP instruction-cache misses consume 24–28% of memory-system time.
-    pub const ICACHE_SHARE: (f64, f64) = (0.24, 0.28);
 }
 
 #[cfg(test)]

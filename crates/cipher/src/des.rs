@@ -221,6 +221,11 @@ impl CipherKernel for Des {
     fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
         self.crypt(m, unit, true)
     }
+
+    /// The classic worked-example key.
+    fn init_world<M: Mem>(&self, m: &mut M) {
+        self.init(m, 0x1334_5779_9BBC_DFF1);
+    }
 }
 
 // Re-exports for byte-array convenience in examples.

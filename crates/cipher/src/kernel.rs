@@ -45,7 +45,17 @@ pub trait CipherKernel {
     fn unit(&self) -> usize {
         Self::UNIT
     }
+
+    /// Write what the kernel keeps in memory — tables, key schedule,
+    /// under the fixed key every experiment runs with — into a memory
+    /// world. Each world (native arena, each simulated host) needs its
+    /// own pass before the first unit is processed. The default is for
+    /// kernels that keep nothing in memory.
+    fn init_world<M: Mem>(&self, _m: &mut M) {}
 }
+
+/// The key every experiment runs the SAFER family with.
+pub(crate) const EXPERIMENT_KEY: [u8; 8] = *b"ILP95key";
 
 /// Pack the first `len` bytes of `bytes` big-endian into a u64's high bytes.
 #[inline(always)]

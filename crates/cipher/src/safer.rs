@@ -198,6 +198,10 @@ impl CipherKernel for SaferK64 {
         }
         pack(&b)
     }
+
+    fn init_world<M: Mem>(&self, m: &mut M) {
+        self.init(m, crate::kernel::EXPERIMENT_KEY);
+    }
 }
 
 #[cfg(test)]

@@ -141,6 +141,10 @@ impl CipherKernel for SimplifiedSafer {
         }
         pack(&out)
     }
+
+    fn init_world<M: Mem>(&self, m: &mut M) {
+        self.init(m, crate::kernel::EXPERIMENT_KEY);
+    }
 }
 
 #[cfg(test)]

@@ -141,12 +141,6 @@ impl HostModel {
         RunCost { compute_cyc, l1_cyc, l2_us, mem_us, total_us: cyc_us + l2_us + mem_us }
     }
 
-    /// Packet-processing time in µs for a user-space phase: simulated cost
-    /// plus the fixed per-packet user overhead.
-    pub fn processing_us(&self, stats_per_packet: &RunStats) -> f64 {
-        self.cost(stats_per_packet).total_us + self.per_packet_user_us
-    }
-
     /// System time per packet given the simulated system-copy stats: two
     /// crossings (send-side write, receive-side read) plus driver/IP/task
     /// switch plus the copies themselves.

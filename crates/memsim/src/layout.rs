@@ -101,19 +101,9 @@ impl AddressSpace {
         DATA_BASE
     }
 
-    /// One past the last allocated data address.
-    pub fn data_end(&self) -> usize {
-        self.next_data
-    }
-
     /// All regions (data and text) in allocation order.
     pub fn regions(&self) -> &[Region] {
         &self.regions
-    }
-
-    /// All code regions in allocation order.
-    pub fn code_regions(&self) -> &[CodeRegion] {
-        &self.code
     }
 
     /// Find the region containing `addr`, if any.

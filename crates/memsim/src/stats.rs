@@ -229,40 +229,6 @@ impl RunStats {
         };
     }
 
-    /// Scale every counter by `1/n` (integer division) — used to report
-    /// per-packet averages from an `n`-packet run.
-    pub fn per_packet(&self, n: u64) -> RunStats {
-        assert!(n > 0);
-        let mut out = self.clone();
-        out.compute_ops /= n;
-        out.fetch_bytes /= n;
-        out.memory_accesses /= n;
-        out.l2_accesses /= n;
-        out.l1_accesses /= n;
-        out.fetch_l2_accesses /= n;
-        out.fetch_memory_accesses /= n;
-        out.reads = scale_counts(&self.reads, n);
-        out.writes = scale_counts(&self.writes, n);
-        for i in 0..4 {
-            out.read_misses_by_size[i] /= n;
-            out.write_misses_by_size[i] /= n;
-        }
-        out.l1d = scale_level(self.l1d, n);
-        out.l1i = scale_level(self.l1i, n);
-        out.l2 = self.l2.map(|l| scale_level(l, n));
-        out.reads_by_kind = self
-            .reads_by_kind
-            .iter()
-            .map(|(k, c)| (*k, scale_counts(c, n)))
-            .collect();
-        out.writes_by_kind = self
-            .writes_by_kind
-            .iter()
-            .map(|(k, c)| (*k, scale_counts(c, n)))
-            .collect();
-        out
-    }
-
     /// Loads attributed to regions of `kind`.
     pub fn reads_for(&self, kind: RegionKind) -> AccessCounts {
         self.reads_by_kind
@@ -301,27 +267,6 @@ fn add_level(a: CacheLevelStats, b: CacheLevelStats) -> CacheLevelStats {
         fetch_misses: a.fetch_misses + b.fetch_misses,
         writebacks: a.writebacks + b.writebacks,
     }
-}
-
-fn scale_level(l: CacheLevelStats, n: u64) -> CacheLevelStats {
-    CacheLevelStats {
-        read_hits: l.read_hits / n,
-        read_misses: l.read_misses / n,
-        write_hits: l.write_hits / n,
-        write_misses: l.write_misses / n,
-        fetch_hits: l.fetch_hits / n,
-        fetch_misses: l.fetch_misses / n,
-        writebacks: l.writebacks / n,
-    }
-}
-
-fn scale_counts(c: &AccessCounts, n: u64) -> AccessCounts {
-    let mut out = AccessCounts::default();
-    for size in SizeClass::all() {
-        out.counts[size.index()] = c.by_size(size) / n;
-    }
-    out.bytes = c.bytes / n;
-    out
 }
 
 #[cfg(test)]

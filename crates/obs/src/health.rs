@@ -576,6 +576,15 @@ pub fn bundle(
         .set("now", Json::U64(rec.now()))
 }
 
+/// The whole diagnosis in one call: [`analyze`] under the default
+/// thresholds, then [`bundle`] around what it found. Every world with
+/// a recorder, views and a queue stat (one harness, a joined sharded
+/// run) reports through here.
+pub fn diagnose(rec: &Recorder, views: &[ConnView], queue: QueueStat) -> Json {
+    let verdicts = analyze(rec, views, queue, &HealthConfig::default());
+    bundle(rec, views, queue, &verdicts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

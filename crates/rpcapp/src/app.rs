@@ -17,19 +17,13 @@ use utcp::SendError;
 use xdr::{XdrDecoder, XdrEncoder};
 
 use crate::msg::{FileRequest, ReplyMeta, ENC_HDR_LEN};
-use crate::paths::{
-    pump_acks, recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp,
-};
+use crate::paths::{pump_acks, recv_reply, send_reply};
 use crate::suite::Suite;
 
-/// Which implementation a transfer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Path {
-    /// Layered implementation (Figures 3/5 left).
-    NonIlp,
-    /// Integrated implementation (Figures 3/5 right).
-    Ilp,
-}
+/// Which implementation a transfer runs: layered (Figures 3/5 left) or
+/// integrated (right). The one path enum of the workspace — spans are
+/// labelled with the same value that selected the code.
+pub use obs::PathLabel as Path;
 
 /// What a finished transfer did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,11 +139,7 @@ impl FileTransfer {
                         last: u32::from(copy + 1 == self.copies && next_chunk + 1 == chunks),
                         data_len: len as u32,
                     };
-                    let sent = match path {
-                        Path::NonIlp => send_reply_non_ilp(s, m, &meta, s.file.at(offset)),
-                        Path::Ilp => send_reply_ilp(s, m, &meta, s.file.at(offset)),
-                    };
-                    match sent {
+                    match send_reply(path, s, m, &meta, s.file.at(offset)) {
                         Ok(_) => next_chunk += 1,
                         Err(SendError::BufferFull | SendError::WindowClosed) => break,
                         Err(e) => panic!("transfer failed: {e}"),
@@ -157,11 +147,7 @@ impl FileTransfer {
                 }
                 // Receive everything pending.
                 loop {
-                    let outcome = match path {
-                        Path::NonIlp => recv_reply_non_ilp(s, m),
-                        Path::Ilp => recv_reply_ilp(s, m),
-                    };
-                    match outcome {
+                    match recv_reply(path, s, m) {
                         None => break,
                         Some(Ok(meta)) => {
                             report.replies += 1;
@@ -220,7 +206,6 @@ impl FileTransfer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::SuiteInit;
     use memsim::{AddressSpace, NativeMem};
 
     fn run_transfer(path: Path, chunk: usize) {

@@ -54,6 +54,7 @@ use obs::{Layer, SegEv, Stage};
 use utcp::{observed, Connection, KernelCtx, SendError};
 use xdr::stream::OpaqueSource;
 
+use crate::app::Path;
 use crate::msg::{ReplyMeta, ReplyUnmarshalSink, ReplyWords, ENC_HDR_LEN, PREFIX_BYTES, RPC_HDR_WORDS};
 use crate::suite::{Suite, MAX_MSG};
 
@@ -272,6 +273,44 @@ pub fn send_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
     Ok(padded)
 }
 
+/// Send one chunk on `tx` over `path` — the one place a [`Path`] turns
+/// into [`send_chunk_ilp`] or [`send_chunk_non_ilp`]. Inlined, so a
+/// caller that passes a constant path keeps only that arm.
+///
+/// # Errors
+/// Propagates transport back-pressure ([`SendError`]).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub fn send_chunk<C: CipherKernel + Copy, M: Mem>(
+    path: Path,
+    s: &Scratch,
+    cipher: &C,
+    m: &mut M,
+    tx: &mut Connection,
+    k: &mut impl KernelCtx,
+    meta: &ReplyMeta,
+    data_addr: usize,
+) -> Result<usize, SendError> {
+    match path {
+        Path::Ilp => send_chunk_ilp(s, *cipher, m, tx, k, meta, data_addr),
+        Path::NonIlp => send_chunk_non_ilp(s, cipher, m, tx, k, meta, data_addr),
+    }
+}
+
+/// [`send_chunk`] on the suite's own pair.
+///
+/// # Errors
+/// Propagates transport back-pressure ([`SendError`]).
+pub fn send_reply<C: CipherKernel + Copy, M: Mem>(
+    path: Path,
+    s: &mut Suite<C>,
+    m: &mut M,
+    meta: &ReplyMeta,
+    data_addr: usize,
+) -> Result<usize, SendError> {
+    send_chunk(path, &s.scratch, &s.cipher, m, &mut s.tx, &mut s.lb, meta, data_addr)
+}
+
 /// [`send_chunk_non_ilp`] on the suite's own pair.
 ///
 /// # Errors
@@ -467,6 +506,33 @@ pub fn recv_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
     Some(verdict.map(|(_, sink)| sink.meta().expect("checked in final stage").1))
 }
 
+/// Receive one chunk on `rx` into `app_out` over `path` — the one place
+/// a [`Path`] turns into [`recv_chunk_ilp`] or [`recv_chunk_non_ilp`].
+#[inline(always)]
+pub fn recv_chunk<C: CipherKernel + Copy, M: Mem>(
+    path: Path,
+    s: &Scratch,
+    cipher: &C,
+    m: &mut M,
+    rx: &mut Connection,
+    k: &mut impl KernelCtx,
+    app_out: Region,
+) -> RecvOutcome {
+    match path {
+        Path::Ilp => recv_chunk_ilp(s, *cipher, m, rx, k, app_out),
+        Path::NonIlp => recv_chunk_non_ilp(s, cipher, m, rx, k, app_out),
+    }
+}
+
+/// [`recv_chunk`] on the suite's own pair.
+pub fn recv_reply<C: CipherKernel + Copy, M: Mem>(
+    path: Path,
+    s: &mut Suite<C>,
+    m: &mut M,
+) -> RecvOutcome {
+    recv_chunk(path, &s.scratch, &s.cipher, m, &mut s.rx, &mut s.lb, s.app_out)
+}
+
 /// [`recv_chunk_non_ilp`] on the suite's own pair.
 pub fn recv_reply_non_ilp<C: CipherKernel, M: Mem>(s: &mut Suite<C>, m: &mut M) -> RecvOutcome {
     recv_chunk_non_ilp(&s.scratch, &s.cipher, m, &mut s.rx, &mut s.lb, s.app_out)
@@ -516,7 +582,6 @@ pub fn pump_acks<C: CipherKernel, M: Mem>(s: &mut Suite<C>, m: &mut M) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::SuiteInit;
     use memsim::{AddressSpace, NativeMem};
 
     fn fill_file<M: Mem>(s: &Suite<cipher::SimplifiedSafer>, m: &mut M, len: usize) {

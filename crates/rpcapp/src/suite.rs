@@ -156,35 +156,13 @@ impl<C: CipherKernel> Suite<C> {
     pub fn block(&self) -> usize {
         C::UNIT
     }
-}
 
-/// Initialise key material in a memory world. Separated from
-/// construction because each world (native arena, per-host simulations)
-/// needs its own pass; run before taking measurement phases.
-pub trait SuiteInit<M: Mem> {
-    /// Write tables and keys.
-    fn init_world(&self, m: &mut M);
-}
-
-impl<M: Mem> SuiteInit<M> for Suite<SimplifiedSafer> {
-    fn init_world(&self, m: &mut M) {
-        self.cipher.init(m, *b"ILP95key");
-    }
-}
-
-impl<M: Mem> SuiteInit<M> for Suite<VerySimple> {
-    fn init_world(&self, _m: &mut M) {}
-}
-
-impl<M: Mem> SuiteInit<M> for Suite<SaferK64> {
-    fn init_world(&self, m: &mut M) {
-        self.cipher.init(m, *b"ILP95key");
-    }
-}
-
-impl<M: Mem> SuiteInit<M> for Suite<Des> {
-    fn init_world(&self, m: &mut M) {
-        self.cipher.init(m, 0x1334_5779_9BBC_DFF1);
+    /// Write the cipher's tables and key into a memory world. Separate
+    /// from construction because each world (native arena, per-host
+    /// simulations) needs its own pass; run before taking measurement
+    /// phases.
+    pub fn init_world<M: Mem>(&self, m: &mut M) {
+        self.cipher.init_world(m);
     }
 }
 

@@ -258,7 +258,6 @@ pub fn recv_reply_ilp_trailer<C: CipherKernel + Copy, M: Mem>(
 mod tests {
     use super::*;
     use crate::paths::pump_acks;
-    use crate::suite::SuiteInit;
     use memsim::{AddressSpace, HostModel, NativeMem, SimMem};
 
     fn meta(data_len: u32, offset: u32) -> ReplyMeta {

@@ -30,9 +30,10 @@ impl ConnId {
 }
 
 /// Lifecycle of a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SessionState {
     /// Pre-allocated, waiting for the client's SYN.
+    #[default]
     Allocated,
     /// Handshake complete; the transfer is (or may be) in progress.
     Established,
@@ -44,32 +45,51 @@ pub enum SessionState {
     Done,
 }
 
-/// One connection's server-side state.
+/// The part of a [`Session`] that belongs to one transfer: where it is
+/// in its lifecycle, how far it has sent, what it has counted. A fresh
+/// session and a session re-armed for the next churn wave both hold
+/// `Transfer::default()` — the reset cannot forget a field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Transfer {
+    /// Where in its lifecycle this session is.
+    pub state: SessionState,
+    /// Next chunk index to send.
+    pub next_chunk: usize,
+    /// Accounting.
+    pub stats: PerConnStats,
+}
+
+/// One connection's server-side state: what is fixed when the world is
+/// built, plus the [`Transfer`] in progress.
 #[derive(Debug)]
 pub struct Session {
     /// The data sender (server → client).
     pub tx: Connection,
-    /// Where in its lifecycle this session is.
-    pub state: SessionState,
     /// The file this session serves.
     pub file: Region,
     /// File length in bytes (≤ `file.len`).
     pub file_len: usize,
     /// Maximum payload bytes per reply chunk.
     pub chunk: usize,
-    /// Next chunk index to send.
-    pub next_chunk: usize,
-    /// Scheduler weight (from the SYN payload; 1 = plain share).
-    pub weight: u32,
     /// The client's data port (demultiplexing key).
     pub client_data_port: u16,
-    /// The client's control port (SYN-ACK destination).
-    pub client_ctrl_port: u16,
-    /// Accounting.
-    pub stats: PerConnStats,
+    /// The transfer in progress.
+    pub xfer: Transfer,
 }
 
 impl Session {
+    /// A pre-allocated session around its sender, waiting for the
+    /// client's SYN.
+    pub(crate) fn new(
+        tx: Connection,
+        file: Region,
+        file_len: usize,
+        chunk: usize,
+        client_data_port: u16,
+    ) -> Self {
+        Session { tx, file, file_len, chunk, client_data_port, xfer: Transfer::default() }
+    }
+
     /// Total chunks in the transfer.
     pub fn chunks_total(&self) -> usize {
         self.file_len.div_ceil(self.chunk)
@@ -77,21 +97,22 @@ impl Session {
 
     /// Whether chunks remain to be handed to the transport.
     pub fn has_work(&self) -> bool {
-        self.state == SessionState::Established && self.next_chunk < self.chunks_total()
+        self.xfer.state == SessionState::Established && self.xfer.next_chunk < self.chunks_total()
     }
 
     /// The next chunk's RPC header and source address, if any.
     pub fn next_meta(&self) -> Option<(ReplyMeta, usize)> {
-        if self.next_chunk >= self.chunks_total() {
+        let next = self.xfer.next_chunk;
+        if next >= self.chunks_total() {
             return None;
         }
-        let offset = self.next_chunk * self.chunk;
+        let offset = next * self.chunk;
         let len = self.chunk.min(self.file_len - offset);
         let meta = ReplyMeta {
             request_id: 0x53525621, // "SRV!"
-            seq: self.next_chunk as u32,
+            seq: next as u32,
             offset: offset as u32,
-            last: u32::from(self.next_chunk + 1 == self.chunks_total()),
+            last: u32::from(next + 1 == self.chunks_total()),
             data_len: len as u32,
         };
         Some((meta, self.file.at(offset)))
@@ -172,18 +193,7 @@ mod tests {
         let cfg = UtcpConfig { local_port: port + 1000, peer_port: port, ..Default::default() };
         let tx = Connection::new(space, lb, cfg, 0x100);
         let file = space.alloc("srv_file", 4096, 64);
-        Session {
-            tx,
-            state: SessionState::Allocated,
-            file,
-            file_len: 2500,
-            chunk: 1024,
-            next_chunk: 0,
-            weight: 1,
-            client_data_port: port,
-            client_ctrl_port: port + 2000,
-            stats: PerConnStats::default(),
-        }
+        Session::new(tx, file, 2500, 1024, port)
     }
 
     #[test]
@@ -206,14 +216,14 @@ mod tests {
         let mut space = AddressSpace::new();
         let mut lb = Loopback::new(&mut space);
         let mut s = session(&mut space, &mut lb, 3000);
-        s.state = SessionState::Established;
+        s.xfer.state = SessionState::Established;
         assert_eq!(s.chunks_total(), 3); // 1024 + 1024 + 452
         let mut total = 0usize;
         while let Some((meta, addr)) = s.next_meta() {
             assert_eq!(addr, s.file.at(meta.offset as usize));
-            assert_eq!(meta.seq as usize, s.next_chunk);
+            assert_eq!(meta.seq as usize, s.xfer.next_chunk);
             total += meta.data_len as usize;
-            s.next_chunk += 1;
+            s.xfer.next_chunk += 1;
         }
         assert_eq!(total, 2500);
         assert!(!s.has_work());

@@ -11,7 +11,9 @@
 //!
 //! * **SYN** (client ctrl port → server listen port): `seq` carries the
 //!   client's ISS; an 8-byte payload names the client's data port and
-//!   its scheduler weight.
+//!   its scheduler weight. The weight word is informational: the server
+//!   parses and checksums it, and decides nothing from it — schedulers
+//!   take their weights from [`crate::ServerConfig::weights`].
 //! * **SYN-ACK** (listen port → client ctrl port): `seq` carries the
 //!   server's ISS, `ack` the client's ISS + 1.
 //!
@@ -42,7 +44,8 @@ pub struct SynInfo {
     pub iss: u32,
     /// The data port the client will receive the transfer on.
     pub data_port: u16,
-    /// Requested scheduler weight (0 is treated as 1 downstream).
+    /// The weight word of the payload, as sent. Informational — no
+    /// scheduler reads it (see the module docs).
     pub weight: u32,
     /// The client's IP (SYN-ACK destination).
     pub src_ip: u32,

@@ -18,18 +18,21 @@
 //!
 //! * [`conn_table`] — the connection table: sessions keyed by
 //!   [`ConnId`], with port-indexed lookup extending the kernel part's
-//!   demultiplexing beyond the fixed two-endpoint pair.
-//! * [`handshake`] — the acceptor: a listen endpoint receiving real SYN
-//!   datagrams through the loop-back, pairing them with pre-allocated
-//!   sessions (a TCB pool, as 1990s servers kept) and answering with
-//!   SYN-ACKs that carry the server's initial sequence number back.
+//!   demultiplexing beyond the fixed two-endpoint pair. A session is
+//!   what is fixed at construction plus the [`Transfer`] in progress.
+//! * [`handshake`] — the SYN / SYN-ACK datagrams: a listen endpoint
+//!   receiving real SYNs through the loop-back, pairing them with
+//!   pre-allocated sessions (a TCB pool, as 1990s servers kept) and
+//!   answering with SYN-ACKs that carry the server's initial sequence
+//!   number back.
 //! * [`sched`] — send scheduling: round-robin and deficit-style
-//!   weighted round-robin over the connections with work and credit.
+//!   weighted round-robin over the connections with work and credit;
+//!   the weights are [`ServerConfig::weights`] and nothing else.
 //! * [`pipeline`] — `rpcapp::paths`' four data-path functions and
 //!   their shared `Scratch` under the names this crate's callers
-//!   import, plus `close_when_drained`; the paths themselves (and the
-//!   observer hooks they fire through `utcp::KernelCtx`) live in
-//!   `rpcapp`. Scratch buffers and loop code footprints are shared
+//!   import, plus `close_when_drained`; the paths themselves, the
+//!   `send_chunk`/`recv_chunk` dispatch on [`Path`] (and the observer
+//!   hooks they fire through `utcp::KernelCtx`) live in `rpcapp`. Scratch buffers and loop code footprints are shared
 //!   across connections, per-connection state (ring, TCB, staging) is
 //!   not.
 //! * [`stats`] — per-connection accounting and Jain's fairness index.
@@ -38,6 +41,8 @@
 //! * [`harness`] — [`harness::ScaleHarness`]: builds the whole world
 //!   (server, N clients, shared kernel part) in one [`memsim`] address
 //!   space and drives transfers to completion over either memory world.
+//!   One struct in five parts — world, accept, round, teardown, report —
+//!   each owning the state it writes (see the module's own docs).
 //! * [`shard`] — multi-threaded serving: the connection space split
 //!   into contiguous slices, one fully independent harness world per
 //!   OS thread, per-shard recorders merged into one report after the
@@ -56,9 +61,9 @@ pub mod shard;
 pub mod stats;
 
 pub use clock::VirtualClock;
-pub use conn_table::{ConnId, ConnTable, Session, SessionState};
+pub use conn_table::{ConnId, ConnTable, Session, SessionState, Transfer};
 pub use handshake::LISTEN_PORT;
-pub use harness::{AggregateReport, Path, ScaleHarness, ServerConfig, WorldInit, SERVER_IP};
+pub use harness::{AggregateReport, Path, ScaleHarness, ServerConfig, SERVER_IP};
 pub use pipeline::Scratch;
 pub use sched::{DeficitRoundRobin, RoundRobin, Scheduler};
 pub use shard::{run_sharded, shard_configs, SchedPolicy, ShardOutcome, ShardedReport};

@@ -1,10 +1,12 @@
 //! Per-connection data paths for the server: the four
-//! `rpcapp::paths` functions under the names this crate's callers
-//! import, plus lifecycle glue.
+//! `rpcapp::paths` functions and their two dispatchers under the names
+//! this crate's callers import, plus lifecycle glue.
 //!
 //! The data paths themselves — [`send_chunk_ilp`], [`send_chunk_non_ilp`],
-//! [`recv_chunk_ilp`], [`recv_chunk_non_ilp`] and the [`Scratch`] they
-//! share across connections — live in [`rpcapp::paths`]; the paper's
+//! [`recv_chunk_ilp`], [`recv_chunk_non_ilp`], the [`send_chunk`] /
+//! [`recv_chunk`] pair that picks between them by [`crate::Path`], and
+//! the [`Scratch`] they share across connections — live in
+//! [`rpcapp::paths`]; the paper's
 //! single-pair figures and this server run the same code. Each call
 //! names the connection it operates on, so one server drives N of them:
 //! connection B's private state (ring, TCB, staging, file, output)
@@ -14,7 +16,8 @@
 
 use memsim::Mem;
 pub use rpcapp::paths::{
-    recv_chunk_ilp, recv_chunk_non_ilp, send_chunk_ilp, send_chunk_non_ilp, Scratch,
+    recv_chunk, recv_chunk_ilp, recv_chunk_non_ilp, send_chunk, send_chunk_ilp,
+    send_chunk_non_ilp, Scratch,
 };
 use utcp::{Connection, KernelCtx};
 
@@ -42,7 +45,7 @@ pub fn close_when_drained<M: Mem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cipher::SimplifiedSafer;
+    use cipher::{CipherKernel, SimplifiedSafer};
     use ilp_core::Reject;
     use memsim::layout::AddressSpace;
     use memsim::region::{Region, RegionKind};
@@ -83,7 +86,7 @@ mod tests {
         let mut w = world();
         let mut arena = w.space.native_arena();
         let mut m = NativeMem::new(&mut arena);
-        w.cipher.init(&mut m, *b"ILP95key");
+        w.cipher.init_world(&mut m);
         for i in 0..1024 {
             m.write_u8(w.file.at(i), ((i * 7 + 3) % 256) as u8);
         }
@@ -113,7 +116,7 @@ mod tests {
         let mut w = world();
         let mut arena = w.space.native_arena();
         let mut m = NativeMem::new(&mut arena);
-        w.cipher.init(&mut m, *b"ILP95key");
+        w.cipher.init_world(&mut m);
         for i in 0..512 {
             m.write_u8(w.file.at(i), (i % 241) as u8);
         }
@@ -156,7 +159,7 @@ mod tests {
         w.lb.set_faults(utcp::FaultPlan { corrupt_every: 1, ..Default::default() });
         let mut arena = w.space.native_arena();
         let mut m = NativeMem::new(&mut arena);
-        w.cipher.init(&mut m, *b"ILP95key");
+        w.cipher.init_world(&mut m);
         let a = meta(0, 0, 200);
         send_chunk_ilp(&w.scratch, w.cipher, &mut m, &mut w.tx, &mut w.lb, &a, w.file.base)
             .unwrap();

@@ -16,6 +16,7 @@
 //!   neighbour even when chunk sizes differ.
 
 use crate::conn_table::ConnId;
+use crate::harness::ServerConfig;
 
 /// Chooses which ready connection sends next.
 pub trait Scheduler {
@@ -97,6 +98,12 @@ impl DeficitRoundRobin {
         let weights: Vec<u32> = weights.into_iter().map(|w| w.max(1)).collect();
         let deficits = vec![0i64; weights.len()];
         DeficitRoundRobin { quantum, weights, deficits, cursor: 0 }
+    }
+
+    /// Build for the world `cfg` describes, from the weights it states
+    /// ([`ServerConfig::weights`]; a missing entry weighs 1).
+    pub fn for_config(cfg: &ServerConfig, quantum: u32) -> Self {
+        Self::new((0..cfg.n_conns).map(|i| cfg.weight(i)).collect(), quantum)
     }
 
     /// Current credit of a connection (tests/diagnostics).

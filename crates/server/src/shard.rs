@@ -44,7 +44,7 @@ use memsim::layout::AddressSpace;
 use memsim::NativeMem;
 use obs::{ConnView, HealthConfig, Json, QueueStat, Recorder, Verdict};
 
-use crate::harness::{AggregateReport, Path, ScaleHarness, ServerConfig, WorldInit};
+use crate::harness::{AggregateReport, Path, ScaleHarness, ServerConfig};
 use crate::sched::{DeficitRoundRobin, RoundRobin, Scheduler};
 
 /// Which scheduler each shard instantiates privately. (A `dyn
@@ -67,12 +67,7 @@ impl SchedPolicy {
     fn build(self, cfg: &ServerConfig) -> Box<dyn Scheduler> {
         match self {
             SchedPolicy::RoundRobin => Box::new(RoundRobin::new()),
-            SchedPolicy::Deficit { quantum } => {
-                let weights: Vec<u32> = (0..cfg.n_conns)
-                    .map(|i| cfg.weights.get(i).copied().unwrap_or(1))
-                    .collect();
-                Box::new(DeficitRoundRobin::new(weights, quantum))
-            }
+            SchedPolicy::Deficit { quantum } => Box::new(DeficitRoundRobin::for_config(cfg, quantum)),
         }
     }
 }
@@ -105,7 +100,7 @@ pub fn shard_configs(cfg: &ServerConfig, shards: usize) -> Vec<ServerConfig> {
         let weights = if cfg.weights.is_empty() {
             Vec::new()
         } else {
-            (0..count).map(|i| cfg.weights.get(offset + i).copied().unwrap_or(1)).collect()
+            (offset..offset + count).map(|i| cfg.weight(i)).collect()
         };
         out.push(ServerConfig {
             n_conns: count,
@@ -228,10 +223,7 @@ impl ShardedReport {
     /// thresholds). With `S = 1` this renders byte-identical to
     /// [`ScaleHarness::diagnostics`] on the unsharded harness.
     pub fn diagnostics(&self) -> Json {
-        let views = self.health_views();
-        let queue = self.queue_stat();
-        let verdicts = obs::health::analyze(&self.merged, &views, queue, &HealthConfig::default());
-        obs::health::bundle(&self.merged, &views, queue, &verdicts)
+        obs::health::diagnose(&self.merged, &self.health_views(), self.queue_stat())
     }
 
     /// The run as JSON: shard-labelled sections (slice, rounds, bytes,

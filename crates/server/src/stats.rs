@@ -22,9 +22,11 @@ pub struct PerConnStats {
 impl PerConnStats {
     /// Transfer duration in virtual ticks (at least 1 once complete).
     ///
-    /// Saturates: a `completed_at` stamped before `established_at`
-    /// (possible when a retried SYN re-stamps establishment after the
-    /// data already flowed) yields 1, never a wrapped huge value.
+    /// Saturates: a `completed_at` before `established_at` yields 1,
+    /// never a wrapped huge value. The harness cannot produce that
+    /// order — a session is stamped established once, when it leaves
+    /// `Allocated`, and a retried SYN only provokes a fresh SYN-ACK —
+    /// so this guards hand-built stats, not a protocol path.
     pub fn duration_ticks(&self) -> u64 {
         if self.completed_at == 0 {
             0

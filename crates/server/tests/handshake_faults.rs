@@ -10,7 +10,7 @@
 use memsim::layout::AddressSpace;
 use memsim::NativeMem;
 use obs::NoopObserver;
-use server::{Path, RoundRobin, ScaleHarness, Scheduler, ServerConfig, WorldInit};
+use server::{Path, RoundRobin, ScaleHarness, Scheduler, ServerConfig};
 use utcp::{FaultPlan, FaultProbs};
 
 fn one_conn_config(faults: FaultPlan) -> ServerConfig {

@@ -18,7 +18,7 @@
 use memsim::layout::AddressSpace;
 use memsim::NativeMem;
 use server::{
-    AggregateReport, Path, RoundRobin, ScaleHarness, ServerConfig, SessionState, WorldInit,
+    AggregateReport, Path, RoundRobin, ScaleHarness, ServerConfig, SessionState,
 };
 use utcp::{FaultPlan, FaultProbs};
 
@@ -45,7 +45,7 @@ fn run_verified(cfg: ServerConfig, path: Path) -> AggregateReport {
         assert!(p.completed_at >= p.established_at, "connection {i} timeline");
     }
     for (id, sess) in h.table.ids().zip(h.table.iter()) {
-        assert_eq!(sess.state, SessionState::Done, "session {id:?} left unfinished");
+        assert_eq!(sess.xfer.state, SessionState::Done, "session {id:?} left unfinished");
     }
     report
 }

@@ -9,7 +9,7 @@ use obs::{
     Counter, Detector, EventKind, HealthConfig, Metric, QueueStat, Recorder, SeriesConfig,
     SeriesRecorder, SpanObserver,
 };
-use server::{Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
+use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 use utcp::FaultPlan;
 
 fn faulty_cfg() -> ServerConfig {

@@ -12,7 +12,7 @@ use memsim::layout::AddressSpace;
 use memsim::NativeMem;
 use obs::NoopObserver;
 use server::{
-    ConnId, DeficitRoundRobin, Path, RoundRobin, ScaleHarness, Scheduler, ServerConfig, WorldInit,
+    ConnId, DeficitRoundRobin, Path, RoundRobin, ScaleHarness, Scheduler, ServerConfig,
 };
 use utcp::FaultPlan;
 
@@ -131,7 +131,7 @@ fn round_robin_pick_sequence_is_the_recorded_one() {
 #[test]
 fn deficit_round_robin_pick_sequence_is_the_recorded_one() {
     let cfg = ServerConfig { weights: (1..=64).collect(), ..small_ring() };
-    let sched = DeficitRoundRobin::new(cfg.weights.clone(), cfg.chunk as u32);
+    let sched = DeficitRoundRobin::for_config(&cfg, cfg.chunk as u32);
     let (digest, picks, rounds) = pick_digest(cfg, sched);
     assert_eq!((digest, picks, rounds), (0x1FF6_08F1_47B9_0031, 1024, 9));
 }

@@ -5,7 +5,7 @@
 use memsim::layout::AddressSpace;
 use memsim::{HostModel, NativeMem, SimMem};
 use obs::Recorder;
-use server::harness::{Path, ScaleHarness, ServerConfig, WorldInit};
+use server::harness::{Path, ScaleHarness, ServerConfig};
 use server::sched::RoundRobin;
 use server::shard::{run_sharded, SchedPolicy};
 use utcp::FaultPlan;

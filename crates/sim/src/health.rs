@@ -17,7 +17,7 @@ use memsim::layout::AddressSpace;
 use memsim::NativeMem;
 use obs::{Detector, HealthConfig, Recorder, SeriesConfig, Verdict};
 use server::{
-    AggregateReport, Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit,
+    AggregateReport, Path, RoundRobin, ScaleHarness, ServerConfig,
 };
 use utcp::rng::XorShift64;
 use utcp::{FaultPlan, FaultProbs, Loopback};

@@ -33,7 +33,7 @@ use memsim::layout::AddressSpace;
 use memsim::region::Region;
 use memsim::{Mem, NativeMem};
 use obs::NoopObserver;
-use server::{Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
+use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 use utcp::rng::XorShift64;
 use utcp::{Connection, FaultPlan, FaultProbs, Loopback, State, UtcpConfig, MSL_TICKS};
 

@@ -24,7 +24,7 @@
 use memsim::layout::AddressSpace;
 use memsim::NativeMem;
 use obs::{Counter, Recorder, SeriesConfig};
-use server::{AggregateReport, Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
+use server::{AggregateReport, Path, RoundRobin, ScaleHarness, ServerConfig};
 use utcp::{FaultPlan, FaultProbs};
 
 use crate::oracle::Tracker;

@@ -12,7 +12,7 @@ use memsim::NativeMem;
 use obs::{Counter, Recorder, SeriesConfig};
 use server::{
     AggregateReport, DeficitRoundRobin, Path, RoundRobin, ScaleHarness, SchedPolicy, Scheduler,
-    ServerConfig, WorldInit,
+    ServerConfig,
 };
 use utcp::SendRing;
 
@@ -171,7 +171,7 @@ fn run_one_path(sc: &Scenario, opts: &RunOptions, path: Path) -> Result<Transfer
     let mut m = NativeMem::new(&mut arena);
     h.init_world(&mut m);
     let mut sched: Box<dyn Scheduler> = if sc.deficit {
-        Box::new(DeficitRoundRobin::new(vec![1; sc.n_conns], sc.chunk as u32))
+        Box::new(DeficitRoundRobin::for_config(h.config(), sc.chunk as u32))
     } else {
         Box::new(RoundRobin::new())
     };

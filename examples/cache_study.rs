@@ -13,7 +13,7 @@
 
 use ilp_repro::memsim::{AddressSpace, HostModel, RunStats, SimMem, SizeClass};
 use ilp_repro::rpcapp::app::{FileTransfer, Path};
-use ilp_repro::rpcapp::suite::{Suite, SuiteInit};
+use ilp_repro::rpcapp::suite::Suite;
 
 fn study(host: &HostModel, path: Path) -> RunStats {
     let mut space = AddressSpace::new();

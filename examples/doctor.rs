@@ -20,7 +20,7 @@
 
 use ilp_repro::memsim::{AddressSpace, NativeMem};
 use ilp_repro::obs::{sparkline, Counter, HealthConfig, Recorder, SeriesConfig, Verdict};
-use ilp_repro::server::{Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
+use ilp_repro::server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 use ilp_repro::utcp::FaultPlan;
 use sim::health::{run_clean, run_trigger, Trigger};
 

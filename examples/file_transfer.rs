@@ -11,7 +11,7 @@
 use ilp_repro::memsim::{AddressSpace, HostModel, SimMem};
 use ilp_repro::rpcapp::app::{FileTransfer, Path};
 use ilp_repro::rpcapp::msg::FileRequest;
-use ilp_repro::rpcapp::suite::{Suite, SuiteInit};
+use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::xdr::stubgen::Opaque;
 
 fn run(path: Path) {

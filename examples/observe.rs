@@ -22,7 +22,7 @@
 
 use ilp_repro::memsim::{AddressSpace, HostModel, SimMem};
 use ilp_repro::obs::{sparkline, Counter, Json, Layer, Metric, PathLabel, Recorder, Stage};
-use ilp_repro::server::{Path, RoundRobin, ScaleHarness, ServerConfig, WorldInit};
+use ilp_repro::server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 use ilp_repro::utcp::{FaultPlan, KernelCounters, KernelPart};
 
 const N: usize = 8;

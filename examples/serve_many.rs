@@ -15,21 +15,18 @@
 
 use ilp_repro::memsim::{AddressSpace, HostModel, SimMem};
 use ilp_repro::server::{
-    DeficitRoundRobin, Path, RoundRobin, ScaleHarness, Scheduler, ServerConfig, WorldInit,
+    DeficitRoundRobin, Path, RoundRobin, ScaleHarness, Scheduler, ServerConfig,
 };
 
 const N: usize = 8;
 const FILE_LEN: usize = 4 * 1024;
 const CHUNK: usize = 1024;
 
-fn run(path: Path, weights: Vec<u32>, sched: &mut dyn Scheduler) {
-    let cfg = ServerConfig {
-        n_conns: N,
-        file_len: FILE_LEN,
-        chunk: CHUNK,
-        weights,
-        ..Default::default()
-    };
+fn config(weights: Vec<u32>) -> ServerConfig {
+    ServerConfig { n_conns: N, file_len: FILE_LEN, chunk: CHUNK, weights, ..Default::default() }
+}
+
+fn run(path: Path, cfg: ServerConfig, sched: &mut dyn Scheduler) {
     let mut space = AddressSpace::new();
     let mut h = ScaleHarness::simplified(&mut space, cfg);
     let host = HostModel::ss10_30();
@@ -73,10 +70,11 @@ fn main() {
          one shared kernel part, simulated SS10-30\n"
     );
     for path in [Path::NonIlp, Path::Ilp] {
-        run(path, Vec::new(), &mut RoundRobin::new());
+        run(path, config(Vec::new()), &mut RoundRobin::new());
     }
-    let weights = vec![4, 2, 2, 1, 1, 1, 1, 1];
-    run(Path::Ilp, weights.clone(), &mut DeficitRoundRobin::new(weights, CHUNK as u32));
+    let cfg = config(vec![4, 2, 2, 1, 1, 1, 1, 1]);
+    let mut drr = DeficitRoundRobin::for_config(&cfg, CHUNK as u32);
+    run(Path::Ilp, cfg, &mut drr);
     println!(
         "(round-robin splits bytes evenly; the weighted run skews early\n\
          service toward connection 0 while every transfer still completes)"

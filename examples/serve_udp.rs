@@ -19,12 +19,11 @@
 //! external traffic. `probe` exits 0 when the sandbox grants UDP
 //! sockets and 2 when it does not, so scripts can skip gracefully.
 
-use ilp_repro::cipher::SimplifiedSafer;
-use ilp_repro::memsim::{AddressSpace, NativeMem, RegionKind};
+use ilp_repro::cipher::{CipherKernel, SimplifiedSafer};
+use ilp_repro::memsim::{AddressSpace, NativeMem, Region, RegionKind};
 use ilp_repro::rpcapp::ReplyMeta;
-use ilp_repro::server::pipeline::{
-    recv_chunk_ilp, recv_chunk_non_ilp, send_chunk_ilp, send_chunk_non_ilp, Scratch,
-};
+use ilp_repro::server::pipeline::{recv_chunk, send_chunk, Scratch};
+use ilp_repro::server::Path;
 use ilp_repro::utcp::rng::XorShift64;
 use ilp_repro::utcp::{Connection, SendError, State, UtcpConfig};
 use netback::UdpBackend;
@@ -38,7 +37,6 @@ const CLIENT_PORT: u16 = 4000;
 const SERVER_PORT: u16 = 5000;
 const CLIENT_ISS: u32 = 0x1000;
 const SERVER_ISS: u32 = 0x9000;
-const KEY: [u8; 8] = *b"ILP95key";
 const REQUEST_ID: u32 = 0x53525621;
 /// Paper workload: a 15 kbyte file in 1 kbyte messages.
 const DEFAULT_BYTES: usize = 15 * 1024;
@@ -56,26 +54,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum PathSel {
-    Ilp,
-    NonIlp,
-}
-
-impl PathSel {
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ilp" => Some(PathSel::Ilp),
-            "non_ilp" | "non-ilp" => Some(PathSel::NonIlp),
-            _ => None,
-        }
-    }
-    fn name(self) -> &'static str {
-        match self {
-            PathSel::Ilp => "ilp",
-            PathSel::NonIlp => "non_ilp",
-        }
-    }
+/// `ilp`, `non_ilp` or `non-ilp`.
+fn parse_path(s: &str) -> Option<Path> {
+    Path::ALL.into_iter().find(|p| p.name() == s.replace('-', "_"))
 }
 
 fn usage() -> ExitCode {
@@ -114,7 +95,7 @@ fn file_bytes(n: usize) -> Vec<u8> {
 }
 
 struct Args {
-    path: PathSel,
+    path: Path,
     out: Option<String>,
     addr_file: Option<String>,
     bytes: usize,
@@ -124,7 +105,7 @@ struct Args {
 
 fn parse_flags(mut rest: std::env::Args) -> Option<Args> {
     let mut a = Args {
-        path: PathSel::Ilp,
+        path: Path::Ilp,
         out: None,
         addr_file: None,
         bytes: DEFAULT_BYTES,
@@ -133,7 +114,7 @@ fn parse_flags(mut rest: std::env::Args) -> Option<Args> {
     };
     while let Some(flag) = rest.next() {
         match flag.as_str() {
-            "--path" => a.path = PathSel::parse(&rest.next()?)?,
+            "--path" => a.path = parse_path(&rest.next()?)?,
             "--out" => a.out = Some(rest.next()?),
             "--addr-file" => a.addr_file = Some(rest.next()?),
             "--bytes" => a.bytes = rest.next()?.parse().ok().filter(|&n| n <= MAX_FILE)?,
@@ -145,34 +126,71 @@ fn parse_flags(mut rest: std::env::Args) -> Option<Args> {
     Some(a)
 }
 
-/// Server: receive one file transfer and report its digest.
-fn serve(bind: &str, a: &Args) -> ExitCode {
+/// The client's view of the demo connection (the client pushes the
+/// file); the server runs on its mirror.
+fn client_cfg() -> UtcpConfig {
+    UtcpConfig {
+        local_port: CLIENT_PORT,
+        peer_port: SERVER_PORT,
+        local_ip: 0x0A00_0001,
+        peer_ip: 0x0A00_0002,
+        ..Default::default()
+    }
+}
+
+/// What both processes are made of: the cipher, a bound socket, one
+/// connection over it, the shared scratch, one application buffer (the
+/// client's file, the server's output) and the arena behind all of it.
+struct World {
+    cipher: SimplifiedSafer,
+    net: UdpBackend,
+    conn: Connection,
+    scratch: Scratch,
+    app: Region,
+    arena: Vec<u8>,
+}
+
+/// Build one end: bind `bind`, aim the socket at `peer` (or, without
+/// one, let it learn its peer from the first well-formed frame — the
+/// demo's stand-in for an accept()), and open the connection `cfg`
+/// describes with the two pre-agreed sequence numbers.
+fn world(
+    bind: &str,
+    peer: Option<&str>,
+    cfg: UtcpConfig,
+    iss: u32,
+    peer_iss: u32,
+) -> Result<World, ExitCode> {
     let mut space = AddressSpace::new();
     let cipher = SimplifiedSafer::alloc(&mut space);
-    let mut net = match UdpBackend::bind(&mut space, bind) {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("serve_udp: cannot bind {bind}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    // The client's address is whatever the first well-formed frame
-    // carries — the demo's stand-in for an accept().
-    net.set_learn_peer(true);
-    let cfg = UtcpConfig {
-        local_port: SERVER_PORT,
-        peer_port: CLIENT_PORT,
-        local_ip: 0x0A00_0002,
-        peer_ip: 0x0A00_0001,
-        ..Default::default()
-    };
-    let mut rx = Connection::new(&mut space, &mut net, cfg, SERVER_ISS);
-    rx.set_peer_iss(CLIENT_ISS);
+    let mut net = UdpBackend::bind(&mut space, bind).map_err(|e| {
+        eprintln!("serve_udp: cannot bind {bind}: {e}");
+        ExitCode::from(2)
+    })?;
+    match peer {
+        Some(addr) => net.set_peer(addr).map_err(|e| {
+            eprintln!("serve_udp: bad server address {addr}: {e}");
+            ExitCode::FAILURE
+        })?,
+        None => net.set_learn_peer(true),
+    }
+    let mut conn = Connection::new(&mut space, &mut net, cfg, iss);
+    conn.set_peer_iss(peer_iss);
     let scratch = Scratch::alloc(&mut space);
-    let app_out = space.alloc_kind("app_out", MAX_FILE, 64, RegionKind::AppData);
-    let mut arena = space.native_arena();
+    let app = space.alloc_kind("app_buf", MAX_FILE, 64, RegionKind::AppData);
+    let arena = space.native_arena();
+    Ok(World { cipher, net, conn, scratch, app, arena })
+}
+
+/// Server: receive one file transfer and report its digest.
+fn serve(bind: &str, a: &Args) -> ExitCode {
+    let World { cipher, mut net, conn: mut rx, scratch, app: app_out, mut arena } =
+        match world(bind, None, client_cfg().mirror(), SERVER_ISS, CLIENT_ISS) {
+            Ok(w) => w,
+            Err(code) => return code,
+        };
     let mut m = NativeMem::new(&mut arena);
-    cipher.init(&mut m, KEY);
+    cipher.init_world(&mut m);
 
     if let Some(f) = &a.addr_file {
         let addr = net.local_addr().map(|x| x.to_string()).unwrap_or_default();
@@ -199,15 +217,7 @@ fn serve(bind: &str, a: &Args) -> ExitCode {
         }
         let mut total: Option<usize> = None;
         while Instant::now() < deadline {
-            let got = match a.path {
-                PathSel::Ilp => {
-                    recv_chunk_ilp(&scratch, cipher, &mut m, &mut rx, &mut net, app_out)
-                }
-                PathSel::NonIlp => {
-                    recv_chunk_non_ilp(&scratch, &cipher, &mut m, &mut rx, &mut net, app_out)
-                }
-            };
-            match got {
+            match recv_chunk(a.path, &scratch, &cipher, &mut m, &mut rx, &mut net, app_out) {
                 Some(Ok(meta)) => {
                     chunks += 1;
                     if meta.last == 1 {
@@ -231,14 +241,7 @@ fn serve(bind: &str, a: &Args) -> ExitCode {
         // answer with our own FIN (LAST_ACK), and wait for the final ACK.
         let mut last_tick = Instant::now();
         while rx.state() != State::Closed && Instant::now() < deadline {
-            let _ = match a.path {
-                PathSel::Ilp => {
-                    recv_chunk_ilp(&scratch, cipher, &mut m, &mut rx, &mut net, app_out)
-                }
-                PathSel::NonIlp => {
-                    recv_chunk_non_ilp(&scratch, &cipher, &mut m, &mut rx, &mut net, app_out)
-                }
-            };
+            let _ = recv_chunk(a.path, &scratch, &cipher, &mut m, &mut rx, &mut net, app_out);
             if rx.state() == State::CloseWait {
                 rx.close(&mut m, &mut net); // nothing more to send back
             }
@@ -278,33 +281,13 @@ fn serve(bind: &str, a: &Args) -> ExitCode {
 
 /// Client: push the deterministic file to the server.
 fn fetch(server: &str, a: &Args) -> ExitCode {
-    let mut space = AddressSpace::new();
-    let cipher = SimplifiedSafer::alloc(&mut space);
-    let mut net = match UdpBackend::bind(&mut space, "127.0.0.1:0") {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("serve_udp: cannot bind a client socket: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Err(e) = net.set_peer(server) {
-        eprintln!("serve_udp: bad server address {server}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let cfg = UtcpConfig {
-        local_port: CLIENT_PORT,
-        peer_port: SERVER_PORT,
-        local_ip: 0x0A00_0001,
-        peer_ip: 0x0A00_0002,
-        ..Default::default()
-    };
-    let mut tx = Connection::new(&mut space, &mut net, cfg, CLIENT_ISS);
-    tx.set_peer_iss(SERVER_ISS);
-    let scratch = Scratch::alloc(&mut space);
-    let file = space.alloc_kind("app_file", MAX_FILE, 64, RegionKind::AppData);
-    let mut arena = space.native_arena();
+    let World { cipher, mut net, conn: mut tx, scratch, app: file, mut arena } =
+        match world("127.0.0.1:0", Some(server), client_cfg(), CLIENT_ISS, SERVER_ISS) {
+            Ok(w) => w,
+            Err(code) => return code,
+        };
     let mut m = NativeMem::new(&mut arena);
-    cipher.init(&mut m, KEY);
+    cipher.init_world(&mut m);
 
     let data = file_bytes(a.bytes);
     m.bytes_mut(file.base, data.len()).copy_from_slice(&data);
@@ -329,15 +312,8 @@ fn fetch(server: &str, a: &Args) -> ExitCode {
                     last: u32::from(offset + len == a.bytes),
                     data_len: len as u32,
                 };
-                let sent = match a.path {
-                    PathSel::Ilp => send_chunk_ilp(
-                        &scratch, cipher, &mut m, &mut tx, &mut net, &meta, file.at(offset),
-                    ),
-                    PathSel::NonIlp => send_chunk_non_ilp(
-                        &scratch, &cipher, &mut m, &mut tx, &mut net, &meta, file.at(offset),
-                    ),
-                };
-                match sent {
+                let at = file.at(offset);
+                match send_chunk(a.path, &scratch, &cipher, &mut m, &mut tx, &mut net, &meta, at) {
                     Ok(_) => {
                         offset += len;
                         seq += 1;
@@ -424,7 +400,7 @@ fn selftest(a: &Args) -> ExitCode {
     }
     let expected = file_bytes(a.bytes);
     let mut digests = Vec::new();
-    for path in [PathSel::NonIlp, PathSel::Ilp] {
+    for path in [Path::NonIlp, Path::Ilp] {
         let out = dir.join(format!("{}.bin", path.name()));
         let addr_file = dir.join(format!("{}.addr", path.name()));
         let mut server = match std::process::Command::new(&exe)

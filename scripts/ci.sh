@@ -54,10 +54,27 @@ fi
 # the schedulers rotate it. The scan, clone and sort they replaced live
 # on as references in sched.rs's test module only.
 if sed '/#\[cfg(test)\]/,$d' crates/server/src/sched.rs | grep -nE 'min_by_key|to_vec\(\)|sort_by_key' \
-    || sed -n '/fn drive_sends/,/fn drive_receives/p' crates/server/src/harness.rs | grep -n '\.collect()'; then
+    || sed -n '/fn drive_sends/,/fn drive_receives/p' crates/server/src/harness/round.rs | grep -n '\.collect()'; then
     echo "no per-pick scan, clone or sort in server::sched; drive_sends builds no collection"
     exit 1
 fi
+
+# One path enum (obs::PathLabel; `Path` is its re-export), one place a
+# path turns into one of the four data-path calls, one init hook (on
+# CipherKernel), and no server source file outgrowing its part.
+if [ "$(grep -rn -B4 '^\s*NonIlp,' crates/ examples/ --include='*.rs' | grep -c 'enum ')" -ne 1 ] \
+    || grep -rnE 'Path::Ilp => .*(send|recv)_(chunk|reply)_ilp' crates/ examples/ --include='*.rs' \
+        | grep -v '^crates/rpcapp/src/paths.rs:' \
+    || grep -rnE 'trait (SuiteInit|WorldInit)\b' crates/ examples/; then
+    echo "one Ilp/NonIlp enum; Path dispatch only in rpcapp::paths; no SuiteInit/WorldInit"
+    exit 1
+fi
+for f in $(find crates/server/src -name '*.rs'); do
+    if [ "$(sed '/#\[cfg(test)\]/,$d' "$f" | wc -l)" -gt 500 ]; then
+        echo "$f: more than 500 lines above its #[cfg(test)] — cut it along a seam"
+        exit 1
+    fi
+done
 
 echo "== tests =="
 cargo test -q --offline

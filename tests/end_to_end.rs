@@ -4,7 +4,7 @@
 
 use ilp_repro::memsim::{AddressSpace, HostModel, Mem, NativeMem, SimMem};
 use ilp_repro::rpcapp::app::{FileTransfer, Path};
-use ilp_repro::rpcapp::suite::{Suite, SuiteInit};
+use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::utcp::FaultPlan;
 
 fn native_transfer(path: Path, chunk: usize, file_len: usize, faults: FaultPlan) -> (usize, u64) {

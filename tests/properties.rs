@@ -25,7 +25,7 @@ use ilp_repro::rpcapp::msg::ReplyMeta;
 use ilp_repro::rpcapp::paths::{
     pump_acks, recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp,
 };
-use ilp_repro::rpcapp::suite::{Suite, SuiteInit};
+use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::utcp::rng::XorShift64;
 use ilp_repro::utcp::{Delivered, FaultPlan, Ipv4Header};
 use ilp_repro::xdr::{XdrDecoder, XdrEncoder};

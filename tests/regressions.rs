@@ -18,7 +18,7 @@ use ilp_repro::memsim::{AddressSpace, NativeMem};
 use ilp_repro::rpcapp::app::{FileTransfer, Path};
 use ilp_repro::rpcapp::msg::ReplyMeta;
 use ilp_repro::rpcapp::paths::{pump_acks, recv_reply_non_ilp, send_reply_non_ilp};
-use ilp_repro::rpcapp::suite::{Suite, SuiteInit};
+use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::utcp::{FaultPlan, SendError};
 
 const FILE_LEN: usize = 4 * 1024;

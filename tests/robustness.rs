@@ -5,7 +5,7 @@
 use ilp_repro::memsim::{AddressSpace, Mem, NativeMem};
 use ilp_repro::rpcapp::msg::ReplyMeta;
 use ilp_repro::rpcapp::paths::{recv_reply_ilp, send_reply_ilp};
-use ilp_repro::rpcapp::suite::{Suite, SuiteInit};
+use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::utcp::{Ipv4Header, IP_HEADER_LEN};
 
 /// Flip arbitrary bytes anywhere in the datagram (IP header, TCP
