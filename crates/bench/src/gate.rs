@@ -11,7 +11,9 @@
 //! that silently adds a pass over the data, evicts more cache lines, or
 //! changes retransmit behaviour moves one of these numbers and fails
 //! the gate; an intentional change re-records with `bench gate --record`
-//! and the diff of `baselines/` documents the shift in review.
+//! and the diff of `baselines/` documents the shift in review —
+//! `bench gate --explain`, run before the re-record, prints that diff
+//! as a table (key, baseline, fresh, Δ %) to commit beside it.
 //!
 //! The gate is also the shape check: every gated path must resolve in
 //! the fresh report whatever its policy, so a refactor that drops or
@@ -186,21 +188,71 @@ pub fn compare(baseline: &Json, current: &Json, checks: &[Check]) -> Outcome {
     out
 }
 
+/// What `bench gate` does with a report and its baseline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// Hold the report to the baseline.
+    Check,
+    /// Distil the report into the baseline.
+    Record,
+    /// Print what a re-record would change; never fails on a value.
+    Explain,
+}
+
+impl Policy {
+    fn label(self) -> String {
+        match self {
+            Policy::Exact => "exact".into(),
+            Policy::RelTol(tol) => format!("±{} %", 100.0 * tol),
+            Policy::ReportOnly => "report-only".into(),
+        }
+    }
+}
+
+/// The rows `--explain` prints for one report: every gated path whose
+/// fresh value differs from the baseline's (whatever its policy — a
+/// re-record rewrites report-only values too), as Markdown table cells
+/// `path | policy | baseline | fresh | Δ %`. A path new to the baseline
+/// or gone from the report is a row as well.
+pub fn explain(baseline: &Json, current: &Json, checks: &[Check]) -> Vec<String> {
+    let show = |v: Option<&Json>| v.map_or("—".into(), Json::render);
+    let mut rows = Vec::new();
+    for c in checks {
+        let (base, cur) = (baseline.get(c.path), walk(current, c.path));
+        if base == cur {
+            continue;
+        }
+        let delta = match (base.and_then(Json::as_f64), cur.and_then(Json::as_f64)) {
+            (Some(b), Some(v)) if b != 0.0 => format!("{:+.1}", 100.0 * (v - b) / b.abs()),
+            _ => "—".into(),
+        };
+        rows.push(format!(
+            "`{}` | {} | {} | {} | {delta}",
+            c.path,
+            c.policy.label(),
+            show(base),
+            show(cur)
+        ));
+    }
+    rows
+}
+
 fn load(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     obs::json::parse(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))
 }
 
-/// Gate one report file in the working directory against (or, with
-/// `record`, distil it into) its baseline under `baselines/`. Prints
-/// the notes and the verdict; `Err` carries the failures.
-pub fn gate_file(fm: &FileManifest, record: bool) -> Result<(), String> {
+/// Gate one report file in the working directory against its baseline
+/// under `baselines/` — or distil it into that baseline, or print how
+/// the two differ ([`Mode`]). Prints the notes and the verdict; `Err`
+/// carries the failures.
+pub fn gate_file(fm: &FileManifest, mode: Mode) -> Result<(), String> {
     let file = fm.file;
     let report = load(Path::new(file)).map_err(|e| format!("{e} (run its row first)"))?;
     let distilled = distill(&report, fm.checks).map_err(|e| format!("{file}: {e}"))?;
     let base_path = Path::new("baselines").join(file);
-    if record {
+    if mode == Mode::Record {
         std::fs::create_dir_all("baselines")
             .and_then(|()| obs::write_report(&base_path, &distilled))
             .map_err(|e| format!("cannot write {}: {e}", base_path.display()))?;
@@ -210,6 +262,12 @@ pub fn gate_file(fm: &FileManifest, record: bool) -> Result<(), String> {
     let baseline = load(&base_path).map_err(|e| {
         format!("{e}\nno baseline for {file} — run `bench gate --record` and commit baselines/")
     })?;
+    if mode == Mode::Explain {
+        for row in explain(&baseline, &report, fm.checks) {
+            println!("| {file} | {row} |");
+        }
+        return Ok(());
+    }
     let out = compare(&baseline, &report, fm.checks);
     for note in &out.notes {
         println!("gate: {file}: {note}");
@@ -298,6 +356,27 @@ mod tests {
         let out = compare(&base, &doc, &checks());
         assert!(out.passed());
         assert!(out.notes.iter().any(|n| n.contains("wall_us")));
+    }
+
+    #[test]
+    fn explain_lists_exactly_the_paths_a_re_record_would_rewrite() {
+        let base = distill(&report(), &checks()).unwrap();
+        assert!(explain(&base, &report(), &checks()).is_empty(), "nothing moved, nothing listed");
+        let moved = report()
+            .set("work", Json::obj().set("fused", Json::U64(450_597)).set("rounds", Json::U64(84)))
+            .set("wall_us", Json::U64(246_912));
+        assert_eq!(
+            explain(&base, &moved, &checks()),
+            [
+                "`work.fused` | exact | 901195 | 450597 | -50.0",
+                "`wall_us` | report-only | 123456 | 246912 | +100.0",
+            ]
+        );
+        // A path the baseline has not seen yet, and one with no number
+        // to take a ratio of.
+        let stale = Json::obj().set("mbps", Json::Str("fast".into()));
+        let rows = explain(&stale, &report(), &checks()[1..3]);
+        assert_eq!(rows, ["`work.rounds` | exact | — | 84 | —", "`mbps` | ±2 % | \"fast\" | 17.25 | —"]);
     }
 
     #[test]

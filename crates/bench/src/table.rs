@@ -10,6 +10,7 @@
 //! bench <row> [args]     run one row (and write its report, if it has one)
 //! bench ci               run every reporting row, then gate every report
 //! bench gate [--record]  gate (or re-record baselines/ from) the reports on disk
+//! bench gate --explain   what a re-record would change: key, baseline, fresh, Δ %
 //! bench list             the table
 //! ```
 
@@ -17,7 +18,7 @@ use crate::exp::{
     atom_axp, calibrate, churn, ciphers, des_ablation, dispatch, dst, health, loss, micro,
     placement, segtrace, server_scale, shard_scale, store_grain, sweep, trace,
 };
-use crate::gate::{gate_file, Check, FileManifest, Policy};
+use crate::gate::{gate_file, Check, FileManifest, Mode, Policy};
 use obs::Json;
 
 /// What a row runs: prints to stdout, returns the report document if
@@ -423,15 +424,19 @@ fn all(steps: impl Iterator<Item = Result<(), String>>) -> Result<(), String> {
     }
 }
 
-/// Gate (or record) every report of `table` that has gated paths.
-fn gate_all(table: &[Row], record: bool) -> Result<(), String> {
+/// Gate (or record, or explain) every report of `table` that has gated
+/// paths.
+fn gate_all(table: &[Row], mode: Mode) -> Result<(), String> {
+    if mode == Mode::Explain {
+        println!("| report | key | policy | baseline | fresh | Δ % |\n|---|---|---|---|---|---|");
+    }
     let reports = table.iter().filter_map(|row| row.report.as_ref());
-    all(reports.filter(|fm| !fm.checks.is_empty()).map(|fm| gate_file(fm, record)))
+    all(reports.filter(|fm| !fm.checks.is_empty()).map(|fm| gate_file(fm, mode)))
 }
 
 /// The `bench` command line over `table` (the binary passes [`TABLE`]).
 pub fn dispatch(table: &[Row], args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: bench <row> [args] | ci | gate [--record] | list";
+    const USAGE: &str = "usage: bench <row> [args] | ci | gate [--record | --explain] | list";
     let Some((cmd, rest)) = args.split_first() else {
         return Err(USAGE.into());
     };
@@ -446,10 +451,11 @@ pub fn dispatch(table: &[Row], args: &[String]) -> Result<(), String> {
                 println!("== {} ==", row.name);
                 run_row(row, &[])
             }))?;
-            gate_all(table, false)
+            gate_all(table, Mode::Check)
         }
-        ("gate", []) => gate_all(table, false),
-        ("gate", [flag]) if flag == "--record" => gate_all(table, true),
+        ("gate", []) => gate_all(table, Mode::Check),
+        ("gate", [flag]) if flag == "--record" => gate_all(table, Mode::Record),
+        ("gate", [flag]) if flag == "--explain" => gate_all(table, Mode::Explain),
         ("ci" | "gate" | "list", _) => Err(USAGE.into()),
         (name, _) => match table.iter().find(|row| row.name == name) {
             Some(row) => run_row(row, rest),

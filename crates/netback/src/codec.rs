@@ -145,25 +145,46 @@ pub fn encode_traced(inner: &[u8], tag: SegTag) -> Result<Vec<u8>, CodecError> {
 }
 
 fn encode_frame(inner: &[u8], tag: Option<SegTag>) -> Result<Vec<u8>, CodecError> {
-    if inner.len() > MAX_INNER {
-        return Err(CodecError::Oversized { declared: inner.len(), max: MAX_INNER });
-    }
-    if inner.len() < MIN_INNER {
-        return Err(CodecError::Runt { len: inner.len() });
-    }
-    let tag_len = if tag.is_some() { TAG_LEN } else { 0 };
-    let mut out = Vec::with_capacity(HEADER_LEN + tag_len + inner.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(if tag.is_some() { KIND_TRACED } else { KIND_SEGMENT });
-    out.extend_from_slice(&(inner.len() as u16).to_be_bytes());
-    if let Some(t) = tag {
-        out.extend_from_slice(&t.conn.to_be_bytes());
-        out.extend_from_slice(&t.chunk.to_be_bytes());
-        out.extend_from_slice(&t.xmit.to_be_bytes());
-    }
-    out.extend_from_slice(inner);
+    let mut out = Vec::with_capacity(HEADER_LEN + TAG_LEN + inner.len().min(MAX_INNER));
+    encode_into(&mut out, inner.len(), tag, |dst| dst.copy_from_slice(inner))?;
     Ok(out)
+}
+
+/// Build a frame in `frame` (cleared first, its capacity reused): the
+/// envelope, the tag if any, then `inner_len` bytes that `fill` writes
+/// in place — the allocation-free form of [`encode`] /
+/// [`encode_traced`] for a sender that keeps one frame buffer and has
+/// its datagram somewhere other than a slice.
+///
+/// # Errors
+/// Same bounds as [`encode`], checked before `frame` or `fill` is
+/// touched.
+pub fn encode_into(
+    frame: &mut Vec<u8>,
+    inner_len: usize,
+    tag: Option<SegTag>,
+    fill: impl FnOnce(&mut [u8]),
+) -> Result<(), CodecError> {
+    if inner_len > MAX_INNER {
+        return Err(CodecError::Oversized { declared: inner_len, max: MAX_INNER });
+    }
+    if inner_len < MIN_INNER {
+        return Err(CodecError::Runt { len: inner_len });
+    }
+    frame.clear();
+    frame.extend_from_slice(&MAGIC);
+    frame.push(VERSION);
+    frame.push(if tag.is_some() { KIND_TRACED } else { KIND_SEGMENT });
+    frame.extend_from_slice(&(inner_len as u16).to_be_bytes());
+    if let Some(t) = tag {
+        frame.extend_from_slice(&t.conn.to_be_bytes());
+        frame.extend_from_slice(&t.chunk.to_be_bytes());
+        frame.extend_from_slice(&t.xmit.to_be_bytes());
+    }
+    let preamble = frame.len();
+    frame.resize(preamble + inner_len, 0);
+    fill(&mut frame[preamble..]);
+    Ok(())
 }
 
 /// Validate a frame and return the inner datagram bytes (either kind;
@@ -270,6 +291,37 @@ mod tests {
     fn encoder_enforces_decoder_bounds() {
         assert!(matches!(encode(&[0u8; MIN_INNER - 1]), Err(CodecError::Runt { .. })));
         assert!(matches!(encode(&[0u8; MAX_INNER + 1]), Err(CodecError::Oversized { .. })));
+        // The in-place form refuses before it touches the buffer or
+        // asks for a single byte.
+        let mut frame = vec![0xAB; 7];
+        for len in [0, MIN_INNER - 1, MAX_INNER + 1, usize::MAX] {
+            assert!(encode_into(&mut frame, len, None, |_| panic!("fill called")).is_err());
+            assert_eq!(frame, [0xAB; 7]);
+        }
+    }
+
+    /// One reused frame buffer, random sizes and tags: every frame
+    /// [`encode_into`] builds is the frame [`encode`] /
+    /// [`encode_traced`] would have allocated, it round-trips, and the
+    /// buffer never regrows once it has held the largest frame.
+    #[test]
+    fn encode_into_reuses_one_buffer_and_matches_the_allocating_encoders() {
+        let mut rng = XorShift64::new(0x1270);
+        let mut frame = Vec::with_capacity(HEADER_LEN + TAG_LEN + MAX_INNER);
+        let at = frame.as_ptr();
+        for round in 0..5_000u32 {
+            let len = MIN_INNER + rng.below((MAX_INNER - MIN_INNER) as u64 + 1) as usize;
+            let inner: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let tag = (round % 2 == 1).then_some(SegTag { conn: round, chunk: round ^ 7, xmit: 1 });
+            encode_into(&mut frame, len, tag, |dst| dst.copy_from_slice(&inner)).unwrap();
+            let reference = match tag {
+                Some(tag) => encode_traced(&inner, tag),
+                None => encode(&inner),
+            };
+            assert_eq!(frame, reference.unwrap());
+            assert_eq!(decode_frame(&frame).unwrap(), (&inner[..], tag));
+            assert_eq!(frame.as_ptr(), at, "round {round}: the frame buffer moved");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Functionally this is exactly what the paper asks of its kernel
 //! component — "similar functionality as UDP without checksum" — except
 //! the UDP is real: every [`KernelPart::send`] becomes one `sendto(2)`
-//! and every receive drains `recvfrom(2)`. The inner bytes are the
+//! and a receive that finds its queue empty drains `recvfrom(2)`. The
+//! inner bytes are the
 //! same IPv4 + TCP + payload datagram the loop-back carries, framed by
 //! the length-checked codec in [`crate::codec`]; the connection state
 //! machine above cannot tell the backends apart (the equivalence test
@@ -16,10 +17,14 @@
 //! so both system copies remain visible to the memory model even
 //! though a real kernel is doing the actual I/O underneath.
 //!
-//! The socket is non-blocking. Receives drain whatever the socket
-//! holds and return; they never wait, so a lost datagram can never
-//! hang a poll loop — timeouts and retransmission are the
-//! [`utcp::Connection`]'s job, exactly as over the loop-back.
+//! The socket is non-blocking and touched only when it has to be: a
+//! receive serves the endpoint's queue first and goes to the socket
+//! only when that queue is empty, and then takes no more datagrams than
+//! there are free kernel slots — the rest wait in the kernel's socket
+//! buffer, which is the back-pressure a slot pool alone cannot give. A
+//! receive never waits, so a lost datagram can never hang a poll loop —
+//! timeouts and retransmission are the [`utcp::Connection`]'s job,
+//! exactly as over the loop-back.
 
 use crate::{codec, ipv4};
 use memsim::layout::AddressSpace;
@@ -37,8 +42,9 @@ use utcp::PortDemux;
 /// Kernel slot size: header room + the largest TPDU (the loop-back's
 /// geometry, kept identical so the same configs run over both).
 const SLOT: usize = 2048;
-/// Number of receive slots.
-const SLOTS: usize = 64;
+/// Number of receive slots — one bit each in `drain_socket`'s map of
+/// the pool.
+const SLOTS: usize = u64::BITS as usize;
 
 /// A [`KernelPart`] backend over one UDP socket.
 #[derive(Debug)]
@@ -46,9 +52,11 @@ pub struct UdpBackend {
     socket: UdpSocket,
     /// Kernel buffer slots arriving datagrams are deposited into.
     slots: Region,
-    next_slot: usize,
     /// Staging area outgoing datagrams are assembled in.
     staging: Region,
+    /// The outgoing wire frame (envelope + datagram), built in place
+    /// for every send so a send allocates nothing.
+    frame: Vec<u8>,
     /// Per-port receive queues (tags are the out-of-band context from
     /// [`codec::KIND_TRACED`] envelopes).
     demux: PortDemux,
@@ -94,8 +102,8 @@ impl UdpBackend {
         Ok(UdpBackend {
             socket,
             slots,
-            next_slot: 0,
             staging,
+            frame: Vec::with_capacity(codec::HEADER_LEN + codec::TAG_LEN + codec::MAX_INNER),
             demux: PortDemux::default(),
             peer: None,
             learn_peer: false,
@@ -143,11 +151,20 @@ impl UdpBackend {
         self.peer
     }
 
-    /// Pull everything out of the socket into the per-port queues,
-    /// depositing each datagram into a kernel slot via `m`.
+    /// Move datagrams from the socket into the per-port queues,
+    /// depositing each into a free kernel slot via `m`, until the
+    /// socket is empty or every slot holds a queued datagram. A slot is
+    /// free once its datagram has been handed out: those bytes are the
+    /// caller's until its next `recv_into`, and only `recv_into` gets
+    /// here.
     fn drain_socket<M: Mem>(&mut self, m: &mut M) {
         let mut buf = [0u8; codec::HEADER_LEN + codec::TAG_LEN + codec::MAX_INNER];
-        loop {
+        // Bit `i` is set while a queued datagram lives in slot `i`.
+        let mut busy = self
+            .demux
+            .queued_datagrams()
+            .fold(0u64, |busy, d| busy | 1 << ((d.addr - self.slots.base) / SLOT));
+        while busy != u64::MAX {
             let (n, from) = match self.socket.recv_from(&mut buf) {
                 Ok(ok) => ok,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -174,12 +191,10 @@ impl UdpBackend {
                 self.unroutable += 1;
                 continue;
             };
-            // Receive-side system copy into a kernel slot. The slot pool
-            // recycles round-robin like the loop-back's; an overrun
-            // clobbers an old queued datagram and the TCP checksum
-            // catches it downstream.
-            let slot = self.slots.at(self.next_slot * SLOT);
-            self.next_slot = (self.next_slot + 1) % SLOTS;
+            // Receive-side system copy into a free kernel slot.
+            let free = busy.trailing_ones() as usize;
+            busy |= 1 << free;
+            let slot = self.slots.at(free * SLOT);
             m.phase_push(memsim::mem::PhaseTag::System);
             for (i, &b) in inner.iter().enumerate() {
                 m.write_u8(slot + i, b);
@@ -231,30 +246,29 @@ impl KernelPart for UdpBackend {
         }
         m.compute(30);
         // Read the assembled datagram out of instrumented memory into
-        // the syscall buffer.
-        let mut inner = vec![0u8; total];
-        for (i, b) in inner.iter_mut().enumerate() {
-            *b = m.read_u8(self.staging.at(i));
-        }
-        m.phase_pop();
-        let ctx = self.send_ctx.take();
-        let frame = match ctx {
-            Some(tag) => codec::encode_traced(&inner, tag),
-            None => codec::encode(&inner),
-        }
+        // the wire frame, straight behind its envelope.
+        let (staging, ctx) = (self.staging, self.send_ctx.take());
+        codec::encode_into(&mut self.frame, total, ctx, |inner| {
+            for (i, b) in inner.iter_mut().enumerate() {
+                *b = m.read_u8(staging.at(i));
+            }
+        })
         .expect("assembled datagram is within codec bounds");
+        m.phase_pop();
         let Some(dest) = self.peer else {
             self.send_errors += 1;
             return;
         };
-        match self.socket.send_to(&frame, dest) {
+        match self.socket.send_to(&self.frame, dest) {
             Ok(_) => self.sent += 1,
             Err(_) => self.send_errors += 1,
         }
     }
 
     fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram> {
-        self.drain_socket(m);
+        if self.demux.pending(id) == 0 {
+            self.drain_socket(m);
+        }
         let (datagram, tag) = self.demux.pop(id)?;
         self.last_ctx = tag;
         Some(datagram)
@@ -464,6 +478,70 @@ mod tests {
         if let Some(mut c) = peerless {
             c.send(&mut m, 1, 2, 8080, user.base, user.base, 0);
             assert_eq!(c.counters().dropped, 1);
+        }
+    }
+
+    #[test]
+    fn default_ring_of_small_chunks_never_overruns_the_slot_pool() {
+        // 256 B chunks under the default 16 KiB ring put as many
+        // datagrams in flight as there are kernel slots, and ACKs ride
+        // the other way. The drain stops at the free slots and leaves
+        // the rest in the socket buffer, so nothing queued is ever
+        // overwritten: no reject, no retransmission, every byte right.
+        const CHUNK: usize = 256;
+        const FILE: usize = 128 * 1024;
+        const CHUNKS: usize = 2 * FILE / CHUNK; // the file, twice
+        let mut space = AddressSpace::new();
+        let Some((mut a, mut b)) = pair(&mut space) else {
+            eprintln!("skipping: sandbox denies UDP sockets");
+            return;
+        };
+        let cfg = utcp::UtcpConfig { local_port: 4000, peer_port: 5000, ..Default::default() };
+        assert_eq!(cfg.ring_capacity, 16 * 1024);
+        let (tx_iss, rx_iss) = (0x1000, 0x9000);
+        let mut tx = utcp::Connection::new(&mut space, &mut a, cfg, tx_iss);
+        let mut rx = utcp::Connection::new(&mut space, &mut b, cfg.mirror(), rx_iss);
+        tx.set_peer_iss(rx_iss);
+        rx.set_peer_iss(tx_iss);
+        let file = space.alloc("file", FILE, 64);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        for (i, byte) in m.bytes_mut(file.base, FILE).iter_mut().enumerate() {
+            *byte = (i * 31 + i / CHUNK) as u8;
+        }
+        let mut delivered = Vec::with_capacity(2 * FILE);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut last_tick = Instant::now();
+        let mut next = 0;
+        while next < CHUNKS || tx.in_flight() > 0 {
+            assert!(Instant::now() < deadline, "stalled at chunk {next} of {CHUNKS}");
+            while next < CHUNKS
+                && tx.send_buf(&mut m, &mut a, file.at(next * CHUNK % FILE), CHUNK).is_ok()
+            {
+                next += 1;
+            }
+            while let Some(d) = rx.poll_input(&mut m, &mut b) {
+                let sum = checksum::internet::checksum_buf(&mut m, d.payload_addr, d.payload_len);
+                if rx.finish_recv(&mut m, &mut b, &d, sum).is_ok() {
+                    delivered.extend_from_slice(m.bytes(d.payload_addr, d.payload_len));
+                }
+            }
+            while tx.poll_input(&mut m, &mut a).is_some() {}
+            if last_tick.elapsed() >= Duration::from_millis(20) {
+                tx.tick(&mut m, &mut a);
+                last_tick = Instant::now();
+            }
+        }
+        assert_eq!(delivered.len(), 2 * FILE);
+        assert!(delivered[..FILE] == *m.bytes(file.base, FILE));
+        assert!(delivered[FILE..] == *m.bytes(file.base, FILE));
+        assert_eq!((tx.stats.retransmits, rx.stats.rejected, tx.stats.rejected), (0, 0, 0));
+        assert_eq!(rx.stats.accepted, CHUNKS as u64);
+        assert!(rx.stats.acks_sent < CHUNKS as u64 / 2, "bursts are ACKed once, not per chunk");
+        for net in [&a, &b] {
+            let c = net.counters();
+            assert!(c.queue_peak <= c.queue_capacity, "{} queued in {} slots", c.queue_peak, c.queue_capacity);
+            assert_eq!((c.dropped, c.corrupted, net.demux.queued_datagrams().count()), (0, 0, 0));
         }
     }
 

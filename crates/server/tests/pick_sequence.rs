@@ -139,7 +139,11 @@ fn deficit_round_robin_pick_sequence_is_the_recorded_one() {
 #[test]
 fn pick_sequence_under_drops_is_the_recorded_one() {
     // Retransmissions refill rings and reopen windows between rounds, so
-    // connections leave and rejoin the ready set out of step.
+    // connections leave and rejoin the ready set out of step. (Re-recorded
+    // once, when receivers began to ACK a drained burst once: the
+    // loop-back carries fewer ACK datagrams, so every 11th datagram is a
+    // different segment. Picks and rounds did not move, and the two
+    // fault-free digests above are the originals.)
     let cfg = ServerConfig {
         n_conns: 256,
         file_len: 4 * 1024,
@@ -147,5 +151,5 @@ fn pick_sequence_under_drops_is_the_recorded_one() {
         ..Default::default()
     };
     let (digest, picks, rounds) = pick_digest(cfg, RoundRobin::new());
-    assert_eq!((digest, picks, rounds), (0x2EB7_9032_1895_6B95, 1024, 254));
+    assert_eq!((digest, picks, rounds), (0x7E08_2687_7BED_4BBD, 1024, 254));
 }

@@ -215,12 +215,16 @@ fn blackout_world() -> Result<Vec<Verdict>, String> {
 /// and the file grew when fast retransmit landed: dup-ACK recovery
 /// repairs mild overwrite losses too quickly to read as a storm, so the
 /// shape needs sustained pressure to keep retransmissions outnumbering
-/// deliveries inside individual windows.)
+/// deliveries inside individual windows. The chunk halved to 256 B when
+/// receivers began to ACK a drained burst once: the pool stopped
+/// carrying an ACK per segment, and at 512 B what pressure was left
+/// repaired fast enough to read as unfairness between the four rather
+/// than as a storm; twice the datagrams per byte put it back.)
 fn saturation_world() -> Result<Vec<Verdict>, String> {
     let cfg = ServerConfig {
         n_conns: 4,
         file_len: 16 * 1024,
-        chunk: 512,
+        chunk: 256,
         ..Default::default()
     };
     let mut space = AddressSpace::new();

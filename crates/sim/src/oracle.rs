@@ -25,6 +25,10 @@
 //!   within a loss-free epoch (delimited by `ConnStats::cwnd_cuts`),
 //!   pinned at a ≥ 2·MSS ssthresh inside fast recovery (halved, never
 //!   collapsed), and three duplicate ACKs always arm fast retransmit;
+//! * **no ACK left owed**: a receiver ACKs a drained burst once, owing
+//!   the ACK while more of the burst is queued — a round ends with
+//!   every endpoint polled to `None`, so no connection may still owe
+//!   one;
 //! * **conservation** (post-run): every observability counter equals
 //!   the sum of its windowed time series — nothing the recorder counted
 //!   leaks out of (or into) the series on window seals or merges.
@@ -286,6 +290,18 @@ impl Tracker {
                     ));
                 }
             }
+            // Every round polls both ends until `poll_input` returns
+            // `None`, which pays any ACK an accept left to the rest of
+            // its burst; nothing after that poll (timers, close, FIN
+            // handling) may run up a new one.
+            if tx.owes_ack() || rx.owes_ack() {
+                return Err(format!(
+                    "conn {i}: an ACK is still owed after the round polled to empty \
+                     (server {}, client {})",
+                    tx.owes_ack(),
+                    rx.owes_ack()
+                ));
+            }
             let (bytes, _chunks, _rejected) = h.client_progress(i);
             if bytes < prev.bytes {
                 return Err(format!("conn {i}: delivered bytes shrank"));
@@ -307,7 +323,7 @@ impl Tracker {
             prev.rx_state = rx.state();
             prev.rx_accepted = rx.stats.accepted;
             prev.rx_fin = rx.fin_rcvd_seq();
-            self.checks += 17 + u64::from(deep);
+            self.checks += 18 + u64::from(deep);
         }
         Ok(())
     }

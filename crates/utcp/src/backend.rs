@@ -59,6 +59,11 @@ pub struct KernelCounters {
     /// (socket backends; always 0 on loop-back).
     pub codec_rejects: u64,
     /// High-water mark of datagrams queued across the backend at once.
+    /// The UDP backend queues only into free slots and leaves the rest
+    /// in the kernel's socket buffer, so its peak never exceeds
+    /// `queue_capacity`. The loop-back has no such refuge — there a
+    /// peak at capacity means a slot was recycled under a queued
+    /// datagram.
     pub queue_peak: u64,
     /// Total queue capacity in datagrams (0 = unknown/unbounded).
     pub queue_capacity: u64,
@@ -124,9 +129,12 @@ pub trait KernelPart {
     /// already queued at send time and ignores `m`.
     fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram>;
 
-    /// Number of datagrams already queued for an endpoint. Advisory
-    /// (a real backend may have more in the socket buffer); used for
-    /// queue-depth observability, never for correctness.
+    /// Number of datagrams already queued for an endpoint. Advisory (a
+    /// real backend may have more in the socket buffer): it feeds
+    /// queue-depth observability, and it tells a receiver whether the
+    /// burst it is draining has ended, so that it ACKs once per burst —
+    /// a stale answer sends that ACK one segment early or one poll
+    /// late, never wrongly.
     fn pending(&self, id: EndpointId) -> usize;
 
     /// Cumulative fault/garbage accounting for this backend.

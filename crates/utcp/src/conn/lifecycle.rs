@@ -233,6 +233,8 @@ impl Connection {
         // Karn: never sample RTT across the FIN exchange — a teardown
         // ACK may cover a retransmitted FIN.
         self.snd.rtt_probe = None;
+        // The FIN acknowledges `rcv_nxt` like any ACK.
+        self.rcv.ack_owed = false;
         self.emit(m, k.kernel(), seq, TcpFlags::FIN_ACK, Body::BARE);
         self.touch_state(m);
         if K::Obs::ENABLED {

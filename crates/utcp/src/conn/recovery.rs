@@ -165,8 +165,8 @@ impl Connection {
     /// within the same virtual tick, so inflation would only distort
     /// the cwnd traces the simulation oracles pin.
     fn enter_recovery<M: Mem>(&mut self, m: &mut M, k: &mut impl KernelCtx) {
-        self.snd.ssthresh = (self.in_flight() / 2).max(2 * self.mss());
-        self.snd.cwnd = self.snd.ssthresh;
+        let halved = (self.in_flight() / 2).max(2 * self.mss());
+        self.snd.cut(halved, halved);
         self.stats.cwnd_cuts += 1;
         self.rec.point = Some(self.snd.nxt);
         self.rec.high_rxt = self.snd.una;

@@ -74,18 +74,24 @@ pub(super) struct RecvSeq {
     /// Monotone stamp so SACK blocks can be ordered most-recent-first
     /// (RFC 2018 §4).
     stamp: u64,
+    /// An in-order accept advanced `nxt` and left its ACK to the rest
+    /// of the burst still queued in the kernel part. Whatever emits the
+    /// next ACK-bearing segment pays the debt ([`Connection::send_ack`]
+    /// clears it).
+    pub(super) ack_owed: bool,
 }
 
 impl RecvSeq {
     /// Nothing received, nothing held; `nxt` is seeded afterwards by
     /// [`Connection::set_peer_iss`].
     pub(super) fn new(staging: Region, hold: Region) -> Self {
-        RecvSeq { nxt: 0, fin_rcvd: None, staging, hold, held: Vec::new(), stamp: 0 }
+        RecvSeq { nxt: 0, fin_rcvd: None, staging, hold, held: Vec::new(), stamp: 0, ack_owed: false }
     }
 
-    /// Forget every held segment (reset).
+    /// Forget every held segment and any ACK still owed (reset).
     pub(super) fn drop_held(&mut self) {
         self.held.clear();
+        self.ack_owed = false;
     }
 
     /// Back to [`RecvSeq::new`] over the same regions, in place — the
@@ -148,6 +154,14 @@ impl Connection {
         self.rcv.fin_rcvd
     }
 
+    /// Whether an accepted segment's ACK is still outstanding — true
+    /// only between an accept that left more of its burst queued and
+    /// the next poll, tick or close, so never after a
+    /// [`Connection::poll_input`] that returned `None`.
+    pub fn owes_ack(&self) -> bool {
+        self.rcv.ack_owed
+    }
+
     /// The receive-staging region (the ILP receive loop reads from here).
     pub fn recv_region(&self) -> Region {
         self.rcv.staging
@@ -185,7 +199,13 @@ impl Connection {
             }
         }
         loop {
-            let datagram = k.kernel().recv_into(m, self.endpoint)?;
+            let Some(datagram) = k.kernel().recv_into(m, self.endpoint) else {
+                // The burst is over: one ACK for everything it advanced.
+                if self.rcv.ack_owed {
+                    self.send_ack(m, k.kernel());
+                }
+                return None;
+            };
             let ctx = k.kernel().take_recv_ctx();
             // Kernel: IP validation + demultiplexing, then the system
             // copy into the receive staging buffer (step 1, Fig. 5).
@@ -411,11 +431,16 @@ impl Connection {
 
     /// **Final stage**: accept or reject the staged segment given the
     /// payload checksum produced by the integrated stage (fused or
-    /// separate). On accept, advances `rcv_nxt` and emits an ACK; on
-    /// reject, state is untouched (the paper's motivation for early
-    /// manipulation: "TCP processing can proceed without a possible roll
-    /// back later on") — except that a duplicate/out-of-order segment
-    /// still triggers a (repeat) ACK so the sender can make progress.
+    /// separate). On accept, advances `rcv_nxt` and ACKs — at once when
+    /// the kernel part holds nothing more for this endpoint, otherwise
+    /// once per burst: the ACK is owed until the accept that empties
+    /// the queue, the next `poll_input` that finds it empty, `tick` or
+    /// `close`, whichever comes first, and that one cumulative ACK
+    /// stands for every segment the burst advanced. On reject, state is
+    /// untouched (the paper's motivation for early manipulation: "TCP
+    /// processing can proceed without a possible roll back later on") —
+    /// except that a duplicate/out-of-order segment still triggers an
+    /// immediate (repeat) ACK so the sender can make progress.
     ///
     /// Reports the hold/accept/ACK trace marks but no span: the final
     /// stage is bracketed by whoever shaped it (`ilp_core::three_stage`
@@ -453,15 +478,20 @@ impl Connection {
         }
         k.seg(d.ctx, SegEv::Accept);
         self.touch_state(m);
-        self.send_ack(m, k.kernel());
-        k.seg(d.ctx, SegEv::AckGen);
+        if k.kernel().pending(self.endpoint) == 0 {
+            self.send_ack(m, k.kernel());
+            k.seg(d.ctx, SegEv::AckGen);
+        } else {
+            self.rcv.ack_owed = true;
+        }
         Ok(())
     }
 
-    /// Emit a pure ACK. While holding out-of-order data (and loss
-    /// recovery is on) it carries a SACK option naming the held runs;
-    /// the option bytes ride through the kernel part as the segment's
-    /// "payload", so every backend ships them without change.
+    /// Emit a pure ACK, which settles any ACK owed. While holding
+    /// out-of-order data (and loss recovery is on) it carries a SACK
+    /// option naming the held runs; the option bytes ride through the
+    /// kernel part as the segment's "payload", so every backend ships
+    /// them without change.
     pub(super) fn send_ack<M: Mem>(&mut self, m: &mut M, lb: &mut impl KernelPart) {
         let ranges;
         let body = if self.cfg.loss_recovery && !self.rcv.held.is_empty() {
@@ -471,6 +501,7 @@ impl Connection {
             Body::BARE
         };
         self.stats.acks_sent += 1;
+        self.rcv.ack_owed = false;
         self.emit(m, lb, self.snd.nxt, TcpFlags::ACK, body);
     }
 }

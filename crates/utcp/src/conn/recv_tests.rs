@@ -27,18 +27,117 @@ fn duplicate_segment_rejected_but_reacked() {
     w.lb.set_faults(FaultPlan { dup_every: 1, ..Default::default() });
     let mut arena = w.space.native_arena();
     let mut m = NativeMem::new(&mut arena);
-    m.bytes_mut(w.src.base, 40).copy_from_slice(&[9u8; 40]);
-    w.tx.send_buf(&mut m, &mut w.lb, w.src.base, 40).unwrap();
-    let d1 = w.rx.poll_input(&mut m, &mut w.lb).unwrap();
-    let sum = checksum_buf(&mut m, d1.payload_addr, d1.payload_len);
-    w.rx.finish_recv(&mut m, &mut w.lb, &d1, sum).unwrap();
+    send_burst(&mut w, &mut m, 1, 40);
+    // The segment and its duplicate are one burst: the accept leaves
+    // its ACK to what is still queued ...
+    accept_one(&mut w, &mut m).expect("segment delivered").unwrap();
+    assert!(w.rx.owes_ack());
+    assert_eq!(w.rx.stats.acks_sent, 0);
+    // ... and the duplicate is re-ACKed at once, which settles it.
     let d2 = w.rx.poll_input(&mut m, &mut w.lb).expect("duplicate delivered");
     assert!(!d2.in_order);
     let sum2 = checksum_buf(&mut m, d2.payload_addr, d2.payload_len);
     assert!(w.rx.finish_recv(&mut m, &mut w.lb, &d2, sum2).is_err());
     assert_eq!(w.rx.stats.accepted, 1);
     assert_eq!(w.rx.stats.rejected, 1);
-    assert_eq!(w.rx.stats.acks_sent, 2, "duplicate triggers a repeat ACK");
+    assert_eq!(w.rx.stats.acks_sent, 1, "one repeat ACK, covering the accept too");
+    assert!(!w.rx.owes_ack());
+    assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none());
+    assert_eq!(w.tx.in_flight(), 0);
+}
+
+#[test]
+fn a_burst_drained_to_none_is_acked_once() {
+    let mut w = world();
+    let mut arena = w.space.native_arena();
+    let mut m = NativeMem::new(&mut arena);
+    send_burst(&mut w, &mut m, 5, 100);
+    assert_eq!(w.tx.in_flight(), 500);
+    while let Some(verdict) = accept_one(&mut w, &mut m) {
+        verdict.unwrap();
+    }
+    assert_eq!((w.rx.stats.accepted, w.rx.stats.acks_sent), (5, 1), "one ACK per burst");
+    assert!(!w.rx.owes_ack());
+    // That one ACK is cumulative: a single poll retires the whole flight.
+    assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none());
+    assert_eq!((w.tx.in_flight(), w.tx.stats.acks_received), (0, 1));
+}
+
+#[test]
+fn out_of_order_arrivals_ack_at_once_and_three_duplicates_still_fast_retransmit() {
+    let mut w = world();
+    let mut arena = w.space.native_arena();
+    let mut m = NativeMem::new(&mut arena);
+    // Segment 2 of six is lost; 1 and 3–6 sit in one burst.
+    let swallow = FaultPlan { drop_every: 1, ..Default::default() };
+    for i in 1..=6u8 {
+        w.lb.set_faults(if i == 2 { swallow } else { FaultPlan::default() });
+        m.bytes_mut(w.src.base, 100).fill(i);
+        w.tx.send_buf(&mut m, &mut w.lb, w.src.base, 100).unwrap();
+    }
+    w.lb.set_faults(FaultPlan::default());
+    accept_one(&mut w, &mut m).expect("segment 1").unwrap();
+    assert_eq!((w.rx.owes_ack(), w.rx.stats.acks_sent), (true, 0));
+    // Each arrival past the hole is held and ACKed immediately; the
+    // first of those ACKs also carries segment 1's.
+    for held in 1..=4u64 {
+        assert!(accept_one(&mut w, &mut m).expect("segments 3-6").is_err());
+        assert_eq!((w.rx.owes_ack(), w.rx.stats.acks_sent), (false, held));
+    }
+    // The sender reads one forward ACK, then three duplicates of it.
+    while w.tx.poll_input(&mut m, &mut w.lb).is_some() {}
+    assert_eq!(w.tx.in_flight(), 500, "segment 1 retired");
+    assert_eq!(w.tx.stats.fast_retransmits, 1, "the third duplicate armed fast retransmit");
+    assert_eq!(w.tx.stats.retransmits, 1);
+    // The resent segment fills the hole; the held four replay behind it.
+    let mut received = Vec::new();
+    drain_without_ticks(&mut w, &mut m, &mut received);
+    assert_eq!((received.len(), w.rx.stats.accepted, w.tx.in_flight()), (5, 6, 0));
+}
+
+#[test]
+fn an_owed_ack_is_paid_by_tick_close_and_fin_and_forgotten_by_restart() {
+    let mut w = world();
+    let mut arena = w.space.native_arena();
+    let mut m = NativeMem::new(&mut arena);
+    // A receiver that accepts one segment of three and stops polling
+    // pays on its next tick.
+    send_burst(&mut w, &mut m, 3, 100);
+    accept_one(&mut w, &mut m).expect("first of three").unwrap();
+    assert_eq!((w.rx.owes_ack(), w.rx.stats.acks_sent), (true, 0));
+    w.rx.tick(&mut m, &mut w.lb);
+    assert_eq!((w.rx.owes_ack(), w.rx.stats.acks_sent), (false, 1));
+    assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none());
+    assert_eq!(w.tx.in_flight(), 200);
+    // The peer's FIN behind the burst: consuming it ACKs everything
+    // before it along with the FIN itself.
+    w.tx.close(&mut m, &mut w.lb);
+    accept_one(&mut w, &mut m).expect("second").unwrap();
+    accept_one(&mut w, &mut m).expect("third").unwrap();
+    assert_eq!((w.rx.owes_ack(), w.rx.stats.acks_sent), (true, 1), "the FIN is still queued");
+    assert!(accept_one(&mut w, &mut m).is_none(), "the FIN is consumed inside the poll");
+    assert_eq!((w.rx.owes_ack(), w.rx.stats.acks_sent), (false, 2));
+    assert_eq!(w.rx.state(), State::CloseWait);
+    assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none());
+    assert_eq!((w.tx.in_flight(), w.tx.state()), (0, State::FinWait2));
+
+    // Our own FIN acknowledges like any ACK: closing mid-burst leaves
+    // no debt behind.
+    let mut w = world();
+    let mut arena = w.space.native_arena();
+    let mut m = NativeMem::new(&mut arena);
+    send_burst(&mut w, &mut m, 2, 100);
+    accept_one(&mut w, &mut m).expect("first of two").unwrap();
+    assert!(w.rx.owes_ack());
+    w.rx.close(&mut m, &mut w.lb);
+    assert_eq!((w.rx.owes_ack(), w.rx.stats.acks_sent), (false, 0));
+    assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none());
+    assert_eq!(w.tx.in_flight(), 100, "the FIN carried the first segment's ACK");
+
+    // A debt does not outlive the incarnation that ran it up.
+    w.rx.rcv.ack_owed = true;
+    w.rx.rcv.restart();
+    assert!(!w.rx.owes_ack());
 }
 
 #[test]

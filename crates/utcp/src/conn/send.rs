@@ -65,6 +65,10 @@ pub(super) struct SendSeq {
     pub(super) cwnd: u32,
     /// Slow-start threshold in bytes.
     pub(super) ssthresh: u32,
+    /// Bytes acknowledged in congestion avoidance that `cwnd` has not
+    /// grown for yet (RFC 3465 §2.1's `bytes_acked`); always below
+    /// `cwnd`.
+    acked_in_avoidance: u32,
     /// Smoothed RTT in ticks, scaled ×8 (RFC 6298 fixed-point); 0 = no
     /// sample yet.
     srtt8: u32,
@@ -89,6 +93,7 @@ impl SendSeq {
             last_progress: now,
             cwnd: 2 * cfg.mtu as u32,
             ssthresh: u32::MAX / 4,
+            acked_in_avoidance: 0,
             srtt8: 0,
             rttvar4: 0,
             rto: cfg.rto_ticks,
@@ -120,16 +125,29 @@ impl SendSeq {
         self.in_flight() as usize + len <= allowed as usize
     }
 
-    /// Congestion window growth for `advanced` newly-acked bytes: slow
-    /// start below ssthresh, linear (one MSS per window) above.
-    fn grow(&mut self, advanced: u32, mss: u32) {
-        debug_assert!(advanced > 0, "cwnd growth requires a forward ACK");
-        if self.cwnd < self.ssthresh {
-            self.cwnd = self.cwnd.saturating_add(advanced.min(mss));
-        } else {
-            self.cwnd = self.cwnd.saturating_add((mss * mss / self.cwnd).max(1));
+    /// Congestion window growth for `acked` newly-acknowledged bytes,
+    /// counted in bytes rather than in ACKs (RFC 3465), so one ACK that
+    /// covers a burst of segments opens the window exactly as far as
+    /// the per-segment ACKs it stands for: slow start adds the bytes up
+    /// to `ssthresh`; past it every `cwnd` bytes acknowledged add one
+    /// MSS.
+    fn grow(&mut self, acked: u32, mss: u32) {
+        debug_assert!(acked > 0, "cwnd growth requires a forward ACK");
+        let slow = acked.min(self.ssthresh.saturating_sub(self.cwnd));
+        self.cwnd += slow;
+        self.acked_in_avoidance += acked - slow;
+        while self.acked_in_avoidance >= self.cwnd {
+            self.acked_in_avoidance -= self.cwnd;
+            self.cwnd = (self.cwnd + mss).min(u32::MAX / 4);
         }
-        self.cwnd = self.cwnd.min(u32::MAX / 4);
+    }
+
+    /// A loss event: the window falls to `cwnd` under a new `ssthresh`,
+    /// and avoidance starts counting from nothing.
+    pub(super) fn cut(&mut self, ssthresh: u32, cwnd: u32) {
+        self.ssthresh = ssthresh;
+        self.cwnd = cwnd;
+        self.acked_in_avoidance = 0;
     }
 
     /// Feed the Jacobson estimator if `ack` covers the timed segment
@@ -361,6 +379,10 @@ impl Connection {
     /// other send) — or the FIN, when only that is outstanding.
     pub fn tick<M: Mem, K: KernelCtx>(&mut self, m: &mut M, k: &mut K) {
         self.ticks += 1;
+        if self.rcv.ack_owed {
+            // The receiver stopped polling mid-burst: the clock pays.
+            self.send_ack(m, k.kernel());
+        }
         if self.tick_quiet(k.obs()) || self.in_flight() == 0 {
             self.snd.last_progress = self.ticks;
             return;
@@ -374,8 +396,7 @@ impl Connection {
                 // supersedes any fast-recovery episode, and the
                 // scoreboard may be stale (SACKs are advisory, RFC 2018
                 // §8) — forget it and rebuild from fresh ACKs.
-                self.snd.ssthresh = (self.in_flight() / 2).max(2 * self.mss());
-                self.snd.cwnd = self.mss();
+                self.snd.cut((self.in_flight() / 2).max(2 * self.mss()), self.mss());
                 self.stats.cwnd_cuts += 1;
                 self.rec.restart(self.snd.una);
                 self.back_off(k.obs());

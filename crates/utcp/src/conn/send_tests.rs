@@ -93,14 +93,51 @@ fn advertised_window_caps_outstanding_data() {
     );
     assert!(!w.tx.can_send(100), "can_send must agree with reserve");
     assert!(w.tx.can_send(50), "a 50-byte segment still fits the window");
-    // Acknowledging the first segment reopens exactly its share.
-    let d = w.rx.poll_input(&mut m, &mut w.lb).expect("first data segment");
-    let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
-    w.rx.finish_recv(&mut m, &mut w.lb, &d, sum).unwrap();
-    let _ = w.tx.poll_input(&mut m, &mut w.lb);
-    assert_eq!(w.tx.in_flight(), 100);
-    w.tx.send_buf(&mut m, &mut w.lb, w.src.base, 100).unwrap();
-    assert_eq!(w.tx.in_flight(), 200, "window reopened by exactly the acked bytes");
+    // The receiver ACKs the burst, not the segment: accepting the first
+    // of the two queued segments opens nothing yet, accepting the
+    // second empties the queue and sends the one ACK for both.
+    accept_one(&mut w, &mut m).expect("first data segment").unwrap();
+    assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none());
+    assert_eq!(w.tx.in_flight(), 200, "the ACK waits for the rest of the burst");
+    accept_one(&mut w, &mut m).expect("second data segment").unwrap();
+    assert_eq!(w.rx.stats.acks_sent, 1);
+    assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none());
+    assert_eq!(w.tx.in_flight(), 0, "one cumulative ACK retired both");
+    send_burst(&mut w, &mut m, 2, 100);
+    assert_eq!(w.tx.in_flight(), 200, "window reopened by the acked bytes");
+}
+
+#[test]
+fn one_ack_for_a_burst_grows_cwnd_exactly_as_the_per_segment_acks_would() {
+    // (ssthresh − initial cwnd): slow start throughout, congestion
+    // avoidance throughout, and a burst that crosses from one into the
+    // other part-way through a segment.
+    for headroom in [u32::MAX / 8, 0, 1000] {
+        let (mut burst, mut single) = (world(), world());
+        for w in [&mut burst, &mut single] {
+            w.tx.snd.ssthresh = w.tx.snd.cwnd + headroom;
+            let mut arena = w.space.native_arena();
+            let mut m = NativeMem::new(&mut arena);
+            send_burst(w, &mut m, 6, 512);
+        }
+        let (una, wnd, none) = (burst.tx.snd_una(), burst.tx.peer_window(), SackBlocks::default());
+        let mut arena = burst.space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        burst.tx.process_ack(&mut m, &mut burst.lb, una.wrapping_add(6 * 512), wnd, &none);
+        let mut arena = single.space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        for seg in 1..=6 {
+            single.tx.process_ack(&mut m, &mut single.lb, una.wrapping_add(seg * 512), wnd, &none);
+        }
+        assert_eq!(burst.tx.snd, single.tx.snd, "headroom {headroom}");
+        assert_eq!((burst.tx.stats.acks_received, single.tx.stats.acks_received), (1, 6));
+        let grown = burst.tx.cwnd() - 2 * 1536;
+        match headroom {
+            0 => assert_eq!(grown, 1536, "avoidance: one MSS per cwnd of acknowledged bytes"),
+            1000 => assert_eq!(grown, 1000, "slow start to ssthresh, then not yet a full cwnd"),
+            _ => assert_eq!(grown, 6 * 512, "slow start: the bytes acknowledged"),
+        }
+    }
 }
 
 #[test]

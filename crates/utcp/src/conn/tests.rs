@@ -57,6 +57,22 @@ fn drain_without_ticks(w: &mut World, m: &mut NativeMem<'_>, received: &mut Vec<
     }
 }
 
+/// Poll the receiver once and run what it staged through the final
+/// stage; `None` when the poll found the queue empty.
+fn accept_one(w: &mut World, m: &mut NativeMem<'_>) -> Option<Result<(), Reject>> {
+    let d = w.rx.poll_input(m, &mut w.lb)?;
+    let sum = checksum_buf(m, d.payload_addr, d.payload_len);
+    Some(w.rx.finish_recv(m, &mut w.lb, &d, sum))
+}
+
+/// Hand `n` segments of `len` bytes to the transport back to back.
+fn send_burst(w: &mut World, m: &mut NativeMem<'_>, n: usize, len: usize) {
+    for i in 0..n {
+        m.bytes_mut(w.src.base, len).fill(i as u8 + 1);
+        w.tx.send_buf(m, &mut w.lb, w.src.base, len).unwrap();
+    }
+}
+
 /// Drive one message through: send, receive, verify, ack.
 fn transfer(w: &mut World, m: &mut NativeMem<'_>, len: usize) -> Vec<u8> {
     w.tx.send_buf(m, &mut w.lb, w.src.base, len).unwrap();

@@ -120,11 +120,18 @@ impl PortDemux {
         self.endpoints[id.index()].queue.len()
     }
 
+    /// Every queued datagram, in no particular order — the kernel slots
+    /// in use, for a backend that deposits only into free ones.
+    pub fn queued_datagrams(&self) -> impl Iterator<Item = &Datagram> {
+        self.endpoints.iter().flat_map(|ep| &ep.queue)
+    }
+
     /// High-water mark of datagrams queued across all endpoints at
-    /// once. Kernel slots recycle round-robin, so once this reaches the
-    /// slot count a queued datagram may have been overwritten in place
-    /// — the saturation signal the health engine's queue detector keys
-    /// on.
+    /// once. The loop-back's kernel slots recycle round-robin, so there
+    /// a peak at the slot count means a queued datagram may have been
+    /// overwritten in place — the saturation signal the health engine's
+    /// queue detector keys on. The UDP backend queues only into free
+    /// slots, so its peak never exceeds its slot count.
     pub fn peak_queued(&self) -> usize {
         self.peak_queued
     }

@@ -10,14 +10,21 @@ cargo build --release --offline
 echo "== frozen consumer: the benchmark must compile against the public API, unchanged =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== native path: every delivered byte verified through both stacks — fault-free, under faults, and 1024 connections in handshake/teardown waves =="
-for workload in bulk lossy fanin; do
-    out=$(./benchmark/target/release/ilpbench --workload "$workload" --seconds 3 --trace 0)
+# One 3 s run of a benchmark workload: every delivered byte compared,
+# no failed operation, no validity guard tripped.
+verified_run() {
+    local out
+    out=$(./benchmark/target/release/ilpbench --workload "$1" --seconds 3 --trace 0)
     if grep -q INVALID <<<"$out" || ! grep -qx 'ops_failed 0' <<<"$out"; then
         tail -n 20 <<<"$out"
-        echo "ilpbench $workload: failed operations or an INVALID run"
+        echo "ilpbench $1: failed operations or an INVALID run"
         exit 1
     fi
+}
+
+echo "== native path: every delivered byte verified through both stacks — fault-free, under faults, and 1024 connections in handshake/teardown waves =="
+for workload in bulk lossy fanin; do
+    verified_run "$workload"
 done
 # cargo re-resolves the benchmark's lock when a workspace crate's
 # dependency list moved; nothing under benchmark/ is this script's to change.
@@ -69,6 +76,14 @@ if [ "$(grep -rn -B4 '^\s*NonIlp,' crates/ examples/ --include='*.rs' | grep -c 
     echo "one Ilp/NonIlp enum; Path dispatch only in rpcapp::paths; no SuiteInit/WorldInit"
     exit 1
 fi
+# A receiver ACKs a drained burst once and a socket backend serves its
+# queue before its socket: one ACK site on the accept path, one place
+# that reads the socket.
+if [ "$(sed -n '/SegEv::Accept/,/^    }/p' crates/utcp/src/conn/recv.rs | grep -c 'send_ack(')" -ne 1 ] \
+    || [ "$(grep -c 'socket\.recv_from' crates/netback/src/udp.rs)" -ne 1 ]; then
+    echo "finish_recv ACKs an accept at one site; UdpBackend reads its socket at one site"
+    exit 1
+fi
 for f in $(find crates/server/src -name '*.rs'); do
     if [ "$(sed '/#\[cfg(test)\]/,$d' "$f" | wc -l)" -gt 500 ]; then
         echo "$f: more than 500 lines above its #[cfg(test)] — cut it along a seam"
@@ -105,8 +120,11 @@ if ./target/release/examples/serve_udp probe; then
     # Churn: three connect→transfer→close waves per path, each running the
     # full FIN/ACK handshake and draining TIME_WAIT before the port is reused.
     timeout 120 ./target/release/examples/serve_udp selftest --waves 3 --bytes 8192
+    # The benchmark's socket workload, held to the same standard as the
+    # three loop-back ones above.
+    verified_run udp_small
 else
-    echo "UDP sockets unavailable in this environment; skipping the socket smoke test"
+    echo "UDP sockets unavailable in this environment; skipping the socket smoke test and ilpbench udp_small"
 fi
 
 echo "== doctor: render the diagnostic bundle end-to-end (artifacts under target/) =="
