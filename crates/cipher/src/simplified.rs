@@ -29,7 +29,7 @@
 //! explosion of the paper's Figure 14 when the cipher is fused into the
 //! ILP loop.
 
-use crate::kernel::{pack, unpack, CipherKernel};
+use crate::kernel::CipherKernel;
 use crate::tables::ExpLogTables;
 use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
@@ -39,6 +39,18 @@ use memsim::{CodeRegion, Mem};
 /// substitution stage; the complementary positions use ADD and LOG. This
 /// is SAFER's 1,4,5,8 / 2,3,6,7 pattern.
 const XOR_EXP_POS: [bool; 8] = [true, false, false, true, true, false, false, true];
+
+/// Key length: one byte per position of the unit.
+const KEY_LEN: usize = 8;
+
+/// Scratch length: the encrypt half `[0, 8)` and the decrypt half
+/// `[8, 16)`. The kernels address key and scratch as `base + constant`
+/// below these two lengths, which [`SimplifiedSafer::alloc`] checks once.
+const SCRATCH_LEN: usize = 16;
+
+/// The low byte of each 16-bit lane of a packed unit — the second byte
+/// of each 2-PHT pair (the unit is packed big-endian).
+const PAIR_LO: u64 = 0x00FF_00FF_00FF_00FF;
 
 /// The simplified SAFER K-64 kernel.
 #[derive(Debug, Clone, Copy)]
@@ -60,8 +72,12 @@ impl SimplifiedSafer {
     /// Allocate tables, key and scratch in `space`.
     pub fn alloc(space: &mut AddressSpace) -> Self {
         let tables = ExpLogTables::alloc(space);
-        let key = space.alloc_kind("safer_key", 8, 8, RegionKind::Table);
-        let scratch = space.alloc_kind("safer_scratch", 16, 8, RegionKind::Scratch);
+        let key = space.alloc_kind("safer_key", KEY_LEN, 8, RegionKind::Table);
+        let scratch = space.alloc_kind("safer_scratch", SCRATCH_LEN, 8, RegionKind::Scratch);
+        assert!(
+            key.len == KEY_LEN && scratch.len == SCRATCH_LEN,
+            "cipher regions shorter than the kernels address"
+        );
         let code_enc = space.alloc_code("simplified_safer_enc", 480);
         let code_dec = space.alloc_code("simplified_safer_dec", 560);
         SimplifiedSafer { tables, key, scratch, code_enc, code_dec }
@@ -70,10 +86,32 @@ impl SimplifiedSafer {
     /// Write tables and key material into a memory world (setup phase).
     pub fn init<M: Mem>(&self, m: &mut M, key: [u8; 8]) {
         self.tables.init(m);
-        for (j, &k) in key.iter().enumerate() {
-            m.write_u8(self.key.at(j), k);
-        }
+        m.write_bytes(self.key.base, key);
     }
+}
+
+/// 2-PHT on all four byte pairs of a packed unit at once:
+/// `(a₁, a₂) → (2a₁+a₂, a₁+a₂)` mod 256. Each pair is one 16-bit lane;
+/// the sums stay below 2¹⁶, so no carry crosses a lane.
+#[inline(always)]
+fn pht(unit: u64) -> u64 {
+    let a1 = (unit >> 8) & PAIR_LO;
+    let a2 = unit & PAIR_LO;
+    let sum = a1 + a2;
+    (((sum + a1) & PAIR_LO) << 8) | (sum & PAIR_LO)
+}
+
+/// Inverse of [`pht`]: from `(x, y) = (2a₁+a₂, a₁+a₂)`, `a₁ = x−y` and
+/// `a₂ = 2y−x = y−a₁`. Each lane borrows from a 2⁸ lent to it, never
+/// from its neighbour.
+#[inline(always)]
+fn inverse_pht(unit: u64) -> u64 {
+    const LEND: u64 = 0x0100_0100_0100_0100;
+    let x = (unit >> 8) & PAIR_LO;
+    let y = unit & PAIR_LO;
+    let a1 = ((x | LEND) - y) & PAIR_LO;
+    let a2 = ((y | LEND) - a1) & PAIR_LO;
+    (a1 << 8) | a2
 }
 
 impl CipherKernel for SimplifiedSafer {
@@ -81,65 +119,55 @@ impl CipherKernel for SimplifiedSafer {
     const OUTPUT_GRAIN: usize = 1;
     const NAME: &'static str = "simplified-saferk64";
 
+    #[inline(always)]
     fn encrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
         m.fetch(self.code_enc);
-        let b = unpack(unit, 8);
-        // Stages 1+2: key mix then table substitution, staging each result
-        // byte through the scratch byte vector.
+        let key: [u8; KEY_LEN] = m.read_bytes(self.key.base);
+        let b = unit.to_be_bytes();
+        // Stages 1+2: key mix then table substitution; the results are
+        // staged through the scratch byte vector.
+        let mut staged = [0u8; 8];
         for j in 0..8 {
-            let k = m.read_u8(self.key.at(j));
-            let mixed = if XOR_EXP_POS[j] { b[j] ^ k } else { b[j].wrapping_add(k) };
-            let substituted = if XOR_EXP_POS[j] {
-                self.tables.exp(m, mixed)
+            staged[j] = if XOR_EXP_POS[j] {
+                self.tables.exp(m, b[j] ^ key[j])
             } else {
-                self.tables.log(m, mixed)
+                self.tables.log(m, b[j].wrapping_add(key[j]))
             };
-            m.write_u8(self.scratch.at(j), substituted);
             m.compute(Self::OPS_PER_BYTE);
         }
+        m.write_bytes(self.scratch.base, staged);
         // Stage 3: 2-PHT on each pair, reading the staged bytes back.
-        let mut out = [0u8; 8];
-        for p in 0..4 {
-            let a1 = m.read_u8(self.scratch.at(2 * p));
-            let a2 = m.read_u8(self.scratch.at(2 * p + 1));
-            out[2 * p] = a1.wrapping_mul(2).wrapping_add(a2);
-            out[2 * p + 1] = a1.wrapping_add(a2);
+        let staged: [u8; 8] = m.read_bytes(self.scratch.base);
+        for _pair in 0..4 {
             m.compute(3);
         }
-        pack(&out)
+        pht(u64::from_be_bytes(staged))
     }
 
+    #[inline(always)]
     fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
         m.fetch(self.code_dec);
-        let b = unpack(unit, 8);
-        // Inverse PHT: from (x, y) = (2a₁+a₂, a₁+a₂): a₁ = x−y, a₂ = 2y−x.
-        // Intermediates staged through the *second* scratch half — the
-        // decrypt side needs its own byte vector ("more variables for
-        // intermediate results than for encryption"), widening the
-        // cipher's cache footprint on receive.
-        for p in 0..4 {
-            let x = b[2 * p];
-            let y = b[2 * p + 1];
-            let a1 = x.wrapping_sub(y);
-            let a2 = y.wrapping_mul(2).wrapping_sub(x);
-            m.write_u8(self.scratch.at(8 + 2 * p), a1);
-            m.write_u8(self.scratch.at(8 + 2 * p + 1), a2);
+        // Inverse PHT, its intermediates staged through the *second*
+        // scratch half — the decrypt side needs its own byte vector
+        // ("more variables for intermediate results than for
+        // encryption"), widening the cipher's cache footprint on receive.
+        for _pair in 0..4 {
             m.compute(3);
         }
+        m.write_bytes(self.scratch.base + 8, inverse_pht(unit).to_be_bytes());
+        let staged: [u8; 8] = m.read_bytes(self.scratch.base + 8);
         // Inverse substitution and key mix.
+        let key: [u8; KEY_LEN] = m.read_bytes(self.key.base);
         let mut out = [0u8; 8];
         for j in 0..8 {
-            let v = m.read_u8(self.scratch.at(8 + j));
-            let unsub = if XOR_EXP_POS[j] {
-                self.tables.log(m, v)
+            out[j] = if XOR_EXP_POS[j] {
+                self.tables.log(m, staged[j]) ^ key[j]
             } else {
-                self.tables.exp(m, v)
+                self.tables.exp(m, staged[j]).wrapping_sub(key[j])
             };
-            let k = m.read_u8(self.key.at(j));
-            out[j] = if XOR_EXP_POS[j] { unsub ^ k } else { unsub.wrapping_sub(k) };
             m.compute(Self::OPS_PER_BYTE); // inverse ops cost what the forward ops cost
         }
-        pack(&out)
+        u64::from_be_bytes(out)
     }
 
     fn init_world<M: Mem>(&self, m: &mut M) {
@@ -150,7 +178,7 @@ impl CipherKernel for SimplifiedSafer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{decrypt_buf, encrypt_buf};
+    use crate::kernel::{decrypt_buf, encrypt_buf, kat};
     use memsim::{AddressSpace, HostModel, NativeMem, SimMem, SizeClass};
 
     const KEY: [u8; 8] = [0x13, 0x57, 0x9B, 0xDF, 0x24, 0x68, 0xAC, 0xE0];
@@ -197,17 +225,21 @@ mod tests {
 
     #[test]
     fn self_kat_guards_regressions() {
-        // Self-generated known answer: pins the exact transform so that
-        // refactors cannot silently change the cipher (and with it every
-        // simulated access pattern downstream).
+        // Known answers under the experiment key, recorded on the commit
+        // before the kernels moved to burst accesses and the packed PHT
+        // (855bbb3): they pin the exact transform, so a refactor cannot
+        // silently change the cipher — not even in both directions at once.
         let (space, c) = native();
-        let mut arena = space.native_arena();
-        let mut m = NativeMem::new(&mut arena);
-        c.init(&mut m, KEY);
-        let kat = c.encrypt_unit(&mut m, 0x0123_4567_89AB_CDEF);
-        let again = c.encrypt_unit(&mut m, 0x0123_4567_89AB_CDEF);
-        assert_eq!(kat, again, "cipher must be deterministic");
-        assert_eq!(c.decrypt_unit(&mut m, kat), 0x0123_4567_89AB_CDEF);
+        let known = [
+            (0x0000_0000_0000_0000, 0x6796_59aa_058e_a603),
+            (0xffff_ffff_ffff_ffff, 0x3b11_db15_a139_682a),
+            (0x0123_4567_89ab_cdef, 0xcc44_dee3_7203_75e7),
+            (0x0102_0304_0506_0708, 0x83fb_9f18_5051_9116),
+        ];
+        // … and a million seeded blocks through each direction.
+        let digests = kat::unit_digests(&space, &c, known, 1_000_000);
+        assert_eq!(digests, (0x4d11_4967_c9e3_5e55, 0xbcb3_1b1c_e79f_3afa));
+        assert_eq!(kat::buf_digests(space, &c), (0x1466_b352_6503_401c, 0xe38a_5101_01a1_76e4));
     }
 
     #[test]
@@ -244,6 +276,52 @@ mod tests {
         assert_eq!(s.writes_for(memsim::RegionKind::Scratch).total(), 8);
         assert_eq!(s.reads.by_size(SizeClass::B1), 24);
         assert_eq!(s.writes.by_size(SizeClass::B1), 8);
+    }
+
+    #[test]
+    fn access_order_within_a_unit_is_pinned() {
+        // The ordered access list of one unit each way — region + offset
+        // (a table look-up lands where the data sends it, so tables show
+        // no offset), `r`ead or `w`rite, every access one byte wide.
+        // Encrypt reads its key first and stages all eight substituted
+        // bytes before reading them back; decrypt stages its inverse-PHT
+        // bytes first and reads the key after them.
+        let mut space = AddressSpace::new();
+        let c = SimplifiedSafer::alloc(&mut space);
+        let mut m = SimMem::new(&space, &HostModel::ss10_30());
+        c.init_world(&mut m);
+        let mut accesses = |run: &dyn Fn(&mut SimMem) -> u64| {
+            m.start_trace(64);
+            let _ = run(&mut m);
+            let trace = m.take_trace().expect("started");
+            assert_eq!(trace.dropped, 0);
+            let render = |e: &memsim::TraceEvent| {
+                let r = space.region_of(e.addr).expect("inside a region");
+                let name = r.name.trim_start_matches("safer_");
+                let rw = if e.kind == memsim::AccessKind::Read { 'r' } else { 'w' };
+                assert_eq!(e.len, 1, "byte-grain kernel");
+                if r.len == 256 {
+                    format!("{name}:{rw}")
+                } else {
+                    format!("{name}+{}:{rw}", e.addr - r.base)
+                }
+            };
+            trace.events().iter().map(render).collect::<Vec<_>>().join(" ")
+        };
+        assert_eq!(
+            accesses(&|m| c.encrypt_unit(m, 0x0123_4567_89AB_CDEF)),
+            "key+0:r key+1:r key+2:r key+3:r key+4:r key+5:r key+6:r key+7:r \
+             exp:r log:r log:r exp:r exp:r log:r log:r exp:r \
+             scratch+0:w scratch+1:w scratch+2:w scratch+3:w scratch+4:w scratch+5:w scratch+6:w scratch+7:w \
+             scratch+0:r scratch+1:r scratch+2:r scratch+3:r scratch+4:r scratch+5:r scratch+6:r scratch+7:r"
+        );
+        assert_eq!(
+            accesses(&|m| c.decrypt_unit(m, 0x0123_4567_89AB_CDEF)),
+            "scratch+8:w scratch+9:w scratch+10:w scratch+11:w scratch+12:w scratch+13:w scratch+14:w scratch+15:w \
+             scratch+8:r scratch+9:r scratch+10:r scratch+11:r scratch+12:r scratch+13:r scratch+14:r scratch+15:r \
+             key+0:r key+1:r key+2:r key+3:r key+4:r key+5:r key+6:r key+7:r \
+             log:r exp:r exp:r log:r log:r exp:r exp:r log:r"
+        );
     }
 
     #[test]

@@ -83,13 +83,13 @@ impl ExpLogTables {
     /// Exponential lookup: one 1-byte table read.
     #[inline(always)]
     pub fn exp<M: Mem>(&self, m: &mut M, x: u8) -> u8 {
-        m.read_u8(self.exp.base + usize::from(x))
+        m.lookup_u8(self.exp.base, x)
     }
 
     /// Logarithm lookup: one 1-byte table read.
     #[inline(always)]
     pub fn log<M: Mem>(&self, m: &mut M, x: u8) -> u8 {
-        m.read_u8(self.log.base + usize::from(x))
+        m.lookup_u8(self.log.base, x)
     }
 }
 

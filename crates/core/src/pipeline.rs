@@ -10,11 +10,14 @@
 //!
 //! Each (source, stages, sink) instantiation compiles to one loop body:
 //! the `next_word` / `process` / `store` implementations of this
-//! workspace are `#[inline(always)]` — the cipher kernels deliberately
-//! are not, a loop body with two of them inlined spills — their rare
-//! cases (tail word, padding, header capture) sit in `#[cold]` helpers,
-//! and `scripts/ci.sh` fails when the native benchmark binary carries
-//! any of the three as an out-of-line symbol. DESIGN.md §18 has the
+//! workspace are `#[inline(always)]`, and so are the unit kernels of the
+//! experiment cipher (`SimplifiedSafer`, ≈ 75 instructions a unit once
+//! it touches memory in bursts — the paper's macro; the full SAFER K-64
+//! and DES bodies stay out of line, a loop with one of those inlined
+//! spills). Rare cases (tail word, padding, header capture) sit in
+//! `#[cold]` helpers, and `scripts/ci.sh` fails when the native
+//! benchmark binary carries a source, stage, sink or `SimplifiedSafer`
+//! unit kernel as an out-of-line symbol. DESIGN.md §18 has the
 //! measurements.
 //!
 //! The sink stores at a [`StoreGrain`] derived from the stages' output
@@ -83,8 +86,8 @@ impl<M: Mem> UnitSink<M> for LinearSink {
         let base = self.addr + self.written;
         match grain {
             StoreGrain::Byte => {
-                for i in 0..unit.len() {
-                    m.write_u8(base + i, unit.byte(i));
+                for i in 0..unit.words() {
+                    m.write_bytes(base + 4 * i, unit.word(i).to_be_bytes());
                 }
             }
             StoreGrain::Word => {

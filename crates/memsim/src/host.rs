@@ -141,13 +141,6 @@ impl HostModel {
         RunCost { compute_cyc, l1_cyc, l2_us, mem_us, total_us: cyc_us + l2_us + mem_us }
     }
 
-    /// System time per packet given the simulated system-copy stats: two
-    /// crossings (send-side write, receive-side read) plus driver/IP/task
-    /// switch plus the copies themselves.
-    pub fn system_us(&self, syscopy_stats_per_packet: &RunStats) -> f64 {
-        self.cost(syscopy_stats_per_packet).total_us + 2.0 * self.syscall_us + self.driver_us
-    }
-
     // --- the seven hosts of the paper ---
 
     /// All seven hosts in the paper's Table 1 order.

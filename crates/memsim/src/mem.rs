@@ -4,9 +4,27 @@
 //! The paper's central quantity is the number and size of memory accesses a
 //! protocol stack performs per packet (§4.2). To measure that without
 //! forking the code base, kernels never touch slices directly: they issue
-//! reads and writes through `Mem`. The [`NativeMem`] instance erases to raw
-//! slice accesses under monomorphisation; [`crate::SimMem`] counts and
-//! cache-simulates the identical access stream.
+//! reads and writes through `Mem`. [`crate::SimMem`] counts and
+//! cache-simulates the access stream; [`NativeMem`] serves the identical
+//! stream from a byte slice.
+//!
+//! **What a native access costs.** `NativeMem` is safe code over a slice,
+//! so every `read::<N>` / `write::<N>` is a subtraction and one slice
+//! bounds check (two compares and a branch to the panic path) before its
+//! load or store. That check is what keeps a wild address a panic instead
+//! of a wild access, and it does *not* vanish under monomorphisation: a
+//! kernel that touches memory a byte at a time pays it per byte. The three
+//! burst operations exist so that byte-grain kernels pay it per burst.
+//!
+//! **What the burst operations promise every `Mem`.**
+//! [`Mem::read_bytes`] / [`Mem::write_bytes`] are "`N` one-byte accesses
+//! at ascending addresses" and [`Mem::lookup_u8`] is "one byte of a
+//! 256-byte table". Their defaults are written in `read::<1>` /
+//! `write::<1>`, so an instrumented memory books exactly the byte-grain
+//! traffic the kernel means — eight `B1` reads, never one `B8` — and
+//! returns and leaves exactly what the one-byte calls would. `NativeMem`
+//! overrides them with one bounds check per burst (per table window) and
+//! still panics on anything outside its arena.
 //!
 //! Register-resident computation is *not* memory traffic. Kernels announce
 //! it through [`Mem::compute`] (ALU operation counts) so the host cost
@@ -143,6 +161,36 @@ pub trait Mem {
         self.write::<8>(addr, v.to_be_bytes());
     }
 
+    // --- byte-grain bursts ---
+
+    /// `N` one-byte reads at `addr`, `addr + 1`, … in ascending order —
+    /// the access pattern of a kernel that "manipulates data on a 1-byte
+    /// basis", issued as one operation so an uninstrumented memory can
+    /// check the range once.
+    #[inline(always)]
+    fn read_bytes<const N: usize>(&mut self, addr: usize) -> [u8; N] {
+        let mut out = [0u8; N];
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.read_u8(addr + i);
+        }
+        out
+    }
+
+    /// `N` one-byte writes at `addr`, `addr + 1`, … in ascending order.
+    #[inline(always)]
+    fn write_bytes<const N: usize>(&mut self, addr: usize, bytes: [u8; N]) {
+        for (i, b) in bytes.into_iter().enumerate() {
+            self.write_u8(addr + i, b);
+        }
+    }
+
+    /// One one-byte read of entry `idx` of the 256-byte table at `table`.
+    /// The whole window `[table, table + 256)` must lie in memory.
+    #[inline(always)]
+    fn lookup_u8(&mut self, table: usize, idx: u8) -> u8 {
+        self.read_u8(table + usize::from(idx))
+    }
+
     /// Word-wise (4-byte) copy of `len` bytes, with a byte-wise tail.
     ///
     /// This is the canonical "system copy" / `tcp_send` copy of the paper's
@@ -161,13 +209,14 @@ pub trait Mem {
     }
 }
 
-/// Zero-cost [`Mem`] over a mutable byte slice.
+/// Uninstrumented [`Mem`] over a mutable byte slice.
 ///
 /// Addresses are the simulated addresses from [`crate::AddressSpace`];
 /// `base` (the address space's data base) is subtracted to index the
-/// arena. All instrumentation hooks are no-ops that vanish under
-/// optimisation, so fused-loop benchmarks over `NativeMem` measure the
-/// machine code a real deployment would run.
+/// arena, and every access is bounds-checked against it (see the module
+/// docs for what that costs). All instrumentation hooks are no-ops that
+/// vanish under optimisation, so fused-loop benchmarks over `NativeMem`
+/// measure the machine code a real deployment would run.
 #[derive(Debug)]
 pub struct NativeMem<'a> {
     arena: &'a mut [u8],
@@ -217,6 +266,27 @@ impl Mem for NativeMem<'_> {
 
     #[inline(always)]
     fn fetch(&mut self, _code: CodeRegion) {}
+
+    /// One slice check for the burst.
+    #[inline(always)]
+    fn read_bytes<const N: usize>(&mut self, addr: usize) -> [u8; N] {
+        self.read::<N>(addr)
+    }
+
+    /// One slice check for the burst.
+    #[inline(always)]
+    fn write_bytes<const N: usize>(&mut self, addr: usize, bytes: [u8; N]) {
+        self.write::<N>(addr, bytes);
+    }
+
+    /// One slice check for the table window: after it the index, a `u8`
+    /// into 256 bytes, cannot be out of range, and look-ups in the same
+    /// table share the check.
+    #[inline(always)]
+    fn lookup_u8(&mut self, table: usize, idx: u8) -> u8 {
+        let i = table - self.base;
+        self.arena[i..i + 256][usize::from(idx)]
+    }
 }
 
 #[cfg(test)]
@@ -284,6 +354,13 @@ mod tests {
         assert_eq!(m.read_u32_be(r.at(0)), 0x09080706);
     }
 
+    /// Whether `access` panics on a fresh native world of `space`.
+    fn panics<R>(space: &AddressSpace, access: impl Fn(&mut NativeMem) -> R) -> bool {
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| access(&mut m))).is_err()
+    }
+
     #[test]
     #[should_panic]
     fn out_of_arena_access_panics() {
@@ -291,5 +368,114 @@ mod tests {
         let mut arena = space.native_arena();
         let mut m = NativeMem::new(&mut arena);
         let _ = m.read_u32_be(r.end() + 1024);
+    }
+
+    #[test]
+    fn out_of_arena_bursts_and_table_windows_panic() {
+        // A wild address is a panic, never a wild, short or wrapped
+        // access — for the burst operations and the table window too,
+        // including ones that start inside the arena and end outside it.
+        let mut space = AddressSpace::new();
+        space.alloc("buf", 512, 8);
+        let (base, end) = (space.data_base(), space.data_base() + space.data_size());
+        assert!(panics(&space, |m| m.read_bytes::<8>(end - 7)), "burst read crossing the end");
+        assert!(panics(&space, |m| m.write_bytes(end - 3, [1u8; 4])), "burst write crossing the end");
+        assert!(panics(&space, |m| m.read_bytes::<2>(base - 1)), "burst read crossing the start");
+        assert!(panics(&space, |m| m.write_bytes(base - 8, [1u8; 8])), "burst write below the arena");
+        // Entry 0 of this table is in the arena; its window is not.
+        assert!(panics(&space, |m| m.lookup_u8(end - 255, 0)), "table window crossing the end");
+        assert!(panics(&space, |m| m.lookup_u8(base - 1, 1)), "table window crossing the start");
+        assert!(panics(&space, |m| m.lookup_u8(end + 4096, 0)), "table outside the arena");
+        // The last burst and the last window that fit do not panic.
+        assert!(!panics(&space, |m| m.read_bytes::<8>(end - 8)));
+        assert!(!panics(&space, |m| m.write_bytes(end - 4, [1u8; 4])));
+        assert!(!panics(&space, |m| m.lookup_u8(end - 256, 255)));
+    }
+
+    /// One burst write on `burst`, the `N` one-byte writes it stands for
+    /// on `bytes`.
+    fn write_both<const N: usize, M: Mem>(burst: &mut M, bytes: &mut M, addr: usize, data: [u8; 8]) {
+        let data: [u8; N] = core::array::from_fn(|i| data[i]);
+        burst.write_bytes(addr, data);
+        for (i, b) in data.into_iter().enumerate() {
+            bytes.write_u8(addr + i, b);
+        }
+    }
+
+    /// One burst read on `burst` against `N` one-byte reads on `bytes`.
+    fn read_both<const N: usize, M: Mem>(burst: &mut M, bytes: &mut M, addr: usize) {
+        let got: [u8; N] = burst.read_bytes(addr);
+        let want: [u8; N] = core::array::from_fn(|i| bytes.read_u8(addr + i));
+        assert_eq!(got, want, "read_bytes::<{N}> at {addr:#x}");
+    }
+
+    /// Drive two memories of one kind in lockstep over region `r`: `burst`
+    /// through the burst operations, `bytes` through the one-byte calls
+    /// their contract names. Every value returned and every byte left
+    /// behind must agree.
+    fn bursts_equal_byte_accesses<M: Mem>(burst: &mut M, bytes: &mut M, r: crate::region::Region) {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..20_000 {
+            let (op, data) = (next() % 9, next().to_be_bytes());
+            let addr = r.base + next() as usize % (r.len - 8);
+            match op {
+                0 => write_both::<1, M>(burst, bytes, addr, data),
+                1 => write_both::<2, M>(burst, bytes, addr, data),
+                2 => write_both::<4, M>(burst, bytes, addr, data),
+                3 => write_both::<8, M>(burst, bytes, addr, data),
+                4 => read_both::<1, M>(burst, bytes, addr),
+                5 => read_both::<2, M>(burst, bytes, addr),
+                6 => read_both::<4, M>(burst, bytes, addr),
+                7 => read_both::<8, M>(burst, bytes, addr),
+                _ => {
+                    let table = r.base + next() as usize % (r.len - 255);
+                    let idx = data[0];
+                    assert_eq!(burst.lookup_u8(table, idx), bytes.read_u8(table + usize::from(idx)));
+                }
+            }
+        }
+        for addr in r.base..r.end() {
+            assert_eq!(burst.read_u8(addr), bytes.read_u8(addr), "byte left at {addr:#x}");
+        }
+    }
+
+    #[test]
+    fn burst_operations_equal_their_byte_accesses_on_both_memories() {
+        let mut space = AddressSpace::new();
+        let r = space.alloc("buf", 1024, 8);
+        let (mut a, mut b) = (space.native_arena(), space.native_arena());
+        bursts_equal_byte_accesses(&mut NativeMem::new(&mut a), &mut NativeMem::new(&mut b), r);
+
+        let host = crate::HostModel::ss10_30();
+        let (mut burst, mut bytes) = (crate::SimMem::new(&space, &host), crate::SimMem::new(&space, &host));
+        bursts_equal_byte_accesses(&mut burst, &mut bytes, r);
+        // The instrumented memory cannot tell the two apart: same counts
+        // per size class and region kind, same hits and misses.
+        assert_eq!(format!("{:?}", burst.stats()), format!("{:?}", bytes.stats()));
+    }
+
+    #[test]
+    fn sim_books_a_burst_as_ascending_one_byte_accesses() {
+        use crate::cache::AccessKind::{Read, Write};
+        use crate::trace::TraceEvent;
+        let (space, r) = fixture();
+        let mut m = crate::SimMem::new(&space, &crate::HostModel::ss10_30());
+        m.start_trace(64);
+        let _: [u8; 8] = m.read_bytes(r.at(16));
+        m.write_bytes(r.at(4), [9u8; 4]);
+        let _ = m.lookup_u8(r.base, 40);
+        let mut want: Vec<TraceEvent> = (0..8).map(|i| TraceEvent { addr: r.at(16 + i), len: 1, kind: Read }).collect();
+        want.extend((0..4).map(|i| TraceEvent { addr: r.at(4 + i), len: 1, kind: Write }));
+        want.push(TraceEvent { addr: r.at(40), len: 1, kind: Read });
+        assert_eq!(m.take_trace().expect("started").events(), &want[..]);
+        let s = m.stats();
+        assert_eq!((s.reads.by_size(crate::SizeClass::B1), s.reads.total()), (9, 9), "never one B8");
+        assert_eq!((s.writes.by_size(crate::SizeClass::B1), s.writes.total()), (4, 4));
     }
 }

@@ -226,11 +226,7 @@ impl Placement {
             return self.place_tail(m, w, grain);
         }
         match grain {
-            StoreGrain::Byte => {
-                for (k, b) in w.to_be_bytes().into_iter().enumerate() {
-                    m.write_u8(self.dst + k, b);
-                }
-            }
+            StoreGrain::Byte => m.write_bytes(self.dst, w.to_be_bytes()),
             StoreGrain::Word => m.write_u32_be(self.dst, w),
         }
         self.dst += 4;

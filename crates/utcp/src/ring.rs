@@ -289,8 +289,8 @@ impl<M: Mem> UnitSink<M> for RingWriter {
         let base = self.base + self.written;
         match grain {
             StoreGrain::Byte => {
-                for i in 0..unit.len() {
-                    m.write_u8(base + i, unit.byte(i));
+                for i in 0..unit.words() {
+                    m.write_bytes(base + 4 * i, unit.word(i).to_be_bytes());
                 }
             }
             StoreGrain::Word => {

@@ -215,6 +215,11 @@ impl TcpHeader {
     /// emits, yields an empty set — callers treat a malformed option as
     /// "no SACK information", never as an error (the cumulative ACK
     /// field still means what it means).
+    ///
+    /// Reads up to [`TcpHeader::header_len`] bytes from the header's
+    /// address on `data_off`'s word alone: the caller must already have
+    /// bounded that length by the bytes it holds, as
+    /// `Connection::poll_input` does before it looks at any option.
     pub fn sack_blocks<M: Mem>(&self, m: &mut M) -> SackBlocks {
         let mut out = SackBlocks::default();
         let hdr_len = self.header_len(m);
@@ -248,7 +253,8 @@ impl TcpHeader {
 
     /// Sum `opt_len` option bytes (starting right after the fixed
     /// header) into `sum` — the option area is segment payload as far as
-    /// the checksum is concerned.
+    /// the checksum is concerned. `opt_len` is the caller's, bounded like
+    /// [`TcpHeader::sack_blocks`]' header length.
     pub fn add_options_to_checksum<M: Mem>(
         &self,
         m: &mut M,
@@ -324,6 +330,7 @@ impl TcpHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShift64;
     use checksum::internet::checksum_buf;
     use memsim::{AddressSpace, NativeMem};
 
@@ -498,5 +505,74 @@ mod tests {
         let damaged = m.read_u8(seg.base + TCP_HEADER_LEN + 5) ^ 0x04;
         m.write_u8(seg.base + TCP_HEADER_LEN + 5, damaged);
         assert_ne!(verify(&mut m), 0, "option corruption must break the checksum");
+    }
+    /// A random header with `data_off` forced to `nibble`, in a segment
+    /// of `TCP_HEADER_LEN + tail` bytes that ends where the arena ends —
+    /// one byte further is a panic on `NativeMem`. Odd rounds carry the
+    /// `NOP NOP SACK` preamble so the block loop is reached.
+    fn fuzz_segment(
+        rng: &mut XorShift64,
+        nibble: u8,
+        tail: usize,
+        f: impl FnOnce(&mut NativeMem<'_>, TcpHeader),
+    ) {
+        let mut space = AddressSpace::new();
+        let seg = space.alloc("seg", TCP_HEADER_LEN + tail, 4);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        for i in 0..seg.len {
+            m.write_u8(seg.at(i), rng.next_u64() as u8);
+        }
+        m.write_u8(seg.at(field::DATA_OFF), nibble << 4 | rng.below(16) as u8);
+        if tail >= 4 && rng.below(2) == 1 {
+            for (i, b) in [OPT_NOP, OPT_NOP, OPT_SACK, rng.below(48) as u8].into_iter().enumerate() {
+                m.write_u8(seg.at(TCP_HEADER_LEN + i), b);
+            }
+        }
+        f(&mut m, TcpHeader::at(seg.base));
+    }
+
+    /// Fuzz: behind the one length check the receive path makes, the
+    /// option-area parsers never panic and never read past the segment —
+    /// for every `data_off` nibble, over random header and option bytes
+    /// and every tail length a header can claim.
+    #[test]
+    fn fuzz_option_parsers_never_panic() {
+        let mut rng = XorShift64::new(0x5AC_F022);
+        for round in 0..32_000usize {
+            let (nibble, tail) = ((round % 16) as u8, rng.index(49));
+            fuzz_segment(&mut rng, nibble, tail, |m, h| {
+                let hdr_len = h.header_len(m);
+                assert_eq!(hdr_len, usize::from(nibble) * 4);
+                // `Connection::poll_input`'s check, the parsers' precondition.
+                if hdr_len < TCP_HEADER_LEN || hdr_len > TCP_HEADER_LEN + tail {
+                    return;
+                }
+                let opt_len = hdr_len - TCP_HEADER_LEN;
+                let blocks = h.sack_blocks(m);
+                if !blocks.is_empty() {
+                    assert!(blocks.len() <= MAX_SACK_BLOCKS && sack_option_len(blocks.len()) <= opt_len);
+                    assert_eq!(m.read_u8(h.addr() + TCP_HEADER_LEN + 2), OPT_SACK);
+                }
+                h.add_options_to_checksum(m, opt_len, &mut InetChecksum::new());
+            });
+        }
+    }
+
+    /// What the fuzz loop found, pinned: without that check a header that
+    /// claims more option bytes than the segment holds walks the parsers
+    /// off the segment (here off the arena, which `NativeMem` turns into a
+    /// panic; mid-arena it would read a neighbour's bytes). `poll_input`
+    /// rejects such a header before any option is parsed.
+    #[test]
+    fn option_parsers_rely_on_the_callers_length_check() {
+        let mut rng = XorShift64::new(7);
+        fuzz_segment(&mut rng, 15, 4, |m, h| {
+            let claimed = h.header_len(m) - TCP_HEADER_LEN;
+            let walked_off = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                h.add_options_to_checksum(m, claimed, &mut InetChecksum::new())
+            }));
+            assert!(walked_off.is_err());
+        });
     }
 }

@@ -30,11 +30,11 @@ done
 # dependency list moved; nothing under benchmark/ is this script's to change.
 git checkout -q -- benchmark/Cargo.lock 2>/dev/null || true
 
-echo "== fused stays fused: no out-of-line word source, stage or sink in the native binary =="
+echo "== fused stays fused: no out-of-line word source, stage, sink or SimplifiedSafer unit kernel in the native binary =="
 if command -v objdump >/dev/null; then
     # (`! pipeline` would not trip `set -e`; hence `if …; then exit 1`.)
     if objdump -d -C benchmark/target/release/ilpbench \
-        | grep -E '^[0-9a-f]+ <.* as (xdr::stream::WordSource<M>>::next_word|ilp_core::stage::UnitStage<M>>::process|ilp_core::pipeline::UnitSink<M>>::store)>:'; then
+        | grep -E '^[0-9a-f]+ <.* as (xdr::stream::WordSource<M>>::next_word|ilp_core::stage::UnitStage<M>>::process|ilp_core::pipeline::UnitSink<M>>::store)>:|^[0-9a-f]+ <.*SimplifiedSafer.*::(en|de)crypt_unit>:'; then
         echo "the fused loops call the symbols above once per word or unit"
         exit 1
     fi
@@ -84,6 +84,22 @@ if [ "$(sed -n '/SegEv::Accept/,/^    }/p' crates/utcp/src/conn/recv.rs | grep -
     echo "finish_recv ACKs an accept at one site; UdpBackend reads its socket at one site"
     exit 1
 fi
+# The simplified-SAFER unit kernels address key and scratch as base +
+# constant and touch memory in bursts: no per-byte region check, no
+# per-byte access. And a kernel names no `Mem` implementation — the
+# burst operations' overrides in memsim::mem are the only code that
+# knows which memory it runs on.
+if sed '/#\[cfg(test)\]/,$d' crates/cipher/src/simplified.rs \
+        | sed -n '/fn encrypt_unit/,/fn init_world/p' | grep -nE '\.at\(|read_u8\(|write_u8\('; then
+    echo "SimplifiedSafer::{encrypt_unit, decrypt_unit}: no Region::at, read_u8 or write_u8 per byte"
+    exit 1
+fi
+for f in crates/cipher/src/*.rs crates/core/src/*.rs crates/utcp/src/ring.rs crates/rpcapp/src/msg.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\b(NativeMem|SimMem)\b'; then
+        echo "$f: a kernel, stage or sink is written against Mem, not against one memory"
+        exit 1
+    fi
+done
 for f in $(find crates/server/src -name '*.rs'); do
     if [ "$(sed '/#\[cfg(test)\]/,$d' "$f" | wc -l)" -gt 500 ]; then
         echo "$f: more than 500 lines above its #[cfg(test)] — cut it along a seam"
