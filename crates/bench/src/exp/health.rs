@@ -19,7 +19,7 @@
 //!   off the hot path, so its cost is informational).
 
 use memsim::{AddressSpace, NativeMem};
-use obs::{HealthConfig, Json, Recorder, SeriesConfig};
+use obs::{Json, Recorder, SeriesConfig};
 use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 use sim::health::{clean_sweep, detectors_of, run_trigger, Trigger};
 use std::time::Instant;
@@ -78,11 +78,10 @@ fn overhead_section() -> Result<Json, String> {
     // report-only in the gate.
     let views = h.health_views();
     let queue = h.queue_stat();
-    let hc = HealthConfig::default();
     let start = Instant::now();
     let mut verdicts = 0u64;
     for _ in 0..ANALYZE_REPS {
-        verdicts += obs::health::analyze(&rec, &views, queue, &hc).len() as u64;
+        verdicts += obs::health::analyze(&rec, &views, queue).len() as u64;
     }
     let wall = start.elapsed().as_micros() as u64;
     Ok(Json::obj()

@@ -15,16 +15,18 @@
 //! stays tractable under cache simulation.
 //!
 //! Besides the tables, the run attaches an [`obs::Recorder`] to every
-//! point and reports per-path throughput,
-//! p50/p99 chunk latency (virtual ticks, send → client accept),
-//! per-stage work shares, and user-phase cache statistics. The recorder
-//! issues no [`memsim::Mem`] accesses, so the simulated numbers are
-//! bit-identical to an unobserved run.
+//! point and reports per-path throughput, per-stage work shares, and
+//! user-phase cache statistics. The recorder issues no [`memsim::Mem`]
+//! accesses, so the simulated numbers are bit-identical to an
+//! unobserved run. (Chunk latency is not reported here: one harness
+//! round is one tick, so in a fault-free world send → accept is 0 ticks
+//! at every scale point; the `observe` row, where faults make it real,
+//! gates it.)
 
 use crate::report::{banner, Table};
 use memsim::layout::AddressSpace;
 use memsim::{HostModel, SimMem};
-use obs::{Json, Metric, Recorder, Stage};
+use obs::{Json, Recorder, Stage};
 use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 
 /// Approximate payload carried per run, split across connections.
@@ -38,9 +40,6 @@ struct Point {
     fairness: f64,
     l1d_miss: f64,
     mem_accesses: u64,
-    lat_p50: u64,
-    lat_p90: u64,
-    lat_p99: u64,
     stage_shares: [f64; 3],
     retransmits: u64,
     rejected: u64,
@@ -80,7 +79,6 @@ fn run_point(n: usize, path: Path, host: &HostModel) -> Point {
         + host.cost(&system).total_us
         + chunks as f64 * per_chunk_us;
 
-    let lat = rec.hist(Metric::ChunkLatencyTicks);
     Point {
         payload: report.payload_bytes,
         rounds: report.rounds,
@@ -88,9 +86,6 @@ fn run_point(n: usize, path: Path, host: &HostModel) -> Point {
         fairness: report.fairness,
         l1d_miss: 100.0 * user.l1d_miss_ratio(),
         mem_accesses: user.memory_accesses,
-        lat_p50: lat.p50(),
-        lat_p90: lat.p90(),
-        lat_p99: lat.p99(),
         stage_shares: [
             rec.stage_share(path, Stage::Initial),
             rec.stage_share(path, Stage::Integrated),
@@ -108,13 +103,6 @@ fn path_json(p: &Point) -> Json {
         .set("payload_bytes", Json::U64(p.payload))
         .set("rounds", Json::U64(p.rounds))
         .set("fairness", Json::F64(p.fairness))
-        .set(
-            "chunk_latency_ticks",
-            Json::obj()
-                .set("p50", Json::U64(p.lat_p50))
-                .set("p90", Json::U64(p.lat_p90))
-                .set("p99", Json::U64(p.lat_p99)),
-        )
         .set(
             "stage_shares",
             Json::obj()
@@ -145,10 +133,7 @@ pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     let mut cache = Table::new(vec![
         "conns", "nonILP L1d miss%", "ILP L1d miss%", "nonILP mem acc", "ILP mem acc",
     ]);
-    let mut lat = Table::new(vec![
-        "conns", "nonILP p50", "nonILP p99", "ILP p50", "ILP p99", "ILP init%", "ILP integ%",
-        "ILP final%",
-    ]);
+    let mut stages = Table::new(vec!["conns", "ILP init%", "ILP integ%", "ILP final%"]);
     let mut points = Vec::new();
     for &n in &counts {
         let non = run_point(n, Path::NonIlp, &host);
@@ -171,12 +156,8 @@ pub fn run(_: &[String]) -> Result<Option<Json>, String> {
             non.mem_accesses.to_string(),
             ilp.mem_accesses.to_string(),
         ]);
-        lat.row(vec![
+        stages.row(vec![
             n.to_string(),
-            non.lat_p50.to_string(),
-            non.lat_p99.to_string(),
-            ilp.lat_p50.to_string(),
-            ilp.lat_p99.to_string(),
             format!("{:.0}", 100.0 * ilp.stage_shares[0]),
             format!("{:.0}", 100.0 * ilp.stage_shares[1]),
             format!("{:.0}", 100.0 * ilp.stage_shares[2]),
@@ -196,8 +177,8 @@ pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     tput.print();
     println!("\nUser-phase cache behaviour (SS10-30, 16 kB direct-mapped L1):");
     cache.print();
-    println!("\nChunk latency (virtual ticks, send → accept) and ILP stage shares:");
-    lat.print();
+    println!("\nILP stage shares:");
+    stages.print();
     println!(
         "\n(total offered load held near {} kB by shrinking per-connection\n\
          files as N grows; fairness is Jain's index over per-connection\n\
@@ -217,6 +198,6 @@ pub fn run(_: &[String]) -> Result<Option<Json>, String> {
             Json::obj()
                 .set("throughput", tput.to_json())
                 .set("cache", cache.to_json())
-                .set("latency", lat.to_json()),
+                .set("stages", stages.to_json()),
         )))
 }

@@ -151,15 +151,12 @@ pub static TABLE: &[Row] = &[
             e("points.0.paths.ilp.cache.mem_accesses"),
             e("points.0.paths.ilp.retransmits"),
             e("points.0.paths.ilp.rejected"),
-            e("points.0.paths.ilp.chunk_latency_ticks.p50"),
-            e("points.0.paths.ilp.chunk_latency_ticks.p99"),
             e("points.0.paths.non_ilp.rounds"),
             e("points.0.paths.non_ilp.cache.mem_accesses"),
             e("points.5.conns"),
             e("points.5.paths.ilp.rounds"),
             e("points.5.paths.ilp.payload_bytes"),
             e("points.5.paths.ilp.cache.mem_accesses"),
-            e("points.5.paths.ilp.chunk_latency_ticks.p99"),
             e("points.5.paths.non_ilp.cache.mem_accesses"),
             // Derived floats: throughput, miss rate, fairness.
             t("points.0.paths.ilp.mbps"),

@@ -197,16 +197,32 @@ mod tests {
         f(&mut m, r.base);
     }
 
+    /// Bytes and sums copied from RFC 1071 §3's worked example, not
+    /// produced by this crate: `00 01 f2 03 f4 f5 f6 f7` adds up to
+    /// `2ddf0`, folds to `ddf2`, and its checksum is `220d`.
     #[test]
     fn rfc1071_worked_example() {
-        // RFC 1071 §3 example: bytes 00 01 f2 03 f4 f5 f6 f7.
         let bytes = [0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         with_buf(&bytes, |m, addr| {
             let sum = checksum_buf(m, addr, 8);
-            // Running sum 0x2ddf0 → folded 0xddf0 + 0x2 = 0xddf2.
             assert_eq!(sum.fold(), 0xddf2);
-            assert_eq!(sum.finish(), !0xddf2);
+            assert_eq!(sum.finish(), 0x220d);
+            // The RFC adds the four 16-bit words in two pairs; so may we.
+            let mut halves = checksum_buf(m, addr, 4);
+            halves.combine(checksum_buf(m, addr + 4, 4));
+            assert_eq!((halves.fold(), halves.finish()), (0xddf2, 0x220d));
         });
+        // The same bytes at every alignment within a word: `add_buf`'s
+        // wide reads must not care where the buffer starts.
+        for shift in 0..4 {
+            let mut shifted = vec![0xAA; shift];
+            shifted.extend_from_slice(&bytes);
+            with_buf(&shifted, |m, addr| {
+                let mut sum = InetChecksum::new();
+                add_buf(m, addr + shift, 8, &mut sum);
+                assert_eq!(sum.finish(), 0x220d, "buffer at word offset {shift}");
+            });
+        }
     }
 
     #[test]

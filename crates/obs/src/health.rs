@@ -24,26 +24,25 @@
 //!   S = 1 equivalence the rest of the observability stack already
 //!   pins down.
 //!
-//! The detector catalogue (thresholds in [`HealthConfig`]):
+//! The detector catalogue (the thresholds are this module's constants):
 //!
 //! | detector | fires when |
 //! |---|---|
-//! | `retransmit_storm` | a series window has `retransmits >= storm_min` and retransmits ≥ `storm_ratio`·deliveries |
-//! | `rto_spiral` | ≥ `spiral_backoffs` consecutive RTO back-offs with `snd_una` frozen and the RTO strictly growing |
-//! | `stall` | an established conn has unacked data and no delivery progress for `stall_rtos`·RTO ticks |
-//! | `queue_saturation` | the kernel-part queue high-water reached `queue_pct` of slot capacity |
-//! | `fairness_collapse` | the weight-normalised Jain index at first completion drops below `fairness_min` |
+//! | `retransmit_storm` | a series window has `retransmits >=` [`STORM_MIN`] and retransmits ≥ [`STORM_RATIO`]·deliveries |
+//! | `rto_spiral` | ≥ [`SPIRAL_BACKOFFS`] consecutive RTO back-offs with `snd_una` frozen and the RTO strictly growing |
+//! | `stall` | an established conn has unacked data and no delivery progress for [`STALL_RTOS`]·RTO ticks |
+//! | `queue_saturation` | the kernel-part queue high-water reached [`QUEUE_PCT`] of slot capacity |
+//! | `fairness_collapse` | the weight-normalised Jain index at first completion drops below [`FAIRNESS_MIN`] |
 //!
 //! When anything fires, [`bundle`] assembles a diagnostic JSON — the
 //! verdicts, the offending connections' flight dumps, the relevant
 //! series windows and the trace-ring slice — rendered for humans by
 //! `examples/doctor.rs`.
 
-use std::collections::VecDeque;
-
 use crate::json::Json;
 use crate::recorder::Recorder;
-use crate::span::{Counter, FlightEdge, FlightSnap};
+use crate::ring::Ring;
+use crate::span::{labels, Counter, FlightEdge, FlightSnap};
 
 /// Snapshots retained per connection. Deliberately tiny: the flight
 /// recorder answers "what were the last few state transitions before
@@ -60,72 +59,12 @@ pub struct FlightRec {
     pub snap: FlightSnap,
 }
 
-/// A fixed-capacity ring of [`FlightRec`]s with honest drop accounting,
-/// mirroring [`crate::trace::TraceRing`] discipline: pushes past
-/// capacity overwrite the oldest entry and are counted, never silently
-/// lost.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRing {
-    snaps: VecDeque<FlightRec>,
-    total_pushed: u64,
-}
+/// A connection's flight recorder: a [`Ring`] of [`FLIGHT_CAPACITY`]
+/// snapshots (one capacity crate-wide, so shard rings merge
+/// structurally).
+pub type FlightRing = Ring<FlightRec>;
 
 impl FlightRing {
-    /// A fresh, empty ring (capacity is the crate-wide
-    /// [`FLIGHT_CAPACITY`], so shard rings merge structurally).
-    pub fn new() -> Self {
-        FlightRing::default()
-    }
-
-    /// Append a snapshot, evicting the oldest entry when full.
-    pub fn push(&mut self, tick: u64, snap: FlightSnap) {
-        if self.snaps.len() == FLIGHT_CAPACITY {
-            self.snaps.pop_front();
-        }
-        self.snaps.push_back(FlightRec { tick, snap });
-        self.total_pushed += 1;
-    }
-
-    /// Retained snapshots, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &FlightRec> + '_ {
-        self.snaps.iter()
-    }
-
-    /// Retained snapshot count.
-    pub fn len(&self) -> usize {
-        self.snaps.len()
-    }
-
-    /// Whether nothing was ever pushed.
-    pub fn is_empty(&self) -> bool {
-        self.snaps.is_empty()
-    }
-
-    /// Snapshots pushed over the ring's lifetime.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// Snapshots lost to overwriting.
-    pub fn overwritten(&self) -> u64 {
-        self.total_pushed - self.snaps.len() as u64
-    }
-
-    /// Concatenate another ring's retained snapshots after ours (both
-    /// are oldest-first), keeping only the newest [`FLIGHT_CAPACITY`]
-    /// and accounting the rest as overwritten. Merging into a fresh
-    /// ring reproduces `other` exactly — the property the S = 1 shard
-    /// equivalence relies on.
-    pub fn merge_from(&mut self, other: &FlightRing) {
-        for rec in &other.snaps {
-            if self.snaps.len() == FLIGHT_CAPACITY {
-                self.snaps.pop_front();
-            }
-            self.snaps.push_back(*rec);
-        }
-        self.total_pushed += other.total_pushed;
-    }
-
     /// The ring as JSON: capacity, totals, and the retained snapshots
     /// oldest-first.
     pub fn to_json(&self) -> Json {
@@ -145,98 +84,54 @@ impl FlightRing {
             })
             .collect();
         Json::obj()
-            .set("capacity", Json::U64(FLIGHT_CAPACITY as u64))
-            .set("total", Json::U64(self.total_pushed))
+            .set("capacity", Json::U64(self.capacity() as u64))
+            .set("total", Json::U64(self.total_pushed()))
             .set("overwritten", Json::U64(self.overwritten()))
             .set("snaps", Json::Arr(snaps))
     }
 }
 
-/// The named anomaly detectors, in verdict-sort order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Detector {
-    /// Retransmissions rival deliveries inside one series window.
-    RetransmitStorm,
-    /// Consecutive exponential RTO back-offs with no forward progress.
-    RtoSpiral,
-    /// Unacked data with no delivery progress for N× RTO.
-    Stall,
-    /// Kernel-part queue high-water at slot capacity.
-    QueueSaturation,
-    /// Weight-normalised Jain fairness index collapse.
-    FairnessCollapse,
-}
-
-impl Detector {
-    /// Stable snake_case name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            Detector::RetransmitStorm => "retransmit_storm",
-            Detector::RtoSpiral => "rto_spiral",
-            Detector::Stall => "stall",
-            Detector::QueueSaturation => "queue_saturation",
-            Detector::FairnessCollapse => "fairness_collapse",
-        }
-    }
-
-    /// All detectors, in index order.
-    pub const ALL: [Detector; 5] = [
-        Detector::RetransmitStorm,
-        Detector::RtoSpiral,
-        Detector::Stall,
-        Detector::QueueSaturation,
-        Detector::FairnessCollapse,
-    ];
-
-    /// Dense index for sorting and matrices.
-    pub fn index(self) -> usize {
-        self as usize
+labels! {
+    /// The named anomaly detectors, in verdict-sort order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Detector {
+        /// Retransmissions rival deliveries inside one series window.
+        RetransmitStorm => "retransmit_storm",
+        /// Consecutive exponential RTO back-offs with no forward progress.
+        RtoSpiral => "rto_spiral",
+        /// Unacked data with no delivery progress for N× RTO.
+        Stall => "stall",
+        /// Kernel-part queue high-water at slot capacity.
+        QueueSaturation => "queue_saturation",
+        /// Weight-normalised Jain fairness index collapse.
+        FairnessCollapse => "fairness_collapse",
     }
 }
 
-/// Detector thresholds. The defaults are deliberately conservative —
-/// the sim's clean-seed sweep pins zero false positives across every
-/// scenario kind — and each is documented with its rationale in
-/// DESIGN.md §14.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// Storm: minimum retransmits in a window before it can qualify —
-    /// an absolute noise gate. Deliberately *not* scaled by a coarsened
-    /// window's span: retransmissions are RTO-rate-limited (one per
-    /// connection per RTO), so a span-scaled floor would demand rates
-    /// the protocol cannot physically emit and old windows could never
-    /// fire.
-    pub storm_min: u64,
-    /// Storm: retransmits must also reach this multiple of the same
-    /// window's deliveries (1.0 = retransmitting as much as it ships).
-    pub storm_ratio: f64,
-    /// Spiral: consecutive RTO back-offs (una frozen, RTO strictly
-    /// growing) before the exponential retreat is called a spiral.
-    pub spiral_backoffs: usize,
-    /// Stall: no delivery progress for this many multiples of the
-    /// connection's current RTO while data is in flight.
-    pub stall_rtos: u64,
-    /// Saturation: queue high-water as a fraction of slot capacity.
-    pub queue_pct: f64,
-    /// Fairness: minimum acceptable weight-normalised Jain index.
-    pub fairness_min: f64,
-    /// Fairness: sessions needed before the index means anything.
-    pub fairness_min_conns: usize,
-}
+// Detector thresholds. Deliberately conservative — the sim's clean-seed
+// sweep pins zero false positives across every scenario kind.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            storm_min: 4,
-            storm_ratio: 1.0,
-            spiral_backoffs: 3,
-            stall_rtos: 4,
-            queue_pct: 1.0,
-            fairness_min: 0.6,
-            fairness_min_conns: 2,
-        }
-    }
-}
+/// Storm: minimum retransmits in a window before it can qualify — an
+/// absolute noise gate. Deliberately *not* scaled by a coarsened
+/// window's span: retransmissions are RTO-rate-limited (one per
+/// connection per RTO), so a span-scaled floor would demand rates the
+/// protocol cannot physically emit and old windows could never fire.
+pub const STORM_MIN: u64 = 4;
+/// Storm: retransmits must also reach this multiple of the same
+/// window's deliveries (1.0 = retransmitting as much as it ships).
+pub const STORM_RATIO: f64 = 1.0;
+/// Spiral: consecutive RTO back-offs (una frozen, RTO strictly growing)
+/// before the exponential retreat is called a spiral.
+pub const SPIRAL_BACKOFFS: usize = 3;
+/// Stall: no delivery progress for this many multiples of the
+/// connection's current RTO while data is in flight.
+pub const STALL_RTOS: u64 = 4;
+/// Saturation: queue high-water as a fraction of slot capacity.
+pub const QUEUE_PCT: f64 = 1.0;
+/// Fairness: minimum acceptable weight-normalised Jain index.
+pub const FAIRNESS_MIN: f64 = 0.6;
+/// Fairness: sessions needed before the index means anything.
+pub const FAIRNESS_MIN_CONNS: usize = 2;
 
 /// Per-connection facts only the harness knows, snapshotted for
 /// analysis. Connection ids are *global* (shard `conn_base` + local
@@ -301,6 +196,17 @@ pub struct Verdict {
 }
 
 impl Verdict {
+    /// A verdict about a whole run or one connection (no series window).
+    fn new(
+        detector: Detector,
+        conn: Option<u32>,
+        measured: f64,
+        threshold: f64,
+        detail: String,
+    ) -> Verdict {
+        Verdict { detector, conn, window_start: None, window_ticks: None, measured, threshold, detail }
+    }
+
     /// The verdict as a JSON object.
     pub fn to_json(&self) -> Json {
         Json::obj()
@@ -314,64 +220,55 @@ impl Verdict {
     }
 }
 
-/// Jain's fairness index `(Σx)² / (n·Σx²)` with the same defensive
-/// clamping as the server report: non-finite or negative shares count
-/// as zero, and a degenerate all-zero population is perfectly fair.
-fn jain(shares: &[f64]) -> f64 {
-    let xs: Vec<f64> = shares
-        .iter()
-        .map(|&x| if x.is_finite() && x > 0.0 { x } else { 0.0 })
-        .collect();
-    let n = xs.len();
-    if n == 0 {
+/// Jain's fairness index over per-connection shares: `(Σx)² / (n·Σx²)`.
+///
+/// 1.0 means every connection got an identical share; `1/n` means one
+/// connection got everything. Shares of a weighted run should be
+/// normalised by weight before calling, so that a perfectly weighted
+/// schedule also scores 1.0. Non-finite or negative shares (a NaN from
+/// a zero-weight division, a negative from upstream subtraction bugs)
+/// are clamped to 0 rather than poisoning the index, and a degenerate
+/// all-zero or empty population is perfectly fair.
+pub fn jain(shares: &[f64]) -> f64 {
+    if shares.is_empty() {
         return 1.0;
     }
-    let sum: f64 = xs.iter().sum();
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq == 0.0 {
-        1.0
-    } else {
-        (sum * sum) / (n as f64 * sq)
+    let clean = shares.iter().map(|&x| if x.is_finite() && x > 0.0 { x } else { 0.0 });
+    let sum: f64 = clean.clone().sum();
+    let sum_sq: f64 = clean.map(|x| x * x).sum();
+    if sum_sq == 0.0 {
+        return 1.0;
     }
+    (sum * sum) / (shares.len() as f64 * sum_sq)
 }
 
 /// Run every detector over a finished recorder plus the harness-side
 /// views, returning verdicts sorted by `(detector, conn, window)` so
 /// the output is deterministic and shard-merge invariant.
-pub fn analyze(
-    rec: &Recorder,
-    views: &[ConnView],
-    queue: QueueStat,
-    cfg: &HealthConfig,
-) -> Vec<Verdict> {
+pub fn analyze(rec: &Recorder, views: &[ConnView], queue: QueueStat) -> Vec<Verdict> {
     let mut out = Vec::new();
 
     // Retransmit storm: judged per series window so a mid-run burst is
     // visible even when run totals look healthy. The ratio is the
     // signal — retransmissions rivalling deliveries — and the floor is
-    // only an absolute noise gate. Both judge coarsened windows as-is:
-    // the ratio is span-invariant, and retransmissions are RTO-rate-
-    // limited (at most one per connection per RTO), so a floor scaled
-    // by span would demand rates the protocol cannot physically emit.
+    // only an absolute noise gate. Both judge coarsened windows as-is
+    // (see [`STORM_MIN`]): the ratio is span-invariant.
     let wt = rec.series().config().window_ticks;
     for w in rec.series().iter() {
         let r = w.counter(Counter::Retransmits);
         let d = w.counter(Counter::ChunksDelivered);
-        if r >= cfg.storm_min && r as f64 >= cfg.storm_ratio * d as f64 {
+        if r >= STORM_MIN && r as f64 >= STORM_RATIO * d as f64 {
+            let (start, ticks) = (w.start_tick(wt), w.ticks(wt));
             out.push(Verdict {
-                detector: Detector::RetransmitStorm,
-                conn: None,
-                window_start: Some(w.start_tick(wt)),
-                window_ticks: Some(w.ticks(wt)),
-                measured: r as f64,
-                threshold: cfg.storm_min as f64,
-                detail: format!(
-                    "window [{}, +{}) retransmitted {} vs {} delivered",
-                    w.start_tick(wt),
-                    w.ticks(wt),
-                    r,
-                    d
-                ),
+                window_start: Some(start),
+                window_ticks: Some(ticks),
+                ..Verdict::new(
+                    Detector::RetransmitStorm,
+                    None,
+                    r as f64,
+                    STORM_MIN as f64,
+                    format!("window [{start}, +{ticks}) retransmitted {r} vs {d} delivered"),
+                )
             });
         }
     }
@@ -394,40 +291,36 @@ pub fn analyze(
             best = best.max(run);
             prev = Some(rec.snap);
         }
-        if best >= cfg.spiral_backoffs {
-            out.push(Verdict {
-                detector: Detector::RtoSpiral,
-                conn: Some(conn),
-                window_start: None,
-                window_ticks: None,
-                measured: best as f64,
-                threshold: cfg.spiral_backoffs as f64,
-                detail: format!("conn {conn}: {best} consecutive RTO back-offs, snd_una frozen"),
-            });
+        if best >= SPIRAL_BACKOFFS {
+            out.push(Verdict::new(
+                Detector::RtoSpiral,
+                Some(conn),
+                best as f64,
+                SPIRAL_BACKOFFS as f64,
+                format!("conn {conn}: {best} consecutive RTO back-offs, snd_una frozen"),
+            ));
         }
     }
 
     // Zero-progress stall: data in flight, nothing delivered for
-    // stall_rtos × the connection's (already backed-off) RTO.
+    // STALL_RTOS × the connection's (already backed-off) RTO.
     for v in views {
         if !v.established || v.done || v.in_flight == 0 {
             continue;
         }
         let idle = v.now.saturating_sub(v.last_progress);
-        let limit = cfg.stall_rtos * v.rto as u64;
+        let limit = STALL_RTOS * v.rto as u64;
         if limit > 0 && idle >= limit {
-            out.push(Verdict {
-                detector: Detector::Stall,
-                conn: Some(v.conn),
-                window_start: None,
-                window_ticks: None,
-                measured: idle as f64,
-                threshold: limit as f64,
-                detail: format!(
+            out.push(Verdict::new(
+                Detector::Stall,
+                Some(v.conn),
+                idle as f64,
+                limit as f64,
+                format!(
                     "conn {}: {} bytes in flight, no progress for {} ticks (rto {})",
                     v.conn, v.in_flight, idle, v.rto
                 ),
-            });
+            ));
         }
     }
 
@@ -436,47 +329,36 @@ pub fn analyze(
     // pool silently corrupts queued datagrams — this is the detector
     // that explains the resulting checksum-reject storm.
     if queue.capacity > 0 {
-        let limit = (cfg.queue_pct * queue.capacity as f64).ceil();
+        let limit = (QUEUE_PCT * queue.capacity as f64).ceil();
         if queue.peak as f64 >= limit {
-            out.push(Verdict {
-                detector: Detector::QueueSaturation,
-                conn: None,
-                window_start: None,
-                window_ticks: None,
-                measured: queue.peak as f64,
-                threshold: limit,
-                detail: format!(
-                    "kernel-part queue peaked at {} of {} slots",
-                    queue.peak, queue.capacity
-                ),
-            });
+            out.push(Verdict::new(
+                Detector::QueueSaturation,
+                None,
+                queue.peak as f64,
+                limit,
+                format!("kernel-part queue peaked at {} of {} slots", queue.peak, queue.capacity),
+            ));
         }
     }
 
     // Fairness collapse: Jain index over weight-normalised shares at
     // the first-completion snapshot (the same population the server
-    // report's jain_fairness uses).
+    // report's fairness figure uses).
     let shares: Vec<f64> = views
         .iter()
         .filter(|v| v.established && v.weight > 0)
         .map(|v| v.share_bytes as f64 / v.weight as f64)
         .collect();
-    if shares.len() >= cfg.fairness_min_conns {
+    if shares.len() >= FAIRNESS_MIN_CONNS {
         let j = jain(&shares);
-        if j < cfg.fairness_min {
-            out.push(Verdict {
-                detector: Detector::FairnessCollapse,
-                conn: None,
-                window_start: None,
-                window_ticks: None,
-                measured: j,
-                threshold: cfg.fairness_min,
-                detail: format!(
-                    "jain index {:.3} across {} sessions (weight-normalised)",
-                    j,
-                    shares.len()
-                ),
-            });
+        if j < FAIRNESS_MIN {
+            out.push(Verdict::new(
+                Detector::FairnessCollapse,
+                None,
+                j,
+                FAIRNESS_MIN,
+                format!("jain index {:.3} across {} sessions (weight-normalised)", j, shares.len()),
+            ));
         }
     }
 
@@ -549,18 +431,8 @@ pub fn bundle(
         series = series.set(c.name(), Json::Arr(windows));
     }
 
-    let events: Vec<&crate::trace::TraceEvent> = rec.trace().iter().collect();
-    let tail = events.len().saturating_sub(BUNDLE_TRACE_EVENTS);
-    let trace: Vec<Json> = events[tail..]
-        .iter()
-        .map(|e| {
-            Json::obj()
-                .set("tick", Json::U64(e.tick))
-                .set("conn", Json::U64(e.conn as u64))
-                .set("kind", Json::Str(e.kind.name().to_string()))
-                .set("value", Json::U64(e.value))
-        })
-        .collect();
+    let tail = rec.trace().len().saturating_sub(BUNDLE_TRACE_EVENTS);
+    let trace: Vec<Json> = rec.trace().iter().skip(tail).map(|e| e.to_json()).collect();
 
     Json::obj()
         .set("verdicts", Json::Arr(verdict_json))
@@ -576,12 +448,12 @@ pub fn bundle(
         .set("now", Json::U64(rec.now()))
 }
 
-/// The whole diagnosis in one call: [`analyze`] under the default
-/// thresholds, then [`bundle`] around what it found. Every world with
+/// The whole diagnosis in one call: [`analyze`], then [`bundle`]
+/// around what it found. Every world with
 /// a recorder, views and a queue stat (one harness, a joined sharded
 /// run) reports through here.
 pub fn diagnose(rec: &Recorder, views: &[ConnView], queue: QueueStat) -> Json {
-    let verdicts = analyze(rec, views, queue, &HealthConfig::default());
+    let verdicts = analyze(rec, views, queue);
     bundle(rec, views, queue, &verdicts)
 }
 
@@ -605,9 +477,9 @@ mod tests {
 
     #[test]
     fn flight_ring_overwrites_and_accounts() {
-        let mut r = FlightRing::new();
+        let mut r = FlightRing::new(FLIGHT_CAPACITY);
         for i in 0..FLIGHT_CAPACITY as u32 + 5 {
-            r.push(i as u64, snap(FlightEdge::Send, i, 8));
+            r.push(FlightRec { tick: i as u64, snap: snap(FlightEdge::Send, i, 8) });
         }
         assert_eq!(r.len(), FLIGHT_CAPACITY);
         assert_eq!(r.total_pushed(), FLIGHT_CAPACITY as u64 + 5);
@@ -617,11 +489,11 @@ mod tests {
 
     #[test]
     fn flight_ring_merge_into_fresh_is_identity() {
-        let mut a = FlightRing::new();
+        let mut a = FlightRing::new(FLIGHT_CAPACITY);
         for i in 0..FLIGHT_CAPACITY as u32 + 3 {
-            a.push(i as u64, snap(FlightEdge::Send, i, 8));
+            a.push(FlightRec { tick: i as u64, snap: snap(FlightEdge::Send, i, 8) });
         }
-        let mut fresh = FlightRing::new();
+        let mut fresh = FlightRing::new(FLIGHT_CAPACITY);
         fresh.merge_from(&a);
         assert_eq!(fresh.to_json().render(), a.to_json().render());
     }
@@ -650,13 +522,12 @@ mod tests {
             rec.count(Counter::ChunksDelivered, 2);
         }
         let views = [view(0), view(1)];
-        let v = analyze(&rec, &views, QueueStat { peak: 3, capacity: 64 }, &HealthConfig::default());
+        let v = analyze(&rec, &views, QueueStat { peak: 3, capacity: 64 });
         assert!(v.is_empty(), "unexpected verdicts: {v:?}");
     }
 
     #[test]
     fn storm_fires_on_a_windowed_burst_and_scales_for_coarsening() {
-        let cfg = HealthConfig::default();
         let mut rec = Recorder::with_series(
             16,
             crate::timeseries::SeriesConfig { window_ticks: 16, ring: 4 },
@@ -670,7 +541,7 @@ mod tests {
             rec.tick(t);
             rec.count(Counter::Retransmits, 1);
         }
-        let v = analyze(&rec, &[], QueueStat::default(), &cfg);
+        let v = analyze(&rec, &[], QueueStat::default());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].detector, Detector::RetransmitStorm);
         assert_eq!(v[0].window_start, Some(64));
@@ -689,7 +560,7 @@ mod tests {
             }
             rec2.count(Counter::ChunksDelivered, 4);
         }
-        let v2 = analyze(&rec2, &[], QueueStat::default(), &cfg);
+        let v2 = analyze(&rec2, &[], QueueStat::default());
         assert!(v2.is_empty(), "coarsened healthy history misread as storm: {v2:?}");
         // The same aggregation with deliveries absent IS a storm — a
         // long outage seen only through coarsened history still fires.
@@ -703,7 +574,7 @@ mod tests {
                 rec3.count(Counter::Retransmits, 3);
             }
         }
-        let v3 = analyze(&rec3, &[], QueueStat::default(), &cfg);
+        let v3 = analyze(&rec3, &[], QueueStat::default());
         assert!(
             v3.iter().any(|v| v.detector == Detector::RetransmitStorm),
             "delivery-free coarsened history must read as storm: {v3:?}"
@@ -712,7 +583,6 @@ mod tests {
 
     #[test]
     fn spiral_needs_frozen_una_and_growing_rto() {
-        let cfg = HealthConfig::default();
         let mut rec = Recorder::new(16);
         rec.tick(10);
         // Three back-offs, una frozen: 16 -> 32 -> 64.
@@ -720,7 +590,7 @@ mod tests {
         rec.flight(7, snap(FlightEdge::Send, 500, 16));
         rec.flight(7, snap(FlightEdge::Rto, 500, 32));
         rec.flight(7, snap(FlightEdge::Rto, 500, 64));
-        let v = analyze(&rec, &[], QueueStat::default(), &cfg);
+        let v = analyze(&rec, &[], QueueStat::default());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].detector, Detector::RtoSpiral);
         assert_eq!(v[0].conn, Some(7));
@@ -729,12 +599,11 @@ mod tests {
         rec2.flight(7, snap(FlightEdge::Rto, 500, 16));
         rec2.flight(7, snap(FlightEdge::Rto, 600, 32));
         rec2.flight(7, snap(FlightEdge::Rto, 700, 64));
-        assert!(analyze(&rec2, &[], QueueStat::default(), &cfg).is_empty());
+        assert!(analyze(&rec2, &[], QueueStat::default()).is_empty());
     }
 
     #[test]
     fn stall_fires_only_with_data_in_flight_and_idle_clock() {
-        let cfg = HealthConfig::default();
         let stalled = ConnView {
             done: false,
             in_flight: 1024,
@@ -742,47 +611,34 @@ mod tests {
             last_progress: 100,
             ..view(3)
         };
-        let v = analyze(&Recorder::new(4), &[stalled], QueueStat::default(), &cfg);
+        let v = analyze(&Recorder::new(4), &[stalled], QueueStat::default());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].detector, Detector::Stall);
         assert_eq!(v[0].conn, Some(3));
         // Same idle age with nothing in flight: idle, not stalled.
         let idle = ConnView { in_flight: 0, ..stalled };
-        assert!(analyze(&Recorder::new(4), &[idle], QueueStat::default(), &cfg).is_empty());
+        assert!(analyze(&Recorder::new(4), &[idle], QueueStat::default()).is_empty());
     }
 
     #[test]
     fn saturation_and_fairness_thresholds() {
-        let cfg = HealthConfig::default();
-        let v = analyze(
-            &Recorder::new(4),
-            &[],
-            QueueStat { peak: 64, capacity: 64 },
-            &cfg,
-        );
+        let v = analyze(&Recorder::new(4), &[], QueueStat { peak: 64, capacity: 64 });
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].detector, Detector::QueueSaturation);
         // Unknown capacity disables the detector.
-        assert!(analyze(
-            &Recorder::new(4),
-            &[],
-            QueueStat { peak: 64, capacity: 0 },
-            &cfg
-        )
-        .is_empty());
+        assert!(analyze(&Recorder::new(4), &[], QueueStat { peak: 64, capacity: 0 }).is_empty());
         // Equal bytes under wildly unequal weights: normalised shares
         // collapse the index.
         let a = ConnView { weight: 32, ..view(0) };
         let b = view(1);
-        let v = analyze(&Recorder::new(4), &[a, b], QueueStat::default(), &cfg);
+        let v = analyze(&Recorder::new(4), &[a, b], QueueStat::default());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].detector, Detector::FairnessCollapse);
-        assert!(v[0].measured < 0.6);
+        assert!(v[0].measured < FAIRNESS_MIN);
     }
 
     #[test]
     fn verdicts_sort_deterministically_and_bundle_carries_evidence() {
-        let cfg = HealthConfig::default();
         let mut rec = Recorder::new(16);
         rec.tick(10);
         rec.event(EventKind::Retransmit, 7, 1);
@@ -796,7 +652,7 @@ mod tests {
             last_progress: 100,
             ..view(7)
         };
-        let verdicts = analyze(&rec, &[stalled], QueueStat::default(), &cfg);
+        let verdicts = analyze(&rec, &[stalled], QueueStat::default());
         assert_eq!(verdicts.len(), 2, "{verdicts:?}");
         assert!(verdicts[0].detector < verdicts[1].detector, "sorted by detector");
         let b = bundle(&rec, &[stalled], QueueStat::default(), &verdicts);

@@ -10,10 +10,14 @@
 //!
 //! * [`hist::Histogram`] — log₂-bucketed value histograms with exact
 //!   count/sum/min/max, mergeable, with percentile queries;
-//! * [`trace::TraceRing`] — a fixed-capacity ring buffer of
-//!   [`trace::TraceEvent`]s stamped with the server's virtual clock,
-//!   overwriting the oldest events on wrap;
-//! * [`span`] — the [`span::SpanObserver`] hook trait, with a
+//! * [`ring::Ring`] — the one bounded ring (newest `capacity` entries,
+//!   oldest overwritten, drops counted); [`trace::TraceRing`] is it over
+//!   [`trace::TraceEvent`]s stamped with the server's virtual clock, and
+//!   [`health::FlightRing`] is it over sender-state snapshots;
+//! * [`tally::Tally`] — a value per counter and a histogram per metric:
+//!   a recorder's run totals and the body of every series window;
+//! * [`span`] — the label sets (each declared once: variant, doc and
+//!   exposition name) and the [`span::SpanObserver`] hook trait, with a
 //!   [`span::NoopObserver`] whose `ENABLED = false` lets every
 //!   instrumentation site compile away. Its callers: the
 //!   `ilp_core::three_stage` combinator (initial/integrated spans),
@@ -21,9 +25,9 @@
 //!   `utcp::conn`'s parts and the data paths in `rpcapp::paths`
 //!   report), and `server::harness` (handshake, scheduling and fault
 //!   counters);
-//! * [`recorder::Recorder`] — the everything-in-one observer: atomic
-//!   counters, histograms per metric, the per-(path, stage, layer) work
-//!   matrix, and the event trace;
+//! * [`recorder::Recorder`] — the everything-in-one observer: run
+//!   totals, the per-(path, stage, layer) work matrix, the event trace,
+//!   the series, the flight rings and the segment store;
 //! * [`json`] — a hand-rolled, escape-correct JSON value, renderer and
 //!   parser (no serde; the workspace carries no registry dependencies);
 //! * [`timeseries`] — [`timeseries::SeriesRecorder`], the windowed
@@ -42,9 +46,10 @@
 //!   part, deterministic sampling with loss-recovery promotion, and an
 //!   exact critical-path latency decomposition
 //!   (queueing/recovery/propagation/processing);
-//! * [`expo`] — exposition: Prometheus-style text dump, a Chrome
-//!   `trace_event` exporter for the trace ring, and the
-//!   machine-readable run-report writer behind the `BENCH_*.json` files.
+//! * [`expo`] — exposition: the Prometheus-style text dump (counters,
+//!   work matrix, histograms, one verdict gauge per detector, the latest
+//!   sealed window), Chrome `trace_event` lists for the trace ring, and
+//!   the crash-safe run-report writer behind the `BENCH_*.json` files.
 //!
 //! The crate is deliberately zero-dependency (std only) and knows
 //! nothing about `memsim` or the protocol crates: work is reported to it
@@ -59,8 +64,10 @@ pub mod health;
 pub mod hist;
 pub mod json;
 pub mod recorder;
+pub mod ring;
 pub mod segtrace;
 pub mod span;
+pub mod tally;
 pub mod timeseries;
 pub mod trace;
 
@@ -68,14 +75,16 @@ pub use expo::{
     chrome_trace, chrome_trace_doc, chrome_trace_events, prometheus_text,
     prometheus_text_with_health, write_report,
 };
-pub use health::{ConnView, Detector, FlightRing, HealthConfig, QueueStat, Verdict};
+pub use health::{ConnView, Detector, FlightRing, QueueStat, Verdict};
 pub use hist::Histogram;
 pub use json::Json;
 pub use recorder::Recorder;
+pub use ring::Ring;
 pub use segtrace::{Breakdown, ComponentTotals, Origin, SegEv, SegStore, SegTag, SegTrace, XmitKind};
 pub use span::{
-    ConnState, Counter, EventKind, FlightEdge, FlightSnap, Layer, Metric, NoopObserver, PathLabel,
+    Counter, EventKind, FlightEdge, FlightSnap, Layer, Metric, NoopObserver, PathLabel,
     SpanObserver, Stage, Work,
 };
+pub use tally::Tally;
 pub use timeseries::{sparkline, SeriesConfig, SeriesRecorder};
 pub use trace::{TraceEvent, TraceRing};

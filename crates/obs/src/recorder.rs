@@ -2,10 +2,10 @@
 //!
 //! A [`Recorder`] is what benches and examples actually instantiate:
 //! it implements [`SpanObserver`] and folds everything reported into
-//! run counters (atomic, so read-side accessors work through `&self`
-//! even while a harness holds the recorder mutably elsewhere in scope),
-//! per-metric histograms, the per-(path, stage, layer) work matrix, and
-//! a bounded event trace stamped by the server's virtual clock.
+//! run totals (a [`Tally`]: a value per counter, a histogram per
+//! metric), the per-(path, stage, layer) work matrix, a bounded event
+//! trace stamped by the server's virtual clock, the windowed series,
+//! the per-connection flight rings and the per-segment trace store.
 //!
 //! The recorder deliberately issues no instrumented (memsim-counted)
 //! memory accesses of its own — it writes plain host memory — so
@@ -13,20 +13,18 @@
 //! with and without observation is bit-identical.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::health::FlightRing;
+use crate::health::{FlightRec, FlightRing, FLIGHT_CAPACITY};
 use crate::hist::Histogram;
 use crate::json::Json;
 use crate::segtrace::{SegEv, SegStore, SegTag};
 use crate::span::{
     Counter, EventKind, FlightSnap, Layer, Metric, PathLabel, SpanObserver, Stage, Work,
 };
+use crate::tally::Tally;
 use crate::timeseries::{SeriesConfig, SeriesRecorder};
 use crate::trace::{TraceEvent, TraceRing};
 
-const N_COUNTERS: usize = Counter::ALL.len();
-const N_METRICS: usize = Metric::ALL.len();
 const N_PATHS: usize = PathLabel::ALL.len();
 const N_STAGES: usize = Stage::ALL.len();
 const N_LAYERS: usize = Layer::ALL.len();
@@ -35,8 +33,7 @@ const N_LAYERS: usize = Layer::ALL.len();
 /// trace. See the module docs for the attribution rules.
 #[derive(Debug)]
 pub struct Recorder {
-    counters: [AtomicU64; N_COUNTERS],
-    hists: [Histogram; N_METRICS],
+    totals: Tally,
     /// Work units by `[path][stage][layer]`.
     work: [[[u64; N_LAYERS]; N_STAGES]; N_PATHS],
     trace: TraceRing,
@@ -62,8 +59,7 @@ impl Recorder {
     /// A fresh recorder with an explicit window shape for the series.
     pub fn with_series(trace_capacity: usize, series: SeriesConfig) -> Self {
         Recorder {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| Histogram::new()),
+            totals: Tally::default(),
             work: [[[0; N_LAYERS]; N_STAGES]; N_PATHS],
             trace: TraceRing::new(trace_capacity),
             series: SeriesRecorder::new(series),
@@ -76,6 +72,11 @@ impl Recorder {
     /// Per-connection flight recorders, keyed by global connection id.
     pub fn flights(&self) -> &BTreeMap<u32, FlightRing> {
         &self.flights
+    }
+
+    /// Connection `conn`'s flight ring, created on first use.
+    fn flight_ring(&mut self, conn: u32) -> &mut FlightRing {
+        self.flights.entry(conn).or_insert_with(|| FlightRing::new(FLIGHT_CAPACITY))
     }
 
     /// The per-segment causal-trace store.
@@ -91,12 +92,12 @@ impl Recorder {
 
     /// Current value of a run counter.
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c.index()].load(Ordering::Relaxed)
+        self.totals.counter(c)
     }
 
     /// The histogram behind a metric.
     pub fn hist(&self, m: Metric) -> &Histogram {
-        &self.hists[m.index()]
+        self.totals.hist(m)
     }
 
     /// Work units attributed to `(path, stage, layer)`.
@@ -151,12 +152,7 @@ impl Recorder {
     /// that need global attribution should emit per-shard sections (see
     /// the server's shard report) rather than re-labelling events.
     pub fn merge(&mut self, other: &Recorder) {
-        for &c in &Counter::ALL {
-            self.counters[c.index()].fetch_add(other.counter(c), Ordering::Relaxed);
-        }
-        for (mine, theirs) in self.hists.iter_mut().zip(&other.hists) {
-            mine.merge(theirs);
-        }
+        self.totals.absorb(&other.totals);
         for p in 0..N_PATHS {
             for s in 0..N_STAGES {
                 for l in 0..N_LAYERS {
@@ -167,7 +163,7 @@ impl Recorder {
         self.trace.merge_from(&other.trace);
         self.series.merge_from(&other.series);
         for (&conn, ring) in &other.flights {
-            self.flights.entry(conn).or_default().merge_from(ring);
+            self.flight_ring(conn).merge_from(ring);
         }
         self.segs.merge_from(&other.segs);
         self.now = self.now.max(other.now);
@@ -222,17 +218,7 @@ impl Recorder {
                 .set(p.name(), stages.set("total", Json::U64(self.path_total(p))));
         }
 
-        let events: Vec<Json> = self
-            .trace
-            .iter()
-            .map(|e| {
-                Json::obj()
-                    .set("tick", Json::U64(e.tick))
-                    .set("conn", Json::U64(e.conn as u64))
-                    .set("kind", Json::Str(e.kind.name().to_string()))
-                    .set("value", Json::U64(e.value))
-            })
-            .collect();
+        let events: Vec<Json> = self.trace.iter().map(TraceEvent::to_json).collect();
         let trace = Json::obj()
             .set("capacity", Json::U64(self.trace.capacity() as u64))
             .set("total_events", Json::U64(self.trace.total_pushed()))
@@ -272,12 +258,12 @@ impl SpanObserver for Recorder {
     }
 
     fn count(&mut self, counter: Counter, n: u64) {
-        self.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
+        self.totals.count(counter, n);
         self.series.count(counter, n);
     }
 
     fn sample(&mut self, metric: Metric, value: u64) {
-        self.hists[metric.index()].record(value);
+        self.totals.sample(metric, value);
         self.series.sample(metric, value);
     }
 
@@ -286,7 +272,8 @@ impl SpanObserver for Recorder {
     }
 
     fn flight(&mut self, conn: u32, snap: FlightSnap) {
-        self.flights.entry(conn).or_default().push(self.now, snap);
+        let tick = self.now;
+        self.flight_ring(conn).push(FlightRec { tick, snap });
     }
 
     fn seg(&mut self, tag: SegTag, ev: SegEv) {

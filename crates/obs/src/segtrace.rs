@@ -30,7 +30,8 @@
 //! tracer entirely. Independently, any chunk that enters loss recovery
 //! (fast retransmit or RTO) is **promoted** to traced at its first
 //! retransmission — the store backfills its enqueue and first-send
-//! marks from the lightweight pending ledger it keeps for every chunk,
+//! marks from the lightweight pending ledger it keeps for untraced
+//! chunks (bounded like the trace store; promotion consumes the entry),
 //! so recovery episodes are always observable.
 //!
 //! # Critical-path decomposition
@@ -56,7 +57,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::Json;
-use crate::span::Stage;
+use crate::span::{labels, Stage};
 
 /// Tick value meaning "not recorded".
 const UNSET: u64 = u64::MAX;
@@ -76,25 +77,16 @@ pub struct SegTag {
     pub xmit: u16,
 }
 
-/// How a transmission left the sender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XmitKind {
-    /// First transmission of new data.
-    Fresh,
-    /// Duplicate-ACK / SACK-driven fast retransmit.
-    Fast,
-    /// RTO expiry retransmit.
-    Rto,
-}
-
-impl XmitKind {
-    /// Stable lowercase name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            XmitKind::Fresh => "fresh",
-            XmitKind::Fast => "fast",
-            XmitKind::Rto => "rto",
-        }
+labels! {
+    /// How a transmission left the sender.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum XmitKind {
+        /// First transmission of new data.
+        Fresh => "fresh",
+        /// Duplicate-ACK / SACK-driven fast retransmit.
+        Fast => "fast",
+        /// RTO expiry retransmit.
+        Rto => "rto",
     }
 }
 
@@ -171,27 +163,18 @@ pub struct SegRec {
     pub ev: SegEv,
 }
 
-/// Why a trace exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Origin {
-    /// Selected by the every-Nth sampling rule at enqueue.
-    Sampled,
-    /// Opened retroactively when the chunk entered loss recovery
-    /// (enqueue and first send backfilled from the pending ledger).
-    Promoted,
-    /// First seen from wire context on a receiver with no sender-side
-    /// marks (the two-process UDP world: each process keeps its half).
-    Wire,
-}
-
-impl Origin {
-    /// Stable lowercase name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            Origin::Sampled => "sampled",
-            Origin::Promoted => "promoted",
-            Origin::Wire => "wire",
-        }
+labels! {
+    /// Why a trace exists.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Origin {
+        /// Selected by the every-Nth sampling rule at enqueue.
+        Sampled => "sampled",
+        /// Opened retroactively when the chunk entered loss recovery
+        /// (enqueue and first send backfilled from the pending ledger).
+        Promoted => "promoted",
+        /// First seen from wire context on a receiver with no sender-side
+        /// marks (the two-process UDP world: each process keeps its half).
+        Wire => "wire",
     }
 }
 
@@ -410,16 +393,23 @@ impl ComponentTotals {
     }
 }
 
-/// Pending ledger entry: the two backfill facts kept for *every* chunk
-/// while the tracer is on, so promotion can reconstruct a full chain.
+/// Pending ledger entry: the two backfill facts kept for an untraced
+/// chunk while the tracer is on, so promotion can reconstruct a full
+/// chain. Promotion consumes the entry — a chunk with a trace has none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pending {
     enqueue: u64,
     first_send: u64,
 }
 
+impl Pending {
+    const UNSET: Pending = Pending { enqueue: UNSET, first_send: UNSET };
+}
+
 /// The per-segment trace store: open/completed traces keyed by
-/// `(conn << 32) | chunk`, plus the pending backfill ledger.
+/// `(conn << 32) | chunk`, plus the pending backfill ledger. Both maps
+/// hold at most `max_traces` entries, and what either refuses is
+/// counted.
 #[derive(Debug)]
 pub struct SegStore {
     traces: BTreeMap<u64, SegTrace>,
@@ -427,6 +417,10 @@ pub struct SegStore {
     max_traces: usize,
     /// Traces refused because `max_traces` was reached.
     pub dropped_traces: u64,
+    /// Ledger notes refused because the ledger was full. The chunk
+    /// still promotes if it enters loss recovery, without the prefix
+    /// the note would have backfilled.
+    pub refused_pending: u64,
     /// Events refused because a trace hit [`MAX_TRACE_EVENTS`].
     pub truncated_events: u64,
 }
@@ -442,13 +436,15 @@ fn key(conn: u32, chunk: u32) -> u64 {
 }
 
 impl SegStore {
-    /// A store retaining at most `max_traces` traces (drop-accounted).
+    /// A store retaining at most `max_traces` traces, and as many
+    /// ledger entries (both drop-accounted).
     pub fn new(max_traces: usize) -> Self {
         SegStore {
             traces: BTreeMap::new(),
             pending: BTreeMap::new(),
             max_traces,
             dropped_traces: 0,
+            refused_pending: 0,
             truncated_events: 0,
         }
     }
@@ -497,51 +493,64 @@ impl SegStore {
         }))
     }
 
+    /// The ledger entry for key `k`, created unless the ledger is full
+    /// (counted). Associated for the same reason as [`Self::open_in`].
+    fn note_in<'a>(
+        pending: &'a mut BTreeMap<u64, Pending>,
+        cap: usize,
+        refused: &mut u64,
+        k: u64,
+    ) -> Option<&'a mut Pending> {
+        if !pending.contains_key(&k) && pending.len() >= cap {
+            *refused += 1;
+            return None;
+        }
+        Some(pending.entry(k).or_insert(Pending::UNSET))
+    }
+
     /// Record one edge, stamped with virtual tick `now`. This is the
     /// single ingestion point the recorder's `seg` hook calls.
     pub fn record(&mut self, now: u64, tag: SegTag, ev: SegEv) {
-        let SegStore { traces, pending, max_traces, dropped_traces, truncated_events } = self;
+        let SegStore {
+            traces,
+            pending,
+            max_traces,
+            dropped_traces,
+            refused_pending,
+            truncated_events,
+        } = self;
         let k = key(tag.conn, tag.chunk);
         match ev {
-            SegEv::Enqueue { traced } => {
-                let p = pending.entry(k).or_insert(Pending { enqueue: UNSET, first_send: UNSET });
-                if p.enqueue == UNSET {
-                    p.enqueue = now;
-                }
-                if traced {
-                    if let Some(t) = Self::open_in(
-                        traces,
-                        *max_traces,
-                        dropped_traces,
-                        tag.conn,
-                        tag.chunk,
-                        Origin::Sampled,
-                    ) {
-                        t.push(SegRec { tick: now, xmit: tag.xmit, ev }, truncated_events);
-                    }
+            SegEv::Enqueue { traced: true } => {
+                if let Some(t) = Self::open_in(
+                    traces,
+                    *max_traces,
+                    dropped_traces,
+                    tag.conn,
+                    tag.chunk,
+                    Origin::Sampled,
+                ) {
+                    t.push(SegRec { tick: now, xmit: tag.xmit, ev }, truncated_events);
                 }
             }
-            SegEv::Send { traced, .. } => {
-                if !traced {
-                    // Untraced fresh send: remember the first-send tick
-                    // for a possible later promotion.
-                    let p =
-                        pending.entry(k).or_insert(Pending { enqueue: UNSET, first_send: UNSET });
-                    if p.first_send == UNSET {
-                        p.first_send = now;
-                    }
-                    return;
+            SegEv::Enqueue { traced: false } => {
+                if let Some(p) = Self::note_in(pending, *max_traces, refused_pending, k) {
+                    p.enqueue = p.enqueue.min(now);
                 }
-                let backfill = if traces.contains_key(&k) {
-                    None
-                } else if tag.xmit > 0 {
-                    // Promotion: the chunk entered loss recovery without
-                    // having been sampled. Reconstruct its prefix from
-                    // the pending ledger.
-                    Some(pending.get(&k).copied().unwrap_or(Pending {
-                        enqueue: UNSET,
-                        first_send: UNSET,
-                    }))
+            }
+            SegEv::Send { traced: false, .. } => {
+                // Untraced fresh send: remember the first-send tick for
+                // a possible later promotion.
+                if let Some(p) = Self::note_in(pending, *max_traces, refused_pending, k) {
+                    p.first_send = p.first_send.min(now);
+                }
+            }
+            SegEv::Send { traced: true, .. } => {
+                // Promotion: the chunk entered loss recovery without
+                // having been sampled. Its prefix comes out of the
+                // pending ledger, which then forgets the chunk.
+                let backfill = if tag.xmit > 0 && !traces.contains_key(&k) {
+                    Some(pending.remove(&k).unwrap_or(Pending::UNSET))
                 } else {
                     None
                 };
@@ -627,15 +636,11 @@ impl SegStore {
 
     /// Count of traces by origin: `(sampled, promoted, wire)`.
     pub fn origin_counts(&self) -> (u64, u64, u64) {
-        let mut c = (0, 0, 0);
+        let mut c = [0u64; Origin::ALL.len()];
         for t in self.traces.values() {
-            match t.origin {
-                Origin::Sampled => c.0 += 1,
-                Origin::Promoted => c.1 += 1,
-                Origin::Wire => c.2 += 1,
-            }
+            c[t.origin.index()] += 1;
         }
-        c
+        (c[0], c[1], c[2])
     }
 
     /// Union-merge another store (shards trace disjoint connections, so
@@ -658,14 +663,15 @@ impl SegStore {
             }
         }
         for (k, p) in &other.pending {
-            let mine = self
-                .pending
-                .entry(*k)
-                .or_insert(Pending { enqueue: UNSET, first_send: UNSET });
-            mine.enqueue = mine.enqueue.min(p.enqueue);
-            mine.first_send = mine.first_send.min(p.first_send);
+            if let Some(mine) =
+                Self::note_in(&mut self.pending, self.max_traces, &mut self.refused_pending, *k)
+            {
+                mine.enqueue = mine.enqueue.min(p.enqueue);
+                mine.first_send = mine.first_send.min(p.first_send);
+            }
         }
         self.dropped_traces += other.dropped_traces;
+        self.refused_pending += other.refused_pending;
         self.truncated_events += other.truncated_events;
     }
 
@@ -682,6 +688,7 @@ impl SegStore {
             .set("wire", Json::U64(wire))
             .set("pending", Json::U64(self.pending.len() as u64))
             .set("dropped_traces", Json::U64(self.dropped_traces))
+            .set("refused_pending", Json::U64(self.refused_pending))
             .set("truncated_events", Json::U64(self.truncated_events))
             .set("components", self.totals().to_json())
     }
@@ -949,6 +956,36 @@ mod tests {
         }
         assert_eq!(s.len(), 2);
         assert_eq!(s.dropped_traces, 2);
+    }
+
+    #[test]
+    fn pending_ledger_is_bounded_and_forgets_opened_chunks() {
+        let ledger = |s: &SegStore| s.to_json().get("pending").cloned();
+        let mut s = SegStore::new(2);
+        // A sampled chunk has its trace from the start: nothing to backfill.
+        s.record(1, tag(0, 0, 0), SegEv::Enqueue { traced: true });
+        s.record(1, tag(0, 0, 0), SegEv::Send { kind: XmitKind::Fresh, traced: true });
+        assert_eq!(ledger(&s), Some(Json::U64(0)));
+        // An untraced chunk is noted once, and forgotten when it promotes.
+        s.record(2, tag(0, 1, 0), SegEv::Enqueue { traced: false });
+        s.record(3, tag(0, 1, 0), SegEv::Send { kind: XmitKind::Fresh, traced: false });
+        assert_eq!(ledger(&s), Some(Json::U64(1)));
+        s.record(9, tag(0, 1, 1), SegEv::Send { kind: XmitKind::Rto, traced: true });
+        assert_eq!(ledger(&s), Some(Json::U64(0)));
+        assert_eq!(s.get(0, 1).unwrap().events.len(), 3, "backfilled enqueue and first send");
+        // The ledger holds at most the cap; the third chunk's notes are
+        // refused and counted.
+        for chunk in 2..5 {
+            s.record(10, tag(0, chunk, 0), SegEv::Enqueue { traced: false });
+            s.record(11, tag(0, chunk, 0), SegEv::Send { kind: XmitKind::Fresh, traced: false });
+        }
+        assert_eq!(ledger(&s), Some(Json::U64(2)));
+        assert_eq!(s.refused_pending, 2);
+        // A merge is bounded the same way and carries the count.
+        let mut m = SegStore::new(1);
+        m.merge_from(&s);
+        assert_eq!(ledger(&m), Some(Json::U64(1)));
+        assert_eq!(m.refused_pending, 2 + 1);
     }
 
     #[test]

@@ -10,109 +10,90 @@
 //! `O::ENABLED` monomorphises to nothing — the native-CPU benches pay
 //! zero cost when observation is off.
 
-/// Which data path produced a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathLabel {
-    /// The fused single-loop path.
-    Ilp,
-    /// The conventional pass-per-layer path.
-    NonIlp,
-}
-
-impl PathLabel {
-    /// Stable lowercase name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            PathLabel::Ilp => "ilp",
-            PathLabel::NonIlp => "non_ilp",
+/// Declares a label set once — each variant with its doc and its
+/// exposition name — and derives `ALL`, `index()` and `name()` from
+/// that one list, so the three cannot drift apart.
+macro_rules! labels {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident => $text:literal, )+
         }
-    }
-
-    /// All paths, in index order.
-    pub const ALL: [PathLabel; 2] = [PathLabel::Ilp, PathLabel::NonIlp];
-
-    /// Dense index for matrix storage.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// The three-stage protocol-processing split (§2.1, after Abbott &
-/// Peterson): where in a packet's life a span ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Initial control operations: demultiplexing, header parse, buffer
-    /// reservation.
-    Initial,
-    /// The integrated data manipulations — or, on the non-ILP path, the
-    /// separate per-layer passes occupying the same position.
-    Integrated,
-    /// The final protocol stage, where messages are accepted or
-    /// rejected and TCP state moves.
-    Final,
-}
-
-impl Stage {
-    /// Stable lowercase name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Initial => "initial",
-            Stage::Integrated => "integrated",
-            Stage::Final => "final",
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )+
         }
-    }
 
-    /// All stages, in pipeline order.
-    pub const ALL: [Stage; 3] = [Stage::Initial, Stage::Integrated, Stage::Final];
+        impl $name {
+            /// Every variant, in index order.
+            pub const ALL: [$name; [$($text),+].len()] = [$($name::$variant),+];
 
-    /// Dense index for matrix storage.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
+            /// Dense index, matching [`Self::ALL`] order.
+            pub fn index(self) -> usize {
+                self as usize
+            }
 
-/// Which layer's code a span executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layer {
-    /// XDR marshalling / unmarshalling passes.
-    Marshal,
-    /// Encryption / decryption passes.
-    Cipher,
-    /// Checksum passes.
-    Checksum,
-    /// The fused ILP loop — marshal+cipher+checksum collapsed into one
-    /// span, which is precisely the point: the layers are no longer
-    /// separable once integrated.
-    Fused,
-    /// User-level TCP control: header build/parse, TCB updates, ring
-    /// copies, ACK processing.
-    Tcp,
-    /// Kernel part: system copies, IP, driver, context switch. Spans
-    /// never name this layer directly — the system share of any span's
-    /// work is attributed here automatically.
-    Kernel,
-}
-
-impl Layer {
-    /// Stable lowercase name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            Layer::Marshal => "marshal",
-            Layer::Cipher => "cipher",
-            Layer::Checksum => "checksum",
-            Layer::Fused => "fused",
-            Layer::Tcp => "tcp",
-            Layer::Kernel => "kernel",
+            /// Stable lowercase name for exposition.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($name::$variant => $text,)+
+                }
+            }
         }
+    };
+}
+pub(crate) use labels;
+
+labels! {
+    /// Which data path produced a span.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum PathLabel {
+        /// The fused single-loop path.
+        Ilp => "ilp",
+        /// The conventional pass-per-layer path.
+        NonIlp => "non_ilp",
     }
+}
 
-    /// All layers, in index order.
-    pub const ALL: [Layer; 6] =
-        [Layer::Marshal, Layer::Cipher, Layer::Checksum, Layer::Fused, Layer::Tcp, Layer::Kernel];
+labels! {
+    /// The three-stage protocol-processing split (§2.1, after Abbott &
+    /// Peterson): where in a packet's life a span ran.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Stage {
+        /// Initial control operations: demultiplexing, header parse, buffer
+        /// reservation.
+        Initial => "initial",
+        /// The integrated data manipulations — or, on the non-ILP path, the
+        /// separate per-layer passes occupying the same position.
+        Integrated => "integrated",
+        /// The final protocol stage, where messages are accepted or
+        /// rejected and TCP state moves.
+        Final => "final",
+    }
+}
 
-    /// Dense index for matrix storage.
-    pub fn index(self) -> usize {
-        self as usize
+labels! {
+    /// Which layer's code a span executed.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Layer {
+        /// XDR marshalling / unmarshalling passes.
+        Marshal => "marshal",
+        /// Encryption / decryption passes.
+        Cipher => "cipher",
+        /// Checksum passes.
+        Checksum => "checksum",
+        /// The fused ILP loop — marshal+cipher+checksum collapsed into one
+        /// span, which is precisely the point: the layers are no longer
+        /// separable once integrated.
+        Fused => "fused",
+        /// User-level TCP control: header build/parse, TCB updates, ring
+        /// copies, ACK processing.
+        Tcp => "tcp",
+        /// Kernel part: system copies, IP, driver, context switch. Spans
+        /// never name this layer directly — the system share of any span's
+        /// work is attributed here automatically.
+        Kernel => "kernel",
     }
 }
 
@@ -144,303 +125,104 @@ impl Work {
     }
 }
 
-/// Run-level counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Chunks handed to the transport by the server.
-    ChunksSent,
-    /// Chunks accepted by clients.
-    ChunksDelivered,
-    /// Final-stage rejects: checksum mismatch.
-    RejectChecksum,
-    /// Final-stage rejects: duplicate / out-of-order segment.
-    RejectOutOfOrder,
-    /// Final-stage rejects: unmarshalling failure.
-    RejectBadFormat,
-    /// Initial-stage rejects: no matching connection.
-    RejectNoConnection,
-    /// Retransmissions across all connections.
-    Retransmits,
-    /// Handshakes completed.
-    Handshakes,
-    /// SYNs retried after the retry interval.
-    SynRetries,
-    /// Datagrams dropped by fault injection.
-    FaultDrops,
-    /// Datagrams bit-flipped by fault injection.
-    FaultCorruptions,
-    /// Datagrams for a port nobody listens on.
-    Unroutable,
-    /// RTO timer expiries that doubled the retransmission timeout
-    /// (exponential back-off steps in `utcp::conn`).
-    RtoBackoffs,
-    /// Fast retransmits: segments resent on the duplicate-ACK / SACK
-    /// evidence path, without waiting for the RTO.
-    FastRetransmits,
-    /// Payload bytes newly reported as received out-of-order via SACK
-    /// blocks (counted once per byte when it first enters the sender's
-    /// scoreboard).
-    SackedBytes,
-}
-
-impl Counter {
-    /// Stable snake_case name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::ChunksSent => "chunks_sent",
-            Counter::ChunksDelivered => "chunks_delivered",
-            Counter::RejectChecksum => "reject_checksum",
-            Counter::RejectOutOfOrder => "reject_out_of_order",
-            Counter::RejectBadFormat => "reject_bad_format",
-            Counter::RejectNoConnection => "reject_no_connection",
-            Counter::Retransmits => "retransmits",
-            Counter::Handshakes => "handshakes",
-            Counter::SynRetries => "syn_retries",
-            Counter::FaultDrops => "fault_drops",
-            Counter::FaultCorruptions => "fault_corruptions",
-            Counter::Unroutable => "unroutable",
-            Counter::RtoBackoffs => "rto_backoffs",
-            Counter::FastRetransmits => "fast_retransmits",
-            Counter::SackedBytes => "sacked_bytes",
-        }
-    }
-
-    /// All counters, in index order.
-    pub const ALL: [Counter; 15] = [
-        Counter::ChunksSent,
-        Counter::ChunksDelivered,
-        Counter::RejectChecksum,
-        Counter::RejectOutOfOrder,
-        Counter::RejectBadFormat,
-        Counter::RejectNoConnection,
-        Counter::Retransmits,
-        Counter::Handshakes,
-        Counter::SynRetries,
-        Counter::FaultDrops,
-        Counter::FaultCorruptions,
-        Counter::Unroutable,
-        Counter::RtoBackoffs,
-        Counter::FastRetransmits,
-        Counter::SackedBytes,
-    ];
-
-    /// Dense index for array storage.
-    pub fn index(self) -> usize {
-        self as usize
+labels! {
+    /// Run-level counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Counter {
+        /// Chunks handed to the transport by the server.
+        ChunksSent => "chunks_sent",
+        /// Chunks accepted by clients.
+        ChunksDelivered => "chunks_delivered",
+        /// Final-stage rejects: checksum mismatch.
+        RejectChecksum => "reject_checksum",
+        /// Final-stage rejects: duplicate / out-of-order segment.
+        RejectOutOfOrder => "reject_out_of_order",
+        /// Final-stage rejects: unmarshalling failure.
+        RejectBadFormat => "reject_bad_format",
+        /// Initial-stage rejects: no matching connection.
+        RejectNoConnection => "reject_no_connection",
+        /// Retransmissions across all connections.
+        Retransmits => "retransmits",
+        /// Handshakes completed.
+        Handshakes => "handshakes",
+        /// SYNs retried after the retry interval.
+        SynRetries => "syn_retries",
+        /// Datagrams dropped by fault injection.
+        FaultDrops => "fault_drops",
+        /// Datagrams bit-flipped by fault injection.
+        FaultCorruptions => "fault_corruptions",
+        /// Datagrams for a port nobody listens on.
+        Unroutable => "unroutable",
+        /// RTO timer expiries that doubled the retransmission timeout
+        /// (exponential back-off steps in `utcp::conn`).
+        RtoBackoffs => "rto_backoffs",
+        /// Fast retransmits: segments resent on the duplicate-ACK / SACK
+        /// evidence path, without waiting for the RTO.
+        FastRetransmits => "fast_retransmits",
+        /// Payload bytes newly reported as received out-of-order via SACK
+        /// blocks (counted once per byte when it first enters the sender's
+        /// scoreboard).
+        SackedBytes => "sacked_bytes",
     }
 }
 
-/// Histogram-valued metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    /// Virtual ticks from a chunk's first transmission to its
-    /// acceptance by the client (retransmission rounds included).
-    ChunkLatencyTicks,
-    /// Virtual ticks from a client's first SYN to an established
-    /// handshake.
-    HandshakeTicks,
-    /// Ready-connection count offered to the scheduler each round.
-    ReadyQueueDepth,
-    /// Payload bytes per delivered chunk.
-    ChunkBytes,
-    /// Kernel-part datagrams queued at an endpoint (high-water samples).
-    KernelQueueDepth,
-}
-
-impl Metric {
-    /// Stable snake_case name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::ChunkLatencyTicks => "chunk_latency_ticks",
-            Metric::HandshakeTicks => "handshake_ticks",
-            Metric::ReadyQueueDepth => "ready_queue_depth",
-            Metric::ChunkBytes => "chunk_bytes",
-            Metric::KernelQueueDepth => "kernel_queue_depth",
-        }
-    }
-
-    /// All metrics, in index order.
-    pub const ALL: [Metric; 5] = [
-        Metric::ChunkLatencyTicks,
-        Metric::HandshakeTicks,
-        Metric::ReadyQueueDepth,
-        Metric::ChunkBytes,
-        Metric::KernelQueueDepth,
-    ];
-
-    /// Dense index for array storage.
-    pub fn index(self) -> usize {
-        self as usize
+labels! {
+    /// Histogram-valued metrics.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Metric {
+        /// Virtual ticks from a chunk's first transmission to its
+        /// acceptance by the client (retransmission rounds included).
+        ChunkLatencyTicks => "chunk_latency_ticks",
+        /// Virtual ticks from a client's first SYN to an established
+        /// handshake.
+        HandshakeTicks => "handshake_ticks",
+        /// Ready-connection count offered to the scheduler each round.
+        ReadyQueueDepth => "ready_queue_depth",
+        /// Payload bytes per delivered chunk.
+        ChunkBytes => "chunk_bytes",
+        /// Kernel-part datagrams queued at an endpoint (high-water samples).
+        KernelQueueDepth => "kernel_queue_depth",
     }
 }
 
-/// Packet-level events for the trace ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A client (re-)sent its SYN.
-    SynSent,
-    /// A handshake completed (value: ticks since first SYN).
-    Established,
-    /// The server handed a chunk to the transport (value: chunk seq).
-    ChunkSent,
-    /// A client accepted a chunk (value: chunk seq).
-    ChunkAccepted,
-    /// A client rejected a segment (value: reject counter index).
-    ChunkRejected,
-    /// A connection's RTO fired and retransmitted (value: total so far).
-    Retransmit,
-    /// A connection delivered its last chunk (value: duration ticks).
-    Completed,
-    /// An RTO expiry doubled a connection's timeout (value: the new
-    /// RTO in ticks).
-    RtoBackoff,
-    /// Duplicate-ACK evidence triggered a fast retransmit without
-    /// waiting for the RTO (value: the sequence number resent).
-    FastRetransmit,
-}
-
-impl EventKind {
-    /// All event kinds, in index order.
-    pub const ALL: [EventKind; 9] = [
-        EventKind::SynSent,
-        EventKind::Established,
-        EventKind::ChunkSent,
-        EventKind::ChunkAccepted,
-        EventKind::ChunkRejected,
-        EventKind::Retransmit,
-        EventKind::Completed,
-        EventKind::RtoBackoff,
-        EventKind::FastRetransmit,
-    ];
-
-    /// Dense index, matching [`EventKind::ALL`] order.
-    pub fn index(self) -> usize {
-        match self {
-            EventKind::SynSent => 0,
-            EventKind::Established => 1,
-            EventKind::ChunkSent => 2,
-            EventKind::ChunkAccepted => 3,
-            EventKind::ChunkRejected => 4,
-            EventKind::Retransmit => 5,
-            EventKind::Completed => 6,
-            EventKind::RtoBackoff => 7,
-            EventKind::FastRetransmit => 8,
-        }
-    }
-
-    /// Stable snake_case name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::SynSent => "syn_sent",
-            EventKind::Established => "established",
-            EventKind::ChunkSent => "chunk_sent",
-            EventKind::ChunkAccepted => "chunk_accepted",
-            EventKind::ChunkRejected => "chunk_rejected",
-            EventKind::Retransmit => "retransmit",
-            EventKind::Completed => "completed",
-            EventKind::RtoBackoff => "rto_backoff",
-            EventKind::FastRetransmit => "fast_retransmit",
-        }
+labels! {
+    /// Packet-level events for the trace ring.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum EventKind {
+        /// A client (re-)sent its SYN.
+        SynSent => "syn_sent",
+        /// A handshake completed (value: ticks since first SYN).
+        Established => "established",
+        /// The server handed a chunk to the transport (value: chunk seq).
+        ChunkSent => "chunk_sent",
+        /// A client accepted a chunk (value: chunk seq).
+        ChunkAccepted => "chunk_accepted",
+        /// A client rejected a segment (value: reject counter index).
+        ChunkRejected => "chunk_rejected",
+        /// A connection's RTO fired and retransmitted (value: total so far).
+        Retransmit => "retransmit",
+        /// A connection delivered its last chunk (value: duration ticks).
+        Completed => "completed",
+        /// An RTO expiry doubled a connection's timeout (value: the new
+        /// RTO in ticks).
+        RtoBackoff => "rto_backoff",
+        /// Duplicate-ACK evidence triggered a fast retransmit without
+        /// waiting for the RTO (value: the sequence number resent).
+        FastRetransmit => "fast_retransmit",
     }
 }
 
-/// Connection lifecycle states as the observability layer names them —
-/// the full RFC 793 state set. This mirrors `utcp::State` without
-/// depending on it (the dependency runs the other way), so lifecycle
-/// transitions can ride the same observer seam as spans and counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnState {
-    /// Passive open: waiting for a SYN.
-    Listen,
-    /// Active open: SYN sent, waiting for SYN-ACK.
-    SynSent,
-    /// SYN received, waiting for the final ACK of the handshake.
-    SynRcvd,
-    /// Data transfer.
-    Established,
-    /// Active close: FIN sent, waiting for its ACK or the peer's FIN.
-    FinWait1,
-    /// Our FIN is acknowledged; waiting for the peer's FIN.
-    FinWait2,
-    /// Simultaneous close: both FINs crossed, ours not yet acked.
-    Closing,
-    /// Passive close: peer's FIN consumed, local side may still send.
-    CloseWait,
-    /// Passive close: our FIN sent, waiting for its ACK.
-    LastAck,
-    /// Active closer lingers 2·MSL against old duplicates.
-    TimeWait,
-    /// No connection state.
-    Closed,
-}
-
-impl ConnState {
-    /// All states, in index order.
-    pub const ALL: [ConnState; 11] = [
-        ConnState::Listen,
-        ConnState::SynSent,
-        ConnState::SynRcvd,
-        ConnState::Established,
-        ConnState::FinWait1,
-        ConnState::FinWait2,
-        ConnState::Closing,
-        ConnState::CloseWait,
-        ConnState::LastAck,
-        ConnState::TimeWait,
-        ConnState::Closed,
-    ];
-
-    /// Stable snake_case name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            ConnState::Listen => "listen",
-            ConnState::SynSent => "syn_sent",
-            ConnState::SynRcvd => "syn_rcvd",
-            ConnState::Established => "established",
-            ConnState::FinWait1 => "fin_wait_1",
-            ConnState::FinWait2 => "fin_wait_2",
-            ConnState::Closing => "closing",
-            ConnState::CloseWait => "close_wait",
-            ConnState::LastAck => "last_ack",
-            ConnState::TimeWait => "time_wait",
-            ConnState::Closed => "closed",
-        }
-    }
-
-    /// Dense index for array storage.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// Which state-machine edge produced a flight-recorder snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightEdge {
-    /// A segment left the connection (new data or retransmit).
-    Send,
-    /// Inbound processing changed connection state (ACK advanced
-    /// `snd_una`, data advanced `rcv_nxt`, or the window moved).
-    Recv,
-    /// The RTO fired and backed off exponentially.
-    Rto,
-}
-
-impl FlightEdge {
-    /// Stable lowercase name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlightEdge::Send => "send",
-            FlightEdge::Recv => "recv",
-            FlightEdge::Rto => "rto",
-        }
-    }
-
-    /// All edges, in index order.
-    pub const ALL: [FlightEdge; 3] = [FlightEdge::Send, FlightEdge::Recv, FlightEdge::Rto];
-
-    /// Dense index for array storage.
-    pub fn index(self) -> usize {
-        self as usize
+labels! {
+    /// Which state-machine edge produced a flight-recorder snapshot.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FlightEdge {
+        /// A segment left the connection (new data or retransmit).
+        Send => "send",
+        /// Inbound processing changed connection state (ACK advanced
+        /// `snd_una`, data advanced `rcv_nxt`, or the window moved).
+        Recv => "recv",
+        /// The RTO fired and backed off exponentially.
+        Rto => "rto",
     }
 }
 
@@ -527,15 +309,6 @@ pub trait SpanObserver {
     fn seg(&mut self, tag: crate::segtrace::SegTag, ev: crate::segtrace::SegEv) {
         let _ = (tag, ev);
     }
-
-    /// A connection moved between lifecycle states (RFC 793 machine),
-    /// stamped with the last [`SpanObserver::tick`]. Observer state is
-    /// plain host memory, so observed and unobserved runs stay
-    /// bit-identical on the wire and in every virtual-clock count.
-    #[inline]
-    fn lifecycle(&mut self, conn: u32, from: ConnState, to: ConnState) {
-        let _ = (conn, from, to);
-    }
 }
 
 /// The observer that observes nothing, at zero cost.
@@ -585,11 +358,6 @@ impl<O: SpanObserver> SpanObserver for &mut O {
     fn seg(&mut self, tag: crate::segtrace::SegTag, ev: crate::segtrace::SegEv) {
         (**self).seg(tag, ev);
     }
-
-    #[inline]
-    fn lifecycle(&mut self, conn: u32, from: ConnState, to: ConnState) {
-        (**self).lifecycle(conn, from, to);
-    }
 }
 
 #[cfg(test)]
@@ -618,9 +386,6 @@ mod tests {
         }
         for (i, e) in EventKind::ALL.iter().enumerate() {
             assert_eq!(e.index(), i);
-        }
-        for (i, s) in ConnState::ALL.iter().enumerate() {
-            assert_eq!(s.index(), i);
         }
     }
 

@@ -39,9 +39,7 @@ use std::collections::VecDeque;
 use crate::hist::Histogram;
 use crate::json::Json;
 use crate::span::{Counter, Metric};
-
-const N_COUNTERS: usize = Counter::ALL.len();
-const N_METRICS: usize = Metric::ALL.len();
+use crate::tally::Tally;
 
 /// Shape of a time series: base window width and per-level retention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,34 +65,12 @@ pub struct Window {
     start: u64,
     /// Number of base windows covered (a power of two).
     span: u64,
-    counters: [u64; N_COUNTERS],
-    hists: [Histogram; N_METRICS],
+    tally: Tally,
 }
 
 impl Window {
     fn empty(start: u64, span: u64) -> Self {
-        Window {
-            start,
-            span,
-            counters: [0; N_COUNTERS],
-            hists: std::array::from_fn(|_| Histogram::new()),
-        }
-    }
-
-    /// Whether nothing has been recorded into this window.
-    fn is_blank(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0) && self.hists.iter().all(|h| h.count() == 0)
-    }
-
-    /// Fold another window's contents in (the caller guarantees
-    /// `other`'s tick range lies within ours).
-    fn absorb(&mut self, other: &Window) {
-        for i in 0..N_COUNTERS {
-            self.counters[i] += other.counters[i];
-        }
-        for (mine, theirs) in self.hists.iter_mut().zip(&other.hists) {
-            mine.merge(theirs);
-        }
+        Window { start, span, tally: Tally::default() }
     }
 
     /// First virtual tick covered.
@@ -109,12 +85,12 @@ impl Window {
 
     /// Counter delta recorded in this window.
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c.index()]
+        self.tally.counter(c)
     }
 
     /// The histogram of samples recorded in this window.
     pub fn hist(&self, m: Metric) -> &Histogram {
-        &self.hists[m.index()]
+        self.tally.hist(m)
     }
 
     /// The window as a JSON object: `start_tick`, `ticks`, every
@@ -180,7 +156,7 @@ impl SeriesRecorder {
 
     /// Nothing recorded and no clock observed yet.
     fn is_unused(&self) -> bool {
-        self.sealed == 0 && self.last_tick == 0 && self.cur.start == 0 && self.cur.is_blank()
+        self.sealed == 0 && self.last_tick == 0 && self.cur.start == 0 && self.cur.tally.is_blank()
     }
 
     /// The virtual clock advanced. Crossing a window boundary seals the
@@ -197,12 +173,12 @@ impl SeriesRecorder {
 
     /// Add `n` to a counter in the open window.
     pub fn count(&mut self, c: Counter, n: u64) {
-        self.cur.counters[c.index()] += n;
+        self.cur.tally.count(c, n);
     }
 
     /// Record one histogram sample in the open window.
     pub fn sample(&mut self, m: Metric, v: u64) {
-        self.cur.hists[m.index()].record(v);
+        self.cur.tally.sample(m, v);
     }
 
     /// Seal one base window and cascade coarsening.
@@ -223,11 +199,9 @@ impl SeriesRecorder {
             let up = &mut self.levels[k + 1];
             match up.back_mut() {
                 // The older sibling already opened this parent window.
-                Some(p) if p.start == parent_start => p.absorb(&old),
+                Some(p) if p.start == parent_start => p.tally.absorb(&old.tally),
                 _ => {
-                    let mut p = Window::empty(parent_start, parent_span);
-                    p.absorb(&old);
-                    up.push_back(p);
+                    up.push_back(Window { start: parent_start, span: parent_span, tally: old.tally });
                 }
             }
             k += 1;
@@ -294,8 +268,8 @@ impl SeriesRecorder {
             }
         }
         if other.cur.start == self.cur.start {
-            self.cur.absorb(&other.cur);
-        } else if !other.cur.is_blank() {
+            self.cur.tally.absorb(&other.cur.tally);
+        } else if !other.cur.tally.is_blank() {
             self.add_window(&other.cur);
         }
         self.last_tick = self.last_tick.max(other.last_tick);
@@ -304,14 +278,14 @@ impl SeriesRecorder {
     /// Land a foreign window in the retained window covering its range.
     fn add_window(&mut self, w: &Window) {
         if w.start == self.cur.start && w.span == 1 {
-            self.cur.absorb(w);
+            self.cur.tally.absorb(&w.tally);
             return;
         }
         // Finest level first: prefer adding at matching resolution.
         for lvl in self.levels.iter_mut() {
             for mine in lvl.iter_mut() {
                 if mine.start <= w.start && w.start + w.span <= mine.start + mine.span {
-                    mine.absorb(w);
+                    mine.tally.absorb(&w.tally);
                     return;
                 }
             }

@@ -1,13 +1,14 @@
-//! Fixed-capacity ring buffer of packet-level events.
+//! The packet-level event trace.
 //!
 //! A full per-packet log of a 1024-connection run would dwarf the run
 //! itself, but the *recent* history is exactly what a post-mortem needs
 //! (which chunks were in flight when the stall started, which
-//! connection kept rejecting). The ring keeps the last `capacity`
-//! events, overwrites the oldest on wrap, and counts what it dropped so
-//! a report can say "showing 256 of 12 480 events" instead of silently
-//! pretending completeness.
+//! connection kept rejecting). The trace is a [`Ring`] of
+//! [`TraceEvent`]s: it keeps the last `capacity` events and counts what
+//! it dropped.
 
+use crate::json::Json;
+use crate::ring::Ring;
 use crate::span::EventKind;
 
 /// One packet-level event, stamped with the server's virtual clock.
@@ -24,92 +25,19 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
+impl TraceEvent {
+    /// The event as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .set("tick", Json::U64(self.tick))
+            .set("conn", Json::U64(self.conn as u64))
+            .set("kind", Json::Str(self.kind.name().to_string()))
+            .set("value", Json::U64(self.value))
+    }
+}
+
 /// A bounded event trace that overwrites its oldest entries when full.
-#[derive(Debug, Clone)]
-pub struct TraceRing {
-    buf: Vec<TraceEvent>,
-    capacity: usize,
-    /// Index of the oldest event (only meaningful once full).
-    head: usize,
-    /// Total events ever pushed, including overwritten ones.
-    pushed: u64,
-}
-
-impl TraceRing {
-    /// A ring holding at most `capacity` events. A zero capacity is
-    /// bumped to 1 so `push` never has to special-case it.
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        TraceRing { buf: Vec::with_capacity(capacity), capacity, head: 0, pushed: 0 }
-    }
-
-    /// Append an event, overwriting the oldest if the ring is full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
-        }
-        self.pushed += 1;
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no events have been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total events ever pushed, including those since overwritten.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Events lost to overwriting.
-    pub fn overwritten(&self) -> u64 {
-        self.pushed - self.buf.len() as u64
-    }
-
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
-        let (tail, head) = self.buf.split_at(self.head);
-        head.iter().chain(tail.iter())
-    }
-
-    /// Fold another ring into this one: `other`'s retained events are
-    /// appended oldest-first (overwriting our oldest on overflow, as any
-    /// push does), and its overwritten count is carried over so
-    /// [`TraceRing::total_pushed`] / [`TraceRing::overwritten`] stay
-    /// honest across the merge. Merging a ring into a fresh one of the
-    /// same capacity reproduces it exactly — the property the sharded
-    /// server's report merge relies on.
-    ///
-    /// Accounting invariants, preserved across arbitrarily chained
-    /// merges (each push bumps `pushed` by one, and the carried
-    /// `other.overwritten()` term commutes with those bumps, so the
-    /// order of the two steps below does not matter):
-    ///
-    /// * `total_pushed == len + overwritten` (definitional: see
-    ///   [`TraceRing::overwritten`]);
-    /// * `merged.total_pushed == self.total_pushed + other.total_pushed`
-    ///   — no event, retained or dropped, is ever double-counted or
-    ///   forgotten.
-    pub fn merge_from(&mut self, other: &TraceRing) {
-        for ev in other.iter() {
-            self.push(*ev);
-        }
-        self.pushed += other.overwritten();
-    }
-}
+pub type TraceRing = Ring<TraceEvent>;
 
 #[cfg(test)]
 mod tests {

@@ -496,4 +496,52 @@ mod tests {
         let mut dec = xdr::XdrDecoder::new(&mut m, wire.base, len);
         assert_eq!(FileRequest::unmarshal(&mut dec).unwrap(), req);
     }
+
+    /// The generated stub over a request we did not write: every
+    /// truncation of a marshalled [`FileRequest`], each under every
+    /// single-bit flip, in a window that ends where the arena ends.
+    /// `unmarshal` never panics; it yields the request only from the
+    /// untouched bytes, and otherwise an error or — where the flip
+    /// landed in a field the codec cannot judge — a different request.
+    #[test]
+    fn request_unmarshal_never_panics_on_truncated_or_bit_flipped_input() {
+        let mut space = AddressSpace::new();
+        let wire = space.alloc("wire", 64, 8);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        let req = FileRequest {
+            file_id: 7,
+            copies: 2,
+            max_reply_len: 1024,
+            name: Opaque(b"kernel.tar".to_vec()),
+        };
+        let mut enc = xdr::XdrEncoder::new(&mut m, wire.base);
+        req.marshal(&mut enc);
+        let valid = m.bytes(wire.base, req.wire_len()).to_vec();
+
+        let mut unmarshal = |bytes: &[u8]| {
+            let at = wire.end() - bytes.len();
+            for (i, &b) in bytes.iter().enumerate() {
+                m.write_u8(at + i, b);
+            }
+            let mut dec = xdr::XdrDecoder::new(&mut m, at, bytes.len());
+            let got = FileRequest::unmarshal(&mut dec);
+            assert!(dec.consumed() <= bytes.len());
+            got
+        };
+        assert_eq!(unmarshal(&valid), Ok(req.clone()));
+        for cut in 0..valid.len() {
+            assert!(unmarshal(&valid[..cut]).is_err(), "cut at {cut}");
+            for bit in 0..8 * cut {
+                let mut flipped = valid[..cut].to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = unmarshal(&flipped);
+            }
+        }
+        for bit in 0..8 * valid.len() {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(unmarshal(&flipped), Ok(req.clone()), "bit {bit}");
+        }
+    }
 }

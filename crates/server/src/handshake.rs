@@ -294,6 +294,95 @@ mod tests {
         assert!(client_poll_syn_ack(&mut m, &mut f.lb, f.ctrl, CLIENT_IP, 0x1235).is_none());
     }
 
+    /// A kernel part that hands up the datagrams a test laid in memory —
+    /// bytes no sender of ours wrote.
+    struct Canned(Vec<Datagram>);
+
+    impl KernelPart for Canned {
+        fn register(&mut self, _port: u16) -> EndpointId {
+            EndpointId::from_index(0)
+        }
+        fn send<M: Mem>(&mut self, _: &mut M, _: u32, _: u32, _: u16, _: usize, _: usize, _: usize) {}
+        fn recv_into<M: Mem>(&mut self, _: &mut M, _: EndpointId) -> Option<Datagram> {
+            self.0.pop()
+        }
+        fn pending(&self, _: EndpointId) -> usize {
+            self.0.len()
+        }
+        fn counters(&self) -> utcp::KernelCounters {
+            utcp::KernelCounters::default()
+        }
+    }
+
+    /// The bytes of the one datagram queued at `ep`.
+    fn wire_bytes(m: &mut NativeMem<'_>, lb: &mut Loopback, ep: EndpointId) -> Vec<u8> {
+        let d = lb.recv_into(m, ep).expect("one datagram queued");
+        m.bytes(d.addr, d.len).to_vec()
+    }
+
+    /// Fuzz: both handshake parsers over bytes we did not write, each
+    /// datagram ending where the arena ends (one byte further is a
+    /// `NativeMem` panic): random bytes at every length 0…64, bare and
+    /// behind an IP header that verifies, and a valid SYN / SYN-ACK
+    /// under every single-bit flip and every truncation. Neither parser
+    /// panics, and neither accepts anything but the untouched original.
+    #[test]
+    fn fuzz_handshake_parsers_never_panic() {
+        let mut f = fixture();
+        let buf = f.space.alloc("fuzz", 64, 4);
+        let mut arena = f.space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        client_send_syn(
+            &mut m, &mut f.lb, f.scratch, CLIENT_IP, SERVER_IP, 40_000, 0x1234, 30_007, 3,
+        );
+        let syn = wire_bytes(&mut m, &mut f.lb, f.listen);
+        server_send_syn_ack(
+            &mut m, &mut f.lb, f.scratch, SERVER_IP, CLIENT_IP, 40_000, 0x8000_0001, 0x1234,
+        );
+        let syn_ack = wire_bytes(&mut m, &mut f.lb, f.ctrl);
+
+        // Lay `bytes` against the end of the arena and run both parsers.
+        let parse = |m: &mut NativeMem<'_>, bytes: &[u8]| {
+            let d = Datagram { addr: buf.end() - bytes.len(), len: bytes.len() };
+            for (i, &b) in bytes.iter().enumerate() {
+                m.write_u8(d.addr + i, b);
+            }
+            let mut canned = Canned(vec![d]);
+            (
+                parse_syn(m, &d, SERVER_IP),
+                client_poll_syn_ack(m, &mut canned, f.ctrl, CLIENT_IP, 0x1235),
+            )
+        };
+
+        assert!(matches!(parse(&mut m, &syn), (Some(info), None) if info.iss == 0x1234));
+        assert_eq!(parse(&mut m, &syn_ack), (None, Some(0x8000_0001)));
+        for original in [&syn, &syn_ack] {
+            for cut in 0..original.len() {
+                assert_eq!(parse(&mut m, &original[..cut]), (None, None), "cut at {cut}");
+            }
+            for bit in 0..8 * original.len() {
+                let mut flipped = original.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(parse(&mut m, &flipped), (None, None), "bit {bit}");
+            }
+        }
+
+        let mut rng = utcp::rng::XorShift64::new(0x5_1A_CC);
+        for round in 0..13_000usize {
+            let len = round % 65;
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            if len >= IP_HEADER_LEN && rng.below(2) == 0 {
+                let dst = [SERVER_IP, CLIENT_IP][rng.index(2)];
+                for (i, &b) in bytes.iter().enumerate() {
+                    m.write_u8(buf.base + i, b);
+                }
+                Ipv4Header::at(buf.base).build(&mut m, 7, dst, len - IP_HEADER_LEN, 1, 0, false, 64);
+                bytes[..IP_HEADER_LEN].copy_from_slice(m.bytes(buf.base, IP_HEADER_LEN));
+            }
+            assert_eq!(parse(&mut m, &bytes), (None, None), "random bytes, length {len}");
+        }
+    }
+
     #[test]
     fn stray_data_segment_is_not_a_syn() {
         let mut f = fixture();

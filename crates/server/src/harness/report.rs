@@ -3,7 +3,7 @@
 //! here writes harness state.
 
 use memsim::Mem;
-use obs::{ConnView, HealthConfig, Json, QueueStat, Recorder, Verdict};
+use obs::{ConnView, Json, QueueStat, Recorder, Verdict};
 use utcp::{Connection, KernelPart};
 
 use super::world::file_pattern;
@@ -142,13 +142,13 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
     }
 
     /// Run the health detectors over a recorder this harness filled.
-    pub fn health(&self, rec: &Recorder, cfg: &HealthConfig) -> Vec<Verdict> {
-        obs::health::analyze(rec, &self.health_views(), self.queue_stat(), cfg)
+    pub fn health(&self, rec: &Recorder) -> Vec<Verdict> {
+        obs::health::analyze(rec, &self.health_views(), self.queue_stat())
     }
 
-    /// Full diagnostic bundle for this run: verdicts (under the default
-    /// thresholds) plus the supporting evidence — offender flight dumps,
-    /// series windows, queue stat, trace tail.
+    /// Full diagnostic bundle for this run: verdicts plus the supporting
+    /// evidence — offender flight dumps, series windows, queue stat,
+    /// trace tail.
     pub fn diagnostics(&self, rec: &Recorder) -> Json {
         obs::health::diagnose(rec, &self.health_views(), self.queue_stat())
     }

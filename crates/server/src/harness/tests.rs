@@ -7,7 +7,7 @@ use crate::sched::{DeficitRoundRobin, RoundRobin};
 use cipher::CipherKernel;
 use memsim::layout::AddressSpace;
 use memsim::NativeMem;
-use obs::{HealthConfig, NoopObserver, Recorder};
+use obs::{NoopObserver, Recorder};
 use utcp::FaultPlan;
 
 fn run(cfg: ServerConfig, path: Path) -> (AggregateReport, Option<usize>) {
@@ -79,7 +79,7 @@ fn clean_run_raises_no_health_verdicts() {
     let mut sched = RoundRobin::new();
     let mut rec = Recorder::new(256);
     h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
-    let verdicts = h.health(&rec, &HealthConfig::default());
+    let verdicts = h.health(&rec);
     assert!(verdicts.is_empty(), "clean loop-back run must be healthy: {verdicts:?}");
     // Flight recorders exist for every connection (global ids) and
     // the diagnostic bundle is well-formed even with no verdicts.

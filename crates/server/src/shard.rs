@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use memsim::layout::AddressSpace;
 use memsim::NativeMem;
-use obs::{ConnView, HealthConfig, Json, QueueStat, Recorder, Verdict};
+use obs::{ConnView, Json, QueueStat, Recorder, Verdict};
 
 use crate::harness::{AggregateReport, Path, ScaleHarness, ServerConfig};
 use crate::sched::{DeficitRoundRobin, RoundRobin, Scheduler};
@@ -215,13 +215,13 @@ impl ShardedReport {
     }
 
     /// Run the health detectors over the merged telemetry.
-    pub fn health(&self, cfg: &HealthConfig) -> Vec<Verdict> {
-        obs::health::analyze(&self.merged, &self.health_views(), self.queue_stat(), cfg)
+    pub fn health(&self) -> Vec<Verdict> {
+        obs::health::analyze(&self.merged, &self.health_views(), self.queue_stat())
     }
 
-    /// Full diagnostic bundle over the merged telemetry (default
-    /// thresholds). With `S = 1` this renders byte-identical to
-    /// [`ScaleHarness::diagnostics`] on the unsharded harness.
+    /// Full diagnostic bundle over the merged telemetry. With `S = 1`
+    /// this renders byte-identical to [`ScaleHarness::diagnostics`] on
+    /// the unsharded harness.
     pub fn diagnostics(&self) -> Json {
         obs::health::diagnose(&self.merged, &self.health_views(), self.queue_stat())
     }

@@ -36,27 +36,9 @@ impl PerConnStats {
     }
 }
 
-/// Jain's fairness index over per-connection shares: `(Σx)² / (n·Σx²)`.
-///
-/// 1.0 means every connection got an identical share; `1/n` means one
-/// connection got everything. Shares of a weighted run should be
-/// normalised by weight before calling, so that a perfectly weighted
-/// schedule also scores 1.0.
-/// Non-finite or negative shares (a NaN from a zero-weight division, a
-/// negative from upstream subtraction bugs) are clamped to 0 rather
-/// than poisoning the index.
-pub fn jain_fairness(shares: &[f64]) -> f64 {
-    if shares.is_empty() {
-        return 1.0;
-    }
-    let clean = shares.iter().map(|&x| if x.is_finite() && x > 0.0 { x } else { 0.0 });
-    let sum: f64 = clean.clone().sum();
-    let sum_sq: f64 = clean.map(|x| x * x).sum();
-    if sum_sq == 0.0 {
-        return 1.0;
-    }
-    (sum * sum) / (shares.len() as f64 * sum_sq)
-}
+/// Jain's fairness index over per-connection shares (the health
+/// engine's, under the name the server's reports have always used).
+pub use obs::health::jain as jain_fairness;
 
 #[cfg(test)]
 mod tests {

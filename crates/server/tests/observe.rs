@@ -6,7 +6,7 @@
 use memsim::layout::AddressSpace;
 use memsim::NativeMem;
 use obs::{
-    Counter, Detector, EventKind, HealthConfig, Metric, QueueStat, Recorder, SeriesConfig,
+    Counter, Detector, EventKind, Metric, QueueStat, Recorder, SeriesConfig,
     SeriesRecorder, SpanObserver,
 };
 use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
@@ -291,7 +291,6 @@ fn detector_thresholds_across_the_coarsened_fresh_seam_keep_exact_totals() {
     // each retained window by its exact aggregated count — firing on
     // the coarsened side of the seam, staying quiet on the fresh side —
     // with nothing lost or double-counted across the boundary.
-    let hc = HealthConfig::default();
     let mut rec = Recorder::with_series(16, SeriesConfig { window_ticks: 16, ring: 2 });
     for w in 0..8u64 {
         rec.tick(w * 16);
@@ -302,7 +301,7 @@ fn detector_thresholds_across_the_coarsened_fresh_seam_keep_exact_totals() {
     let total: u64 = rec.series().counter_values(Counter::Retransmits).iter().sum();
     assert_eq!(total, 8 * 3, "windowing loses nothing");
 
-    let verdicts = obs::health::analyze(&rec, &[], QueueStat::default(), &hc);
+    let verdicts = obs::health::analyze(&rec, &[], QueueStat::default());
     assert!(!verdicts.is_empty(), "coarsened windows must cross the floor");
     let wt = rec.series().config().window_ticks;
     for v in &verdicts {

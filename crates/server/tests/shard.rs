@@ -93,8 +93,7 @@ fn s1_sharded_run_is_byte_identical_to_unsharded() {
     // byte-identical across the S=1 seam.
     assert_eq!(sharded.health_views(), h.health_views());
     assert_eq!(sharded.queue_stat(), h.queue_stat());
-    let cfg_h = obs::HealthConfig::default();
-    assert_eq!(sharded.health(&cfg_h), h.health(&rec, &cfg_h));
+    assert_eq!(sharded.health(), h.health(&rec));
     assert_eq!(
         sharded.diagnostics().render(),
         h.diagnostics(&rec).render(),

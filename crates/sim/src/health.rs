@@ -15,7 +15,7 @@
 use cipher::SimplifiedSafer;
 use memsim::layout::AddressSpace;
 use memsim::NativeMem;
-use obs::{Detector, HealthConfig, Recorder, SeriesConfig, Verdict};
+use obs::{Detector, Recorder, SeriesConfig, Verdict};
 use server::{
     AggregateReport, Path, RoundRobin, ScaleHarness, ServerConfig,
 };
@@ -123,7 +123,7 @@ fn run_to_completion(
     if let Some(i) = h.verify_outputs(&mut m) {
         return Err(format!("client {i} reassembled a corrupted file"));
     }
-    let verdicts = h.health(&rec, &HealthConfig::default());
+    let verdicts = h.health(&rec);
     Ok((verdicts, report, rec))
 }
 
@@ -193,7 +193,7 @@ fn blackout_world() -> Result<Vec<Verdict>, String> {
             return Err("blackout: transfer finished under a total blackout".into());
         }
     }
-    let verdicts = h.health(&rec, &HealthConfig::default());
+    let verdicts = h.health(&rec);
     // Both connections must be implicated by the per-connection
     // detectors — the blackout is global.
     for det in [Detector::RtoSpiral, Detector::Stall] {
@@ -243,7 +243,7 @@ fn saturation_world() -> Result<Vec<Verdict>, String> {
     if report.payload_bytes != 4 * 16 * 1024 {
         return Err(format!("saturation: delivered {} bytes", report.payload_bytes));
     }
-    Ok(h.health(&rec, &HealthConfig::default()))
+    Ok(h.health(&rec))
 }
 
 /// Weights [32, 1] served by the *unweighted* round-robin: both
@@ -297,7 +297,7 @@ pub fn run_clean(seed: u64) -> Result<u64, String> {
         return Err(format!("clean seed {seed}: client {i} corrupted"));
     }
     checks += 1;
-    let verdicts = h.health(&rec, &HealthConfig::default());
+    let verdicts = h.health(&rec);
     if !verdicts.is_empty() {
         return Err(format!(
             "clean seed {seed}: false positive {:?}",

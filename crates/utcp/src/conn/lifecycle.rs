@@ -69,7 +69,19 @@ impl State {
 
     /// Stable snake_case name for exposition.
     pub fn name(self) -> &'static str {
-        self.tag().name()
+        match self {
+            State::Listen => "listen",
+            State::SynSent => "syn_sent",
+            State::SynRcvd => "syn_rcvd",
+            State::Established => "established",
+            State::FinWait1 => "fin_wait_1",
+            State::FinWait2 => "fin_wait_2",
+            State::Closing => "closing",
+            State::CloseWait => "close_wait",
+            State::LastAck => "last_ack",
+            State::TimeWait => "time_wait",
+            State::Closed => "closed",
+        }
     }
 
     /// Whether the application may hand new data to `reserve`/`send_*`.
@@ -79,23 +91,6 @@ impl State {
     /// returned.
     pub fn may_send_data(self) -> bool {
         matches!(self, State::Established | State::CloseWait)
-    }
-
-    /// The observability-layer mirror of this state.
-    pub fn tag(self) -> obs::ConnState {
-        match self {
-            State::Listen => obs::ConnState::Listen,
-            State::SynSent => obs::ConnState::SynSent,
-            State::SynRcvd => obs::ConnState::SynRcvd,
-            State::Established => obs::ConnState::Established,
-            State::FinWait1 => obs::ConnState::FinWait1,
-            State::FinWait2 => obs::ConnState::FinWait2,
-            State::Closing => obs::ConnState::Closing,
-            State::CloseWait => obs::ConnState::CloseWait,
-            State::LastAck => obs::ConnState::LastAck,
-            State::TimeWait => obs::ConnState::TimeWait,
-            State::Closed => obs::ConnState::Closed,
-        }
     }
 }
 
@@ -149,16 +144,10 @@ impl Connection {
         self.time_wait_ticks + current
     }
 
-    /// Move the lifecycle machine, emitting the transition through the
-    /// observer hook. Observer state is plain host memory and the
-    /// transition itself is decided before the hook runs, so observed
-    /// and unobserved runs stay bit-identical.
-    pub(super) fn set_state<O: SpanObserver>(&mut self, to: State, obs: &mut O) {
+    /// Move the lifecycle machine, keeping the TIME_WAIT clock.
+    pub(super) fn set_state(&mut self, to: State) {
         if self.life.state == to {
             return;
-        }
-        if O::ENABLED {
-            obs.lifecycle(self.obs_id, self.life.state.tag(), to.tag());
         }
         if to == State::TimeWait {
             self.life.time_wait_enter = self.ticks;
@@ -172,12 +161,12 @@ impl Connection {
     /// The clock's lifecycle duty: a `Closed` or `TimeWait` machine
     /// transmits nothing, and TIME_WAIT dies for real once the 2·MSL
     /// quiet period has run. Returns whether the tick is spent.
-    pub(super) fn tick_quiet<O: SpanObserver>(&mut self, obs: &mut O) -> bool {
+    pub(super) fn tick_quiet(&mut self) -> bool {
         match self.life.state {
             State::Closed => true,
             State::TimeWait => {
                 if self.ticks.wrapping_sub(self.life.time_wait_enter) >= 2 * MSL_TICKS {
-                    self.set_state(State::Closed, obs);
+                    self.set_state(State::Closed);
                 }
                 true
             }
@@ -193,14 +182,14 @@ impl Connection {
         match self.life.state {
             State::Established => {
                 self.send_fin(m, k);
-                self.set_state(State::FinWait1, k.obs());
+                self.set_state(State::FinWait1);
             }
             State::CloseWait => {
                 self.send_fin(m, k);
-                self.set_state(State::LastAck, k.obs());
+                self.set_state(State::LastAck);
             }
             State::Listen | State::SynSent | State::SynRcvd => {
-                self.set_state(State::Closed, k.obs());
+                self.set_state(State::Closed);
             }
             _ => {} // already closing or closed
         }
@@ -217,7 +206,7 @@ impl Connection {
             self.send_rst(m, k.kernel());
         }
         self.teardown_total();
-        self.set_state(State::Closed, k.obs());
+        self.set_state(State::Closed);
     }
 
     /// Queue and transmit our FIN. The FIN consumes one sequence number
@@ -269,22 +258,21 @@ impl Connection {
             self.send_ack(m, k.kernel());
             return;
         }
-        let obs = k.obs();
         self.rcv.nxt = self.rcv.nxt.wrapping_add(1);
         self.rcv.fin_rcvd = Some(seq);
         self.stats.fins_received += 1;
         match self.life.state {
-            State::Established | State::SynRcvd => self.set_state(State::CloseWait, obs),
+            State::Established | State::SynRcvd => self.set_state(State::CloseWait),
             State::FinWait1 => {
                 // Our own FIN already acknowledged → straight to
                 // TIME_WAIT; still in flight → simultaneous close.
                 if self.fin_in_flight() == 0 {
-                    self.set_state(State::TimeWait, obs);
+                    self.set_state(State::TimeWait);
                 } else {
-                    self.set_state(State::Closing, obs);
+                    self.set_state(State::Closing);
                 }
             }
-            State::FinWait2 => self.set_state(State::TimeWait, obs),
+            State::FinWait2 => self.set_state(State::TimeWait),
             _ => {}
         }
         self.touch_state(m);
@@ -293,11 +281,11 @@ impl Connection {
 
     /// Our FIN fully acknowledged: the send direction is done, move the
     /// machine (RFC 793 §3.9, "if our FIN is now acknowledged").
-    pub(super) fn on_fin_acked<O: SpanObserver>(&mut self, obs: &mut O) {
+    pub(super) fn on_fin_acked(&mut self) {
         match self.life.state {
-            State::FinWait1 => self.set_state(State::FinWait2, obs),
-            State::Closing => self.set_state(State::TimeWait, obs),
-            State::LastAck => self.set_state(State::Closed, obs),
+            State::FinWait1 => self.set_state(State::FinWait2),
+            State::Closing => self.set_state(State::TimeWait),
+            State::LastAck => self.set_state(State::Closed),
             _ => {}
         }
     }

@@ -263,7 +263,7 @@ impl Connection {
                 }
                 self.stats.resets_received += 1;
                 self.teardown_total();
-                self.set_state(State::Closed, k.obs());
+                self.set_state(State::Closed);
                 continue;
             }
 

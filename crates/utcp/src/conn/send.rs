@@ -383,7 +383,7 @@ impl Connection {
             // The receiver stopped polling mid-burst: the clock pays.
             self.send_ack(m, k.kernel());
         }
-        if self.tick_quiet(k.obs()) || self.in_flight() == 0 {
+        if self.tick_quiet() || self.in_flight() == 0 {
             self.snd.last_progress = self.ticks;
             return;
         }
@@ -485,7 +485,7 @@ impl Connection {
             self.snd.grow(advanced, self.mss());
         }
         if self.life.fin_sent.is_some() && self.snd.una == self.snd.nxt {
-            self.on_fin_acked(k.obs());
+            self.on_fin_acked();
         }
         self.touch_state(m);
         m.compute(20);

@@ -118,12 +118,16 @@ impl Ipv4Header {
         checksum_buf(m, self.addr, IP_HEADER_LEN).finish() == 0
     }
 
-    /// The IP admission test, stated once for every receiver: the
-    /// header verifies, carries TCP, is addressed to `local_ip` (`None`
-    /// for a backend that demultiplexes for any local address) and
-    /// declares exactly the `len` bytes that arrived.
+    /// The IP admission test, stated once for every receiver: `len`
+    /// bytes arrived and they hold a whole header, which verifies,
+    /// carries TCP, is addressed to `local_ip` (`None` for a backend
+    /// that demultiplexes for any local address) and declares exactly
+    /// those `len` bytes. Nothing is read when fewer than
+    /// [`IP_HEADER_LEN`] bytes arrived, so a receiver may subtract the
+    /// header length from an admitted `len`.
     pub fn admits<M: Mem>(&self, m: &mut M, len: usize, local_ip: Option<u32>) -> bool {
-        self.verify(m)
+        len >= IP_HEADER_LEN
+            && self.verify(m)
             && self.protocol(m) == PROTO_TCP
             && local_ip.is_none_or(|ip| self.dst(m) == ip)
             && self.total_len(m) == len
@@ -180,6 +184,61 @@ mod tests {
             m.write_u8(pkt.at(4), b ^ 0x10);
             assert!(!h.verify(m));
         });
+    }
+
+    /// What the fuzz loop below found, fixed: a 10-byte datagram in a
+    /// buffer whose first 20 bytes (the rest stale) verify as a header
+    /// declaring 10 bytes used to be admitted, and `poll_input` then
+    /// computed `10 - IP_HEADER_LEN`.
+    #[test]
+    fn a_datagram_shorter_than_an_ip_header_is_never_admitted() {
+        with_mem(|m, pkt| {
+            let h = Ipv4Header::at(pkt.base);
+            h.build(m, 1, 2, 0, 7, 0, false, 64);
+            m.write_u16_be(pkt.at(field::TOTAL_LEN), 10);
+            m.write_u16_be(pkt.at(field::CHECKSUM), 0);
+            let csum = checksum_buf(m, pkt.base, IP_HEADER_LEN).finish();
+            m.write_u16_be(pkt.at(field::CHECKSUM), csum);
+            assert!(h.verify(m) && h.total_len(m) == 10, "a header that says what arrived");
+            assert!(!h.admits(m, 10, None));
+        });
+    }
+
+    /// Fuzz: `admits` over datagrams of every length 0…64 that end
+    /// where the arena ends (one byte further is a `NativeMem` panic) —
+    /// random bytes, and random bytes behind a header that verifies, so
+    /// the walk gets past the checksum to the protocol, address and
+    /// length rules. It never panics, and it admits exactly the
+    /// datagrams whose header declares the bytes that arrived.
+    #[test]
+    fn fuzz_admits_never_panics_at_any_length() {
+        let mut rng = crate::rng::XorShift64::new(0x1B_AD_1B);
+        let mut space = AddressSpace::new();
+        let buf = space.alloc("dgram", 64, 4);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        for round in 0..20_000usize {
+            let len = round % 65;
+            let at = buf.end() - len;
+            for i in 0..len {
+                m.write_u8(at + i, rng.next_u64() as u8);
+            }
+            let h = Ipv4Header::at(at);
+            let declared = rng.index(65);
+            let valid = len >= IP_HEADER_LEN && rng.below(2) == 0;
+            if valid {
+                h.build(&mut m, 1, 2, 0, 3, 0, false, 64);
+                m.write_u16_be(at + field::TOTAL_LEN, declared as u16);
+                m.write_u16_be(at + field::CHECKSUM, 0);
+                let csum = checksum_buf(&mut m, at, IP_HEADER_LEN).finish();
+                m.write_u16_be(at + field::CHECKSUM, csum);
+            }
+            let local = [None, Some(2), Some(9)][rng.index(3)];
+            let admitted = h.admits(&mut m, len, local);
+            if valid {
+                assert_eq!(admitted, declared == len && local != Some(9), "len {len} declared {declared}");
+            }
+        }
     }
 
     #[test]

@@ -126,7 +126,12 @@ pub struct TcpHeader {
 }
 
 impl TcpHeader {
-    /// View the 20 bytes at `addr` as a TCP header.
+    /// View the 20 bytes at `addr` as a TCP header. The field accessors
+    /// read and write fixed offsets below [`TCP_HEADER_LEN`] without
+    /// looking at any length: the caller must hold those 20 bytes, as
+    /// `Connection::poll_input` does by parsing the staged copy of a
+    /// datagram only after the IP admission test and by rejecting a
+    /// `tcp_total` shorter than the header.
     pub fn at(addr: usize) -> Self {
         TcpHeader { addr }
     }
@@ -366,6 +371,75 @@ mod tests {
         });
     }
 
+    /// RFC 793 Figure 3, encoded by hand from the figure — source port,
+    /// destination port, sequence, acknowledgment, data offset in the
+    /// high nibble of byte 12, `URG ACK PSH RST SYN FIN` in the low six
+    /// bits of byte 13, window, checksum, urgent pointer — and not by
+    /// any code of ours. Every accessor reads it, and `build` writes it.
+    #[test]
+    fn rfc793_figure_3_header_byte_for_byte() {
+        const GOLDEN: [u8; TCP_HEADER_LEN] = [
+            0x12, 0x34, 0x56, 0x78, // source port 0x1234, destination port 0x5678
+            0xAA, 0xBB, 0xCC, 0xDD, // sequence number
+            0x01, 0x02, 0x03, 0x04, // acknowledgment number
+            0x50, 0x18, 0x20, 0x00, // data offset 5 | ACK PSH | window 0x2000
+            0xBE, 0xEF, 0x00, 0x00, // checksum | urgent pointer
+        ];
+        with_header(|m, h| {
+            for (i, &b) in GOLDEN.iter().enumerate() {
+                m.write_u8(h.addr() + i, b);
+            }
+            assert_eq!((h.src_port(m), h.dst_port(m)), (0x1234, 0x5678));
+            assert_eq!((h.seq(m), h.ack(m)), (0xAABB_CCDD, 0x0102_0304));
+            assert_eq!((h.data_off_words(m), h.header_len(m)), (5, 20));
+            assert_eq!(h.flags(m), TcpFlags::DATA);
+            assert_eq!((h.window(m), h.checksum(m)), (0x2000, 0xBEEF));
+            assert!(h.sack_blocks(m).is_empty(), "five words: no option area");
+
+            let ours = TcpHeader::at(h.addr() + 32);
+            ours.build(m, 0x1234, 0x5678, 0xAABB_CCDD, 0x0102_0304, TcpFlags::DATA, 0x2000);
+            ours.set_checksum(m, 0xBEEF);
+            assert_eq!(m.bytes(ours.addr(), TCP_HEADER_LEN), &GOLDEN);
+        });
+        // The figure's control bits, right to left.
+        let figure = [TcpFlags::FIN, TcpFlags::SYN, TcpFlags::RST, TcpFlags::PSH, TcpFlags::ACK];
+        for (bit, flag) in figure.into_iter().enumerate() {
+            assert_eq!(flag.0, 1 << bit);
+        }
+    }
+
+    /// RFC 2018 §3's option layout — `kind 5, length 8n + 2`, each block
+    /// a left and a right edge in network order, padded to a word with
+    /// two NOPs (`01 01 05 12 …`) — carrying the second-to-last row of the
+    /// RFC's last example table (segments 6000 and 7000 held, ACK 5500,
+    /// most recent block first), encoded by hand.
+    #[test]
+    fn rfc2018_two_block_sack_option_byte_for_byte() {
+        const GOLDEN: [u8; 20] = [
+            0x01, 0x01, 0x05, 0x12, // NOP NOP SACK, length 18
+            0x00, 0x00, 0x1B, 0x58, 0x00, 0x00, 0x1D, 0x4C, // 7000 .. 7500
+            0x00, 0x00, 0x17, 0x70, 0x00, 0x00, 0x19, 0x64, // 6000 .. 6500
+        ];
+        with_header(|m, h| {
+            h.build(m, 1, 2, 0, 5500, TcpFlags::ACK, 4096);
+            m.write_u8(h.addr() + 12, 10 << 4); // data offset: 5 + 5 words
+            for (i, &b) in GOLDEN.iter().enumerate() {
+                m.write_u8(h.addr() + TCP_HEADER_LEN + i, b);
+            }
+            assert_eq!(h.sack_blocks(m).as_slice(), &[(7000, 7500), (6000, 6500)]);
+            // 0101 + 0512 + 1B58 + 1D4C + 1770 + 1964, added by hand.
+            let mut sum = InetChecksum::new();
+            h.add_options_to_checksum(m, GOLDEN.len(), &mut sum);
+            assert_eq!(sum.fold(), 0x6F8B);
+
+            let ours = TcpHeader::at(h.addr());
+            ours.build(m, 1, 2, 0, 5500, TcpFlags::ACK, 4096);
+            assert_eq!(ours.build_sack_option(m, &[(7000, 7500), (6000, 6500)]), GOLDEN.len());
+            assert_eq!(m.bytes(h.addr() + TCP_HEADER_LEN, GOLDEN.len()), &GOLDEN);
+            assert_eq!(m.read_u8(h.addr() + 12), 10 << 4);
+        });
+    }
+
     #[test]
     fn header_sum_matches_buffer_checksum() {
         with_header(|m, h| {
@@ -557,6 +631,52 @@ mod tests {
                 h.add_options_to_checksum(m, opt_len, &mut InetChecksum::new());
             });
         }
+    }
+
+    /// Fuzz: every fixed-header accessor, and `build` / `set_checksum`
+    /// writing over what was read, on random segments of every length
+    /// from a bare header up that end where the arena ends. None looks
+    /// past byte 19, whatever `data_off` and the rest of the header say.
+    #[test]
+    fn fuzz_fixed_header_accessors_never_panic() {
+        let mut rng = XorShift64::new(0xF1_0ED);
+        for round in 0..16_000usize {
+            let (nibble, tail) = ((round % 16) as u8, rng.index(49));
+            fuzz_segment(&mut rng, nibble, tail, |m, h| {
+                let before = m.bytes(h.addr(), TCP_HEADER_LEN).to_vec();
+                let (src, dst, seq, ack) = (h.src_port(m), h.dst_port(m), h.seq(m), h.ack(m));
+                let (flags, window, csum) = (h.flags(m), h.window(m), h.checksum(m));
+                assert_eq!(h.data_off_words(m), usize::from(nibble));
+                let pseudo = PseudoHeader { src: 1, dst: 2, protocol: 6, tcp_len: 20 };
+                h.segment_checksum(m, pseudo, InetChecksum::new());
+                // Writing the fields back rebuilds the header bit for
+                // bit, up to what `build` fixes: `data_off` 5, no
+                // reserved bits, no urgent pointer.
+                h.build(m, src, dst, seq, ack, flags, window);
+                h.set_checksum(m, csum);
+                let after = m.bytes(h.addr(), TCP_HEADER_LEN);
+                assert_eq!(after[..12], before[..12]);
+                assert_eq!(after[12], 5 << 4);
+                assert_eq!(after[13..18], before[13..18]);
+            });
+        }
+    }
+
+    /// The accessors' precondition, pinned like the option parsers'
+    /// below: they trust that 20 bytes are there. On a 19-byte segment
+    /// at the end of the arena the header sum walks off it.
+    #[test]
+    fn fixed_header_accessors_rely_on_twenty_readable_bytes() {
+        let mut space = AddressSpace::new();
+        let seg = space.alloc("seg", TCP_HEADER_LEN + 3, 4);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        let short = TcpHeader::at(seg.base + 4);
+        assert_eq!(short.checksum(&mut m), 0, "bytes 16..18 of the 19 are there");
+        let walked_off = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            short.add_to_checksum(&mut m, &mut InetChecksum::new())
+        }));
+        assert!(walked_off.is_err());
     }
 
     /// What the fuzz loop found, pinned: without that check a header that

@@ -357,6 +357,71 @@ mod tests {
         });
     }
 
+    /// The decoder over input we did not write: every truncation of a
+    /// valid encoding, each under every single-bit flip, in a window
+    /// that ends where the arena ends (one byte further is a `NativeMem`
+    /// panic), and opaque length words up to `u32::MAX`. Every call
+    /// returns, none reads past its window, and none allocates for a
+    /// length it has not first bounded by the bytes present.
+    #[test]
+    fn decoder_never_panics_on_truncated_or_bit_flipped_input() {
+        // u32 7, bool true, opaque "hello": 4 + 4 + (4 + 8) bytes.
+        let valid: [u8; 20] =
+            [0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 5, b'h', b'e', b'l', b'l', b'o', 0, 0, 0];
+        let mut space = AddressSpace::new();
+        let dst = space.alloc("dst", 64, 8);
+        let wire = space.alloc("wire", valid.len(), 4);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        // Lay `bytes` against the end of the arena and decode the three
+        // items twice, once per opaque form. `bound` never exceeds `dst`.
+        let mut decode = |bytes: &[u8], bound: u32| {
+            let at = wire.end() - bytes.len();
+            for (i, &b) in bytes.iter().enumerate() {
+                m.write_u8(at + i, b);
+            }
+            let mut dec = XdrDecoder::new(&mut m, at, bytes.len());
+            let head = (dec.get_u32(), dec.get_bool());
+            let to_mem = dec.get_opaque_to(dst.base, bound);
+            assert!(dec.consumed() <= bytes.len());
+            let mut dec = XdrDecoder::new(&mut m, at, bytes.len());
+            let _ = (dec.get_i32(), dec.get_bool());
+            let to_host = dec.get_opaque_bytes(bound);
+            assert!(dec.consumed() <= bytes.len());
+            (head, to_mem, to_host)
+        };
+
+        let (head, to_mem, to_host) = decode(&valid, 64);
+        assert_eq!(head, (Ok(7), Ok(true)));
+        assert_eq!((to_mem, to_host), (Ok(5), Ok(b"hello".to_vec())));
+        for cut in 0..=valid.len() {
+            for bit in 0..8 * cut {
+                let mut flipped = valid[..cut].to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let (_, to_mem, to_host) = decode(&flipped, 64);
+                assert_eq!(to_mem.is_ok(), to_host.is_ok(), "cut {cut} bit {bit}");
+            }
+            let (_, to_mem, to_host) = decode(&valid[..cut], 64);
+            assert_eq!(to_mem.is_ok() && to_host.is_ok(), cut == valid.len(), "cut {cut}");
+        }
+
+        // A length word the schema does not bound is bounded by the
+        // window: 8 payload bytes are present, so up to 8 decode and
+        // everything above is `Truncated` — `u32::MAX` included, with no
+        // 4 GiB buffer asked for on the way.
+        for len in [0u32, 1, 4, 7, 8, 9, 64, 0x7FFF_FFFF, 0x8000_0000, u32::MAX - 3, u32::MAX] {
+            let mut bytes = [0u8; 20];
+            bytes[8..12].copy_from_slice(&len.to_be_bytes());
+            let (_, to_mem, to_host) = decode(&bytes, u32::MAX);
+            if len <= 8 {
+                assert_eq!((to_mem, to_host), (Ok(len as usize), Ok(vec![0; len as usize])));
+            } else {
+                assert!(matches!(to_mem, Err(XdrError::Truncated { .. })), "{len}: {to_mem:?}");
+                assert!(matches!(to_host, Err(XdrError::Truncated { .. })), "{len}: {to_host:?}");
+            }
+        }
+    }
+
     #[test]
     fn pad4_values() {
         assert_eq!(pad4(0), 0);

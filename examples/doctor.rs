@@ -19,7 +19,7 @@
 //! ```
 
 use ilp_repro::memsim::{AddressSpace, NativeMem};
-use ilp_repro::obs::{sparkline, Counter, HealthConfig, Recorder, SeriesConfig, Verdict};
+use ilp_repro::obs::{sparkline, Counter, Recorder, SeriesConfig, Verdict};
 use ilp_repro::server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 use ilp_repro::utcp::FaultPlan;
 use sim::health::{run_clean, run_trigger, Trigger};
@@ -76,7 +76,7 @@ fn blackout_incident() -> (Vec<Verdict>, ilp_repro::obs::Json, Recorder) {
     for _ in 0..620 {
         assert!(h.step(&mut m, &mut sched, Path::Ilp, &mut rec, &mut run), "blackout finished");
     }
-    let verdicts = h.health(&rec, &HealthConfig::default());
+    let verdicts = h.health(&rec);
     let bundle = h.diagnostics(&rec);
     (verdicts, bundle, rec)
 }

@@ -69,7 +69,7 @@ fi
 # One path enum (obs::PathLabel; `Path` is its re-export), one place a
 # path turns into one of the four data-path calls, one init hook (on
 # CipherKernel), and no server source file outgrowing its part.
-if [ "$(grep -rn -B4 '^\s*NonIlp,' crates/ examples/ --include='*.rs' | grep -c 'enum ')" -ne 1 ] \
+if [ "$(grep -rnE -B4 '^\s*NonIlp(,| =>)' crates/ examples/ --include='*.rs' | grep -c 'enum ')" -ne 1 ] \
     || grep -rnE 'Path::Ilp => .*(send|recv)_(chunk|reply)_ilp' crates/ examples/ --include='*.rs' \
         | grep -v '^crates/rpcapp/src/paths.rs:' \
     || grep -rnE 'trait (SuiteInit|WorldInit)\b' crates/ examples/; then
@@ -99,6 +99,39 @@ for f in crates/cipher/src/*.rs crates/core/src/*.rs crates/utcp/src/ring.rs cra
         echo "$f: a kernel, stage or sink is written against Mem, not against one memory"
         exit 1
     fi
+done
+# `obs` says each thing once: one bounded ring (the event trace and the
+# flight recorders are aliases of it), one counters-plus-histograms
+# tally, one Jain index; thresholds nobody sets are constants, and the
+# lifecycle signal no observer received is gone with the observer
+# parameters that fed it.
+if [ "$(cat crates/obs/src/*.rs | grep -c 'fn overwritten')" -ne 1 ] \
+    || [ "$(cat crates/obs/src/*.rs | grep -cE 'fn merge_from\(&mut self, other: &(Ring|TraceRing|FlightRing)\b')" -ne 1 ] \
+    || grep -rnE 'AtomicU64|ConnState|HealthConfig|fn lifecycle' crates/ examples/ \
+    || grep -n 'fn tag(' crates/utcp/src/conn/lifecycle.rs \
+    || [ "$(grep -rn 'fn jain' crates/ | wc -l)" -gt 1 ]; then
+    echo "obs: one ring, one tally, one fn jain; no AtomicU64, ConnState, HealthConfig, lifecycle hook or State::tag"
+    exit 1
+fi
+# Each label set is declared once (`labels!` derives ALL, index() and
+# name() from the one list): inside an enum's declaration and its own
+# impl, every variant is named on exactly one line. `SegEv` is exempt —
+# its names depend on the payload (12 names for 8 variants), so its
+# name() is a function, not a second list.
+for f in span health segtrace; do
+    src=$(sed '/#\[cfg(test)\]/,$d' "crates/obs/src/$f.rs")
+    for e in $(grep -oE '\benum [A-Z][A-Za-z]*' <<<"$src" | cut -d' ' -f2); do
+        own=$(awk "/enum $e \{/,/^(    )?\}/" <<<"$src"; awk "/^impl $e \{/,/^\}/" <<<"$src")
+        if [ "$e" = SegEv ] || ! grep -qE 'fn name\(|=> "' <<<"$own"; then
+            continue
+        fi
+        for v in $(awk "/enum $e \{/,/^(    )?\}/" <<<"$src" | grep -oE '^\s+[A-Z][A-Za-z0-9]*\s*(=>|,|\(|\{)' | grep -oE '[A-Za-z0-9]+'); do
+            if [ "$(grep -cE "^\s*(($e|Self)::)?$v\b" <<<"$own")" -ne 1 ]; then
+                echo "crates/obs/src/$f.rs: $e::$v is listed more than once — declare the set through labels!"
+                exit 1
+            fi
+        done
+    done
 done
 for f in $(find crates/server/src -name '*.rs'); do
     if [ "$(sed '/#\[cfg(test)\]/,$d' "$f" | wc -l)" -gt 500 ]; then
