@@ -28,7 +28,7 @@
 //! cache misses instead of n/m" ablation.
 
 use memsim::{CodeRegion, Mem};
-use xdr::stream::{WordSink, WordSource};
+use xdr::stream::WordSource;
 
 use crate::stage::UnitStage;
 use crate::unitbuf::UnitBuf;
@@ -100,39 +100,6 @@ impl<M: Mem> UnitSink<M> for LinearSink {
     }
 }
 
-/// Adapter: feed transformed units onward as words into a [`WordSink`]
-/// (the receive path, where the final stage is the unmarshalling sink
-/// writing application data).
-#[derive(Debug)]
-pub struct WordSinkUnit<'k, K> {
-    sink: &'k mut K,
-}
-
-impl<'k, K> WordSinkUnit<'k, K> {
-    /// Wrap a word sink.
-    pub fn new(sink: &'k mut K) -> Self {
-        WordSinkUnit { sink }
-    }
-}
-
-impl<M: Mem, K: WordSink<M>> UnitSink<M> for WordSinkUnit<'_, K> {
-    #[inline(always)]
-    fn store(&mut self, m: &mut M, unit: &UnitBuf, _grain: StoreGrain) {
-        for i in 0..unit.words() {
-            self.sink.push_word(m, unit.word(i));
-        }
-    }
-}
-
-/// Sink that discards units (measurement of pure transform cost).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl<M: Mem> UnitSink<M> for NullSink {
-    #[inline(always)]
-    fn store(&mut self, _m: &mut M, _unit: &UnitBuf, _grain: StoreGrain) {}
-}
-
 /// Outcome of one [`ilp_run`] invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IlpRun {
@@ -152,8 +119,10 @@ pub struct IlpRun {
 ///
 /// The source must deliver a whole number of exchange units
 /// (`total_words × 4 ≡ 0 mod Le`) — the alignment the encryption layer's
-/// padding guarantees; violations panic, because they mean the sender
-/// built an unaligned message and the checksum would silently diverge.
+/// padding guarantees on the way out and a receiver establishes before
+/// it calls (`rpcapp::paths` refuses an unaligned payload ahead of every
+/// pass, as it does for `cipher::decrypt_buf`). Violations panic: they
+/// are a caller bug, never something a peer can send.
 ///
 /// # Errors
 /// Returns a [`UnitError`] when the stages' units cannot be negotiated
@@ -222,7 +191,7 @@ mod tests {
     use checksum::internet::checksum_buf;
     use cipher::{SimplifiedSafer, VerySimple};
     use memsim::{AddressSpace, HostModel, NativeMem, SimMem, SizeClass};
-    use xdr::stream::{HeaderWords, OpaqueSink, OpaqueSource};
+    use xdr::stream::{HeaderWords, OpaqueSource};
 
     #[test]
     fn identity_pipeline_copies_exactly() {
@@ -358,13 +327,11 @@ mod tests {
             HeaderWords::new(&[0xAA00_0001]),
             OpaqueSource::new(src.base, 28),
         );
-        let mut inner = OpaqueSink::new(1, dst.base, 28);
-        {
-            let mut sink = WordSinkUnit::new(&mut inner);
-            ilp_run(&mut m, &mut source, &mut Identity, &mut sink, 1, None).unwrap();
-        }
-        assert_eq!(inner.header(), &[0xAA00_0001]);
-        assert_eq!(m.bytes(dst.base, 28), &payload[..]);
+        let mut sink = LinearSink::new(dst.base);
+        ilp_run(&mut m, &mut source, &mut Identity, &mut sink, 1, None).unwrap();
+        assert_eq!(sink.written(), 32);
+        assert_eq!(m.bytes(dst.base, 4), &0xAA00_0001u32.to_be_bytes());
+        assert_eq!(m.bytes(dst.base + 4, 28), &payload[..]);
     }
 
     #[test]
@@ -373,13 +340,14 @@ mod tests {
         let mut space = AddressSpace::new();
         let cipher = SimplifiedSafer::alloc(&mut space);
         let src = space.alloc("src", 32, 8);
+        let dst = space.alloc("dst", 32, 8);
         let mut arena = space.native_arena();
         let mut m = NativeMem::new(&mut arena);
         cipher.init(&mut m, [5; 8]);
         // 12 bytes = 3 words: not a multiple of the 8-byte exchange unit.
         let mut source = OpaqueSource::new(src.base, 12);
         let mut stage = EncryptStage::new(cipher);
-        let _ = ilp_run(&mut m, &mut source, &mut stage, &mut NullSink, 1, None);
+        let _ = ilp_run(&mut m, &mut source, &mut stage, &mut LinearSink::new(dst.base), 1, None);
     }
 
     #[test]

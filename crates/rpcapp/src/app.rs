@@ -16,8 +16,8 @@ use memsim::Mem;
 use utcp::SendError;
 use xdr::{XdrDecoder, XdrEncoder};
 
-use crate::msg::{FileRequest, ReplyMeta, ENC_HDR_LEN};
-use crate::paths::{pump_acks, recv_reply, send_reply};
+use crate::msg::{fits_payload, FileRequest, ReplyMeta, ENC_HDR_LEN};
+use crate::paths::{pump_acks, recv_reply, recv_whole_units, send_reply};
 use crate::suite::Suite;
 
 /// Which implementation a transfer runs: layered (Figures 3/5 left) or
@@ -61,26 +61,27 @@ pub fn send_request<C: CipherKernel, M: Mem>(
     s.req_tx.send_buf(m, &mut s.lb, s.scratch.encrypt_buf.base, padded)
 }
 
-/// Server side: poll for, verify, decrypt and unmarshal a request.
+/// Server side: poll for, verify, decrypt and unmarshal a request —
+/// under the replies' admission rule ([`crate::msg`]): whole cipher
+/// units before TCP state moves, the decrypted length field inside the
+/// transport payload before anything is parsed by it.
 pub fn recv_request<C: CipherKernel, M: Mem>(
     s: &mut Suite<C>,
     m: &mut M,
 ) -> Option<Result<FileRequest, Reject>> {
-    let d = s.req_rx.poll_input(m, &mut s.lb)?;
-    let sum = checksum_buf(m, d.payload_addr, d.payload_len);
-    if let Err(e) = s.req_rx.finish_recv(m, &mut s.lb, &d, sum) {
-        return Some(Err(e));
-    }
-    cipher::decrypt_buf(&s.cipher, m, d.payload_addr, s.scratch.decrypt_buf.base, d.payload_len);
-    let msg_len = m.read_u32_be(s.scratch.decrypt_buf.base) as usize;
-    if msg_len < ENC_HDR_LEN || msg_len > d.payload_len {
-        return Some(Err(Reject::BadFormat("request length field")));
-    }
-    let mut dec = XdrDecoder::new(m, s.scratch.decrypt_buf.base + ENC_HDR_LEN, msg_len - ENC_HDR_LEN);
-    match FileRequest::unmarshal(&mut dec) {
-        Ok(req) => Some(Ok(req)),
-        Err(_) => Some(Err(Reject::BadFormat("request body"))),
-    }
+    let (cipher, buf) = (&s.cipher, s.scratch.decrypt_buf.base);
+    recv_whole_units::<C, _, _, _>(m, &mut s.req_rx, &mut s.lb, |m, rx, lb, d| {
+        let sum = checksum_buf(m, d.payload_addr, d.payload_len);
+        rx.finish_recv(m, lb, &d, sum)?;
+        cipher::decrypt_buf(cipher, m, d.payload_addr, buf, d.payload_len);
+        // (An empty payload decrypts nothing: the word read is stale.)
+        let msg_len = m.read_u32_be(buf) as usize;
+        let body_len =
+            msg_len.checked_sub(ENC_HDR_LEN).ok_or(Reject::BadFormat("request length field"))?;
+        fits_payload(msg_len, d.payload_len)?;
+        FileRequest::unmarshal(&mut XdrDecoder::new(m, buf + ENC_HDR_LEN, body_len))
+            .map_err(|_| Reject::BadFormat("request body"))
+    })
 }
 
 /// Driver for repeated file transfers over a [`Suite`].
@@ -341,6 +342,57 @@ mod tests {
         m.bytes_mut(d.payload_addr + 5, 1)[0] = b ^ 1;
         let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
         assert!(s.req_rx.finish_recv(&mut m, &mut s.lb, &d, sum).is_err());
+    }
+
+    /// `recv_request` over a peer we did not write: every truncation and
+    /// every single-bit flip of a valid encrypted request, delivered as
+    /// the payload of a well-checksummed in-order segment. Never a
+    /// panic; the request only from the untouched bytes (or from a flip
+    /// the cipher confines to the alignment); a truncation always a
+    /// reject (an unaligned one — which used to reach
+    /// `decrypt_buf`'s assert after the ACK had gone out — before TCP
+    /// state moves).
+    #[test]
+    fn recv_request_never_panics_on_truncated_or_bit_flipped_requests() {
+        use xdr::stubgen::Opaque;
+        let req = FileRequest { file_id: 9, copies: 1, max_reply_len: 256, name: Opaque(b"f.dat".to_vec()) };
+        fn world<T>(f: impl FnOnce(&mut Suite<cipher::SimplifiedSafer>, &mut NativeMem<'_>) -> T) -> T {
+            let mut space = AddressSpace::new();
+            let mut s = Suite::simplified(&mut space);
+            let mut arena = space.native_arena();
+            let mut m = NativeMem::new(&mut arena);
+            s.init_world(&mut m);
+            f(&mut s, &mut m)
+        }
+        let valid = world(|s, m| {
+            send_request(s, m, &req).unwrap();
+            let d = s.req_rx.poll_input(m, &mut s.lb).unwrap();
+            m.bytes(d.payload_addr, d.payload_len).to_vec()
+        });
+        // The verdict on `payload`, and how many ACKs it drew.
+        let deliver = |payload: &[u8]| {
+            world(|s, m| {
+                let buf = s.scratch.encrypt_buf.base;
+                m.bytes_mut(buf, payload.len()).copy_from_slice(payload);
+                s.req_tx.send_buf(m, &mut s.lb, buf, payload.len()).unwrap();
+                (recv_request(s, m).expect("delivered"), s.req_rx.stats.acks_sent)
+            })
+        };
+        assert_eq!(valid.len() % 8, 0);
+        assert_eq!(deliver(&valid).0, Ok(req.clone()));
+        for cut in 1..valid.len() {
+            let (got, acks) = deliver(&valid[..cut]);
+            assert!(matches!(got, Err(Reject::BadFormat(_))), "cut at {cut}: {got:?}");
+            assert_eq!(acks, u64::from(cut % 8 == 0), "cut at {cut}: only a whole-unit segment is ACKed");
+        }
+        for bit in 0..8 * valid.len() {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // The final block ends in cipher alignment the length field
+            // excludes: only a flip there can decrypt to the same request.
+            let in_alignment_block = bit / 64 == valid.len() / 8 - 1;
+            assert!(deliver(&flipped).0 != Ok(req.clone()) || in_alignment_block, "bit {bit}");
+        }
     }
 
     #[test]

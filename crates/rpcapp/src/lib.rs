@@ -17,21 +17,23 @@
 //! is itself encrypted); the whole message is padded to the cipher's
 //! 8-byte alignment; the TCP checksum covers the ciphertext.
 //!
-//! Two complete implementations of both directions exist side by side:
+//! [`msg`] states what a reply is once — one word view, one unmarshal
+//! sink and one admission rule, for this format and for §5's
+//! length-last variant ([`trailer`]) — and [`paths`] runs it two ways:
 //!
-//! * [`paths`]' **non-ILP** functions follow the paper's Figures 3/5
-//!   exactly: marshal → encrypt → `tcp_send` copy → checksum →
-//!   system copy (send) and system copy → checksum → decrypt →
-//!   unmarshal+copy (receive), each step a separate pass.
-//! * The **ILP** functions run one fused loop per direction —
+//! * the **non-ILP** functions follow the paper's Figures 3/5 exactly:
+//!   marshal → encrypt → `tcp_send` copy → checksum → system copy (send)
+//!   and system copy → checksum → decrypt → unmarshal+copy (receive),
+//!   each step a separate pass;
+//! * the **ILP** functions run one fused loop per direction —
 //!   marshalling, encryption and checksumming integrated into the copy
-//!   into the TCP ring (send, processed in the part B→C→A order of
-//!   §3.2.2) and checksum+decrypt+unmarshal integrated into the copy out
-//!   of the receive staging buffer (receive, three-stage split).
+//!   into the TCP ring (send, in the part B→C→A order of §3.2.2) and
+//!   checksum+decrypt+unmarshal integrated into the copy out of the
+//!   receive staging buffer (receive, three-stage split).
 //!
-//! Byte-for-byte equality of the two implementations — same wire bytes,
-//! same checksums, same delivered file — is asserted by this crate's
-//! tests and the workspace integration tests.
+//! Byte-for-byte equality of the two — same wire bytes, same checksums,
+//! same delivered file, same verdict on what is not a reply — is
+//! asserted by this crate's tests and the workspace integration tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,5 +46,5 @@ pub mod trailer;
 
 pub use app::{FileTransfer, TransferReport};
 pub use msg::{FileRequest, ReplyMeta, ENC_HDR_LEN, PREFIX_BYTES, RPC_HDR_WORDS};
-pub use suite::{CipherChoice, Suite};
+pub use suite::Suite;
 pub use trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};

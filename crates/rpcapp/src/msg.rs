@@ -1,23 +1,38 @@
-//! Message formats (paper Figure 2) and their word-level views.
+//! What a reply is — stated once, for both wire formats and both paths.
 //!
 //! * [`FileRequest`] — the client's request, stub-generated via
 //!   [`xdr::ilp_messages!`].
 //! * [`ReplyMeta`] — the RPC header of one reply message; its marshalled
 //!   form is six XDR words followed by the file chunk.
-//! * [`ReplyWords`] — random-access view of a complete marshalled reply
-//!   (encryption header + RPC header + data + alignment) as a sequence
-//!   of 4-byte words. The part B→C→A schedule needs *ranges* of the
-//!   message, not a single forward stream; [`ReplyWords::range_source`]
-//!   produces a word source for any word range, synthesising header
-//!   words in registers, reading data words from application memory, and
-//!   emitting alignment zeros past the end.
-//! * [`ReplyUnmarshalSink`] — the receive-side dual: consumes decrypted
-//!   units, captures the encryption + RPC header words into registers,
+//! * [`LENGTH_FIRST`] (paper Figure 2) / [`LENGTH_LAST`] (§5) — where
+//!   the length field sits, a `const` parameter of everything below.
+//! * [`WordView`] ([`ReplyWords`]) — random-access view of a complete
+//!   marshalled reply as a sequence of 4-byte words. The part B→C→A
+//!   schedule needs *ranges* of the message, not a single forward
+//!   stream; [`WordView::range_source`] produces a word source for any
+//!   word range, synthesising header words in registers, reading data
+//!   words from application memory, and emitting alignment zeros past
+//!   the end.
+//! * [`UnmarshalSink`] ([`ReplyUnmarshalSink`]) — the receive-side dual:
+//!   consumes decrypted units, captures the header words into registers,
 //!   and writes the file chunk into application memory at the cipher's
 //!   output granularity (the integrated "unmarshalling and copying" of
 //!   Figure 5).
+//! * The **admission rule** — what makes a payload a reply. (1) It is a
+//!   whole number of cipher units: [`crate::paths`] tests that before
+//!   any pass runs and before TCP state moves (the `assert_eq!`s in
+//!   `ilp_core::pipeline` and `cipher::decrypt_buf` are caller-bug
+//!   checks behind it). (2) Its decrypted length field is consistent
+//!   with its header ([`ReplyMeta::parse_prefix`]) and the message is no
+//!   longer than the transport payload (`fits_payload`), and (3) the
+//!   chunk lies inside the buffer (`Placement::resolve`, which refuses
+//!   to place anything otherwise). (2) and (3) are decrypted fields, so
+//!   their verdict is [`UnmarshalSink::finish`], read in the final
+//!   stage — by the fused receivers after their loop, by the non-ILP
+//!   receiver, which feeds the same sink its header words, before its
+//!   copy.
 
-use ilp_core::{StoreGrain, UnitBuf, UnitSink};
+use ilp_core::{Reject, StoreGrain, UnitBuf, UnitSink};
 use memsim::Mem;
 use xdr::ilp_messages;
 use xdr::stream::{opaque_word, WordSource};
@@ -31,9 +46,12 @@ pub const ENC_HDR_LEN: usize = 4;
 /// data that follows.
 pub const RPC_HDR_WORDS: usize = 6;
 
+/// Words of the canonical prefix: the length field + the RPC header.
+const PREFIX_WORDS: usize = 1 + RPC_HDR_WORDS;
+
 /// Bytes before the file data in a marshalled reply: encryption header +
 /// RPC header.
-pub const PREFIX_BYTES: usize = ENC_HDR_LEN + 4 * RPC_HDR_WORDS;
+pub const PREFIX_BYTES: usize = 4 * PREFIX_WORDS;
 
 ilp_messages! {
     /// The client's file request: which file, how many copies of it, and
@@ -69,8 +87,8 @@ impl ReplyMeta {
         4 * RPC_HDR_WORDS + xdr::runtime::pad4(self.data_len as usize)
     }
 
-    /// Total on-the-wire plaintext length: encryption header +
-    /// marshalled message + alignment to the cipher block.
+    /// Total on-the-wire plaintext length: length field (leading or
+    /// trailing) + marshalled message + alignment to the cipher block.
     pub fn padded_len(&self, block: usize) -> usize {
         (ENC_HDR_LEN + self.marshalled_len()).div_ceil(block) * block
     }
@@ -78,7 +96,7 @@ impl ReplyMeta {
     /// The prefix words (encryption header + RPC header), ready to be
     /// emitted from registers. Word 0 is the encryption header's length
     /// field — "the length of the message before encryption".
-    pub fn prefix_words(&self) -> [u32; 1 + RPC_HDR_WORDS] {
+    pub fn prefix_words(&self) -> [u32; PREFIX_WORDS] {
         [
             (ENC_HDR_LEN + self.marshalled_len()) as u32,
             self.request_id,
@@ -97,7 +115,7 @@ impl ReplyMeta {
     /// checksum would be caught here, and decryption with a wrong key
     /// lands here too).
     pub fn parse_prefix(words: &[u32]) -> Option<(usize, ReplyMeta)> {
-        if words.len() != 1 + RPC_HDR_WORDS {
+        if words.len() != PREFIX_WORDS {
             return None;
         }
         let msg_len = words[0] as usize;
@@ -118,20 +136,44 @@ impl ReplyMeta {
     }
 }
 
+/// Where a reply's length field sits — the one thing the paper's two
+/// wire formats differ in, and a `const` parameter (`LAST`) of everything
+/// below, so each format monomorphises to its own loop body and nothing
+/// tests it at run time. Both formats carry the same canonical prefix
+/// words (`[length, request id, sequence, offset, last, total length,
+/// opaque length]`, [`ReplyMeta::prefix_words`]), the same length value
+/// and the same padded size; a format's header word `i` is canonical
+/// word `i + LAST as usize`, and the length-last format's final word is
+/// canonical word 0. This one is Figure 2: the length field leads.
+pub const LENGTH_FIRST: bool = false;
+
+/// §5, "trailers for data dependent fields": the length field is the
+/// message's last word ([`crate::trailer`]).
+pub const LENGTH_LAST: bool = true;
+
+/// Words in front of the chunk: the RPC header, behind the length field
+/// when that leads.
+const fn hdr_words(length_last: bool) -> usize {
+    PREFIX_WORDS - length_last as usize
+}
+
 /// Random-access word view of one complete marshalled reply.
 #[derive(Debug, Clone, Copy)]
-pub struct ReplyWords {
-    prefix: [u32; 1 + RPC_HDR_WORDS],
+pub struct WordView<const LAST: bool> {
+    prefix: [u32; PREFIX_WORDS],
     data_addr: usize,
     data_len: usize,
     total_words: usize,
 }
 
-impl ReplyWords {
+/// The Figure 2 view: length field, RPC header, data, alignment.
+pub type ReplyWords = WordView<LENGTH_FIRST>;
+
+impl<const LAST: bool> WordView<LAST> {
     /// Build the view for `meta`, with the chunk at `data_addr`, padded
     /// to `block` alignment.
     pub fn new(meta: &ReplyMeta, data_addr: usize, block: usize) -> Self {
-        ReplyWords {
+        WordView {
             prefix: meta.prefix_words(),
             data_addr,
             data_len: meta.data_len as usize,
@@ -145,40 +187,41 @@ impl ReplyWords {
     }
 
     /// A word source over `[start, end)` words of the message.
-    pub fn range_source(&self, start: usize, end: usize) -> ReplyRangeSource {
+    pub fn range_source(&self, start: usize, end: usize) -> RangeSource<LAST> {
         assert!(start <= end && end <= self.total_words, "bad range {start}..{end}");
-        ReplyRangeSource { msg: *self, next: start, end }
+        RangeSource { msg: *self, next: start, end }
     }
 
-    /// A source over the whole message (the linear, non-segmented order;
-    /// used by the equality tests).
-    pub fn full_source(&self) -> ReplyRangeSource {
+    /// A source over the whole message, in wire order.
+    pub fn full_source(&self) -> RangeSource<LAST> {
         self.range_source(0, self.total_words)
     }
 
-    /// Produce word `i` of the message: a prefix word from registers, or
-    /// a word of the XDR opaque body (data, then padding / alignment).
+    /// Produce word `i` of the message: a header word or the trailing
+    /// length field from registers, or a word of the XDR opaque body
+    /// (data, then padding / alignment).
     #[inline(always)]
     fn word<M: Mem>(&self, m: &mut M, i: usize) -> u32 {
-        match i.checked_sub(self.prefix.len()) {
-            Some(k) => opaque_word(m, self.data_addr, self.data_len, 4 * k),
-            None => {
-                m.compute(1);
-                self.prefix[i]
-            }
-        }
+        let from_registers = match i.checked_sub(hdr_words(LAST)) {
+            None => i + LAST as usize,
+            Some(_) if LAST && i + 1 == self.total_words => 0,
+            Some(k) => return opaque_word(m, self.data_addr, self.data_len, 4 * k),
+        };
+        m.compute(1);
+        self.prefix[from_registers]
     }
 }
 
-/// Word source over a range of a [`ReplyWords`] view.
+/// Word source over a range of a [`WordView`] — a part of the B→C→A
+/// schedule, or the whole message.
 #[derive(Debug, Clone, Copy)]
-pub struct ReplyRangeSource {
-    msg: ReplyWords,
+pub struct RangeSource<const LAST: bool> {
+    msg: WordView<LAST>,
     next: usize,
     end: usize,
 }
 
-impl<M: Mem> WordSource<M> for ReplyRangeSource {
+impl<M: Mem, const LAST: bool> WordSource<M> for RangeSource<LAST> {
     #[inline(always)]
     fn next_word(&mut self, m: &mut M) -> Option<u32> {
         if self.next >= self.end {
@@ -194,11 +237,24 @@ impl<M: Mem> WordSource<M> for ReplyRangeSource {
     }
 }
 
+/// The admission rule's transport clause, spelled once for replies and
+/// requests: a message whose (decrypted, untrusted) length says `msg_len`
+/// bytes must fit the `payload_len` bytes the transport delivered. The
+/// TCP checksum is unkeyed, so a reply cut at a cipher-block boundary
+/// arrives well-formed at every layer below this comparison.
+pub(crate) fn fits_payload(msg_len: usize, payload_len: usize) -> Result<(), Reject> {
+    if msg_len > payload_len {
+        return Err(Reject::BadFormat("length field exceeds payload"));
+    }
+    Ok(())
+}
+
 /// Where the rest of a chunk goes. Resolved **once**, when the header
 /// words that place the chunk have been decrypted — which in the fused
 /// receive loop is before the checksum verdict, so they are untrusted: a
-/// chunk they put outside the buffer is not placed at all, and the final
-/// stage rejects the segment like any other bad one.
+/// chunk they put outside the payload or outside the buffer is not
+/// placed at all, and the final stage rejects the segment like any other
+/// bad one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Placement {
     dst: usize,
@@ -206,22 +262,28 @@ pub(crate) struct Placement {
 }
 
 impl Placement {
-    /// `declared` bytes at `offset` into the `cap`-byte buffer at `addr`,
-    /// or `None` when they do not fit there.
-    pub(crate) fn resolve(addr: usize, cap: usize, offset: usize, declared: usize) -> Option<Self> {
-        let end = offset.checked_add(declared)?;
-        (end <= cap).then_some(Placement { dst: addr + offset, left: declared })
-    }
-
-    /// Chunk bytes still to be placed.
-    pub(crate) fn left(&self) -> usize {
-        self.left
+    /// The admission rule's last two clauses for `declared` chunk bytes
+    /// at `offset`: the message carrying them fits the transport payload
+    /// (`fits_payload`), and they lie inside the `cap`-byte buffer at
+    /// `addr`.
+    fn resolve(
+        addr: usize,
+        cap: usize,
+        offset: usize,
+        declared: usize,
+        payload_len: usize,
+    ) -> Result<Self, Reject> {
+        fits_payload(PREFIX_BYTES.saturating_add(declared.saturating_add(3) & !3), payload_len)?;
+        match offset.checked_add(declared) {
+            Some(end) if end <= cap => Ok(Placement { dst: addr + offset, left: declared }),
+            _ => Err(Reject::BadFormat("chunk beyond file bounds")),
+        }
     }
 
     /// Place one decrypted payload word at the cipher's output
     /// granularity.
     #[inline(always)]
-    pub(crate) fn place<M: Mem>(&mut self, m: &mut M, w: u32, grain: StoreGrain) {
+    fn place<M: Mem>(&mut self, m: &mut M, w: u32, grain: StoreGrain) {
         if self.left < 4 {
             return self.place_tail(m, w, grain);
         }
@@ -248,31 +310,41 @@ impl Placement {
 }
 
 /// Receive-side unmarshal-and-copy sink (paper Figure 5, fused form):
-/// captures the decrypted prefix words, then writes the file chunk into
-/// application memory — at `file_base + offset`, where `offset` comes
-/// from the RPC header it just decrypted — at the cipher's output
-/// granularity.
+/// captures the decrypted header words into the canonical
+/// prefix, then writes the file chunk into application memory — at
+/// `file_base + offset`, where `offset` comes from the RPC header it just
+/// decrypted — at the cipher's output granularity. [`Self::finish`] is
+/// the admission rule's verdict on what it saw.
 #[derive(Debug, Clone, Copy)]
-pub struct ReplyUnmarshalSink {
+pub struct UnmarshalSink<const LAST: bool> {
     app_addr: usize,
     app_cap: usize,
-    prefix: [u32; 1 + RPC_HDR_WORDS],
-    words_seen: usize,
+    payload_len: usize,
+    prefix: [u32; PREFIX_WORDS],
+    hdr_seen: usize,
+    /// Where the chunk goes — or, while `None`, why nowhere (`refused`).
+    /// Two fields, not one `Result`: the loop tests this one per unit.
     place: Option<Placement>,
+    refused: Reject,
     anchored: bool,
 }
 
-impl ReplyUnmarshalSink {
+/// The sink of the Figure 2 format.
+pub type ReplyUnmarshalSink = UnmarshalSink<LENGTH_FIRST>;
+
+impl<const LAST: bool> UnmarshalSink<LAST> {
     /// Deliver the chunk into the reassembled file of `app_cap` bytes at
     /// `app_addr` (placement within it is taken from the reply header's
     /// offset field).
     pub fn new(app_addr: usize, app_cap: usize) -> Self {
-        ReplyUnmarshalSink {
+        UnmarshalSink {
             app_addr,
             app_cap,
-            prefix: [0; 1 + RPC_HDR_WORDS],
-            words_seen: 0,
+            payload_len: usize::MAX,
+            prefix: [0; PREFIX_WORDS],
+            hdr_seen: 0,
             place: None,
+            refused: Reject::BadFormat("reply prefix"),
             anchored: false,
         }
     }
@@ -284,36 +356,73 @@ impl ReplyUnmarshalSink {
     /// (the checksum feeds the ACK decision) but must not place bytes
     /// into application memory a reject would then have to roll back.
     pub fn staging(addr: usize, cap: usize) -> Self {
-        ReplyUnmarshalSink { anchored: true, ..ReplyUnmarshalSink::new(addr, cap) }
+        UnmarshalSink { anchored: true, ..Self::new(addr, cap) }
     }
 
-    /// The captured prefix words (valid once at least
-    /// `1 + RPC_HDR_WORDS` words have been consumed).
-    pub fn prefix(&self) -> &[u32] {
-        &self.prefix[..self.words_seen]
+    /// Bound the message by the `payload_len` bytes the transport
+    /// delivered — the only length a receiver can trust (without it, no
+    /// transport clause applies).
+    pub fn within(self, payload_len: usize) -> Self {
+        UnmarshalSink { payload_len, ..self }
+    }
+
+    /// Take the next decrypted header word; the one that completes the
+    /// header resolves where the chunk goes.
+    #[inline(always)]
+    pub(crate) fn capture<M: Mem>(&mut self, m: &mut M, w: u32) {
+        self.prefix[self.hdr_seen + LAST as usize] = w;
+        m.compute(1);
+        self.hdr_seen += 1;
+        if self.hdr_seen == hdr_words(LAST) {
+            self.place_chunk();
+        }
+    }
+
+    /// File offset and XDR opaque length from the RPC header; a staging
+    /// sink writes linearly instead (the header offset points into a
+    /// file this buffer does not hold). Once per message: out of the
+    /// loop body.
+    #[cold]
+    fn place_chunk(&mut self) {
+        let offset = if self.anchored { 0 } else { self.prefix[3] as usize };
+        let declared = self.prefix[PREFIX_WORDS - 1] as usize;
+        match Placement::resolve(self.app_addr, self.app_cap, offset, declared, self.payload_len) {
+            Ok(place) => self.place = Some(place),
+            Err(why) => self.refused = why,
+        }
     }
 
     /// Parse the captured prefix into a [`ReplyMeta`]; `None` also when
-    /// the chunk it describes does not fit the buffer (nothing was
-    /// written then).
+    /// the chunk it describes was not placed (nothing was written then).
     pub fn meta(&self) -> Option<(usize, ReplyMeta)> {
-        ReplyMeta::parse_prefix(self.prefix()).filter(|_| self.place.is_some())
+        ReplyMeta::parse_prefix(&self.prefix).filter(|_| self.place.is_some())
+    }
+
+    /// The admission rule's verdict on the decrypted fields: the length
+    /// field consistent with the header ([`ReplyMeta::parse_prefix`]),
+    /// the message inside the transport payload and the chunk inside the
+    /// buffer (resolved when the header completed — never, for a payload
+    /// shorter than a header).
+    ///
+    /// # Errors
+    /// [`Reject::BadFormat`] naming the first clause that failed.
+    pub fn finish(&self) -> Result<ReplyMeta, Reject> {
+        let (_, meta) =
+            ReplyMeta::parse_prefix(&self.prefix).ok_or(Reject::BadFormat("reply prefix"))?;
+        self.place.map(|_| meta).ok_or(self.refused)
     }
 
     /// Chunk bytes delivered so far.
     pub fn data_written(&self) -> usize {
-        match (self.meta(), self.place) {
-            (Some((_, meta)), Some(place)) => meta.data_len as usize - place.left(),
-            _ => 0,
-        }
+        self.place.map_or(0, |place| self.prefix[PREFIX_WORDS - 1] as usize - place.left)
     }
 }
 
-impl<M: Mem> UnitSink<M> for ReplyUnmarshalSink {
+impl<M: Mem, const LAST: bool> UnitSink<M> for UnmarshalSink<LAST> {
     #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
         // Steady state: the whole unit is chunk data.
-        if let Some(place) = self.place.as_mut().filter(|p| p.left() >= unit.len()) {
+        if let Some(place) = self.place.as_mut().filter(|p| p.left >= unit.len()) {
             for wi in 0..unit.words() {
                 place.place(m, unit.word(wi), grain);
             }
@@ -321,20 +430,14 @@ impl<M: Mem> UnitSink<M> for ReplyUnmarshalSink {
         }
         for wi in 0..unit.words() {
             let w = unit.word(wi);
-            if self.words_seen < self.prefix.len() {
-                self.prefix[self.words_seen] = w;
-                m.compute(1);
-                self.words_seen += 1;
-                if self.words_seen == self.prefix.len() {
-                    // File offset and XDR opaque length from the RPC
-                    // header; a staging sink writes linearly instead (the
-                    // header offset points into a file this buffer does
-                    // not hold).
-                    let offset = if self.anchored { 0 } else { self.prefix[3] as usize };
-                    let declared = self.prefix[self.prefix.len() - 1] as usize;
-                    self.place = Placement::resolve(self.app_addr, self.app_cap, offset, declared);
-                }
-            } else if let Some(place) = &mut self.place {
+            if self.hdr_seen < hdr_words(LAST) {
+                self.capture(m, w);
+                continue;
+            }
+            if LAST {
+                self.prefix[0] = w; // the final assignment holds the length field
+            }
+            if let Some(place) = &mut self.place {
                 place.place(m, w, grain);
             }
         }
@@ -475,6 +578,68 @@ mod tests {
                 assert_eq!(m.read_u8(app_addr + 64 + i), (i % 251) as u8, "byte {i}");
             }
         });
+    }
+
+    /// The sink under a peer we did not write, in either format: every
+    /// whole-unit truncation of a decrypted reply, each under every
+    /// single-bit flip, through both constructors, into a buffer that
+    /// ends where the arena ends. No panic and no store past the buffer
+    /// (`NativeMem` would catch it); what `finish` admits lies inside the
+    /// buffer and inside the payload; and only the whole message is
+    /// admitted as the chunk that was sent.
+    fn sink_never_panics_and_admits_only_what_fits<const LAST: bool>() {
+        const CAP: usize = 128;
+        let sent = ReplyMeta { request_id: 0xAB, seq: 3, offset: 64, last: 1, data_len: 21 };
+        let mut space = AddressSpace::new();
+        let data = space.alloc("data", 24, 8);
+        let app = space.alloc("app", CAP, 8);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        let mut valid = Vec::new();
+        let mut src = WordView::<LAST>::new(&sent, data.base, 8).full_source();
+        while let Some(w) = src.next_word(&mut m) {
+            valid.push(w);
+        }
+        let mut run = |words: &[u32], staged: bool| {
+            let sink = if staged { UnmarshalSink::<LAST>::staging } else { UnmarshalSink::<LAST>::new };
+            let mut sink = sink(app.base, CAP).within(4 * words.len());
+            for pair in words.chunks(2) {
+                let mut unit = UnitBuf::new(8);
+                unit.set_word(0, pair[0]);
+                unit.set_word(1, pair[1]);
+                sink.store(&mut m, &unit, StoreGrain::Byte);
+            }
+            assert_eq!(sink.finish().ok(), sink.meta().map(|(_, meta)| meta));
+            if let Ok(meta) = sink.finish() {
+                let at = if staged { 0 } else { meta.offset as usize };
+                assert!(at + meta.data_len as usize <= CAP, "{meta:?} admitted outside the buffer");
+                assert!(4 + meta.marshalled_len() <= 4 * words.len(), "{meta:?} admitted outside the payload");
+                assert_eq!(sink.data_written(), meta.data_len as usize);
+            }
+            sink.finish()
+        };
+        for staged in [false, true] {
+            assert_eq!(run(&valid, staged), Ok(sent));
+            for cut in (0..valid.len()).step_by(2) {
+                assert!(run(&valid[..cut], staged).is_err(), "cut at word {cut}");
+                for bit in 0..32 * cut {
+                    let mut flipped = valid[..cut].to_vec();
+                    flipped[bit / 32] ^= 1 << (bit % 32);
+                    assert!(run(&flipped, staged).is_err(), "cut at word {cut}, bit {bit}");
+                }
+            }
+            for bit in 0..32 * valid.len() {
+                let mut flipped = valid.clone();
+                flipped[bit / 32] ^= 1 << (bit % 32);
+                let _ = run(&flipped, staged);
+            }
+        }
+    }
+
+    #[test]
+    fn unmarshal_sink_never_panics_on_truncated_or_bit_flipped_replies() {
+        sink_never_panics_and_admits_only_what_fits::<LENGTH_FIRST>();
+        sink_never_panics_and_admits_only_what_fits::<LENGTH_LAST>();
     }
 
     #[test]

@@ -1,26 +1,22 @@
 //! The four data paths: {send, receive} × {non-ILP, ILP}, plus the
 //! placement-policy variants of §3.2.2.
 //!
-//! **Non-ILP send** (paper Figure 3, left): marshalling writes the
-//! complete plaintext message to a buffer; encryption reads it and
-//! writes the ciphertext to a second buffer; `tcp_send` copies that into
-//! the ring; `tcp_output` re-reads the ring for the checksum; the system
-//! copy moves it to the kernel. Five passes over the data.
+//! **Non-ILP** (paper Figures 3 and 5, left): five passes out — marshal
+//! into a buffer, encrypt into a second, `tcp_send` copies into the
+//! ring, `tcp_output` re-reads it for the checksum, the system copy —
+//! and four in: system copy, checksum, decrypt, unmarshal+copy.
 //!
-//! **ILP send** (Figure 3, right): one fused loop per message part —
-//! the B→C→A schedule of Figure 4 — reads the application data once,
-//! marshals/encrypts/checksums in registers, and stores straight into
-//! the ring; then only the system copy remains.
-//!
-//! **Non-ILP receive** (Figure 5, left): system copy, checksum pass,
-//! decrypt pass, unmarshal+copy pass.
-//!
-//! **ILP receive** (Figure 5, right): system copy, then one fused
-//! checksum+decrypt+unmarshal loop delivering straight into the
-//! application buffer; the accept/reject verdict falls in the final
-//! stage (the three-stage split of §2.1: `poll_input` is the initial
-//! stage, the fused loop the integrated stage, `finish_recv` the final
-//! stage — shaped by [`ilp_core::three_stage()`]).
+//! **ILP** (right): `fused_send` reads the application data once,
+//! marshals/encrypts/checksums in registers and stores straight into the
+//! ring, one loop per message part in the B→C→A order of Figure 4 (one
+//! linear part in the trailer format); `fused_recv` is one
+//! checksum+decrypt+unmarshal loop straight into the application buffer
+//! — or into staging, for a segment that cannot be the next in-order one
+//! — with the accept/reject verdict in the final stage (the three-stage
+//! split of §2.1: `poll_input`, the loop, `finish_recv`, shaped by
+//! [`ilp_core::three_stage()`]). Every receiver starts in
+//! `recv_whole_units` and ends in [`UnmarshalSink::finish`]: the
+//! admission rule of [`crate::msg`].
 //!
 //! There is one implementation of each path, and it names the
 //! connection it operates on and the [`Scratch`] it may use: the
@@ -43,19 +39,22 @@
 use checksum::internet::checksum_buf;
 use checksum::InetChecksum;
 use cipher::CipherKernel;
+use ilp_core::segment::Part;
 use ilp_core::{
     ilp_run, three_stage, ChecksumTap, DecryptStage, EncryptStage, Fused, LinearSink, Ordering,
-    Reject, SegmentPlan, UnitSink,
+    PartKind, Reject, SegmentPlan, UnitSink, UnitStage,
 };
 use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
 use memsim::{CodeRegion, Mem};
 use obs::{Layer, SegEv, Stage};
-use utcp::{observed, Connection, KernelCtx, SendError};
+use utcp::{observed, Connection, Delivered, KernelCtx, SendError};
 use xdr::stream::OpaqueSource;
 
 use crate::app::Path;
-use crate::msg::{ReplyMeta, ReplyUnmarshalSink, ReplyWords, ENC_HDR_LEN, PREFIX_BYTES, RPC_HDR_WORDS};
+use crate::msg::{
+    ReplyMeta, ReplyUnmarshalSink, UnmarshalSink, WordView, ENC_HDR_LEN, LENGTH_FIRST, PREFIX_BYTES,
+};
 use crate::suite::{Suite, MAX_MSG};
 
 /// Outcome of a receive poll.
@@ -92,6 +91,21 @@ pub struct Scratch {
     pub code_copy: CodeRegion,
 }
 
+/// Instruction footprints of the loop bodies, in bytes; a fused loop
+/// carries the sum of its constituents plus glue (the paper's ≈ 3 %
+/// code growth from inlining).
+pub(crate) mod footprint {
+    pub const MARSHAL: usize = 240;
+    pub const UNMARSHAL: usize = 280;
+    pub const CHECKSUM: usize = 96;
+    pub const COPY: usize = 64;
+    const ENCRYPT: usize = 480;
+    const DECRYPT: usize = 560;
+    const GLUE: usize = 120;
+    pub const ILP_SEND: usize = MARSHAL + ENCRYPT + CHECKSUM + GLUE;
+    pub const ILP_RECV: usize = UNMARSHAL + DECRYPT + CHECKSUM + GLUE;
+}
+
 impl Scratch {
     /// Allocate the shared buffers and code footprints, contiguously —
     /// the server layout. ([`Suite`] places the same regions around its
@@ -102,12 +116,12 @@ impl Scratch {
             encrypt_buf: space.alloc_kind("encrypt_buf", MAX_MSG, 8, RegionKind::Buffer),
             decrypt_buf: space.alloc_kind("decrypt_buf", MAX_MSG, 8, RegionKind::Buffer),
             staging: space.alloc_kind("recv_staging", MAX_MSG, 8, RegionKind::Buffer),
-            code_ilp_send: space.alloc_code("ilp_send_loop", 240 + 480 + 96 + 120),
-            code_ilp_recv: space.alloc_code("ilp_recv_loop", 280 + 560 + 96 + 120),
-            code_marshal: space.alloc_code("marshal_loop", 240),
-            code_unmarshal: space.alloc_code("unmarshal_loop", 280),
-            code_checksum: space.alloc_code("checksum_loop", 96),
-            code_copy: space.alloc_code("tcp_send_copy", 64),
+            code_ilp_send: space.alloc_code("ilp_send_loop", footprint::ILP_SEND),
+            code_ilp_recv: space.alloc_code("ilp_recv_loop", footprint::ILP_RECV),
+            code_marshal: space.alloc_code("marshal_loop", footprint::MARSHAL),
+            code_unmarshal: space.alloc_code("unmarshal_loop", footprint::UNMARSHAL),
+            code_checksum: space.alloc_code("checksum_loop", footprint::CHECKSUM),
+            code_copy: space.alloc_code("tcp_send_copy", footprint::COPY),
         }
     }
 }
@@ -193,11 +207,13 @@ pub fn send_chunk_non_ilp<C: CipherKernel, M: Mem>(
     Ok(padded)
 }
 
-/// The fused marshal+encrypt+checksum loop, one run per message part in
-/// the B→C→A order of §3.2.2; `sink_at(offset)` yields the sink for the
+/// The fused marshal+encrypt+checksum loop over a reply in either format,
+/// one run per message part: the B→C→A order of §3.2.2 when the length
+/// field leads, one linear part when it trails (nothing then precedes
+/// the data it depends on). `sink_at(offset)` yields the sink for the
 /// part that starts `offset` bytes into the message. Returns the
 /// register-resident payload checksum.
-fn fused_send<C: CipherKernel + Copy, M: Mem, S: UnitSink<M>>(
+fn fused_send<const LAST: bool, C: CipherKernel + Copy, M: Mem, S: UnitSink<M>>(
     code: CodeRegion,
     cipher: C,
     m: &mut M,
@@ -205,17 +221,25 @@ fn fused_send<C: CipherKernel + Copy, M: Mem, S: UnitSink<M>>(
     data_addr: usize,
     mut sink_at: impl FnMut(usize) -> S,
 ) -> InetChecksum {
-    let plan = SegmentPlan::for_message(
-        ENC_HDR_LEN,
-        meta.marshalled_len(),
-        C::UNIT,
-        Ordering::Unconstrained,
-    )
-    .expect("block cipher stack is fusible");
-    debug_assert_eq!(plan.padded_len, meta.padded_len(C::UNIT));
-    let words = ReplyWords::new(meta, data_addr, C::UNIT);
+    let padded = meta.padded_len(C::UNIT);
+    let (plan, linear);
+    let parts: &[Part] = if LAST {
+        linear = [Part { kind: PartKind::B, start: 0, end: padded }];
+        &linear
+    } else {
+        plan = SegmentPlan::for_message(
+            ENC_HDR_LEN,
+            meta.marshalled_len(),
+            C::UNIT,
+            Ordering::Unconstrained,
+        )
+        .expect("block cipher stack is fusible");
+        debug_assert_eq!(plan.padded_len, padded);
+        plan.processing_order()
+    };
+    let words = WordView::<LAST>::new(meta, data_addr, C::UNIT);
     let mut stages = Fused::new(EncryptStage::new(cipher), ChecksumTap::new());
-    for part in plan.processing_order() {
+    for part in parts {
         if part.is_empty() {
             continue;
         }
@@ -238,16 +262,13 @@ fn fused_send<C: CipherKernel + Copy, M: Mem, S: UnitSink<M>>(
     stages.b.sum()
 }
 
-/// **ILP send** of one chunk on `tx`: one fused
+/// **ILP send** of one chunk in either format on `tx`: one fused
 /// marshal+encrypt+checksum loop per message part, stored straight into
 /// the connection's ring; the header checksum is patched from the
 /// register-resident sum. Ring reservation reports as initial-stage
 /// work, the fused loop as the integrated stage (one span — the layers
 /// are inseparable by construction), the commit as the final stage.
-///
-/// # Errors
-/// Propagates transport back-pressure ([`SendError`]).
-pub fn send_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
+pub(crate) fn send_chunk_fused<const LAST: bool, C: CipherKernel + Copy, M: Mem>(
     s: &Scratch,
     cipher: C,
     m: &mut M,
@@ -263,7 +284,7 @@ pub fn send_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
     k.span(m, Stage::Initial, Layer::Tcp, t);
     k.seg(seg, SegEv::SendStage(Stage::Initial));
     let t = k.mark(m);
-    let sum = fused_send(s.code_ilp_send, cipher, m, meta, data_addr, |off| {
+    let sum = fused_send::<LAST, C, M, _>(s.code_ilp_send, cipher, m, meta, data_addr, |off| {
         tx.ring_writer_at(extent, off)
     });
     k.span(m, Stage::Integrated, Layer::Fused, t);
@@ -271,6 +292,22 @@ pub fn send_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
     k.seg(seg, SegEv::SendStage(Stage::Final));
     tx.commit_send(m, k, extent, sum);
     Ok(padded)
+}
+
+/// `send_chunk_fused` in the Figure 2 format — **the** ILP send.
+///
+/// # Errors
+/// Propagates transport back-pressure ([`SendError`]).
+pub fn send_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
+    s: &Scratch,
+    cipher: C,
+    m: &mut M,
+    tx: &mut Connection,
+    k: &mut impl KernelCtx,
+    meta: &ReplyMeta,
+    data_addr: usize,
+) -> Result<usize, SendError> {
+    send_chunk_fused::<LENGTH_FIRST, C, M>(s, cipher, m, tx, k, meta, data_addr)
 }
 
 /// Send one chunk on `tx` over `path` — the one place a [`Path`] turns
@@ -355,7 +392,8 @@ pub fn send_reply_ilp_staged<C: CipherKernel + Copy, M: Mem>(
     let padded = meta.padded_len(C::UNIT);
     // Manipulate early, into the staging buffer.
     let staging = s.scratch.staging.base;
-    let sum = fused_send(s.scratch.code_ilp_send, s.cipher, m, meta, data_addr, |off| {
+    let code = s.scratch.code_ilp_send;
+    let sum = fused_send::<LENGTH_FIRST, C, M, _>(code, s.cipher, m, meta, data_addr, |off| {
         LinearSink::new(staging + off)
     });
     // Later (here: immediately), when buffer space is available: copy
@@ -371,9 +409,34 @@ pub fn send_reply_ilp_staged<C: CipherKernel + Copy, M: Mem>(
 // Receive
 // ----------------------------------------------------------------------
 
-/// Non-ILP unmarshal+copy pass: parse the decrypted message in
-/// `decrypt_buf` and copy the chunk into `app_out` at the header's
-/// offset.
+/// The initial stage of every receiver: poll `rx`, hold the payload to
+/// the admission rule's first clause — a whole number of `C`'s cipher
+/// units — and hand the segment to `rest` for its verdict. An unaligned
+/// segment is refused here, before any pass runs (the loops and
+/// `decrypt_buf` assert this alignment) and before TCP state moves:
+/// `rcv_nxt` stays and nothing is ACKed, so an injected segment consumes
+/// no sequence space the genuine one needs. (Always inlined: `rest` is
+/// the receiver's whole body, and a call boundary here cost `udp_small`
+/// 2–3 % — EXPERIMENTS.md E32.)
+#[inline(always)]
+pub(crate) fn recv_whole_units<C: CipherKernel, M: Mem, K: KernelCtx, T>(
+    m: &mut M,
+    rx: &mut Connection,
+    k: &mut K,
+    rest: impl FnOnce(&mut M, &mut Connection, &mut K, Delivered) -> Result<T, Reject>,
+) -> Option<Result<T, Reject>> {
+    let d = rx.poll_input(m, k)?;
+    if d.payload_len % C::UNIT != 0 {
+        rx.stats.rejected += 1;
+        return Some(Err(Reject::BadFormat("payload is not a whole number of cipher units")));
+    }
+    Some(rest(m, rx, k, d))
+}
+
+/// Non-ILP unmarshal+copy pass: read the decrypted header words in
+/// `decrypt_buf` into the reply sink — the admission rule's one
+/// evaluator — and, admitted, copy the chunk into `app_out` at the
+/// header's offset.
 fn unmarshal_pass<M: Mem>(
     s: &Scratch,
     m: &mut M,
@@ -382,23 +445,14 @@ fn unmarshal_pass<M: Mem>(
 ) -> Result<ReplyMeta, Reject> {
     m.fetch(s.code_unmarshal);
     let buf = s.decrypt_buf.base;
-    let mut prefix = [0u32; 1 + RPC_HDR_WORDS];
-    for (i, slot) in prefix.iter_mut().enumerate() {
-        *slot = m.read_u32_be(buf + 4 * i);
-        m.compute(1);
+    let mut header = ReplyUnmarshalSink::new(app_out.base, app_out.len).within(payload_len);
+    for off in (0..payload_len.min(PREFIX_BYTES)).step_by(4) {
+        let w = m.read_u32_be(buf + off);
+        header.capture(m, w);
     }
-    let Some((msg_len, meta)) = ReplyMeta::parse_prefix(&prefix) else {
-        return Err(Reject::BadFormat("reply prefix"));
-    };
-    if msg_len > payload_len {
-        return Err(Reject::BadFormat("length field exceeds payload"));
-    }
+    let meta = header.finish()?;
     let data_len = meta.data_len as usize;
-    let offset = meta.offset as usize;
-    if offset + data_len > app_out.len {
-        return Err(Reject::BadFormat("chunk beyond file bounds"));
-    }
-    let dst = app_out.base + offset;
+    let dst = app_out.base + meta.offset as usize;
     let words = data_len / 4;
     for i in 0..words {
         let w = m.read_u32_be(buf + PREFIX_BYTES + 4 * i);
@@ -425,36 +479,99 @@ pub fn recv_chunk_non_ilp<C: CipherKernel, M: Mem>(
     k: &mut impl KernelCtx,
     app_out: Region,
 ) -> RecvOutcome {
-    let d = rx.poll_input(m, k)?;
-    k.seg(d.ctx, SegEv::RecvStage(Stage::Initial));
-    let t = k.mark(m);
-    m.fetch(s.code_checksum);
-    let payload_sum = checksum_buf(m, d.payload_addr, d.payload_len); // step 2
-    k.span(m, Stage::Integrated, Layer::Checksum, t);
-    k.seg(d.ctx, SegEv::RecvStage(Stage::Integrated));
-    let t = k.mark(m);
-    let verdict = rx.finish_recv(m, k, &d, payload_sum);
-    k.span(m, Stage::Final, Layer::Tcp, t);
-    if let Err(e) = verdict {
-        return Some(Err(e));
-    }
-    let t = k.mark(m);
-    cipher::decrypt_buf(cipher, m, d.payload_addr, s.decrypt_buf.base, d.payload_len); // step 3
-    k.span(m, Stage::Integrated, Layer::Cipher, t);
-    let t = k.mark(m);
-    let out = unmarshal_pass(s, m, d.payload_len, app_out); // step 4
-    k.span(m, Stage::Integrated, Layer::Marshal, t);
-    k.seg(d.ctx, SegEv::RecvStage(Stage::Final));
-    Some(out)
+    recv_whole_units::<C, _, _, _>(m, rx, k, |m, rx, k, d| {
+        k.seg(d.ctx, SegEv::RecvStage(Stage::Initial));
+        let t = k.mark(m);
+        m.fetch(s.code_checksum);
+        let payload_sum = checksum_buf(m, d.payload_addr, d.payload_len); // step 2
+        k.span(m, Stage::Integrated, Layer::Checksum, t);
+        k.seg(d.ctx, SegEv::RecvStage(Stage::Integrated));
+        let t = k.mark(m);
+        let verdict = rx.finish_recv(m, k, &d, payload_sum);
+        k.span(m, Stage::Final, Layer::Tcp, t);
+        verdict?;
+        let t = k.mark(m);
+        cipher::decrypt_buf(cipher, m, d.payload_addr, s.decrypt_buf.base, d.payload_len); // step 3
+        k.span(m, Stage::Integrated, Layer::Cipher, t);
+        let t = k.mark(m);
+        let out = unmarshal_pass(s, m, d.payload_len, app_out); // step 4
+        k.span(m, Stage::Integrated, Layer::Marshal, t);
+        k.seg(d.ctx, SegEv::RecvStage(Stage::Final));
+        out
+    })
 }
 
-/// **ILP receive** of one chunk on `rx` into `app_out`, shaped by the
-/// [`three_stage()`] combinator: the initial stage staged the segment
-/// ([`Connection::poll_input`]), the integrated stage runs the fused
-/// checksum+decrypt+unmarshal loop straight off the staging buffer (and
-/// cannot reject), and the final stage renders the accept/reject
-/// verdict — checksum and unmarshalling errors are both known there,
-/// before any TCP state was touched.
+/// The fused receive loop over the staged payload of `d`, a reply in
+/// either format: `stages` (decrypt, with or without the checksum tap),
+/// then unmarshal — into `app_out` when `d` is the next in-order
+/// segment. An out-of-order or duplicate segment is certain to be
+/// rejected by the final stage — the fused pass still runs in full (its
+/// checksum drives the repeat-ACK decision) but unmarshals into staging,
+/// so a stale retransmission that was corrupted in flight cannot
+/// scribble over bytes the application already owns (§3.2.2). Returns
+/// the sink's verdict on the decrypted fields
+/// ([`UnmarshalSink::finish`]), for the final stage to render.
+fn fused_recv<const LAST: bool, M: Mem>(
+    s: &Scratch,
+    m: &mut M,
+    stages: &mut impl UnitStage<M>,
+    d: &Delivered,
+    app_out: Region,
+) -> Result<ReplyMeta, Reject> {
+    let sink = if d.in_order {
+        UnmarshalSink::<LAST>::new(app_out.base, app_out.len)
+    } else {
+        UnmarshalSink::staging(s.staging.base, s.staging.len)
+    };
+    let mut sink = sink.within(d.payload_len);
+    let mut source = OpaqueSource::new(d.payload_addr, d.payload_len);
+    ilp_run(m, &mut source, stages, &mut sink, 1, Some(s.code_ilp_recv))
+        .expect("negotiated unit fits registers");
+    sink.finish()
+}
+
+/// **ILP receive** of one chunk in either format on `rx` into `app_out`,
+/// shaped by the [`three_stage()`] combinator: the initial stage staged
+/// the segment ([`Connection::poll_input`]), the integrated stage runs
+/// the fused checksum+decrypt+unmarshal loop straight off the staging
+/// buffer (and cannot reject), and the final stage renders the
+/// accept/reject verdict — checksum and unmarshalling errors are both
+/// known there, before any TCP state was touched.
+pub(crate) fn recv_chunk_fused<const LAST: bool, C: CipherKernel + Copy, M: Mem>(
+    s: &Scratch,
+    cipher: C,
+    m: &mut M,
+    rx: &mut Connection,
+    k: &mut impl KernelCtx,
+    app_out: Region,
+) -> RecvOutcome {
+    recv_whole_units::<C, _, _, _>(m, rx, k, |m, rx, k, d| {
+        let seg = d.ctx;
+        k.seg(seg, SegEv::RecvStage(Stage::Initial));
+        let (kernel, obs, path) = k.parts();
+        let (_, admitted) = three_stage(
+            m,
+            obs,
+            path,
+            |_m| Ok(d),
+            |m, d| {
+                let mut stages = Fused::new(ChecksumTap::new(), DecryptStage::new(cipher));
+                let admitted = fused_recv::<LAST, M>(s, m, &mut stages, d, app_out);
+                (stages.a.sum(), admitted)
+            },
+            |m, obs, d, (sum, admitted)| {
+                let mut k = observed(kernel, obs, path);
+                k.seg(seg, SegEv::RecvStage(Stage::Integrated));
+                rx.finish_recv(m, &mut k, d, *sum)?;
+                admitted.map(drop)
+            },
+        )?;
+        k.seg(seg, SegEv::RecvStage(Stage::Final));
+        admitted
+    })
+}
+
+/// `recv_chunk_fused` in the Figure 2 format — **the** ILP receive.
 pub fn recv_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
     s: &Scratch,
     cipher: C,
@@ -463,47 +580,7 @@ pub fn recv_chunk_ilp<C: CipherKernel + Copy, M: Mem>(
     k: &mut impl KernelCtx,
     app_out: Region,
 ) -> RecvOutcome {
-    let d = rx.poll_input(m, k)?;
-    let seg = d.ctx;
-    k.seg(seg, SegEv::RecvStage(Stage::Initial));
-    let (kernel, obs, path) = k.parts();
-    let verdict = three_stage(
-        m,
-        obs,
-        path,
-        |_m| Ok(d),
-        |m, d| {
-            let mut stages = Fused::new(ChecksumTap::new(), DecryptStage::new(cipher));
-            // An out-of-order or duplicate segment is certain to be
-            // rejected by the final stage — the fused pass still runs
-            // in full (its checksum drives the repeat-ACK decision) but
-            // unmarshals into staging so a stale retransmission that
-            // was corrupted in flight cannot scribble over bytes the
-            // application already owns.
-            let mut sink = if d.in_order {
-                ReplyUnmarshalSink::new(app_out.base, app_out.len)
-            } else {
-                ReplyUnmarshalSink::staging(s.staging.base, s.staging.len)
-            };
-            let mut source = OpaqueSource::new(d.payload_addr, d.payload_len);
-            ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.code_ilp_recv))
-                .expect("negotiated unit fits registers");
-            (stages.a.sum(), sink)
-        },
-        |m, obs, d, (sum, sink)| {
-            let mut k = observed(kernel, obs, path);
-            k.seg(seg, SegEv::RecvStage(Stage::Integrated));
-            rx.finish_recv(m, &mut k, d, *sum)?;
-            if sink.meta().is_none() {
-                return Err(Reject::BadFormat("reply prefix"));
-            }
-            Ok(())
-        },
-    );
-    if verdict.is_ok() {
-        k.seg(seg, SegEv::RecvStage(Stage::Final));
-    }
-    Some(verdict.map(|(_, sink)| sink.meta().expect("checked in final stage").1))
+    recv_chunk_fused::<LENGTH_FIRST, C, M>(s, cipher, m, rx, k, app_out)
 }
 
 /// Receive one chunk on `rx` into `app_out` over `path` — the one place
@@ -552,23 +629,16 @@ pub fn recv_reply_ilp_late<C: CipherKernel + Copy, M: Mem>(
     s: &mut Suite<C>,
     m: &mut M,
 ) -> RecvOutcome {
-    let d = s.rx.poll_input(m, &mut s.lb)?;
-    m.fetch(s.scratch.code_checksum);
-    let payload_sum = checksum_buf(m, d.payload_addr, d.payload_len);
-    if let Err(e) = s.rx.finish_recv(m, &mut s.lb, &d, payload_sum) {
-        return Some(Err(e));
-    }
-    // Later, at application level: fused decrypt+unmarshal (no checksum
-    // tap — already verified).
-    let mut stages = DecryptStage::new(s.cipher);
-    let mut sink = ReplyUnmarshalSink::new(s.app_out.base, s.app_out.len);
-    let mut source = OpaqueSource::new(d.payload_addr, d.payload_len);
-    ilp_run(m, &mut source, &mut stages, &mut sink, 1, Some(s.scratch.code_ilp_recv))
-        .expect("negotiated unit fits registers");
-    match sink.meta() {
-        Some((_, meta)) => Some(Ok(meta)),
-        None => Some(Err(Reject::BadFormat("reply prefix"))),
-    }
+    let (scratch, cipher, app_out) = (s.scratch, s.cipher, s.app_out);
+    recv_whole_units::<C, _, _, _>(m, &mut s.rx, &mut s.lb, |m, rx, lb, d| {
+        m.fetch(scratch.code_checksum);
+        let payload_sum = checksum_buf(m, d.payload_addr, d.payload_len);
+        rx.finish_recv(m, lb, &d, payload_sum)?;
+        // Later, at application level: fused decrypt+unmarshal (no
+        // checksum tap — already verified, hence accepted, hence in order).
+        let mut decrypt = DecryptStage::new(cipher);
+        fused_recv::<LENGTH_FIRST, M>(&scratch, m, &mut decrypt, &d, app_out)
+    })
 }
 
 /// Drain and process any pending ACKs on the sender side.
@@ -582,6 +652,7 @@ pub fn pump_acks<C: CipherKernel, M: Mem>(s: &mut Suite<C>, m: &mut M) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::ReplyWords;
     use memsim::{AddressSpace, NativeMem};
 
     fn fill_file<M: Mem>(s: &Suite<cipher::SimplifiedSafer>, m: &mut M, len: usize) {
@@ -814,7 +885,7 @@ mod tests {
     /// and require a checksum reject followed by recovery through the
     /// sender's timer with the file intact. With `lose_first` the kernel
     /// drops chunk 0, so the damaged chunk 1 arrives out of order and is
-    /// unmarshalled by the staging sink. Returns the reassembled file as
+    /// unmarshalled into staging. Returns the reassembled file as
     /// it stood right after the reject.
     fn flipped_bit_is_rejected_then_recovered(trailer: bool, lose_first: bool, bit: usize) -> Vec<u8> {
         use crate::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
@@ -869,13 +940,18 @@ mod tests {
 
     #[test]
     fn any_flipped_bit_of_the_first_32_payload_bytes_is_rejected_then_recovered() {
-        // Both prefixes (length / header words before the data) and the
-        // first data words, through both unmarshal sinks and both
-        // constructors of the reply sink.
+        // Both formats (length / header words before the data, then the
+        // first data words) through both constructors of the sink. A
+        // damaged segment that is not the next in-order one unmarshals
+        // into staging in either format: the reassembled file is
+        // untouched when the reject is rendered (the trailer receive
+        // used to write it straight into application memory).
         for bit in 0..256 {
-            flipped_bit_is_rejected_then_recovered(false, false, bit);
-            flipped_bit_is_rejected_then_recovered(false, true, bit);
-            flipped_bit_is_rejected_then_recovered(true, false, bit);
+            for trailer in [false, true] {
+                flipped_bit_is_rejected_then_recovered(trailer, false, bit);
+                let file = flipped_bit_is_rejected_then_recovered(trailer, true, bit);
+                assert!(file.iter().all(|&b| b == 0), "trailer={trailer} bit {bit}: placed before the verdict");
+            }
         }
     }
 
@@ -1004,6 +1080,48 @@ mod tests {
              kernel:w:4/5/7/0 scratch:r:1032/0/0/0 scratch:w:1032/0/0/0 state:r:0/0/14/0 \
              state:w:2/6/5/0 table:r:2064/0/0/0 compute:5915 fetch:217680B/3498"
         );
+    }
+
+    #[test]
+    fn trailer_wire_bytes_and_access_stream_of_one_chunk_are_pinned() {
+        // The same pin for the §5 length-last format, recorded on
+        // `e981af3` (before the two formats shared one view, one sink and
+        // one fused send/receive): the staged datagram (IP + TCP headers
+        // and ciphertext) as an FNV-1a digest, the two access streams
+        // verbatim.
+        use crate::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
+        use memsim::{HostModel, SimMem};
+        let mut space = AddressSpace::new();
+        let mut s = Suite::simplified(&mut space);
+        let file = s.file;
+        let mut m = SimMem::new(&space, &HostModel::ss20_60());
+        s.init_world(&mut m);
+        fill_file(&s, &mut m, 1000);
+        let _ = m.take_stats();
+        let chunk = meta(0, 0, 1000);
+        send_reply_ilp_trailer(&mut s, &mut m, &chunk, file.base).unwrap();
+        let send = m.take_stats();
+        assert_eq!(recv_reply_ilp_trailer(&mut s, &mut m).unwrap().unwrap(), chunk);
+        let recv = m.take_stats();
+        let staged = s.rx.recv_region();
+        let wire = m.peek(staged.base, utcp::IP_HEADER_LEN + utcp::TCP_HEADER_LEN + 1032);
+        let digest = wire.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+        assert_eq!(digest, 0x81cf_2350_26a6_4b6c_u64, "wire bytes");
+        assert_eq!(
+            access_stream(&send),
+            "app:r:0/0/250/0 kernel:r:0/0/261/0 kernel:w:4/5/265/0 ring:r:0/0/258/0 \
+             ring:w:1032/0/0/0 scratch:r:1032/0/0/0 scratch:w:1032/0/0/0 state:r:0/0/14/0 \
+             state:w:2/6/5/0 table:r:2064/0/0/0 compute:5836 fetch:191880B/3111"
+        );
+        assert_eq!(
+            access_stream(&recv),
+            "app:w:1000/0/0/0 buf:r:2/1/265/0 buf:w:0/0/268/0 kernel:r:1/1/535/0 \
+             kernel:w:4/5/7/0 scratch:r:1032/0/0/0 scratch:w:1032/0/0/0 state:r:0/0/14/0 \
+             state:w:2/6/5/0 table:r:2064/0/0/0 compute:5914 fetch:217680B/3498"
+        );
+        // Order shows in the miss counts (read, write) where totals cannot.
+        let misses = |st: &memsim::RunStats| (st.total_read_misses(), st.total_write_misses());
+        assert_eq!((misses(&send), misses(&recv)), ((295, 71), (100, 70)));
     }
 
     /// Four chunks through the explicit-connection paths; returns the

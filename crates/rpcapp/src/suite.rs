@@ -21,16 +21,7 @@ use memsim::region::{Region, RegionKind};
 use memsim::Mem;
 use utcp::{Connection, Loopback, UtcpConfig};
 
-use crate::paths::Scratch;
-
-/// Which cipher the suite runs — the paper's §4.1 ablation axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CipherChoice {
-    /// The simplified SAFER K-64 of §3.1 (tables + byte-grain).
-    SimplifiedSafer,
-    /// The very simple constant cipher of §4.1 (no tables, word-grain).
-    VerySimple,
-}
+use crate::paths::{footprint, Scratch};
 
 /// The protocol environment, generic over the cipher kernel.
 #[derive(Debug)]
@@ -115,18 +106,16 @@ impl<C: CipherKernel> Suite<C> {
         let file = space.alloc_kind("app_file", MAX_FILE, 64, RegionKind::AppData);
         let app_out = space.alloc_kind("app_out", MAX_FILE, 64, RegionKind::AppData);
 
-        // Instruction footprints. The fused loops carry the sum of their
-        // constituent bodies plus glue — measured in the paper as ≈3%
-        // total code growth from inlining. The scratch is assembled
+        // Instruction footprints ([`footprint`]). The scratch is assembled
         // field by field (not through `Scratch::alloc`) because every
         // calibrated figure depends on this allocation order: buffers,
         // then the application files, then code.
-        let code_marshal = space.alloc_code("marshal_loop", 240);
-        let code_unmarshal = space.alloc_code("unmarshal_loop", 280);
-        let code_checksum = space.alloc_code("checksum_loop", 96);
-        let code_copy = space.alloc_code("tcp_send_copy", 64);
-        let code_ilp_send = space.alloc_code("ilp_send_loop", 240 + 480 + 96 + 120);
-        let code_ilp_recv = space.alloc_code("ilp_recv_loop", 280 + 560 + 96 + 120);
+        let code_marshal = space.alloc_code("marshal_loop", footprint::MARSHAL);
+        let code_unmarshal = space.alloc_code("unmarshal_loop", footprint::UNMARSHAL);
+        let code_checksum = space.alloc_code("checksum_loop", footprint::CHECKSUM);
+        let code_copy = space.alloc_code("tcp_send_copy", footprint::COPY);
+        let code_ilp_send = space.alloc_code("ilp_send_loop", footprint::ILP_SEND);
+        let code_ilp_recv = space.alloc_code("ilp_recv_loop", footprint::ILP_RECV);
 
         Suite {
             cipher,

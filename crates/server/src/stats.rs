@@ -19,23 +19,6 @@ pub struct PerConnStats {
     pub completed_at: u64,
 }
 
-impl PerConnStats {
-    /// Transfer duration in virtual ticks (at least 1 once complete).
-    ///
-    /// Saturates: a `completed_at` before `established_at` yields 1,
-    /// never a wrapped huge value. The harness cannot produce that
-    /// order — a session is stamped established once, when it leaves
-    /// `Allocated`, and a retried SYN only provokes a fresh SYN-ACK —
-    /// so this guards hand-built stats, not a protocol path.
-    pub fn duration_ticks(&self) -> u64 {
-        if self.completed_at == 0 {
-            0
-        } else {
-            self.completed_at.saturating_sub(self.established_at).max(1)
-        }
-    }
-}
-
 /// Jain's fairness index over per-connection shares (the health
 /// engine's, under the name the server's reports have always used).
 pub use obs::health::jain as jain_fairness;
@@ -68,21 +51,5 @@ mod tests {
         let idx = jain_fairness(&[5.0, f64::NAN, -3.0, f64::INFINITY]);
         assert!((idx - 0.25).abs() < 1e-12, "bad shares count as zero: {idx}");
         assert!((jain_fairness(&[-1.0, -1.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duration_saturates_on_late_establishment() {
-        let s = PerConnStats { established_at: 20, completed_at: 9, ..Default::default() };
-        assert_eq!(s.duration_ticks(), 1);
-    }
-
-    #[test]
-    fn duration_requires_completion() {
-        let mut s = PerConnStats { established_at: 5, ..Default::default() };
-        assert_eq!(s.duration_ticks(), 0);
-        s.completed_at = 9;
-        assert_eq!(s.duration_ticks(), 4);
-        s.completed_at = 5;
-        assert_eq!(s.duration_ticks(), 1, "same-tick completion counts as one tick");
     }
 }

@@ -662,6 +662,32 @@ mod tests {
         }
     }
 
+    /// Fuzz: `build_sack_option` over any block list a sender could hand
+    /// it — one block to twice what a header can carry, any edges — in a
+    /// header staging of exactly the size `Connection::new` allocates,
+    /// ending where the arena ends. It writes at most a full option,
+    /// claims exactly what it wrote, and `sack_blocks` reads the same
+    /// blocks back. (An empty list is the caller's bug, `debug_assert`ed:
+    /// a bare ACK carries no option at all.)
+    #[test]
+    fn fuzz_build_sack_option_never_panics() {
+        let mut rng = XorShift64::new(0x5AC_B01D);
+        for _ in 0..8_000 {
+            let mut space = AddressSpace::new();
+            let hdr = space.alloc("hdr", TCP_HEADER_LEN + sack_option_len(MAX_SACK_BLOCKS), 4);
+            let mut arena = space.native_arena();
+            let mut m = NativeMem::new(&mut arena);
+            let h = TcpHeader::at(hdr.base);
+            h.build(&mut m, 1, 2, rng.next_u32(), rng.next_u32(), TcpFlags::ACK, 8192);
+            let blocks: Vec<(u32, u32)> =
+                (0..1 + rng.index(2 * MAX_SACK_BLOCKS)).map(|_| (rng.next_u32(), rng.next_u32())).collect();
+            let carried = blocks.len().min(MAX_SACK_BLOCKS);
+            assert_eq!(h.build_sack_option(&mut m, &blocks), sack_option_len(carried));
+            assert_eq!(h.header_len(&mut m), TCP_HEADER_LEN + sack_option_len(carried));
+            assert_eq!(h.sack_blocks(&mut m).as_slice(), &blocks[..carried]);
+        }
+    }
+
     /// The accessors' precondition, pinned like the option parsers'
     /// below: they trust that 20 bytes are there. On a 19-byte segment
     /// at the end of the arena the header sum walks off it.

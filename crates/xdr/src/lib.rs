@@ -32,4 +32,4 @@ pub mod stream;
 pub mod stubgen;
 
 pub use runtime::{XdrDecoder, XdrEncoder, XdrError};
-pub use stream::{HeaderWords, OpaqueSink, OpaqueSource, WireStream};
+pub use stream::{HeaderWords, OpaqueSink, OpaqueSource};

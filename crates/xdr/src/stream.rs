@@ -9,10 +9,6 @@
 //! push them through cipher/checksum stages *in registers*, and store the
 //! result once; marshalling output never becomes memory traffic.
 //!
-//! Everything is also usable behind `dyn` (the traits are object-safe,
-//! parameterised by the memory type), which is exactly what the paper's
-//! §3.2.1 "function calls instead of macros" experiment needs.
-//!
 //! The ILP applicability rule (§2.2) — *the header size must be known
 //! before entering the ILP loop* — shows up here as
 //! [`WordSource::total_words`]: every stream declares its exact length up
@@ -237,24 +233,6 @@ impl<M: Mem> WordSink<M> for OpaqueSink {
     }
 }
 
-/// Test/diagnostic sink collecting words on the host heap.
-#[derive(Debug, Default, Clone)]
-pub struct VecSink {
-    /// Collected words.
-    pub words: Vec<u32>,
-}
-
-impl<M: Mem> WordSink<M> for VecSink {
-    fn push_word(&mut self, _m: &mut M, word: u32) -> bool {
-        self.words.push(word);
-        true
-    }
-
-    fn total_words(&self) -> usize {
-        usize::MAX
-    }
-}
-
 /// Drain a source into a sink (no transformation) — the degenerate
 /// one-stage "integration"; useful for tests and as the copy stage.
 pub fn pump<M: Mem>(m: &mut M, src: &mut impl WordSource<M>, dst: &mut impl WordSink<M>) -> usize {
@@ -265,13 +243,6 @@ pub fn pump<M: Mem>(m: &mut M, src: &mut impl WordSource<M>, dst: &mut impl Word
     }
     n
 }
-
-/// Object-safe alias: a boxed word source (the §3.2.1 "function calls and
-/// function pointers" implementation variant).
-pub type DynSource<M> = Box<dyn WordSource<M>>;
-
-/// Legacy-compatible re-export name used in crate docs.
-pub use self::WordSource as WireStream;
 
 #[cfg(test)]
 mod tests {
@@ -356,23 +327,6 @@ mod tests {
         assert_eq!(m.bytes(dst.base, 5), &[1, 2, 3, 4, 5]);
         // Bytes 5..8 untouched: a 5-byte sink must not write byte 5.
         assert_eq!(m.bytes(dst.base + 5, 3), &[0xEE, 0xEE, 0xEE]);
-    }
-
-    #[test]
-    fn dyn_dispatch_matches_static_dispatch() {
-        let (space, src, dst) = fixture();
-        let mut arena = space.native_arena();
-        let mut m = NativeMem::new(&mut arena);
-        let payload: Vec<u8> = (0..32).collect();
-        m.bytes_mut(src.base, 32).copy_from_slice(&payload);
-        let mut boxed: DynSource<NativeMem> =
-            Box::new(Chain::new(HeaderWords::new(&[7]), OpaqueSource::new(src.base, 32)));
-        let mut sink = OpaqueSink::new(1, dst.base, 32);
-        while let Some(w) = boxed.next_word(&mut m) {
-            sink.push_word(&mut m, w);
-        }
-        assert_eq!(sink.header(), &[7]);
-        assert_eq!(m.bytes(dst.base, 32), &payload[..]);
     }
 
     #[test]

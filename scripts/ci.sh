@@ -94,12 +94,28 @@ if sed '/#\[cfg(test)\]/,$d' crates/cipher/src/simplified.rs \
     echo "SimplifiedSafer::{encrypt_unit, decrypt_unit}: no Region::at, read_u8 or write_u8 per byte"
     exit 1
 fi
-for f in crates/cipher/src/*.rs crates/core/src/*.rs crates/utcp/src/ring.rs crates/rpcapp/src/msg.rs; do
+for f in crates/cipher/src/*.rs crates/core/src/*.rs crates/utcp/src/ring.rs crates/rpcapp/src/{msg,trailer,paths}.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\b(NativeMem|SimMem)\b'; then
         echo "$f: a kernel, stage or sink is written against Mem, not against one memory"
         exit 1
     fi
 done
+# `rpcapp` says what a reply is once: one word view and one unmarshal
+# sink, generic over where the length field sits; one fused send and one
+# fused receive (the staging rule is chosen there and nowhere else); one
+# spelling of each clause of the admission rule; and no trait method
+# whose body says it must not be called.
+rpc=$(for f in crates/rpcapp/src/*.rs; do sed '/#\[cfg(test)\]/,$d' "$f"; done)
+if [ "$(grep -cE '^impl.* UnitSink<M> for ' <<<"$rpc")" -ne 1 ] \
+    || [ "$(grep -cE '^impl.* WordSource<M> for ' <<<"$rpc")" -ne 1 ] \
+    || [ "$(grep -c 'ilp_run(' <<<"$rpc")" -ne 2 ] \
+    || [ "$(grep -cE '(>|<=) *(d\.)?payload_len' <<<"$rpc")" -ne 1 ] \
+    || [ "$(grep -cE 'payload_len % C::UNIT' <<<"$rpc")" -ne 1 ] \
+    || [ "$(grep -c 'fn resolve(' <<<"$rpc")" -ne 1 ] \
+    || grep -n 'unreachable!' <<<"$rpc"; then
+    echo "rpcapp: one UnitSink impl, one WordSource impl, ilp_run( in fused_send and fused_recv only, each admission clause spelled once, no unreachable! trait method"
+    exit 1
+fi
 # `obs` says each thing once: one bounded ring (the event trace and the
 # flight recorders are aliases of it), one counters-plus-histograms
 # tally, one Jain index; thresholds nobody sets are constants, and the

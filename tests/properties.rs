@@ -26,6 +26,7 @@ use ilp_repro::rpcapp::paths::{
     pump_acks, recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp,
 };
 use ilp_repro::rpcapp::suite::Suite;
+use ilp_repro::rpcapp::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
 use ilp_repro::utcp::rng::XorShift64;
 use ilp_repro::utcp::{Delivered, FaultPlan, Ipv4Header};
 use ilp_repro::xdr::{XdrDecoder, XdrEncoder};
@@ -126,6 +127,81 @@ fn delivered_data_equals_sent_data() {
             assert_eq!(m.bytes(suite.app_out.at(offset), payload.len()), payload);
         });
     });
+}
+
+/// An authentic reply cut at a cipher-block boundary is well-formed at
+/// every layer below the RPC message: whole cipher units, and a TCP
+/// checksum anyone can recompute (it is unkeyed). Only the decrypted
+/// length field says the message is longer than what arrived. The two
+/// implementations are the same protocol, so for every such cut of a
+/// 1 000-byte reply they give the same verdict and leave the same bytes
+/// in the reassembled file — a reject and nothing, short of the whole
+/// message. (The ILP receiver used to accept the 64-byte cut as
+/// `data_len: 1000` with 36 bytes written.) The §5 trailer format has
+/// only a fused receiver; it is held to the same outcome.
+#[test]
+fn truncated_authentic_reply_gets_one_verdict_from_both_receivers() {
+    #[derive(Clone, Copy)]
+    enum Receiver {
+        NonIlp,
+        Ilp,
+        IlpTrailer,
+    }
+    let recv = |by: Receiver, suite: &mut Suite<SimplifiedSafer>, m: &mut NativeMem<'_>| match by {
+        Receiver::NonIlp => recv_reply_non_ilp(suite, m),
+        Receiver::Ilp => recv_reply_ilp(suite, m),
+        Receiver::IlpTrailer => recv_reply_ilp_trailer(suite, m),
+    };
+    let payload: Vec<u8> = (0..1000).map(|i| (i * 31 + 7) as u8).collect();
+    let meta = ReplyMeta { request_id: 7, seq: 0, offset: 2048, last: 1, data_len: 1000 };
+    for trailer in [false, true] {
+        // The authentic ciphertext, as the sender put it on the wire.
+        let mut wire = Vec::new();
+        with_world(&payload, |suite, m| {
+            let file = suite.file;
+            if trailer {
+                send_reply_ilp_trailer(suite, m, &meta, file.base).unwrap();
+            } else {
+                send_reply_ilp(suite, m, &meta, file.base).unwrap();
+            }
+            let d = suite.rx.poll_input(m, &mut suite.lb).unwrap();
+            wire = m.bytes(d.payload_addr, d.payload_len).to_vec();
+        });
+        assert_eq!(wire.len(), 1032);
+        let receivers: &[Receiver] =
+            if trailer { &[Receiver::IlpTrailer] } else { &[Receiver::NonIlp, Receiver::Ilp] };
+        // Every cut through one world per receiver: a truncated reply is
+        // an in-order TCP segment, so the connection carries on.
+        let outcomes: Vec<_> = receivers
+            .iter()
+            .map(|&by| {
+                let mut seen = Vec::new();
+                with_world(&[], |suite, m| {
+                    let buf = suite.scratch.marshal_buf.base;
+                    m.bytes_mut(buf, wire.len()).copy_from_slice(&wire);
+                    for cut in (8..=wire.len()).step_by(8) {
+                        suite.tx.send_buf(m, &mut suite.lb, buf, cut).unwrap();
+                        let verdict = recv(by, suite, m).expect("delivered");
+                        pump_acks(suite, m);
+                        seen.push((cut, verdict, m.bytes(suite.app_out.base, suite.app_out.len).to_vec()));
+                    }
+                });
+                seen
+            })
+            .collect();
+        for other in &outcomes[1..] {
+            assert_eq!(&outcomes[0], other, "trailer={trailer}: the receivers disagree");
+        }
+        for (cut, verdict, app_out) in &outcomes[0] {
+            if *cut < wire.len() {
+                assert!(verdict.is_err(), "trailer={trailer} cut {cut}: accepted {verdict:?}");
+                assert!(app_out.iter().all(|&b| b == 0), "trailer={trailer} cut {cut}: bytes placed");
+            } else {
+                assert_eq!(*verdict, Ok(meta));
+                assert_eq!(app_out[2048..3048], payload[..]);
+            }
+        }
+    }
 }
 
 /// One ILP-sent message polled at the receiver with one payload byte

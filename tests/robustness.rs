@@ -2,11 +2,13 @@
 //! cleanly — never panic, never corrupt connection state, never deliver
 //! bad data to the application.
 
+use ilp_repro::ilp::Reject;
 use ilp_repro::memsim::{AddressSpace, Mem, NativeMem};
+use ilp_repro::rpcapp::app::Path;
 use ilp_repro::rpcapp::msg::ReplyMeta;
-use ilp_repro::rpcapp::paths::{recv_reply_ilp, send_reply_ilp};
+use ilp_repro::rpcapp::paths::{recv_reply, recv_reply_ilp, send_chunk, send_reply_ilp};
 use ilp_repro::rpcapp::suite::Suite;
-use ilp_repro::utcp::{Ipv4Header, IP_HEADER_LEN};
+use ilp_repro::utcp::{Connection, Ipv4Header, UtcpConfig, IP_HEADER_LEN};
 
 /// Flip arbitrary bytes anywhere in the datagram (IP header, TCP
 /// header, or ciphertext): the receiver must never accept it as valid
@@ -109,4 +111,64 @@ fn bad_ip_headers_dropped_by_kernel_demux() {
         }
     }
     panic!("retransmission never recovered the dropped segments");
+}
+
+/// A correctly checksummed, in-order segment of *any* payload length is
+/// a verdict, never a panic, and the same verdict on both paths. One
+/// whose payload is not a whole number of cipher units (12 bytes used to
+/// trip the fused loop's alignment assert, 6 or 12 `decrypt_buf`'s —
+/// after the non-ILP receiver had already ACKed it: one datagram crashed
+/// `serve_udp serve`) is refused before any pass runs and before TCP
+/// state moves, so the genuine segment at that sequence number is still
+/// accepted. A whole-unit one is a well-formed TCP segment carrying
+/// garbage: acknowledged as a segment, refused as a reply.
+#[test]
+fn any_payload_length_is_a_verdict_not_a_panic_and_the_next_chunk_is_delivered() {
+    for len in 1..=40usize {
+        let verdict = [Path::Ilp, Path::NonIlp].map(|path| {
+            let mut space = AddressSpace::new();
+            let mut s = Suite::simplified(&mut space);
+            // The injector aims at the receiver's port with the sender's
+            // next sequence number (a port of its own: the loop-back
+            // demultiplexes by destination and registers each port once).
+            let cfg = UtcpConfig {
+                local_port: s.tx.local_port() + 1,
+                peer_port: s.tx.peer_port(),
+                ..Default::default()
+            };
+            let mut injector = Connection::new(&mut space, &mut s.lb, cfg, s.tx.snd_nxt());
+            injector.set_peer_iss(s.rx.snd_nxt());
+            let (file, junk) = (s.file, s.scratch.marshal_buf.base);
+            let mut arena = space.native_arena();
+            let mut m = NativeMem::new(&mut arena);
+            s.init_world(&mut m);
+            for i in 0..512 {
+                m.write_u8(file.at(i), i as u8);
+                m.write_u8(junk + i % 64, (i * 37 + len) as u8);
+            }
+
+            injector.send_buf(&mut m, &mut s.lb, junk, len).unwrap();
+            let before = (s.rx.rcv_nxt(), s.rx.stats);
+            let verdict = recv_reply(path, &mut s, &mut m).expect("the segment is delivered");
+            assert!(matches!(verdict, Err(Reject::BadFormat(_))), "{path:?} len {len}: {verdict:?}");
+            assert_eq!(s.rx.stats.rejected, before.1.rejected + u64::from(len % 8 != 0));
+            if len % 8 != 0 {
+                assert_eq!(s.rx.rcv_nxt(), before.0, "{path:?} len {len}: sequence space consumed");
+                assert_eq!(s.rx.stats.acks_sent, before.1.acks_sent, "{path:?} len {len}: ACKed");
+            }
+
+            // Whoever now holds the receiver's next sequence number — the
+            // genuine sender, unless the junk was accepted as a segment —
+            // sends a well-formed chunk, and it arrives.
+            let sender = if s.rx.rcv_nxt() == s.tx.snd_nxt() { &mut s.tx } else { &mut injector };
+            let meta = ReplyMeta { request_id: 1, seq: 0, offset: 0, last: 1, data_len: 500 };
+            send_chunk(path, &s.scratch, &s.cipher, &mut m, sender, &mut s.lb, &meta, file.base).unwrap();
+            assert_eq!(recv_reply(path, &mut s, &mut m), Some(Ok(meta)), "{path:?} len {len}");
+            for i in 0..500 {
+                assert_eq!(m.read_u8(s.app_out.at(i)), i as u8);
+            }
+            verdict
+        });
+        assert_eq!(verdict[0], verdict[1], "len {len}: ILP and non-ILP disagree");
+    }
 }
