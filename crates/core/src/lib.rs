@@ -53,7 +53,7 @@ pub mod three_stage;
 pub mod unitbuf;
 pub mod units;
 
-pub use pipeline::{ilp_run, IlpRun, LinearSink, StoreGrain, UnitSink};
+pub use pipeline::{ilp_run, store_unit, store_words, IlpRun, LinearSink, StoreGrain, UnitSink};
 pub use segment::{PartKind, SegmentPlan};
 pub use stage::{
     ChecksumTap, CrcStage, DecryptStage, DynPipeline, EncryptStage, Fused, Identity, Ordering,

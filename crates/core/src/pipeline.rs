@@ -9,16 +9,21 @@
 //! whatever table/key/scratch accesses the stages themselves make.
 //!
 //! Each (source, stages, sink) instantiation compiles to one loop body:
-//! the `next_word` / `process` / `store` implementations of this
-//! workspace are `#[inline(always)]`, and so are the unit kernels of the
-//! experiment cipher (`SimplifiedSafer`, ≈ 75 instructions a unit once
-//! it touches memory in bursts — the paper's macro; the full SAFER K-64
-//! and DES bodies stay out of line, a loop with one of those inlined
-//! spills). Rare cases (tail word, padding, header capture) sit in
-//! `#[cold]` helpers, and `scripts/ci.sh` fails when the native
-//! benchmark binary carries a source, stage, sink or `SimplifiedSafer`
-//! unit kernel as an out-of-line symbol. DESIGN.md §18 has the
-//! measurements.
+//! the `next_word` / `next_unit` / `process` / `store` implementations of
+//! this workspace and [`store_unit`] are `#[inline(always)]`, and so are
+//! the unit kernels of the experiment cipher (`SimplifiedSafer`, ≈ 75
+//! instructions a unit once it touches memory in bursts — the paper's
+//! macro; the full SAFER K-64 and DES bodies stay out of line, a loop
+//! with one of those inlined spills). Rare cases (tail word, padding,
+//! header capture) sit in `#[cold]` helpers, and `scripts/ci.sh` fails
+//! when the native benchmark binary carries a source, stage, sink, unit
+//! store, `Mem` word burst or `SimplifiedSafer` unit kernel as an
+//! out-of-line symbol. DESIGN.md §18 has the measurements.
+//!
+//! Memory traffic is per unit, not per word: the loop pulls a unit with
+//! [`WordSource::next_unit`] and every sink stores one with
+//! [`store_unit`] — each one bounds check natively, and to an
+//! instrumented memory exactly the per-word accesses they replace.
 //!
 //! The sink stores at a [`StoreGrain`] derived from the stages' output
 //! granularity: the byte-oriented SAFER family stores single bytes (the
@@ -61,6 +66,30 @@ pub trait UnitSink<M: Mem> {
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain);
 }
 
+/// Store a whole exchange unit at `addr` as one burst: the `words()`
+/// four-byte writes of [`StoreGrain::Word`], or the one-byte writes of
+/// [`StoreGrain::Byte`], at ascending addresses — what every sink's
+/// steady state is.
+#[inline(always)]
+pub fn store_unit<M: Mem>(m: &mut M, addr: usize, unit: &UnitBuf, grain: StoreGrain) {
+    match unit.words() {
+        1 => store_words::<1, M>(m, addr, core::array::from_fn(|i| unit.word(i)), grain),
+        2 => store_words::<2, M>(m, addr, core::array::from_fn(|i| unit.word(i)), grain),
+        3 => store_words::<3, M>(m, addr, core::array::from_fn(|i| unit.word(i)), grain),
+        _ => store_words::<4, M>(m, addr, core::array::from_fn(|i| unit.word(i)), grain),
+    }
+}
+
+/// Store `W` words at `addr` as one burst at `grain` — the one place a
+/// store grain becomes `Mem` accesses.
+#[inline(always)]
+pub fn store_words<const W: usize, M: Mem>(m: &mut M, addr: usize, words: [u32; W], grain: StoreGrain) {
+    match grain {
+        StoreGrain::Byte => m.write_words_as_bytes(addr, words),
+        StoreGrain::Word => m.write_words_be(addr, words),
+    }
+}
+
 /// Sink writing sequentially into a flat memory region.
 #[derive(Debug, Clone, Copy)]
 pub struct LinearSink {
@@ -83,19 +112,7 @@ impl LinearSink {
 impl<M: Mem> UnitSink<M> for LinearSink {
     #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
-        let base = self.addr + self.written;
-        match grain {
-            StoreGrain::Byte => {
-                for i in 0..unit.words() {
-                    m.write_bytes(base + 4 * i, unit.word(i).to_be_bytes());
-                }
-            }
-            StoreGrain::Word => {
-                for i in 0..unit.words() {
-                    m.write_u32_be(base + 4 * i, unit.word(i));
-                }
-            }
-        }
+        store_unit(m, self.addr + self.written, unit, grain);
         self.written += unit.len();
     }
 }
@@ -171,8 +188,7 @@ fn run_units<const W: usize, M: Mem>(
     let units = total_words / W;
     let mut unit = UnitBuf::new(4 * W);
     for _ in 0..units {
-        for i in 0..W {
-            let w = source.next_word(m).expect("source violated its declared word count");
+        for (i, w) in source.next_unit::<W>(m).into_iter().enumerate() {
             unit.set_word(i, w);
         }
         if let Some(code) = code {

@@ -13,8 +13,9 @@
 //! bounds check (two compares and a branch to the panic path) before its
 //! load or store. That check is what keeps a wild address a panic instead
 //! of a wild access, and it does *not* vanish under monomorphisation: a
-//! kernel that touches memory a byte at a time pays it per byte. The three
-//! burst operations exist so that byte-grain kernels pay it per burst.
+//! kernel that touches memory a byte at a time pays it per byte. The burst
+//! operations exist so that byte-grain kernels pay it per burst, and the
+//! fused loops per exchange unit instead of per word.
 //!
 //! **What the burst operations promise every `Mem`.**
 //! [`Mem::read_bytes`] / [`Mem::write_bytes`] are "`N` one-byte accesses
@@ -22,9 +23,13 @@
 //! 256-byte table". Their defaults are written in `read::<1>` /
 //! `write::<1>`, so an instrumented memory books exactly the byte-grain
 //! traffic the kernel means — eight `B1` reads, never one `B8` — and
-//! returns and leaves exactly what the one-byte calls would. `NativeMem`
-//! overrides them with one bounds check per burst (per table window) and
-//! still panics on anything outside its arena.
+//! returns and leaves exactly what the one-byte calls would. Likewise the
+//! word bursts: [`Mem::read_words_be`] / [`Mem::write_words_be`] are "`W`
+//! four-byte accesses at ascending addresses" (`W` `B4`, never one wider
+//! access), and [`Mem::write_words_as_bytes`] is the `4W` one-byte writes
+//! of one `write_bytes::<4>` per word. `NativeMem` overrides each burst
+//! with one bounds check per burst (per table window) and still panics on
+//! anything outside its arena.
 //!
 //! Register-resident computation is *not* memory traffic. Kernels announce
 //! it through [`Mem::compute`] (ALU operation counts) so the host cost
@@ -191,6 +196,34 @@ pub trait Mem {
         self.read_u8(table + usize::from(idx))
     }
 
+    // --- word bursts: one exchange unit per operation ---
+
+    /// `W` big-endian four-byte reads at `addr`, `addr + 4`, … in
+    /// ascending order — one exchange unit of a word-filter loop.
+    #[inline(always)]
+    fn read_words_be<const W: usize>(&mut self, addr: usize) -> [u32; W] {
+        core::array::from_fn(|i| self.read_u32_be(addr + 4 * i))
+    }
+
+    /// `W` big-endian four-byte writes at `addr`, `addr + 4`, … in
+    /// ascending order (a word-grain store of one unit).
+    #[inline(always)]
+    fn write_words_be<const W: usize>(&mut self, addr: usize, words: [u32; W]) {
+        for (i, w) in words.into_iter().enumerate() {
+            self.write_u32_be(addr + 4 * i, w);
+        }
+    }
+
+    /// The `4W` one-byte writes of `W` big-endian words, at ascending
+    /// addresses from `addr` (a byte-grain store of one unit: one
+    /// `write_bytes::<4>` per word).
+    #[inline(always)]
+    fn write_words_as_bytes<const W: usize>(&mut self, addr: usize, words: [u32; W]) {
+        for (i, w) in words.into_iter().enumerate() {
+            self.write_bytes(addr + 4 * i, w.to_be_bytes());
+        }
+    }
+
     /// Word-wise (4-byte) copy of `len` bytes, with a byte-wise tail.
     ///
     /// This is the canonical "system copy" / `tcp_send` copy of the paper's
@@ -286,6 +319,39 @@ impl Mem for NativeMem<'_> {
     fn lookup_u8(&mut self, table: usize, idx: u8) -> u8 {
         let i = table - self.base;
         self.arena[i..i + 256][usize::from(idx)]
+    }
+
+    /// One slice check for the unit.
+    #[inline(always)]
+    fn read_words_be<const W: usize>(&mut self, addr: usize) -> [u32; W] {
+        let (words, _) = self.unit(addr, W).as_chunks::<4>();
+        core::array::from_fn(|i| u32::from_be_bytes(words[i]))
+    }
+
+    /// One slice check for the unit.
+    #[inline(always)]
+    fn write_words_be<const W: usize>(&mut self, addr: usize, words: [u32; W]) {
+        let (slots, _) = self.unit(addr, W).as_chunks_mut::<4>();
+        for (slot, w) in slots.iter_mut().zip(words) {
+            *slot = w.to_be_bytes();
+        }
+    }
+
+    /// One slice check for the unit: natively a byte-grain store of
+    /// whole words is the word store.
+    #[inline(always)]
+    fn write_words_as_bytes<const W: usize>(&mut self, addr: usize, words: [u32; W]) {
+        self.write_words_be(addr, words);
+    }
+}
+
+impl NativeMem<'_> {
+    /// The `4 * words` arena bytes at `addr` — one slice check; a burst
+    /// outside the arena panics here.
+    #[inline(always)]
+    fn unit(&mut self, addr: usize, words: usize) -> &mut [u8] {
+        let i = addr - self.base;
+        &mut self.arena[i..i + 4 * words]
     }
 }
 
@@ -386,10 +452,23 @@ mod tests {
         assert!(panics(&space, |m| m.lookup_u8(end - 255, 0)), "table window crossing the end");
         assert!(panics(&space, |m| m.lookup_u8(base - 1, 1)), "table window crossing the start");
         assert!(panics(&space, |m| m.lookup_u8(end + 4096, 0)), "table outside the arena");
+        // Word bursts: crossing the end, crossing the start, wholly outside.
+        assert!(panics(&space, |m| m.read_words_be::<2>(end - 4)), "word read crossing the end");
+        assert!(panics(&space, |m| m.write_words_be(end - 12, [1u32; 4])), "word write crossing the end");
+        assert!(panics(&space, |m| m.write_words_as_bytes(end - 4, [1u32; 3])), "byte-grain crossing the end");
+        assert!(panics(&space, |m| m.read_words_be::<4>(base - 4)), "word read crossing the start");
+        assert!(panics(&space, |m| m.write_words_be(base - 8, [1u32; 1])), "word write below the arena");
+        assert!(panics(&space, |m| m.write_words_as_bytes(base - 4, [1u32; 2])), "byte-grain burst below");
+        assert!(panics(&space, |m| m.read_words_be::<1>(end + 4096)), "word read outside the arena");
+        assert!(panics(&space, |m| m.write_words_as_bytes(end + 64, [1u32; 4])), "byte-grain burst outside");
         // The last burst and the last window that fit do not panic.
         assert!(!panics(&space, |m| m.read_bytes::<8>(end - 8)));
         assert!(!panics(&space, |m| m.write_bytes(end - 4, [1u8; 4])));
         assert!(!panics(&space, |m| m.lookup_u8(end - 256, 255)));
+        assert!(!panics(&space, |m| m.read_words_be::<4>(end - 16)));
+        assert!(!panics(&space, |m| m.write_words_be(end - 12, [1u32; 3])));
+        assert!(!panics(&space, |m| m.write_words_as_bytes(end - 8, [1u32; 2])));
+        assert!(!panics(&space, |m| m.read_words_be::<1>(base)));
     }
 
     /// One burst write on `burst`, the `N` one-byte writes it stands for
@@ -409,10 +488,43 @@ mod tests {
         assert_eq!(got, want, "read_bytes::<{N}> at {addr:#x}");
     }
 
+    /// One word burst on `burst` — `W` four-byte writes, or `4W` one-byte
+    /// writes when `as_bytes` — and the per-word calls it stands for on
+    /// `words`.
+    fn write_words_both<const W: usize, M: Mem>(
+        burst: &mut M,
+        words: &mut M,
+        addr: usize,
+        data: [u8; 8],
+        as_bytes: bool,
+    ) {
+        let seed = u64::from_be_bytes(data);
+        let unit: [u32; W] = core::array::from_fn(|i| seed.rotate_left(16 * i as u32) as u32);
+        if as_bytes {
+            burst.write_words_as_bytes(addr, unit);
+        } else {
+            burst.write_words_be(addr, unit);
+        }
+        for (i, w) in unit.into_iter().enumerate() {
+            if as_bytes {
+                words.write_bytes(addr + 4 * i, w.to_be_bytes());
+            } else {
+                words.write_u32_be(addr + 4 * i, w);
+            }
+        }
+    }
+
+    /// One word-burst read on `burst` against `W` `read_u32_be` on `words`.
+    fn read_words_both<const W: usize, M: Mem>(burst: &mut M, words: &mut M, addr: usize) {
+        let got: [u32; W] = burst.read_words_be(addr);
+        let want: [u32; W] = core::array::from_fn(|i| words.read_u32_be(addr + 4 * i));
+        assert_eq!(got, want, "read_words_be::<{W}> at {addr:#x}");
+    }
+
     /// Drive two memories of one kind in lockstep over region `r`: `burst`
-    /// through the burst operations, `bytes` through the one-byte calls
-    /// their contract names. Every value returned and every byte left
-    /// behind must agree.
+    /// through the burst operations, `bytes` through the one-byte (or, for
+    /// a word burst, per-word) calls their contract names. Every value
+    /// returned and every byte left behind must agree.
     fn bursts_equal_byte_accesses<M: Mem>(burst: &mut M, bytes: &mut M, r: crate::region::Region) {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
@@ -422,8 +534,8 @@ mod tests {
             x
         };
         for _ in 0..20_000 {
-            let (op, data) = (next() % 9, next().to_be_bytes());
-            let addr = r.base + next() as usize % (r.len - 8);
+            let (op, data) = (next() % 21, next().to_be_bytes());
+            let addr = r.base + next() as usize % (r.len - 16);
             match op {
                 0 => write_both::<1, M>(burst, bytes, addr, data),
                 1 => write_both::<2, M>(burst, bytes, addr, data),
@@ -433,6 +545,14 @@ mod tests {
                 5 => read_both::<2, M>(burst, bytes, addr),
                 6 => read_both::<4, M>(burst, bytes, addr),
                 7 => read_both::<8, M>(burst, bytes, addr),
+                8 => read_words_both::<1, M>(burst, bytes, addr),
+                9 => read_words_both::<2, M>(burst, bytes, addr),
+                10 => read_words_both::<3, M>(burst, bytes, addr),
+                11 => read_words_both::<4, M>(burst, bytes, addr),
+                12 | 13 => write_words_both::<1, M>(burst, bytes, addr, data, op == 13),
+                14 | 15 => write_words_both::<2, M>(burst, bytes, addr, data, op == 15),
+                16 | 17 => write_words_both::<3, M>(burst, bytes, addr, data, op == 17),
+                18 | 19 => write_words_both::<4, M>(burst, bytes, addr, data, op == 19),
                 _ => {
                     let table = r.base + next() as usize % (r.len - 255);
                     let idx = data[0];
@@ -477,5 +597,26 @@ mod tests {
         let s = m.stats();
         assert_eq!((s.reads.by_size(crate::SizeClass::B1), s.reads.total()), (9, 9), "never one B8");
         assert_eq!((s.writes.by_size(crate::SizeClass::B1), s.writes.total()), (4, 4));
+    }
+
+    #[test]
+    fn sim_books_a_word_burst_as_ascending_word_or_byte_accesses() {
+        use crate::cache::AccessKind::{Read, Write};
+        use crate::trace::TraceEvent;
+        use crate::SizeClass::{B1, B4};
+        let (space, r) = fixture();
+        let mut m = crate::SimMem::new(&space, &crate::HostModel::ss10_30());
+        m.start_trace(64);
+        let _: [u32; 4] = m.read_words_be(r.at(16));
+        m.write_words_be(r.at(32), [7u32; 3]);
+        m.write_words_as_bytes(r.at(48), [9u32; 2]);
+        let mut want: Vec<TraceEvent> =
+            (0..4).map(|i| TraceEvent { addr: r.at(16 + 4 * i), len: 4, kind: Read }).collect();
+        want.extend((0..3).map(|i| TraceEvent { addr: r.at(32 + 4 * i), len: 4, kind: Write }));
+        want.extend((0..8).map(|i| TraceEvent { addr: r.at(48 + i), len: 1, kind: Write }));
+        assert_eq!(m.take_trace().expect("started").events(), &want[..]);
+        let s = m.stats();
+        assert_eq!((s.reads.by_size(B4), s.reads.total()), (4, 4), "W B4 reads, never one wider access");
+        assert_eq!((s.writes.by_size(B4), s.writes.by_size(B1), s.writes.total()), (3, 8, 11));
     }
 }

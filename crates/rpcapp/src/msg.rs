@@ -32,10 +32,10 @@
 //!   receiver, which feeds the same sink its header words, before its
 //!   copy.
 
-use ilp_core::{Reject, StoreGrain, UnitBuf, UnitSink};
+use ilp_core::{store_unit, store_words, Reject, StoreGrain, UnitBuf, UnitSink};
 use memsim::Mem;
 use xdr::ilp_messages;
-use xdr::stream::{opaque_word, WordSource};
+use xdr::stream::{opaque_word, unit_by_words, WordSource};
 use xdr::stubgen::Opaque;
 
 /// Length of the encryption header: one 4-byte length field (Figure 2).
@@ -189,7 +189,8 @@ impl<const LAST: bool> WordView<LAST> {
     /// A word source over `[start, end)` words of the message.
     pub fn range_source(&self, start: usize, end: usize) -> RangeSource<LAST> {
         assert!(start <= end && end <= self.total_words, "bad range {start}..{end}");
-        RangeSource { msg: *self, next: start, end }
+        let data_end = hdr_words(LAST) + self.data_len / 4;
+        RangeSource { msg: *self, next: start, end, burst_end: end.min(data_end) }
     }
 
     /// A source over the whole message, in wire order.
@@ -219,6 +220,8 @@ pub struct RangeSource<const LAST: bool> {
     msg: WordView<LAST>,
     next: usize,
     end: usize,
+    /// One past the last word of the range that is a whole data word.
+    burst_end: usize,
 }
 
 impl<M: Mem, const LAST: bool> WordSource<M> for RangeSource<LAST> {
@@ -234,6 +237,21 @@ impl<M: Mem, const LAST: bool> WordSource<M> for RangeSource<LAST> {
 
     fn total_words(&self) -> usize {
         self.end - self.next
+    }
+
+    /// A unit of whole data words is one burst; a unit holding a header
+    /// word, the tail word, padding or the trailing length field goes word
+    /// by word.
+    #[inline(always)]
+    fn next_unit<const W: usize>(&mut self, m: &mut M) -> [u32; W] {
+        match self.next.checked_sub(hdr_words(LAST)) {
+            Some(k) if self.next + W <= self.burst_end => {
+                let unit = m.read_words_be(self.msg.data_addr + 4 * k);
+                self.next += W;
+                unit
+            }
+            _ => unit_by_words(self, m),
+        }
     }
 }
 
@@ -257,8 +275,11 @@ pub(crate) fn fits_payload(msg_len: usize, payload_len: usize) -> Result<(), Rej
 /// bad one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Placement {
+    /// Where the next chunk byte goes.
     dst: usize,
-    left: usize,
+    /// One past where the last one goes. (An end, not a count: the loop
+    /// then advances one field per unit, not two.)
+    end: usize,
 }
 
 impl Placement {
@@ -275,37 +296,48 @@ impl Placement {
     ) -> Result<Self, Reject> {
         fits_payload(PREFIX_BYTES.saturating_add(declared.saturating_add(3) & !3), payload_len)?;
         match offset.checked_add(declared) {
-            Some(end) if end <= cap => Ok(Placement { dst: addr + offset, left: declared }),
+            Some(end) if end <= cap => Ok(Placement { dst: addr + offset, end: addr + end }),
             _ => Err(Reject::BadFormat("chunk beyond file bounds")),
         }
+    }
+
+    /// Chunk bytes not yet placed.
+    #[inline(always)]
+    fn left(&self) -> usize {
+        self.end - self.dst
+    }
+
+    /// Place a unit that is all chunk data — the steady state — as one
+    /// burst at the cipher's output granularity.
+    #[inline(always)]
+    fn place_unit<M: Mem>(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
+        store_unit(m, self.dst, unit, grain);
+        self.dst += unit.len();
     }
 
     /// Place one decrypted payload word at the cipher's output
     /// granularity.
     #[inline(always)]
     fn place<M: Mem>(&mut self, m: &mut M, w: u32, grain: StoreGrain) {
-        if self.left < 4 {
+        if self.left() < 4 {
             return self.place_tail(m, w, grain);
         }
-        match grain {
-            StoreGrain::Byte => m.write_bytes(self.dst, w.to_be_bytes()),
-            StoreGrain::Word => m.write_u32_be(self.dst, w),
-        }
+        store_words(m, self.dst, [w], grain);
         self.dst += 4;
-        self.left -= 4;
     }
 
     /// The chunk's last, partial word; words past the declared length
     /// are XDR padding / cipher alignment and go nowhere.
     #[cold]
     fn place_tail<M: Mem>(&mut self, m: &mut M, w: u32, grain: StoreGrain) {
-        for (k, b) in w.to_be_bytes().into_iter().enumerate().take(self.left) {
+        let left = self.left();
+        for (k, b) in w.to_be_bytes().into_iter().enumerate().take(left) {
             m.write_u8(self.dst + k, b);
         }
-        if grain == StoreGrain::Word && self.left > 0 {
-            m.compute(self.left as u32);
+        if grain == StoreGrain::Word && left > 0 {
+            m.compute(left as u32);
         }
-        self.left = 0;
+        self.dst = self.end;
     }
 }
 
@@ -322,10 +354,11 @@ pub struct UnmarshalSink<const LAST: bool> {
     payload_len: usize,
     prefix: [u32; PREFIX_WORDS],
     hdr_seen: usize,
-    /// Where the chunk goes — or, while `None`, why nowhere (`refused`).
-    /// Two fields, not one `Result`: the loop tests this one per unit.
-    place: Option<Placement>,
-    refused: Reject,
+    /// Where the chunk goes: nowhere (an empty placement) until the header
+    /// places it. The loop tests only this, once per unit.
+    place: Placement,
+    /// Why nothing is placed — `None` once the header has placed the chunk.
+    refused: Option<Reject>,
     anchored: bool,
 }
 
@@ -343,8 +376,8 @@ impl<const LAST: bool> UnmarshalSink<LAST> {
             payload_len: usize::MAX,
             prefix: [0; PREFIX_WORDS],
             hdr_seen: 0,
-            place: None,
-            refused: Reject::BadFormat("reply prefix"),
+            place: Placement { dst: 0, end: 0 },
+            refused: Some(Reject::BadFormat("reply prefix")),
             anchored: false,
         }
     }
@@ -387,15 +420,15 @@ impl<const LAST: bool> UnmarshalSink<LAST> {
         let offset = if self.anchored { 0 } else { self.prefix[3] as usize };
         let declared = self.prefix[PREFIX_WORDS - 1] as usize;
         match Placement::resolve(self.app_addr, self.app_cap, offset, declared, self.payload_len) {
-            Ok(place) => self.place = Some(place),
-            Err(why) => self.refused = why,
+            Ok(place) => (self.place, self.refused) = (place, None),
+            Err(why) => self.refused = Some(why),
         }
     }
 
     /// Parse the captured prefix into a [`ReplyMeta`]; `None` also when
     /// the chunk it describes was not placed (nothing was written then).
     pub fn meta(&self) -> Option<(usize, ReplyMeta)> {
-        ReplyMeta::parse_prefix(&self.prefix).filter(|_| self.place.is_some())
+        ReplyMeta::parse_prefix(&self.prefix).filter(|_| self.refused.is_none())
     }
 
     /// The admission rule's verdict on the decrypted fields: the length
@@ -409,12 +442,15 @@ impl<const LAST: bool> UnmarshalSink<LAST> {
     pub fn finish(&self) -> Result<ReplyMeta, Reject> {
         let (_, meta) =
             ReplyMeta::parse_prefix(&self.prefix).ok_or(Reject::BadFormat("reply prefix"))?;
-        self.place.map(|_| meta).ok_or(self.refused)
+        self.refused.map_or(Ok(meta), Err)
     }
 
     /// Chunk bytes delivered so far.
     pub fn data_written(&self) -> usize {
-        self.place.map_or(0, |place| self.prefix[PREFIX_WORDS - 1] as usize - place.left)
+        match self.refused {
+            Some(_) => 0,
+            None => self.prefix[PREFIX_WORDS - 1] as usize - self.place.left(),
+        }
     }
 }
 
@@ -422,11 +458,8 @@ impl<M: Mem, const LAST: bool> UnitSink<M> for UnmarshalSink<LAST> {
     #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
         // Steady state: the whole unit is chunk data.
-        if let Some(place) = self.place.as_mut().filter(|p| p.left >= unit.len()) {
-            for wi in 0..unit.words() {
-                place.place(m, unit.word(wi), grain);
-            }
-            return;
+        if self.place.left() >= unit.len() {
+            return self.place.place_unit(m, unit, grain);
         }
         for wi in 0..unit.words() {
             let w = unit.word(wi);
@@ -437,9 +470,7 @@ impl<M: Mem, const LAST: bool> UnitSink<M> for UnmarshalSink<LAST> {
             if LAST {
                 self.prefix[0] = w; // the final assignment holds the length field
             }
-            if let Some(place) = &mut self.place {
-                place.place(m, w, grain);
-            }
+            self.place.place(m, w, grain);
         }
     }
 }

@@ -15,7 +15,7 @@
 //! during the ILP loop": [`RingWriter`] is that knowledge, packaged as an
 //! [`ilp_core::UnitSink`] the fused loop stores into.
 
-use ilp_core::{StoreGrain, UnitBuf, UnitSink};
+use ilp_core::{store_unit, StoreGrain, UnitBuf, UnitSink};
 use memsim::region::Region;
 use memsim::Mem;
 use std::collections::VecDeque;
@@ -286,19 +286,7 @@ impl<M: Mem> UnitSink<M> for RingWriter {
             unit.len(),
             self.len
         );
-        let base = self.base + self.written;
-        match grain {
-            StoreGrain::Byte => {
-                for i in 0..unit.words() {
-                    m.write_bytes(base + 4 * i, unit.word(i).to_be_bytes());
-                }
-            }
-            StoreGrain::Word => {
-                for i in 0..unit.words() {
-                    m.write_u32_be(base + 4 * i, unit.word(i));
-                }
-            }
-        }
+        store_unit(m, self.base + self.written, unit, grain);
         self.written += unit.len();
     }
 }

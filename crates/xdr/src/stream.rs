@@ -7,7 +7,10 @@
 //! from application memory — and a [`WordSink`] consumes words on the
 //! receive side. The fused loops in `ilp-core` pull words from a source,
 //! push them through cipher/checksum stages *in registers*, and store the
-//! result once; marshalling output never becomes memory traffic.
+//! result once; marshalling output never becomes memory traffic. They
+//! pull a whole exchange unit at a time ([`WordSource::next_unit`]): the
+//! same words and the same `Mem` accesses as one `next_word` per word, but
+//! a source whose unit is all data reads it as one burst.
 //!
 //! The ILP applicability rule (§2.2) — *the header size must be known
 //! before entering the ILP loop* — shows up here as
@@ -24,6 +27,32 @@ pub trait WordSource<M: Mem> {
     /// Exact number of words this stream emits in total (the "header size
     /// known in advance" requirement).
     fn total_words(&self) -> usize;
+
+    /// The next `W` words — one exchange unit of a fused loop — exactly
+    /// as `W` calls of [`Self::next_word`] produce them, with the same
+    /// `Mem` accesses in the same order. A source overrides this to read
+    /// a unit that is all data as one [`Mem::read_words_be`] burst.
+    ///
+    /// # Panics
+    /// Panics when fewer than `W` words are left.
+    #[inline(always)]
+    fn next_unit<const W: usize>(&mut self, m: &mut M) -> [u32; W]
+    where
+        Self: Sized,
+    {
+        unit_by_words(self, m)
+    }
+}
+
+/// `W` calls of [`WordSource::next_word`] — what a unit *is*: the default
+/// [`WordSource::next_unit`], and an override's path for the few units per
+/// message it cannot read as one burst (header words, the tail word,
+/// padding, a trailer). In line on purpose: as a call it would take the
+/// memory out of the loop, which then re-derives the memory's bounds and
+/// every table-window check every unit (DESIGN.md §18, row 13).
+#[inline(always)]
+pub fn unit_by_words<M: Mem, S: WordSource<M>, const W: usize>(source: &mut S, m: &mut M) -> [u32; W] {
+    core::array::from_fn(|_| source.next_word(m).expect("source violated its declared word count"))
 }
 
 /// A consumer of 4-byte big-endian wire words.
@@ -105,6 +134,18 @@ impl<M: Mem> WordSource<M> for OpaqueSource {
 
     fn total_words(&self) -> usize {
         crate::runtime::pad4(self.len) / 4
+    }
+
+    /// A unit of whole data words is one burst; the tail word and the
+    /// padding go word by word.
+    #[inline(always)]
+    fn next_unit<const W: usize>(&mut self, m: &mut M) -> [u32; W] {
+        if self.off + 4 * W > self.len {
+            return unit_by_words(self, m);
+        }
+        let unit = m.read_words_be(self.addr + self.off);
+        self.off += 4 * W;
+        unit
     }
 }
 

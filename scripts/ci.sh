@@ -30,11 +30,11 @@ done
 # dependency list moved; nothing under benchmark/ is this script's to change.
 git checkout -q -- benchmark/Cargo.lock 2>/dev/null || true
 
-echo "== fused stays fused: no out-of-line word source, stage, sink or SimplifiedSafer unit kernel in the native binary =="
+echo "== fused stays fused: no out-of-line word source, unit source, stage, sink, unit store, Mem word burst or SimplifiedSafer unit kernel in the native binary =="
 if command -v objdump >/dev/null; then
     # (`! pipeline` would not trip `set -e`; hence `if …; then exit 1`.)
     if objdump -d -C benchmark/target/release/ilpbench \
-        | grep -E '^[0-9a-f]+ <.* as (xdr::stream::WordSource<M>>::next_word|ilp_core::stage::UnitStage<M>>::process|ilp_core::pipeline::UnitSink<M>>::store)>:|^[0-9a-f]+ <.*SimplifiedSafer.*::(en|de)crypt_unit>:'; then
+        | grep -E '^[0-9a-f]+ <.* as (xdr::stream::WordSource<M>>::next_word|ilp_core::stage::UnitStage<M>>::process|ilp_core::pipeline::UnitSink<M>>::store)>:|^[0-9a-f]+ <.*SimplifiedSafer.*::(en|de)crypt_unit>:|^[0-9a-f]+ <.*::(next_unit|unit_by_words|store_unit|store_words|read_words_be|write_words_be|write_words_as_bytes)>:'; then
         echo "the fused loops call the symbols above once per word or unit"
         exit 1
     fi
@@ -94,12 +94,21 @@ if sed '/#\[cfg(test)\]/,$d' crates/cipher/src/simplified.rs \
     echo "SimplifiedSafer::{encrypt_unit, decrypt_unit}: no Region::at, read_u8 or write_u8 per byte"
     exit 1
 fi
-for f in crates/cipher/src/*.rs crates/core/src/*.rs crates/utcp/src/ring.rs crates/rpcapp/src/{msg,trailer,paths}.rs; do
+for f in crates/cipher/src/*.rs crates/core/src/*.rs crates/xdr/src/stream.rs crates/utcp/src/ring.rs crates/rpcapp/src/{msg,trailer,paths}.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\b(NativeMem|SimMem)\b'; then
-        echo "$f: a kernel, stage or sink is written against Mem, not against one memory"
+        echo "$f: a kernel, source, stage or sink is written against Mem, not against one memory"
         exit 1
     fi
 done
+# A unit is stored one way and pulled whole: the store grain turns into
+# `Mem` accesses in `ilp_core::store_words` alone (every sink stores through
+# `store_unit`), and the fused loop asks its source for units, not words.
+data_path=$(for f in $(find crates/core/src crates/utcp/src crates/rpcapp/src -name '*.rs'); do sed '/#\[cfg(test)\]/,$d' "$f"; done)
+if [ "$(grep -c 'StoreGrain::Byte =>' <<<"$data_path")" -ne 1 ] \
+    || sed -n '/^fn run_units/,/^}/p' crates/core/src/pipeline.rs | grep -n 'next_word('; then
+    echo "one StoreGrain::Byte => (ilp_core::store_words); run_units pulls units with next_unit"
+    exit 1
+fi
 # `rpcapp` says what a reply is once: one word view and one unmarshal
 # sink, generic over where the length field sits; one fused send and one
 # fused receive (the staging rule is chosen there and nowhere else); one

@@ -3,10 +3,12 @@
 //! failure names the case's seed so it replays as
 //! `XorShift64::new(seed)`.
 //!
-//! Three groups: the reproduction's central invariant (the ILP and
+//! Four groups: the reproduction's central invariant (the ILP and
 //! non-ILP implementations are *the same protocol* — identical wire
 //! bytes, checksums and delivered data for all contents, sizes and
-//! offsets); the data-manipulation kernels (every cipher is a bijection
+//! offsets); the fused loops' unit-wide memory traffic (a source's unit
+//! and a sink's unit store are exactly the per-word accesses they stand
+//! for); the data-manipulation kernels (every cipher is a bijection
 //! under its key, the checksum is order-insensitive and
 //! incremental-safe, XDR round-trips, the segment planner always
 //! tiles); and hostile input (arbitrary headers and prefixes parse
@@ -18,17 +20,20 @@ use ilp_repro::checksum::internet::{add_buf, checksum_buf, InetChecksum};
 use ilp_repro::cipher::{
     decrypt_buf, encrypt_buf, CipherKernel, Des, SaferK64, SimplifiedSafer, VerySimple,
 };
-use ilp_repro::ilp::{Ordering, PartKind, SegmentPlan};
-use ilp_repro::memsim::{AddressSpace, Mem, NativeMem};
+use ilp_repro::ilp::{LinearSink, Ordering, PartKind, SegmentPlan, StoreGrain, UnitBuf, UnitSink};
+use ilp_repro::memsim::{AddressSpace, HostModel, Mem, NativeMem, Region, RegionKind, SimMem};
 use ilp_repro::rpcapp::app::{FileTransfer, Path};
-use ilp_repro::rpcapp::msg::ReplyMeta;
+use ilp_repro::rpcapp::msg::{
+    ReplyMeta, UnmarshalSink, WordView, ENC_HDR_LEN, LENGTH_FIRST, LENGTH_LAST, RPC_HDR_WORDS,
+};
 use ilp_repro::rpcapp::paths::{
     pump_acks, recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp,
 };
 use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::rpcapp::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
 use ilp_repro::utcp::rng::XorShift64;
-use ilp_repro::utcp::{Delivered, FaultPlan, Ipv4Header};
+use ilp_repro::utcp::{Delivered, FaultPlan, Ipv4Header, SendRing};
+use ilp_repro::xdr::stream::{OpaqueSource, WordSource};
 use ilp_repro::xdr::{XdrDecoder, XdrEncoder};
 
 const CASES: u64 = 256;
@@ -200,6 +205,314 @@ fn truncated_authentic_reply_gets_one_verdict_from_both_receivers() {
                 assert_eq!(*verdict, Ok(meta));
                 assert_eq!(app_out[2048..3048], payload[..]);
             }
+        }
+    }
+}
+
+/// Two instrumented memories over `space`, each holding `bytes` at
+/// `addr` — twins that a unit-wide and a word-by-word run are compared on.
+fn sim_twins(space: &AddressSpace, addr: usize, bytes: &[u8]) -> [SimMem; 2] {
+    let host = HostModel::ss10_30();
+    [(); 2].map(|()| {
+        let mut m = SimMem::new(space, &host);
+        m.poke(addr, bytes);
+        m
+    })
+}
+
+/// Run `by_units` on one twin and `by_words` on the other: they must
+/// return the same and ask their memory for the same — every access, in
+/// order, and the counts per size class, region kind, cache level and
+/// ALU operation.
+fn same_work<T: PartialEq + std::fmt::Debug>(
+    twins: &mut [SimMem; 2],
+    what: &str,
+    by_units: impl FnOnce(&mut SimMem) -> T,
+    by_words: impl FnOnce(&mut SimMem) -> T,
+) {
+    let [units, words] = twins;
+    for m in [&mut *units, &mut *words] {
+        let _ = m.take_stats();
+        m.start_trace(1 << 12);
+    }
+    assert_eq!(by_units(units), by_words(words), "{what}: values");
+    let (tu, tw) = (units.take_trace().expect("tracing"), words.take_trace().expect("tracing"));
+    assert_eq!(tu.dropped, 0, "{what}: trace window too small");
+    assert_eq!(tu.events(), tw.events(), "{what}: access stream");
+    assert_eq!(format!("{:?}", units.stats()), format!("{:?}", words.stats()), "{what}: counts");
+}
+
+/// `source` drained by `W`-word units, then by words for a remainder
+/// short of a unit.
+fn drain_by_units<const W: usize, S: WordSource<SimMem>>(mut source: S, m: &mut SimMem) -> Vec<u32> {
+    let mut out = Vec::new();
+    for _ in 0..source.total_words() / W {
+        out.extend(source.next_unit::<W>(m));
+    }
+    out.extend(std::iter::from_fn(|| source.next_word(m)));
+    out
+}
+
+/// `source` drained word by word.
+fn drain_by_words<S: WordSource<SimMem>>(mut source: S, m: &mut SimMem) -> Vec<u32> {
+    std::iter::from_fn(|| source.next_word(m)).collect()
+}
+
+/// For every unit width of the fused loops, `next_unit::<W>` is `W`
+/// calls of `next_word`: the same words and the same `Mem` stream.
+fn units_are_words<S: WordSource<SimMem> + Copy>(twins: &mut [SimMem; 2], what: &str, source: S) {
+    let words = |m: &mut SimMem| drain_by_words(source, m);
+    same_work(twins, &format!("{what}, W = 1"), |m| drain_by_units::<1, S>(source, m), words);
+    same_work(twins, &format!("{what}, W = 2"), |m| drain_by_units::<2, S>(source, m), words);
+    same_work(twins, &format!("{what}, W = 3"), |m| drain_by_units::<3, S>(source, m), words);
+    same_work(twins, &format!("{what}, W = 4"), |m| drain_by_units::<4, S>(source, m), words);
+}
+
+/// A reply of `data_len` file bytes at the start of a data region, and
+/// twin memories holding them.
+fn reply_world(data_len: usize) -> (AddressSpace, Region, [SimMem; 2]) {
+    let mut space = AddressSpace::new();
+    let data = space.alloc_kind("data", 1280, 8, RegionKind::AppData);
+    let bytes: Vec<u8> = (0..data_len).map(|i| (i * 37 + 11) as u8).collect();
+    let twins = sim_twins(&space, data.base, &bytes);
+    (space, data, twins)
+}
+
+/// The header of a reply carrying `data_len` chunk bytes for file offset 512.
+fn reply_meta(data_len: usize) -> ReplyMeta {
+    ReplyMeta { request_id: 0x51, seq: 2, offset: 512, last: 0, data_len: data_len as u32 }
+}
+
+/// The word ranges a fused send runs over, in format `LAST` with a
+/// `block`-byte cipher: the B→C→A parts of the header format, the one
+/// linear part of the trailer format.
+fn send_ranges<const LAST: bool>(meta: &ReplyMeta, block: usize) -> Vec<(usize, usize)> {
+    let padded = meta.padded_len(block);
+    if LAST {
+        return vec![(0, padded / 4)];
+    }
+    let plan = SegmentPlan::for_message(ENC_HDR_LEN, meta.marshalled_len(), block, Ordering::Unconstrained)
+        .expect("fusible");
+    assert_eq!(plan.padded_len, padded);
+    plan.processing_order().iter().filter(|p| !p.is_empty()).map(|p| (p.start / 4, p.end / 4)).collect()
+}
+
+/// Every range a fused send runs, for chunks of 0–72 bytes and a few
+/// larger ones, with a 4- and an 8-byte cipher block.
+fn plan_ranges_are_words<const LAST: bool>() {
+    for data_len in (0..=72).chain([100, 1000, 1024, 1200]) {
+        let meta = reply_meta(data_len);
+        let (_space, data, mut twins) = reply_world(data_len);
+        for block in [4, 8] {
+            let view = WordView::<LAST>::new(&meta, data.base, block);
+            for (start, end) in send_ranges::<LAST>(&meta, block) {
+                let what = format!("LAST={LAST} data_len={data_len} block={block} range {start}..{end}");
+                units_are_words(&mut twins, &what, view.range_source(start, end));
+            }
+        }
+    }
+}
+
+/// A reply source hands out a unit of data words as one burst and
+/// everything else — header words, the tail word, padding, the trailing
+/// length field — word by word; either way `next_unit::<W>` is `W` calls
+/// of `next_word`, in both formats and over every range the B→C→A plan
+/// and the trailer format's linear pass run.
+#[test]
+fn reply_source_unit_is_its_words_over_every_planned_range() {
+    plan_ranges_are_words::<LENGTH_FIRST>();
+    plan_ranges_are_words::<LENGTH_LAST>();
+}
+
+/// The same over random ranges of random replies.
+#[test]
+fn reply_source_unit_is_its_words_over_random_ranges() {
+    for_each_seed(|rng| {
+        let data_len = rng.index(1200);
+        let meta = reply_meta(data_len);
+        let (_space, data, mut twins) = reply_world(data_len);
+        let block = [4, 8][rng.index(2)];
+        let first = WordView::<LENGTH_FIRST>::new(&meta, data.base, block);
+        let last = WordView::<LENGTH_LAST>::new(&meta, data.base, block);
+        let total = first.total_words();
+        assert_eq!(total, last.total_words());
+        let start = rng.index(total + 1);
+        let end = start + rng.index(total - start + 1);
+        let what = format!("data_len={data_len} block={block} range {start}..{end}");
+        units_are_words(&mut twins, &format!("{what} LAST=false"), first.range_source(start, end));
+        units_are_words(&mut twins, &format!("{what} LAST=true"), last.range_source(start, end));
+    });
+}
+
+/// An opaque body of every length up to 64 bytes — whole units, a tail
+/// word, zero padding: `next_unit::<W>` is `W` calls of `next_word`.
+#[test]
+fn opaque_source_unit_is_its_words_at_every_length() {
+    for len in 0..=64 {
+        let (_space, data, mut twins) = reply_world(len);
+        units_are_words(&mut twins, &format!("opaque len={len}"), OpaqueSource::new(data.base, len));
+    }
+}
+
+/// The per-word stores `store_unit` replaced: a `write_bytes::<4>` per
+/// word at byte grain, a `write_u32_be` at word grain.
+fn store_word_by_word(m: &mut SimMem, addr: usize, words: &[u32], grain: StoreGrain) {
+    for (i, &w) in words.iter().enumerate() {
+        match grain {
+            StoreGrain::Byte => m.write_bytes(addr + 4 * i, w.to_be_bytes()),
+            StoreGrain::Word => m.write_u32_be(addr + 4 * i, w),
+        }
+    }
+}
+
+/// `words` as units of `width` words.
+fn units_of(words: &[u32], width: usize) -> Vec<UnitBuf> {
+    words
+        .chunks_exact(width)
+        .map(|chunk| {
+            let mut unit = UnitBuf::new(4 * width);
+            for (i, &w) in chunk.iter().enumerate() {
+                unit.set_word(i, w);
+            }
+            unit
+        })
+        .collect()
+}
+
+/// The linear sink and the ring writer store a unit at either grain as
+/// exactly the per-word stores they used to make, for every unit width.
+#[test]
+fn linear_and_ring_sinks_store_a_unit_as_its_words() {
+    for_each_seed(|rng| {
+        let width = 1 + rng.index(4);
+        let words: Vec<u32> = (0..width * (1 + rng.index(16))).map(|_| rng.next_u32()).collect();
+        let grain = [StoreGrain::Byte, StoreGrain::Word][rng.index(2)];
+        let skip = 4 * rng.index(4);
+        let mut space = AddressSpace::new();
+        let out = space.alloc("out", 320, 8);
+        let mut ring = SendRing::new(space.alloc_kind("ring", 320, 64, RegionKind::Ring));
+        let mut twins = sim_twins(&space, out.base, &[]);
+        let units = units_of(&words, width);
+        let what = format!("width {width}, {} units, {grain:?}", units.len());
+        let bytes = |m: &mut SimMem, at: usize| m.peek(at, 4 * words.len()).to_vec();
+        same_work(
+            &mut twins,
+            &format!("LinearSink, {what}"),
+            |m| {
+                let mut sink = LinearSink::new(out.base + skip);
+                for unit in &units {
+                    sink.store(m, unit, grain);
+                }
+                (sink.written(), bytes(m, out.base + skip))
+            },
+            |m| {
+                store_word_by_word(m, out.base + skip, &words, grain);
+                (4 * words.len(), bytes(m, out.base + skip))
+            },
+        );
+        let extent = ring.alloc(skip + 4 * words.len(), 0).expect("fits");
+        let at = ring.addr(extent.off + skip);
+        same_work(
+            &mut twins,
+            &format!("RingWriter, {what}"),
+            |m| {
+                let mut sink = ring.writer_at(extent, skip);
+                for unit in &units {
+                    sink.store(m, unit, grain);
+                }
+                (sink.written(), bytes(m, at))
+            },
+            |m| {
+                store_word_by_word(m, at, &words, grain);
+                (4 * words.len(), bytes(m, at))
+            },
+        );
+    });
+}
+
+/// The unmarshal sink's per-word loop, as it stood, over a reply whose
+/// `header_words` lead `data_len` chunk bytes (`chunk`, in words): capture
+/// the header words in registers, store each whole chunk word at `grain`
+/// and the last partial one byte by byte; padding and a trailing length
+/// field go nowhere.
+fn unmarshal_word_by_word(
+    m: &mut SimMem,
+    header_words: usize,
+    chunk: &[u32],
+    data_len: usize,
+    dst: usize,
+    grain: StoreGrain,
+) {
+    for _ in 0..header_words {
+        m.compute(1);
+    }
+    let whole = data_len / 4;
+    store_word_by_word(m, dst, &chunk[..whole], grain);
+    let tail = data_len - 4 * whole;
+    if tail > 0 {
+        for (k, b) in chunk[whole].to_be_bytes().into_iter().take(tail).enumerate() {
+            m.write_u8(dst + 4 * whole + k, b);
+        }
+        if grain == StoreGrain::Word {
+            m.compute(tail as u32);
+        }
+    }
+}
+
+/// The two sinks of the fused receive — in place at the header's offset
+/// (`new`) and linear into staging (`staging`) — store a unit of chunk
+/// data at either grain as exactly the per-word stores they used to make,
+/// for every unit width, and capture, place the tail and drop padding as
+/// before.
+#[test]
+fn unmarshal_sinks_store_a_unit_as_its_words() {
+    for data_len in (0..=40).chain([1000]) {
+        for width in 1..=4 {
+            unmarshal_sink_units_are_words::<LENGTH_FIRST>(data_len, width);
+            unmarshal_sink_units_are_words::<LENGTH_LAST>(data_len, width);
+        }
+    }
+}
+
+/// One decrypted reply of `data_len` chunk bytes fed to both sinks in
+/// `width`-word units, at both grains, against the per-word model.
+fn unmarshal_sink_units_are_words<const LAST: bool>(data_len: usize, width: usize) {
+    let meta = reply_meta(data_len);
+    let mut space = AddressSpace::new();
+    let data = space.alloc("data", 1024, 8);
+    let app = space.alloc_kind("app", 2048, 8, RegionKind::AppData);
+    let staging = space.alloc_kind("staging", 1280, 8, RegionKind::Buffer);
+    let file: Vec<u8> = (0..data_len).map(|i| (i * 29 + 3) as u8).collect();
+    // The decrypted reply, as the fused receive loop hands it to the sink.
+    let source = WordView::<LAST>::new(&meta, data.base, 4 * width).full_source();
+    let reply = drain_by_words(source, &mut sim_twins(&space, data.base, &file)[0]);
+    let mut twins = sim_twins(&space, data.base, &file);
+    // The length field and the RPC header, less the length field when it trails.
+    let header_words = 1 + RPC_HDR_WORDS - usize::from(LAST);
+    let chunk = &reply[header_words..header_words + data_len.div_ceil(4)];
+    for grain in [StoreGrain::Byte, StoreGrain::Word] {
+        for staged in [false, true] {
+            let (base, cap, dst) = match staged {
+                true => (staging.base, staging.len, staging.base),
+                false => (app.base, app.len, app.at(meta.offset as usize)),
+            };
+            let what = format!("LAST={LAST} data_len={data_len} width {width} {grain:?} staged={staged}");
+            same_work(
+                &mut twins,
+                &what,
+                |m| {
+                    let sink = if staged { UnmarshalSink::<LAST>::staging } else { UnmarshalSink::<LAST>::new };
+                    let mut sink = sink(base, cap).within(4 * reply.len());
+                    for unit in units_of(&reply, width) {
+                        sink.store(m, &unit, grain);
+                    }
+                    (sink.finish(), sink.data_written(), m.peek(dst, data_len).to_vec())
+                },
+                |m| {
+                    unmarshal_word_by_word(m, header_words, chunk, data_len, dst, grain);
+                    (Ok(meta), data_len, m.peek(dst, data_len).to_vec())
+                },
+            );
         }
     }
 }
