@@ -18,7 +18,7 @@
 
 use obs::Json;
 use server::Path;
-use sim::{run_churn, sweep_teardown, ChurnOutcome, ChurnSpec};
+use sim::{run_churn, sweep, ChurnOutcome, ChurnSpec, SweepOpts, TeardownSpec, PINNED_WORLDS};
 use utcp::FaultProbs;
 
 /// The pinned churn workload: four connections, four waves, a 4 KiB
@@ -93,21 +93,28 @@ pub fn run(_: &[String]) -> Result<Option<Json>, String> {
 
     // The lifecycle sweep: every pinned teardown world and 200 seeded
     // ones must hold every oracle; the counts gate bit-exact.
-    let sweep = sweep_teardown(TEARDOWN_BASE_SEED, TEARDOWN_SEEDS, false);
+    let rep = sweep::<TeardownSpec>(&SweepOpts {
+        base_seed: TEARDOWN_BASE_SEED,
+        seeds: TEARDOWN_SEEDS,
+        prelude: &PINNED_WORLDS,
+        ..Default::default()
+    });
+    let checks = rep.totals.oracle_checks;
     let sweep_json = Json::obj()
         .set("base_seed", Json::U64(TEARDOWN_BASE_SEED))
         .set("seeds", Json::U64(TEARDOWN_SEEDS as u64))
-        .set("passed", Json::U64(sweep.passed as u64))
-        .set("oracle_checks", Json::U64(sweep.oracle_checks))
-        .set("all_green", Json::Bool(sweep.failure.is_none()));
-    match &sweep.failure {
+        .set("passed", Json::U64(rep.passed as u64))
+        .set("oracle_checks", Json::U64(checks))
+        .set("all_green", Json::Bool(rep.failure.is_none()));
+    match &rep.failure {
         None => println!(
-            "exp_churn: teardown sweep all green ({} worlds, {} oracle checks)",
-            sweep.passed, sweep.oracle_checks
+            "exp_churn: teardown sweep all green ({} worlds, {checks} oracle checks)",
+            rep.passed
         ),
-        Some((shrunk, message, test_case)) => {
-            failures.push(format!("teardown sweep: {message}\nspec: {shrunk:?}\n{test_case}"));
-        }
+        Some(f) => failures.push(format!(
+            "teardown sweep: {}\nspec: {:?}\n{}",
+            f.message, f.shrunk, f.test_case
+        )),
     }
     if !failures.is_empty() {
         return Err(failures.join("\n"));

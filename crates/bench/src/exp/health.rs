@@ -18,10 +18,10 @@
 //!   observed recorder (report-only: analysis happens after the run,
 //!   off the hot path, so its cost is informational).
 
-use memsim::{AddressSpace, NativeMem};
-use obs::{Json, Recorder, SeriesConfig};
-use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
+use obs::Json;
+use server::{Path, ServerConfig};
 use sim::health::{clean_sweep, detectors_of, run_trigger, Trigger};
+use sim::recovery::{twins_agree, Twin};
 use std::time::Instant;
 use utcp::FaultPlan;
 
@@ -43,41 +43,20 @@ fn overhead_cfg() -> ServerConfig {
 }
 
 fn overhead_section() -> Result<Json, String> {
-    // Observed run.
-    let cfg = overhead_cfg();
-    let mut space = AddressSpace::new();
-    let mut h = ScaleHarness::simplified(&mut space, cfg.clone());
-    let mut arena = space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    h.init_world(&mut m);
-    let mut sched = RoundRobin::new();
-    let mut rec = Recorder::with_series(512, SeriesConfig { window_ticks: 16, ring: 4 });
-    let observed = h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
-    if h.verify_outputs(&mut m).is_some() {
+    // The observed run must match its unobserved twin (a fresh world on
+    // the NoopObserver path) field for field — observation is free on
+    // the hot path.
+    let Twin { world: mut w, rec, report: observed, .. } =
+        twins_agree(&overhead_cfg(), Path::Ilp).map_err(|e| format!("overhead: {e}"))?;
+    if w.verify_outputs().is_some() {
         return Err("overhead: observed run corrupted a delivered file".into());
     }
-
-    // Unobserved twin: a fresh world, NoopObserver path. Every reported
-    // field must match — observation is free on the hot path.
-    let mut space2 = AddressSpace::new();
-    let mut h2 = ScaleHarness::simplified(&mut space2, cfg);
-    let mut arena2 = space2.native_arena();
-    let mut m2 = NativeMem::new(&mut arena2);
-    h2.init_world(&mut m2);
-    let mut sched2 = RoundRobin::new();
-    let plain = h2.run(&mut m2, &mut sched2, Path::Ilp);
-    let identical = observed.payload_bytes == plain.payload_bytes
-        && observed.rounds == plain.rounds
-        && observed.retransmits == plain.retransmits
-        && observed.rejected == plain.rejected
-        && observed.per_conn == plain.per_conn
-        && observed.fairness.to_bits() == plain.fairness.to_bits();
 
     // Analysis cost, off the hot path: analyze() over the finished
     // recorder, repeated for a stable figure. Wall-clock, so
     // report-only in the gate.
-    let views = h.health_views();
-    let queue = h.queue_stat();
+    let views = w.h.health_views();
+    let queue = w.h.queue_stat();
     let start = Instant::now();
     let mut verdicts = 0u64;
     for _ in 0..ANALYZE_REPS {
@@ -85,7 +64,7 @@ fn overhead_section() -> Result<Json, String> {
     }
     let wall = start.elapsed().as_micros() as u64;
     Ok(Json::obj()
-        .set("hot_path_identical", Json::Bool(identical))
+        .set("hot_path_identical", Json::Bool(true))
         .set("conns", Json::U64(8))
         .set("rounds", Json::U64(observed.rounds))
         .set("retransmits", Json::U64(observed.retransmits))
@@ -131,15 +110,14 @@ pub fn run(_: &[String]) -> Result<Option<Json>, String> {
 
     // Clean sweep: the fixed-seed no-false-positive oracle.
     let clean = match clean_sweep(CLEAN_BASE_SEED, CLEAN_SEEDS) {
-        Ok(s) => {
+        Ok(checks) => {
             println!(
-                "exp_health: clean sweep {} seeds, {} checks, 0 false positives",
-                s.seeds_run, s.checks
+                "exp_health: clean sweep {CLEAN_SEEDS} seeds, {checks} checks, 0 false positives"
             );
             Json::obj()
                 .set("base_seed", Json::U64(CLEAN_BASE_SEED))
-                .set("seeds", Json::U64(s.seeds_run as u64))
-                .set("checks", Json::U64(s.checks))
+                .set("seeds", Json::U64(CLEAN_SEEDS as u64))
+                .set("checks", Json::U64(checks))
                 .set("false_positives", Json::U64(0))
         }
         Err(e) => {

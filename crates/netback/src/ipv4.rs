@@ -60,12 +60,12 @@ mod tests {
         build(&mut buf, 0x0A00_0001, 0x0A00_0002, 100, 42, 64);
         buf[DST_PORT_OFF..DST_PORT_OFF + 2].copy_from_slice(&8080u16.to_be_bytes());
         assert_eq!(admit(&buf), Some(8080));
+        assert_eq!(buf[8], 64, "TTL");
         let m = &mut NativeMem::with_base(&mut buf, 0);
         let h = Ipv4Header::at(0);
         assert_eq!(h.src(m), 0x0A00_0001);
         assert_eq!(h.dst(m), 0x0A00_0002);
         assert_eq!(h.total_len(m), IP_HEADER_LEN + 100);
-        assert_eq!(h.ttl(m), 64);
         assert_eq!(h.protocol(m), utcp::ip::PROTO_TCP);
     }
 

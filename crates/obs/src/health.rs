@@ -40,9 +40,10 @@
 //! `examples/doctor.rs`.
 
 use crate::json::Json;
+use crate::labels;
 use crate::recorder::Recorder;
 use crate::ring::Ring;
-use crate::span::{labels, Counter, FlightEdge, FlightSnap};
+use crate::span::{Counter, FlightEdge, FlightSnap};
 
 /// Snapshots retained per connection. Deliberately tiny: the flight
 /// recorder answers "what were the last few state transitions before

@@ -57,7 +57,8 @@
 use std::collections::BTreeMap;
 
 use crate::json::Json;
-use crate::span::{labels, Stage};
+use crate::labels;
+use crate::span::Stage;
 
 /// Tick value meaning "not recorded".
 const UNSET: u64 = u64::MAX;

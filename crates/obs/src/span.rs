@@ -12,7 +12,10 @@
 
 /// Declares a label set once — each variant with its doc and its
 /// exposition name — and derives `ALL`, `index()` and `name()` from
-/// that one list, so the three cannot drift apart.
+/// that one list, so the three cannot drift apart. Exported, so every
+/// crate declares its label sets (`utcp::State`, `sim`'s world kinds
+/// and trigger shapes) the same way.
+#[macro_export]
 macro_rules! labels {
     (
         $(#[$meta:meta])*
@@ -43,7 +46,6 @@ macro_rules! labels {
         }
     };
 }
-pub(crate) use labels;
 
 labels! {
     /// Which data path produced a span.

@@ -1,6 +1,6 @@
-//! Read-only views of a world: the aggregate report, output
-//! verification, per-client inspection and the health views. Nothing
-//! here writes harness state.
+//! Views of a world: the aggregate report, output verification,
+//! per-client inspection and the health views. Nothing here writes
+//! harness state (`client_rx_mut` only hands a client out).
 
 use memsim::Mem;
 use obs::{ConnView, Json, QueueStat, Recorder, Verdict};
@@ -93,6 +93,12 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
     /// oracles inspect `rcv_nxt` and the ring).
     pub fn client_rx(&self, i: usize) -> &Connection {
         &self.clients[i].rx
+    }
+
+    /// Client `i`'s receive-side connection, mutably (the simulation
+    /// arms its deliberate-bug switches through this).
+    pub fn client_rx_mut(&mut self, i: usize) -> &mut Connection {
+        &mut self.clients[i].rx
     }
 
     /// Client `i`'s delivered payload bytes, accepted chunks, and

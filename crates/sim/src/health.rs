@@ -12,22 +12,13 @@
 //! health views are host-side bookkeeping with no [`memsim::Mem`]
 //! traffic, so attaching them cannot change what the protocol does).
 
-use cipher::SimplifiedSafer;
-use memsim::layout::AddressSpace;
-use memsim::NativeMem;
-use obs::{Detector, Recorder, SeriesConfig, Verdict};
-use server::{
-    AggregateReport, Path, RoundRobin, ScaleHarness, ServerConfig,
-};
+use obs::{Detector, Recorder, Verdict};
+use server::{AggregateReport, Path, RoundRobin, ServerConfig};
 use utcp::rng::XorShift64;
-use utcp::{FaultPlan, FaultProbs, Loopback};
+use utcp::{FaultPlan, FaultProbs};
 
-/// Series shape every health scenario records with: small windows so
-/// even short runs seal several and the storm detector sees real
-/// per-window structure (matches the DST runner's shape).
-fn health_recorder() -> Recorder {
-    Recorder::with_series(128, SeriesConfig { window_ticks: 16, ring: 4 })
-}
+use crate::recovery::twins_agree;
+use crate::world::{recorder, World};
 
 /// The distinct detectors in a (sorted) verdict list, in order.
 pub fn detectors_of(verdicts: &[Verdict]) -> Vec<Detector> {
@@ -36,40 +27,28 @@ pub fn detectors_of(verdicts: &[Verdict]) -> Vec<Detector> {
     out
 }
 
-/// A fault shape engineered to trip one specific detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Trigger {
-    /// Deterministic heavy drops: retransmissions outnumber deliveries
-    /// inside individual series windows.
-    Storm,
-    /// A clean start, then a total blackout: exponential back-off
-    /// spirals while `snd_una` freezes, and delivery stops for multiples
-    /// of the (capped) RTO.
-    Blackout,
-    /// A deliberately undersized kernel-part slot pool: the queue
-    /// high-water reaches capacity, where the loop-back's round-robin
-    /// slot recycling starts overwriting queued datagrams in place.
-    Saturation,
-    /// Skewed weights served by an unweighted scheduler: the
-    /// weight-normalised Jain index collapses.
-    Fairness,
+obs::labels! {
+    /// A fault shape engineered to trip one specific detector.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Trigger {
+        /// Deterministic heavy drops: retransmissions outnumber deliveries
+        /// inside individual series windows.
+        Storm => "storm",
+        /// A clean start, then a total blackout: exponential back-off
+        /// spirals while `snd_una` freezes, and delivery stops for multiples
+        /// of the (capped) RTO.
+        Blackout => "blackout",
+        /// A deliberately undersized kernel-part slot pool: the queue
+        /// high-water reaches capacity, where the loop-back's round-robin
+        /// slot recycling starts overwriting queued datagrams in place.
+        Saturation => "saturation",
+        /// Skewed weights served by an unweighted scheduler: the
+        /// weight-normalised Jain index collapses.
+        Fairness => "fairness",
+    }
 }
 
 impl Trigger {
-    /// Every trigger shape, in declaration order.
-    pub const ALL: [Trigger; 4] =
-        [Trigger::Storm, Trigger::Blackout, Trigger::Saturation, Trigger::Fairness];
-
-    /// Stable lower-case name (report keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            Trigger::Storm => "storm",
-            Trigger::Blackout => "blackout",
-            Trigger::Saturation => "saturation",
-            Trigger::Fairness => "fairness",
-        }
-    }
-
     /// The exact detector set this shape must produce — nothing more,
     /// nothing less.
     pub fn expected(self) -> &'static [Detector] {
@@ -107,24 +86,15 @@ pub fn run_trigger(trigger: Trigger) -> Result<Vec<Verdict>, String> {
     Ok(verdicts)
 }
 
-/// Drive a default-loopback world to completion under a recorder and
-/// return its verdicts (plus harness + recorder for extra checks).
-fn run_to_completion(
-    cfg: ServerConfig,
-) -> Result<(Vec<Verdict>, AggregateReport, Recorder), String> {
-    let mut space = AddressSpace::new();
-    let mut h = ScaleHarness::simplified(&mut space, cfg);
-    let mut arena = space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    h.init_world(&mut m);
-    let mut sched = RoundRobin::new();
-    let mut rec = health_recorder();
-    let report = h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
-    if let Some(i) = h.verify_outputs(&mut m) {
+/// Drive a world to completion under a recorder and return its
+/// verdicts and report.
+fn run_to_completion(mut w: World) -> Result<(Vec<Verdict>, AggregateReport), String> {
+    let mut rec = recorder();
+    let report = w.run((Path::Ilp, &mut rec));
+    if let Some(i) = w.verify_outputs() {
         return Err(format!("client {i} reassembled a corrupted file"));
     }
-    let verdicts = h.health(&rec);
-    Ok((verdicts, report, rec))
+    Ok((w.h.health(&rec), report))
 }
 
 /// Heavy seeded drops: ~30% of datagrams (data *and* ACKs) vanish, so
@@ -146,7 +116,7 @@ fn storm_world() -> Result<Vec<Verdict>, String> {
         faults: FaultPlan::seeded(8, FaultProbs { drop: 19_661, ..Default::default() }),
         ..Default::default()
     };
-    let (verdicts, report, _rec) = run_to_completion(cfg)?;
+    let (verdicts, report) = run_to_completion(World::new(cfg))?;
     if report.retransmits == 0 {
         return Err("storm: the drop plan forced no retransmissions".into());
     }
@@ -174,13 +144,10 @@ fn blackout_world() -> Result<Vec<Verdict>, String> {
         chunk: 512,
         ..Default::default()
     };
-    let mut space = AddressSpace::new();
-    let mut h = ScaleHarness::simplified(&mut space, cfg);
-    let mut arena = space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    h.init_world(&mut m);
+    let mut w = World::new(cfg);
+    let (h, mut m) = w.parts();
     let mut sched = RoundRobin::new();
-    let mut rec = health_recorder();
+    let mut rec = recorder();
     let mut run = h.begin_run::<Recorder>();
     for _ in 0..BLACKOUT_WARMUP {
         if !h.step(&mut m, &mut sched, Path::Ilp, &mut rec, &mut run) {
@@ -227,23 +194,11 @@ fn saturation_world() -> Result<Vec<Verdict>, String> {
         chunk: 256,
         ..Default::default()
     };
-    let mut space = AddressSpace::new();
-    let cipher = SimplifiedSafer::alloc(&mut space);
-    let lb = Loopback::with_capacity(&mut space, 4);
-    let mut h = ScaleHarness::with_cipher_over(&mut space, cipher, cfg, lb);
-    let mut arena = space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    h.init_world(&mut m);
-    let mut sched = RoundRobin::new();
-    let mut rec = health_recorder();
-    let report = h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
-    if let Some(i) = h.verify_outputs(&mut m) {
-        return Err(format!("saturation: client {i} reassembled a corrupted file"));
-    }
+    let (verdicts, report) = run_to_completion(World::with_slots(cfg, Some(4)))?;
     if report.payload_bytes != 4 * 16 * 1024 {
         return Err(format!("saturation: delivered {} bytes", report.payload_bytes));
     }
-    Ok(h.health(&rec))
+    Ok(verdicts)
 }
 
 /// Weights [32, 1] served by the *unweighted* round-robin: both
@@ -259,7 +214,7 @@ fn fairness_world() -> Result<Vec<Verdict>, String> {
         weights: vec![32, 1],
         ..Default::default()
     };
-    let (verdicts, report, _rec) = run_to_completion(cfg)?;
+    let (verdicts, report) = run_to_completion(World::new(cfg))?;
     if report.fairness >= 0.6 {
         return Err(format!("fairness: jain {} did not collapse", report.fairness));
     }
@@ -277,83 +232,22 @@ pub fn run_clean(seed: u64) -> Result<u64, String> {
         chunk: [256, 512, 1024][rng.index(3)],
         ..Default::default()
     };
-    let mut checks = 0u64;
-
-    let build = |cfg: &ServerConfig| {
-        let mut space = AddressSpace::new();
-        let h = ScaleHarness::simplified(&mut space, cfg.clone());
-        (space, h)
-    };
-
-    // Observed run, with health analysis.
-    let (space, mut h) = build(&cfg);
-    let mut arena = space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    h.init_world(&mut m);
-    let mut sched = RoundRobin::new();
-    let mut rec = health_recorder();
-    let observed = h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
-    if let Some(i) = h.verify_outputs(&mut m) {
+    let mut twin = twins_agree(&cfg, Path::Ilp).map_err(|e| format!("clean seed {seed}: {e}"))?;
+    if let Some(i) = twin.world.verify_outputs() {
         return Err(format!("clean seed {seed}: client {i} corrupted"));
     }
-    checks += 1;
-    let verdicts = h.health(&rec);
+    let verdicts = twin.world.h.health(&twin.rec);
     if !verdicts.is_empty() {
-        return Err(format!(
-            "clean seed {seed}: false positive {:?}",
-            detectors_of(&verdicts)
-        ));
+        return Err(format!("clean seed {seed}: false positive {:?}", detectors_of(&verdicts)));
     }
-    checks += 1;
-
-    // Unobserved twin: same config, fresh world, NoopObserver path.
-    let (space2, mut h2) = build(&cfg);
-    let mut arena2 = space2.native_arena();
-    let mut m2 = NativeMem::new(&mut arena2);
-    h2.init_world(&mut m2);
-    let mut sched2 = RoundRobin::new();
-    let plain = h2.run(&mut m2, &mut sched2, Path::Ilp);
-    let pairs = [
-        ("payload_bytes", observed.payload_bytes, plain.payload_bytes),
-        ("rounds", observed.rounds, plain.rounds),
-        ("retransmits", observed.retransmits, plain.retransmits),
-        ("rejected", observed.rejected, plain.rejected),
-    ];
-    for (what, a, b) in pairs {
-        if a != b {
-            return Err(format!("clean seed {seed}: observed/unobserved diverge on {what}: {a} vs {b}"));
-        }
-        checks += 1;
-    }
-    if observed.per_conn != plain.per_conn {
-        return Err(format!("clean seed {seed}: per-conn stats diverge under observation"));
-    }
-    if observed.fairness.to_bits() != plain.fairness.to_bits() {
-        return Err(format!("clean seed {seed}: fairness diverges under observation"));
-    }
-    checks += 2;
-    Ok(checks)
+    Ok(twin.checks + 2)
 }
 
-/// What an all-green clean-seed sweep did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CleanSweep {
-    /// Seeds executed.
-    pub seeds_run: usize,
-    /// Individual oracle evaluations that passed.
-    pub checks: u64,
-}
-
-/// Sweep `seeds` consecutive clean seeds. `Err` carries the first
-/// false positive or observed/unobserved divergence.
-pub fn clean_sweep(base_seed: u64, seeds: usize) -> Result<CleanSweep, String> {
-    let mut out = CleanSweep::default();
-    for i in 0..seeds {
-        let seed = base_seed.wrapping_add(i as u64);
-        out.seeds_run += 1;
-        out.checks += run_clean(seed)?;
-    }
-    Ok(out)
+/// Sweep `seeds` consecutive clean seeds; returns the oracle
+/// evaluations made. `Err` carries the first false positive or
+/// observed/unobserved divergence.
+pub fn clean_sweep(base_seed: u64, seeds: usize) -> Result<u64, String> {
+    (0..seeds).map(|i| run_clean(base_seed.wrapping_add(i as u64))).sum()
 }
 
 #[cfg(test)]
@@ -370,9 +264,8 @@ mod tests {
 
     #[test]
     fn clean_seeds_produce_no_verdicts_and_observation_is_free() {
-        let sweep = clean_sweep(0xC0FFEE, 8).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(sweep.seeds_run, 8);
-        assert!(sweep.checks >= 8 * 8, "each seed runs its full oracle set");
+        let checks = clean_sweep(0xC0FFEE, 8).unwrap_or_else(|e| panic!("{e}"));
+        assert!(checks >= 8 * 8, "each seed runs its full oracle set");
     }
 }
 

@@ -2,43 +2,39 @@
 //! faults.
 //!
 //! The transfer sweep proves every faulted run *delivers*; these worlds
-//! prove every run also *dies correctly*:
+//! prove every run also *dies correctly*. Raw two-connection pairs run
+//! under a [`PairTracker`] — a [`ConnOracle`] per side (legal
+//! transitions, post-FIN freeze, flight accounting, cwnd) plus the
+//! states each side visited — and add:
 //!
-//! * **legal-transition matrix**: every observed state change must be
-//!   reachable in the RFC 793 successor graph ([`reachable`]) — within
-//!   one tracked run `Closed` is terminal and TIME_WAIT never
-//!   resurrects (reopen is deliberately excluded from the matrix);
-//! * **post-FIN freeze**: once a FIN is accepted, `rcv_nxt` is pinned
-//!   at `fin + 1` forever and the accepted-segment counter never moves
-//!   again — the property the [`utcp`] accept-after-FIN mutation
-//!   violates, so the sweep proves these oracles have teeth;
-//! * **flight accounting**: `in_flight` equals the ring's buffered
-//!   bytes *plus* the unacknowledged FIN's sequence slot;
 //! * **liveness**: under seeded loss/reorder/dup/corrupt faults both
 //!   sides of every teardown must still reach `Closed` within a tick
 //!   bound, and the closer must sit out its full 2·MSL quiet time;
-//! * **pinned teardown worlds**: clean close, simultaneous close,
-//!   half-closed drain, FIN lost → timer-retransmitted, RST storm, and
-//!   stale-data-after-FIN — each pinning the *mechanism*, not just the
-//!   outcome.
+//! * **pinned teardown worlds** ([`PINNED_WORLDS`]): clean close,
+//!   simultaneous close, half-closed drain, FIN lost →
+//!   timer-retransmitted, RST storm, and stale-data-after-FIN — each
+//!   pinning the *mechanism*, not just the outcome. They are the
+//!   teardown sweep's prelude; [`TeardownSpec`] is its seeded part.
 //!
 //! [`run_churn`] drives connect → transfer → close → reopen waves over
 //! the full [`server::ScaleHarness`] (SYN handshakes included), with
-//! the per-tick [`crate::oracle::Tracker`] live throughout and ports
-//! actively recycled between waves — the workload behind the
-//! `exp_churn` benchmark.
+//! the per-tick oracles live throughout and ports actively recycled
+//! between waves — the workload behind the `exp_churn` benchmark.
 
 use checksum::internet::checksum_buf;
 use memsim::layout::AddressSpace;
 use memsim::region::Region;
 use memsim::{Mem, NativeMem};
 use obs::NoopObserver;
-use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
+use server::{Path, RoundRobin, ServerConfig};
 use utcp::rng::XorShift64;
 use utcp::{Connection, FaultPlan, FaultProbs, Loopback, State, UtcpConfig, MSL_TICKS};
 
-use crate::oracle::Tracker;
-use crate::shrink::{calmer, caught, shrink};
+use crate::oracle::ConnOracle;
+use crate::runner::{FaultTotals, Mutant, PinnedWorld, ScenarioStats, Spec};
+use crate::scenario::stream;
+use crate::shrink::calmer;
+use crate::world::World;
 
 /// Ticks a teardown world may spend before the liveness oracle fails.
 const LIVENESS_LIMIT: u64 = 30_000;
@@ -63,10 +59,6 @@ fn successors(s: State) -> &'static [State] {
     }
 }
 
-fn idx(s: State) -> usize {
-    s as usize
-}
-
 /// Whether `to` is a legal *single* RFC 793 step from `from`.
 pub fn legal_step(from: State, to: State) -> bool {
     successors(from).contains(&to)
@@ -79,50 +71,29 @@ pub fn legal_step(from: State, to: State) -> bool {
 /// on purpose, so a resurrected TIME_WAIT or Closed connection is an
 /// oracle failure, not a path.
 pub fn reachable(from: State, to: State) -> bool {
-    if from == to {
-        return true;
-    }
-    let mut seen = [false; 11];
+    let mut seen = [false; State::ALL.len()];
     let mut stack = vec![from];
     while let Some(s) = stack.pop() {
-        for &n in successors(s) {
-            if n == to {
-                return true;
-            }
-            if !seen[idx(n)] {
-                seen[idx(n)] = true;
-                stack.push(n);
-            }
+        if s == to {
+            return true;
+        }
+        if !std::mem::replace(&mut seen[s.index()], true) {
+            stack.extend(successors(s));
         }
     }
     false
 }
 
-/// Previous observation of one connection side.
-#[derive(Debug, Clone, Copy)]
-struct Prev {
-    state: State,
-    snd_una: u32,
-    snd_nxt: u32,
-    rcv_nxt: u32,
-    accepted: u64,
-    fin_rcvd: Option<u32>,
-}
-
 /// Per-tick lifecycle oracle over one raw connection pair.
 #[derive(Debug, Default)]
 pub struct PairTracker {
-    prev: [Option<Prev>; 2],
+    sides: [ConnOracle; 2],
     /// Bitmask of states each side was *observed* in (`1 << state
     /// index`); multi-transition polls may skip through unobserved
     /// states, so assertions on this are necessarily one-sided.
     pub visited: [u16; 2],
     /// Individual oracle evaluations performed.
     pub checks: u64,
-}
-
-fn advanced(prev: u32, now: u32) -> bool {
-    (now.wrapping_sub(prev) as i32) >= 0
 }
 
 impl PairTracker {
@@ -133,99 +104,51 @@ impl PairTracker {
 
     /// Whether `side` (0 = tx, 1 = rx) was ever observed in `s`.
     pub fn saw(&self, side: usize, s: State) -> bool {
-        self.visited[side] & (1 << idx(s)) != 0
+        self.visited[side] & (1 << s.index()) != 0
     }
 
-    /// Run the lifecycle oracles over both sides.
+    /// Observe both sides.
     pub fn check(&mut self, tx: &Connection, rx: &Connection) -> Result<(), String> {
-        self.check_one(0, tx).map_err(|e| format!("tx side: {e}"))?;
-        self.check_one(1, rx).map_err(|e| format!("rx side: {e}"))
-    }
-
-    fn check_one(&mut self, side: usize, c: &Connection) -> Result<(), String> {
-        let now = c.state();
-        self.visited[side] |= 1 << idx(now);
-        let prev = self.prev[side].get_or_insert(Prev {
-            state: now,
-            snd_una: c.snd_una(),
-            snd_nxt: c.snd_nxt(),
-            rcv_nxt: c.rcv_nxt(),
-            accepted: c.stats.accepted,
-            fin_rcvd: c.fin_rcvd_seq(),
-        });
-        if !reachable(prev.state, now) {
-            return Err(format!(
-                "illegal lifecycle transition {} -> {}",
-                prev.state.name(),
-                now.name()
-            ));
+        for (side, (name, c)) in [("tx", tx), ("rx", rx)].into_iter().enumerate() {
+            self.visited[side] |= 1 << c.state().index();
+            self.sides[side].check(c).map_err(|e| format!("{name} side: {e}"))?;
+            self.checks += ConnOracle::CHECKS;
         }
-        if !advanced(prev.snd_una, c.snd_una()) {
-            return Err("snd_una went backwards".into());
-        }
-        if !advanced(prev.snd_nxt, c.snd_nxt()) {
-            return Err("snd_nxt went backwards".into());
-        }
-        if !advanced(c.snd_una(), c.snd_nxt()) {
-            return Err("snd_una passed snd_nxt".into());
-        }
-        if !advanced(prev.rcv_nxt, c.rcv_nxt()) {
-            return Err("rcv_nxt went backwards".into());
-        }
-        let in_flight = c.in_flight() as usize;
-        let fin = c.fin_in_flight() as usize;
-        if in_flight != c.ring().buffered_bytes() + fin {
-            return Err(format!(
-                "in_flight {in_flight} != ring buffered {} + fin {fin}",
-                c.ring().buffered_bytes()
-            ));
-        }
-        if let Some(f) = c.fin_rcvd_seq() {
-            if c.rcv_nxt() != f.wrapping_add(1) {
-                return Err(format!(
-                    "rcv_nxt {:#x} moved past the accepted FIN at {f:#x} — data after FIN",
-                    c.rcv_nxt()
-                ));
-            }
-            if prev.fin_rcvd == Some(f) && c.stats.accepted != prev.accepted {
-                return Err("segment accepted after the FIN was processed".into());
-            }
-        }
-        c.ring().check_invariants().map_err(|e| format!("ring: {e}"))?;
-        *prev = Prev {
-            state: now,
-            snd_una: c.snd_una(),
-            snd_nxt: c.snd_nxt(),
-            rcv_nxt: c.rcv_nxt(),
-            accepted: c.stats.accepted,
-            fin_rcvd: c.fin_rcvd_seq(),
-        };
-        self.checks += 8;
         Ok(())
     }
 }
 
 /// A raw two-connection world: sender → receiver over a faultable
-/// loop-back, no handshake (raw connections are born established).
+/// loop-back, no handshake (raw connections are born established), and
+/// the tracker watching both.
 struct PairWorld {
-    space: AddressSpace,
+    arena: Vec<u8>,
     lb: Loopback,
     tx: Connection,
     rx: Connection,
+    /// The file the sender streams, [`pattern`] throughout.
     src: Region,
+    t: PairTracker,
 }
 
 const TX_ISS: u32 = 0x4_1000;
 const RX_ISS: u32 = 0x9_5000;
 
-fn pair_world(plan: FaultPlan) -> PairWorld {
+fn pair_world(plan: FaultPlan, mutant: Mutant) -> PairWorld {
     let mut space = AddressSpace::new();
     let mut lb = Loopback::new(&mut space);
     lb.set_faults(plan);
     let tx_cfg = UtcpConfig { local_port: 1000, peer_port: 2000, ..Default::default() };
-    let (tx, rx) = Connection::pair(&mut space, &mut lb, tx_cfg, TX_ISS, RX_ISS);
+    let (mut tx, mut rx) = Connection::pair(&mut space, &mut lb, tx_cfg, TX_ISS, RX_ISS);
+    mutant.arm(&mut tx);
+    mutant.arm(&mut rx);
     let src = space.alloc("lifecycle_src", 4096, 8);
-    PairWorld { space, lb, tx, rx, src }
+    let mut arena = space.native_arena();
+    let mut m = NativeMem::new(&mut arena);
+    for i in 0..src.len {
+        m.write_u8(src.at(i), pattern(i));
+    }
+    PairWorld { arena, lb, tx, rx, src, t: PairTracker::new() }
 }
 
 /// Deterministic payload pattern (251 is prime, so no chunk-size alias).
@@ -233,25 +156,8 @@ fn pattern(i: usize) -> u8 {
     ((i * 7 + 3) % 251) as u8
 }
 
-fn fill_src(m: &mut NativeMem<'_>, src: Region, len: usize) {
-    for i in 0..len {
-        m.write_u8(src.at(i), pattern(i));
-    }
-}
-
-/// What a teardown world did.
-#[derive(Debug, Clone, Copy)]
-pub struct TeardownOutcome {
-    /// Ticks until both sides reached `Closed`.
-    pub ticks: u64,
-    /// Payload bytes the receiver accepted in order.
-    pub bytes: u64,
-    /// Oracle evaluations performed.
-    pub checks: u64,
-}
-
 /// Script knobs of the generic teardown driver.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Script {
     chunks: usize,
     chunk: usize,
@@ -265,13 +171,11 @@ struct Script {
 }
 
 /// Drive a pair world through transfer + teardown to double-`Closed`,
-/// with the lifecycle oracles checked at every phase boundary.
-fn drive(w: &mut PairWorld, script: Script, tracker: &mut PairTracker) -> Result<TeardownOutcome, String> {
-    let total = script.chunks * script.chunk;
-    assert!(total <= w.src.len, "pattern region holds the whole file");
-    let mut arena = w.space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    fill_src(&mut m, w.src, total);
+/// with the lifecycle oracles checked at every phase boundary. Returns
+/// the ticks it took and the payload bytes the receiver accepted.
+fn drive(w: &mut PairWorld, script: Script) -> Result<(u64, u64), String> {
+    assert!(script.chunks * script.chunk <= w.src.len, "pattern region holds the whole file");
+    let mut m = NativeMem::new(&mut w.arena);
     if script.rx_close_first {
         w.rx.close(&mut m, &mut w.lb);
     }
@@ -283,7 +187,7 @@ fn drive(w: &mut PairWorld, script: Script, tracker: &mut PairTracker) -> Result
         // this tick's send/close decisions. Observe immediately, so a
         // pump-then-close tick can't hide the intermediate state.
         while w.tx.poll_input(&mut m, &mut w.lb).is_some() {}
-        tracker.check(&w.tx, &w.rx).map_err(|e| format!("tick {tick}: {e}"))?;
+        w.t.check(&w.tx, &w.rx).map_err(|e| format!("tick {tick}: {e}"))?;
         // Hand chunks to the transport as the window allows.
         while sent < script.chunks && w.tx.can_send(script.chunk) {
             w.tx.send_buf(&mut m, &mut w.lb, w.src.at(sent * script.chunk), script.chunk)
@@ -301,7 +205,7 @@ fn drive(w: &mut PairWorld, script: Script, tracker: &mut PairTracker) -> Result
                 w.rx.close(&mut m, &mut w.lb);
             }
         }
-        tracker.check(&w.tx, &w.rx).map_err(|e| format!("tick {tick}: {e}"))?;
+        w.t.check(&w.tx, &w.rx).map_err(|e| format!("tick {tick}: {e}"))?;
         // Receiver pump: accept in-order data, verify the pattern.
         while let Some(d) = w.rx.poll_input(&mut m, &mut w.lb) {
             let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
@@ -318,12 +222,12 @@ fn drive(w: &mut PairWorld, script: Script, tracker: &mut PairTracker) -> Result
         if w.rx.state() == State::CloseWait {
             w.rx.close(&mut m, &mut w.lb);
         }
-        tracker.check(&w.tx, &w.rx).map_err(|e| format!("tick {tick}: {e}"))?;
+        w.t.check(&w.tx, &w.rx).map_err(|e| format!("tick {tick}: {e}"))?;
         w.tx.tick(&mut m, &mut w.lb);
         w.rx.tick(&mut m, &mut w.lb);
-        tracker.check(&w.tx, &w.rx).map_err(|e| format!("tick {tick}: {e}"))?;
+        w.t.check(&w.tx, &w.rx).map_err(|e| format!("tick {tick}: {e}"))?;
         if w.tx.state() == State::Closed && w.rx.state() == State::Closed {
-            return Ok(TeardownOutcome { ticks: tick + 1, bytes: acc, checks: tracker.checks });
+            return Ok((tick + 1, acc));
         }
     }
     Err(format!(
@@ -335,18 +239,16 @@ fn drive(w: &mut PairWorld, script: Script, tracker: &mut PairTracker) -> Result
 
 /// Pinned world: clean FIN/ACK close after a two-chunk transfer. The
 /// active closer alone serves TIME_WAIT, for exactly 2·MSL.
-pub fn clean_close() -> Result<u64, String> {
-    let mut w = pair_world(FaultPlan::default());
-    let mut t = PairTracker::new();
-    let script = Script { chunks: 2, chunk: 256, simultaneous: false, rx_close_first: false };
-    let out = drive(&mut w, script, &mut t)?;
-    if out.bytes != 512 {
-        return Err(format!("clean close: {} bytes delivered, want 512", out.bytes));
+pub fn clean_close(mutant: Mutant) -> Result<u64, String> {
+    let mut w = pair_world(FaultPlan::default(), mutant);
+    let (_, bytes) = drive(&mut w, Script { chunks: 2, chunk: 256, ..Default::default() })?;
+    if bytes != 512 {
+        return Err(format!("clean close: {bytes} bytes delivered, want 512"));
     }
-    if t.saw(0, State::Closing) || t.saw(0, State::CloseWait) {
+    if w.t.saw(0, State::Closing) || w.t.saw(0, State::CloseWait) {
         return Err("clean close: active closer strayed into the simultaneous path".into());
     }
-    if t.saw(1, State::TimeWait) {
+    if w.t.saw(1, State::TimeWait) {
         return Err("clean close: passive closer must never serve TIME_WAIT".into());
     }
     if w.tx.time_wait_residency() != 2 * u64::from(MSL_TICKS) {
@@ -359,17 +261,15 @@ pub fn clean_close() -> Result<u64, String> {
     if w.tx.stats.fins_sent != 1 || w.tx.stats.fins_received != 1 {
         return Err("clean close: exactly one FIN each way".into());
     }
-    Ok(out.checks + 5)
+    Ok(w.t.checks + 5)
 }
 
 /// Pinned world: both ends close in the same tick. Each FIN crosses the
 /// other, both sides pass through CLOSING and both serve 2·MSL.
-pub fn simultaneous_close() -> Result<u64, String> {
-    let mut w = pair_world(FaultPlan::default());
-    let mut t = PairTracker::new();
-    let script = Script { chunks: 1, chunk: 256, simultaneous: true, rx_close_first: false };
-    let out = drive(&mut w, script, &mut t)?;
-    if !t.saw(1, State::Closing) {
+pub fn simultaneous_close(mutant: Mutant) -> Result<u64, String> {
+    let mut w = pair_world(FaultPlan::default(), mutant);
+    drive(&mut w, Script { chunks: 1, chunk: 256, simultaneous: true, ..Default::default() })?;
+    if !w.t.saw(1, State::Closing) {
         return Err("simultaneous close: crossed FINs must pass through CLOSING".into());
     }
     let msl2 = 2 * u64::from(MSL_TICKS);
@@ -380,27 +280,25 @@ pub fn simultaneous_close() -> Result<u64, String> {
             w.rx.time_wait_residency()
         ));
     }
-    if t.saw(0, State::CloseWait) || t.saw(1, State::CloseWait) {
+    if w.t.saw(0, State::CloseWait) || w.t.saw(1, State::CloseWait) {
         return Err("simultaneous close: nobody is the passive closer".into());
     }
-    Ok(out.checks + 3)
+    Ok(w.t.checks + 3)
 }
 
 /// Pinned world: the receiver closes first, and the sender streams the
 /// whole file into the half-closed connection (FIN_WAIT_1/2 still
 /// accept data) before finishing from CLOSE_WAIT → LAST_ACK.
-pub fn half_closed_drain() -> Result<u64, String> {
-    let mut w = pair_world(FaultPlan::default());
-    let mut t = PairTracker::new();
-    let script = Script { chunks: 3, chunk: 256, simultaneous: false, rx_close_first: true };
-    let out = drive(&mut w, script, &mut t)?;
-    if out.bytes != 3 * 256 {
+pub fn half_closed_drain(mutant: Mutant) -> Result<u64, String> {
+    let mut w = pair_world(FaultPlan::default(), mutant);
+    let (_, bytes) =
+        drive(&mut w, Script { chunks: 3, chunk: 256, rx_close_first: true, ..Default::default() })?;
+    if bytes != 3 * 256 {
         return Err(format!(
-            "half-closed drain: {} bytes crossed the half-closed connection, want 768",
-            out.bytes
+            "half-closed drain: {bytes} bytes crossed the half-closed connection, want 768"
         ));
     }
-    if !t.saw(0, State::CloseWait) || !t.saw(0, State::LastAck) {
+    if !w.t.saw(0, State::CloseWait) || !w.t.saw(0, State::LastAck) {
         return Err("half-closed drain: sender must finish via CLOSE_WAIT → LAST_ACK".into());
     }
     if w.tx.time_wait_residency() != 0 {
@@ -409,20 +307,18 @@ pub fn half_closed_drain() -> Result<u64, String> {
     if w.rx.time_wait_residency() != 2 * u64::from(MSL_TICKS) {
         return Err("half-closed drain: the early closer serves the full quiet time".into());
     }
-    Ok(out.checks + 4)
+    Ok(w.t.checks + 4)
 }
 
 /// Pinned world: the FIN datagram itself is dropped; the retransmission
 /// timer — not the peer — must repair the teardown.
-pub fn fin_lost_retransmitted() -> Result<u64, String> {
+pub fn fin_lost_retransmitted(mutant: Mutant) -> Result<u64, String> {
     // One chunk → kernel-part send index 2 is the FIN: the drive hands
     // over the single data TPDU (1) and closes in the same tick (2),
     // before the receiver ACKs anything.
     let plan = FaultPlan { drop_at: 2, drop_burst: 1, ..Default::default() };
-    let mut w = pair_world(plan);
-    let mut t = PairTracker::new();
-    let script = Script { chunks: 1, chunk: 256, simultaneous: false, rx_close_first: false };
-    let out = drive(&mut w, script, &mut t)?;
+    let mut w = pair_world(plan, mutant);
+    let (_, bytes) = drive(&mut w, Script { chunks: 1, chunk: 256, ..Default::default() })?;
     if w.lb.dropped != 1 {
         return Err(format!("lost FIN: {} datagrams dropped, want exactly the FIN", w.lb.dropped));
     }
@@ -432,28 +328,25 @@ pub fn fin_lost_retransmitted() -> Result<u64, String> {
     if w.rx.stats.fins_received != 1 {
         return Err("lost FIN: the retransmitted FIN must be accepted exactly once".into());
     }
-    if out.bytes != 256 {
+    if bytes != 256 {
         return Err("lost FIN: data must still arrive intact".into());
     }
-    Ok(out.checks + 4)
+    Ok(w.t.checks + 4)
 }
 
 /// Pinned world: an abort mid-transfer RSTs the peer; data sent at the
 /// now-dead port is answered with a RST, and the exchange terminates —
 /// a RST is never answered with a RST, so no storm.
-pub fn rst_storm() -> Result<u64, String> {
-    let mut w = pair_world(FaultPlan::default());
-    let mut t = PairTracker::new();
-    let mut arena = w.space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    fill_src(&mut m, w.src, 512);
+pub fn rst_storm(mutant: Mutant) -> Result<u64, String> {
+    let mut w = pair_world(FaultPlan::default(), mutant);
+    let mut m = NativeMem::new(&mut w.arena);
     // One clean chunk, then the receiver aborts.
     w.tx.send_buf(&mut m, &mut w.lb, w.src.base, 256).map_err(|e| e.to_string())?;
     while let Some(d) = w.rx.poll_input(&mut m, &mut w.lb) {
         let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
         let _ = w.rx.finish_recv(&mut m, &mut w.lb, &d, sum);
     }
-    t.check(&w.tx, &w.rx).map_err(|e| format!("pre-abort: {e}"))?;
+    w.t.check(&w.tx, &w.rx).map_err(|e| format!("pre-abort: {e}"))?;
     w.rx.abort(&mut m, &mut w.lb);
     if w.rx.state() != State::Closed {
         return Err("abort must be a total, immediate teardown".into());
@@ -462,7 +355,7 @@ pub fn rst_storm() -> Result<u64, String> {
     // dead port; the dead connection answers each with a RST.
     w.tx.send_buf(&mut m, &mut w.lb, w.src.at(256), 256).map_err(|e| e.to_string())?;
     while w.rx.poll_input(&mut m, &mut w.lb).is_some() {}
-    t.check(&w.tx, &w.rx).map_err(|e| format!("dead-port answer: {e}"))?;
+    w.t.check(&w.tx, &w.rx).map_err(|e| format!("dead-port answer: {e}"))?;
     if w.rx.stats.resets_sent != 2 {
         return Err(format!(
             "dead port: {} RSTs sent, want 2 (the abort + one answer)",
@@ -472,7 +365,7 @@ pub fn rst_storm() -> Result<u64, String> {
     // The sender consumes the abort RST (total teardown) and must
     // *ignore* the second one — never RST a RST.
     while w.tx.poll_input(&mut m, &mut w.lb).is_some() {}
-    t.check(&w.tx, &w.rx).map_err(|e| format!("post-RST: {e}"))?;
+    w.t.check(&w.tx, &w.rx).map_err(|e| format!("post-RST: {e}"))?;
     if w.tx.state() != State::Closed {
         return Err("the RST must tear the sender all the way down".into());
     }
@@ -493,38 +386,21 @@ pub fn rst_storm() -> Result<u64, String> {
         w.rx.tick(&mut m, &mut w.lb);
         while w.tx.poll_input(&mut m, &mut w.lb).is_some() {}
         while w.rx.poll_input(&mut m, &mut w.lb).is_some() {}
-        t.check(&w.tx, &w.rx).map_err(|e| format!("quiesced: {e}"))?;
+        w.t.check(&w.tx, &w.rx).map_err(|e| format!("quiesced: {e}"))?;
     }
     if w.rx.stats.resets_sent != 2 || w.tx.stats.resets_sent != 0 {
         return Err("the RST exchange must be silent once both sides are dead".into());
     }
-    Ok(t.checks + 8)
-}
-
-/// Arm the receiver's accept-after-FIN mutation.
-fn arm_fin_bug(rx: &mut Connection) {
-    #[cfg(feature = "mutation")]
-    rx.inject_accept_after_fin_bug(true);
-    #[cfg(not(feature = "mutation"))]
-    {
-        let _ = rx;
-        panic!("{}", crate::NEEDS_MUTATION);
-    }
+    Ok(w.t.checks + 8)
 }
 
 /// Pinned world: a stale data retransmission lands *after* the FIN was
 /// accepted. The gate must drop it and re-ACK `fin + 1`; with the
-/// test-only accept-after-FIN mutation injected the oracles must fail —
-/// this is the mutation proof for the lifecycle sweep.
-pub fn stale_data_after_fin(inject_bug: bool) -> Result<u64, String> {
-    let mut w = pair_world(FaultPlan::default());
-    if inject_bug {
-        arm_fin_bug(&mut w.rx);
-    }
-    let mut t = PairTracker::new();
-    let mut arena = w.space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    fill_src(&mut m, w.src, 256);
+/// accept-after-FIN mutant armed the oracles must fail — this is the
+/// mutation proof for the lifecycle sweep.
+pub fn stale_data_after_fin(mutant: Mutant) -> Result<u64, String> {
+    let mut w = pair_world(FaultPlan::default(), mutant);
+    let mut m = NativeMem::new(&mut w.arena);
     // Deliver one chunk, but never let the sender see the ACK — the
     // chunk stays in its ring, armed for a timer retransmission.
     w.tx.send_buf(&mut m, &mut w.lb, w.src.base, 256).map_err(|e| e.to_string())?;
@@ -538,7 +414,7 @@ pub fn stale_data_after_fin(inject_bug: bool) -> Result<u64, String> {
     if w.rx.fin_rcvd_seq().is_none() {
         return Err("FIN not accepted".into());
     }
-    t.check(&w.tx, &w.rx).map_err(|e| format!("post-FIN: {e}"))?;
+    w.t.check(&w.tx, &w.rx).map_err(|e| format!("post-FIN: {e}"))?;
     // Drive the sender's timer until it re-sends the (already
     // delivered) chunk — a stale retransmission arriving after the FIN.
     let before = w.tx.stats.retransmits;
@@ -555,7 +431,7 @@ pub fn stale_data_after_fin(inject_bug: bool) -> Result<u64, String> {
     while w.rx.poll_input(&mut m, &mut w.lb).is_some() {}
     // The freeze oracle: with the mutation injected this is where
     // rcv_nxt sails past fin + 1 and the tracker must say so.
-    t.check(&w.tx, &w.rx).map_err(|e| format!("stale data: {e}"))?;
+    w.t.check(&w.tx, &w.rx).map_err(|e| format!("stale data: {e}"))?;
     if w.rx.stats.rejected == rejected_before {
         return Err("the stale retransmission must be rejected, not ignored".into());
     }
@@ -568,40 +444,23 @@ pub fn stale_data_after_fin(inject_bug: bool) -> Result<u64, String> {
         while w.rx.poll_input(&mut m, &mut w.lb).is_some() {}
         w.tx.tick(&mut m, &mut w.lb);
         w.rx.tick(&mut m, &mut w.lb);
-        t.check(&w.tx, &w.rx).map_err(|e| format!("teardown: {e}"))?;
+        w.t.check(&w.tx, &w.rx).map_err(|e| format!("teardown: {e}"))?;
         if w.tx.state() == State::Closed && w.rx.state() == State::Closed {
-            return Ok(t.checks + 3);
+            return Ok(w.t.checks + 3);
         }
     }
     Err("liveness: teardown after the stale segment never finished".into())
 }
 
-/// A named pinned world: the runner returns its ticks-to-quiescence.
-pub type PinnedWorld = (&'static str, fn() -> Result<u64, String>);
-
-/// The pinned teardown worlds, by name. `stale_data_after_fin` runs
-/// with the mutation *off*; the mutation proof runs it on separately.
-pub fn pinned_worlds() -> [PinnedWorld; 6] {
-    fn stale() -> Result<u64, String> {
-        stale_data_after_fin(false)
-    }
-    [
-        ("clean_close", clean_close),
-        ("simultaneous_close", simultaneous_close),
-        ("half_closed_drain", half_closed_drain),
-        ("fin_lost_retransmitted", fin_lost_retransmitted),
-        ("rst_storm", rst_storm),
-        ("stale_data_after_fin", stale),
-    ]
-}
-
-/// Fork ids of a teardown seed's component streams (fixed forever, like
-/// [`crate::scenario`]'s).
-mod stream {
-    pub const SHAPE: u64 = 0;
-    pub const FAULTS: u64 = 1;
-    pub const DICE: u64 = 2;
-}
+/// The pinned teardown worlds, by name: the teardown sweep's prelude.
+pub const PINNED_WORLDS: [PinnedWorld; 6] = [
+    ("clean_close", clean_close),
+    ("simultaneous_close", simultaneous_close),
+    ("half_closed_drain", half_closed_drain),
+    ("fin_lost_retransmitted", fin_lost_retransmitted),
+    ("rst_storm", rst_storm),
+    ("stale_data_after_fin", stale_data_after_fin),
+];
 
 /// One fully-determined seeded teardown world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -619,8 +478,14 @@ pub struct TeardownSpec {
 }
 
 impl TeardownSpec {
-    /// Generate the teardown world a seed denotes.
-    pub fn from_seed(seed: u64) -> TeardownSpec {
+    /// The fault plan this spec installs on the kernel part.
+    pub fn fault_plan(&self) -> FaultPlan {
+        FaultPlan::seeded(XorShift64::new(self.seed).fork(stream::DICE).next_u64(), self.probs)
+    }
+}
+
+impl Spec for TeardownSpec {
+    fn from_seed(seed: u64) -> TeardownSpec {
         let root = XorShift64::new(seed);
         let mut shape = root.fork(stream::SHAPE);
         let chunk = [64, 128, 256, 512][shape.index(4)];
@@ -628,7 +493,7 @@ impl TeardownSpec {
         let simultaneous = shape.below(2) == 1;
         let mut f = root.fork(stream::FAULTS);
         // Each kind armed with probability 1/2 at up to ~1% of
-        // datagrams — the issue's teardown-under-loss liveness regime.
+        // datagrams — the teardown-under-loss liveness regime.
         let arm = |f: &mut XorShift64| -> u16 {
             if f.below(2) == 1 {
                 f.below(640) as u16 + 16
@@ -646,94 +511,49 @@ impl TeardownSpec {
         TeardownSpec { seed, chunk, chunks, simultaneous, probs }
     }
 
-    /// The fault plan this spec installs on the kernel part.
-    pub fn fault_plan(&self) -> FaultPlan {
-        FaultPlan::seeded(XorShift64::new(self.seed).fork(stream::DICE).next_u64(), self.probs)
+    /// Transfer, close and drain to double-`Closed` under the full
+    /// lifecycle oracle set, then audit the sequence books, the FINs and
+    /// the closer's quiet time.
+    fn run(&self, mutant: Mutant) -> Result<ScenarioStats, String> {
+        let mut w = pair_world(self.fault_plan(), mutant);
+        let (chunks, chunk, simultaneous) = (self.chunks, self.chunk, self.simultaneous);
+        let (ticks, bytes) = drive(&mut w, Script { chunks, chunk, simultaneous, rx_close_first: false })?;
+        let total = (self.chunks * self.chunk) as u64;
+        if bytes != total {
+            return Err(format!("teardown: {bytes} bytes delivered, want {total}"));
+        }
+        // Byte conservation end-to-end: data + the FIN's sequence slot.
+        let end = TX_ISS.wrapping_add(total as u32).wrapping_add(1);
+        if w.tx.snd_una() != end || w.rx.rcv_nxt() != end {
+            return Err(format!(
+                "teardown: sequence books disagree (snd_una {:#x}, rcv_nxt {:#x}, want {end:#x})",
+                w.tx.snd_una(),
+                w.rx.rcv_nxt()
+            ));
+        }
+        if w.tx.stats.fins_sent != 1 || w.rx.stats.fins_sent != 1 {
+            return Err("teardown: each side sends its FIN exactly once (retransmits aside)".into());
+        }
+        // The active closer (both, if simultaneous) serves full 2·MSL.
+        let msl2 = 2 * u64::from(MSL_TICKS);
+        if w.tx.time_wait_residency() < msl2 {
+            return Err(format!(
+                "teardown: the closer served only {} ticks of TIME_WAIT",
+                w.tx.time_wait_residency()
+            ));
+        }
+        Ok(ScenarioStats {
+            faults: FaultTotals::of(&w.lb),
+            oracle_checks: w.t.checks + 4,
+            rounds: ticks,
+            payload_bytes: bytes,
+            retransmits: w.tx.stats.retransmits,
+        })
     }
 
-    /// Render a ready-to-paste `#[test]` reproducing this teardown
-    /// world — what [`sweep_teardown`] prints for a minimised failure.
-    pub fn to_test_case(&self) -> String {
-        format!(
-            r#"#[test]
-fn teardown_repro_seed_{seed:x}() {{
-    // Minimal reproducer generated by the sim teardown shrinker. The
-    // spec replays deterministically: same fields + seed, same failure.
-    use sim::lifecycle::{{run_teardown, TeardownSpec}};
-    let spec = TeardownSpec {{
-        seed: 0x{seed:x},
-        chunk: {chunk},
-        chunks: {chunks},
-        simultaneous: {simultaneous},
-        probs: utcp::FaultProbs {{
-            drop: {drop},
-            dup: {dup},
-            reorder: {reorder},
-            corrupt: {corrupt},
-            delay: {delay},
-        }},
-    }};
-    run_teardown(&spec, false).expect("teardown must satisfy every lifecycle oracle");
-}}"#,
-            seed = self.seed,
-            chunk = self.chunk,
-            chunks = self.chunks,
-            simultaneous = self.simultaneous,
-            drop = self.probs.drop,
-            dup = self.probs.dup,
-            reorder = self.probs.reorder,
-            corrupt = self.probs.corrupt,
-            delay = self.probs.delay,
-        )
-    }
-}
-
-/// Run one seeded teardown world under the full lifecycle oracle set.
-/// `inject_fin_bug` arms the receiver's accept-after-FIN mutation.
-pub fn run_teardown(spec: &TeardownSpec, inject_fin_bug: bool) -> Result<u64, String> {
-    let mut w = pair_world(spec.fault_plan());
-    if inject_fin_bug {
-        arm_fin_bug(&mut w.rx);
-    }
-    let mut t = PairTracker::new();
-    let script = Script {
-        chunks: spec.chunks,
-        chunk: spec.chunk,
-        simultaneous: spec.simultaneous,
-        rx_close_first: false,
-    };
-    let out = drive(&mut w, script, &mut t)?;
-    let total = (spec.chunks * spec.chunk) as u64;
-    if out.bytes != total {
-        return Err(format!("teardown: {} bytes delivered, want {total}", out.bytes));
-    }
-    // Byte conservation end-to-end: data + the FIN's sequence slot.
-    let end = TX_ISS.wrapping_add(total as u32).wrapping_add(1);
-    if w.tx.snd_una() != end || w.rx.rcv_nxt() != end {
-        return Err(format!(
-            "teardown: sequence books disagree (snd_una {:#x}, rcv_nxt {:#x}, want {end:#x})",
-            w.tx.snd_una(),
-            w.rx.rcv_nxt()
-        ));
-    }
-    if w.tx.stats.fins_sent != 1 || w.rx.stats.fins_sent != 1 {
-        return Err("teardown: each side sends its FIN exactly once (retransmits aside)".into());
-    }
-    // The active closer (both, if simultaneous) serves full 2·MSL.
-    let msl2 = 2 * u64::from(MSL_TICKS);
-    if w.tx.time_wait_residency() < msl2 {
-        return Err(format!(
-            "teardown: the closer served only {} ticks of TIME_WAIT",
-            w.tx.time_wait_residency()
-        ));
-    }
-    Ok(out.checks + 4)
-}
-
-impl TeardownSpec {
-    /// The shrink ladder: fewer chunks, smaller chunks, sequential
-    /// instead of simultaneous close, then calmer faults.
-    pub fn simpler(&self) -> Vec<TeardownSpec> {
+    /// Fewer chunks, smaller chunks, sequential instead of simultaneous
+    /// close, then calmer faults.
+    fn simpler(&self) -> Vec<TeardownSpec> {
         let sc = self;
         let mut out = Vec::new();
         if sc.chunks > 1 {
@@ -748,75 +568,40 @@ impl TeardownSpec {
         out.extend(calmer(sc.probs).into_iter().map(|probs| TeardownSpec { probs, ..*sc }));
         out
     }
-}
 
-/// What a teardown sweep did.
-#[derive(Debug, Clone, Default)]
-pub struct TeardownSweepReport {
-    /// Seeded worlds executed (the pinned worlds run on top).
-    pub seeds_run: usize,
-    /// Worlds (pinned + seeded) whose every oracle passed.
-    pub passed: usize,
-    /// Total oracle evaluations over the passing worlds.
-    pub oracle_checks: u64,
-    /// First failure: (minimised spec, message, pasteable `#[test]`).
-    /// A pinned world has no spec and no reproducer — it already is a
-    /// committed test — and carries its name in the message.
-    pub failure: Option<(Option<TeardownSpec>, String, String)>,
-}
-
-/// The lifecycle sweep: all pinned teardown worlds, then `seeds`
-/// consecutive seeded worlds. `inject_fin_bug` arms the
-/// accept-after-FIN mutation everywhere — a sweep that still passes
-/// with it on would prove the oracles toothless, so `tests/mutation.rs`
-/// demands it fails.
-pub fn sweep_teardown(base_seed: u64, seeds: usize, inject_fin_bug: bool) -> TeardownSweepReport {
-    sweep_worlds(&pinned_worlds(), base_seed, seeds, inject_fin_bug)
-}
-
-fn sweep_worlds(
-    pinned: &[PinnedWorld],
-    base_seed: u64,
-    seeds: usize,
-    inject_fin_bug: bool,
-) -> TeardownSweepReport {
-    let mut rep = TeardownSweepReport::default();
-    for &(name, world) in pinned {
-        // `stale_data_after_fin` is the one pinned world whose
-        // *receiver* exercises the gate the mutation removes.
-        let outcome = if name == "stale_data_after_fin" {
-            caught(|| stale_data_after_fin(inject_fin_bug))
-        } else {
-            caught(world)
-        };
-        match outcome {
-            Ok(checks) => {
-                rep.passed += 1;
-                rep.oracle_checks += checks;
-            }
-            Err(e) => {
-                rep.failure = Some((None, format!("pinned world {name}: {e}"), String::new()));
-                return rep;
-            }
-        }
+    fn to_test_case(&self) -> String {
+        format!(
+            r#"#[test]
+fn teardown_repro_seed_{seed:x}() {{
+    // Minimal reproducer generated by the sim teardown shrinker. The
+    // spec replays deterministically: same fields + seed, same failure.
+    use sim::{{Mutant, Spec, TeardownSpec}};
+    let spec = TeardownSpec {{
+        seed: 0x{seed:x},
+        chunk: {chunk},
+        chunks: {chunks},
+        simultaneous: {simultaneous},
+        probs: utcp::FaultProbs {{
+            drop: {drop},
+            dup: {dup},
+            reorder: {reorder},
+            corrupt: {corrupt},
+            delay: {delay},
+        }},
+    }};
+    spec.run(Mutant::None).expect("teardown must satisfy every lifecycle oracle");
+}}"#,
+            seed = self.seed,
+            chunk = self.chunk,
+            chunks = self.chunks,
+            simultaneous = self.simultaneous,
+            drop = self.probs.drop,
+            dup = self.probs.dup,
+            reorder = self.probs.reorder,
+            corrupt = self.probs.corrupt,
+            delay = self.probs.delay,
+        )
     }
-    for i in 0..seeds {
-        let spec = TeardownSpec::from_seed(base_seed.wrapping_add(i as u64));
-        rep.seeds_run += 1;
-        match caught(|| run_teardown(&spec, inject_fin_bug)) {
-            Ok(checks) => {
-                rep.passed += 1;
-                rep.oracle_checks += checks;
-            }
-            Err(_) => {
-                let (shrunk, message) =
-                    shrink(&spec, TeardownSpec::simpler, |s| run_teardown(s, inject_fin_bug));
-                rep.failure = Some((Some(shrunk), message, shrunk.to_test_case()));
-                return rep;
-            }
-        }
-    }
-    rep
 }
 
 /// One churn workload: `waves` rounds of connect → transfer → close →
@@ -855,7 +640,7 @@ impl ChurnSpec {
 }
 
 /// What a churn run did — the quantities `exp_churn` reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChurnOutcome {
     /// FIN/ACK teardowns completed (connections × waves).
     pub closes_completed: u64,
@@ -880,53 +665,25 @@ pub struct ChurnOutcome {
 /// (ports released), and reopens the same pre-allocated connection pool
 /// for the next wave.
 pub fn run_churn(spec: &ChurnSpec, path: Path) -> Result<ChurnOutcome, String> {
-    let cfg = ServerConfig {
+    let mut w = World::new(ServerConfig {
         n_conns: spec.n_conns,
-        conn_base: 0,
         file_len: spec.file_len,
         chunk: spec.chunk,
-        weights: Vec::new(),
         faults: FaultPlan::seeded(spec.seed, spec.probs),
         ring_capacity: (spec.chunk + 64) * 4,
         max_rounds: 500_000,
-        loss_recovery: true,
-        trace_every: 0,
-    };
-    let mut space = AddressSpace::new();
-    let mut h = ScaleHarness::simplified(&mut space, cfg);
-    let mut arena = space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    h.init_world(&mut m);
+        ..Default::default()
+    });
     let mut sched = RoundRobin::new();
-    let mut out = ChurnOutcome {
-        closes_completed: 0,
-        time_wait_ticks: 0,
-        ports_recycled: 0,
-        rounds_to_quiescence: 0,
-        rounds_total: 0,
-        payload_bytes: 0,
-        retransmits: 0,
-        oracle_checks: 0,
-    };
+    let mut out = ChurnOutcome::default();
     let expected_wave = (spec.n_conns * spec.file_len) as u64;
     for wave in 0..spec.waves {
-        let mut run = h.begin_run::<NoopObserver>();
-        // Fresh tracker per wave: reopen resets the sequence books, so
-        // monotonicity (and the transition matrix, which keeps `Closed`
-        // terminal) must restart from the new baseline.
-        let mut tracker = Tracker::new(spec.n_conns);
-        let mut ticks = 0u64;
-        let mut more = true;
-        while more {
-            more = h.step(&mut m, &mut sched, path, &mut NoopObserver, &mut run);
-            ticks += 1;
-            let deep = !more || ticks.is_multiple_of(32);
-            tracker
-                .check(&h, &mut m, deep)
-                .map_err(|e| format!("wave {wave} tick {ticks}: {e}"))?;
-        }
+        let (ticks, checks) = w
+            .run_checked(&mut sched, path, &mut NoopObserver)
+            .map_err(|e| format!("wave {wave} {e}"))?;
         out.rounds_total += ticks;
-        out.oracle_checks += tracker.checks;
+        out.oracle_checks += checks;
+        let (h, mut m) = w.parts();
         if let Some(i) = h.verify_outputs(&mut m) {
             return Err(format!("wave {wave}: client {i} reassembled a corrupted file"));
         }
@@ -959,8 +716,8 @@ pub fn run_churn(spec: &ChurnSpec, path: Path) -> Result<ChurnOutcome, String> {
     }
     // Connection stats persist across reopen, so the end-of-run sums
     // cover every wave.
-    out.retransmits = h.table.iter().map(|s| s.tx.stats.retransmits).sum();
-    out.time_wait_ticks = h.time_wait_residency();
+    out.retransmits = w.h.table.iter().map(|s| s.tx.stats.retransmits).sum();
+    out.time_wait_ticks = w.h.time_wait_residency();
     if out.time_wait_ticks < out.closes_completed * 2 * u64::from(MSL_TICKS) {
         return Err(format!(
             "churn: {} TIME_WAIT ticks across {} closes — some closer skipped its quiet time",
@@ -974,11 +731,12 @@ pub fn run_churn(spec: &ChurnSpec, path: Path) -> Result<ChurnOutcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{sweep, SweepOpts};
 
     #[test]
     fn every_pinned_teardown_world_passes() {
-        for (name, world) in pinned_worlds() {
-            world().unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (name, world) in PINNED_WORLDS {
+            world(Mutant::None).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 
@@ -1003,23 +761,26 @@ mod tests {
     fn seeded_teardown_worlds_satisfy_the_lifecycle_oracles() {
         // A small in-test sweep; the full 200-seed sweep runs in
         // tests/dst.rs and the exp_dst/exp_churn benches.
-        let rep = sweep_teardown(0x7EAF_0000, 24, false);
+        let opts =
+            SweepOpts { base_seed: 0x7EAF_0000, seeds: 24, prelude: &PINNED_WORLDS, ..Default::default() };
+        let rep = sweep::<TeardownSpec>(&opts);
         assert!(rep.failure.is_none(), "{:?}", rep.failure);
-        assert_eq!(rep.passed, 24 + pinned_worlds().len());
-        assert!(rep.oracle_checks > 1000, "sweep barely checked anything");
+        assert_eq!(rep.passed, 24 + PINNED_WORLDS.len());
+        assert!(rep.totals.oracle_checks > 1000, "sweep barely checked anything");
     }
 
     #[test]
     fn a_pinned_world_that_panics_surfaces_its_message() {
-        fn broken() -> Result<u64, String> {
+        fn broken(_: Mutant) -> Result<u64, String> {
             panic!("ring extent 17 out of bounds")
         }
-        let rep = sweep_worlds(&[("clean_close", clean_close), ("broken", broken)], 0, 4, false);
+        const PRELUDE: [PinnedWorld; 2] = [("clean_close", clean_close), ("broken", broken)];
+        let rep = sweep::<TeardownSpec>(&SweepOpts { seeds: 4, prelude: &PRELUDE, ..Default::default() });
         assert_eq!((rep.passed, rep.seeds_run), (1, 0), "the sweep stops at the failing world");
-        let (spec, message, test_case) = rep.failure.expect("the panic is a failure");
-        assert_eq!(spec, None, "a pinned world has no seeded spec to blame");
-        assert_eq!(message, "pinned world broken: panic: ring extent 17 out of bounds");
-        assert!(test_case.is_empty());
+        let f = rep.failure.expect("the panic is a failure");
+        assert_eq!((f.spec, f.shrunk), (None, None), "a pinned world has no seeded spec to blame");
+        assert_eq!(f.message, "pinned world broken: panic: ring extent 17 out of bounds");
+        assert!(f.test_case.is_empty());
     }
 
     #[test]
@@ -1038,7 +799,7 @@ mod tests {
         let spec = TeardownSpec::from_seed(0xBEEF);
         let t = spec.to_test_case();
         assert!(t.contains("seed: 0xbeef"));
-        assert!(t.contains("run_teardown"));
+        assert!(t.contains("spec.run(Mutant::None)"));
         assert!(t.contains("#[test]"));
     }
 

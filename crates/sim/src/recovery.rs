@@ -19,15 +19,15 @@
 //!
 //! Every world runs the full per-tick oracle set ([`crate::oracle`]),
 //! so the cwnd invariants are enforced *while* recovery happens, and
-//! each asserts ILP and non-ILP agree.
+//! each asserts ILP and non-ILP agree. [`twins_agree`] is the one
+//! observed ≡ unobserved comparison (the clean health sweep uses it
+//! too).
 
-use memsim::layout::AddressSpace;
-use memsim::NativeMem;
-use obs::{Counter, Recorder, SeriesConfig};
-use server::{AggregateReport, Path, RoundRobin, ScaleHarness, ServerConfig};
+use obs::{Counter, Recorder};
+use server::{AggregateReport, Path, RoundRobin, Scheduler, ServerConfig};
 use utcp::{FaultPlan, FaultProbs};
 
-use crate::oracle::Tracker;
+use crate::world::{recorder, World};
 
 /// What a recovery world did, for assertions and reporting.
 #[derive(Debug, Clone)]
@@ -53,15 +53,14 @@ pub struct RecoveryOutcome {
 fn recovery_config(faults: FaultPlan, loss_recovery: bool) -> ServerConfig {
     ServerConfig {
         n_conns: 1,
-        conn_base: 0,
         file_len: 4 * 512,
         chunk: 512,
-        weights: Vec::new(),
         faults,
         ring_capacity: 16 * 1024,
         max_rounds: 500_000,
         loss_recovery,
         trace_every: 1,
+        ..Default::default()
     }
 }
 
@@ -71,27 +70,14 @@ pub fn run_recovery_world(
     cfg: ServerConfig,
     path: Path,
 ) -> Result<RecoveryOutcome, String> {
-    let n_conns = cfg.n_conns;
     let expected = (cfg.n_conns * cfg.file_len) as u64;
-    let mut space = AddressSpace::new();
-    let mut h = ScaleHarness::simplified(&mut space, cfg);
-    let mut arena = space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    h.init_world(&mut m);
+    let mut w = World::new(cfg);
     let mut sched = RoundRobin::new();
-    let mut rec = Recorder::with_series(128, SeriesConfig { window_ticks: 16, ring: 4 });
-    let mut run = h.begin_run::<Recorder>();
-    let mut tracker = Tracker::new(n_conns);
-    let mut ticks = 0u64;
-    let mut more = true;
-    while more {
-        more = h.step(&mut m, &mut sched, path, &mut rec, &mut run);
-        ticks += 1;
-        let deep = !more || ticks.is_multiple_of(16);
-        tracker.check(&h, &mut m, deep).map_err(|e| format!("{path:?} tick {ticks}: {e}"))?;
-    }
-    let report = h.finish_run(&mut rec, "round_robin");
-    if let Some(i) = h.verify_outputs(&mut m) {
+    let mut rec = recorder();
+    let (_, checks) =
+        w.run_checked(&mut sched, path, &mut rec).map_err(|e| format!("{path:?} {e}"))?;
+    let report = w.h.finish_run(&mut rec, sched.name());
+    if let Some(i) = w.verify_outputs() {
         return Err(format!("{path:?}: client {i} reassembled a corrupted file"));
     }
     if report.payload_bytes != expected {
@@ -104,8 +90,8 @@ pub fn run_recovery_world(
         fast_retransmits: rec.counter(Counter::FastRetransmits),
         rto_backoffs: rec.counter(Counter::RtoBackoffs),
         sacked_bytes: rec.counter(Counter::SackedBytes),
-        reordered: h.lb.reordered,
-        checks: tracker.checks + 2,
+        reordered: w.h.lb.reordered,
+        checks: checks + 2,
         report,
     })
 }
@@ -235,46 +221,46 @@ pub fn goodput_beats_rto_only(seed: u64, path: Path) -> Result<(u64, u64), Strin
     Ok((rounds[0], rounds[1]))
 }
 
-/// Observed ≡ unobserved twin: run the identical world once under a
-/// recorder and once with the no-op observer — the recorder, flight
-/// rings and counters are host-side bookkeeping, so every reported
-/// field (including the recovery trace) must match exactly.
-pub fn twins_agree(cfg: &ServerConfig, path: Path) -> Result<(), String> {
-    let observed = {
-        let mut space = AddressSpace::new();
-        let mut h = ScaleHarness::simplified(&mut space, cfg.clone());
-        let mut arena = space.native_arena();
-        let mut m = NativeMem::new(&mut arena);
-        h.init_world(&mut m);
-        let mut sched = RoundRobin::new();
-        let mut rec = Recorder::with_series(128, SeriesConfig { window_ticks: 16, ring: 4 });
-        h.run(&mut m, &mut sched, (path, &mut rec))
-    };
-    let plain = {
-        let mut space = AddressSpace::new();
-        let mut h = ScaleHarness::simplified(&mut space, cfg.clone());
-        let mut arena = space.native_arena();
-        let mut m = NativeMem::new(&mut arena);
-        h.init_world(&mut m);
-        let mut sched = RoundRobin::new();
-        h.run(&mut m, &mut sched, path)
-    };
-    let pairs = [
-        ("payload_bytes", observed.payload_bytes, plain.payload_bytes),
-        ("rounds", observed.rounds, plain.rounds),
-        ("retransmits", observed.retransmits, plain.retransmits),
-        ("fast_retransmits", observed.fast_retransmits, plain.fast_retransmits),
-        ("rejected", observed.rejected, plain.rejected),
+/// An observed run that matched its unobserved twin.
+#[derive(Debug)]
+pub struct Twin {
+    /// The observed world, after its run.
+    pub world: World,
+    /// The observed run's recorder.
+    pub rec: Recorder,
+    /// The observed run's report.
+    pub report: AggregateReport,
+    /// Comparisons made.
+    pub checks: u64,
+}
+
+/// Observed ≡ unobserved twin: run `cfg`'s world once under a
+/// recorder and once unobserved. The recorder, flight rings, segment
+/// store and health views are host-side bookkeeping with no
+/// [`memsim::Mem`] traffic, so every reported field — the recovery
+/// trace and the fairness index included — must match exactly.
+pub fn twins_agree(cfg: &ServerConfig, path: Path) -> Result<Twin, String> {
+    let mut world = World::new(cfg.clone());
+    let mut rec = recorder();
+    let a = world.run((path, &mut rec));
+    let b = World::new(cfg.clone()).run(path);
+    let fields = [
+        ("payload_bytes", a.payload_bytes, b.payload_bytes),
+        ("rounds", a.rounds, b.rounds),
+        ("retransmits", a.retransmits, b.retransmits),
+        ("fast_retransmits", a.fast_retransmits, b.fast_retransmits),
+        ("rejected", a.rejected, b.rejected),
+        ("fairness", a.fairness.to_bits(), b.fairness.to_bits()),
     ];
-    for (what, a, b) in pairs {
-        if a != b {
-            return Err(format!("observed/unobserved diverge on {what}: {a} vs {b}"));
+    for (what, x, y) in fields {
+        if x != y {
+            return Err(format!("observed/unobserved diverge on {what}: {x} vs {y}"));
         }
     }
-    if observed.per_conn != plain.per_conn {
+    if a.per_conn != b.per_conn {
         return Err("observed/unobserved diverge on per-connection stats".into());
     }
-    Ok(())
+    Ok(Twin { world, rec, report: a, checks: fields.len() as u64 + 1 })
 }
 
 #[cfg(test)]

@@ -1,32 +1,64 @@
-//! Scenario execution and the seed sweep.
+//! The one seeded pipeline: seed → spec → world → sweep → shrink →
+//! reproducer, and the [`Scenario`] worlds it runs most.
 //!
-//! [`run_scenario`] drives one scenario against every applicable oracle
-//! and returns `Err` (or panics, for assertion-class failures — the
-//! sweep converts panics into failures too) when any property breaks.
-//! [`sweep`] runs a contiguous block of seeds, accumulates the fault
-//! mix and oracle pass counts for reporting, and on the first failure
-//! invokes the shrinker and renders a ready-to-paste reproducer.
+//! A [`Spec`] is a plain value a seed denotes — a [`Scenario`] for the
+//! transfer-class worlds, a [`crate::TeardownSpec`] for raw-pair
+//! teardowns. [`sweep`] runs an optional prelude of pinned worlds and
+//! then a contiguous block of seeds with one [`Mutant`] armed in every
+//! world, totals their [`ScenarioStats`], and on the first failure
+//! shrinks the spec ([`crate::shrink()`]) and renders a ready-to-paste
+//! `#[test]` whose seed replays it. Assertion-class failures (protocol
+//! stalls, out-of-bounds ring extents reaching `Region::at`) panic; the
+//! sweep turns panics into failures with the panic message.
 
 use memsim::layout::AddressSpace;
-use memsim::NativeMem;
-use obs::{Counter, Recorder, SeriesConfig};
-use server::{
-    AggregateReport, DeficitRoundRobin, Path, RoundRobin, ScaleHarness, SchedPolicy, Scheduler,
-    ServerConfig,
-};
-use utcp::SendRing;
+use obs::Counter;
+use server::{AggregateReport, DeficitRoundRobin, Path, RoundRobin, SchedPolicy, Scheduler, ServerConfig};
+use utcp::{Connection, Loopback, SendRing};
 
-use crate::oracle::{check_conservation, check_segtrace, Tracker};
-use crate::scenario::{Scenario, ScenarioKind};
+use crate::oracle::{check_conservation, check_segtrace};
+use crate::scenario::Scenario;
 use crate::shrink::{caught, shrink};
+use crate::world::{recorder, World};
 
-/// Knobs of a scenario run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunOptions {
-    /// Re-introduce the historical saturated-tail ring-wrap bug (see
-    /// `SendRing::inject_legacy_wrap_bug`) — the mutation the sweep
-    /// must catch.
-    pub inject_ring_bug: bool,
+/// Why arming a mutant panics in a build without the switches.
+const NEEDS_MUTATION: &str = "arming a mutant needs sim's `mutation` feature (tests and examples \
+     enable it through dev-dependencies; release code never carries the switches)";
+
+/// A deliberate bug the sweep arms in every world it builds — the proof
+/// that an oracle has teeth. Anything but `None` needs the `mutation`
+/// feature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mutant {
+    /// The code as shipped.
+    #[default]
+    None,
+    /// The send ring's historical saturated-tail wrap
+    /// (`SendRing::inject_legacy_wrap_bug`).
+    RingWrap,
+    /// A receiver that accepts data after the FIN it processed
+    /// (`Connection::inject_accept_after_fin_bug`).
+    AcceptAfterFin,
+}
+
+impl Mutant {
+    /// Arm this mutant in `_c`: the wrap in its send ring, the post-FIN
+    /// accept in its receive gate.
+    pub(crate) fn arm(self, _c: &mut Connection) {
+        assert!(cfg!(feature = "mutation") || self == Mutant::None, "{NEEDS_MUTATION}");
+        #[cfg(feature = "mutation")]
+        {
+            _c.inject_legacy_wrap_bug(self == Mutant::RingWrap);
+            _c.inject_accept_after_fin_bug(self == Mutant::AcceptAfterFin);
+        }
+    }
+
+    /// Arm this mutant in a bare send ring (the ring-fuzz world).
+    fn arm_ring(self, _r: &mut SendRing) {
+        assert!(cfg!(feature = "mutation") || self == Mutant::None, "{NEEDS_MUTATION}");
+        #[cfg(feature = "mutation")]
+        _r.inject_legacy_wrap_bug(self == Mutant::RingWrap);
+    }
 }
 
 /// Kernel-part fault totals accumulated over a run or sweep.
@@ -45,6 +77,17 @@ pub struct FaultTotals {
 }
 
 impl FaultTotals {
+    /// What a loop-back has injected so far.
+    pub(crate) fn of(lb: &Loopback) -> FaultTotals {
+        FaultTotals {
+            dropped: lb.dropped,
+            duplicated: lb.duplicated,
+            reordered: lb.reordered,
+            corrupted: lb.corrupted,
+            delayed: lb.delayed_count,
+        }
+    }
+
     /// Add another total into this one.
     pub fn absorb(&mut self, other: FaultTotals) {
         self.dropped += other.dropped;
@@ -55,14 +98,14 @@ impl FaultTotals {
     }
 }
 
-/// What one passing scenario did.
+/// What one passing world did (or a sweep's passing worlds, summed).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScenarioStats {
     /// Fault mix the kernel part injected.
     pub faults: FaultTotals,
     /// Individual oracle evaluations that passed.
     pub oracle_checks: u64,
-    /// Scheduling rounds (max across the runs a scenario performs).
+    /// Scheduling rounds (max across the runs a world performs).
     pub rounds: u64,
     /// Application payload bytes delivered.
     pub payload_bytes: u64,
@@ -70,35 +113,129 @@ pub struct ScenarioStats {
     pub retransmits: u64,
 }
 
-/// Run one scenario against its oracles.
-///
-/// `Err` carries the first violated property. Assertion-class failures
-/// (protocol stalls, out-of-bounds ring extents reaching `Region::at`)
-/// panic instead; [`sweep`] catches those and treats them as failures
-/// with the panic message.
-pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioStats, String> {
-    match sc.kind {
-        ScenarioKind::Ring => run_ring(sc, opts),
-        ScenarioKind::Transfer => run_transfer(sc, opts),
-        ScenarioKind::Sharded => run_sharded_scenario(sc),
+impl ScenarioStats {
+    /// Add another world's stats into this total.
+    pub fn absorb(&mut self, other: ScenarioStats) {
+        self.faults.absorb(other.faults);
+        self.oracle_checks += other.oracle_checks;
+        self.rounds += other.rounds;
+        self.payload_bytes += other.payload_bytes;
+        self.retransmits += other.retransmits;
     }
+}
+
+/// A seeded world: what [`sweep`] generates, runs, shrinks and renders.
+/// A spec *is* its field values plus its seed, so the shrinker may edit
+/// fields and the result still replays deterministically.
+pub trait Spec: Copy + std::fmt::Debug {
+    /// The world a seed denotes.
+    fn from_seed(seed: u64) -> Self;
+    /// Run the world under every oracle that applies, `mutant` armed.
+    /// `Err` carries the first violated property.
+    fn run(&self, mutant: Mutant) -> Result<ScenarioStats, String>;
+    /// The shrink ladder: strictly simpler candidates, simplest first in
+    /// each dimension.
+    fn simpler(&self) -> Vec<Self>;
+    /// A ready-to-paste `#[test]` replaying this spec.
+    fn to_test_case(&self) -> String;
+}
+
+/// A named world with nothing to shrink; returns its oracle evaluations.
+pub type PinnedWorld = (&'static str, fn(Mutant) -> Result<u64, String>);
+
+/// A sweep's shape.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SweepOpts {
+    /// First seed; seed `i` of the sweep is `base_seed + i`.
+    pub base_seed: u64,
+    /// Number of consecutive seeds to run.
+    pub seeds: usize,
+    /// Armed in every world of the sweep.
+    pub mutant: Mutant,
+    /// Worlds run before the seeded ones.
+    pub prelude: &'static [PinnedWorld],
+}
+
+/// A sweep's first failure, minimised.
+#[derive(Debug, Clone)]
+pub struct FailureReport<S> {
+    /// The seeded spec that failed (`None`: a pinned world did — it has
+    /// no spec to blame and already is a committed test).
+    pub spec: Option<S>,
+    /// Its shrunk, still-failing form.
+    pub shrunk: Option<S>,
+    /// What broke: the shrunk spec's failure, or the pinned world's,
+    /// prefixed with its name.
+    pub message: String,
+    /// `#[test]` source reproducing the shrunk spec (empty for a pinned
+    /// world).
+    pub test_case: String,
+}
+
+/// What a sweep did. It stops at the first failure (after shrinking
+/// it); `seeds_run` counts how far it got.
+#[derive(Debug, Clone)]
+pub struct SweepReport<S> {
+    /// Seeded worlds executed.
+    pub seeds_run: usize,
+    /// Worlds (pinned and seeded) whose every oracle passed.
+    pub passed: usize,
+    /// The passing worlds' stats, summed.
+    pub totals: ScenarioStats,
+    /// The first failure, minimised — `None` for an all-green sweep.
+    pub failure: Option<FailureReport<S>>,
+}
+
+/// Run `opts.prelude`, then `opts.seeds` consecutive seeds, with
+/// `opts.mutant` armed; on the first failure, shrink it to a minimal
+/// reproducer and stop.
+pub fn sweep<S: Spec>(opts: &SweepOpts) -> SweepReport<S> {
+    let mut rep =
+        SweepReport { seeds_run: 0, passed: 0, totals: ScenarioStats::default(), failure: None };
+    for &(name, world) in opts.prelude {
+        match caught(|| world(opts.mutant)) {
+            Ok(checks) => {
+                rep.passed += 1;
+                rep.totals.oracle_checks += checks;
+            }
+            Err(e) => {
+                let message = format!("pinned world {name}: {e}");
+                rep.failure =
+                    Some(FailureReport { spec: None, shrunk: None, message, test_case: String::new() });
+                return rep;
+            }
+        }
+    }
+    for i in 0..opts.seeds {
+        let spec = S::from_seed(opts.base_seed.wrapping_add(i as u64));
+        rep.seeds_run += 1;
+        match caught(|| spec.run(opts.mutant)) {
+            Ok(stats) => {
+                rep.passed += 1;
+                rep.totals.absorb(stats);
+            }
+            Err(_) => {
+                let (shrunk, message) = shrink(&spec, opts.mutant);
+                let test_case = shrunk.to_test_case();
+                rep.failure =
+                    Some(FailureReport { spec: Some(spec), shrunk: Some(shrunk), message, test_case });
+                return rep;
+            }
+        }
+    }
+    rep
 }
 
 /// Direct alloc/ack fuzz of the send ring. Lens are divisors of the
 /// capacity so the tail regularly lands exactly on `capacity` — the
 /// corner the legacy wrap bug lived in.
-fn run_ring(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioStats, String> {
+pub(crate) fn run_ring(sc: &Scenario, mutant: Mutant) -> Result<ScenarioStats, String> {
     let mut rng = sc.ring_ops_rng();
     let cap = sc.ring_capacity;
     let mut space = AddressSpace::new();
     let region = space.alloc_kind("sim_ring", cap, 64, memsim::RegionKind::Ring);
     let mut r = SendRing::new(region);
-    if opts.inject_ring_bug {
-        #[cfg(feature = "mutation")]
-        r.inject_legacy_wrap_bug(true);
-        #[cfg(not(feature = "mutation"))]
-        panic!("{}", crate::NEEDS_MUTATION);
-    }
+    mutant.arm_ring(&mut r);
     let lens = [(cap / 16).max(1), (cap / 8).max(1), cap / 4, cap / 2];
     let mut seq = rng.next_u32();
     let mut stats = ScenarioStats::default();
@@ -125,71 +262,37 @@ fn run_ring(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioStats, String> {
 fn server_config(sc: &Scenario) -> ServerConfig {
     ServerConfig {
         n_conns: sc.n_conns,
-        conn_base: 0,
         file_len: sc.file_len,
         chunk: sc.chunk,
-        weights: Vec::new(),
         faults: sc.fault_plan(),
         ring_capacity: sc.ring_capacity,
         max_rounds: 500_000,
-        loss_recovery: true,
         // Seed-derived sampling stride (1..=3): every scenario traces a
         // different subset of chunks, and the segtrace oracle demands a
         // complete causally-ordered chain for each one. Tracing rides
         // out of band, so the run itself is bit-identical at any stride.
         trace_every: 1 + (sc.seed % 3) as u32,
+        ..Default::default()
     }
 }
 
-/// Chunks each connection's transfer comprises.
-fn chunks_per_conn(sc: &Scenario) -> usize {
-    sc.file_len.div_ceil(sc.chunk)
-}
-
-/// Everything one observed single-threaded run yields.
-struct TransferRun {
-    report: AggregateReport,
-    per_conn: Vec<(u64, u64, u64)>,
-    faults: FaultTotals,
-    checks: u64,
-}
+/// Everything one observed single-threaded run yields: its report, each
+/// client's progress, the fault mix and the oracle evaluations.
+type TransferRun = (AggregateReport, Vec<(u64, u64, u64)>, FaultTotals, u64);
 
 /// Drive one world to completion on `path` with per-tick oracles.
-fn run_one_path(sc: &Scenario, opts: &RunOptions, path: Path) -> Result<TransferRun, String> {
-    let cfg = server_config(sc);
-    let mut space = AddressSpace::new();
-    let mut h = ScaleHarness::simplified(&mut space, cfg);
-    if opts.inject_ring_bug {
-        #[cfg(feature = "mutation")]
-        for sess in h.table.iter_mut() {
-            sess.tx.inject_legacy_wrap_bug(true);
-        }
-        #[cfg(not(feature = "mutation"))]
-        panic!("{}", crate::NEEDS_MUTATION);
-    }
-    let mut arena = space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    h.init_world(&mut m);
+fn run_one_path(sc: &Scenario, mutant: Mutant, path: Path) -> Result<TransferRun, String> {
+    let mut w = World::new(server_config(sc));
+    w.arm(mutant);
     let mut sched: Box<dyn Scheduler> = if sc.deficit {
-        Box::new(DeficitRoundRobin::for_config(h.config(), sc.chunk as u32))
+        Box::new(DeficitRoundRobin::for_config(w.h.config(), sc.chunk as u32))
     } else {
         Box::new(RoundRobin::new())
     };
-    // Small windows so a run seals many and the conservation oracle
-    // exercises the coarsening fold, not just the open window.
-    let mut rec = Recorder::with_series(128, SeriesConfig { window_ticks: 16, ring: 4 });
-    let mut run = h.begin_run::<Recorder>();
-    let mut tracker = Tracker::new(sc.n_conns);
-    let mut ticks = 0u64;
-    let mut more = true;
-    while more {
-        more = h.step(&mut m, sched.as_mut(), path, &mut rec, &mut run);
-        ticks += 1;
-        // Deep (prefix-reread) checks are sampled; the cheap
-        // counter/ring oracles run on every tick.
-        let deep = !more || ticks.is_multiple_of(32);
-        tracker.check(&h, &mut m, deep).map_err(|e| format!("{path:?} tick {ticks}: {e}"))?;
-    }
+    let mut rec = recorder();
+    let (_, ticked) =
+        w.run_checked(sched.as_mut(), path, &mut rec).map_err(|e| format!("{path:?} {e}"))?;
+    let (h, mut m) = w.parts();
     let report = h.finish_run(&mut rec, sched.name());
     if let Some(i) = h.verify_outputs(&mut m) {
         return Err(format!("{path:?}: client {i} reassembled a corrupted file"));
@@ -201,9 +304,9 @@ fn run_one_path(sc: &Scenario, opts: &RunOptions, path: Path) -> Result<Transfer
             report.payload_bytes
         ));
     }
-    let mut checks = tracker.checks + 2;
+    let mut checks = ticked + 2;
     checks += check_conservation(&rec).map_err(|e| format!("{path:?}: obs: {e}"))?;
-    checks += check_segtrace(&rec, h.config().trace_every, sc.n_conns, chunks_per_conn(sc))
+    checks += check_segtrace(&rec, h.config().trace_every, sc.n_conns, sc.file_len.div_ceil(sc.chunk))
         .map_err(|e| format!("{path:?}: {e}"))?;
     if rec.counter(Counter::Retransmits) != report.retransmits {
         return Err(format!(
@@ -229,18 +332,8 @@ fn run_one_path(sc: &Scenario, opts: &RunOptions, path: Path) -> Result<Transfer
         }
     }
     checks += 1 + sc.n_conns as u64;
-    Ok(TransferRun {
-        per_conn: (0..sc.n_conns).map(|i| h.client_progress(i)).collect(),
-        faults: FaultTotals {
-            dropped: h.lb.dropped,
-            duplicated: h.lb.duplicated,
-            reordered: h.lb.reordered,
-            corrupted: h.lb.corrupted,
-            delayed: h.lb.delayed_count,
-        },
-        checks,
-        report,
-    })
+    let per_conn = (0..sc.n_conns).map(|i| h.client_progress(i)).collect();
+    Ok((report, per_conn, FaultTotals::of(&h.lb), checks))
 }
 
 /// Full transfer scenario: run the identical world on the ILP and the
@@ -248,43 +341,41 @@ fn run_one_path(sc: &Scenario, opts: &RunOptions, path: Path) -> Result<Transfer
 /// implementations differ in memory traffic, never in protocol
 /// behaviour, so under the same fault seed they must drop, retransmit,
 /// reject, and deliver identically.
-fn run_transfer(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioStats, String> {
-    let ilp = run_one_path(sc, opts, Path::Ilp)?;
-    let non = run_one_path(sc, opts, Path::NonIlp)?;
+pub(crate) fn run_transfer(sc: &Scenario, mutant: Mutant) -> Result<ScenarioStats, String> {
+    let (ilp, ilp_conns, ilp_faults, ilp_checks) = run_one_path(sc, mutant, Path::Ilp)?;
+    let (non, non_conns, non_faults, non_checks) = run_one_path(sc, mutant, Path::NonIlp)?;
     let pairs = [
-        ("payload_bytes", ilp.report.payload_bytes, non.report.payload_bytes),
-        ("rejected", ilp.report.rejected, non.report.rejected),
-        ("retransmits", ilp.report.retransmits, non.report.retransmits),
-        ("corrupted", ilp.report.corrupted, non.report.corrupted),
-        ("rounds", ilp.report.rounds, non.report.rounds),
+        ("payload_bytes", ilp.payload_bytes, non.payload_bytes),
+        ("rejected", ilp.rejected, non.rejected),
+        ("retransmits", ilp.retransmits, non.retransmits),
+        ("corrupted", ilp.corrupted, non.corrupted),
+        ("rounds", ilp.rounds, non.rounds),
     ];
     for (what, a, b) in pairs {
         if a != b {
             return Err(format!("ILP/non-ILP diverge on {what}: {a} vs {b}"));
         }
     }
-    if ilp.per_conn != non.per_conn {
-        return Err(format!(
-            "ILP/non-ILP diverge per connection: {:?} vs {:?}",
-            ilp.per_conn, non.per_conn
-        ));
+    if ilp_conns != non_conns {
+        return Err(format!("ILP/non-ILP diverge per connection: {ilp_conns:?} vs {non_conns:?}"));
     }
     let mut stats = ScenarioStats {
-        faults: ilp.faults,
-        oracle_checks: ilp.checks + non.checks + pairs.len() as u64 + 1,
-        rounds: ilp.report.rounds.max(non.report.rounds),
-        payload_bytes: ilp.report.payload_bytes,
-        retransmits: ilp.report.retransmits,
+        faults: ilp_faults,
+        oracle_checks: ilp_checks + non_checks + pairs.len() as u64 + 1,
+        rounds: ilp.rounds.max(non.rounds),
+        payload_bytes: ilp.payload_bytes,
+        retransmits: ilp.retransmits,
     };
-    stats.faults.absorb(non.faults);
+    stats.faults.absorb(non_faults);
     Ok(stats)
 }
 
 /// Sharded scenario: post-run oracles over a multi-threaded run —
 /// global delivery, zero cross-talk, and merged-recorder conservation
 /// (merged counters must equal the per-shard sums, and the merged
-/// series must conserve the merged counters).
-fn run_sharded_scenario(sc: &Scenario) -> Result<ScenarioStats, String> {
+/// series must conserve the merged counters). `server::run_sharded`
+/// builds its shards' worlds itself, so no mutant reaches them.
+pub(crate) fn run_sharded_scenario(sc: &Scenario) -> Result<ScenarioStats, String> {
     let cfg = server_config(sc);
     let shards = 2 + usize::from(sc.n_conns >= 4);
     let policy = if sc.deficit {
@@ -315,7 +406,7 @@ fn run_sharded_scenario(sc: &Scenario) -> Result<ScenarioStats, String> {
     checks += check_conservation(&rep.merged).map_err(|e| format!("sharded: obs: {e}"))?;
     // The merged store is a union of per-shard stores over disjoint
     // global connection slices; the same completeness bar applies.
-    checks += check_segtrace(&rep.merged, cfg.trace_every, sc.n_conns, chunks_per_conn(sc))
+    checks += check_segtrace(&rep.merged, cfg.trace_every, sc.n_conns, sc.file_len.div_ceil(sc.chunk))
         .map_err(|e| format!("sharded: {e}"))?;
     Ok(ScenarioStats {
         faults: FaultTotals {
@@ -328,89 +419,4 @@ fn run_sharded_scenario(sc: &Scenario) -> Result<ScenarioStats, String> {
         payload_bytes: rep.payload_bytes(),
         retransmits: rep.retransmits(),
     })
-}
-
-/// Run a scenario, converting panics (stalls, out-of-bounds extents)
-/// into `Err` with the panic message.
-pub fn run_caught(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioStats, String> {
-    caught(|| run_scenario(sc, opts))
-}
-
-/// A seed sweep's shape.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepOpts {
-    /// First seed; seed `i` of the sweep is `base_seed + i`.
-    pub base_seed: u64,
-    /// Number of consecutive seeds to run.
-    pub seeds: usize,
-    /// Forwarded to every scenario (mutation testing).
-    pub inject_ring_bug: bool,
-}
-
-/// A minimised failure, ready to paste into a test file.
-#[derive(Debug, Clone)]
-pub struct FailureReport {
-    /// The scenario that first failed.
-    pub scenario: Scenario,
-    /// The shrunk (still-failing) scenario.
-    pub shrunk: Scenario,
-    /// What broke (for the shrunk scenario).
-    pub message: String,
-    /// `#[test]` source reproducing the shrunk scenario.
-    pub test_case: String,
-}
-
-/// What a sweep did. The sweep stops at the first failing seed (after
-/// shrinking it); `seeds_run` counts how far it got.
-#[derive(Debug, Clone, Default)]
-pub struct SweepReport {
-    /// Seeds actually executed.
-    pub seeds_run: usize,
-    /// Seeds whose every oracle passed.
-    pub passed: usize,
-    /// Scenario-kind mix, indexed by [`ScenarioKind::index`].
-    pub kind_counts: [usize; 3],
-    /// Aggregate fault mix over the passing runs.
-    pub faults: FaultTotals,
-    /// Total individual oracle evaluations over the passing runs.
-    pub oracle_checks: u64,
-    /// Total scheduling rounds simulated.
-    pub rounds: u64,
-    /// Total payload bytes delivered.
-    pub payload_bytes: u64,
-    /// Total retransmissions observed.
-    pub retransmits: u64,
-    /// The first failure, minimised — `None` for an all-green sweep.
-    pub failure: Option<FailureReport>,
-}
-
-/// Sweep `opts.seeds` consecutive seeds; on the first failure, shrink
-/// it to a minimal reproducer and stop.
-pub fn sweep(opts: &SweepOpts) -> SweepReport {
-    let run_opts = RunOptions { inject_ring_bug: opts.inject_ring_bug };
-    let mut rep = SweepReport::default();
-    for i in 0..opts.seeds {
-        let seed = opts.base_seed.wrapping_add(i as u64);
-        let sc = Scenario::from_seed(seed);
-        rep.kind_counts[sc.kind.index()] += 1;
-        rep.seeds_run += 1;
-        match run_caught(&sc, &run_opts) {
-            Ok(stats) => {
-                rep.passed += 1;
-                rep.faults.absorb(stats.faults);
-                rep.oracle_checks += stats.oracle_checks;
-                rep.rounds += stats.rounds;
-                rep.payload_bytes += stats.payload_bytes;
-                rep.retransmits += stats.retransmits;
-            }
-            Err(_first_message) => {
-                let (shrunk, message) =
-                    shrink(&sc, Scenario::simpler, |s| run_scenario(s, &run_opts));
-                let test_case = shrunk.to_test_case();
-                rep.failure = Some(FailureReport { scenario: sc, shrunk, message, test_case });
-                return rep;
-            }
-        }
-    }
-    rep
 }

@@ -1,6 +1,6 @@
 //! Scenario generation: one seed → one fully-determined workload.
 //!
-//! A [`Scenario`] is a plain value. [`Scenario::from_seed`] fills the
+//! A [`Scenario`] is a plain value. [`Spec::from_seed`] fills the
 //! fields from forked PRNG streams, but the *runner* consumes only the
 //! fields (plus the seed, for the fault dice and the ring-fuzz op
 //! stream) — so the shrinker can override individual fields and the
@@ -9,9 +9,13 @@
 use utcp::rng::XorShift64;
 use utcp::{FaultPlan, FaultProbs};
 
-/// Fork ids of the component streams hanging off a scenario seed.
-/// Fixed so a seed means the same workload forever.
-mod stream {
+use crate::runner::{run_ring, run_sharded_scenario, run_transfer, Mutant, ScenarioStats, Spec};
+use crate::shrink::calmer;
+
+/// Fork ids of the component streams hanging off a spec's seed (every
+/// [`Spec`] forks the same ids). Fixed so a seed means the same world
+/// forever.
+pub(crate) mod stream {
     /// Workload shape (kind, connection count, sizes, scheduler).
     pub const SHAPE: u64 = 0;
     /// Fault probabilities.
@@ -22,39 +26,33 @@ mod stream {
     pub const RING_OPS: u64 = 3;
 }
 
-/// What kind of world a scenario drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioKind {
-    /// Direct [`utcp::SendRing`] alloc/ack fuzz — no transfer, just the
-    /// allocator under adversarial sequences (the cheapest kind, and
-    /// the one that corners the saturated-tail wrap).
-    Ring,
-    /// A full multi-connection file-transfer world, run on **both** the
-    /// ILP and the non-ILP path with per-tick oracles, then compared
-    /// for behavioural equivalence.
-    Transfer,
-    /// A sharded (multi-threaded) run with post-run oracles: global
-    /// delivery, zero cross-talk, and merged-recorder conservation.
-    Sharded,
+obs::labels! {
+    /// What kind of world a scenario drives.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ScenarioKind {
+        /// Direct [`utcp::SendRing`] alloc/ack fuzz — no transfer, just the
+        /// allocator under adversarial sequences (the cheapest kind, and
+        /// the one that corners the saturated-tail wrap).
+        Ring => "ring",
+        /// A full multi-connection file-transfer world, run on **both** the
+        /// ILP and the non-ILP path with per-tick oracles, then compared
+        /// for behavioural equivalence.
+        Transfer => "transfer",
+        /// A sharded (multi-threaded) run with post-run oracles: global
+        /// delivery, zero cross-talk, and merged-recorder conservation.
+        Sharded => "sharded",
+    }
 }
 
 impl ScenarioKind {
-    /// Stable index for reporting (kind-mix histograms).
-    pub fn index(self) -> usize {
-        match self {
-            ScenarioKind::Ring => 0,
-            ScenarioKind::Transfer => 1,
-            ScenarioKind::Sharded => 2,
+    /// How many of the `seeds` scenarios from `base_seed` are of each
+    /// kind, indexed by [`ScenarioKind::index`].
+    pub fn mix(base_seed: u64, seeds: usize) -> [usize; ScenarioKind::ALL.len()] {
+        let mut mix = [0; ScenarioKind::ALL.len()];
+        for i in 0..seeds {
+            mix[Scenario::from_seed(base_seed.wrapping_add(i as u64)).kind.index()] += 1;
         }
-    }
-
-    /// Rust-source literal for generated reproducers.
-    pub fn literal(self) -> &'static str {
-        match self {
-            ScenarioKind::Ring => "ScenarioKind::Ring",
-            ScenarioKind::Transfer => "ScenarioKind::Transfer",
-            ScenarioKind::Sharded => "ScenarioKind::Sharded",
-        }
+        mix
     }
 }
 
@@ -83,8 +81,19 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Generate the scenario a seed denotes.
-    pub fn from_seed(seed: u64) -> Scenario {
+    /// The fault plan this scenario installs on the kernel part.
+    pub fn fault_plan(&self) -> FaultPlan {
+        FaultPlan::seeded(XorShift64::new(self.seed).fork(stream::DICE).next_u64(), self.probs)
+    }
+
+    /// The op stream for [`ScenarioKind::Ring`] fuzzing.
+    pub fn ring_ops_rng(&self) -> XorShift64 {
+        XorShift64::new(self.seed).fork(stream::RING_OPS)
+    }
+}
+
+impl Spec for Scenario {
+    fn from_seed(seed: u64) -> Scenario {
         let root = XorShift64::new(seed);
         let mut shape = root.fork(stream::SHAPE);
         let kind = match shape.below(8) {
@@ -131,33 +140,49 @@ impl Scenario {
         Scenario { seed, kind, n_conns, file_len, chunk, ring_capacity, deficit, probs }
     }
 
-    /// The fault plan this scenario installs on the kernel part.
-    pub fn fault_plan(&self) -> FaultPlan {
-        FaultPlan::seeded(self.dice_seed(), self.probs)
+    /// Ring fuzz, or a transfer world on both paths, or a sharded run.
+    /// (A mutant cannot reach the sharded kind's worlds.)
+    fn run(&self, mutant: Mutant) -> Result<ScenarioStats, String> {
+        match self.kind {
+            ScenarioKind::Ring => run_ring(self, mutant),
+            ScenarioKind::Transfer => run_transfer(self, mutant),
+            ScenarioKind::Sharded => run_sharded_scenario(self),
+        }
     }
 
-    /// Seed of the kernel part's fault dice.
-    pub fn dice_seed(&self) -> u64 {
-        XorShift64::new(self.seed).fork(stream::DICE).next_u64()
+    /// Simpler kind, fewer connections, shorter file, plain scheduling,
+    /// then calmer faults.
+    fn simpler(&self) -> Vec<Scenario> {
+        let sc = self;
+        let mut out = Vec::new();
+        if sc.kind == ScenarioKind::Sharded {
+            out.push(Scenario { kind: ScenarioKind::Transfer, ..*sc });
+        }
+        let min_conns = if sc.kind == ScenarioKind::Sharded { 2 } else { 1 };
+        if sc.n_conns > min_conns {
+            out.push(Scenario { n_conns: (sc.n_conns / 2).max(min_conns), ..*sc });
+            out.push(Scenario { n_conns: sc.n_conns - 1, ..*sc });
+        }
+        if sc.file_len > sc.chunk {
+            out.push(Scenario { file_len: (sc.file_len / 2).max(sc.chunk), ..*sc });
+        }
+        if sc.deficit {
+            out.push(Scenario { deficit: false, ..*sc });
+        }
+        out.extend(calmer(sc.probs).into_iter().map(|probs| Scenario { probs, ..*sc }));
+        out
     }
 
-    /// The op stream for [`ScenarioKind::Ring`] fuzzing.
-    pub fn ring_ops_rng(&self) -> XorShift64 {
-        XorShift64::new(self.seed).fork(stream::RING_OPS)
-    }
-
-    /// Render a ready-to-paste `#[test]` reproducing this scenario —
-    /// what the shrinker prints once it has minimised a failure.
-    pub fn to_test_case(&self) -> String {
+    fn to_test_case(&self) -> String {
         format!(
             r#"#[test]
 fn dst_repro_seed_{seed:x}() {{
     // Minimal reproducer generated by the sim shrinker. The scenario
     // replays deterministically: same fields + seed, same failure.
-    use sim::{{run_scenario, RunOptions, Scenario, ScenarioKind}};
+    use sim::{{Mutant, Scenario, ScenarioKind, Spec}};
     let sc = Scenario {{
         seed: 0x{seed:x},
-        kind: {kind},
+        kind: ScenarioKind::{kind:?},
         n_conns: {n_conns},
         file_len: {file_len},
         chunk: {chunk},
@@ -171,10 +196,10 @@ fn dst_repro_seed_{seed:x}() {{
             delay: {delay},
         }},
     }};
-    run_scenario(&sc, &RunOptions::default()).expect("scenario must satisfy every oracle");
+    sc.run(Mutant::None).expect("scenario must satisfy every oracle");
 }}"#,
             seed = self.seed,
-            kind = self.kind.literal(),
+            kind = self.kind,
             n_conns = self.n_conns,
             file_len = self.file_len,
             chunk = self.chunk,
@@ -202,10 +227,8 @@ mod tests {
 
     #[test]
     fn generated_shapes_are_in_range() {
-        let mut kinds = [0usize; 3];
         for seed in 0..512u64 {
             let sc = Scenario::from_seed(seed);
-            kinds[sc.kind.index()] += 1;
             assert!((1..=6).contains(&sc.n_conns));
             if sc.kind == ScenarioKind::Sharded {
                 assert!(sc.n_conns >= 2, "sharding needs at least two connections");
@@ -216,6 +239,7 @@ mod tests {
                 assert!(sc.ring_capacity >= 2 * (sc.chunk + 64), "ring holds ≥ 2 padded chunks");
             }
         }
+        let kinds = ScenarioKind::mix(0, 512);
         assert!(kinds.iter().all(|&k| k > 40), "every kind appears in a 512-seed sweep: {kinds:?}");
     }
 

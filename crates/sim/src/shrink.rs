@@ -1,19 +1,18 @@
-//! Greedy scenario shrinking: find a smaller scenario that still fails.
+//! Greedy shrinking: find a smaller spec that still fails.
 //!
 //! No shrinking framework — each spec space is small and known, so its
-//! type proposes a fixed candidate ladder ([`Scenario::simpler`]:
-//! simpler kind, fewer connections, shorter file, plain scheduling,
-//! individual fault knobs zeroed, magnitudes halved;
-//! [`crate::TeardownSpec::simpler`] likewise) and [`shrink`] greedily
-//! accepts any candidate that still fails, restarting the ladder from
-//! the new best. Each accepted step strictly reduces a size measure,
-//! and the total number of runs is budget-bounded, so shrinking always
-//! terminates. The result replays deterministically: a spec *is* its
-//! field values plus its seed.
+//! type proposes a fixed candidate ladder ([`Spec::simpler`]: fewer
+//! connections or chunks, smaller files, simpler kinds and schedules,
+//! individual fault knobs zeroed, magnitudes halved) and [`shrink`]
+//! greedily accepts any candidate that still fails, restarting the
+//! ladder from the new best. Each accepted step strictly reduces a size
+//! measure, and the total number of runs is budget-bounded, so
+//! shrinking always terminates. The result replays deterministically: a
+//! spec *is* its field values plus its seed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::scenario::{Scenario, ScenarioKind};
+use crate::runner::{Mutant, Spec};
 use utcp::FaultProbs;
 
 /// Max executions a shrink may spend.
@@ -55,55 +54,27 @@ pub(crate) fn calmer(p: FaultProbs) -> Vec<FaultProbs> {
     out
 }
 
-impl Scenario {
-    /// The candidate ladder, simplest-first for each dimension.
-    pub fn simpler(&self) -> Vec<Scenario> {
-        let sc = self;
-        let mut out = Vec::new();
-        if sc.kind == ScenarioKind::Sharded {
-            out.push(Scenario { kind: ScenarioKind::Transfer, ..*sc });
-        }
-        let min_conns = if sc.kind == ScenarioKind::Sharded { 2 } else { 1 };
-        if sc.n_conns > min_conns {
-            out.push(Scenario { n_conns: (sc.n_conns / 2).max(min_conns), ..*sc });
-            out.push(Scenario { n_conns: sc.n_conns - 1, ..*sc });
-        }
-        if sc.file_len > sc.chunk {
-            out.push(Scenario { file_len: (sc.file_len / 2).max(sc.chunk), ..*sc });
-        }
-        if sc.deficit {
-            out.push(Scenario { deficit: false, ..*sc });
-        }
-        out.extend(calmer(sc.probs).into_iter().map(|probs| Scenario { probs, ..*sc }));
-        out
-    }
-}
-
-/// Shrink a failing spec: greedily accept the first candidate of
-/// `simpler(best)` on which `run` still fails (panics count), restart
-/// the ladder from it, stop when none fails or the budget is spent.
-/// Returns the smallest still-failing spec found and the failure
+/// Shrink a spec that fails with `mutant` armed: greedily accept the
+/// first candidate of `best.simpler()` that still fails (panics count),
+/// restart the ladder from it, stop when none fails or the budget is
+/// spent. Returns the smallest still-failing spec found and the failure
 /// message it produced. (If the input unexpectedly passes on re-run —
 /// it cannot, runs are deterministic — it is returned unchanged.)
-pub fn shrink<S: Copy, T>(
-    spec: &S,
-    simpler: impl Fn(&S) -> Vec<S>,
-    run: impl Fn(&S) -> Result<T, String>,
-) -> (S, String) {
+pub fn shrink<S: Spec>(spec: &S, mutant: Mutant) -> (S, String) {
     let mut best = *spec;
-    let mut message = match caught(|| run(&best)) {
+    let mut message = match caught(|| best.run(mutant)) {
         Err(e) => e,
         Ok(_) => return (best, "original spec passed on re-run".to_string()),
     };
     let mut budget = BUDGET;
     loop {
         let mut improved = false;
-        for cand in simpler(&best) {
+        for cand in best.simpler() {
             if budget == 0 {
                 return (best, message);
             }
             budget -= 1;
-            if let Err(e) = caught(|| run(&cand)) {
+            if let Err(e) = caught(|| cand.run(mutant)) {
                 best = cand;
                 message = e;
                 improved = true;
@@ -119,6 +90,7 @@ pub fn shrink<S: Copy, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Scenario, ScenarioKind};
 
     #[test]
     fn ladder_candidates_are_strictly_simpler() {

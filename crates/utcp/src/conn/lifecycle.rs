@@ -15,75 +15,45 @@ use crate::wire::TcpFlags;
 /// virtual world's queues drain within a few ticks.
 pub const MSL_TICKS: u32 = 16;
 
-/// RFC 793 connection lifecycle states.
-///
-/// Data connections created by [`Connection::new`] start in
-/// [`State::Established`] — the SYN exchange runs in the server
-/// subsystem's accept handshake (or is pre-agreed, as in the two-process
-/// UDP demo) before the data connection exists, matching the paper's
-/// measurement setup. The handshake states exist so the one transition
-/// matrix covers open and close; teardown (FIN/ACK, simultaneous close,
-/// TIME_WAIT, RST) runs entirely inside this machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum State {
-    /// Passive open: waiting for a SYN.
-    Listen,
-    /// Active open: SYN sent.
-    SynSent,
-    /// SYN received, handshake ACK outstanding.
-    SynRcvd,
-    /// Data transfer.
-    Established,
-    /// Active close: our FIN sent, nothing acked yet.
-    FinWait1,
-    /// Our FIN is acked; waiting for the peer's FIN (half-closed: the
-    /// peer may keep streaming data, which we still accept and ACK).
-    FinWait2,
-    /// Simultaneous close: FINs crossed, ours still unacked.
-    Closing,
-    /// Peer's FIN consumed; we may still send until `close`.
-    CloseWait,
-    /// Passive close: our FIN sent after the peer's, awaiting its ACK.
-    LastAck,
-    /// Active closer lingering 2·[`MSL_TICKS`] against old duplicates.
-    TimeWait,
-    /// No connection.
-    Closed,
+obs::labels! {
+    /// RFC 793 connection lifecycle states.
+    ///
+    /// Data connections created by [`Connection::new`] start in
+    /// [`State::Established`] — the SYN exchange runs in the server
+    /// subsystem's accept handshake (or is pre-agreed, as in the two-process
+    /// UDP demo) before the data connection exists, matching the paper's
+    /// measurement setup. The handshake states exist so the one transition
+    /// matrix covers open and close; teardown (FIN/ACK, simultaneous close,
+    /// TIME_WAIT, RST) runs entirely inside this machine.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum State {
+        /// Passive open: waiting for a SYN.
+        Listen => "listen",
+        /// Active open: SYN sent.
+        SynSent => "syn_sent",
+        /// SYN received, handshake ACK outstanding.
+        SynRcvd => "syn_rcvd",
+        /// Data transfer.
+        Established => "established",
+        /// Active close: our FIN sent, nothing acked yet.
+        FinWait1 => "fin_wait_1",
+        /// Our FIN is acked; waiting for the peer's FIN (half-closed: the
+        /// peer may keep streaming data, which we still accept and ACK).
+        FinWait2 => "fin_wait_2",
+        /// Simultaneous close: FINs crossed, ours still unacked.
+        Closing => "closing",
+        /// Peer's FIN consumed; we may still send until `close`.
+        CloseWait => "close_wait",
+        /// Passive close: our FIN sent after the peer's, awaiting its ACK.
+        LastAck => "last_ack",
+        /// Active closer lingering 2·[`MSL_TICKS`] against old duplicates.
+        TimeWait => "time_wait",
+        /// No connection.
+        Closed => "closed",
+    }
 }
 
 impl State {
-    /// All states, in index order.
-    pub const ALL: [State; 11] = [
-        State::Listen,
-        State::SynSent,
-        State::SynRcvd,
-        State::Established,
-        State::FinWait1,
-        State::FinWait2,
-        State::Closing,
-        State::CloseWait,
-        State::LastAck,
-        State::TimeWait,
-        State::Closed,
-    ];
-
-    /// Stable snake_case name for exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            State::Listen => "listen",
-            State::SynSent => "syn_sent",
-            State::SynRcvd => "syn_rcvd",
-            State::Established => "established",
-            State::FinWait1 => "fin_wait_1",
-            State::FinWait2 => "fin_wait_2",
-            State::Closing => "closing",
-            State::CloseWait => "close_wait",
-            State::LastAck => "last_ack",
-            State::TimeWait => "time_wait",
-            State::Closed => "closed",
-        }
-    }
-
     /// Whether the application may hand new data to `reserve`/`send_*`.
     /// Only `Established` and `CloseWait` (peer half-closed, we have
     /// not) may originate data; everywhere else the send direction is

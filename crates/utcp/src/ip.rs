@@ -93,11 +93,6 @@ impl Ipv4Header {
         m.read_u16_be(self.addr + field::TOTAL_LEN) as usize
     }
 
-    /// Time to live.
-    pub fn ttl<M: Mem>(&self, m: &mut M) -> u8 {
-        m.read_u8(self.addr + field::TTL)
-    }
-
     /// Protocol number.
     pub fn protocol<M: Mem>(&self, m: &mut M) -> u8 {
         m.read_u8(self.addr + field::PROTOCOL)
@@ -132,21 +127,6 @@ impl Ipv4Header {
             && local_ip.is_none_or(|ip| self.dst(m) == ip)
             && self.total_len(m) == len
     }
-
-    /// Decrement TTL and repair the checksum incrementally (RFC 1141
-    /// style — recompute here for simplicity; the hop count of a
-    /// loop-back is 1 so this exists for the router-less tests).
-    pub fn decrement_ttl<M: Mem>(&self, m: &mut M) -> bool {
-        let ttl = self.ttl(m);
-        if ttl <= 1 {
-            return false;
-        }
-        m.write_u8(self.addr + field::TTL, ttl - 1);
-        m.write_u16_be(self.addr + field::CHECKSUM, 0);
-        let csum = checksum_buf(m, self.addr, IP_HEADER_LEN).finish();
-        m.write_u16_be(self.addr + field::CHECKSUM, csum);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +150,7 @@ mod tests {
             h.build(m, 0x0A000001, 0x0A000002, 1044, 77, 0, false, 64);
             assert_eq!(h.total_len(m), 1064);
             assert_eq!(m.read_u16_be(pkt.at(field::IDENT)), 77);
-            assert_eq!(h.ttl(m), 64);
+            assert_eq!(m.read_u8(pkt.at(field::TTL)), 64);
             assert_eq!(h.protocol(m), PROTO_TCP);
             assert_eq!(h.src(m), 0x0A000001);
             assert_eq!(h.dst(m), 0x0A000002);
@@ -239,18 +219,5 @@ mod tests {
                 assert_eq!(admitted, declared == len && local != Some(9), "len {len} declared {declared}");
             }
         }
-    }
-
-    #[test]
-    fn ttl_decrement_repairs_checksum() {
-        with_mem(|m, pkt| {
-            let h = Ipv4Header::at(pkt.base);
-            h.build(m, 1, 2, 100, 1, 0, false, 3);
-            assert!(h.decrement_ttl(m));
-            assert_eq!(h.ttl(m), 2);
-            assert!(h.verify(m), "checksum must be repaired");
-            assert!(h.decrement_ttl(m));
-            assert!(!h.decrement_ttl(m), "TTL 1 must not be forwarded");
-        });
     }
 }

@@ -18,11 +18,11 @@
 //! cargo run --release --example doctor
 //! ```
 
-use ilp_repro::memsim::{AddressSpace, NativeMem};
 use ilp_repro::obs::{sparkline, Counter, Recorder, SeriesConfig, Verdict};
-use ilp_repro::server::{Path, RoundRobin, ScaleHarness, ServerConfig};
+use ilp_repro::server::{Path, RoundRobin, ServerConfig};
 use ilp_repro::utcp::FaultPlan;
 use sim::health::{run_clean, run_trigger, Trigger};
+use sim::World;
 
 /// Same series shape as the sim's health oracles: 16-tick windows so
 /// short incident runs still seal several.
@@ -61,11 +61,8 @@ fn blackout_incident() -> (Vec<Verdict>, ilp_repro::obs::Json, Recorder) {
         trace_every: 1,
         ..Default::default()
     };
-    let mut space = AddressSpace::new();
-    let mut h = ScaleHarness::simplified(&mut space, cfg);
-    let mut arena = space.native_arena();
-    let mut m = NativeMem::new(&mut arena);
-    h.init_world(&mut m);
+    let mut w = World::new(cfg);
+    let (h, mut m) = w.parts();
     let mut sched = RoundRobin::new();
     let mut rec = recorder();
     let mut run = h.begin_run::<Recorder>();

@@ -33,10 +33,12 @@
 //! spec and prints a pasteable `#[test]`; `--inject-fin-bug` arms the
 //! accept-after-FIN mutation and demonstrates the sweep catching it.
 
+use std::process::ExitCode;
+
 use sim::recovery::{
     burst_drop, burst_drop_config, single_drop, single_drop_config, twins_agree, RecoveryOutcome,
 };
-use sim::{run_caught, run_scenario, shrink, RunOptions, Scenario};
+use sim::{sweep, Mutant, Scenario, Spec, SweepOpts, TeardownSpec, PINNED_WORLDS};
 
 fn parse_u64(s: &str) -> Option<u64> {
     match s.strip_prefix("0x") {
@@ -51,7 +53,7 @@ fn replay_recovery(
     name: &str,
     world: fn(server::Path) -> Result<RecoveryOutcome, String>,
     config: fn() -> server::ServerConfig,
-) -> std::process::ExitCode {
+) -> ExitCode {
     use server::Path;
     for path in [Path::Ilp, Path::NonIlp] {
         match world(path) {
@@ -66,12 +68,12 @@ fn replay_recovery(
             ),
             Err(msg) => {
                 println!("{name} ({path:?}) FAILED: {msg}");
-                return std::process::ExitCode::FAILURE;
+                return ExitCode::FAILURE;
             }
         }
         if let Err(msg) = twins_agree(&config(), path) {
             println!("{name} ({path:?}) twin check FAILED: {msg}");
-            return std::process::ExitCode::FAILURE;
+            return ExitCode::FAILURE;
         }
     }
     println!("observed ≡ unobserved twins agree on both paths\n");
@@ -84,45 +86,40 @@ fn replay_recovery(
     println!("            .unwrap_or_else(|e| panic!(\"{{e}}\"));");
     println!("    }}");
     println!("}}");
-    std::process::ExitCode::SUCCESS
+    ExitCode::SUCCESS
 }
 
-/// Run the lifecycle sweep (pinned teardown worlds + seeded ones) and
-/// print what CI would: the report, or the shrunk reproducer.
-fn replay_teardown(base_seed: u64, inject_fin_bug: bool) -> std::process::ExitCode {
-    if inject_fin_bug {
-        println!("accept-after-FIN mutation armed — the sweep must fail\n");
+/// Run a sweep — one seed, or the teardown block after its pinned
+/// worlds — and print what CI would: the totals, or the failure, the
+/// shrunk spec and its pasteable `#[test]`.
+fn replay<S: Spec>(opts: SweepOpts) -> ExitCode {
+    if opts.mutant != Mutant::None {
+        println!("{:?} mutant armed — the sweep must fail\n", opts.mutant);
     }
-    let rep = sim::sweep_teardown(base_seed, 200, inject_fin_bug);
-    match rep.failure {
-        None => {
-            println!(
-                "teardown sweep all green: {} pinned + seeded worlds, {} seeded specs, \
-                 {} oracle checks",
-                rep.passed, rep.seeds_run, rep.oracle_checks
-            );
-            std::process::ExitCode::SUCCESS
-        }
-        Some((shrunk, message, test_case)) => {
-            println!("lifecycle oracle failure: {message}\n");
-            match shrunk {
-                None => println!("(a pinned world failed — it already is a committed test)"),
-                Some(spec) => println!("minimal spec: {spec:?}\n\n{test_case}"),
-            }
-            std::process::ExitCode::FAILURE
-        }
+    let rep = sweep::<S>(&opts);
+    let Some(f) = rep.failure else {
+        println!(
+            "every oracle held: {} worlds ({} seeded):\n{:#?}",
+            rep.passed, rep.seeds_run, rep.totals
+        );
+        return ExitCode::SUCCESS;
+    };
+    println!("oracle failure: {}\n", f.message);
+    match f.shrunk {
+        None => println!("(a pinned world failed — it already is a committed test)"),
+        Some(spec) => println!("minimal spec: {spec:?}\n\n{}", f.test_case),
     }
+    ExitCode::FAILURE
 }
 
-fn main() -> std::process::ExitCode {
+fn main() -> ExitCode {
     let mut seed = 0x11F9_5007u64;
-    let mut opts = RunOptions::default();
+    let mut mutant = Mutant::None;
     let mut teardown = false;
-    let mut inject_fin_bug = false;
     for a in std::env::args().skip(1) {
         match (a.as_str(), parse_u64(&a)) {
-            ("--inject-ring-bug", _) => opts.inject_ring_bug = true,
-            ("--inject-fin-bug", _) => inject_fin_bug = true,
+            ("--inject-ring-bug", _) => mutant = Mutant::RingWrap,
+            ("--inject-fin-bug", _) => mutant = Mutant::AcceptAfterFin,
             ("--teardown", _) => {
                 teardown = true;
                 seed = 0x7EAF_0000;
@@ -139,28 +136,14 @@ fn main() -> std::process::ExitCode {
                     "usage: dst_repro [SEED] [--inject-ring-bug | --fast-retransmit | \
                      --sack-holes | --teardown [SEED] [--inject-fin-bug]]"
                 );
-                return std::process::ExitCode::FAILURE;
+                return ExitCode::FAILURE;
             }
         }
     }
+    let opts = SweepOpts { base_seed: seed, seeds: 1, mutant, prelude: &[] };
     if teardown {
-        return replay_teardown(seed, inject_fin_bug);
+        return replay::<TeardownSpec>(SweepOpts { seeds: 200, prelude: &PINNED_WORLDS, ..opts });
     }
-
-    let sc = Scenario::from_seed(seed);
-    println!("seed {seed:#x} denotes:\n{sc:#?}\n");
-    match run_caught(&sc, &opts) {
-        Ok(stats) => {
-            println!("every oracle held:\n{stats:#?}");
-            std::process::ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            println!("oracle failure: {msg}\n");
-            println!("shrinking...");
-            let (shrunk, msg2) = shrink(&sc, Scenario::simpler, |s| run_scenario(s, &opts));
-            println!("minimal scenario still fails with: {msg2}\n");
-            println!("{}", shrunk.to_test_case());
-            std::process::ExitCode::FAILURE
-        }
-    }
+    println!("seed {seed:#x} denotes:\n{:#?}\n", Scenario::from_seed(seed));
+    replay::<Scenario>(opts)
 }
