@@ -15,7 +15,14 @@
 //! of a wild access, and it does *not* vanish under monomorphisation: a
 //! kernel that touches memory a byte at a time pays it per byte. The burst
 //! operations exist so that byte-grain kernels pay it per burst, and the
-//! fused loops per exchange unit instead of per word.
+//! fused loops per exchange unit instead of per word. [`Mem::copy`] is a
+//! burst too: natively one range check and a `copy_within`, where the
+//! default pays one check per word. The model-only stimuli —
+//! [`Mem::fetch`], [`Mem::compute`] and [`Mem::foreign_working_set`] —
+//! are no-ops natively: they stand for an instruction stream, ALU cycles
+//! and another process's cache footprint that the simulated host pays and
+//! a native run does not, so native timings measure the protocol, not the
+//! model.
 //!
 //! **What the burst operations promise every `Mem`.**
 //! [`Mem::read_bytes`] / [`Mem::write_bytes`] are "`N` one-byte accesses
@@ -27,13 +34,17 @@
 //! word bursts: [`Mem::read_words_be`] / [`Mem::write_words_be`] are "`W`
 //! four-byte accesses at ascending addresses" (`W` `B4`, never one wider
 //! access), and [`Mem::write_words_as_bytes`] is the `4W` one-byte writes
-//! of one `write_bytes::<4>` per word. `NativeMem` overrides each burst
-//! with one bounds check per burst (per table window) and still panics on
-//! anything outside its arena.
+//! of one `write_bytes::<4>` per word. The defaults of `copy` and
+//! `foreign_working_set` are likewise the accesses they stand for: a word
+//! loop, and one `B4` read per 64-byte line. `NativeMem`
+//! overrides each burst with one bounds check per burst (per table window)
+//! and still panics on anything outside its arena.
 //!
 //! Register-resident computation is *not* memory traffic. Kernels announce
 //! it through [`Mem::compute`] (ALU operation counts) so the host cost
 //! model can charge cycles for it; `NativeMem` discards the hint.
+
+use crate::region::Region;
 
 /// A kernel's instruction-footprint handle, created by
 /// [`crate::AddressSpace::alloc_code`].
@@ -228,8 +239,12 @@ pub trait Mem {
     ///
     /// This is the canonical "system copy" / `tcp_send` copy of the paper's
     /// Figures 3 and 5: one 4-byte read and one 4-byte write per word.
+    /// Source and destination must not overlap (every caller copies
+    /// between distinct regions); an overlapping copy panics, so a word
+    /// copy and a native `memmove` can never disagree about one.
     #[inline(always)]
     fn copy(&mut self, src: usize, dst: usize, len: usize) {
+        assert_disjoint(src, dst, len);
         let words = len / 4;
         for i in 0..words {
             let w: [u8; 4] = self.read(src + 4 * i);
@@ -240,6 +255,26 @@ pub trait Mem {
             self.write_u8(dst + i, b);
         }
     }
+
+    /// The data working set of the kernel, the scheduler and the *other*
+    /// process, touched on a loop-back crossing: one four-byte read per
+    /// 64-byte line of `r`, at ascending addresses. This is a model
+    /// stimulus — the paper's two processes context-switched on every
+    /// packet and polluted the data cache (§4.2) — so an instrumented
+    /// memory books the walk and a native one, which has no second
+    /// process, skips it.
+    #[inline(always)]
+    fn foreign_working_set(&mut self, r: Region) {
+        for line in (0..r.len).step_by(64) {
+            let _ = self.read_u32_be(r.at(line));
+        }
+    }
+}
+
+/// Panic unless `[src, src + len)` and `[dst, dst + len)` are disjoint.
+#[inline(always)]
+fn assert_disjoint(src: usize, dst: usize, len: usize) {
+    assert!(src + len <= dst || dst + len <= src, "Mem::copy: {src:#x} and {dst:#x} overlap over {len} bytes");
 }
 
 /// Uninstrumented [`Mem`] over a mutable byte slice.
@@ -247,9 +282,10 @@ pub trait Mem {
 /// Addresses are the simulated addresses from [`crate::AddressSpace`];
 /// `base` (the address space's data base) is subtracted to index the
 /// arena, and every access is bounds-checked against it (see the module
-/// docs for what that costs). All instrumentation hooks are no-ops that
-/// vanish under optimisation, so fused-loop benchmarks over `NativeMem`
-/// measure the machine code a real deployment would run.
+/// docs for what that costs). All instrumentation hooks and model
+/// stimuli (`fetch`, `compute`, `foreign_working_set`) are no-ops that
+/// vanish under optimisation, so benchmarks over `NativeMem` measure the
+/// machine code a real deployment would run.
 #[derive(Debug)]
 pub struct NativeMem<'a> {
     arena: &'a mut [u8],
@@ -299,6 +335,19 @@ impl Mem for NativeMem<'_> {
 
     #[inline(always)]
     fn fetch(&mut self, _code: CodeRegion) {}
+
+    /// No second process, no context switch: nothing to walk.
+    #[inline(always)]
+    fn foreign_working_set(&mut self, _r: Region) {}
+
+    /// One slice check for the burst, then `copy_within`; the range
+    /// check panics on a source or destination outside the arena.
+    #[inline(always)]
+    fn copy(&mut self, src: usize, dst: usize, len: usize) {
+        assert_disjoint(src, dst, len);
+        let s = src - self.base;
+        self.arena.copy_within(s..s + len, dst - self.base);
+    }
 
     /// One slice check for the burst.
     #[inline(always)]
@@ -461,7 +510,15 @@ mod tests {
         assert!(panics(&space, |m| m.write_words_as_bytes(base - 4, [1u32; 2])), "byte-grain burst below");
         assert!(panics(&space, |m| m.read_words_be::<1>(end + 4096)), "word read outside the arena");
         assert!(panics(&space, |m| m.write_words_as_bytes(end + 64, [1u32; 4])), "byte-grain burst outside");
+        // Copies: source or destination ending one byte past the end, or
+        // starting one byte below the start.
+        assert!(panics(&space, |m| m.copy(end - 15, base, 16)), "copy source crossing the end");
+        assert!(panics(&space, |m| m.copy(base, end - 15, 16)), "copy destination crossing the end");
+        assert!(panics(&space, |m| m.copy(base - 1, base + 64, 16)), "copy source crossing the start");
+        assert!(panics(&space, |m| m.copy(base + 64, base - 1, 16)), "copy destination crossing the start");
         // The last burst and the last window that fit do not panic.
+        assert!(!panics(&space, |m| m.copy(end - 16, base, 16)));
+        assert!(!panics(&space, |m| m.copy(base, end - 16, 16)));
         assert!(!panics(&space, |m| m.read_bytes::<8>(end - 8)));
         assert!(!panics(&space, |m| m.write_bytes(end - 4, [1u8; 4])));
         assert!(!panics(&space, |m| m.lookup_u8(end - 256, 255)));
@@ -469,6 +526,51 @@ mod tests {
         assert!(!panics(&space, |m| m.write_words_be(end - 12, [1u32; 3])));
         assert!(!panics(&space, |m| m.write_words_as_bytes(end - 8, [1u32; 2])));
         assert!(!panics(&space, |m| m.read_words_be::<1>(base)));
+    }
+
+    #[test]
+    fn overlapping_copies_panic_on_both_memories() {
+        let mut space = AddressSpace::new();
+        let r = space.alloc("buf", 512, 8);
+        let host = crate::HostModel::ss10_30();
+        let sim_panics = |src: usize, dst: usize, len: usize| {
+            let mut m = crate::SimMem::new(&space, &host);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.copy(src, dst, len))).is_err()
+        };
+        // Forward and backward overlap by one byte, and a copy onto itself.
+        for (src, dst, len) in [(r.base, r.at(15), 16), (r.at(15), r.base, 16), (r.at(8), r.at(8), 1)] {
+            assert!(panics(&space, |m| m.copy(src, dst, len)), "native {src:#x} → {dst:#x}, {len}");
+            assert!(sim_panics(src, dst, len), "sim {src:#x} → {dst:#x}, {len}");
+        }
+        // Adjacent ranges do not overlap, and an empty copy never does.
+        for (src, dst, len) in [(r.base, r.at(16), 16), (r.at(16), r.base, 16), (r.at(8), r.at(8), 0)] {
+            assert!(!panics(&space, |m| m.copy(src, dst, len)), "native {src:#x} → {dst:#x}, {len}");
+            assert!(!sim_panics(src, dst, len), "sim {src:#x} → {dst:#x}, {len}");
+        }
+    }
+
+    #[test]
+    fn sim_books_the_foreign_working_set_as_one_word_read_per_line() {
+        use crate::cache::AccessKind::Read;
+        use crate::trace::TraceEvent;
+        use crate::SizeClass::B4;
+        let mut space = AddressSpace::new();
+        // Five lines, the last one partial: it is read all the same.
+        let r = space.alloc_kind("os", 4 * 64 + 8, 64, crate::RegionKind::Kernel);
+        let mut m = crate::SimMem::new(&space, &crate::HostModel::ss10_30());
+        m.start_trace(64);
+        m.phase_push(PhaseTag::System);
+        m.foreign_working_set(r);
+        m.phase_pop();
+        let want: Vec<TraceEvent> = (0..5).map(|i| TraceEvent { addr: r.at(64 * i), len: 4, kind: Read }).collect();
+        assert_eq!(m.take_trace().expect("started").events(), &want[..], "ascending, one per line");
+        let (user, system) = m.take_phase_stats();
+        assert_eq!(user.data_accesses(), 0);
+        assert_eq!((system.reads.by_size(B4), system.reads.total(), system.writes.total()), (5, 5, 0));
+        assert_eq!(system.reads_for(crate::RegionKind::Kernel).total(), 5);
+        // Natively the walk is nothing at all — not even a range check.
+        let mut arena = AddressSpace::new().native_arena();
+        NativeMem::new(&mut arena).foreign_working_set(r);
     }
 
     /// One burst write on `burst`, the `N` one-byte writes it stands for

@@ -100,26 +100,20 @@ pub fn prometheus_text_with_health(r: &Recorder, verdicts: &[Verdict]) -> String
     out
 }
 
-/// Render a trace ring as Chrome `trace_event` JSON (the JSON Array
-/// Format consumed by `chrome://tracing` and Perfetto's legacy
-/// importer). Each trace event becomes an instant event (`"ph": "i"`,
-/// thread scope): virtual ticks map 1:1 to microseconds, connections
-/// map to `tid` so every connection gets its own timeline row, and the
-/// event kind becomes the slice name. A leading `process_name` metadata
-/// event carries the caller's `label` — arbitrary text, escaped by the
-/// JSON renderer like everything else.
-pub fn chrome_trace(trace: &TraceRing, label: &str) -> Json {
-    chrome_trace_doc(chrome_trace_events(trace, label, 0))
-}
-
-/// The event list of [`chrome_trace`] with an explicit `pid`, for
-/// building merged multi-process documents: each shard exports its ring
-/// under its own pid and the concatenation loads as one timeline with
-/// every process row labelled. Besides the `process_name` metadata
-/// event this emits one `thread_name` metadata event per connection
-/// row that appears in the ring, so `chrome://tracing` shows
-/// `conn 7` instead of a bare thread id — with global connection ids
-/// (`conn_base`), merged shard exports stay unambiguous.
+/// A trace ring as Chrome `trace_event` events under process `pid` (the
+/// JSON Array Format consumed by `chrome://tracing` and Perfetto's
+/// legacy importer; wrap them with [`chrome_trace_doc`]). Each trace
+/// event becomes an instant event (`"ph": "i"`, thread scope): virtual
+/// ticks map 1:1 to microseconds, connections map to `tid` so every
+/// connection gets its own timeline row, and the event kind becomes the
+/// slice name. A leading `process_name` metadata event carries the
+/// caller's `label` — arbitrary text, escaped by the JSON renderer like
+/// everything else — and one `thread_name` metadata event per
+/// connection row in the ring makes `chrome://tracing` show `conn 7`
+/// instead of a bare thread id. Each shard exports its ring under its
+/// own pid, so the concatenation loads as one timeline with every
+/// process row labelled, and global connection ids (`conn_base`) keep
+/// merged shard exports unambiguous.
 pub fn chrome_trace_events(trace: &TraceRing, label: &str, pid: u64) -> Vec<Json> {
     let meta = |name: &str, tid: u64, value: &str| {
         Json::obj()
@@ -224,7 +218,7 @@ mod tests {
         r.event(EventKind::Retransmit, 3, 1);
         // A hostile label: quotes, backslashes, control chars, unicode.
         let label = "run \"7\" \\ tab\tnewline\n nul\u{0} ⏱";
-        let j = chrome_trace(r.trace(), label);
+        let j = chrome_trace_doc(chrome_trace_events(r.trace(), label, 0));
         // The rendered bytes parse back to the identical tree — the
         // escaping is exercised end to end through the json roundtrip.
         let text = j.render();

@@ -160,9 +160,8 @@ impl Histogram {
 
     /// The histogram as JSON: exact `count`/`sum`/`min`/`max` (`null`
     /// extremes when empty) plus the non-empty buckets as
-    /// `[bucket_index, count]` pairs, so [`Histogram::from_json`]
-    /// reconstructs the histogram exactly — the round trip the windowed
-    /// series snapshots rely on.
+    /// `[bucket_index, count]` pairs — everything the histogram holds, so
+    /// a reader of a windowed series snapshot loses nothing.
     pub fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
         let buckets: Vec<Json> = (0..BUCKETS)
@@ -175,52 +174,6 @@ impl Histogram {
             .set("min", self.min().map_or(Json::Null, Json::U64))
             .set("max", self.max().map_or(Json::Null, Json::U64))
             .set("buckets", Json::Arr(buckets))
-    }
-
-    /// Parse a histogram written by [`Histogram::to_json`]. Rejects
-    /// malformed documents (missing keys, bucket indices out of range,
-    /// bucket counts that disagree with `count`) with a message.
-    pub fn from_json(j: &crate::json::Json) -> Result<Histogram, String> {
-        use crate::json::Json;
-        let field = |k: &str| j.get(k).ok_or_else(|| format!("histogram missing {k:?}"));
-        let num = |k: &str| -> Result<u64, String> {
-            match field(k)? {
-                Json::U64(v) => Ok(*v),
-                other => Err(format!("histogram {k:?} is not a u64: {}", other.render())),
-            }
-        };
-        let mut h = Histogram::new();
-        h.count = num("count")?;
-        h.sum = num("sum")?;
-        match field("min")? {
-            Json::Null => {}
-            Json::U64(v) => h.min = *v,
-            other => return Err(format!("histogram min is not u64/null: {}", other.render())),
-        }
-        match field("max")? {
-            Json::Null => {}
-            Json::U64(v) => h.max = *v,
-            other => return Err(format!("histogram max is not u64/null: {}", other.render())),
-        }
-        let buckets =
-            field("buckets")?.as_arr().ok_or_else(|| "histogram buckets not an array".to_string())?;
-        let mut total = 0u64;
-        for b in buckets {
-            let pair = b.as_arr().ok_or_else(|| "bucket is not a pair".to_string())?;
-            let (Some(Json::U64(i)), Some(Json::U64(n))) = (pair.first(), pair.get(1)) else {
-                return Err(format!("bucket is not [index, count]: {}", b.render()));
-            };
-            let i = *i as usize;
-            if i >= BUCKETS {
-                return Err(format!("bucket index {i} out of range"));
-            }
-            h.counts[i] += n;
-            total += n;
-        }
-        if total != h.count {
-            return Err(format!("bucket counts sum to {total}, count says {}", h.count));
-        }
-        Ok(h)
     }
 }
 
@@ -377,49 +330,5 @@ mod tests {
         // Out-of-range p clamps rather than panicking.
         assert_eq!(h.percentile(-5.0), 70);
         assert_eq!(h.percentile(250.0), 5000);
-    }
-
-    #[test]
-    fn json_roundtrip_is_exact() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 3, 3, 1000, u64::MAX] {
-            h.record(v);
-        }
-        let j = h.to_json();
-        let back = Histogram::from_json(&j).expect("roundtrip parse");
-        assert_eq!(back, h);
-        // Through the text renderer/parser too, as window snapshots go.
-        let text = j.render();
-        let back2 = Histogram::from_json(&crate::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back2, h);
-        // Empty histograms roundtrip with null extremes.
-        let empty = Histogram::new();
-        let je = empty.to_json();
-        assert_eq!(je.get("min"), Some(&crate::json::Json::Null));
-        assert_eq!(Histogram::from_json(&je).unwrap(), empty);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_histograms() {
-        use crate::json::Json;
-        let good = {
-            let mut h = Histogram::new();
-            h.record(5);
-            h.to_json()
-        };
-        // Missing key.
-        let mut missing = good.clone();
-        if let Json::Obj(m) = &mut missing {
-            m.remove("sum");
-        }
-        assert!(Histogram::from_json(&missing).unwrap_err().contains("sum"));
-        // Bucket index out of range.
-        let bad_idx = good
-            .clone()
-            .set("buckets", Json::Arr(vec![Json::Arr(vec![Json::U64(99), Json::U64(1)])]));
-        assert!(Histogram::from_json(&bad_idx).unwrap_err().contains("out of range"));
-        // Bucket counts disagreeing with `count`.
-        let bad_sum = good.set("count", Json::U64(7));
-        assert!(Histogram::from_json(&bad_sum).unwrap_err().contains("count says 7"));
     }
 }

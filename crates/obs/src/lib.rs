@@ -72,7 +72,7 @@ pub mod timeseries;
 pub mod trace;
 
 pub use expo::{
-    chrome_trace, chrome_trace_doc, chrome_trace_events, prometheus_text,
+    chrome_trace_doc, chrome_trace_events, prometheus_text,
     prometheus_text_with_health, write_report,
 };
 pub use health::{ConnView, Detector, FlightRing, QueueStat, Verdict};

@@ -222,7 +222,10 @@ pub struct Loopback {
     /// two processes on one CPU: each loop-back packet context-switches
     /// through the kernel, evicting a large share of the data cache —
     /// which is why even the non-ILP implementation's passes run partly
-    /// cold (§4.2's high absolute miss counts).
+    /// cold (§4.2's high absolute miss counts). The walk over it is
+    /// `SimMem`'s model of that switch ([`Mem::foreign_working_set`]);
+    /// a native run has no second process and skips it, but the region
+    /// stays allocated so every simulated address stays where it is.
     os_data: Region,
     /// IP identification counter.
     next_ident: u16,
@@ -433,9 +436,8 @@ impl KernelPart for Loopback {
         m.fetch(self.code_os);
         // Context switch: the kernel + scheduler + peer process touch
         // their own working set, evicting protocol data from the cache.
-        for line in (0..self.os_data.len).step_by(64) {
-            let _ = m.read_u32_be(self.os_data.at(line));
-        }
+        // `SimMem` books the walk; natively there is no switch to model.
+        m.foreign_working_set(self.os_data);
         m.phase_pop();
         self.sent += 1;
         // Release delay-fault datagrams whose hold has expired — before
@@ -791,18 +793,29 @@ mod tests {
 
     #[test]
     fn system_copy_is_counted() {
-        use memsim::{HostModel, RegionKind, SimMem};
+        use memsim::{AccessCounts, HostModel, RegionKind, SimMem, SizeClass};
         let mut space = AddressSpace::new();
         let mut lb = Loopback::new(&mut space);
         let _rx = lb.register(80);
         let user = space.alloc("user", 4096, 8);
         let mut m = SimMem::new(&space, &HostModel::ss10_30());
         lb.send(&mut m, 1, 2, 80, user.at(0), user.at(64), 100);
-        let s = m.stats();
-        // IP header build (11 stores) + TCP header (5 words) + 100-byte
-        // payload (25 words); reads additionally include the
-        // context-switch working-set walk and the IP checksum pass.
-        assert_eq!(s.writes_for(RegionKind::Kernel).total(), 30 + 11);
-        assert!(s.reads.total() >= 30 + 16 * 1024 / 64);
+        let (user_phase, s) = m.take_phase_stats();
+        let by_size = |c: AccessCounts| SizeClass::all().map(|z| c.by_size(z));
+        // The simulated program of one send, exactly: a native shortcut
+        // must not move one count. All of it is kernel work; counts are
+        // per size class [B1, B2, B4, B8]:
+        assert_eq!(user_phase.data_accesses(), 0);
+        // the TCP header (5 words) and the 100-byte payload (25 words)
+        // read from user memory,
+        assert_eq!(by_size(s.reads_for(RegionKind::Buffer)), [0, 0, 30, 0]);
+        // the context-switch walk (16 KiB, one word per 64-byte line) and
+        // the IP checksum pass over the header just built,
+        assert_eq!(by_size(s.reads_for(RegionKind::Kernel)), [0, 0, 16 * 1024 / 64 + 5, 0]);
+        // the IP header's 11 stores, then the 30 copied words,
+        assert_eq!(by_size(s.writes_for(RegionKind::Kernel)), [4, 5, 2 + 30, 0]);
+        assert_eq!(by_size(s.writes_for(RegionKind::Buffer)), [0; 4]);
+        // and the trap path's ALU operations and instruction footprint.
+        assert_eq!((s.compute_ops, s.fetch_bytes), (62, 6 * 1024));
     }
 }

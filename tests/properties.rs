@@ -517,6 +517,35 @@ fn unmarshal_sink_units_are_words<const LAST: bool>(data_len: usize, width: usiz
     }
 }
 
+/// `NativeMem::copy` (one range check and `copy_within`) leaves exactly
+/// what the default word copy with its byte tail leaves on an
+/// instrumented twin, for disjoint ranges of 0..=2048 bytes at any
+/// alignment, in either order, with every tail length mod 4.
+#[test]
+fn native_copy_is_the_word_copy_on_disjoint_ranges() {
+    let mut space = AddressSpace::new();
+    let buf = space.alloc("buf", 8192, 8);
+    let before: Vec<u8> = (0..buf.len).map(|i| (i * 131 + 7) as u8).collect();
+    let tails = std::cell::Cell::new([false; 4]);
+    for_each_seed(|rng| {
+        let len = rng.index(2049);
+        let first = buf.base + rng.index(buf.len - 2 * len + 1);
+        let second = first + len + rng.index(buf.end() - first - 2 * len + 1);
+        let (src, dst) = if rng.below(2) == 0 { (first, second) } else { (second, first) };
+        let mut arena = space.native_arena();
+        let mut native = NativeMem::new(&mut arena);
+        native.bytes_mut(buf.base, buf.len).copy_from_slice(&before);
+        let [mut sim, _] = sim_twins(&space, buf.base, &before);
+        native.copy(src, dst, len);
+        sim.copy(src, dst, len);
+        assert_eq!(native.bytes(buf.base, buf.len), sim.peek(buf.base, buf.len), "{len} bytes {src:#x} → {dst:#x}");
+        let mut seen = tails.get();
+        seen[len % 4] = true;
+        tails.set(seen);
+    });
+    assert_eq!(tails.get(), [true; 4], "every tail length drawn");
+}
+
 /// One ILP-sent message polled at the receiver with one payload byte
 /// XORed by a non-zero mask.
 fn with_flipped_datagram(

@@ -36,6 +36,11 @@ const ROWS: &[(&str, Pattern, usize, &str)] = &[
     ("crates/sim/src", Text("inject_ring_bug"), 0, "a mutant is a Mutant, not a bool"),
     ("crates/sim/src", Text("inject_bug"), 0, "a mutant is a Mutant, not a bool"),
     ("crates/server/src", FilesOver(500), 0, "no server file outgrows its part — cut it along a seam"),
+    ("crates/utcp/src/kernelpart.rs", Text("pub fn send"), 0, "Loopback sends through its KernelPart impl only"),
+    ("crates/utcp/src/kernelpart.rs", Text("pub fn register"), 0, "Loopback registers through its KernelPart impl only"),
+    ("crates", Text("struct Endpoint {"), 1, "one port demultiplexer, utcp::demux, serves every kernel part"),
+    ("crates/utcp/src", Text("step_by(64)"), 0, "the context-switch walk is Mem::foreign_working_set"),
+    ("crates/memsim/src/mem.rs", Text("step_by(64)"), 1, "the walk is said once, in memsim"),
 ];
 
 /// Every `.rs` file under `path` (or `path` itself), sorted.
