@@ -6,8 +6,8 @@
 //! stray datagram from another program, a truncated read, or a buggy
 //! peer must all surface as a *typed* decode error, never as a panic or
 //! a mis-parsed segment handed to TCP. So every frame carries its own
-//! magic, version, kind, and inner length, and [`decode`] cross-checks
-//! the declared length against the bytes actually present.
+//! magic, version, kind, and inner length, and [`decode_frame`]
+//! cross-checks the declared length against the bytes actually present.
 //!
 //! ```text
 //! 0        2      3      4          6
@@ -46,9 +46,10 @@ pub const KIND_TRACED: u8 = 2;
 pub const HEADER_LEN: usize = 6;
 /// Trace-tag bytes in a [`KIND_TRACED`] frame.
 pub const TAG_LEN: usize = 10;
-/// Largest inner datagram accepted: the loop-back's kernel slot size /
-/// link MTU. Anything larger could not have come from this stack.
-pub const MAX_INNER: usize = 2048;
+/// Largest inner datagram accepted: one kernel slot, the link MTU
+/// ([`utcp::SLOT_LEN`]). Anything larger could not have come from this
+/// stack.
+pub const MAX_INNER: usize = utcp::SLOT_LEN;
 /// Smallest inner datagram: one IPv4 header + one TCP header (a pure
 /// ACK). Shorter frames cannot be parsed as a segment.
 pub const MIN_INNER: usize = utcp::ip::IP_HEADER_LEN + utcp::wire::TCP_HEADER_LEN;
@@ -125,40 +126,28 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Wrap one utcp datagram in a frame.
+/// Wrap one utcp datagram in an untraced frame: [`encode_into`] on a
+/// fresh `Vec`.
 ///
 /// # Errors
-/// [`CodecError::Oversized`] / [`CodecError::Runt`] when `inner` is
-/// outside the representable segment sizes — the encoder enforces the
-/// same bounds the decoder does, so every encoded frame round-trips.
+/// Same bounds as [`encode_into`].
 pub fn encode(inner: &[u8]) -> Result<Vec<u8>, CodecError> {
-    encode_frame(inner, None)
-}
-
-/// Wrap one utcp datagram with an out-of-band segment-trace tag (a
-/// [`KIND_TRACED`] frame).
-///
-/// # Errors
-/// Same bounds as [`encode`].
-pub fn encode_traced(inner: &[u8], tag: SegTag) -> Result<Vec<u8>, CodecError> {
-    encode_frame(inner, Some(tag))
-}
-
-fn encode_frame(inner: &[u8], tag: Option<SegTag>) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(HEADER_LEN + TAG_LEN + inner.len().min(MAX_INNER));
-    encode_into(&mut out, inner.len(), tag, |dst| dst.copy_from_slice(inner))?;
-    Ok(out)
+    let mut frame = Vec::with_capacity(HEADER_LEN + inner.len().min(MAX_INNER));
+    encode_into(&mut frame, inner.len(), None, |dst| dst.copy_from_slice(inner))?;
+    Ok(frame)
 }
 
 /// Build a frame in `frame` (cleared first, its capacity reused): the
-/// envelope, the tag if any, then `inner_len` bytes that `fill` writes
-/// in place — the allocation-free form of [`encode`] /
-/// [`encode_traced`] for a sender that keeps one frame buffer and has
-/// its datagram somewhere other than a slice.
+/// envelope, the segment-trace tag if any (a [`KIND_TRACED`] frame),
+/// then `inner_len` bytes that `fill` writes in place — for a sender
+/// that keeps one frame buffer and has its datagram somewhere other
+/// than a slice.
 ///
 /// # Errors
-/// Same bounds as [`encode`], checked before `frame` or `fill` is
-/// touched.
+/// [`CodecError::Oversized`] / [`CodecError::Runt`] when `inner_len` is
+/// outside the representable segment sizes — the encoder enforces the
+/// same bounds the decoder does, so every encoded frame round-trips.
+/// Checked before `frame` or `fill` is touched.
 pub fn encode_into(
     frame: &mut Vec<u8>,
     inner_len: usize,
@@ -185,16 +174,6 @@ pub fn encode_into(
     frame.resize(preamble + inner_len, 0);
     fill(&mut frame[preamble..]);
     Ok(())
-}
-
-/// Validate a frame and return the inner datagram bytes (either kind;
-/// a traced frame's tag is dropped — see [`decode_frame`]).
-///
-/// # Errors
-/// A [`CodecError`] describing the first check that failed; arbitrary
-/// input never panics (see the fuzz tests below).
-pub fn decode(frame: &[u8]) -> Result<&[u8], CodecError> {
-    decode_frame(frame).map(|(inner, _)| inner)
 }
 
 /// Validate a frame and return the inner datagram bytes plus the
@@ -247,13 +226,19 @@ mod tests {
         vec![fill; len]
     }
 
+    /// `inner` framed by [`encode_into`] in a fresh buffer.
+    fn framed(inner: &[u8], tag: Option<SegTag>) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_into(&mut frame, inner.len(), tag, |dst| dst.copy_from_slice(inner)).unwrap();
+        frame
+    }
+
     #[test]
     fn roundtrip_across_the_size_range() {
         for len in [MIN_INNER, 64, 577, 1536, MAX_INNER] {
             let inner = valid_inner(len, (len % 251) as u8);
             let frame = encode(&inner).unwrap();
             assert_eq!(frame.len(), HEADER_LEN + len);
-            assert_eq!(decode(&frame).unwrap(), &inner[..]);
             assert_eq!(decode_frame(&frame).unwrap(), (&inner[..], None));
         }
     }
@@ -264,23 +249,22 @@ mod tests {
         for len in [MIN_INNER, 577, MAX_INNER] {
             let inner = valid_inner(len, (len % 193) as u8);
             let plain = encode(&inner).unwrap();
-            let traced = encode_traced(&inner, tag).unwrap();
+            let traced = framed(&inner, Some(tag));
             assert_eq!(traced.len(), plain.len() + TAG_LEN);
+            assert_eq!(traced[3], KIND_TRACED);
             let (got, got_tag) = decode_frame(&traced).unwrap();
             assert_eq!(got, &inner[..]);
             assert_eq!(got_tag, Some(tag));
             // The tag rides in the envelope only: inner bytes of the
             // traced and untraced frames are byte-identical.
             assert_eq!(&traced[HEADER_LEN + TAG_LEN..], &plain[HEADER_LEN..]);
-            // The tag-agnostic decoder accepts the traced frame too.
-            assert_eq!(decode(&traced).unwrap(), &inner[..]);
         }
     }
 
     #[test]
     fn traced_frame_with_missing_tag_bytes_is_a_length_mismatch() {
         let inner = valid_inner(64, 9);
-        let traced = encode_traced(&inner, SegTag { conn: 1, chunk: 2, xmit: 0 }).unwrap();
+        let traced = framed(&inner, Some(SegTag { conn: 1, chunk: 2, xmit: 0 }));
         // Cut inside the tag area: shorter than header + tag.
         for cut in HEADER_LEN..HEADER_LEN + TAG_LEN {
             assert!(decode_frame(&traced[..cut]).is_err(), "cut at {cut} decoded Ok");
@@ -301,9 +285,9 @@ mod tests {
     }
 
     /// One reused frame buffer, random sizes and tags: every frame
-    /// [`encode_into`] builds is the frame [`encode`] /
-    /// [`encode_traced`] would have allocated, it round-trips, and the
-    /// buffer never regrows once it has held the largest frame.
+    /// [`encode_into`] builds is the frame it builds in a fresh buffer
+    /// ([`encode`]'s, when untraced), it round-trips, and the buffer
+    /// never regrows once it has held the largest frame.
     #[test]
     fn encode_into_reuses_one_buffer_and_matches_the_allocating_encoders() {
         let mut rng = XorShift64::new(0x1270);
@@ -315,10 +299,10 @@ mod tests {
             let tag = (round % 2 == 1).then_some(SegTag { conn: round, chunk: round ^ 7, xmit: 1 });
             encode_into(&mut frame, len, tag, |dst| dst.copy_from_slice(&inner)).unwrap();
             let reference = match tag {
-                Some(tag) => encode_traced(&inner, tag),
-                None => encode(&inner),
+                Some(_) => framed(&inner, tag),
+                None => encode(&inner).unwrap(),
             };
-            assert_eq!(frame, reference.unwrap());
+            assert_eq!(frame, reference);
             assert_eq!(decode_frame(&frame).unwrap(), (&inner[..], tag));
             assert_eq!(frame.as_ptr(), at, "round {round}: the frame buffer moved");
         }
@@ -329,20 +313,20 @@ mod tests {
         let frame = encode(&valid_inner(64, 7)).unwrap();
         let mut bad = frame.clone();
         bad[0] = b'X';
-        assert!(matches!(decode(&bad), Err(CodecError::BadMagic { .. })));
+        assert!(matches!(decode_frame(&bad), Err(CodecError::BadMagic { .. })));
         let mut bad = frame.clone();
         bad[2] = VERSION + 1;
-        assert_eq!(decode(&bad), Err(CodecError::BadVersion { got: VERSION + 1 }));
+        assert_eq!(decode_frame(&bad), Err(CodecError::BadVersion { got: VERSION + 1 }));
         let mut bad = frame.clone();
         bad[3] = 9;
-        assert_eq!(decode(&bad), Err(CodecError::BadKind { got: 9 }));
+        assert_eq!(decode_frame(&bad), Err(CodecError::BadKind { got: 9 }));
         let mut bad = frame.clone();
         bad[5] = 65; // declare 65 inner bytes; 64 present
-        assert_eq!(decode(&bad), Err(CodecError::LengthMismatch { declared: 65, actual: 64 }));
+        assert_eq!(decode_frame(&bad), Err(CodecError::LengthMismatch { declared: 65, actual: 64 }));
         let mut bad = frame.clone();
         bad[4] = 0x08; // declare 0x0840 = 2112 bytes, past MAX_INNER
-        assert!(matches!(decode(&bad), Err(CodecError::Oversized { .. })));
-        assert!(matches!(decode(&frame[..3]), Err(CodecError::Truncated { got: 3 })));
+        assert!(matches!(decode_frame(&bad), Err(CodecError::Oversized { .. })));
+        assert!(matches!(decode_frame(&frame[..3]), Err(CodecError::Truncated { got: 3 })));
     }
 
     /// Fuzz: random byte strings must decode to Ok or a typed error,
@@ -373,7 +357,7 @@ mod tests {
             let frame = if round % 2 == 0 {
                 encode(&inner).unwrap()
             } else {
-                encode_traced(&inner, SegTag { conn: round, chunk: round ^ 7, xmit: 1 }).unwrap()
+                framed(&inner, Some(SegTag { conn: round, chunk: round ^ 7, xmit: 1 }))
             };
             // Random cut strictly inside the frame.
             let cut = rng.below(frame.len() as u64) as usize;
@@ -397,7 +381,7 @@ mod tests {
         let inner: Vec<u8> = (0..512).map(|i| i as u8).collect();
         let frames = [
             encode(&inner).unwrap(),
-            encode_traced(&inner, SegTag { conn: 3, chunk: 9, xmit: 0 }).unwrap(),
+            framed(&inner, Some(SegTag { conn: 3, chunk: 9, xmit: 0 })),
         ];
         for round in 0..10_000 {
             let mut dam = frames[round % 2].clone();

@@ -3,42 +3,29 @@
 //! [`utcp::Ipv4Header`] states the 20-byte header — field offsets,
 //! checksum rule, admission test — once, over [`memsim::Mem`], because
 //! in-simulation header work must be costed. A socket or TUN device
-//! hands the kernel plain byte buffers; this module runs that same code
+//! hands the kernel plain byte buffers; [`admit`] runs that same code
 //! over them (a [`NativeMem`] view with base 0 is a byte slice with
 //! `Mem`'s verbs), so there is no second set of offsets to keep in
-//! step. Always compiled, though [`build`]'s only in-tree consumer is
-//! behind the `tun` feature; [`admit`] fronts both backends' receive
-//! queues.
+//! step. Outgoing headers need no accessor here: both devices send the
+//! datagram [`utcp::kernelpart::system_copy`] assembled in instrumented
+//! memory.
 
 use memsim::NativeMem;
 use utcp::ip::IP_HEADER_LEN;
 use utcp::wire::TCP_HEADER_LEN;
-use utcp::Ipv4Header;
+use utcp::{Ipv4Header, SLOT_LEN};
 
 /// Offset of the TCP destination port inside an inner datagram.
 const DST_PORT_OFF: usize = IP_HEADER_LEN + 2;
 
-/// Write a complete unfragmented header (checksum filled in) into
-/// `buf[..20]`.
-///
-/// # Panics
-/// Panics if `buf` is shorter than [`IP_HEADER_LEN`] or
-/// `IP_HEADER_LEN + payload_len` exceeds `u16::MAX` — both are caller
-/// bugs, not wire conditions.
-pub fn build(buf: &mut [u8], src: u32, dst: u32, payload_len: usize, ident: u16, ttl: u8) {
-    assert!(buf.len() >= IP_HEADER_LEN, "need {IP_HEADER_LEN} bytes for an IPv4 header");
-    assert!(IP_HEADER_LEN + payload_len <= u16::MAX as usize, "IPv4 total length overflow");
-    Ipv4Header::at(0).build(&mut NativeMem::with_base(buf, 0), src, dst, payload_len, ident, 0, false, ttl);
-}
-
 /// The rule for what a backend may queue, stated once: an inner
-/// datagram is at least `IP_HEADER_LEN + TCP_HEADER_LEN` bytes, opens
-/// with an option-less IPv4 header that passes
-/// [`Ipv4Header::admits`] for exactly the bytes present, and carries
-/// its TCP destination port at offset 22 — which is what `admit`
-/// returns. Arbitrary input never panics.
+/// datagram is at least `IP_HEADER_LEN + TCP_HEADER_LEN` bytes and at
+/// most one [`SLOT_LEN`] kernel slot, opens with an option-less IPv4
+/// header that passes [`Ipv4Header::admits`] for exactly the bytes
+/// present, and carries its TCP destination port at offset 22 — which
+/// is what `admit` returns. Arbitrary input never panics.
 pub fn admit(packet: &[u8]) -> Option<u16> {
-    if packet.len() < IP_HEADER_LEN + TCP_HEADER_LEN || packet[0] != 0x45 {
+    if !(IP_HEADER_LEN + TCP_HEADER_LEN..=SLOT_LEN).contains(&packet.len()) || packet[0] != 0x45 {
         return None;
     }
     let mut hdr = [0u8; IP_HEADER_LEN];
@@ -51,13 +38,19 @@ pub fn admit(packet: &[u8]) -> Option<u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim::{AddressSpace, NativeMem};
     use utcp::rng::XorShift64;
+
+    /// A header from 1 to 2 for `payload_len` bytes, written over
+    /// `buf[..IP_HEADER_LEN]` by the one builder.
+    fn header(buf: &mut [u8], payload_len: usize, ident: u16) {
+        Ipv4Header::at(0).build(&mut NativeMem::with_base(buf, 0), 1, 2, payload_len, ident, 0, false, 64);
+    }
 
     #[test]
     fn roundtrip() {
         let mut buf = [0u8; IP_HEADER_LEN + 100];
-        build(&mut buf, 0x0A00_0001, 0x0A00_0002, 100, 42, 64);
+        let m = &mut NativeMem::with_base(&mut buf, 0);
+        Ipv4Header::at(0).build(m, 0x0A00_0001, 0x0A00_0002, 100, 42, 0, false, 64);
         buf[DST_PORT_OFF..DST_PORT_OFF + 2].copy_from_slice(&8080u16.to_be_bytes());
         assert_eq!(admit(&buf), Some(8080));
         assert_eq!(buf[8], 64, "TTL");
@@ -69,32 +62,10 @@ mod tests {
         assert_eq!(h.protocol(m), utcp::ip::PROTO_TCP);
     }
 
-    /// The byte-slice accessor and the instrumented-memory accessor
-    /// must produce bit-identical headers — one layout, two costing
-    /// regimes.
-    #[test]
-    fn matches_the_mem_based_builder_byte_for_byte() {
-        let mut space = AddressSpace::new();
-        let region = space.alloc("ip", 64, 8);
-        let mut arena = space.native_arena();
-        let mut m = NativeMem::new(&mut arena);
-        for (src, dst, plen, ident, ttl) in [
-            (0x0A00_0001u32, 0x0A00_0002u32, 0usize, 1u16, 64u8),
-            (0xC0A8_0101, 0x7F00_0001, 1516, 0xBEEF, 1),
-            (0, u32::MAX, 20, u16::MAX, 255),
-        ] {
-            Ipv4Header::at(region.base).build(&mut m, src, dst, plen, ident, 0, false, ttl);
-            let reference = m.bytes(region.base, IP_HEADER_LEN).to_vec();
-            let mut ours = [0u8; IP_HEADER_LEN];
-            build(&mut ours, src, dst, plen, ident, ttl);
-            assert_eq!(ours[..], reference[..], "src={src:#x} dst={dst:#x} plen={plen}");
-        }
-    }
-
     #[test]
     fn corruption_is_caught() {
         let mut buf = [0u8; IP_HEADER_LEN + TCP_HEADER_LEN];
-        build(&mut buf, 1, 2, TCP_HEADER_LEN, 7, 64);
+        header(&mut buf, TCP_HEADER_LEN, 7);
         assert!(admit(&buf).is_some());
         for i in 0..IP_HEADER_LEN {
             let mut dam = buf;
@@ -105,16 +76,17 @@ mod tests {
 
     /// A header-only packet used to index past its end looking for the
     /// destination port; 24..40 bytes used to queue a datagram with no
-    /// complete TCP header.
+    /// complete TCP header; a datagram past one kernel slot would
+    /// overrun the slot it is deposited into.
     #[test]
     fn every_length_with_a_valid_header_is_rejected_or_routed() {
-        for len in 0..=64usize {
+        for len in (0..=64usize).chain(SLOT_LEN - 1..=SLOT_LEN + 1) {
             let mut buf = vec![0u8; len.max(IP_HEADER_LEN)];
-            build(&mut buf, 1, 2, len.saturating_sub(IP_HEADER_LEN), 9, 64);
+            header(&mut buf, len.saturating_sub(IP_HEADER_LEN), 9);
             if len >= DST_PORT_OFF + 2 {
                 buf[DST_PORT_OFF..DST_PORT_OFF + 2].copy_from_slice(&9000u16.to_be_bytes());
             }
-            let expect = (len >= IP_HEADER_LEN + TCP_HEADER_LEN).then_some(9000);
+            let expect = (IP_HEADER_LEN + TCP_HEADER_LEN..=SLOT_LEN).contains(&len).then_some(9000);
             assert_eq!(admit(&buf[..len]), expect, "length {len}");
         }
     }
@@ -128,7 +100,7 @@ mod tests {
             // Half the time behind a header that verifies, so the walk
             // gets past the checksum to the length and port rules.
             if len >= IP_HEADER_LEN && rng.below(2) == 0 {
-                build(&mut buf, 1, 2, rng.below(64) as usize, 3, 64);
+                header(&mut buf, rng.below(64) as usize, 3);
             }
             let _ = admit(&buf);
         }

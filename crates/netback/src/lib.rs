@@ -4,7 +4,9 @@
 //! loop-back ([`utcp::Loopback`]); this crate provides implementations
 //! of the same [`utcp::KernelPart`] contract that face an actual
 //! kernel, so the identical connection state machine and ILP/non-ILP
-//! pipelines serve real traffic:
+//! pipelines serve real traffic. There is one implementation,
+//! [`link::Backend`]: the kernel slots, the drain that fills them, the
+//! send and the counters, over a per-device [`link::Link`]. Two links:
 //!
 //! * [`udp::UdpBackend`] — std-only. Each utcp datagram (IPv4 + TCP +
 //!   payload, exactly the bytes the loop-back would carry) is framed by
@@ -15,14 +17,13 @@
 //!   (`examples/serve_udp.rs`).
 //! * `tun::TunBackend` (feature `tun`, off by default) — writes the raw
 //!   IPv4 packets to a `/dev/net/tun` descriptor instead of framing
-//!   them in UDP. The packet bytes are produced by [`ipv4`], the
-//!   byte-slice accessor of the one IPv4 header layout in `utcp::ip`;
-//!   the device plumbing needs `ioctl`, hence the feature gate on
-//!   `unsafe`.
+//!   them in UDP; the device plumbing needs `ioctl`, hence the feature
+//!   gate on `unsafe`.
 //!
-//! Both backends queue through the same [`utcp::PortDemux`] the
-//! loop-back holds, and admit an arriving datagram by the same rule,
-//! [`ipv4::admit`].
+//! Both queue through the same [`utcp::PortDemux`] the loop-back holds,
+//! assemble what they send with the loop-back's
+//! [`utcp::kernelpart::system_copy`], and admit an arriving datagram by
+//! one rule, [`ipv4::admit`].
 //!
 //! What deliberately does **not** move here: determinism. The loop-back
 //! remains the tier-1/DST world with its seeded [`utcp::FaultPlan`];
@@ -34,9 +35,10 @@
 
 pub mod codec;
 pub mod ipv4;
+pub mod link;
 pub mod udp;
 #[cfg(feature = "tun")]
 pub mod tun;
 
-pub use codec::{decode, encode, CodecError, HEADER_LEN, MAX_INNER};
+pub use codec::{encode, CodecError, HEADER_LEN, MAX_INNER};
 pub use udp::UdpBackend;

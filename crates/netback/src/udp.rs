@@ -2,88 +2,34 @@
 //!
 //! Functionally this is exactly what the paper asks of its kernel
 //! component — "similar functionality as UDP without checksum" — except
-//! the UDP is real: every [`KernelPart::send`] becomes one `sendto(2)`
-//! and a receive that finds its queue empty drains `recvfrom(2)`. The
-//! inner bytes are the
-//! same IPv4 + TCP + payload datagram the loop-back carries, framed by
-//! the length-checked codec in [`crate::codec`]; the connection state
-//! machine above cannot tell the backends apart (the equivalence test
-//! in `tests/equivalence.rs` holds it to byte-identical delivery).
-//!
-//! Memory discipline: arriving datagrams are deposited into kernel
-//! buffer slots *inside the instrumented address space* (one
-//! `write_u8` per byte, charged to the System phase), and outgoing
-//! datagrams are assembled there before being read out to the socket —
-//! so both system copies remain visible to the memory model even
-//! though a real kernel is doing the actual I/O underneath.
-//!
-//! The socket is non-blocking and touched only when it has to be: a
-//! receive serves the endpoint's queue first and goes to the socket
-//! only when that queue is empty, and then takes no more datagrams than
-//! there are free kernel slots — the rest wait in the kernel's socket
-//! buffer, which is the back-pressure a slot pool alone cannot give. A
-//! receive never waits, so a lost datagram can never hang a poll loop —
-//! timeouts and retransmission are the [`utcp::Connection`]'s job,
-//! exactly as over the loop-back.
+//! the UDP is real: every [`KernelPart::send`](utcp::KernelPart::send)
+//! becomes one `sendto(2)` and a receive that finds its queue empty
+//! drains `recvfrom(2)`. The inner bytes are the same IPv4 + TCP +
+//! payload datagram the loop-back carries, framed by the length-checked
+//! codec in [`crate::codec`]; the connection state machine above cannot
+//! tell the backends apart (the equivalence test in
+//! `tests/equivalence.rs` holds it to byte-identical delivery). The slot
+//! pool, the drain and the send are [`Backend`]'s; [`Udp`] is the socket.
 
-use crate::{codec, ipv4};
+use crate::codec;
+use crate::link::{Backend, Link};
 use memsim::layout::AddressSpace;
-use memsim::region::{Region, RegionKind};
-use memsim::Mem;
 use obs::SegTag;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use utcp::backend::{KernelCounters, KernelPart};
-use utcp::ip::IP_HEADER_LEN;
-use utcp::kernelpart::{Datagram, EndpointId};
-use utcp::wire::TCP_HEADER_LEN;
-use utcp::PortDemux;
 
-/// Kernel slot size: header room + the largest TPDU (the loop-back's
-/// geometry, kept identical so the same configs run over both).
-const SLOT: usize = 2048;
-/// Number of receive slots — one bit each in `drain_socket`'s map of
-/// the pool.
-const SLOTS: usize = u64::BITS as usize;
+/// The kernel part over one UDP socket.
+pub type UdpBackend = Backend<Udp>;
 
-/// A [`KernelPart`] backend over one UDP socket.
+/// The [`Link`] of a [`UdpBackend`]: a non-blocking UDP socket, the
+/// codec envelope (which carries the trace tag) and the peer.
 #[derive(Debug)]
-pub struct UdpBackend {
+pub struct Udp {
     socket: UdpSocket,
-    /// Kernel buffer slots arriving datagrams are deposited into.
-    slots: Region,
-    /// Staging area outgoing datagrams are assembled in.
-    staging: Region,
-    /// The outgoing wire frame (envelope + datagram), built in place
-    /// for every send so a send allocates nothing.
-    frame: Vec<u8>,
-    /// Per-port receive queues (tags are the out-of-band context from
-    /// [`codec::KIND_TRACED`] envelopes).
-    demux: PortDemux,
-    /// Destination for outgoing datagrams.
+    /// Destination for outgoing datagrams. Until one is set, the sender
+    /// of the first frame that passes the codec becomes it (server mode:
+    /// the client dials first), and a send counts a drop.
     peer: Option<SocketAddr>,
-    /// Adopt the source address of the first well-formed incoming
-    /// frame as `peer` (server mode: the client dials first).
-    learn_peer: bool,
-    next_ident: u16,
-    /// Datagrams accepted for transmission.
-    pub sent: u64,
-    /// Well-formed datagrams received.
-    pub received: u64,
-    /// Incoming UDP datagrams the wire codec or [`ipv4::admit`]
-    /// rejected.
-    pub decode_errors: u64,
-    /// Well-formed datagrams for a port nobody listens on.
-    pub unroutable: u64,
-    /// Local send failures (no peer yet, or the OS refused).
-    pub send_errors: u64,
-    /// Receive polls that found the socket empty (`EWOULDBLOCK`).
-    pub would_block: u64,
-    /// Trace context armed for the next send (rides the envelope as a
-    /// [`codec::KIND_TRACED`] frame; inner bytes stay untouched).
-    send_ctx: Option<SegTag>,
-    /// Trace context of the last datagram `recv_into` handed out.
-    last_ctx: Option<SegTag>,
 }
 
 impl UdpBackend {
@@ -97,26 +43,7 @@ impl UdpBackend {
     pub fn bind(space: &mut AddressSpace, addr: &str) -> io::Result<Self> {
         let socket = UdpSocket::bind(addr)?;
         socket.set_nonblocking(true)?;
-        let slots = space.alloc_kind("udp_slots", SLOT * SLOTS, 64, RegionKind::Kernel);
-        let staging = space.alloc_kind("udp_staging", SLOT, 64, RegionKind::Kernel);
-        Ok(UdpBackend {
-            socket,
-            slots,
-            staging,
-            frame: Vec::with_capacity(codec::HEADER_LEN + codec::TAG_LEN + codec::MAX_INNER),
-            demux: PortDemux::default(),
-            peer: None,
-            learn_peer: false,
-            next_ident: 1,
-            sent: 0,
-            received: 0,
-            decode_errors: 0,
-            unroutable: 0,
-            send_errors: 0,
-            would_block: 0,
-            send_ctx: None,
-            last_ctx: None,
-        })
+        Ok(Backend::new(space, Udp { socket, peer: None }))
     }
 
     /// The socket's local address (port resolved after a `:0` bind).
@@ -124,7 +51,7 @@ impl UdpBackend {
     /// # Errors
     /// Propagates the OS error from `getsockname`.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
+        self.link.socket.local_addr()
     }
 
     /// Set the destination for outgoing datagrams.
@@ -136,177 +63,40 @@ impl UdpBackend {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
-        self.peer = Some(resolved);
+        self.link.peer = Some(resolved);
         Ok(())
-    }
-
-    /// Learn the default peer from the first well-formed incoming
-    /// frame (server mode).
-    pub fn set_learn_peer(&mut self, on: bool) {
-        self.learn_peer = on;
-    }
-
-    /// The current default peer, if any.
-    pub fn peer(&self) -> Option<SocketAddr> {
-        self.peer
-    }
-
-    /// Move datagrams from the socket into the per-port queues,
-    /// depositing each into a free kernel slot via `m`, until the
-    /// socket is empty or every slot holds a queued datagram. A slot is
-    /// free once its datagram has been handed out: those bytes are the
-    /// caller's until its next `recv_into`, and only `recv_into` gets
-    /// here.
-    fn drain_socket<M: Mem>(&mut self, m: &mut M) {
-        let mut buf = [0u8; codec::HEADER_LEN + codec::TAG_LEN + codec::MAX_INNER];
-        // Bit `i` is set while a queued datagram lives in slot `i`.
-        let mut busy = self
-            .demux
-            .queued_datagrams()
-            .fold(0u64, |busy, d| busy | 1 << ((d.addr - self.slots.base) / SLOT));
-        while busy != u64::MAX {
-            let (n, from) = match self.socket.recv_from(&mut buf) {
-                Ok(ok) => ok,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.would_block += 1;
-                    return;
-                }
-                // Treat transient errors (e.g. ECONNREFUSED bounced back
-                // on Linux) like an empty socket; TCP retransmits.
-                Err(_) => return,
-            };
-            let Ok((inner, tag)) = codec::decode_frame(&buf[..n]) else {
-                self.decode_errors += 1;
-                continue;
-            };
-            let Some(dst_port) = ipv4::admit(inner) else {
-                self.decode_errors += 1;
-                continue;
-            };
-            if self.learn_peer && self.peer.is_none() {
-                self.peer = Some(from);
-            }
-            self.received += 1;
-            let Some(id) = self.demux.route(dst_port) else {
-                self.unroutable += 1;
-                continue;
-            };
-            // Receive-side system copy into a free kernel slot.
-            let free = busy.trailing_ones() as usize;
-            busy |= 1 << free;
-            let slot = self.slots.at(free * SLOT);
-            m.phase_push(memsim::mem::PhaseTag::System);
-            for (i, &b) in inner.iter().enumerate() {
-                m.write_u8(slot + i, b);
-            }
-            m.compute(30);
-            m.phase_pop();
-            self.demux.push(id, Datagram { addr: slot, len: inner.len() }, tag);
-        }
     }
 }
 
-impl KernelPart for UdpBackend {
-    fn register(&mut self, port: u16) -> EndpointId {
-        self.demux.register(port)
+impl Link for Udp {
+    fn send(&mut self, frame: &mut Vec<u8>, len: usize, tag: Option<SegTag>, fill: impl FnOnce(&mut [u8]))
+        -> io::Result<()> {
+        codec::encode_into(frame, len, tag, fill).expect("assembled datagram is within codec bounds");
+        let peer = self.peer.ok_or(io::ErrorKind::NotConnected)?;
+        self.socket.send_to(frame, peer).map(drop)
     }
 
-    fn unregister(&mut self, port: u16) {
-        self.demux.unregister(port);
-    }
-
-    fn send<M: Mem>(
-        &mut self,
-        m: &mut M,
-        src_ip: u32,
-        dst_ip: u32,
-        _dst_port: u16,
-        hdr_addr: usize,
-        payload_addr: usize,
-        payload_len: usize,
-    ) {
-        let tcp_total = TCP_HEADER_LEN + payload_len;
-        let total = IP_HEADER_LEN + tcp_total;
-        assert!(total <= SLOT, "segment exceeds kernel slot / link MTU");
-        // Send-side system copy: assemble the full datagram in the
-        // staging region, exactly the bytes the loop-back would place
-        // in a kernel slot.
-        m.phase_push(memsim::mem::PhaseTag::System);
-        let ident = self.next_ident;
-        self.next_ident = self.next_ident.wrapping_add(1);
-        utcp::Ipv4Header::at(self.staging.base)
-            .build(m, src_ip, dst_ip, tcp_total, ident, 0, false, 64);
-        m.copy(hdr_addr, self.staging.at(IP_HEADER_LEN), TCP_HEADER_LEN);
-        if payload_len > 0 {
-            m.copy(
-                payload_addr,
-                self.staging.at(IP_HEADER_LEN + TCP_HEADER_LEN),
-                payload_len,
-            );
-        }
-        m.compute(30);
-        // Read the assembled datagram out of instrumented memory into
-        // the wire frame, straight behind its envelope.
-        let (staging, ctx) = (self.staging, self.send_ctx.take());
-        codec::encode_into(&mut self.frame, total, ctx, |inner| {
-            for (i, b) in inner.iter_mut().enumerate() {
-                *b = m.read_u8(staging.at(i));
-            }
-        })
-        .expect("assembled datagram is within codec bounds");
-        m.phase_pop();
-        let Some(dest) = self.peer else {
-            self.send_errors += 1;
-            return;
+    // Inlined into the drain, which then reads, decodes and deposits in
+    // one function; out of line, `udp_small` measured 2.5 % slower (E37).
+    #[inline]
+    fn recv<'b>(&mut self, buf: &'b mut [u8]) -> io::Result<Option<(&'b [u8], Option<SegTag>)>> {
+        let (n, from) = self.socket.recv_from(buf)?;
+        let Ok(frame) = codec::decode_frame(&buf[..n]) else {
+            return Ok(None);
         };
-        match self.socket.send_to(&self.frame, dest) {
-            Ok(_) => self.sent += 1,
-            Err(_) => self.send_errors += 1,
-        }
-    }
-
-    fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram> {
-        if self.demux.pending(id) == 0 {
-            self.drain_socket(m);
-        }
-        let (datagram, tag) = self.demux.pop(id)?;
-        self.last_ctx = tag;
-        Some(datagram)
-    }
-
-    fn set_send_ctx(&mut self, ctx: Option<SegTag>) {
-        self.send_ctx = ctx;
-    }
-
-    fn take_recv_ctx(&mut self) -> Option<SegTag> {
-        self.last_ctx.take()
-    }
-
-    fn pending(&self, id: EndpointId) -> usize {
-        self.demux.pending(id)
-    }
-
-    fn counters(&self) -> KernelCounters {
-        KernelCounters {
-            sent: self.sent,
-            received: self.received,
-            dropped: self.send_errors,
-            corrupted: self.decode_errors,
-            unroutable: self.unroutable,
-            would_block: self.would_block,
-            codec_rejects: self.decode_errors,
-            queue_peak: self.demux.peak_queued() as u64,
-            queue_capacity: SLOTS as u64,
-        }
+        self.peer.get_or_insert(from);
+        Ok(Some(frame))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim::NativeMem;
+    use memsim::{Mem, NativeMem};
     use std::time::{Duration, Instant};
+    use utcp::kernelpart::{Datagram, EndpointId};
     use utcp::wire::{TcpFlags, TcpHeader};
+    use utcp::{KernelPart, IP_HEADER_LEN, TCP_HEADER_LEN};
 
     /// Bind a pair of backends on the loop-back interface, or None if
     /// the sandbox denies sockets.
@@ -355,7 +145,7 @@ mod tests {
             m.write_u8(user.at(64 + i), 0xC0 + i as u8);
         }
         a.send(&mut m, 0x0A00_0001, 0x0A00_0002, 8080, user.base, user.at(64), 16);
-        assert_eq!(a.sent, 1);
+        assert_eq!(a.counters().sent, 1);
         let d = recv_deadline(&mut b, &mut m, rx).expect("datagram over 127.0.0.1");
         assert_eq!(d.len, IP_HEADER_LEN + TCP_HEADER_LEN + 16);
         // The datagram in the kernel slot is exactly what the loop-back
@@ -370,15 +160,10 @@ mod tests {
         for i in 0..16 {
             assert_eq!(m.read_u8(d.addr + IP_HEADER_LEN + TCP_HEADER_LEN + i), 0xC0 + i as u8);
         }
-        assert_eq!(b.received, 1);
         let c = b.counters();
         assert_eq!((c.sent, c.received), (0, 1));
-        assert_eq!((c.dropped, c.corrupted, c.unroutable, c.codec_rejects), (0, 0, 0, 0));
-        assert_eq!(c.queue_peak, 1);
-        assert_eq!(c.queue_capacity, SLOTS as u64);
-        // The polling recv loop sees EWOULDBLOCK while the datagram is
-        // in flight; the counter surfaces that rather than hiding it.
-        assert_eq!(c.would_block, b.would_block);
+        assert_eq!((c.dropped, c.corrupted, c.unroutable), (0, 0, 0));
+        assert_eq!((c.queue_peak, c.queue_capacity), (1, 64));
     }
 
     #[test]
@@ -443,11 +228,10 @@ mod tests {
         raw.send_to(&[], dest).unwrap();
         raw.send_to(&[b'I', b'L', 1, 1, 0xFF, 0xFF], dest).unwrap(); // oversized decl
         let deadline = Instant::now() + Duration::from_secs(5);
-        while b.decode_errors < 3 && Instant::now() < deadline {
+        while b.counters().corrupted < 3 && Instant::now() < deadline {
             assert!(b.recv_into(&mut m, rx).is_none());
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(b.decode_errors, 3);
         assert_eq!(b.counters().corrupted, 3);
         let _ = a;
     }
@@ -470,11 +254,11 @@ mod tests {
         // Destination port 9999 has no listener on b.
         a.send(&mut m, 1, 2, 9999, user.base, user.base, 0);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while b.unroutable == 0 && Instant::now() < deadline {
+        while b.counters().unroutable == 0 && Instant::now() < deadline {
             assert!(b.recv_into(&mut m, rx).is_none());
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(b.counters().unroutable, 1);
+        assert_eq!((b.counters().unroutable, b.counters().received), (1, 0));
         if let Some(mut c) = peerless {
             c.send(&mut m, 1, 2, 8080, user.base, user.base, 0);
             assert_eq!(c.counters().dropped, 1);
@@ -581,7 +365,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(conn.stats.rejected, 1);
-        assert_eq!(b.decode_errors, 0, "the frame itself is codec-valid");
+        assert_eq!(b.counters().corrupted, 0, "the frame itself is codec-valid");
         assert!(m.bytes(tcb.base, tcb.len).iter().all(|&x| x == 0xA5), "TCB overwritten");
         let _ = a;
     }

@@ -48,22 +48,20 @@ pub struct KernelCounters {
     /// drops on loop-back; local send failures on a socket backend).
     pub dropped: u64,
     /// Datagrams damaged in flight (injected bit-flips on loop-back;
-    /// frames that failed the wire codec on a socket backend).
+    /// frames that failed the wire codec or the IPv4 admission rule on a
+    /// `netback` backend).
     pub corrupted: u64,
     /// Datagrams that arrived for a port nobody listens on.
     pub unroutable: u64,
     /// Receive polls that found the descriptor empty (socket backends;
     /// always 0 on loop-back, whose queues are exact).
     pub would_block: u64,
-    /// Frames rejected by the wire codec before reaching a queue
-    /// (socket backends; always 0 on loop-back).
-    pub codec_rejects: u64,
     /// High-water mark of datagrams queued across the backend at once.
-    /// The UDP backend queues only into free slots and leaves the rest
-    /// in the kernel's socket buffer, so its peak never exceeds
-    /// `queue_capacity`. The loop-back has no such refuge — there a
-    /// peak at capacity means a slot was recycled under a queued
-    /// datagram.
+    /// The `netback` backends (UDP socket and TUN device) queue only
+    /// into free slots and leave the rest on the descriptor, so their
+    /// peak never exceeds `queue_capacity`. The loop-back has no such
+    /// refuge — there a peak at capacity means a slot was recycled
+    /// under a queued datagram.
     pub queue_peak: u64,
     /// Total queue capacity in datagrams (0 = unknown/unbounded).
     pub queue_capacity: u64,
@@ -79,7 +77,6 @@ impl KernelCounters {
             .set("corrupted", obs::Json::U64(self.corrupted))
             .set("unroutable", obs::Json::U64(self.unroutable))
             .set("would_block", obs::Json::U64(self.would_block))
-            .set("codec_rejects", obs::Json::U64(self.codec_rejects))
             .set("queue_peak", obs::Json::U64(self.queue_peak))
             .set("queue_capacity", obs::Json::U64(self.queue_capacity))
     }

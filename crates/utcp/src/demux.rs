@@ -130,8 +130,9 @@ impl PortDemux {
     /// once. The loop-back's kernel slots recycle round-robin, so there
     /// a peak at the slot count means a queued datagram may have been
     /// overwritten in place — the saturation signal the health engine's
-    /// queue detector keys on. The UDP backend queues only into free
-    /// slots, so its peak never exceeds its slot count.
+    /// queue detector keys on. The `netback` backends (UDP and TUN)
+    /// queue only into free slots, so their peak never exceeds their
+    /// slot count.
     pub fn peak_queued(&self) -> usize {
         self.peak_queued
     }

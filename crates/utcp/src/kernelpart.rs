@@ -203,11 +203,34 @@ struct Delayed {
     tag: Option<obs::SegTag>,
 }
 
+/// Kernel buffer slot size and link MTU of every kernel part: room for
+/// the IPv4 header and the largest paper TPDU.
+pub const SLOT_LEN: usize = 2048;
+
+/// The send-side system copy of every kernel part, inside the caller's
+/// `System` phase: the IPv4 header (the next `ident`) built at
+/// `datagram`, the TCP header and payload copied in behind it, and the
+/// trap path's bookkeeping. Returns the datagram's length; panics if it
+/// would not fit a [`SLOT_LEN`] slot.
+#[allow(clippy::too_many_arguments)]
+pub fn system_copy<M: Mem>(m: &mut M, datagram: usize, src_ip: u32, dst_ip: u32, ident: &mut u16,
+    hdr_addr: usize, payload_addr: usize, payload_len: usize) -> usize {
+    let tcp_total = TCP_HEADER_LEN + payload_len;
+    assert!(IP_HEADER_LEN + tcp_total <= SLOT_LEN, "segment exceeds kernel slot / link MTU");
+    Ipv4Header::at(datagram).build(m, src_ip, dst_ip, tcp_total, *ident, 0, false, 64);
+    *ident = ident.wrapping_add(1);
+    m.copy(hdr_addr, datagram + IP_HEADER_LEN, TCP_HEADER_LEN);
+    if payload_len > 0 {
+        m.copy(payload_addr, datagram + IP_HEADER_LEN + TCP_HEADER_LEN, payload_len);
+    }
+    m.compute(30); // trap/syscall bookkeeping, not modelled per-access
+    IP_HEADER_LEN + tcp_total
+}
+
 /// The in-process loop-back network + kernel buffers.
 #[derive(Debug)]
 pub struct Loopback {
     slots: Region,
-    slot_size: usize,
     n_slots: usize,
     next_slot: usize,
     /// Per-port receive queues.
@@ -260,8 +283,6 @@ pub struct Loopback {
     last_ctx: Option<obs::SegTag>,
 }
 
-/// Default kernel slot size: room for header + the largest paper TPDU.
-const DEFAULT_SLOT: usize = 2048;
 /// Default number of kernel buffer slots.
 const DEFAULT_SLOTS: usize = 64;
 
@@ -282,8 +303,7 @@ impl Loopback {
     /// real NIC ring overrun.
     pub fn with_capacity(space: &mut AddressSpace, n_slots: usize) -> Self {
         assert!(n_slots > 0, "kernel slot pool cannot be empty");
-        let slots =
-            space.alloc_kind("kernel_slots", DEFAULT_SLOT * n_slots, 64, RegionKind::Kernel);
+        let slots = space.alloc_kind("kernel_slots", SLOT_LEN * n_slots, 64, RegionKind::Kernel);
         let code_os = space.alloc_code("os_ip_driver", 6 * 1024);
         // 16 KB region walked at every-other-line stride: the kernel +
         // scheduler + peer process working set is scattered across the
@@ -292,7 +312,6 @@ impl Loopback {
         let os_data = space.alloc_kind("os_working_set", 16 * 1024, 64, RegionKind::Kernel);
         Loopback {
             slots,
-            slot_size: DEFAULT_SLOT,
             n_slots,
             next_slot: 0,
             demux: PortDemux::default(),
@@ -367,13 +386,9 @@ impl Loopback {
     /// segment keeps the sender's RTO firing, so delay can slow a
     /// transfer but never deadlock it.
     fn release_due(&mut self) {
-        if self.delayed.is_empty() {
-            return;
-        }
-        let now = self.sent;
         let mut i = 0;
         while i < self.delayed.len() {
-            if self.delayed[i].due <= now {
+            if self.delayed[i].due <= self.sent {
                 let d = self.delayed.swap_remove(i);
                 self.deliver(d.datagram, d.dst_port, false, false, d.tag);
             } else {
@@ -417,22 +432,12 @@ impl KernelPart for Loopback {
         payload_len: usize,
     ) {
         let ctx = self.send_ctx.take();
-        let tcp_total = TCP_HEADER_LEN + payload_len;
-        let total = IP_HEADER_LEN + tcp_total;
-        assert!(total <= self.slot_size, "segment exceeds kernel slot / link MTU");
-        let slot = self.slots.at(self.next_slot * self.slot_size);
+        let slot = self.slots.at(self.next_slot * SLOT_LEN);
         self.next_slot = (self.next_slot + 1) % self.n_slots;
         // Kernel work: accounted to the System phase, not to
         // packet-processing time.
         m.phase_push(memsim::mem::PhaseTag::System);
-        let ident = self.next_ident;
-        self.next_ident = self.next_ident.wrapping_add(1);
-        Ipv4Header::at(slot).build(m, src_ip, dst_ip, tcp_total, ident, 0, false, 64);
-        m.copy(hdr_addr, slot + IP_HEADER_LEN, TCP_HEADER_LEN);
-        if payload_len > 0 {
-            m.copy(payload_addr, slot + IP_HEADER_LEN + TCP_HEADER_LEN, payload_len);
-        }
-        m.compute(30); // trap/syscall bookkeeping, not modelled per-access
+        let total = system_copy(m, slot, src_ip, dst_ip, &mut self.next_ident, hdr_addr, payload_addr, payload_len);
         m.fetch(self.code_os);
         // Context switch: the kernel + scheduler + peer process touch
         // their own working set, evicting protocol data from the cache.
@@ -475,12 +480,7 @@ impl KernelPart for Loopback {
         let datagram = Datagram { addr: slot, len: total };
         if decision.delay_by > 0 {
             self.delayed_count += 1;
-            self.delayed.push(Delayed {
-                due: self.sent + decision.delay_by,
-                dst_port,
-                datagram,
-                tag: ctx,
-            });
+            self.delayed.push(Delayed { due: self.sent + decision.delay_by, dst_port, datagram, tag: ctx });
             return;
         }
         self.deliver(
@@ -511,7 +511,6 @@ impl KernelPart for Loopback {
             corrupted: self.corrupted,
             unroutable: self.unroutable,
             would_block: 0,
-            codec_rejects: 0,
             queue_peak: self.demux.peak_queued() as u64,
             queue_capacity: self.n_slots as u64,
         }
@@ -571,7 +570,7 @@ mod tests {
         assert_eq!((c.sent, c.received, c.queue_peak), (1, 1, 1));
         assert_eq!(c.queue_capacity, 64, "default slot pool");
         assert_eq!((c.dropped, c.corrupted, c.unroutable), (0, 0, 0), "no faults");
-        assert_eq!((c.would_block, c.codec_rejects), (0, 0), "loop-back queues are exact");
+        assert_eq!(c.would_block, 0, "loop-back queues are exact");
     }
 
     #[test]
@@ -610,22 +609,18 @@ mod tests {
         lb.send(&mut m, 1, 2, 80, user.at(0), user.at(64), 0);
         assert_eq!(lb.pending(rx), 3); // second duplicated
 
-        let mut lb2 = {
-            let (s2, mut l2, u2) = fixture();
-            let r2 = l2.register(90);
-            l2.set_faults(FaultPlan { reorder_every: 2, ..Default::default() });
-            let mut a2 = s2.native_arena();
-            let mut m2 = NativeMem::new(&mut a2);
-            m2.write_u8(u2.at(0), 1);
-            l2.send(&mut m2, 1, 2, 90, u2.at(0), u2.at(64), 0);
-            m2.write_u8(u2.at(0), 2);
-            l2.send(&mut m2, 1, 2, 90, u2.at(0), u2.at(64), 0);
-            let first = l2.recv_into(&mut m2, r2).unwrap();
-            // Reordered: the second-sent datagram comes out first.
-            assert_eq!(m2.bytes(first.addr + IP_HEADER_LEN, 1)[0], 2);
-            l2
-        };
-        let _ = &mut lb2;
+        let (s2, mut l2, u2) = fixture();
+        let r2 = l2.register(90);
+        l2.set_faults(FaultPlan { reorder_every: 2, ..Default::default() });
+        let mut a2 = s2.native_arena();
+        let mut m2 = NativeMem::new(&mut a2);
+        m2.write_u8(u2.at(0), 1);
+        l2.send(&mut m2, 1, 2, 90, u2.at(0), u2.at(64), 0);
+        m2.write_u8(u2.at(0), 2);
+        l2.send(&mut m2, 1, 2, 90, u2.at(0), u2.at(64), 0);
+        let first = l2.recv_into(&mut m2, r2).unwrap();
+        // Reordered: the second-sent datagram comes out first.
+        assert_eq!(m2.bytes(first.addr + IP_HEADER_LEN, 1)[0], 2);
     }
 
     #[test]

@@ -56,8 +56,9 @@
 //! * [`backend`] — the [`KernelPart`] contract and the [`KernelCtx`]
 //!   handle (backend + observer + path label) call sites pass around.
 //! * [`kernelpart`] — [`Loopback`], the in-process kernel part, and its
-//!   seeded [`FaultPlan`]; [`demux`] — the port table and queues every
-//!   kernel part (here and in `netback`) holds.
+//!   seeded [`FaultPlan`], plus what every kernel part (here and in
+//!   `netback`) shares: the slot size and the send-side system copy;
+//!   [`demux`] — the port table and queues they all hold.
 //! * [`kernel_model`] — the cost model of the BSD in-kernel comparator
 //!   (paper Figure 12); [`rng`] — the workspace's xorshift64*.
 
@@ -77,7 +78,7 @@ pub mod wire;
 pub use backend::{observed, KernelCounters, KernelCtx, KernelPart, Observed};
 pub use conn::{Connection, Delivered, SendError, State, UtcpConfig, MSL_TICKS};
 pub use demux::PortDemux;
-pub use kernelpart::{Datagram, EndpointId, FaultDice, FaultPlan, FaultProbs, Loopback};
+pub use kernelpart::{Datagram, EndpointId, FaultDice, FaultPlan, FaultProbs, Loopback, SLOT_LEN};
 pub use ring::{RingWriter, SendRing};
 pub use ip::{Ipv4Header, IP_HEADER_LEN};
 pub use wire::{sack_option_len, SackBlocks, TcpFlags, TcpHeader, MAX_SACK_BLOCKS, TCP_HEADER_LEN};

@@ -167,12 +167,11 @@ fn world(
         eprintln!("serve_udp: cannot bind {bind}: {e}");
         ExitCode::from(2)
     })?;
-    match peer {
-        Some(addr) => net.set_peer(addr).map_err(|e| {
+    if let Some(addr) = peer {
+        net.set_peer(addr).map_err(|e| {
             eprintln!("serve_udp: bad server address {addr}: {e}");
             ExitCode::FAILURE
-        })?,
-        None => net.set_learn_peer(true),
+        })?;
     }
     let mut conn = Connection::new(&mut space, &mut net, cfg, iss);
     conn.set_peer_iss(peer_iss);
