@@ -21,9 +21,9 @@ use utcp::{FaultPlan, FaultProbs};
 
 /// The seed every point shares. Chosen (by probing) so the 1 % dice
 /// actually land drops on data segments — a seed whose drops all hit
-/// handshake duplicates or nothing would make the baseline comparison
-/// vacuous, and the binary fails loudly if that happens.
-const SEED: u64 = 0x11;
+/// handshake segments or nothing would make the baseline comparison
+/// vacuous, and the binary fails loudly if that happens (EXPERIMENTS E38).
+const SEED: u64 = 0x12;
 const FILE_LEN: usize = 64 * 512;
 
 /// Drop probabilities as x/65536, alongside their human-readable rate.

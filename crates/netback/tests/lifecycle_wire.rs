@@ -1,28 +1,30 @@
-//! Teardown wire identity: the FIN and RST TPDUs a connection emits
-//! must be byte-identical whether the preceding data segment was
-//! produced by the ILP or the non-ILP send path, and whether the
-//! frames travel the in-process loop-back or real UDP sockets.
+//! Lifecycle wire identity: the SYN, SYN-ACK and ACK that open a
+//! connection, and the FIN and RST TPDUs that close it, must be
+//! byte-identical whether the data segment between them was produced by
+//! the ILP or the non-ILP send path, and whether the frames travel the
+//! in-process loop-back or real UDP sockets.
 //!
-//! Both control segments stay inside the paper's fixed data-TPDU
-//! header discipline: a FIN is a zero-payload FIN|ACK header occupying
-//! one sequence slot after the data, a RST is a bare header at
-//! `snd_nxt` consuming none. The sender aims at a *capture port*
-//! registered directly on the backend (not at a connection), so the
-//! test reads each datagram exactly as the kernel part framed it:
-//! data segment, then FIN, then (after an abort) RST. The four
-//! captures (2 paths × 2 backends) must agree on every TCP byte.
+//! Every control segment stays inside the paper's fixed data-TPDU
+//! header discipline: a SYN takes one sequence slot before the data, a
+//! FIN is a zero-payload FIN|ACK header occupying one slot after it, a
+//! RST is a bare header at `snd_nxt` consuming none. The sender opens a
+//! connection to a listener on the *capture port*, and the test reads
+//! each frame exactly as the kernel part framed it: the open as the
+//! listener and the sender staged it, then data segment, FIN and (after
+//! an abort) RST straight off the capture port's queue. The captures
+//! (2 paths × 2 backends) must agree on every TCP byte.
 
-use memsim::{AddressSpace, NativeMem};
+use memsim::{AddressSpace, Mem, NativeMem};
 use netback::UdpBackend;
 use std::time::{Duration, Instant};
 use utcp::ip::IP_HEADER_LEN;
-use utcp::{Connection, KernelPart, Loopback, UtcpConfig, TCP_HEADER_LEN};
+use utcp::{Connection, KernelPart, Loopback, State, UtcpConfig, TCP_HEADER_LEN};
 
 const TX_IP: u32 = 0x0A00_0001;
 const CAP_IP: u32 = 0x0A00_0002;
 const TX_PORT: u16 = 1000;
-/// Where the sender aims everything — registered raw, not as a
-/// connection, so each datagram can be captured byte-for-byte.
+/// Where the sender aims everything: a listener whose queue the test
+/// reads raw once the connection is open.
 const CAP_PORT: u16 = 3000;
 const TX_ISS: u32 = 0x3333_0000;
 const PEER_ISS: u32 = 0x4444_0000;
@@ -77,8 +79,8 @@ fn capture<K: KernelPart>(
     }
 }
 
-/// Emit the three frames over an already-wired backend: data, close
-/// (FIN), abort (RST). The capture happens on the receiving side.
+/// Emit the three frames over an open connection: data, close (FIN),
+/// abort (RST).
 fn emit_teardown<K: KernelPart>(m: &mut NativeMem, tx: &mut Connection, net: &mut K, src: usize, ilp: bool) {
     send_one(m, tx, net, src, ilp);
     // Established → FIN immediately: the FIN rides one sequence slot
@@ -88,42 +90,68 @@ fn emit_teardown<K: KernelPart>(m: &mut NativeMem, tx: &mut Connection, net: &mu
     tx.abort(m, net);
 }
 
-fn frames_over_loopback(ilp: bool) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+/// Poll `c` until it reaches `want` (the datagram may still be crossing
+/// a socket) and return the frame that moved it, as staged for the
+/// initial stage: its IPv4 total length says how long it was.
+fn open_step<K: KernelPart>(m: &mut NativeMem, c: &mut Connection, net: &mut K, want: State) -> Vec<u8> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while c.state() != want {
+        assert!(c.poll_input(m, net).is_none(), "no data during the open");
+        assert!(Instant::now() < deadline, "never reached {want:?}, still {:?}", c.state());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let at = c.recv_region().base;
+    let len = usize::from(m.read_u16_be(at + 2));
+    m.bytes(at, len).to_vec()
+}
+
+/// Every frame of one connection's life over one loop-back: SYN,
+/// SYN-ACK, ACK, a data segment sent on `ilp`'s path, FIN, RST.
+fn frames_over_loopback(ilp: bool) -> Vec<Vec<u8>> {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut space = AddressSpace::new();
     let mut lb = Loopback::new(&mut space);
-    let cap = KernelPart::register(&mut lb, CAP_PORT);
+    let mut cap = Connection::new(&mut space, &mut lb, tx_cfg().mirror(), PEER_ISS);
+    cap.listen();
     let mut tx = Connection::new(&mut space, &mut lb, tx_cfg(), TX_ISS);
-    tx.set_peer_iss(PEER_ISS); // born Established, no handshake on the wire
     let src = space.alloc("src", 2048, 8);
     let mut arena = space.native_arena();
     let mut m = NativeMem::new(&mut arena);
+    tx.connect(&mut m, &mut lb);
+    let mut frames = vec![
+        open_step(&mut m, &mut cap, &mut lb, State::SynRcvd),
+        open_step(&mut m, &mut tx, &mut lb, State::Established),
+        open_step(&mut m, &mut cap, &mut lb, State::Established),
+    ];
     emit_teardown(&mut m, &mut tx, &mut lb, src.base, ilp);
-    let data = capture(&mut m, &mut lb, cap, deadline);
-    let fin = capture(&mut m, &mut lb, cap, deadline);
-    let rst = capture(&mut m, &mut lb, cap, deadline);
-    (data, fin, rst)
+    frames.extend((0..3).map(|_| capture(&mut m, &mut lb, cap.endpoint(), deadline)));
+    frames
 }
 
-/// One run over real UDP sockets; `None` when the sandbox denies them.
-fn frames_over_udp(ilp: bool) -> Option<(Vec<u8>, Vec<u8>, Vec<u8>)> {
+/// The same life over two real UDP sockets; `None` when the sandbox
+/// denies them.
+fn frames_over_udp(ilp: bool) -> Option<Vec<Vec<u8>>> {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut space = AddressSpace::new();
     let mut tx_net = UdpBackend::bind(&mut space, "127.0.0.1:0").ok()?;
     let mut cap_net = UdpBackend::bind(&mut space, "127.0.0.1:0").ok()?;
     tx_net.set_peer(cap_net.local_addr().ok()?).ok()?;
     cap_net.set_peer(tx_net.local_addr().ok()?).ok()?;
-    let cap = KernelPart::register(&mut cap_net, CAP_PORT);
+    let mut cap = Connection::new(&mut space, &mut cap_net, tx_cfg().mirror(), PEER_ISS);
+    cap.listen();
     let mut tx = Connection::new(&mut space, &mut tx_net, tx_cfg(), TX_ISS);
-    tx.set_peer_iss(PEER_ISS);
     let src = space.alloc("src", 2048, 8);
     let mut arena = space.native_arena();
     let mut m = NativeMem::new(&mut arena);
+    tx.connect(&mut m, &mut tx_net);
+    let mut frames = vec![
+        open_step(&mut m, &mut cap, &mut cap_net, State::SynRcvd),
+        open_step(&mut m, &mut tx, &mut tx_net, State::Established),
+        open_step(&mut m, &mut cap, &mut cap_net, State::Established),
+    ];
     emit_teardown(&mut m, &mut tx, &mut tx_net, src.base, ilp);
-    let data = capture(&mut m, &mut cap_net, cap, deadline);
-    let fin = capture(&mut m, &mut cap_net, cap, deadline);
-    let rst = capture(&mut m, &mut cap_net, cap, deadline);
-    Some((data, fin, rst))
+    frames.extend((0..3).map(|_| capture(&mut m, &mut cap_net, cap.endpoint(), deadline)));
+    Some(frames)
 }
 
 /// Assert the frame is a bare fixed-header control TPDU with the given
@@ -139,41 +167,40 @@ fn check_ctl_frame(frame: &[u8], flags: u8, seq: u32, what: &str) {
 
 #[test]
 fn fin_and_rst_bytes_are_identical_across_paths_and_backends() {
-    let (lb_data_n, lb_fin_n, lb_rst_n) = frames_over_loopback(false);
-    let (lb_data_i, lb_fin_i, lb_rst_i) = frames_over_loopback(true);
-    // The FIN occupies the sequence slot right after the payload; the
-    // RST sits one past the FIN (the FIN consumed a slot, RSTs do not).
-    let fin_seq = TX_ISS.wrapping_add(PAYLOAD as u32);
+    let lb_n = frames_over_loopback(false);
+    let lb_i = frames_over_loopback(true);
+    // The data sits one past the SYN, the FIN in the slot right after
+    // the payload; the RST one past the FIN (the FIN consumed a slot,
+    // RSTs do not).
+    let fin_seq = TX_ISS.wrapping_add(1 + PAYLOAD as u32);
     let rst_seq = fin_seq.wrapping_add(1);
-    check_ctl_frame(&lb_fin_n, 0x11, fin_seq, "loop-back FIN");
-    check_ctl_frame(&lb_rst_n, 0x04, rst_seq, "loop-back RST");
-    assert_eq!(lb_data_n, lb_data_i, "ILP vs non-ILP data segment over loop-back");
-    assert_eq!(lb_fin_n, lb_fin_i, "ILP vs non-ILP FIN over loop-back");
-    assert_eq!(lb_rst_n, lb_rst_i, "ILP vs non-ILP RST over loop-back");
+    check_ctl_frame(&lb_n[4], 0x11, fin_seq, "loop-back FIN");
+    check_ctl_frame(&lb_n[5], 0x04, rst_seq, "loop-back RST");
+    assert_eq!(lb_n, lb_i, "ILP vs non-ILP open, data segment, FIN and RST over loop-back");
 
-    let (Some((udp_data_n, udp_fin_n, udp_rst_n)), Some((_, udp_fin_i, udp_rst_i))) =
-        (frames_over_udp(false), frames_over_udp(true))
-    else {
+    let (Some(udp_n), Some(udp_i)) = (frames_over_udp(false), frames_over_udp(true)) else {
         eprintln!("skipping UDP leg: sandbox denies sockets");
         return;
     };
-    check_ctl_frame(&udp_fin_n, 0x11, fin_seq, "UDP FIN");
-    check_ctl_frame(&udp_rst_n, 0x04, rst_seq, "UDP RST");
-    assert_eq!(udp_fin_n, udp_fin_i, "ILP vs non-ILP FIN over UDP");
-    assert_eq!(udp_rst_n, udp_rst_i, "ILP vs non-ILP RST over UDP");
-    assert_eq!(
-        &lb_fin_n[IP_HEADER_LEN..],
-        &udp_fin_n[IP_HEADER_LEN..],
-        "loop-back and UDP must frame the identical FIN segment"
-    );
-    assert_eq!(
-        &lb_rst_n[IP_HEADER_LEN..],
-        &udp_rst_n[IP_HEADER_LEN..],
-        "loop-back and UDP must frame the identical RST segment"
-    );
-    assert_eq!(
-        &lb_data_n[IP_HEADER_LEN..],
-        &udp_data_n[IP_HEADER_LEN..],
-        "loop-back and UDP must frame the identical data segment"
-    );
+    check_ctl_frame(&udp_n[4], 0x11, fin_seq, "UDP FIN");
+    check_ctl_frame(&udp_n[5], 0x04, rst_seq, "UDP RST");
+    assert_eq!(udp_n[4..], udp_i[4..], "ILP vs non-ILP FIN and RST over UDP");
+    for (what, (l, u)) in ["data segment", "FIN", "RST"].into_iter().zip(lb_n[3..].iter().zip(&udp_n[3..])) {
+        assert_eq!(&l[IP_HEADER_LEN..], &u[IP_HEADER_LEN..], "loop-back and UDP must frame the identical {what}");
+    }
+}
+
+#[test]
+fn handshake_bytes_are_bare_headers_identical_across_backends() {
+    let lb = frames_over_loopback(false);
+    check_ctl_frame(&lb[0], 0x02, TX_ISS, "loop-back SYN");
+    check_ctl_frame(&lb[1], 0x12, PEER_ISS, "loop-back SYN-ACK");
+    check_ctl_frame(&lb[2], 0x10, TX_ISS.wrapping_add(1), "loop-back ACK");
+    let Some(udp) = frames_over_udp(false) else {
+        eprintln!("skipping UDP leg: sandbox denies sockets");
+        return;
+    };
+    for (what, (l, u)) in ["SYN", "SYN-ACK", "ACK"].into_iter().zip(lb.iter().zip(&udp)) {
+        assert_eq!(&l[IP_HEADER_LEN..], &u[IP_HEADER_LEN..], "loop-back and UDP must frame the identical {what}");
+    }
 }

@@ -147,7 +147,7 @@ labels! {
         Retransmits => "retransmits",
         /// Handshakes completed.
         Handshakes => "handshakes",
-        /// SYNs retried after the retry interval.
+        /// SYNs a client's retransmission timer resent.
         SynRetries => "syn_retries",
         /// Datagrams dropped by fault injection.
         FaultDrops => "fault_drops",

@@ -1,16 +1,14 @@
 //! The connection table: per-connection server state, keyed by
-//! [`ConnId`] and indexed by the client's data port.
+//! [`ConnId`].
 //!
-//! The kernel part already demultiplexes datagrams to endpoints by
-//! destination port; what it cannot know is which *session* — which
-//! file, which transfer position, which scheduler weight — a port
-//! belongs to. The table holds that mapping. Sessions are allocated up
-//! front (the memsim address space is fixed before any memory world is
-//! built, so buffers cannot be allocated at accept time — the same
-//! constraint that made 1990s servers pre-allocate TCB pools) and bound
-//! to a live client by the accept handshake.
-
-use std::collections::HashMap;
+//! The kernel part demultiplexes datagrams to endpoints by destination
+//! port, and each session's sender owns one data port; what the kernel
+//! part cannot know is which file and transfer position a connection
+//! serves. The table holds that. Sessions are allocated up front (the
+//! memsim address space is fixed before any memory world is built, so
+//! buffers cannot be allocated at accept time — the same constraint that
+//! made 1990s servers pre-allocate TCB pools), and each sender listens
+//! until a client's SYN opens it.
 
 use memsim::region::Region;
 use rpcapp::ReplyMeta;
@@ -32,7 +30,7 @@ impl ConnId {
 /// Lifecycle of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SessionState {
-    /// Pre-allocated, waiting for the client's SYN.
+    /// Pre-allocated, its sender not yet open.
     #[default]
     Allocated,
     /// Handshake complete; the transfer is (or may be) in progress.
@@ -71,23 +69,14 @@ pub struct Session {
     pub file_len: usize,
     /// Maximum payload bytes per reply chunk.
     pub chunk: usize,
-    /// The client's data port (demultiplexing key).
-    pub client_data_port: u16,
     /// The transfer in progress.
     pub xfer: Transfer,
 }
 
 impl Session {
-    /// A pre-allocated session around its sender, waiting for the
-    /// client's SYN.
-    pub(crate) fn new(
-        tx: Connection,
-        file: Region,
-        file_len: usize,
-        chunk: usize,
-        client_data_port: u16,
-    ) -> Self {
-        Session { tx, file, file_len, chunk, client_data_port, xfer: Transfer::default() }
+    /// A pre-allocated session around its sender.
+    pub(crate) fn new(tx: Connection, file: Region, file_len: usize, chunk: usize) -> Self {
+        Session { tx, file, file_len, chunk, xfer: Transfer::default() }
     }
 
     /// Total chunks in the transfer.
@@ -119,11 +108,10 @@ impl Session {
     }
 }
 
-/// All sessions of one server, with port-indexed lookup.
+/// All sessions of one server.
 #[derive(Debug, Default)]
 pub struct ConnTable {
     sessions: Vec<Session>,
-    by_data_port: HashMap<u16, ConnId>,
 }
 
 impl ConnTable {
@@ -132,12 +120,9 @@ impl ConnTable {
         Self::default()
     }
 
-    /// Add a pre-allocated session; its client data port becomes a
-    /// lookup key.
+    /// Add a pre-allocated session.
     pub fn insert(&mut self, session: Session) -> ConnId {
         let id = ConnId(self.sessions.len() as u32);
-        let prev = self.by_data_port.insert(session.client_data_port, id);
-        assert!(prev.is_none(), "data port {} already in the table", session.client_data_port);
         self.sessions.push(session);
         id
     }
@@ -150,11 +135,6 @@ impl ConnTable {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.sessions.is_empty()
-    }
-
-    /// The session a client data port belongs to.
-    pub fn lookup_port(&self, data_port: u16) -> Option<ConnId> {
-        self.by_data_port.get(&data_port).copied()
     }
 
     /// Shared access to a session.
@@ -193,22 +173,19 @@ mod tests {
         let cfg = UtcpConfig { local_port: port + 1000, peer_port: port, ..Default::default() };
         let tx = Connection::new(space, lb, cfg, 0x100);
         let file = space.alloc("srv_file", 4096, 64);
-        Session::new(tx, file, 2500, 1024, port)
+        Session::new(tx, file, 2500, 1024)
     }
 
     #[test]
-    fn insert_and_lookup_by_port() {
+    fn insert_hands_out_ids_in_allocation_order() {
         let mut space = AddressSpace::new();
         let mut lb = Loopback::new(&mut space);
         let mut table = ConnTable::new();
         let a = table.insert(session(&mut space, &mut lb, 3000));
         let b = table.insert(session(&mut space, &mut lb, 3001));
-        assert_ne!(a, b);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.lookup_port(3000), Some(a));
-        assert_eq!(table.lookup_port(3001), Some(b));
-        assert_eq!(table.lookup_port(9999), None);
-        assert_eq!(table.get(b).client_data_port, 3001);
+        assert_eq!((a.index(), b.index(), table.len()), (0, 1, 2));
+        assert_eq!(table.ids().collect::<Vec<_>>(), [a, b]);
+        assert_eq!(table.get(b).tx.peer_port(), 3001);
     }
 
     #[test]
@@ -227,18 +204,5 @@ mod tests {
         }
         assert_eq!(total, 2500);
         assert!(!s.has_work());
-    }
-
-    #[test]
-    #[should_panic(expected = "already in the table")]
-    fn duplicate_data_port_rejected() {
-        let mut space = AddressSpace::new();
-        let mut lb = Loopback::new(&mut space);
-        let mut table = ConnTable::new();
-        let s1 = session(&mut space, &mut lb, 3000);
-        let mut s2 = session(&mut space, &mut lb, 3005);
-        s2.client_data_port = 3000;
-        table.insert(s1);
-        table.insert(s2);
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! One scheduling round = one virtual tick:
 //!
-//! 1. unestablished clients (re-)send SYNs; the server accepts and
-//!    answers; clients complete their handshakes;
+//! 1. a wave's clients connect, and every pair still opening is polled
+//!    server, client, server — the three-way handshake of
+//!    [`utcp::Connection`];
 //! 2. the harness scans the table once for the ready connections, the
 //!    scheduler picks among them and the server runs one pipeline
 //!    instance (ILP or non-ILP) per pick — a served connection that
@@ -35,8 +36,7 @@
 //!   file patterns as functions of a connection's global index),
 //!   construction and per-world initialisation. Nothing here changes
 //!   after construction.
-//! * `accept` — step 1: the listen endpoint, the handshake scratch and
-//!   each client's dial state.
+//! * `accept` — step 1: each client's dial state.
 //! * `round` — steps 2–4 and the steppable-run API: the ready set, the
 //!   fairness snapshot, each client's delivery progress.
 //! * `teardown` — draining to `Closed`, reopening for the next churn
@@ -51,7 +51,7 @@ mod teardown;
 mod world;
 
 use memsim::region::Region;
-use utcp::{Connection, EndpointId, KernelPart, Loopback};
+use utcp::{Connection, KernelPart, Loopback};
 
 use crate::clock::VirtualClock;
 use crate::conn_table::ConnTable;
@@ -73,7 +73,6 @@ const STALL_LIMIT: u64 = 30_000;
 #[derive(Debug)]
 struct ClientSide {
     rx: Connection,
-    ctrl_ep: EndpointId,
     app_out: Region,
 }
 

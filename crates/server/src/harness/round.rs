@@ -405,20 +405,21 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
                 }
             }
         }
-        // Teardown driving: a client whose receive direction saw the
-        // server's FIN answers with its own close, and its timer runs so
-        // a lost client FIN is retransmitted. Before any FIN exists the
-        // tick is a pure clock advance — pre-teardown rounds are
-        // bit-identical to the pre-lifecycle harness.
-        for (c, dial) in self.clients.iter_mut().zip(&self.accept.dials) {
-            if !dial.established {
-                continue;
-            }
+        // Every client's timer runs: it resends a lost SYN, and a lost
+        // FIN — a client whose receive direction saw the server's FIN
+        // answers with its own close. Between the open and the FINs the
+        // tick is a pure clock advance.
+        for (i, (c, dial)) in self.clients.iter_mut().zip(&self.accept.dials).enumerate() {
             let k = &mut observed(&mut self.lb, obs, path);
             if c.rx.state() == State::CloseWait {
                 c.rx.close(m, k);
             }
+            let resent = c.rx.stats.retransmits;
             c.rx.tick(m, k);
+            if O::ENABLED && !dial.established && c.rx.stats.retransmits > resent {
+                obs.count(Counter::SynRetries, 1);
+                obs.event(EventKind::SynSent, i as u32, 0);
+            }
         }
         for (sess, c) in self.table.iter_mut().zip(&self.clients) {
             if sess.xfer.state == SessionState::Closing

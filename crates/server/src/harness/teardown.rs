@@ -9,7 +9,7 @@ use memsim::Mem;
 use obs::SpanObserver;
 use utcp::{observed, KernelPart, State};
 
-use super::world::{client_data_port, client_iss, server_iss};
+use super::world::{client_iss, server_iss};
 use super::{Path, ScaleHarness, STALL_LIMIT};
 use crate::conn_table::{ConnId, SessionState, Transfer};
 
@@ -18,11 +18,7 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
     /// server senders past TIME_WAIT, clients dead.
     pub fn fully_closed(&self) -> bool {
         self.table.iter().all(|s| s.tx.state() == State::Closed)
-            && self
-                .clients
-                .iter()
-                .zip(&self.accept.dials)
-                .all(|(c, dial)| !dial.established || c.rx.state() == State::Closed)
+            && self.clients.iter().all(|c| c.rx.state() == State::Closed)
     }
 
     /// Total TIME_WAIT residency in ticks accumulated across all server
@@ -34,8 +30,8 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
     /// After the run loop reports done (`Done` = sender in TIME_WAIT or
     /// beyond, client dead), run settle-only rounds — no new data — until
     /// every TIME_WAIT expires and both sides of every connection are
-    /// `Closed`, then release all data ports and drain residual control
-    /// queues. Returns the number of extra rounds taken.
+    /// `Closed`, then release all data ports. Returns the number of extra
+    /// rounds taken.
     ///
     /// Clients poll, close and tick first, servers poll and tick after —
     /// the reverse of `settle_round`'s order; see there.
@@ -63,10 +59,7 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
                 obs.tick(now);
             }
             let k = &mut observed(&mut self.lb, obs, path);
-            for (c, dial) in self.clients.iter_mut().zip(&self.accept.dials) {
-                if !dial.established {
-                    continue;
-                }
+            for c in &mut self.clients {
                 while c.rx.poll_input(m, k).is_some() {}
                 if c.rx.state() == State::CloseWait {
                     c.rx.close(m, k);
@@ -78,29 +71,24 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
                 sess.tx.tick(m, k);
             }
         }
-        // Release every data port — the whole point of closing — and
-        // swallow residual control datagrams (duplicate SYN-ACKs for
-        // already-established clients) so the next incarnation starts
-        // from empty queues.
+        // Release every data port — the whole point of closing.
         for sess in self.table.iter_mut() {
             self.lb.unregister(sess.tx.local_port());
             sess.xfer.state = SessionState::Done;
         }
-        for (i, c) in self.clients.iter().enumerate() {
-            self.lb.unregister(client_data_port(self.cfg.conn_base + i));
-            while self.lb.recv_into(m, c.ctrl_ep).is_some() {}
+        for c in &self.clients {
+            self.lb.unregister(c.rx.local_port());
         }
-        while self.lb.recv_into(m, self.accept.listen_ep).is_some() {}
         rounds
     }
 
     /// Begin a fresh churn wave: every connection must be fully closed
     /// and its data ports released (see [`ScaleHarness::drain_to_closed`]).
     /// Reopens each server/client pair in place — the address space is
-    /// long fixed, so nothing is allocated — puts every part back as
-    /// construction built it, and zeroes the client output region so
-    /// this wave's verification is real. The virtual clock and
-    /// cumulative transport stats carry across waves.
+    /// long fixed, so nothing is allocated — with every server listening
+    /// again, puts every part back as construction built it, and zeroes
+    /// the client output region so this wave's verification is real. The
+    /// virtual clock and cumulative transport stats carry across waves.
     pub fn reopen_wave<M: Mem>(&mut self, m: &mut M) {
         for (i, (sess, c)) in self.table.iter_mut().zip(&mut self.clients).enumerate() {
             assert_eq!(
@@ -110,6 +98,7 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
             );
             let g = self.cfg.conn_base + i;
             sess.tx.reopen(&mut self.lb, server_iss(g));
+            sess.tx.listen();
             sess.xfer = Transfer::default();
             c.rx.reopen(&mut self.lb, client_iss(g));
             for j in 0..self.cfg.file_len {

@@ -19,7 +19,7 @@ use crate::pipeline::Scratch;
 /// The server's IP address.
 pub const SERVER_IP: u32 = 0x0A00_0001;
 
-pub(super) fn client_ip(g: usize) -> u32 {
+fn client_ip(g: usize) -> u32 {
     0x0A00_0100 + g as u32
 }
 
@@ -27,12 +27,8 @@ fn server_data_port(g: usize) -> u16 {
     20_000 + g as u16
 }
 
-pub(super) fn client_data_port(g: usize) -> u16 {
+fn client_data_port(g: usize) -> u16 {
     30_000 + g as u16
-}
-
-pub(super) fn ctrl_port(g: usize) -> u16 {
-    40_000 + g as u16
 }
 
 pub(super) fn client_iss(g: usize) -> u32 {
@@ -70,8 +66,6 @@ pub struct ServerConfig {
     /// a world's weights are stated:
     /// [`DeficitRoundRobin::for_config`](crate::DeficitRoundRobin::for_config)
     /// schedules by them and the fairness index normalises by them.
-    /// Each client also writes its weight into its SYN, but nothing
-    /// decides anything from that copy.
     pub weights: Vec<u32>,
     /// Fault plan installed on the shared kernel part.
     pub faults: FaultPlan,
@@ -161,9 +155,8 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
         );
         assert!(cfg.chunk > 0 && cfg.chunk + 64 <= 1536, "chunk must fit one TPDU");
         // Allocation order is layout, and layout is every simulated
-        // number: acceptor, shared scratch, then per connection sender,
-        // file, receiver, output.
-        let accept = Acceptor::new(space, &mut lb, cfg.n_conns);
+        // number: shared scratch, then per connection sender, file,
+        // receiver, output.
         let scratch = Scratch::alloc(space);
         let mut table = ConnTable::new();
         let mut clients = Vec::with_capacity(cfg.n_conns);
@@ -178,20 +171,20 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
                 ..Default::default()
             };
             let mut tx = Connection::new(space, &mut lb, tx_cfg, server_iss(g));
+            tx.listen();
             // Flight-recorder rings are keyed by this id; using the
             // *global* index keeps shard merges a clean union.
             tx.set_obs_id(g as u32);
             tx.set_seg_sampling(cfg.trace_every);
             let file = space.alloc_kind("srv_file", cfg.file_len.max(64), 64, RegionKind::AppData);
-            table.insert(Session::new(tx, file, cfg.file_len, cfg.chunk, client_data_port(g)));
+            table.insert(Session::new(tx, file, cfg.file_len, cfg.chunk));
             // Receive-only: the ring is unused.
             let rx_cfg = UtcpConfig { ring_capacity: 256, ..tx_cfg.mirror() };
             let mut rx = Connection::new(space, &mut lb, rx_cfg, client_iss(g));
             rx.set_obs_id(g as u32);
-            let ctrl_ep = lb.register(ctrl_port(g));
             let app_out =
                 space.alloc_kind("cli_out", cfg.file_len.max(64), 64, RegionKind::AppData);
-            clients.push(ClientSide { rx, ctrl_ep, app_out });
+            clients.push(ClientSide { rx, app_out });
         }
         ScaleHarness {
             cipher,
@@ -201,8 +194,8 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
             scratch,
             clock: VirtualClock::new(),
             rounds: Rounds::new(cfg.n_conns),
+            accept: Acceptor::new(cfg.n_conns),
             cfg,
-            accept,
         }
     }
 

@@ -16,15 +16,11 @@
 //!
 //! ## Architecture
 //!
-//! * [`conn_table`] — the connection table: sessions keyed by
-//!   [`ConnId`], with port-indexed lookup extending the kernel part's
-//!   demultiplexing beyond the fixed two-endpoint pair. A session is
-//!   what is fixed at construction plus the [`Transfer`] in progress.
-//! * [`handshake`] — the SYN / SYN-ACK datagrams: a listen endpoint
-//!   receiving real SYNs through the loop-back, pairing them with
-//!   pre-allocated sessions (a TCB pool, as 1990s servers kept) and
-//!   answering with SYN-ACKs that carry the server's initial sequence
-//!   number back.
+//! * [`conn_table`] — the connection table: pre-allocated sessions (a
+//!   TCB pool, as 1990s servers kept) keyed by [`ConnId`]. A session is
+//!   what is fixed at construction plus the [`Transfer`] in progress;
+//!   each session's sender listens on its own data port, and the
+//!   kernel part's demultiplexer routes a client's SYN to it.
 //! * [`sched`] — send scheduling: round-robin and deficit-style
 //!   weighted round-robin over the connections with work and credit;
 //!   the weights are [`ServerConfig::weights`] and nothing else.
@@ -53,7 +49,6 @@
 
 pub mod clock;
 pub mod conn_table;
-pub mod handshake;
 pub mod harness;
 pub mod pipeline;
 pub mod sched;
@@ -62,7 +57,6 @@ pub mod stats;
 
 pub use clock::VirtualClock;
 pub use conn_table::{ConnId, ConnTable, Session, SessionState, Transfer};
-pub use handshake::LISTEN_PORT;
 pub use harness::{AggregateReport, Path, ScaleHarness, ServerConfig, SERVER_IP};
 pub use pipeline::Scratch;
 pub use sched::{DeficitRoundRobin, RoundRobin, Scheduler};

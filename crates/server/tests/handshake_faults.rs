@@ -4,8 +4,9 @@
 //! stream; these target the connection *setup* datagrams specifically.
 //! With one connection the kernel part's send order is deterministic —
 //! datagram #1 is the client's SYN, #2 the server's SYN-ACK, #3 the
-//! first data segment — so every-Nth knobs (and a one-tick total-drop
-//! window) can aim a fault at an exact handshake step.
+//! client's final ACK, #4 the first data segment — so every-Nth knobs
+//! (and a one-tick total-drop window) can aim a fault at an exact
+//! handshake step.
 
 use memsim::layout::AddressSpace;
 use memsim::NativeMem;
@@ -20,8 +21,8 @@ fn one_conn_config(faults: FaultPlan) -> ServerConfig {
 #[test]
 fn lost_syn_is_recovered_by_the_retry_timer() {
     // Drop *everything* during the first tick — which holds exactly the
-    // client's first SYN — then lift the fault and let the retry timer
-    // re-establish.
+    // client's first SYN — then lift the fault and let the client's
+    // retransmission timer resend it.
     let all = FaultProbs { drop: u16::MAX, ..Default::default() };
     let cfg = one_conn_config(FaultPlan::seeded(11, all));
     let mut space = AddressSpace::new();
@@ -40,8 +41,8 @@ fn lost_syn_is_recovered_by_the_retry_timer() {
     let report = h.finish_run(&mut NoopObserver, sched.name());
     assert_eq!(h.verify_outputs(&mut m), None);
     assert_eq!(report.payload_bytes, 2 * 1024);
-    // Establishment had to wait for the SYN retry timer, not the
-    // (lost) original.
+    // Establishment had to wait for the SYN's first RTO (8 ticks), not
+    // the (lost) original.
     assert!(
         report.per_conn[0].established_at > 8,
         "established at tick {} — before the first SYN retry was even due",
@@ -53,8 +54,8 @@ fn lost_syn_is_recovered_by_the_retry_timer() {
 fn duplicated_syn_ack_is_idempotent() {
     // Datagram #2 is the server's SYN-ACK; dup_every=2 delivers it
     // twice (and keeps duplicating even datagrams for the rest of the
-    // run). The client must treat the repeat as a no-op, not restart or
-    // desynchronise the connection.
+    // run). The client must answer the repeat with a repeat of its ACK
+    // and nothing else, not restart or desynchronise the connection.
     let established_at = |faults: FaultPlan| {
         let cfg = one_conn_config(faults);
         let mut space = AddressSpace::new();
@@ -78,12 +79,13 @@ fn duplicated_syn_ack_is_idempotent() {
 
 #[test]
 fn corrupted_first_data_segment_is_rejected_then_repaired() {
-    // Datagram #3 is the first data segment (the handshake datagrams
-    // precede it; corruption exempts payload-free segments anyway).
+    // Datagram #4 is the first data segment (the three handshake
+    // datagrams precede it; corruption exempts payload-free segments
+    // anyway).
     // The client's checksum must reject the flip and the retransmission
     // must deliver the pristine bytes.
     for path in [Path::Ilp, Path::NonIlp] {
-        let cfg = one_conn_config(FaultPlan { corrupt_every: 3, ..Default::default() });
+        let cfg = one_conn_config(FaultPlan { corrupt_every: 4, ..Default::default() });
         let mut space = AddressSpace::new();
         let mut h = ScaleHarness::simplified(&mut space, cfg);
         let mut arena = space.native_arena();

@@ -12,6 +12,11 @@
 //! digest on purpose: `pending` (the promotion ledger's size, which the
 //! same PR bounded — a chunk's entry is forgotten once its trace
 //! exists) and `refused_pending` (the count that bound added).
+//!
+//! All nine were re-recorded when connections began to open with utcp's
+//! own three-way handshake (EXPERIMENTS E38): each SYN takes a sequence
+//! number, the layout lost the old handshake's scratch region, and the
+//! faults meet a three-datagram open.
 
 use memsim::layout::AddressSpace;
 use memsim::{HostModel, SimMem};
@@ -98,12 +103,12 @@ fn blackout_world() -> [u64; 3] {
 fn the_observe_world_reports_what_it_did_on_the_parent() {
     assert_eq!(
         observe_world(Path::Ilp),
-        [0x1BB1_BCC9_C6E1_C1BE, 0xD9D0_567F_5611_C3B5, 0xF3D4_E4A3_EBAB_E844],
+        [0x4708_EDE0_6D4D_55FB, 0xD424_D64C_0374_C5A6, 0x7351_061A_9100_BF2B],
         "ILP"
     );
     assert_eq!(
         observe_world(Path::NonIlp),
-        [0x2CBB_0258_6B03_AC1A, 0xD9D0_567F_5611_C3B5, 0x1DF8_0D05_D2F1_3B75],
+        [0x11FD_FFD5_4A83_3110, 0xD424_D64C_0374_C5A6, 0xCEB5_AFC4_4CAA_0F04],
         "non-ILP"
     );
 }
@@ -115,7 +120,7 @@ fn its_two_shard_twin_reports_what_it_did_on_the_parent() {
     for path in [Path::Ilp, Path::NonIlp] {
         assert_eq!(
             sharded_twin(path),
-            [0xCDB3_6922_582F_E92C, 0xF1D8_3368_8395_399B, 0x8C8A_01A1_312B_3B1A],
+            [0x7254_0838_3721_CFA1, 0xDDDF_A7F3_F121_4032, 0x3901_C051_ABF5_3009],
             "{path:?}"
         );
     }
@@ -125,6 +130,6 @@ fn its_two_shard_twin_reports_what_it_did_on_the_parent() {
 fn a_blackout_is_diagnosed_as_it_was_on_the_parent() {
     assert_eq!(
         blackout_world(),
-        [0xDDAF_587B_DCE0_C9DD, 0xD0FC_D167_8C36_B1E5, 0xC491_0E45_A30B_D6E0]
+        [0x1BFA_B74D_AB98_104C, 0x53DB_903F_9200_662D, 0x84F9_12E3_B35E_4544]
     );
 }

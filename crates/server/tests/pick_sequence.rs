@@ -143,7 +143,9 @@ fn pick_sequence_under_drops_is_the_recorded_one() {
     // once, when receivers began to ACK a drained burst once: the
     // loop-back carries fewer ACK datagrams, so every 11th datagram is a
     // different segment. Picks and rounds did not move, and the two
-    // fault-free digests above are the originals.)
+    // fault-free digests above are the originals. Re-recorded again for
+    // the three-datagram open of EXPERIMENTS E38; the fault-free digests
+    // did not move.)
     let cfg = ServerConfig {
         n_conns: 256,
         file_len: 4 * 1024,
@@ -151,5 +153,5 @@ fn pick_sequence_under_drops_is_the_recorded_one() {
         ..Default::default()
     };
     let (digest, picks, rounds) = pick_digest(cfg, RoundRobin::new());
-    assert_eq!((digest, picks, rounds), (0x7E08_2687_7BED_4BBD, 1024, 254));
+    assert_eq!((digest, picks, rounds), (0x12F8_DCB9_3FC5_56A1, 1024, 69));
 }

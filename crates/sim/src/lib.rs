@@ -14,7 +14,7 @@
 //! * cross-layer **oracles** run while the simulation advances, not
 //!   just at the end ([`oracle`]): one [`ConnOracle`] per connection in
 //!   every world (RFC 793 transitions, monotone sequence counters,
-//!   flight = ring + FIN, the post-FIN freeze, cwnd), plus what each
+//!   flight = ring + SYN + FIN, the post-FIN freeze, cwnd), plus what each
 //!   world kind adds — prefix-exact delivery at every tick in a
 //!   [`World`], liveness in a raw teardown pair — and ILP ≡ non-ILP and
 //!   observed ≡ unobserved equivalence per seed, and counter-vs-series
@@ -48,7 +48,7 @@ pub mod scenario;
 pub mod shrink;
 pub mod world;
 
-pub use lifecycle::{run_churn, ChurnOutcome, ChurnSpec, TeardownSpec, PINNED_WORLDS};
+pub use lifecycle::{run_churn, ChurnOutcome, ChurnSpec, Steps, TeardownSpec, PINNED_WORLDS};
 pub use oracle::ConnOracle;
 pub use runner::{
     sweep, FailureReport, FaultTotals, Mutant, PinnedWorld, ScenarioStats, Spec, SweepOpts,

@@ -17,7 +17,7 @@
 //!   teardown sweep's prelude; [`TeardownSpec`] is its seeded part.
 //!
 //! [`run_churn`] drives connect → transfer → close → reopen waves over
-//! the full [`server::ScaleHarness`] (SYN handshakes included), with
+//! the full [`server::ScaleHarness`] (three-way handshakes included), with
 //! the per-tick oracles live throughout and ports actively recycled
 //! between waves — the workload behind the `exp_churn` benchmark.
 
@@ -40,8 +40,9 @@ use crate::world::World;
 const LIVENESS_LIMIT: u64 = 30_000;
 
 /// Single-step successors in the RFC 793 state machine as this stack
-/// implements it (SYN states exist for completeness — raw worlds are
-/// born `Established`; the harness handshake runs above TCP).
+/// implements it. Raw worlds are born `Established`; harness worlds open
+/// with the three-way handshake (`Listen → SynRcvd → Established`,
+/// `SynSent → Established`).
 fn successors(s: State) -> &'static [State] {
     use State::*;
     match s {
@@ -62,6 +63,30 @@ fn successors(s: State) -> &'static [State] {
 /// Whether `to` is a legal *single* RFC 793 step from `from`.
 pub fn legal_step(from: State, to: State) -> bool {
     successors(from).contains(&to)
+}
+
+/// Which single RFC 793 steps a run was observed taking: bit `to` of row
+/// `from` (one observation that spans several steps records none).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Steps([u16; State::ALL.len()]);
+
+impl Steps {
+    /// Record `from → to` if it is one legal step.
+    pub(crate) fn record(&mut self, from: State, to: State) {
+        if from != to && legal_step(from, to) {
+            self.0[from.index()] |= 1 << to.index();
+        }
+    }
+
+    /// Whether `from → to` was observed as one step.
+    pub fn saw(&self, from: State, to: State) -> bool {
+        self.0[from.index()] & (1 << to.index()) != 0
+    }
+
+    /// Add another run's steps.
+    pub fn absorb(&mut self, other: Steps) {
+        self.0.iter_mut().zip(other.0).for_each(|(a, b)| *a |= b);
+    }
 }
 
 /// Whether `to` is reachable from `from` through any number of legal
@@ -548,6 +573,7 @@ impl Spec for TeardownSpec {
             rounds: ticks,
             payload_bytes: bytes,
             retransmits: w.tx.stats.retransmits,
+            ..Default::default()
         })
     }
 
@@ -678,7 +704,7 @@ pub fn run_churn(spec: &ChurnSpec, path: Path) -> Result<ChurnOutcome, String> {
     let mut out = ChurnOutcome::default();
     let expected_wave = (spec.n_conns * spec.file_len) as u64;
     for wave in 0..spec.waves {
-        let (ticks, checks) = w
+        let (ticks, checks, _) = w
             .run_checked(&mut sched, path, &mut NoopObserver)
             .map_err(|e| format!("wave {wave} {e}"))?;
         out.rounds_total += ticks;

@@ -5,8 +5,9 @@
 //! [`Connection`], in any world, at every observation: each state
 //! change is reachable in the RFC 793 graph; `snd_una` and `snd_nxt`
 //! are wrapping-monotone with `snd_una ≤ snd_nxt`; `rcv_nxt` is
-//! monotone (re-baselined once, when the handshake seeds it); flight
-//! equals the ring's buffered bytes plus the FIN's slot and the ring's
+//! monotone (re-baselined once, as the machine leaves `Listen` or
+//! `SynSent`: the peer's SYN seeds it); flight equals the ring's
+//! buffered bytes plus the SYN's and the FIN's slots and the ring's
 //! invariants hold; an accepted FIN pins `rcv_nxt` at `fin + 1` and
 //! nothing is accepted after it; cwnd stays ≥ 1 MSS, is pinned at a
 //! ≥ 2·MSS ssthresh inside fast recovery, shrinks only on a recorded
@@ -25,8 +26,10 @@
 use cipher::SimplifiedSafer;
 use memsim::Mem;
 use obs::{Counter, Recorder};
-use server::{ScaleHarness, SessionState};
+use server::ScaleHarness;
 use utcp::{Connection, State};
+
+use crate::lifecycle::{reachable, Steps};
 
 /// Post-run segment-trace oracle over a completed transfer: every span
 /// chain in the store must be causally ordered with no orphan receive
@@ -131,25 +134,13 @@ fn advanced(prev: u32, now: u32) -> bool {
 #[derive(Debug, Default)]
 pub struct ConnOracle {
     prev: Option<Snapshot>,
-    /// The handshake has handed this incarnation its peer's ISS.
-    synced: bool,
+    /// The single RFC 793 steps observed so far.
+    pub(crate) steps: Steps,
 }
 
 impl ConnOracle {
     /// Oracle evaluations one [`ConnOracle::check`] performs.
     pub const CHECKS: u64 = 14;
-
-    /// The handshake gave `c` its peer's ISS ([`Connection::set_peer_iss`]),
-    /// which re-seeds `rcv_nxt` — the one jump the receive edge may make:
-    /// re-baseline it. Only the first call of an incarnation counts. (A
-    /// raw pair is synchronised before its first observation.)
-    pub fn peer_synced(&mut self, c: &Connection) {
-        if !std::mem::replace(&mut self.synced, true) {
-            if let Some(prev) = &mut self.prev {
-                prev.rcv_nxt = c.rcv_nxt();
-            }
-        }
-    }
 
     /// Observe `c`: every per-connection property, against the previous
     /// observation.
@@ -160,9 +151,10 @@ impl ConnOracle {
         // — `Closed` is terminal within a tracked run and TIME_WAIT never
         // resurrects. (One tick can span several transitions:
         // reachability, not adjacency.)
-        if !crate::lifecycle::reachable(prev.state, now.state) {
+        if !reachable(prev.state, now.state) {
             return Err(format!("illegal transition {} -> {}", prev.state.name(), now.state.name()));
         }
+        self.steps.record(prev.state, now.state);
         if !advanced(prev.snd_una, now.snd_una) {
             return Err("snd_una went backwards".into());
         }
@@ -172,16 +164,20 @@ impl ConnOracle {
         if !advanced(now.snd_una, now.snd_nxt) {
             return Err("snd_una passed snd_nxt".into());
         }
-        if !advanced(prev.rcv_nxt, now.rcv_nxt) {
+        // The peer's SYN seeds the receive edge — the one jump it may
+        // make — as the machine leaves `Listen` or `SynSent`.
+        let unsynced = |s: State| matches!(s, State::Listen | State::SynSent);
+        let seeded = unsynced(prev.state) && !unsynced(now.state);
+        if !seeded && !advanced(prev.rcv_nxt, now.rcv_nxt) {
             return Err("rcv_nxt went backwards".into());
         }
-        // The FIN occupies one sequence slot outside the data ring, so
-        // flight accounting carries it explicitly.
+        // The SYN and the FIN each occupy one sequence slot outside the
+        // data ring, so flight accounting carries them explicitly.
         let in_flight = c.in_flight() as usize;
-        let fin = c.fin_in_flight() as usize;
-        if in_flight != c.ring().buffered_bytes() + fin {
+        let (syn, fin) = (c.syn_in_flight() as usize, c.fin_in_flight() as usize);
+        if in_flight != c.ring().buffered_bytes() + syn + fin {
             return Err(format!(
-                "in_flight {in_flight} != ring buffered {} + fin {fin}",
+                "in_flight {in_flight} != ring buffered {} + syn {syn} + fin {fin}",
                 c.ring().buffered_bytes()
             ));
         }
@@ -247,6 +243,13 @@ pub(crate) struct Tracker {
 }
 
 impl Tracker {
+    /// The single RFC 793 steps observed on either side of any connection.
+    pub(crate) fn steps(&self) -> Steps {
+        let mut all = Steps::default();
+        self.sides.iter().flatten().for_each(|o| all.absorb(o.steps));
+        all
+    }
+
     /// Start tracking a world of `n_conns` connections.
     pub(crate) fn new(n_conns: usize) -> Tracker {
         Tracker {
@@ -254,6 +257,17 @@ impl Tracker {
             delivered: vec![0; n_conns],
             checks: 0,
         }
+    }
+
+    /// Observe every server before the first round: each listens from
+    /// construction (or `reopen_wave`) on, while a client, born
+    /// `Established`, only connects in that round.
+    pub(crate) fn listening(&mut self, h: &ScaleHarness<SimplifiedSafer>) -> Result<(), String> {
+        for (i, sess) in h.table.iter().enumerate() {
+            self.sides[i][0].check(&sess.tx).map_err(|e| format!("conn {i}: server {e}"))?;
+            self.checks += ConnOracle::CHECKS;
+        }
+        Ok(())
     }
 
     /// Observe every connection after a round. `deep` additionally
@@ -269,14 +283,6 @@ impl Tracker {
             let sess = h.table.get(id);
             let (tx, rx) = (&sess.tx, h.client_rx(i));
             let [server, client] = &mut self.sides[i];
-            // The handshake seeds each side's receive edge: the server's
-            // when it accepts the SYN, the client's when the SYN-ACK lands.
-            if sess.xfer.state != SessionState::Allocated {
-                server.peer_synced(tx);
-            }
-            if h.client_established(i) {
-                client.peer_synced(rx);
-            }
             server.check(tx).map_err(|e| format!("conn {i}: server {e}"))?;
             client.check(rx).map_err(|e| format!("conn {i}: client {e}"))?;
             // The kernel part never shrinks a window mid-run, so flight

@@ -74,7 +74,7 @@ pub fn run_recovery_world(
     let mut w = World::new(cfg);
     let mut sched = RoundRobin::new();
     let mut rec = recorder();
-    let (_, checks) =
+    let (_, checks, _) =
         w.run_checked(&mut sched, path, &mut rec).map_err(|e| format!("{path:?} {e}"))?;
     let report = w.h.finish_run(&mut rec, sched.name());
     if let Some(i) = w.verify_outputs() {
@@ -97,12 +97,12 @@ pub fn run_recovery_world(
 }
 
 /// The kernel-part send index (1-based) of the first data TPDU in
-/// [`recovery_config`]'s world — two handshake datagrams precede it.
+/// [`recovery_config`]'s world — three handshake datagrams precede it.
 /// Found by probing; pinned by the assertions below, so if the
 /// handshake or ACK cadence ever shifts, the fast-retransmit count
 /// changes and the oracle fails loudly rather than silently dropping
 /// the wrong datagram.
-const MID_TRANSFER_DATA: u64 = 3;
+const MID_TRANSFER_DATA: u64 = 4;
 
 /// The single-drop world's config (public so the `dst_repro` example
 /// and the observed/unobserved twin check replay the identical world).
@@ -292,7 +292,8 @@ mod tests {
 
     #[test]
     fn recovery_beats_rto_only_under_seeded_drops() {
-        let (fast, slow) = goodput_beats_rto_only(0x11, Path::Ilp).unwrap_or_else(|e| panic!("{e}"));
+        // `exp_loss`'s seed (EXPERIMENTS E38).
+        let (fast, slow) = goodput_beats_rto_only(0x12, Path::Ilp).unwrap_or_else(|e| panic!("{e}"));
         assert!(fast < slow, "{fast} vs {slow}");
     }
 

@@ -16,6 +16,7 @@ use obs::Counter;
 use server::{AggregateReport, DeficitRoundRobin, Path, RoundRobin, SchedPolicy, Scheduler, ServerConfig};
 use utcp::{Connection, Loopback, SendRing};
 
+use crate::lifecycle::Steps;
 use crate::oracle::{check_conservation, check_segtrace};
 use crate::scenario::Scenario;
 use crate::shrink::{caught, shrink};
@@ -111,6 +112,8 @@ pub struct ScenarioStats {
     pub payload_bytes: u64,
     /// Retransmissions forced.
     pub retransmits: u64,
+    /// The single RFC 793 steps the oracles observed.
+    pub steps: Steps,
 }
 
 impl ScenarioStats {
@@ -121,6 +124,7 @@ impl ScenarioStats {
         self.rounds += other.rounds;
         self.payload_bytes += other.payload_bytes;
         self.retransmits += other.retransmits;
+        self.steps.absorb(other.steps);
     }
 }
 
@@ -277,8 +281,9 @@ fn server_config(sc: &Scenario) -> ServerConfig {
 }
 
 /// Everything one observed single-threaded run yields: its report, each
-/// client's progress, the fault mix and the oracle evaluations.
-type TransferRun = (AggregateReport, Vec<(u64, u64, u64)>, FaultTotals, u64);
+/// client's progress, the fault mix, the oracle evaluations and the
+/// steps they observed.
+type TransferRun = (AggregateReport, Vec<(u64, u64, u64)>, FaultTotals, u64, Steps);
 
 /// Drive one world to completion on `path` with per-tick oracles.
 fn run_one_path(sc: &Scenario, mutant: Mutant, path: Path) -> Result<TransferRun, String> {
@@ -290,7 +295,7 @@ fn run_one_path(sc: &Scenario, mutant: Mutant, path: Path) -> Result<TransferRun
         Box::new(RoundRobin::new())
     };
     let mut rec = recorder();
-    let (_, ticked) =
+    let (_, ticked, steps) =
         w.run_checked(sched.as_mut(), path, &mut rec).map_err(|e| format!("{path:?} {e}"))?;
     let (h, mut m) = w.parts();
     let report = h.finish_run(&mut rec, sched.name());
@@ -333,7 +338,7 @@ fn run_one_path(sc: &Scenario, mutant: Mutant, path: Path) -> Result<TransferRun
     }
     checks += 1 + sc.n_conns as u64;
     let per_conn = (0..sc.n_conns).map(|i| h.client_progress(i)).collect();
-    Ok((report, per_conn, FaultTotals::of(&h.lb), checks))
+    Ok((report, per_conn, FaultTotals::of(&h.lb), checks, steps))
 }
 
 /// Full transfer scenario: run the identical world on the ILP and the
@@ -342,8 +347,8 @@ fn run_one_path(sc: &Scenario, mutant: Mutant, path: Path) -> Result<TransferRun
 /// behaviour, so under the same fault seed they must drop, retransmit,
 /// reject, and deliver identically.
 pub(crate) fn run_transfer(sc: &Scenario, mutant: Mutant) -> Result<ScenarioStats, String> {
-    let (ilp, ilp_conns, ilp_faults, ilp_checks) = run_one_path(sc, mutant, Path::Ilp)?;
-    let (non, non_conns, non_faults, non_checks) = run_one_path(sc, mutant, Path::NonIlp)?;
+    let (ilp, ilp_conns, ilp_faults, ilp_checks, ilp_steps) = run_one_path(sc, mutant, Path::Ilp)?;
+    let (non, non_conns, non_faults, non_checks, non_steps) = run_one_path(sc, mutant, Path::NonIlp)?;
     let pairs = [
         ("payload_bytes", ilp.payload_bytes, non.payload_bytes),
         ("rejected", ilp.rejected, non.rejected),
@@ -365,8 +370,10 @@ pub(crate) fn run_transfer(sc: &Scenario, mutant: Mutant) -> Result<ScenarioStat
         rounds: ilp.rounds.max(non.rounds),
         payload_bytes: ilp.payload_bytes,
         retransmits: ilp.retransmits,
+        steps: ilp_steps,
     };
     stats.faults.absorb(non_faults);
+    stats.steps.absorb(non_steps);
     Ok(stats)
 }
 
@@ -418,5 +425,6 @@ pub(crate) fn run_sharded_scenario(sc: &Scenario) -> Result<ScenarioStats, Strin
         rounds: rep.max_rounds(),
         payload_bytes: rep.payload_bytes(),
         retransmits: rep.retransmits(),
+        steps: Steps::default(),
     })
 }

@@ -9,6 +9,7 @@ use server::harness::RunPath;
 use server::{AggregateReport, Path, RoundRobin, ScaleHarness, Scheduler, ServerConfig};
 use utcp::Loopback;
 
+use crate::lifecycle::Steps;
 use crate::oracle::Tracker;
 use crate::Mutant;
 
@@ -85,19 +86,22 @@ impl World {
     }
 
     /// Step to completion on `path` under `obs` with every connection's
-    /// oracles after each round, re-reading every delivered prefix every
-    /// 16 rounds and after the last — the one stepped loop. Fresh oracles
-    /// per call: a churn wave's reopen resets the sequence books. Returns
-    /// the rounds stepped and the oracle evaluations made.
+    /// oracles before the first round (servers) and after each round,
+    /// re-reading every delivered prefix every 16 rounds and after the
+    /// last — the one stepped loop. Fresh oracles per call: a churn
+    /// wave's reopen resets the sequence books. Returns
+    /// the rounds stepped, the oracle evaluations made and the single
+    /// RFC 793 steps observed.
     pub fn run_checked<O: SpanObserver>(
         &mut self,
         sched: &mut dyn Scheduler,
         path: Path,
         obs: &mut O,
-    ) -> Result<(u64, u64), String> {
+    ) -> Result<(u64, u64, Steps), String> {
         let (h, mut m) = self.parts();
         let mut run = h.begin_run::<O>();
         let mut tracker = Tracker::new(h.config().n_conns);
+        tracker.listening(h).map_err(|e| format!("tick 0: {e}"))?;
         let mut ticks = 0u64;
         let mut more = true;
         while more {
@@ -106,6 +110,6 @@ impl World {
             let deep = !more || ticks.is_multiple_of(DEEP_EVERY);
             tracker.check(h, &mut m, deep).map_err(|e| format!("tick {ticks}: {e}"))?;
         }
-        Ok((ticks, tracker.checks))
+        Ok((ticks, tracker.checks, tracker.steps()))
     }
 }

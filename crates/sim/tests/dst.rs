@@ -3,6 +3,7 @@
 //! function of its options.
 
 use sim::{sweep, Mutant, Scenario, ScenarioKind, Spec, SweepOpts, TeardownSpec, PINNED_WORLDS};
+use utcp::State;
 
 /// Fixed smoke block: same seeds CI runs (see `scripts/ci.sh`).
 const SMOKE: SweepOpts = SweepOpts {
@@ -33,6 +34,21 @@ fn smoke_sweep_is_all_green() {
     assert!(t.faults.corrupted > 0, "no corruption injected");
     assert!(t.faults.delayed > 0, "no delays injected");
     assert!(t.retransmits > 0, "faults at this rate must force retransmissions");
+}
+
+#[test]
+fn smoke_sweep_walks_every_row_of_the_open() {
+    // Harness worlds open with the three-way handshake, and the sweep's
+    // faults leave some of them half open at a round's end, so the
+    // oracles see each step of the open on its own.
+    let steps = sweep::<Scenario>(&SMOKE).totals.steps;
+    for (from, to) in [
+        (State::Listen, State::SynRcvd),
+        (State::SynRcvd, State::Established),
+        (State::SynSent, State::Established),
+    ] {
+        assert!(steps.saw(from, to), "the sweep never observed {} -> {}", from.name(), to.name());
+    }
 }
 
 #[test]

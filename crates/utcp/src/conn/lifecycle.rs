@@ -1,5 +1,6 @@
 //! The lifecycle part: the RFC 793 state machine, our FIN's bookkeeping
-//! and the TIME_WAIT clock — open, close, abort and the peer's FIN.
+//! and the TIME_WAIT clock — the three-way open, close, abort and the
+//! peer's SYN and FIN.
 
 use memsim::Mem;
 use obs::{FlightEdge, SpanObserver};
@@ -18,13 +19,14 @@ pub const MSL_TICKS: u32 = 16;
 obs::labels! {
     /// RFC 793 connection lifecycle states.
     ///
-    /// Data connections created by [`Connection::new`] start in
-    /// [`State::Established`] — the SYN exchange runs in the server
-    /// subsystem's accept handshake (or is pre-agreed, as in the two-process
-    /// UDP demo) before the data connection exists, matching the paper's
-    /// measurement setup. The handshake states exist so the one transition
-    /// matrix covers open and close; teardown (FIN/ACK, simultaneous close,
-    /// TIME_WAIT, RST) runs entirely inside this machine.
+    /// A connection built by [`Connection::new`] starts in
+    /// [`State::Established`], opened by construction as in the paper's
+    /// measurement setup: [`Connection::set_peer_iss`] tells it the peer's
+    /// ISS. [`Connection::listen`] and [`Connection::connect`] open it with
+    /// the three-way handshake instead (`Listen → SynRcvd → Established`
+    /// passively, `SynSent → Established` actively). Open and teardown
+    /// (FIN/ACK, simultaneous close, TIME_WAIT, RST) both run entirely
+    /// inside this machine.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum State {
         /// Passive open: waiting for a SYN.
@@ -62,6 +64,11 @@ impl State {
     pub fn may_send_data(self) -> bool {
         matches!(self, State::Established | State::CloseWait)
     }
+
+    /// Whether the three-way handshake is still running.
+    pub(crate) fn opening(self) -> bool {
+        matches!(self, State::Listen | State::SynSent | State::SynRcvd)
+    }
 }
 
 /// Lifecycle state of one incarnation. (The *cumulative* TIME_WAIT
@@ -98,9 +105,27 @@ impl Connection {
     /// 1 while our FIN is in flight (sent but unacknowledged), else 0.
     /// The FIN consumes a sequence number without occupying ring space,
     /// so the oracle identity is
-    /// `in_flight == ring.buffered_bytes() + fin_in_flight`.
+    /// `in_flight == ring.buffered_bytes() + syn_in_flight + fin_in_flight`.
     pub fn fin_in_flight(&self) -> u32 {
         u32::from(self.life.fin_sent.is_some() && self.snd.una != self.snd.nxt)
+    }
+
+    /// 1 while our SYN (or SYN-ACK) is in flight, else 0: like the FIN it
+    /// takes a sequence number and no ring space, and it is unacknowledged
+    /// exactly while the machine is in `SynSent` or `SynRcvd`.
+    pub fn syn_in_flight(&self) -> u32 {
+        u32::from(matches!(self.life.state, State::SynSent | State::SynRcvd))
+    }
+
+    /// The control segment outstanding when no data is: our SYN (a
+    /// SYN-ACK once the peer's SYN is in) or our FIN, as `(seq, flags)`.
+    pub(super) fn control_in_flight(&self) -> Option<(u32, TcpFlags)> {
+        match self.life.state {
+            State::SynSent => Some((self.snd.una, TcpFlags::SYN)),
+            State::SynRcvd => Some((self.snd.una, TcpFlags::SYN_ACK)),
+            _ if self.fin_in_flight() == 1 => self.life.fin_sent.map(|seq| (seq, TcpFlags::FIN_ACK)),
+            _ => None,
+        }
     }
 
     /// Accumulated TIME_WAIT residency in ticks, including the current
@@ -144,10 +169,100 @@ impl Connection {
         }
     }
 
+    /// Passive open (RFC 793 OPEN, passive): wait in `Listen` for the
+    /// peer's SYN, which tells this connection the peer's ISS. Opens what
+    /// [`Connection::new`] or [`Connection::reopen`] just built, in place
+    /// of [`Connection::set_peer_iss`].
+    pub fn listen(&mut self) {
+        self.assert_fresh();
+        self.set_state(State::Listen);
+    }
+
+    /// Active open (RFC 793 OPEN, active): send a SYN at the ISS and wait
+    /// in `SynSent` for the peer's SYN-ACK. Opens a fresh incarnation, as
+    /// [`Connection::listen`] does.
+    pub fn connect<M: Mem>(&mut self, m: &mut M, k: &mut impl KernelCtx) {
+        self.assert_fresh();
+        self.set_state(State::SynSent);
+        self.send_syn(m, k.kernel());
+    }
+
+    /// An open starts from what construction or `reopen` left.
+    fn assert_fresh(&self) {
+        assert!(
+            self.life == Lifecycle::new() && self.snd.in_flight() == 0,
+            "listen/connect open a fresh incarnation"
+        );
+    }
+
+    /// First transmission of our SYN (a SYN-ACK in `SynRcvd`): it sits
+    /// at the ISS and takes one sequence number without ring space, and
+    /// the retransmission timer keeps it alive like the FIN.
+    fn send_syn<M: Mem>(&mut self, m: &mut M, lb: &mut impl KernelPart) {
+        self.snd.nxt = self.snd.una.wrapping_add(1);
+        self.snd.last_progress = self.ticks;
+        let (seq, flags) = self.control_in_flight().expect("an opening machine has its SYN out");
+        self.emit(m, lb, seq, flags, Body::BARE);
+        self.touch_state(m);
+    }
+
+    /// The open's receive side (RFC 793 §3.4), for a checksum-verified
+    /// bare segment that carries a SYN or reaches a machine still
+    /// opening. `Listen` takes a SYN and answers SYN-ACK; `SynSent` takes
+    /// the SYN-ACK of its SYN and ACKs it; `SynRcvd` takes the ACK of its
+    /// SYN-ACK. A repeat of the SYN this incarnation already consumed is
+    /// answered again, with no state change; anything else is rejected.
+    pub(super) fn handle_open<M: Mem>(
+        &mut self,
+        m: &mut M,
+        lb: &mut impl KernelPart,
+        flags: TcpFlags,
+        seq: u32,
+        ack: u32,
+        window: u16,
+    ) {
+        let syn = flags.contains(TcpFlags::SYN);
+        let acks_our_syn = flags.contains(TcpFlags::ACK) && ack == self.snd.nxt;
+        match self.life.state {
+            State::Listen if syn && !flags.contains(TcpFlags::ACK) => {
+                self.rcv.nxt = seq.wrapping_add(1);
+                self.snd.peer_window = window;
+                self.set_state(State::SynRcvd);
+                self.send_syn(m, lb);
+            }
+            State::SynSent if syn && acks_our_syn => {
+                self.rcv.nxt = seq.wrapping_add(1);
+                self.syn_acked(m, window);
+                self.send_ack(m, lb);
+            }
+            State::SynRcvd if !syn && acks_our_syn => self.syn_acked(m, window),
+            State::SynRcvd if syn && seq.wrapping_add(1) == self.rcv.nxt => {
+                self.emit(m, lb, self.snd.una, TcpFlags::SYN_ACK, Body::BARE);
+            }
+            s if !s.opening() && syn && seq.wrapping_add(1) == self.rcv.nxt => self.send_ack(m, lb),
+            _ => self.stats.rejected += 1,
+        }
+    }
+
+    /// Our SYN is acknowledged: the connection is open. Like the FIN's,
+    /// the SYN's sequence number feeds neither the RTT estimator (Karn: a
+    /// resent SYN's ACK is ambiguous) nor the congestion window, and the
+    /// data phase starts from the configured RTO (RFC 6298 §5.7).
+    fn syn_acked<M: Mem>(&mut self, m: &mut M, window: u16) {
+        self.snd.una = self.snd.nxt;
+        self.snd.peer_window = window;
+        self.snd.last_progress = self.ticks;
+        self.snd.rto = self.cfg.rto_ticks;
+        self.rec.restart(self.snd.una);
+        self.set_state(State::Established);
+        self.touch_state(m);
+    }
+
     /// Orderly close of the send direction (RFC 793 CLOSE): queue a FIN
     /// after any data already sent and move to `FinWait1` (active) or
-    /// `LastAck` (passive, after the peer's FIN). Idempotent in every
-    /// other state.
+    /// `LastAck` (passive, after the peer's FIN). A machine still opening
+    /// has nothing to close in order and aborts instead. Idempotent in
+    /// every other state.
     pub fn close<M: Mem>(&mut self, m: &mut M, k: &mut impl KernelCtx) {
         match self.life.state {
             State::Established => {
@@ -158,9 +273,7 @@ impl Connection {
                 self.send_fin(m, k);
                 self.set_state(State::LastAck);
             }
-            State::Listen | State::SynSent | State::SynRcvd => {
-                self.set_state(State::Closed);
-            }
+            s if s.opening() => self.abort(m, k),
             _ => {} // already closing or closed
         }
     }
@@ -232,7 +345,7 @@ impl Connection {
         self.rcv.fin_rcvd = Some(seq);
         self.stats.fins_received += 1;
         match self.life.state {
-            State::Established | State::SynRcvd => self.set_state(State::CloseWait),
+            State::Established => self.set_state(State::CloseWait),
             State::FinWait1 => {
                 // Our own FIN already acknowledged → straight to
                 // TIME_WAIT; still in flight → simultaneous close.

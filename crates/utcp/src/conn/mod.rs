@@ -16,7 +16,7 @@
 //! | `send` | `snd_una`, `snd_nxt`, peer window, `cwnd`/`ssthresh`, RTT estimator | `send_buf`, `begin_ilp_send`/`commit_send`, `tcp_output`, `tick`, cumulative ACKs |
 //! | `recv` | `rcv_nxt`, peer FIN mark, staging + out-of-order hold regions | `poll_input` (initial stage), `finish_recv` (final stage), ACK generation |
 //! | `recovery` | dup-ACK count, recovery point, `high_rxt`, SACK scoreboard | fast retransmit / fast recovery, hole filling |
-//! | `lifecycle` | RFC 793 `State`, our FIN, TIME_WAIT clock | `close`, `abort`, FIN/RST handling |
+//! | `lifecycle` | RFC 793 `State`, our FIN, TIME_WAIT clock | `listen`, `connect`, `close`, `abort`, SYN/FIN/RST handling |
 //! | `segtrace` | sampling rate, chunk ↔ sequence ledger | `seg_begin`, trace identity of each transmission |
 //!
 //! What is left here is what every part shares: the configuration, the
@@ -220,9 +220,10 @@ enum Body<'a> {
 }
 
 impl Body<'_> {
-    /// The paper's fixed 20-byte header and nothing else — FIN and RST
-    /// ride the exact data-TPDU header discipline over every backend,
-    /// so wire identity between ILP and non-ILP holds through teardown.
+    /// The paper's fixed 20-byte header and nothing else — SYN, FIN and
+    /// RST ride the exact data-TPDU header discipline over every
+    /// backend, so wire identity between ILP and non-ILP holds from the
+    /// open through teardown.
     const BARE: Body<'static> = Body::Sack(&[]);
 }
 
@@ -335,8 +336,9 @@ impl Connection {
     /// endpoint — emptied, its queue buffers kept (see
     /// [`PortDemux::register`](crate::demux::PortDemux::register)).
     /// Every part is rebuilt by the constructor [`Connection::new`]
-    /// used; see [`Connection`] for what survives. Call
-    /// [`Connection::set_peer_iss`] afterwards, as at construction.
+    /// used; see [`Connection`] for what survives. Open it afterwards as
+    /// at construction: [`Connection::set_peer_iss`],
+    /// [`Connection::listen`] or [`Connection::connect`].
     ///
     /// # Panics
     /// If the connection is not `Closed` — reopening a live machine

@@ -135,9 +135,10 @@ impl RecvSeq {
 }
 
 impl Connection {
-    /// Synchronise the peer's initial sequence number (the experiment
-    /// harness "opens" connections by construction; no three-way
-    /// handshake, as in the paper's pre-established transfer setup).
+    /// Synchronise the peer's initial sequence number: the open by
+    /// construction, as in the paper's pre-established transfer setup.
+    /// [`Connection::listen`] and [`Connection::connect`] learn it from
+    /// the peer's SYN instead.
     pub fn set_peer_iss(&mut self, iss: u32) {
         self.rcv.nxt = iss;
     }
@@ -274,6 +275,17 @@ impl Connection {
                 // a reset is sent").
                 self.stats.rejected += 1;
                 self.send_rst(m, k.kernel());
+                continue;
+            }
+
+            if flags.contains(TcpFlags::SYN) || self.life.state.opening() {
+                // The open moves the machine too: verified first, and
+                // only ever a bare fixed header.
+                if opt_len + payload_len != 0 || self.control_sum(m, hdr, 0, 0).finish() != 0 {
+                    self.stats.rejected += 1;
+                    continue;
+                }
+                self.handle_open(m, k.kernel(), flags, seq, ack, window);
                 continue;
             }
 

@@ -376,7 +376,7 @@ impl Connection {
 
     /// Advance the clock; on RTO expiry back off and retransmit the
     /// oldest unacknowledged segment (its `tcp_output` reports like any
-    /// other send) — or the FIN, when only that is outstanding.
+    /// other send) — or the SYN or FIN, when only that is outstanding.
     pub fn tick<M: Mem, K: KernelCtx>(&mut self, m: &mut M, k: &mut K) {
         self.ticks += 1;
         if self.rcv.ack_owed {
@@ -405,18 +405,17 @@ impl Connection {
                 }
                 self.output(m, k, oldest, None, XmitKind::Rto);
             }
-            None if self.fin_in_flight() == 1 => {
-                // Only the FIN is outstanding: retransmit it under the
-                // same exponential back-off. No cwnd collapse — there
-                // is no data in flight left to collapse for.
+            None => {
+                // Only the SYN or the FIN is outstanding: retransmit it
+                // under the same exponential back-off. No cwnd collapse
+                // — there is no data in flight left to collapse for.
+                let Some((seq, flags)) = self.control_in_flight() else { return };
                 self.rec.dup_acks = 0;
                 self.snd.rtt_probe = None; // Karn
                 self.back_off(k.obs());
                 self.stats.retransmits += 1;
-                let seq = self.life.fin_sent.expect("fin_in_flight implies fin_sent");
-                self.emit(m, k.kernel(), seq, TcpFlags::FIN_ACK, Body::BARE);
+                self.emit(m, k.kernel(), seq, flags, Body::BARE);
             }
-            None => {}
         }
     }
 

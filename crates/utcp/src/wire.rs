@@ -84,8 +84,8 @@ impl TcpFlags {
     pub const ACK: TcpFlags = TcpFlags(0x10);
     /// Push function.
     pub const PSH: TcpFlags = TcpFlags(0x08);
-    /// Synchronise sequence numbers (connection setup; carried by the
-    /// server subsystem's accept handshake).
+    /// Synchronise sequence numbers: the three-way handshake's first
+    /// segment (consumes one sequence number).
     pub const SYN: TcpFlags = TcpFlags(0x02);
     /// Data segment: PSH|ACK.
     pub const DATA: TcpFlags = TcpFlags(0x18);

@@ -30,9 +30,9 @@ use netback::UdpBackend;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-/// The demo's pre-agreed connection parameters. A real deployment would
-/// run the SYN/SYN-ACK exchange of `server::handshake` first; the demo
-/// pins both initial sequence numbers so either process can start first.
+/// The demo's connection parameters. Each side knows only its own
+/// initial sequence number: the server listens, the client connects, and
+/// the three-way handshake tells each the other's.
 const CLIENT_PORT: u16 = 4000;
 const SERVER_PORT: u16 = 5000;
 const CLIENT_ISS: u32 = 0x1000;
@@ -65,12 +65,6 @@ fn usage() -> ExitCode {
     eprintln!("       serve_udp fetch <server-addr> [--path ilp|non_ilp] [--bytes N] [--waves N] [--quiet]");
     eprintln!("       serve_udp selftest [--bytes N] [--waves N]");
     ExitCode::FAILURE
-}
-
-/// Per-wave initial sequence numbers, derivable on both sides without a
-/// side channel: each churn wave opens a fresh sequence space.
-fn wave_iss(base: u32, wave: usize) -> u32 {
-    base.wrapping_add((wave as u32) << 20)
 }
 
 /// Can this environment bind a UDP socket at all?
@@ -151,16 +145,10 @@ struct World {
 }
 
 /// Build one end: bind `bind`, aim the socket at `peer` (or, without
-/// one, let it learn its peer from the first well-formed frame — the
-/// demo's stand-in for an accept()), and open the connection `cfg`
-/// describes with the two pre-agreed sequence numbers.
-fn world(
-    bind: &str,
-    peer: Option<&str>,
-    cfg: UtcpConfig,
-    iss: u32,
-    peer_iss: u32,
-) -> Result<World, ExitCode> {
+/// one, let it learn its peer from the first well-formed frame, the
+/// client's SYN), and build the connection `cfg` describes at `iss`,
+/// still to be opened.
+fn world(bind: &str, peer: Option<&str>, cfg: UtcpConfig, iss: u32) -> Result<World, ExitCode> {
     let mut space = AddressSpace::new();
     let cipher = SimplifiedSafer::alloc(&mut space);
     let mut net = UdpBackend::bind(&mut space, bind).map_err(|e| {
@@ -173,8 +161,7 @@ fn world(
             ExitCode::FAILURE
         })?;
     }
-    let mut conn = Connection::new(&mut space, &mut net, cfg, iss);
-    conn.set_peer_iss(peer_iss);
+    let conn = Connection::new(&mut space, &mut net, cfg, iss);
     let scratch = Scratch::alloc(&mut space);
     let app = space.alloc_kind("app_buf", MAX_FILE, 64, RegionKind::AppData);
     let arena = space.native_arena();
@@ -184,7 +171,7 @@ fn world(
 /// Server: receive one file transfer and report its digest.
 fn serve(bind: &str, a: &Args) -> ExitCode {
     let World { cipher, mut net, conn: mut rx, scratch, app: app_out, mut arena } =
-        match world(bind, None, client_cfg().mirror(), SERVER_ISS, CLIENT_ISS) {
+        match world(bind, None, client_cfg().mirror(), SERVER_ISS) {
             Ok(w) => w,
             Err(code) => return code,
         };
@@ -211,10 +198,13 @@ fn serve(bind: &str, a: &Args) -> ExitCode {
         if wave > 0 {
             // The previous wave finished fully Closed, so the port and
             // sequence books can be recycled — the churn primitive.
-            rx.reopen(&mut net, wave_iss(SERVER_ISS, wave));
-            rx.set_peer_iss(wave_iss(CLIENT_ISS, wave));
+            rx.reopen(&mut net, SERVER_ISS);
         }
+        // The client's SYN, its final ACK and the data all arrive
+        // through `recv_chunk`'s poll; the timer re-sends a lost SYN-ACK.
+        rx.listen();
         let mut total: Option<usize> = None;
+        let mut last_tick = Instant::now();
         while Instant::now() < deadline {
             match recv_chunk(a.path, &scratch, &cipher, &mut m, &mut rx, &mut net, app_out) {
                 Some(Ok(meta)) => {
@@ -229,6 +219,10 @@ fn serve(bind: &str, a: &Args) -> ExitCode {
                 Some(Err(_)) => {} // rejected (e.g. retransmit of an acked seq); sender retries
                 None => std::thread::sleep(Duration::from_micros(200)),
             }
+            if last_tick.elapsed() >= Duration::from_millis(20) {
+                rx.tick(&mut m, &mut net);
+                last_tick = Instant::now();
+            }
         }
         let Some(total) = total else {
             eprintln!("serve_udp: wave {wave} timed out before the final chunk arrived");
@@ -238,7 +232,6 @@ fn serve(bind: &str, a: &Args) -> ExitCode {
         // Passive close: keep servicing input so the client's FIN moves
         // us to CLOSE_WAIT (and any late data retransmit is re-ACKed),
         // answer with our own FIN (LAST_ACK), and wait for the final ACK.
-        let mut last_tick = Instant::now();
         while rx.state() != State::Closed && Instant::now() < deadline {
             let _ = recv_chunk(a.path, &scratch, &cipher, &mut m, &mut rx, &mut net, app_out);
             if rx.state() == State::CloseWait {
@@ -281,7 +274,7 @@ fn serve(bind: &str, a: &Args) -> ExitCode {
 /// Client: push the deterministic file to the server.
 fn fetch(server: &str, a: &Args) -> ExitCode {
     let World { cipher, mut net, conn: mut tx, scratch, app: file, mut arena } =
-        match world("127.0.0.1:0", Some(server), client_cfg(), CLIENT_ISS, SERVER_ISS) {
+        match world("127.0.0.1:0", Some(server), client_cfg(), CLIENT_ISS) {
             Ok(w) => w,
             Err(code) => return code,
         };
@@ -295,9 +288,9 @@ fn fetch(server: &str, a: &Args) -> ExitCode {
     let mut sent_chunks = 0u32;
     for wave in 0..a.waves {
         if wave > 0 {
-            tx.reopen(&mut net, wave_iss(CLIENT_ISS, wave));
-            tx.set_peer_iss(wave_iss(SERVER_ISS, wave));
+            tx.reopen(&mut net, CLIENT_ISS);
         }
+        tx.connect(&mut m, &mut net);
         let mut offset = 0usize;
         let mut seq = 0u32;
         let mut last_tick = Instant::now();
@@ -321,7 +314,9 @@ fn fetch(server: &str, a: &Args) -> ExitCode {
                         eprintln!("serve_udp: chunk of {len} exceeds MTU {mtu}");
                         return ExitCode::FAILURE;
                     }
-                    Err(_) => {} // ring or window backpressure: drain ACKs below
+                    // Still opening, or ring or window backpressure: drain
+                    // the SYN-ACK or the ACKs below.
+                    Err(_) => {}
                 }
             } else if tx.in_flight() == 0 {
                 break;

@@ -34,6 +34,8 @@ const SAFER: &str = "a SAFER unit kernel addresses key and scratch as base + con
 const MEM: &str = "a kernel, source, stage or sink is written against Mem, not against one memory";
 const ADMIT: &str = "each clause of the reply admission rule is spelled once";
 const KERNEL: &str = "crates/utcp/src/kernelpart.rs crates/netback/src";
+const OPEN: &str = "parse_syn|client_poll_syn_ack|client_send_syn|server_send_syn_ack|LISTEN_PORT|ctrl_port|\
+                    SYN_RETRY_TICKS|peer_synced|hs_scratch|lookup_port";
 
 const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In("crates/sim/src"), Text("fn advanced("), 1, "one wrapping-monotone helper, ConnOracle's"),
@@ -48,6 +50,8 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In("crates/sim/src"), Text("pub enum Mutant"), 1, "one mutant selector"),
     (In("crates/sim/src"), Text("inject_fin_bug|inject_ring_bug|inject_bug"), 0, "a mutant is a Mutant, not a bool"),
     (In("crates/server/src"), FilesOver(500), 0, "no server file outgrows its part — cut it along a seam"),
+    (In("crates examples"), Text(OPEN), 0, "one way to open a connection: utcp's three-way handshake"),
+    (In("crates/server/src"), Text("TcpHeader::at("), 0, "the server builds no segments; its connections do"),
     (In("crates/server/src/sched.rs"), Text("min_by_key|to_vec()|sort_by_key"), 0, "a round scans once"),
     (Body("crates/server/src/harness/round.rs", "fn drive_sends"), Text(".collect()"), 0, "no per-pick collection"),
     (In("crates/utcp/src/kernelpart.rs"), Text("pub fn send|pub fn register"), 0, "Loopback is a KernelPart"),
