@@ -17,8 +17,9 @@
 //! Three rules, one policy, no knob: *queue first* — a receive serves
 //! the endpoint's queue and goes to the descriptor only when that queue
 //! is empty; *bounded drain* — a drain takes no more datagrams than
-//! there are free kernel slots, and the rest wait in the kernel's buffer,
-//! which is the back-pressure a slot pool alone cannot give; *one frame
+//! there are free kernel slots in the [`SlotPool`] the loop-back uses
+//! too, and the rest wait in the kernel's buffer, which is the
+//! back-pressure a slot pool alone cannot give; *one frame
 //! buffer* — a send builds its frame in place in a buffer the backend
 //! owns, so it allocates nothing. A receive never waits, so a lost
 //! datagram can never hang a poll loop — timeouts and retransmission are
@@ -33,10 +34,10 @@ use obs::SegTag;
 use std::io;
 use utcp::backend::{KernelCounters, KernelPart};
 use utcp::kernelpart::{system_copy, Datagram, EndpointId};
-use utcp::{PortDemux, SLOT_LEN};
+use utcp::{PortDemux, SlotPool, SLOT_LEN};
 
-/// Number of receive slots — one bit each in `drain`'s map of the pool.
-const SLOTS: usize = u64::BITS as usize;
+/// Number of receive slots.
+const SLOTS: usize = 64;
 
 /// The per-device half of a [`Backend`]: a non-blocking descriptor, how
 /// one datagram is framed on it, and its two system calls.
@@ -65,7 +66,7 @@ pub trait Link {
 pub struct Backend<L> {
     pub(crate) link: L,
     /// Kernel buffer slots arriving datagrams are deposited into.
-    slots: Region,
+    slots: SlotPool,
     /// Staging area outgoing datagrams are assembled in.
     staging: Region,
     /// The outgoing frame, built in place for every send.
@@ -87,7 +88,7 @@ impl<L: Link> Backend<L> {
     pub(crate) fn new(space: &mut AddressSpace, link: L) -> Self {
         Backend {
             link,
-            slots: space.alloc_kind("link_slots", SLOT_LEN * SLOTS, 64, RegionKind::Kernel),
+            slots: SlotPool::alloc(space, "link_slots", SLOTS),
             staging: space.alloc_kind("link_staging", SLOT_LEN, 64, RegionKind::Kernel),
             frame: Vec::with_capacity(codec::HEADER_LEN + codec::TAG_LEN + SLOT_LEN),
             demux: PortDemux::default(),
@@ -100,18 +101,10 @@ impl<L: Link> Backend<L> {
 
     /// Move datagrams from the descriptor into the per-port queues,
     /// depositing each into a free kernel slot via `m`, until the
-    /// descriptor is empty or every slot holds a queued datagram. A slot
-    /// is free once its datagram has been handed out: those bytes are the
-    /// caller's until its next `recv_into`, and only `recv_into` gets
-    /// here.
+    /// descriptor is empty or no slot is free.
     fn drain<M: Mem>(&mut self, m: &mut M) {
         let mut buf = [0u8; codec::HEADER_LEN + codec::TAG_LEN + SLOT_LEN];
-        // Bit `i` is set while a queued datagram lives in slot `i`.
-        let mut busy = self
-            .demux
-            .queued_datagrams()
-            .fold(0u64, |busy, d| busy | 1 << ((d.addr - self.slots.base) / SLOT_LEN));
-        while busy != u64::MAX {
+        while self.slots.n_free() > 0 {
             let (inner, tag) = match self.link.recv(&mut buf) {
                 Ok(Some(frame)) => frame,
                 Ok(None) => {
@@ -135,9 +128,7 @@ impl<L: Link> Backend<L> {
             };
             self.counts.received += 1;
             // Receive-side system copy into a free kernel slot.
-            let free = busy.trailing_ones() as usize;
-            busy |= 1 << free;
-            let slot = self.slots.at(free * SLOT_LEN);
+            let slot = self.slots.take().expect("the loop runs while a slot is free");
             m.phase_push(PhaseTag::System);
             for (i, &b) in inner.iter().enumerate() {
                 m.write_u8(slot + i, b);
@@ -151,7 +142,7 @@ impl<L: Link> Backend<L> {
 
 impl<L: Link> KernelPart for Backend<L> {
     fn register(&mut self, port: u16) -> EndpointId {
-        self.demux.register(port)
+        self.demux.register(port, &mut self.slots)
     }
 
     fn unregister(&mut self, port: u16) {
@@ -187,12 +178,13 @@ impl<L: Link> KernelPart for Backend<L> {
     }
 
     fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram> {
+        self.slots.end_loan();
         if self.demux.pending(id) == 0 {
             self.drain(m);
         }
         let (datagram, tag) = self.demux.pop(id)?;
         self.last_ctx = tag;
-        Some(datagram)
+        Some(self.slots.lend(datagram))
     }
 
     fn set_send_ctx(&mut self, ctx: Option<SegTag>) {

@@ -326,9 +326,9 @@ pub fn analyze(rec: &Recorder, views: &[ConnView], queue: QueueStat) -> Vec<Verd
     }
 
     // Queue saturation: the kernel part's high-water reached capacity.
-    // Loopback recycles slots round-robin on overflow, so a saturated
-    // pool silently corrupts queued datagrams — this is the detector
-    // that explains the resulting checksum-reject storm.
+    // A full loop-back pool refuses new datagrams, so a saturated pool
+    // silently drops sends — this is the detector that explains the
+    // resulting retransmission storm.
     if queue.capacity > 0 {
         let limit = (QUEUE_PCT * queue.capacity as f64).ceil();
         if queue.peak as f64 >= limit {

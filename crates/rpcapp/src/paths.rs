@@ -866,18 +866,15 @@ mod tests {
         ));
     }
 
-    /// A native world (tables, key, 4 KiB of file pattern) plus the
-    /// loop-back's kernel-slot region, so a test can damage a datagram
-    /// in flight.
-    fn with_world(f: impl FnOnce(&mut Suite<cipher::SimplifiedSafer>, &mut NativeMem<'_>, Region)) {
+    /// A native world: tables, key, 4 KiB of file pattern.
+    fn with_world(f: impl FnOnce(&mut Suite<cipher::SimplifiedSafer>, &mut NativeMem<'_>)) {
         let mut space = AddressSpace::new();
         let mut s = Suite::simplified(&mut space);
-        let slots = *space.regions().iter().find(|r| r.name == "kernel_slots").expect("slot region");
         let mut arena = space.native_arena();
         let mut m = NativeMem::new(&mut arena);
         s.init_world(&mut m);
         fill_file(&s, &mut m, 4096);
-        f(&mut s, &mut m, slots);
+        f(&mut s, &mut m);
     }
 
     /// Send 1 000-byte chunks on the fused path (`trailer`: in the trailer
@@ -890,7 +887,7 @@ mod tests {
     fn flipped_bit_is_rejected_then_recovered(trailer: bool, lose_first: bool, bit: usize) -> Vec<u8> {
         use crate::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
         let mut after_reject = Vec::new();
-        with_world(|s, m, slots| {
+        with_world(|s, m| {
             let file = s.file;
             let recv = |s: &mut Suite<_>, m: &mut NativeMem<'_>| {
                 if trailer { recv_reply_ilp_trailer(s, m) } else { recv_reply_ilp(s, m) }
@@ -907,7 +904,8 @@ mod tests {
                     send_reply_ilp(s, m, &chunk, addr).unwrap();
                 }
             }
-            let slot = slots.at((chunks as usize - 1) * (slots.len / s.lb.n_slots()));
+            // The receiver's queue holds the last chunk alone (`lose_first` drops chunk 0).
+            let slot = s.lb.peek(s.rx.endpoint()).expect("the last chunk is queued").addr;
             m.bytes_mut(slot + utcp::IP_HEADER_LEN + utcp::TCP_HEADER_LEN + bit / 8, 1)[0] ^= 0x80 >> (bit % 8);
             let verdict = recv(s, m).expect("the damaged segment is delivered");
             assert!(matches!(verdict, Err(Reject::BadChecksum { .. })), "bit {bit}: {verdict:?}");

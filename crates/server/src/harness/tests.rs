@@ -158,6 +158,30 @@ fn reopen_wave_reruns_the_transfer_over_recycled_ports() {
     }
 }
 
+/// `ilpbench fanin`'s shape: 1 024 connections of 4 KiB, two waves. The
+/// slot pool never runs dry, so nothing is dropped, retransmitted or
+/// rejected, and the queues peak at two datagrams per connection.
+#[test]
+fn a_fault_free_1024_connection_wave_never_exhausts_the_kernel_slot_pool() {
+    let cfg = ServerConfig { n_conns: 1024, file_len: 4096, chunk: 1024, ..Default::default() };
+    let mut space = AddressSpace::new();
+    let mut h = ScaleHarness::simplified(&mut space, cfg);
+    let mut arena = space.native_arena();
+    let mut m = NativeMem::new(&mut arena);
+    h.init_world(&mut m);
+    let mut sched = RoundRobin::new();
+    for wave in 0..2 {
+        let report = h.run(&mut m, &mut sched, Path::Ilp);
+        assert_eq!(h.verify_outputs(&mut m), None, "wave {wave}");
+        assert_eq!((report.retransmits, report.rejected), (0, 0), "wave {wave}");
+        h.drain_to_closed(&mut m, Path::Ilp, &mut NoopObserver);
+        h.reopen_wave(&mut m);
+    }
+    let k = h.lb.counters();
+    assert_eq!((k.dropped, k.corrupted, k.unroutable), (0, 0, 0));
+    assert_eq!((k.queue_peak, k.queue_capacity), (2 * 1024, 16 * 1024 + 64));
+}
+
 #[test]
 fn aborted_session_resets_its_client_and_the_rest_complete() {
     let mut space = AddressSpace::new();

@@ -132,8 +132,8 @@ impl<C: CipherKernel + Copy> ScaleHarness<C> {
     /// deterministic loop-back kernel part.
     pub fn with_cipher(space: &mut AddressSpace, cipher: C, cfg: ServerConfig) -> Self {
         // Slot pool: a few datagrams per connection stay queued between
-        // rounds (data in flight + ACKs); overruns are recovered by
-        // checksum + retransmission, but size generously.
+        // rounds (data in flight + ACKs); a dry pool refuses sends, which
+        // retransmission recovers, but size generously.
         let mut lb = Loopback::with_capacity(space, 16 * cfg.n_conns.max(1) + 64);
         lb.set_faults(cfg.faults);
         Self::with_cipher_over(space, cipher, cfg, lb)

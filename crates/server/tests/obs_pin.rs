@@ -17,6 +17,15 @@
 //! own three-way handshake (EXPERIMENTS E38): each SYN takes a sequence
 //! number, the layout lost the old handshake's scratch region, and the
 //! faults meet a three-datagram open.
+//!
+//! The six `SimMem` digests (the observe world on both paths and the
+//! blackout; not the bundles, not the native two-shard twin) were
+//! re-recorded when the loop-back began to take kernel slots from a free
+//! pool (EXPERIMENTS E39): a datagram now reuses the slot its
+//! predecessor freed, so the slot lines evict other cache lines and the
+//! simulated work the spans carry moved (`BENCH_observe`
+//! `ilp.work.ilp.total` −0.4 %); every count, verdict and key is as it
+//! was.
 
 use memsim::layout::AddressSpace;
 use memsim::{HostModel, SimMem};
@@ -103,12 +112,12 @@ fn blackout_world() -> [u64; 3] {
 fn the_observe_world_reports_what_it_did_on_the_parent() {
     assert_eq!(
         observe_world(Path::Ilp),
-        [0x4708_EDE0_6D4D_55FB, 0xD424_D64C_0374_C5A6, 0x7351_061A_9100_BF2B],
+        [0xD8AB_1077_B89D_1412, 0xD424_D64C_0374_C5A6, 0x0437_9BA2_D9FB_12E1],
         "ILP"
     );
     assert_eq!(
         observe_world(Path::NonIlp),
-        [0x11FD_FFD5_4A83_3110, 0xD424_D64C_0374_C5A6, 0xCEB5_AFC4_4CAA_0F04],
+        [0x66FC_6E0C_65B1_EFA8, 0xD424_D64C_0374_C5A6, 0x2608_DDA2_F53E_EDBC],
         "non-ILP"
     );
 }
@@ -130,6 +139,6 @@ fn its_two_shard_twin_reports_what_it_did_on_the_parent() {
 fn a_blackout_is_diagnosed_as_it_was_on_the_parent() {
     assert_eq!(
         blackout_world(),
-        [0x1BFA_B74D_AB98_104C, 0x53DB_903F_9200_662D, 0x84F9_12E3_B35E_4544]
+        [0x232D_FDD1_75D6_4766, 0x53DB_903F_9200_662D, 0x8511_5B29_C5A7_447D]
     );
 }

@@ -12,7 +12,7 @@
 //! health views are host-side bookkeeping with no [`memsim::Mem`]
 //! traffic, so attaching them cannot change what the protocol does).
 
-use obs::{Detector, Recorder, Verdict};
+use obs::{Counter, Detector, Recorder, Verdict};
 use server::{AggregateReport, Path, RoundRobin, ServerConfig};
 use utcp::rng::XorShift64;
 use utcp::{FaultPlan, FaultProbs};
@@ -39,8 +39,8 @@ obs::labels! {
         /// of the (capped) RTO.
         Blackout => "blackout",
         /// A deliberately undersized kernel-part slot pool: the queue
-        /// high-water reaches capacity, where the loop-back's round-robin
-        /// slot recycling starts overwriting queued datagrams in place.
+        /// high-water reaches capacity, where the loop-back refuses new
+        /// datagrams for want of a free slot.
         Saturation => "saturation",
         /// Skewed weights served by an unweighted scheduler: the
         /// weight-normalised Jain index collapses.
@@ -87,14 +87,14 @@ pub fn run_trigger(trigger: Trigger) -> Result<Vec<Verdict>, String> {
 }
 
 /// Drive a world to completion under a recorder and return its
-/// verdicts and report.
-fn run_to_completion(mut w: World) -> Result<(Vec<Verdict>, AggregateReport), String> {
+/// verdicts, report and recorder.
+fn run_to_completion(mut w: World) -> Result<(Vec<Verdict>, AggregateReport, Recorder), String> {
     let mut rec = recorder();
     let report = w.run((Path::Ilp, &mut rec));
     if let Some(i) = w.verify_outputs() {
         return Err(format!("client {i} reassembled a corrupted file"));
     }
-    Ok((w.h.health(&rec), report))
+    Ok((w.h.health(&rec), report, rec))
 }
 
 /// Heavy seeded drops: ~30% of datagrams (data *and* ACKs) vanish, so
@@ -116,7 +116,7 @@ fn storm_world() -> Result<Vec<Verdict>, String> {
         faults: FaultPlan::seeded(8, FaultProbs { drop: 19_661, ..Default::default() }),
         ..Default::default()
     };
-    let (verdicts, report) = run_to_completion(World::new(cfg))?;
+    let (verdicts, report, _) = run_to_completion(World::new(cfg))?;
     if report.retransmits == 0 {
         return Err("storm: the drop plan forced no retransmissions".into());
     }
@@ -174,19 +174,17 @@ fn blackout_world() -> Result<Vec<Verdict>, String> {
 }
 
 /// A slot pool far too small for the workload: four connections
-/// bursting into four slots over a long transfer. The high-water hits
-/// capacity (the loop-back then recycles slots round-robin, overwriting
-/// queued datagrams in place), checksum rejections force retransmission
-/// storms, and the transfer still completes intact — exactly the
-/// incident the saturation verdict exists to explain. (The pool shrank
-/// and the file grew when fast retransmit landed: dup-ACK recovery
-/// repairs mild overwrite losses too quickly to read as a storm, so the
-/// shape needs sustained pressure to keep retransmissions outnumbering
-/// deliveries inside individual windows. The chunk halved to 256 B when
-/// receivers began to ACK a drained burst once: the pool stopped
-/// carrying an ACK per segment, and at 512 B what pressure was left
-/// repaired fast enough to read as unfairness between the four rather
-/// than as a storm; twice the datagrams per byte put it back.)
+/// bursting into three slots over a long transfer. The high-water hits
+/// capacity, every send that finds no free slot is refused (`ENOBUFS`),
+/// the refused segments come back as RTO retransmissions that outnumber
+/// deliveries inside individual windows, and the transfer still
+/// completes intact — exactly the incident the saturation verdict exists
+/// to explain. No queued datagram is ever overwritten (the property
+/// `kernelpart::tests` check). (Four slots sufficed while a full pool
+/// recycled its oldest slot under a queued datagram, which damaged every
+/// connection's traffic alike. Refusing instead let the four progress
+/// unevenly at four slots — Jain 0.50, a `FairnessCollapse` on top of
+/// the storm; three slots starve all four alike, Jain 1.00.)
 fn saturation_world() -> Result<Vec<Verdict>, String> {
     let cfg = ServerConfig {
         n_conns: 4,
@@ -194,9 +192,13 @@ fn saturation_world() -> Result<Vec<Verdict>, String> {
         chunk: 256,
         ..Default::default()
     };
-    let (verdicts, report) = run_to_completion(World::with_slots(cfg, Some(4)))?;
+    let (verdicts, report, rec) = run_to_completion(World::with_slots(cfg, Some(3)))?;
     if report.payload_bytes != 4 * 16 * 1024 {
         return Err(format!("saturation: delivered {} bytes", report.payload_bytes));
+    }
+    // The world injects no faults: every drop is a send the pool refused.
+    if rec.counter(Counter::FaultDrops) == 0 {
+        return Err("saturation: the starved pool never refused a send".into());
     }
     Ok(verdicts)
 }
@@ -214,7 +216,7 @@ fn fairness_world() -> Result<Vec<Verdict>, String> {
         weights: vec![32, 1],
         ..Default::default()
     };
-    let (verdicts, report) = run_to_completion(World::new(cfg))?;
+    let (verdicts, report, _) = run_to_completion(World::new(cfg))?;
     if report.fairness >= 0.6 {
         return Err(format!("fairness: jain {} did not collapse", report.fairness));
     }

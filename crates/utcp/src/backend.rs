@@ -45,7 +45,8 @@ pub struct KernelCounters {
     /// Datagrams delivered to an endpoint by this backend.
     pub received: u64,
     /// Datagrams that never reached a destination queue (injected
-    /// drops on loop-back; local send failures on a socket backend).
+    /// drops and sends refused for want of a free kernel slot on
+    /// loop-back; local send failures on a socket backend).
     pub dropped: u64,
     /// Datagrams damaged in flight (injected bit-flips on loop-back;
     /// frames that failed the wire codec or the IPv4 admission rule on a
@@ -57,11 +58,14 @@ pub struct KernelCounters {
     /// always 0 on loop-back, whose queues are exact).
     pub would_block: u64,
     /// High-water mark of datagrams queued across the backend at once.
-    /// The `netback` backends (UDP socket and TUN device) queue only
-    /// into free slots and leave the rest on the descriptor, so their
-    /// peak never exceeds `queue_capacity`. The loop-back has no such
-    /// refuge — there a peak at capacity means a slot was recycled
-    /// under a queued datagram.
+    /// Every backend queues only into free kernel slots
+    /// ([`SlotPool`](crate::kernelpart::SlotPool)). The `netback`
+    /// backends (UDP socket and TUN device) leave the rest on the
+    /// descriptor; the loop-back has no such refuge and refuses them, so
+    /// there a peak at `queue_capacity` means the pool ran full, and any
+    /// send while it was full was refused.
+    /// (Only a duplicated datagram, two queue entries in one slot, takes
+    /// the peak past the slot count.)
     pub queue_peak: u64,
     /// Total queue capacity in datagrams (0 = unknown/unbounded).
     pub queue_capacity: u64,
@@ -124,6 +128,12 @@ pub trait KernelPart {
     /// fronting a real descriptor drains it into its per-port queues
     /// here (depositing bytes into kernel slots via `m`); the loop-back
     /// already queued at send time and ignores `m`.
+    ///
+    /// The bytes of a handed-out datagram are the caller's until the
+    /// next `recv_into` on this kernel part, on any endpoint: only then
+    /// may its slot be reused. Read (or copy) them before receiving
+    /// again — [`Connection::poll_input`](crate::conn::Connection::poll_input)
+    /// copies them into its staging buffer straight away.
     fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram>;
 
     /// Number of datagrams already queued for an endpoint. Advisory (a

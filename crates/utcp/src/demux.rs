@@ -7,7 +7,7 @@
 //! up, queue the datagram for that endpoint, hand it out on the next
 //! poll. [`PortDemux`] is that table and those queues, once.
 
-use crate::kernelpart::{Datagram, EndpointId};
+use crate::kernelpart::{Datagram, EndpointId, SlotPool};
 use obs::SegTag;
 use std::collections::{HashMap, VecDeque};
 
@@ -46,11 +46,12 @@ impl PortDemux {
     /// that was registered before gets its old endpoint back — same
     /// handle, queue buffers kept at the capacity they grew to, so a
     /// release/register cycle allocates nothing — emptied of whatever
-    /// was still queued when it was released.
+    /// was still queued when it was released, whose holds on `slots` end
+    /// here.
     ///
     /// # Panics
     /// If the port is already registered.
-    pub fn register(&mut self, port: u16) -> EndpointId {
+    pub fn register(&mut self, port: u16, slots: &mut SlotPool) -> EndpointId {
         let id = *self.by_port.entry(port).or_insert_with(|| {
             self.endpoints.push(Endpoint::default());
             self.endpoints.len() - 1
@@ -59,7 +60,9 @@ impl PortDemux {
         assert!(!ep.open, "port {port} already registered");
         ep.open = true;
         self.queued -= ep.queue.len();
-        ep.queue.clear();
+        for stale in ep.queue.drain(..) {
+            slots.release(stale.addr);
+        }
         ep.tags.clear();
         EndpointId::from_index(id)
     }
@@ -115,24 +118,26 @@ impl PortDemux {
         Some((datagram, ep.tags.pop_front().flatten()))
     }
 
+    /// The oldest datagram of an endpoint, left in its queue.
+    pub fn peek(&self, id: EndpointId) -> Option<Datagram> {
+        self.endpoints[id.index()].queue.front().copied()
+    }
+
     /// Datagrams waiting on an endpoint.
     pub fn pending(&self, id: EndpointId) -> usize {
         self.endpoints[id.index()].queue.len()
     }
 
-    /// Every queued datagram, in no particular order — the kernel slots
-    /// in use, for a backend that deposits only into free ones.
+    /// Every queued datagram, in no particular order.
     pub fn queued_datagrams(&self) -> impl Iterator<Item = &Datagram> {
         self.endpoints.iter().flat_map(|ep| &ep.queue)
     }
 
     /// High-water mark of datagrams queued across all endpoints at
-    /// once. The loop-back's kernel slots recycle round-robin, so there
-    /// a peak at the slot count means a queued datagram may have been
-    /// overwritten in place — the saturation signal the health engine's
-    /// queue detector keys on. The `netback` backends (UDP and TUN)
-    /// queue only into free slots, so their peak never exceeds their
-    /// slot count.
+    /// once. Every kernel part queues only into free slots of its
+    /// [`SlotPool`], so only duplicates sharing a slot can take the peak
+    /// past the slot count, and a peak at it means the pool ran dry —
+    /// the saturation signal the health engine's queue detector keys on.
     pub fn peak_queued(&self) -> usize {
         self.peak_queued
     }
@@ -141,79 +146,93 @@ impl PortDemux {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim::layout::AddressSpace;
 
-    fn datagram(n: usize) -> Datagram {
-        Datagram { addr: 0x1000 * n, len: 40 + n }
+    fn fixture() -> (PortDemux, SlotPool) {
+        (PortDemux::default(), SlotPool::alloc(&mut AddressSpace::new(), "slots", 16))
+    }
+
+    /// A datagram in a slot of its own.
+    fn datagram(slots: &mut SlotPool, n: usize) -> Datagram {
+        Datagram { addr: slots.take().expect("a free slot"), len: 40 + n }
     }
 
     #[test]
     fn a_port_keeps_one_endpoint_however_often_it_is_reopened() {
-        let mut d = PortDemux::default();
-        let first = d.register(80);
+        let (mut d, mut slots) = fixture();
+        let first = d.register(80, &mut slots);
         for cycle in 0..1_000 {
-            d.push(first, datagram(cycle), None);
+            let dg = datagram(&mut slots, cycle);
+            d.push(first, dg, None);
             d.unregister(80);
-            assert_eq!(d.register(80), first, "cycle {cycle}: a reopened port is the same endpoint");
+            assert_eq!(d.register(80, &mut slots), first, "cycle {cycle}: a reopened port is the same endpoint");
         }
         assert_eq!(d.endpoints.len(), 1);
+        assert_eq!(slots.n_free(), 16, "each reopen freed what its old queue held");
         // Another port is another endpoint, also for life.
-        let other = d.register(81);
+        let other = d.register(81, &mut slots);
         assert_ne!(other, first);
         d.unregister(81);
-        assert_eq!(d.register(81), other);
+        assert_eq!(d.register(81, &mut slots), other);
         assert_eq!(d.endpoints.len(), 2);
     }
 
     #[test]
     fn a_released_endpoint_stops_routing_but_still_drains() {
-        let mut d = PortDemux::default();
-        let ep = d.register(80);
-        d.push(ep, datagram(1), None);
-        d.push(ep, datagram(2), Some(SegTag { conn: 7, chunk: 3, xmit: 0 }));
+        let (mut d, mut slots) = fixture();
+        let ep = d.register(80, &mut slots);
+        let (one, two) = (datagram(&mut slots, 1), datagram(&mut slots, 2));
+        d.push(ep, one, None);
+        d.push(ep, two, Some(SegTag { conn: 7, chunk: 3, xmit: 0 }));
         d.unregister(80);
         assert_eq!(d.route(80), None, "a released port routes nowhere");
         d.unregister(80); // releasing twice is a no-op
         assert_eq!(d.pending(ep), 2);
-        assert_eq!(d.pop(ep), Some((datagram(1), None)));
-        assert_eq!(d.pop(ep).map(|(dg, tag)| (dg, tag.map(|t| t.chunk))), Some((datagram(2), Some(3))));
-        assert_eq!(d.pop(ep), None);
+        assert_eq!(d.peek(ep), Some(one));
+        assert_eq!(d.pop(ep), Some((one, None)));
+        assert_eq!(d.pop(ep).map(|(dg, tag)| (dg, tag.map(|t| t.chunk))), Some((two, Some(3))));
+        assert_eq!((d.pop(ep), d.peek(ep)), (None, None));
         assert_eq!(d.queued, 0);
     }
 
     #[test]
     fn registering_again_starts_from_an_empty_queue_and_an_honest_count() {
-        let mut d = PortDemux::default();
-        let (a, b) = (d.register(80), d.register(81));
+        let (mut d, mut slots) = fixture();
+        let (a, b) = (d.register(80, &mut slots), d.register(81, &mut slots));
         for n in 0..5 {
-            d.push(a, datagram(n), Some(SegTag { conn: 0, chunk: n as u32, xmit: 0 }));
+            let dg = datagram(&mut slots, n);
+            d.push(a, dg, Some(SegTag { conn: 0, chunk: n as u32, xmit: 0 }));
         }
-        d.push(b, datagram(9), None);
-        assert_eq!((d.queued, d.peak_queued()), (6, 6));
+        let nine = datagram(&mut slots, 9);
+        d.push(b, nine, None);
+        assert_eq!((d.queued, d.peak_queued(), slots.n_free()), (6, 6, 10));
         let grown = d.endpoints[a.index()].queue.capacity();
         d.unregister(80);
         assert_eq!(d.queued, 6, "still drainable, still counted");
-        let a = d.register(80);
+        let a = d.register(80, &mut slots);
         // What port 80's previous life left behind is gone — from the
-        // queue, from the tag side-table and from the running count —
-        // while the buffers keep what they grew to.
+        // queue, from the tag side-table, from the running count and from
+        // the slots — while the buffers keep what they grew to.
         assert_eq!((d.pending(a), d.pop(a)), (0, None));
         assert!(d.endpoints[a.index()].tags.is_empty());
         assert_eq!(d.endpoints[a.index()].queue.capacity(), grown);
-        assert_eq!(d.queued, 1);
+        assert_eq!((d.queued, slots.n_free()), (1, 15));
         assert_eq!(d.route(80), Some(a));
         // The peak keeps counting from the true occupancy: two more
         // datagrams make three queued, well below the old mark.
-        d.push(a, datagram(1), None);
-        d.push(a, datagram(2), None);
+        for n in 1..3 {
+            let dg = datagram(&mut slots, n);
+            d.push(a, dg, None);
+        }
         assert_eq!((d.queued, d.peak_queued()), (3, 6));
-        assert_eq!(d.pop(b), Some((datagram(9), None)));
+        assert_eq!(d.pop(b), Some((nine, None)));
     }
 
     #[test]
     #[should_panic(expected = "port 80 already registered")]
     fn registering_an_open_port_panics() {
-        let mut d = PortDemux::default();
-        d.register(80);
-        d.register(80);
+        let (mut d, mut slots) = fixture();
+        d.register(80, &mut slots);
+        d.register(80, &mut slots);
     }
 }

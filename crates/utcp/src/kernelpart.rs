@@ -6,10 +6,11 @@
 //! it passes TPDUs to IP, on receive it demultiplexes IP packets to the
 //! user-level TCP connection of the right application. The experiments
 //! ran over loop-back on a single machine — [`Loopback`] models exactly
-//! that: datagrams are copied into kernel buffer slots (the send-side
-//! *system copy*), queued per destination port, and handed to the
-//! receiving endpoint (whose receive-side system copy is performed by
-//! the connection).
+//! that: datagrams are copied into kernel buffer slots taken from a
+//! [`SlotPool`] (the send-side *system copy*), queued per destination
+//! port, and handed to the receiving endpoint (whose receive-side system
+//! copy is performed by the connection); the next receive frees the
+//! slot.
 //!
 //! [`FaultPlan`] injects faults for the retransmission tests — the
 //! loop-back of the paper never loses packets, but the TCP above it must
@@ -193,7 +194,8 @@ pub struct FaultDecision {
 }
 
 /// A datagram held back by the delay fault, due for release once the
-/// kernel part's send counter reaches `due`.
+/// kernel part's send counter reaches `due`. The hold keeps its slot
+/// busy while it waits.
 #[derive(Debug, Clone, Copy)]
 struct Delayed {
     due: u64,
@@ -206,6 +208,103 @@ struct Delayed {
 /// Kernel buffer slot size and link MTU of every kernel part: room for
 /// the IPv4 header and the largest paper TPDU.
 pub const SLOT_LEN: usize = 2048;
+
+/// The kernel buffer slots of a kernel part, and which of them are free —
+/// the buffer a UDP kernel path takes per datagram and gets back once the
+/// datagram is read.
+///
+/// A slot is busy while anything points at it: each queue entry and each
+/// delay hold is one holder (a duplicated datagram has two), and so is
+/// the datagram the last `recv_into` handed out, whose bytes are the
+/// caller's until the next `recv_into` on the same kernel part
+/// ([`KernelPart::recv_into`]). [`SlotPool::take`] hands out the most
+/// recently freed slot first — the one most likely still in the cache —
+/// in O(1).
+#[derive(Debug)]
+pub struct SlotPool {
+    region: Region,
+    /// Holders per slot; a slot is on `free` exactly when it has none.
+    holders: Vec<u8>,
+    /// Free slot indices, the most recently freed on top.
+    free: Vec<usize>,
+    /// The slot of the datagram the last `recv_into` handed out.
+    lent: Option<usize>,
+}
+
+impl SlotPool {
+    /// Allocate `n_slots` slots as the region `name` of `space`, all free.
+    pub fn alloc(space: &mut AddressSpace, name: &'static str, n_slots: usize) -> Self {
+        assert!(n_slots > 0, "kernel slot pool cannot be empty");
+        SlotPool {
+            region: space.alloc_kind(name, SLOT_LEN * n_slots, 64, RegionKind::Kernel),
+            holders: vec![0; n_slots],
+            // Reversed, so a fresh pool hands out slot 0 first.
+            free: (0..n_slots).rev().collect(),
+            lent: None,
+        }
+    }
+
+    /// Number of slots in the pool.
+    pub fn n_slots(&self) -> usize {
+        self.holders.len()
+    }
+
+    /// Number of slots no datagram holds.
+    pub fn n_free(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Take a free slot for a new datagram, its one holder; `None` when
+    /// every slot is busy.
+    #[inline]
+    pub fn take(&mut self) -> Option<usize> {
+        let i = self.free.pop()?;
+        self.holders[i] = 1;
+        Some(self.region.at(i * SLOT_LEN))
+    }
+
+    /// One more holder for the busy slot at `addr` (a duplicate).
+    pub fn hold(&mut self, addr: usize) {
+        let i = self.index(addr);
+        assert!(self.holders[i] > 0, "slot {i} is free");
+        self.holders[i] += 1;
+    }
+
+    /// One holder fewer for the slot at `addr`; the last one frees it.
+    #[inline]
+    pub fn release(&mut self, addr: usize) {
+        let i = self.index(addr);
+        // A second release would let a send overwrite a queued datagram.
+        assert!(self.holders[i] > 0, "slot {i} released twice");
+        self.holders[i] -= 1;
+        if self.holders[i] == 0 {
+            self.free.push(i);
+        }
+    }
+
+    /// Hand `datagram` out of its queue: the queue entry's hold becomes
+    /// the caller's, which the next [`SlotPool::end_loan`] releases.
+    #[inline]
+    pub fn lend(&mut self, datagram: Datagram) -> Datagram {
+        debug_assert!(self.lent.is_none(), "a loan is still open");
+        self.lent = Some(datagram.addr);
+        datagram
+    }
+
+    /// End the loan of the last hand-out: the first thing every
+    /// `recv_into` does.
+    #[inline]
+    pub fn end_loan(&mut self) {
+        if let Some(addr) = self.lent.take() {
+            self.release(addr);
+        }
+    }
+
+    #[inline]
+    fn index(&self, addr: usize) -> usize {
+        (addr - self.region.base) / SLOT_LEN
+    }
+}
 
 /// The send-side system copy of every kernel part, inside the caller's
 /// `System` phase: the IPv4 header (the next `ident`) built at
@@ -230,9 +329,7 @@ pub fn system_copy<M: Mem>(m: &mut M, datagram: usize, src_ip: u32, dst_ip: u32,
 /// The in-process loop-back network + kernel buffers.
 #[derive(Debug)]
 pub struct Loopback {
-    slots: Region,
-    n_slots: usize,
-    next_slot: usize,
+    slots: SlotPool,
     /// Per-port receive queues.
     demux: PortDemux,
     fault: FaultPlan,
@@ -256,13 +353,15 @@ pub struct Loopback {
     /// The seeded probabilistic fault stream (instantiated by
     /// [`Loopback::set_faults`] when the plan carries probabilities).
     dice: Option<FaultDice>,
-    /// Datagrams held back by the delay fault, awaiting release. The
-    /// kernel slot a delayed datagram points into may be recycled while
-    /// it waits — exactly a NIC ring overrun; the TCP checksum catches
-    /// the clobber and retransmission recovers.
+    /// Datagrams held back by the delay fault, awaiting release. Each
+    /// hold keeps its kernel slot busy, so a waiting datagram's bytes
+    /// stay as they were sent.
     delayed: Vec<Delayed>,
     /// Datagrams dropped by fault injection.
     pub dropped: u64,
+    /// Datagrams refused because no kernel slot was free (`ENOBUFS`):
+    /// dropped before any system copy.
+    pub exhausted: u64,
     /// Datagrams bit-flipped by fault injection.
     pub corrupted: u64,
     /// Datagrams duplicated by fault injection.
@@ -293,17 +392,18 @@ impl Loopback {
         Self::with_capacity(space, DEFAULT_SLOTS)
     }
 
-    /// Allocate the kernel buffer area with `n_slots` buffer slots. A
-    /// server multiplexing N connections keeps up to a few datagrams per
-    /// connection queued between scheduling rounds; size the pool so
-    /// slot recycling (which blindly reuses the oldest slot) cannot
-    /// overwrite a datagram still waiting in a queue. Should the pool
-    /// still overrun, the overwritten datagram fails its TCP checksum at
-    /// the receiver and retransmission recovers — the same story as a
-    /// real NIC ring overrun.
+    /// Allocate the kernel buffer area with `n_slots` buffer slots, a
+    /// [`SlotPool`]: a send takes a free slot, and the slot is free again
+    /// once every queue entry and delay hold on it is gone and the
+    /// datagram's reader has called `recv_into` once more. A server
+    /// multiplexing N connections keeps up to a few datagrams per
+    /// connection queued between scheduling rounds; size the pool for
+    /// that. Should it still run dry, a send is refused before its system
+    /// copy and counted in [`Loopback::exhausted`] — a real kernel's
+    /// `ENOBUFS` — and retransmission recovers; no queued datagram is
+    /// ever overwritten.
     pub fn with_capacity(space: &mut AddressSpace, n_slots: usize) -> Self {
-        assert!(n_slots > 0, "kernel slot pool cannot be empty");
-        let slots = space.alloc_kind("kernel_slots", SLOT_LEN * n_slots, 64, RegionKind::Kernel);
+        let slots = SlotPool::alloc(space, "kernel_slots", n_slots);
         let code_os = space.alloc_code("os_ip_driver", 6 * 1024);
         // 16 KB region walked at every-other-line stride: the kernel +
         // scheduler + peer process working set is scattered across the
@@ -312,8 +412,6 @@ impl Loopback {
         let os_data = space.alloc_kind("os_working_set", 16 * 1024, 64, RegionKind::Kernel);
         Loopback {
             slots,
-            n_slots,
-            next_slot: 0,
             demux: PortDemux::default(),
             fault: FaultPlan::default(),
             code_os,
@@ -323,6 +421,7 @@ impl Loopback {
             dice: None,
             delayed: Vec::new(),
             dropped: 0,
+            exhausted: 0,
             corrupted: 0,
             duplicated: 0,
             reordered: 0,
@@ -334,9 +433,10 @@ impl Loopback {
         }
     }
 
-    /// Number of kernel buffer slots in the pool.
-    pub fn n_slots(&self) -> usize {
-        self.n_slots
+    /// The datagram the next `recv_into` on `id` would hand out, left in
+    /// its queue.
+    pub fn peek(&self, id: EndpointId) -> Option<Datagram> {
+        self.demux.peek(id)
     }
 
     /// Install a fault plan (tests only). Re-seeds the probabilistic
@@ -356,7 +456,9 @@ impl Loopback {
     /// duplicate/reorder verdicts. `tag` is the trace context riding
     /// beside the datagram; it stays in lockstep with the queue through
     /// duplication (both copies carry it) and reordering (the swap
-    /// swaps both queues).
+    /// swaps both queues). The datagram's one slot holder passes to its
+    /// queue entry; a duplicate adds a second, an unroutable datagram
+    /// frees its slot.
     fn deliver(
         &mut self,
         datagram: Datagram,
@@ -367,10 +469,12 @@ impl Loopback {
     ) {
         let Some(id) = self.demux.route(dst_port) else {
             self.unroutable += 1;
+            self.slots.release(datagram.addr);
             return;
         };
         self.demux.push(id, datagram, tag);
         if dup {
+            self.slots.hold(datagram.addr);
             self.demux.push(id, datagram, tag);
             self.duplicated += 1;
         }
@@ -405,7 +509,7 @@ impl Loopback {
 
 impl KernelPart for Loopback {
     fn register(&mut self, port: u16) -> EndpointId {
-        self.demux.register(port)
+        self.demux.register(port, &mut self.slots)
     }
 
     /// The endpoint slot is retained — outstanding [`EndpointId`]
@@ -416,11 +520,14 @@ impl KernelPart for Loopback {
         self.demux.unregister(port);
     }
 
-    /// Send a segment: the **send-side system copy** of header + payload
-    /// from user memory into a kernel slot, IP encapsulation ("pass the
-    /// messages received from the user-level TCP to IP"), then
-    /// demultiplexing into the destination port's queue. `payload_len`
-    /// may be zero (pure ACK).
+    /// Send a segment: take a free kernel slot, the **send-side system
+    /// copy** of header + payload from user memory into it, IP
+    /// encapsulation ("pass the messages received from the user-level
+    /// TCP to IP"), then demultiplexing into the destination port's
+    /// queue. `payload_len` may be zero (pure ACK). With no slot free the
+    /// datagram is refused before the copy ([`Loopback::exhausted`]); it
+    /// still counts as sent and still draws its fault dice, so the fault
+    /// history and the delay clock are functions of the send order alone.
     fn send<M: Mem>(
         &mut self,
         m: &mut M,
@@ -432,18 +539,6 @@ impl KernelPart for Loopback {
         payload_len: usize,
     ) {
         let ctx = self.send_ctx.take();
-        let slot = self.slots.at(self.next_slot * SLOT_LEN);
-        self.next_slot = (self.next_slot + 1) % self.n_slots;
-        // Kernel work: accounted to the System phase, not to
-        // packet-processing time.
-        m.phase_push(memsim::mem::PhaseTag::System);
-        let total = system_copy(m, slot, src_ip, dst_ip, &mut self.next_ident, hdr_addr, payload_addr, payload_len);
-        m.fetch(self.code_os);
-        // Context switch: the kernel + scheduler + peer process touch
-        // their own working set, evicting protocol data from the cache.
-        // `SimMem` books the walk; natively there is no switch to model.
-        m.foreign_working_set(self.os_data);
-        m.phase_pop();
         self.sent += 1;
         // Release delay-fault datagrams whose hold has expired — before
         // the current datagram enqueues, so a released datagram lands in
@@ -459,11 +554,27 @@ impl KernelPart for Loopback {
             Some(dice) => dice.decide(&fault.probs, payload_len > 0),
             None => FaultDecision::default(),
         };
+        let Some(slot) = self.slots.take() else {
+            self.exhausted += 1;
+            return;
+        };
+        // Kernel work: accounted to the System phase, not to
+        // packet-processing time.
+        m.phase_push(memsim::mem::PhaseTag::System);
+        let total = system_copy(m, slot, src_ip, dst_ip, &mut self.next_ident, hdr_addr, payload_addr, payload_len);
+        m.fetch(self.code_os);
+        // Context switch: the kernel + scheduler + peer process touch
+        // their own working set, evicting protocol data from the cache.
+        // `SimMem` books the walk; natively there is no switch to model.
+        m.foreign_working_set(self.os_data);
+        m.phase_pop();
+
         let one_shot_drop = fault.drop_at != 0
             && self.sent >= fault.drop_at
             && self.sent < fault.drop_at + fault.drop_burst.max(1);
         if decision.drop || every(fault.drop_every) || one_shot_drop {
             self.dropped += 1;
+            self.slots.release(slot);
             return;
         }
         if payload_len > 0 && (decision.corrupt || every(fault.corrupt_every)) {
@@ -493,10 +604,11 @@ impl KernelPart for Loopback {
     }
 
     fn recv_into<M: Mem>(&mut self, _m: &mut M, id: EndpointId) -> Option<Datagram> {
+        self.slots.end_loan();
         let (datagram, tag) = self.demux.pop(id)?;
         self.last_ctx = tag;
         self.received += 1;
-        Some(datagram)
+        Some(self.slots.lend(datagram))
     }
 
     fn pending(&self, id: EndpointId) -> usize {
@@ -507,12 +619,12 @@ impl KernelPart for Loopback {
         KernelCounters {
             sent: self.sent,
             received: self.received,
-            dropped: self.dropped,
+            dropped: self.dropped + self.exhausted,
             corrupted: self.corrupted,
             unroutable: self.unroutable,
             would_block: 0,
             queue_peak: self.demux.peak_queued() as u64,
-            queue_capacity: self.n_slots as u64,
+            queue_capacity: self.slots.n_slots() as u64,
         }
     }
 
@@ -533,6 +645,7 @@ impl KernelPart for Loopback {
 mod tests {
     use super::*;
     use memsim::NativeMem;
+    use std::collections::HashMap;
 
     fn fixture() -> (AddressSpace, Loopback, Region) {
         let mut space = AddressSpace::new();
@@ -761,21 +874,111 @@ mod tests {
         assert!(lb.corrupted >= 30, "near-certain corruption on data segments");
     }
 
+    /// Every datagram that is or will be handed out — queued, held for a
+    /// port that listens, or handed out by the last `recv_into` (`lent`)
+    /// — by slot address, with its bytes.
+    fn live(lb: &Loopback, m: &NativeMem<'_>, lent: Option<Datagram>) -> HashMap<usize, Vec<u8>> {
+        let held = lb.delayed.iter().filter(|d| lb.demux.route(d.dst_port).is_some()).map(|d| &d.datagram);
+        let all = lb.demux.queued_datagrams().chain(held).chain(lent.as_ref());
+        all.map(|d| (d.addr, m.bytes(d.addr, d.len).to_vec())).collect()
+    }
+
     #[test]
-    fn slots_recycle_round_robin() {
+    fn no_live_datagram_changes_before_it_is_handed_out_under_every_fault() {
+        use crate::rng::XorShift64;
+        let probs = FaultProbs { drop: 0x1000, dup: 0x1000, reorder: 0x1000, corrupt: 0x1000, delay: 0x1000 };
+        let ports = [80u16, 81, 82];
+        let mut exhausted = 0;
+        for seed in 0..24u64 {
+            let (space, mut lb, user) = fixture();
+            let mut eps: Vec<EndpointId> = ports.iter().map(|&p| lb.register(p)).collect();
+            lb.set_faults(FaultPlan::seeded(seed, probs));
+            let mut arena = space.native_arena();
+            let mut m = NativeMem::new(&mut arena);
+            let mut rng = XorShift64::new(seed ^ 0x51_0775);
+            let (mut lent, mut cleared) = (None, 0u64);
+            for step in 0..3_000u64 {
+                // Send-heavy and receive-heavy phases, so the pool both
+                // runs dry and drains.
+                let send_pct = if (step / 250) % 2 == 0 { 70 } else { 35 };
+                let before = live(&lb, &m, lent);
+                if rng.below(100) < send_pct {
+                    // A unique payload, to a port (or rarely to none).
+                    let len = [0usize, 8, 16, 100][rng.index(4)];
+                    m.bytes_mut(user.at(64), 8).copy_from_slice(&step.to_be_bytes());
+                    let port = if rng.below(50) == 0 { 99 } else { ports[rng.index(3)] };
+                    lb.send(&mut m, 1, 2, port, user.at(0), user.at(64), len);
+                    let after = live(&lb, &m, lent);
+                    for (addr, bytes) in &before {
+                        assert_eq!(after.get(addr), Some(bytes), "seed {seed} step {step}: slot {addr:#x} changed");
+                    }
+                } else if rng.below(40) == 0 {
+                    // Re-arm a port: what its queue held is gone.
+                    let i = rng.index(3);
+                    cleared += lb.pending(eps[i]) as u64;
+                    lb.unregister(ports[i]);
+                    eps[i] = lb.register(ports[i]);
+                } else {
+                    lent = lb.recv_into(&mut m, eps[rng.index(3)]);
+                    if let Some(d) = lent {
+                        assert_eq!(Some(&m.bytes(d.addr, d.len).to_vec()), before.get(&d.addr), "seed {seed} step {step}");
+                        assert!(Ipv4Header::at(d.addr).verify(&mut m));
+                    }
+                }
+            }
+            // Flush the holds (unroutable sends advance the clock and keep
+            // nothing), drain every queue, end the last loan: every slot is
+            // free again, and every datagram is accounted for.
+            lb.set_faults(FaultPlan::default());
+            for _ in 0..8 {
+                lb.send(&mut m, 1, 2, 99, user.at(0), user.at(64), 0);
+            }
+            for &ep in &eps {
+                while lb.recv_into(&mut m, ep).is_some() {}
+            }
+            assert_eq!((lb.delayed_pending(), lb.slots.n_free()), (0, DEFAULT_SLOTS), "seed {seed}: a slot leaked");
+            let out = lb.dropped + lb.exhausted + lb.unroutable + lb.received + cleared;
+            assert_eq!(lb.sent + lb.duplicated, out, "seed {seed}: a datagram went missing");
+            exhausted += lb.exhausted;
+        }
+        assert!(exhausted > 0, "the send-heavy phases never ran the pool dry");
+    }
+
+    #[test]
+    fn an_exhausted_pool_drops_and_counts_the_new_datagram_and_keeps_every_queued_one() {
         let (space, mut lb, user) = fixture();
         let rx = lb.register(80);
         let mut arena = space.native_arena();
         let mut m = NativeMem::new(&mut arena);
-        let mut addrs = std::collections::HashSet::new();
-        for _ in 0..DEFAULT_SLOTS {
-            lb.send(&mut m, 1, 2, 80, user.at(0), user.at(64), 0);
-            addrs.insert(lb.recv_into(&mut m, rx).unwrap().addr);
+        let send = |lb: &mut Loopback, m: &mut NativeMem<'_>, n: u8| {
+            m.write_u8(user.at(64), n);
+            lb.send(m, 1, 2, 80, user.at(0), user.at(64), 8);
+        };
+        for n in 0..DEFAULT_SLOTS as u8 {
+            send(&mut lb, &mut m, n);
         }
-        assert_eq!(addrs.len(), DEFAULT_SLOTS);
-        // The next send reuses the first slot.
-        lb.send(&mut m, 1, 2, 80, user.at(0), user.at(64), 0);
-        assert!(addrs.contains(&lb.recv_into(&mut m, rx).unwrap().addr));
+        let full = live(&lb, &m, None);
+        assert_eq!((full.len(), lb.exhausted), (DEFAULT_SLOTS, 0), "one slot per queued datagram");
+        send(&mut lb, &mut m, 0xEE);
+        assert_eq!((lb.exhausted, lb.dropped, lb.sent()), (1, 0, DEFAULT_SLOTS as u64 + 1));
+        let c = lb.counters();
+        assert_eq!((c.dropped, c.queue_peak, c.queue_capacity), (1, DEFAULT_SLOTS as u64, DEFAULT_SLOTS as u64));
+        assert_eq!(live(&lb, &m, None), full, "the refused send wrote nothing");
+        // Every queued datagram comes out intact and in order; the slot of
+        // the one handed out is free again at the next receive, not before.
+        let mut newest = None;
+        for n in 0..DEFAULT_SLOTS as u8 {
+            let d = lb.recv_into(&mut m, rx).expect("queued");
+            assert_eq!(Some(&m.bytes(d.addr, d.len).to_vec()), full.get(&d.addr));
+            assert_eq!(m.read_u8(d.addr + IP_HEADER_LEN + TCP_HEADER_LEN), n);
+            assert_eq!(lb.slots.n_free(), n as usize, "a handed-out datagram's bytes are the caller's");
+            newest = Some(d.addr);
+        }
+        // The receive that finds the queue empty ends the last loan, and a
+        // send takes the most recently freed slot: the one just read.
+        assert_eq!((lb.recv_into(&mut m, rx), lb.slots.n_free()), (None, DEFAULT_SLOTS));
+        send(&mut lb, &mut m, 0xEE);
+        assert_eq!(lb.peek(rx).map(|d| d.addr), newest);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod wire;
 pub use backend::{observed, KernelCounters, KernelCtx, KernelPart, Observed};
 pub use conn::{Connection, Delivered, SendError, State, UtcpConfig, MSL_TICKS};
 pub use demux::PortDemux;
-pub use kernelpart::{Datagram, EndpointId, FaultDice, FaultPlan, FaultProbs, Loopback, SLOT_LEN};
+pub use kernelpart::{Datagram, EndpointId, FaultDice, FaultPlan, FaultProbs, Loopback, SlotPool, SLOT_LEN};
 pub use ring::{RingWriter, SendRing};
 pub use ip::{Ipv4Header, IP_HEADER_LEN};
 pub use wire::{sack_option_len, SackBlocks, TcpFlags, TcpHeader, MAX_SACK_BLOCKS, TCP_HEADER_LEN};

@@ -73,31 +73,25 @@ fn bad_ip_headers_dropped_by_kernel_demux() {
     let mut space = AddressSpace::new();
     let mut s = Suite::simplified(&mut space);
     let file = s.file;
-    // The first loop-back slot is the start of the kernel_slots region.
-    let slots = space
-        .regions()
-        .iter()
-        .find(|r| r.name == "kernel_slots")
-        .copied()
-        .expect("kernel slot region");
     let mut arena = space.native_arena();
     let mut m = NativeMem::new(&mut arena);
     s.init_world(&mut m);
     let meta = ReplyMeta { request_id: 1, seq: 0, offset: 0, last: 1, data_len: 96 };
+    // The datagram under test is the one the receiver's queue holds next.
+    let queued = |s: &Suite<_>| Ipv4Header::at(s.lb.peek(s.rx.endpoint()).expect("a queued datagram").addr);
 
     // Case 1: length field inconsistent with the datagram.
     send_reply_ilp(&mut s, &mut m, &meta, file.base).unwrap();
-    let slot_hdr = Ipv4Header::at(slots.base);
     // Rebuild the header with a lying total length (checksum stays valid).
-    slot_hdr.build(&mut m, 0x0A000001, 0x0A000002, 8, 1, 0, false, 64);
+    queued(&s).build(&mut m, 0x0A000001, 0x0A000002, 8, 1, 0, false, 64);
     assert!(recv_reply_ilp(&mut s, &mut m).is_none(), "length lie must be dropped");
     assert_eq!(s.rx.stats.accepted, 0);
 
-    // Case 2 (next slot): wrong destination address.
+    // Case 2: wrong destination address.
     send_reply_ilp(&mut s, &mut m, &meta, file.base).unwrap();
-    let slot2 = Ipv4Header::at(slots.base + 2048);
-    let plen = slot2.total_len(&mut m) - IP_HEADER_LEN;
-    slot2.build(&mut m, 0x0A000001, 0x7F000001, plen, 2, 0, false, 64);
+    let hdr = queued(&s);
+    let plen = hdr.total_len(&mut m) - IP_HEADER_LEN;
+    hdr.build(&mut m, 0x0A000001, 0x7F000001, plen, 2, 0, false, 64);
     assert!(recv_reply_ilp(&mut s, &mut m).is_none(), "wrong dst must be dropped");
 
     // The connection is not poisoned: a clean message still flows (the

@@ -66,6 +66,9 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In(KERNEL), Text("Ipv4Header::at(*.build("), 1, "one send-side system copy, kernelpart::system_copy"),
     (In(KERNEL), Text("compute(30)"), 2, "a crossing's trap path: system_copy's, and the drain's deposit"),
     (In("crates/utcp/src crates/netback/src"), Text("2048"), 1, "one kernel slot size, utcp::SLOT_LEN"),
+    (In("crates/utcp/src crates/netback/src"), Text("next_slot"), 0, "deleted on purpose: no round-robin cursor is left"),
+    (In(KERNEL), Text("trailing_ones"), 0, "one free-slot allocator, kernelpart::SlotPool: no busy-map fold"),
+    (In(KERNEL), Text("SlotPool::alloc("), 2, "both kernel parts take their slots from a SlotPool"),
     (In("crates examples"), Text("encode_traced|set_learn_peer|codec_rejects|drain_device"), 0, "deleted on purpose"),
     (In("crates"), Text("_obs(|_obs<|_observed(|_observed<"), 0, "no foo/foo_obs twins: one entry point"),
     (In("crates/bench/Cargo.toml"), Text("[[bin]]"), 0, "one bench binary, src/main.rs"),
