@@ -43,6 +43,11 @@ impl Crc32 {
         Crc32 { table }
     }
 
+    /// The table, the only memory the kernel touches.
+    pub fn region(&self) -> Region {
+        self.table
+    }
+
     /// Write the table contents into a memory world. Setup work — uses
     /// ordinary writes, so run it before `SimMem::take_stats` if table
     /// initialisation should be excluded from a measurement phase.

@@ -226,6 +226,10 @@ impl CipherKernel for Des {
     fn init_world<M: Mem>(&self, m: &mut M) {
         self.init(m, 0x1334_5779_9BBC_DFF1);
     }
+
+    fn region(&self) -> Option<Region> {
+        Some(self.sboxes.hull(self.schedule))
+    }
 }
 
 // Re-exports for byte-array convenience in examples.

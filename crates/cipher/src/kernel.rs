@@ -11,19 +11,22 @@
 //! [`encrypt_buf`]/[`decrypt_buf`] provide the layered (non-ILP) form: a
 //! full pass over a buffer, reading the source word-wise and writing the
 //! destination at the cipher's natural *output granularity*
-//! ([`CipherKernel::OUTPUT_GRAIN`]). The byte-oriented SAFER variants
+//! ([`CipherKernel::OUTPUT_GRAIN`]), as one [`Mem::window`] whose kernel
+//! region is [`CipherKernel::region`]. The byte-oriented SAFER variants
 //! write single bytes — the behaviour behind the paper's observation that
 //! "the encryption and decryption functions manipulate data on a 1-byte
 //! basis and they write single bytes into the memory", which drives the
 //! 1-byte cache-miss pathology of Figure 14.
 
-use memsim::Mem;
+use memsim::{Mem, Region, UnitStep, Window};
 
 /// A symmetric cipher usable as an ILP stage.
 ///
 /// Input/output units are packed big-endian into the high bytes of a
-/// `u64`; a kernel with `UNIT == 4` uses only the high 4 bytes.
-pub trait CipherKernel {
+/// `u64`; a kernel with `UNIT == 4` uses only the high 4 bytes. A kernel
+/// is a value — the addresses of what it keeps in memory — so a loop
+/// holds its own copy in registers.
+pub trait CipherKernel: Copy {
     /// Natural processing-unit size in bytes (the paper's `Lx`).
     const UNIT: usize;
 
@@ -52,6 +55,14 @@ pub trait CipherKernel {
     /// own pass before the first unit is processed. The default is for
     /// kernels that keep nothing in memory.
     fn init_world<M: Mem>(&self, _m: &mut M) {}
+
+    /// The one region the unit kernels touch — tables, key schedule and
+    /// scratch, which the kernel's `alloc` lays out back to back — or
+    /// `None` for a kernel that keeps nothing in memory. A chunk's steady
+    /// state proves it once ([`Mem::window`]).
+    fn region(&self) -> Option<Region> {
+        None
+    }
 }
 
 /// The key every experiment runs the SAFER family with.
@@ -82,56 +93,55 @@ pub fn unpack(unit: u64, len: usize) -> [u8; 8] {
 ///
 /// # Panics
 /// Panics unless `len` is a multiple of the cipher's unit size (the
-/// encryption layer pads messages to unit alignment before this call).
+/// encryption layer pads messages to unit alignment before this call), and
+/// unless source, destination and the kernel's region are disjoint spans of
+/// memory ([`Mem::window`]).
 pub fn encrypt_buf<C: CipherKernel, M: Mem>(c: &C, m: &mut M, src: usize, dst: usize, len: usize) {
-    assert_eq!(len % C::UNIT, 0, "unaligned cipher buffer");
-    for off in (0..len).step_by(C::UNIT) {
-        let unit = read_unit::<C, M>(m, src + off);
-        let out = c.encrypt_unit(m, unit);
-        write_unit::<C, M>(m, dst + off, out);
-    }
+    pass::<C, M, false>(*c, m, src, dst, len);
 }
 
 /// Layered (non-ILP) decryption pass; see [`encrypt_buf`].
 pub fn decrypt_buf<C: CipherKernel, M: Mem>(c: &C, m: &mut M, src: usize, dst: usize, len: usize) {
-    assert_eq!(len % C::UNIT, 0, "unaligned cipher buffer");
-    for off in (0..len).step_by(C::UNIT) {
-        let unit = read_unit::<C, M>(m, src + off);
-        let out = c.decrypt_unit(m, unit);
-        write_unit::<C, M>(m, dst + off, out);
-    }
+    pass::<C, M, true>(*c, m, src, dst, len);
 }
 
-/// Read one unit from memory: 4-byte word reads (the BSD-style access
+/// One layered pass as one [`Mem::window`]: a cipher unit is one window
+/// unit of one or two words, read as 4-byte words (the BSD-style access
 /// pattern the paper's Figure 13 counts).
-#[inline(always)]
-pub fn read_unit<C: CipherKernel, M: Mem>(m: &mut M, addr: usize) -> u64 {
+fn pass<C: CipherKernel, M: Mem, const DECRYPT: bool>(c: C, m: &mut M, src: usize, dst: usize, len: usize) {
+    assert_eq!(len % C::UNIT, 0, "unaligned cipher buffer");
+    let step = &mut Pass::<C, DECRYPT>(c);
     match C::UNIT {
-        8 => {
-            let hi = m.read_u32_be(addr);
-            let lo = m.read_u32_be(addr + 4);
-            (u64::from(hi) << 32) | u64::from(lo)
-        }
-        4 => u64::from(m.read_u32_be(addr)) << 32,
-        n => {
-            let mut bytes = [0u8; 8];
-            for (i, slot) in bytes.iter_mut().enumerate().take(n) {
-                *slot = m.read_u8(addr + i);
-            }
-            pack(&bytes[..n])
-        }
+        8 => m.window::<2>(Window { src, dst, units: len / 8 }, step),
+        4 => m.window::<1>(Window { src, dst, units: len / 4 }, step),
+        u => panic!("a {u}-byte cipher unit is not one or two words"),
     }
 }
 
-/// Write one unit to memory at the cipher's output granularity.
-#[inline(always)]
-pub fn write_unit<C: CipherKernel, M: Mem>(m: &mut M, addr: usize, unit: u64) {
-    let bytes = unit.to_be_bytes();
-    for off in (0..C::UNIT).step_by(4) {
-        let word = [bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]];
+/// A cipher's unit kernel as a window step: the window's words, packed
+/// big-endian into the high bytes of the kernel's `u64`, one way or back.
+struct Pass<C, const DECRYPT: bool>(C);
+
+impl<C: CipherKernel, const W: usize, const DECRYPT: bool> UnitStep<W> for Pass<C, DECRYPT> {
+    #[inline(always)]
+    fn region(&self) -> Option<Region> {
+        self.0.region()
+    }
+
+    #[inline(always)]
+    fn unit<K: Mem>(&mut self, k: &mut K, unit: [u32; W]) -> [u32; W] {
+        let packed = unit.iter().fold(0u64, |x, &w| x << 32 | u64::from(w)) << (64 - 32 * W);
+        let out = if DECRYPT { self.0.decrypt_unit(k, packed) } else { self.0.encrypt_unit(k, packed) };
+        core::array::from_fn(|i| (out >> (32 - 32 * i)) as u32)
+    }
+
+    /// At the cipher's output granularity: single bytes for the SAFER
+    /// family, words otherwise.
+    #[inline(always)]
+    fn store<K: Mem>(&mut self, k: &mut K, addr: usize, unit: [u32; W]) {
         match C::OUTPUT_GRAIN {
-            1 => m.write_bytes(addr + off, word),
-            _ => m.write(addr + off, word),
+            1 => k.write_words_as_bytes(addr, unit),
+            _ => k.write_words_be(addr, unit),
         }
     }
 }
@@ -207,6 +217,7 @@ mod tests {
     use memsim::{AddressSpace, NativeMem};
 
     /// A toy involutive kernel for trait-machinery tests.
+    #[derive(Clone, Copy)]
     struct XorFeed;
 
     impl CipherKernel for XorFeed {

@@ -202,6 +202,10 @@ impl CipherKernel for SaferK64 {
     fn init_world<M: Mem>(&self, m: &mut M) {
         self.init(m, crate::kernel::EXPERIMENT_KEY);
     }
+
+    fn region(&self) -> Option<Region> {
+        Some(self.tables.region().hull(self.schedule))
+    }
 }
 
 #[cfg(test)]

@@ -44,9 +44,20 @@ const XOR_EXP_POS: [bool; 8] = [true, false, false, true, true, false, false, tr
 const KEY_LEN: usize = 8;
 
 /// Scratch length: the encrypt half `[0, 8)` and the decrypt half
-/// `[8, 16)`. The kernels address key and scratch as `base + constant`
-/// below these two lengths, which [`SimplifiedSafer::alloc`] checks once.
+/// `[8, 16)`.
 const SCRATCH_LEN: usize = 16;
+
+/// Where the exp table, the log table, the key and the scratch sit in the
+/// kernel's region, and its length. The kernels address all four as the
+/// region's base plus one of these constants, a layout
+/// [`SimplifiedSafer::alloc`] checks once — so over a memory of exactly
+/// this region ([`Mem::window`]) every check of a kernel access is decided
+/// at compile time.
+const EXP: usize = 0;
+const LOG: usize = 256;
+const KEY: usize = 512;
+const SCRATCH: usize = KEY + KEY_LEN;
+const REGION_LEN: usize = SCRATCH + SCRATCH_LEN;
 
 /// The low byte of each 16-bit lane of a packed unit — the second byte
 /// of each 2-PHT pair (the unit is packed big-endian).
@@ -56,10 +67,8 @@ const PAIR_LO: u64 = 0x00FF_00FF_00FF_00FF;
 #[derive(Debug, Clone, Copy)]
 pub struct SimplifiedSafer {
     tables: ExpLogTables,
-    key: Region,
-    /// 8-byte substitution scratch (encrypt) + 8 more bytes of
-    /// inverse-stage scratch used only by decrypt.
-    scratch: Region,
+    /// Tables, key and scratch, back to back.
+    region: Region,
     code_enc: CodeRegion,
     code_dec: CodeRegion,
 }
@@ -74,19 +83,22 @@ impl SimplifiedSafer {
         let tables = ExpLogTables::alloc(space);
         let key = space.alloc_kind("safer_key", KEY_LEN, 8, RegionKind::Table);
         let scratch = space.alloc_kind("safer_scratch", SCRATCH_LEN, 8, RegionKind::Scratch);
+        let region = tables.region().hull(key).hull(scratch);
+        let at = |off| region.base + off;
         assert!(
-            key.len == KEY_LEN && scratch.len == SCRATCH_LEN,
-            "cipher regions shorter than the kernels address"
+            region.len == REGION_LEN
+                && (tables.exp.base, tables.log.base, key.base, scratch.base) == (at(EXP), at(LOG), at(KEY), at(SCRATCH)),
+            "cipher regions not where the kernels address them"
         );
         let code_enc = space.alloc_code("simplified_safer_enc", 480);
         let code_dec = space.alloc_code("simplified_safer_dec", 560);
-        SimplifiedSafer { tables, key, scratch, code_enc, code_dec }
+        SimplifiedSafer { tables, region, code_enc, code_dec }
     }
 
     /// Write tables and key material into a memory world (setup phase).
     pub fn init<M: Mem>(&self, m: &mut M, key: [u8; 8]) {
         self.tables.init(m);
-        m.write_bytes(self.key.base, key);
+        m.write_bytes(self.region.base + KEY, key);
     }
 }
 
@@ -122,22 +134,23 @@ impl CipherKernel for SimplifiedSafer {
     #[inline(always)]
     fn encrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
         m.fetch(self.code_enc);
-        let key: [u8; KEY_LEN] = m.read_bytes(self.key.base);
+        let base = self.region.base;
+        let key: [u8; KEY_LEN] = m.read_bytes(base + KEY);
         let b = unit.to_be_bytes();
         // Stages 1+2: key mix then table substitution; the results are
         // staged through the scratch byte vector.
         let mut staged = [0u8; 8];
         for j in 0..8 {
             staged[j] = if XOR_EXP_POS[j] {
-                self.tables.exp(m, b[j] ^ key[j])
+                m.lookup_u8(base + EXP, b[j] ^ key[j])
             } else {
-                self.tables.log(m, b[j].wrapping_add(key[j]))
+                m.lookup_u8(base + LOG, b[j].wrapping_add(key[j]))
             };
             m.compute(Self::OPS_PER_BYTE);
         }
-        m.write_bytes(self.scratch.base, staged);
+        m.write_bytes(base + SCRATCH, staged);
         // Stage 3: 2-PHT on each pair, reading the staged bytes back.
-        let staged: [u8; 8] = m.read_bytes(self.scratch.base);
+        let staged: [u8; 8] = m.read_bytes(base + SCRATCH);
         for _pair in 0..4 {
             m.compute(3);
         }
@@ -154,16 +167,17 @@ impl CipherKernel for SimplifiedSafer {
         for _pair in 0..4 {
             m.compute(3);
         }
-        m.write_bytes(self.scratch.base + 8, inverse_pht(unit).to_be_bytes());
-        let staged: [u8; 8] = m.read_bytes(self.scratch.base + 8);
+        let base = self.region.base;
+        m.write_bytes(base + SCRATCH + 8, inverse_pht(unit).to_be_bytes());
+        let staged: [u8; 8] = m.read_bytes(base + SCRATCH + 8);
         // Inverse substitution and key mix.
-        let key: [u8; KEY_LEN] = m.read_bytes(self.key.base);
+        let key: [u8; KEY_LEN] = m.read_bytes(base + KEY);
         let mut out = [0u8; 8];
         for j in 0..8 {
             out[j] = if XOR_EXP_POS[j] {
-                self.tables.log(m, staged[j]) ^ key[j]
+                m.lookup_u8(base + LOG, staged[j]) ^ key[j]
             } else {
-                self.tables.exp(m, staged[j]).wrapping_sub(key[j])
+                m.lookup_u8(base + EXP, staged[j]).wrapping_sub(key[j])
             };
             m.compute(Self::OPS_PER_BYTE); // inverse ops cost what the forward ops cost
         }
@@ -172,6 +186,10 @@ impl CipherKernel for SimplifiedSafer {
 
     fn init_world<M: Mem>(&self, m: &mut M) {
         self.init(m, crate::kernel::EXPERIMENT_KEY);
+    }
+
+    fn region(&self) -> Option<Region> {
+        Some(self.region)
     }
 }
 
@@ -334,12 +352,12 @@ mod tests {
         let c = SimplifiedSafer::alloc(&mut space);
         let mut m = SimMem::new(&space, &HostModel::ss10_30());
         c.init(&mut m, KEY);
-        m.poke(c.scratch.at(0), &[0u8; 16]);
+        m.poke(c.region.at(SCRATCH), &[0u8; 16]);
         let e = c.encrypt_unit(&mut m, 0xFFFF_FFFF_FFFF_FFFF);
-        let after_enc: Vec<u8> = m.peek(c.scratch.at(8), 8).to_vec();
+        let after_enc: Vec<u8> = m.peek(c.region.at(SCRATCH + 8), 8).to_vec();
         assert_eq!(after_enc, vec![0u8; 8], "encrypt must not touch the high half");
         let _ = c.decrypt_unit(&mut m, e);
-        let after_dec: Vec<u8> = m.peek(c.scratch.at(8), 8).to_vec();
+        let after_dec: Vec<u8> = m.peek(c.region.at(SCRATCH + 8), 8).to_vec();
         assert_ne!(after_dec, vec![0u8; 8], "decrypt stages through the high half");
     }
 

@@ -56,8 +56,8 @@ pub fn log_table() -> [u8; 256] {
 /// The exp/log table pair, resident in (instrumented) memory.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpLogTables {
-    exp: Region,
-    log: Region,
+    pub(crate) exp: Region,
+    pub(crate) log: Region,
 }
 
 impl ExpLogTables {
@@ -78,6 +78,11 @@ impl ExpLogTables {
             m.write_u8(self.exp.at(i), exp[i]);
             m.write_u8(self.log.at(i), log[i]);
         }
+    }
+
+    /// Both tables, back to back.
+    pub fn region(&self) -> Region {
+        self.exp.hull(self.log)
     }
 
     /// Exponential lookup: one 1-byte table read.

@@ -57,7 +57,7 @@ pub use pipeline::{ilp_run, store_unit, store_words, IlpRun, LinearSink, StoreGr
 pub use segment::{PartKind, SegmentPlan};
 pub use stage::{
     ChecksumTap, CrcStage, DecryptStage, DynPipeline, EncryptStage, Fused, Identity, Ordering,
-    UnitStage,
+    StaticStage, UnitStage,
 };
 pub use three_stage::{three_stage, Reject};
 pub use unitbuf::UnitBuf;

@@ -9,21 +9,29 @@
 //! whatever table/key/scratch accesses the stages themselves make.
 //!
 //! Each (source, stages, sink) instantiation compiles to one loop body:
-//! the `next_word` / `next_unit` / `process` / `store` implementations of
-//! this workspace and [`store_unit`] are `#[inline(always)]`, and so are
+//! the `next_word` / `next_unit` / `take_run` / `apply` / `store`
+//! implementations of this workspace, [`store_unit`] and the window are
+//! `#[inline(always)]`, and so are
 //! the unit kernels of the experiment cipher (`SimplifiedSafer`, ≈ 75
 //! instructions a unit once it touches memory in bursts — the paper's
 //! macro; the full SAFER K-64 and DES bodies stay out of line, a loop
 //! with one of those inlined spills). Rare cases (tail word, padding,
 //! header capture) sit in `#[cold]` helpers, and `scripts/ci.sh` fails
 //! when the native benchmark binary carries a source, stage, sink, unit
-//! store, `Mem` word burst or `SimplifiedSafer` unit kernel as an
+//! store, `Mem` word burst, window or `SimplifiedSafer` unit kernel as an
 //! out-of-line symbol. DESIGN.md §18 has the measurements.
 //!
-//! Memory traffic is per unit, not per word: the loop pulls a unit with
-//! [`WordSource::next_unit`] and every sink stores one with
-//! [`store_unit`] — each one bounds check natively, and to an
-//! instrumented memory exactly the per-word accesses they replace.
+//! Memory traffic is per chunk, not per unit: the loop's steady state is
+//! one [`memsim::Mem::window`] over as many whole data units as the
+//! source holds in one run ([`WordSource::take_run`]) and the sink has
+//! room for ([`UnitSink::span`]) — natively one proof of the three spans
+//! (source, destination, the stages'
+//! [`StaticStage::region`](crate::stage::StaticStage::region)) and then
+//! pre-sliced windows, to an instrumented memory exactly the per-unit
+//! accesses it replaces. The rest — header words, the tail word, padding,
+//! a trailer, a unit the sink places word by word — goes a unit at a
+//! time: the loop pulls it with [`WordSource::next_unit`] and the sink
+//! stores it with [`store_unit`].
 //!
 //! The sink stores at a [`StoreGrain`] derived from the stages' output
 //! granularity: the byte-oriented SAFER family stores single bytes (the
@@ -64,6 +72,19 @@ impl StoreGrain {
 pub trait UnitSink<M: Mem> {
     /// Store `unit` at the given granularity.
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain);
+
+    /// Where the next whole units may go as one span: `(address, room)`,
+    /// the room counted in units of `unit_len` bytes. `(_, 0)` — the
+    /// default — sends the next unit through [`Self::store`].
+    #[inline(always)]
+    fn span(&self, _unit_len: usize) -> (usize, usize) {
+        (0, 0)
+    }
+
+    /// Account for `len` bytes a window stored at the start of
+    /// [`Self::span`].
+    #[inline(always)]
+    fn advance(&mut self, _len: usize) {}
 }
 
 /// Store a whole exchange unit at `addr` as one burst: the `words()`
@@ -114,6 +135,17 @@ impl<M: Mem> UnitSink<M> for LinearSink {
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
         store_unit(m, self.addr + self.written, unit, grain);
         self.written += unit.len();
+    }
+
+    /// Unbounded: the window's proof is what bounds it.
+    #[inline(always)]
+    fn span(&self, _unit_len: usize) -> (usize, usize) {
+        (self.addr + self.written, usize::MAX)
+    }
+
+    #[inline(always)]
+    fn advance(&mut self, len: usize) {
+        self.written += len;
     }
 }
 
@@ -169,7 +201,10 @@ pub fn ilp_run<M: Mem>(
 }
 
 /// The loop of [`ilp_run`] over `W`-word exchange units; returns how many
-/// it moved.
+/// it moved. Its steady state is a [`Mem::window`]: as many whole data
+/// units as the source holds in one run and the sink has room for, their
+/// bounds proven once. The rest — header words, the tail word, padding, a
+/// trailer, a unit the sink places word by word — go one unit at a time.
 fn run_units<const W: usize, M: Mem>(
     m: &mut M,
     source: &mut impl WordSource<M>,
@@ -187,15 +222,23 @@ fn run_units<const W: usize, M: Mem>(
     );
     let units = total_words / W;
     let mut unit = UnitBuf::new(4 * W);
-    for _ in 0..units {
-        for (i, w) in source.next_unit::<W>(m).into_iter().enumerate() {
-            unit.set_word(i, w);
+    let mut done = 0;
+    while done < units {
+        let (dst, room) = sink.span(4 * W);
+        let (src, run) = source.take_run::<W>(room.min(units - done));
+        if run > 0 {
+            stages.steady::<W>(m, (src, dst, run), grain, code);
+            sink.advance(4 * W * run);
+            done += run;
+            continue;
         }
+        unit.load(source.next_unit::<W>(m));
         if let Some(code) = code {
             m.fetch(code);
         }
         stages.process(m, &mut unit);
         sink.store(m, &unit, grain);
+        done += 1;
     }
     units
 }

@@ -4,17 +4,20 @@
 //! over a register-resident exchange unit ([`UnitBuf`]). Stages compose
 //! two ways, mirroring the paper's §3.2.1 implementation alternatives:
 //!
-//! * [`Fused`] — static composition. The composed type monomorphises
-//!   into a single loop body, the moral equivalent of the paper's macro
-//!   inlining ("a much more efficient solution is macro inlining") —
-//!   literally so: every static stage's `process` is
+//! * [`Fused`] — static composition of [`StaticStage`]s. The composed
+//!   type monomorphises into a single loop body, the moral equivalent of
+//!   the paper's macro inlining ("a much more efficient solution is macro
+//!   inlining") — literally so: every static stage's `apply` is
 //!   `#[inline(always)]`, and CI checks that none survives as a symbol
 //!   of the native benchmark binary. (Monomorphisation alone was not
-//!   enough: the stages used to be *called* once per unit.)
+//!   enough: the stages used to be *called* once per unit.) A static
+//!   stage is written against any memory, so a chunk's steady state can
+//!   run it on a memory over its own region ([`memsim::Mem::window`]).
 //! * [`DynPipeline`] — a vector of boxed stages invoked through vtables,
 //!   the equivalent of "function calls and function pointers", which
 //!   "supports a dynamically adaptable implementation" at the cost the
-//!   paper measured: all ILP benefit lost. The `dispatch` bench
+//!   paper measured: all ILP benefit lost. Its stages run on one memory,
+//!   so its steady state goes a unit at a time. The `dispatch` bench
 //!   reproduces that comparison on modern hardware.
 //!
 //! Concrete stages provided here wrap the workspace's kernels: cipher
@@ -23,8 +26,9 @@
 
 use checksum::{Crc32, InetChecksum};
 use cipher::CipherKernel;
-use memsim::Mem;
+use memsim::{window_by_units, CodeRegion, Mem, Region, UnitStep, Window};
 
+use crate::pipeline::{store_words, StoreGrain};
 use crate::unitbuf::UnitBuf;
 use crate::units::lcm;
 
@@ -39,11 +43,12 @@ pub enum Ordering {
     Constrained,
 }
 
-/// One fusible data manipulation.
+/// One fusible data manipulation, as an ILP loop over memory `M` drives
+/// it.
 ///
 /// The trait is object-safe (the memory type is a trait parameter, not a
-/// method parameter) so the same stage code runs both statically fused
-/// and behind `dyn`.
+/// method parameter) so a [`DynPipeline`] holds its stages behind `dyn`.
+/// Every [`StaticStage`] is one, through the impl below.
 pub trait UnitStage<M: Mem> {
     /// Natural processing-unit size in bytes (`Lx` in the paper).
     fn natural_unit(&self) -> usize;
@@ -64,6 +69,129 @@ pub trait UnitStage<M: Mem> {
     fn output_grain(&self) -> Option<usize> {
         None
     }
+
+    /// A chunk's steady state: `units` whole units of `W` words read at
+    /// `src`, each fetched as the loop body `code`, run through
+    /// [`Self::process`] and stored at `dst` at `grain`. This default takes
+    /// them one at a time on `m` ([`window_by_units`]) — the path of a
+    /// stage that runs on one memory only; every static stage takes one
+    /// [`Mem::window`] over its own region instead.
+    #[inline(always)]
+    fn steady<const W: usize>(
+        &mut self,
+        m: &mut M,
+        (src, dst, units): (usize, usize, usize),
+        grain: StoreGrain,
+        code: Option<CodeRegion>,
+    ) where
+        Self: Sized,
+    {
+        let mut unit = UnitBuf::new(4 * W);
+        window_by_units(m, &Window { src, dst, units }, |m, at, words: [u32; W]| {
+            unit.load(words);
+            if let Some(code) = code {
+                m.fetch(code);
+            }
+            self.process(m, &mut unit);
+            store_words(m, at, unit.to_array::<W>(), grain);
+        });
+    }
+}
+
+/// A stage written against any memory — what every static stage is, and
+/// what [`Fused`] composes. Its kernels touch memory only inside
+/// [`Self::region`], so a chunk's steady state runs them on a memory over
+/// that region alone ([`Mem::window`]). Its state is a value: a window
+/// works on a copy, which the optimiser keeps in registers, and writes it
+/// back once.
+pub trait StaticStage: Copy {
+    /// Natural processing-unit size in bytes (`Lx` in the paper).
+    fn natural_unit(&self) -> usize;
+
+    /// Transform (or observe) one exchange unit in place, on any memory;
+    /// see [`UnitStage::process`].
+    fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf);
+
+    /// Serial-order requirement; default unconstrained.
+    fn ordering(&self) -> Ordering {
+        Ordering::Unconstrained
+    }
+
+    /// See [`UnitStage::output_grain`]; default `None`.
+    fn output_grain(&self) -> Option<usize> {
+        None
+    }
+
+    /// The one region the stage's kernels touch; default `None`, for a
+    /// stage that touches no memory.
+    fn region(&self) -> Option<Region> {
+        None
+    }
+}
+
+impl<M: Mem, S: StaticStage> UnitStage<M> for S {
+    fn natural_unit(&self) -> usize {
+        StaticStage::natural_unit(self)
+    }
+
+    #[inline(always)]
+    fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
+        self.apply(m, unit);
+    }
+
+    fn ordering(&self) -> Ordering {
+        StaticStage::ordering(self)
+    }
+
+    fn output_grain(&self) -> Option<usize> {
+        StaticStage::output_grain(self)
+    }
+
+    /// One [`Mem::window`] for the chunk.
+    #[inline(always)]
+    fn steady<const W: usize>(
+        &mut self,
+        m: &mut M,
+        (src, dst, units): (usize, usize, usize),
+        grain: StoreGrain,
+        code: Option<CodeRegion>,
+    ) {
+        let mut step = Steady { stages: *self, unit: UnitBuf::new(4 * W), grain, code };
+        m.window::<W>(Window { src, dst, units }, &mut step);
+        *self = step.stages;
+    }
+}
+
+/// Static stages as one unit's step of a window: fetch the loop body, run
+/// the stages in registers, and — on an instrumented memory — store at the
+/// loop's grain.
+struct Steady<S> {
+    stages: S,
+    unit: UnitBuf,
+    grain: StoreGrain,
+    code: Option<CodeRegion>,
+}
+
+impl<S: StaticStage, const W: usize> UnitStep<W> for Steady<S> {
+    #[inline(always)]
+    fn region(&self) -> Option<Region> {
+        self.stages.region()
+    }
+
+    #[inline(always)]
+    fn unit<K: Mem>(&mut self, k: &mut K, words: [u32; W]) -> [u32; W] {
+        self.unit.load(words);
+        if let Some(code) = self.code {
+            k.fetch(code);
+        }
+        self.stages.apply(k, &mut self.unit);
+        self.unit.to_array()
+    }
+
+    #[inline(always)]
+    fn store<K: Mem>(&mut self, k: &mut K, addr: usize, words: [u32; W]) {
+        store_words(k, addr, words, self.grain);
+    }
 }
 
 /// Cipher encryption as a stage.
@@ -79,13 +207,13 @@ impl<C> EncryptStage<C> {
     }
 }
 
-impl<M: Mem, C: CipherKernel> UnitStage<M> for EncryptStage<C> {
+impl<C: CipherKernel> StaticStage for EncryptStage<C> {
     fn natural_unit(&self) -> usize {
         C::UNIT
     }
 
     #[inline(always)]
-    fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
+    fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf) {
         match C::UNIT {
             8 => {
                 for i in 0..unit.chunks64() {
@@ -106,6 +234,10 @@ impl<M: Mem, C: CipherKernel> UnitStage<M> for EncryptStage<C> {
     fn output_grain(&self) -> Option<usize> {
         Some(C::OUTPUT_GRAIN)
     }
+
+    fn region(&self) -> Option<Region> {
+        self.cipher.region()
+    }
 }
 
 /// Cipher decryption as a stage.
@@ -121,13 +253,13 @@ impl<C> DecryptStage<C> {
     }
 }
 
-impl<M: Mem, C: CipherKernel> UnitStage<M> for DecryptStage<C> {
+impl<C: CipherKernel> StaticStage for DecryptStage<C> {
     fn natural_unit(&self) -> usize {
         C::UNIT
     }
 
     #[inline(always)]
-    fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
+    fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf) {
         match C::UNIT {
             8 => {
                 for i in 0..unit.chunks64() {
@@ -147,6 +279,10 @@ impl<M: Mem, C: CipherKernel> UnitStage<M> for DecryptStage<C> {
 
     fn output_grain(&self) -> Option<usize> {
         Some(C::OUTPUT_GRAIN)
+    }
+
+    fn region(&self) -> Option<Region> {
+        self.cipher.region()
     }
 }
 
@@ -175,13 +311,13 @@ impl ChecksumTap {
     }
 }
 
-impl<M: Mem> UnitStage<M> for ChecksumTap {
+impl StaticStage for ChecksumTap {
     fn natural_unit(&self) -> usize {
         2
     }
 
     #[inline(always)]
-    fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
+    fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf) {
         for i in 0..unit.words() {
             self.sum.add_u32(unit.word(i));
             m.compute(InetChecksum::OPS_PER_U32);
@@ -209,13 +345,13 @@ impl CrcStage {
     }
 }
 
-impl<M: Mem> UnitStage<M> for CrcStage {
+impl StaticStage for CrcStage {
     fn natural_unit(&self) -> usize {
         1
     }
 
     #[inline(always)]
-    fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
+    fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf) {
         for i in 0..unit.len() {
             self.state = self.crc.update_byte(m, self.state, unit.byte(i));
         }
@@ -223,6 +359,10 @@ impl<M: Mem> UnitStage<M> for CrcStage {
 
     fn ordering(&self) -> Ordering {
         Ordering::Constrained
+    }
+
+    fn region(&self) -> Option<Region> {
+        Some(self.crc.region())
     }
 }
 
@@ -243,15 +383,15 @@ impl<A, B> Fused<A, B> {
     }
 }
 
-impl<M: Mem, A: UnitStage<M>, B: UnitStage<M>> UnitStage<M> for Fused<A, B> {
+impl<A: StaticStage, B: StaticStage> StaticStage for Fused<A, B> {
     fn natural_unit(&self) -> usize {
         lcm(self.a.natural_unit(), self.b.natural_unit())
     }
 
     #[inline(always)]
-    fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
-        self.a.process(m, unit);
-        self.b.process(m, unit);
+    fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf) {
+        self.a.apply(m, unit);
+        self.b.apply(m, unit);
     }
 
     fn ordering(&self) -> Ordering {
@@ -264,19 +404,27 @@ impl<M: Mem, A: UnitStage<M>, B: UnitStage<M>> UnitStage<M> for Fused<A, B> {
     fn output_grain(&self) -> Option<usize> {
         self.b.output_grain().or_else(|| self.a.output_grain())
     }
+
+    /// Both stages' regions, as one.
+    fn region(&self) -> Option<Region> {
+        match (self.a.region(), self.b.region()) {
+            (Some(a), Some(b)) => Some(a.hull(b)),
+            (a, b) => a.or(b),
+        }
+    }
 }
 
 /// A no-op stage (useful as a pipeline terminator or test placeholder).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Identity;
 
-impl<M: Mem> UnitStage<M> for Identity {
+impl StaticStage for Identity {
     fn natural_unit(&self) -> usize {
         1
     }
 
     #[inline(always)]
-    fn process(&mut self, _m: &mut M, _unit: &mut UnitBuf) {}
+    fn apply<M: Mem>(&mut self, _m: &mut M, _unit: &mut UnitBuf) {}
 }
 
 /// Dynamic composition: boxed stages invoked through vtables — the

@@ -74,6 +74,20 @@ impl UnitBuf {
         self.set_word(2 * i + 1, v as u32);
     }
 
+    /// Replace the first `W` words — the whole of a `W`-word unit.
+    #[inline(always)]
+    pub fn load<const W: usize>(&mut self, words: [u32; W]) {
+        debug_assert_eq!(W, self.words());
+        self.words[..W].copy_from_slice(&words);
+    }
+
+    /// The first `W` words — the whole of a `W`-word unit.
+    #[inline(always)]
+    pub fn to_array<const W: usize>(&self) -> [u32; W] {
+        debug_assert_eq!(W, self.words());
+        core::array::from_fn(|i| self.words[i])
+    }
+
     /// Byte `i` in wire (big-endian) order (for grain-1 stores).
     #[inline(always)]
     pub fn byte(&self, i: usize) -> u8 {

@@ -84,7 +84,7 @@ pub mod trace;
 pub use cache::{AccessKind, CacheLevelStats, CacheSim, CacheSpec, WritePolicy};
 pub use host::{HostModel, PacketCost, RunCost};
 pub use layout::AddressSpace;
-pub use mem::{CodeRegion, Mem, NativeMem};
+pub use mem::{window_by_units, CodeRegion, Mem, NativeMem, UnitStep, Window};
 pub use region::{Region, RegionKind};
 pub use simmem::SimMem;
 pub use stats::{AccessCounts, RunStats, SizeClass};

@@ -24,6 +24,16 @@
 //! a native run does not, so native timings measure the protocol, not the
 //! model.
 //!
+//! **A chunk's steady state** is one operation, [`Mem::window`]: whole
+//! units read at a source span, transformed by a [`UnitStep`] whose
+//! kernels touch one region, stored at a destination span. `NativeMem`
+//! proves the three spans in its arena and pairwise disjoint once, then
+//! walks `chunks_exact` over the two disjoint borrowed spans with the
+//! kernels on a `NativeMem` over their region alone — with nothing left
+//! to alias, the optimiser drops the per-unit checks a burst still pays.
+//! An instrumented memory runs [`window_by_units`], the per-unit loop in
+//! its order.
+//!
 //! **What the burst operations promise every `Mem`.**
 //! [`Mem::read_bytes`] / [`Mem::write_bytes`] are "`N` one-byte accesses
 //! at ascending addresses" and [`Mem::lookup_u8`] is "one byte of a
@@ -269,6 +279,92 @@ pub trait Mem {
             let _ = self.read_u32_be(r.at(line));
         }
     }
+
+    // --- the steady state: a chunk of whole units per operation ---
+
+    /// The `w.units` exchange units of a chunk's steady state, one after
+    /// another: `W` words read at `w.src`, transformed by `step` — whose
+    /// kernels touch no memory but [`UnitStep::region`] — and stored at
+    /// `w.dst`, each span advancing `4W` bytes a unit. An instrumented memory books
+    /// exactly what the per-unit loop books ([`window_by_units`]);
+    /// [`NativeMem`] proves the three spans once and walks pre-sliced
+    /// windows. Either memory panics before its first access when a span
+    /// leaves memory or two spans overlap.
+    fn window<const W: usize>(&mut self, w: Window, step: &mut impl UnitStep<W>);
+}
+
+/// One chunk's steady state: the spans of [`Mem::window`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// First byte of the source span.
+    pub src: usize,
+    /// First byte of the destination span.
+    pub dst: usize,
+    /// Whole units to move: each of the two spans is `4W × units` bytes.
+    pub units: usize,
+}
+
+impl Window {
+    /// The source, destination and `kernel` spans of `W`-word units as
+    /// disjoint slices of `arena`, whose byte 0 is address `base` — the
+    /// window's whole proof, made once.
+    ///
+    /// # Panics
+    /// Panics when a span leaves the arena or two spans overlap.
+    pub(crate) fn spans<'s, const W: usize>(
+        &self,
+        kernel: Option<Region>,
+        arena: &'s mut [u8],
+        base: usize,
+    ) -> [&'s mut [u8]; 3] {
+        let span = |addr: usize, len: usize| {
+            let start = addr.wrapping_sub(base);
+            start..start.saturating_add(len)
+        };
+        let len = 4 * W * self.units;
+        let (src, dst) = (span(self.src, len), span(self.dst, len));
+        let proved = match kernel {
+            Some(k) => arena.get_disjoint_mut([src, dst, span(k.base, k.len)]),
+            None => arena.get_disjoint_mut([src, dst]).map(|[s, d]| [s, d, &mut []]),
+        };
+        proved.unwrap_or_else(|e| panic!("Mem::window: {self:?} of {W}-word units, kernel {kernel:?}: {e}"))
+    }
+}
+
+/// One unit's transformation inside [`Mem::window`].
+pub trait UnitStep<const W: usize> {
+    /// The one region the step's kernels may touch (`None`: they touch no
+    /// memory). The window reads it from the step itself, so natively the
+    /// kernels' addresses and the window's region share one base.
+    fn region(&self) -> Option<Region>;
+
+    /// Transform `unit`; the step's kernels reach memory only through `k`,
+    /// and only inside [`Self::region`].
+    fn unit<K: Mem>(&mut self, k: &mut K, unit: [u32; W]) -> [u32; W];
+
+    /// Store a transformed unit at `addr` of an instrumented memory, at the
+    /// step's grain: the `W` four-byte or `4W` one-byte writes of
+    /// [`Mem::write_words_be`] / [`Mem::write_words_as_bytes`]. (Natively
+    /// both are the unit's `4W` big-endian bytes, which the window writes
+    /// itself.)
+    fn store<K: Mem>(&mut self, k: &mut K, addr: usize, unit: [u32; W]);
+}
+
+/// The units of `w` one at a time on `m`, in the order a per-unit loop
+/// issues them — one [`Mem::read_words_be`] burst, then `unit`, which
+/// transforms the words and stores them at the address it is given — with
+/// no check of the spans: what [`Mem::window`] is on an instrumented
+/// memory, and the steady state of a stage that runs on one memory only.
+#[inline(always)]
+pub fn window_by_units<M: Mem, const W: usize>(
+    m: &mut M,
+    w: &Window,
+    mut unit: impl FnMut(&mut M, usize, [u32; W]),
+) {
+    for i in 0..w.units {
+        let words = m.read_words_be(w.src + 4 * W * i);
+        unit(m, w.dst + 4 * W * i, words);
+    }
 }
 
 /// Panic unless `[src, src + len)` and `[dst, dst + len)` are disjoint.
@@ -391,6 +487,30 @@ impl Mem for NativeMem<'_> {
     #[inline(always)]
     fn write_words_as_bytes<const W: usize>(&mut self, addr: usize, words: [u32; W]) {
         self.write_words_be(addr, words);
+    }
+
+    /// One proof for the chunk — source, destination and kernel region in
+    /// the arena and pairwise disjoint — then `chunks_exact` over the two
+    /// spans, with the step's kernels on a memory over the kernel region
+    /// alone. Over disjoint borrowed slices the optimiser drops every
+    /// per-unit bounds check of the source, the destination and the
+    /// kernels' fixed-offset accesses (DESIGN.md §18, row 15).
+    #[inline(always)]
+    fn window<const W: usize>(&mut self, w: Window, step: &mut impl UnitStep<W>) {
+        if w.units == 0 {
+            return;
+        }
+        let region = step.region();
+        let [src, dst, kernel] = w.spans::<W>(region, self.arena, self.base);
+        let mut k = NativeMem::with_base(kernel, region.map_or(0, |r| r.base));
+        for (s, d) in src.chunks_exact(4 * W).zip(dst.chunks_exact_mut(4 * W)) {
+            let (words, _) = s.as_chunks::<4>();
+            let out = step.unit(&mut k, core::array::from_fn(|i| u32::from_be_bytes(words[i])));
+            let (slots, _) = d.as_chunks_mut::<4>();
+            for (slot, word) in slots.iter_mut().zip(out) {
+                *slot = word.to_be_bytes();
+            }
+        }
     }
 }
 
@@ -547,6 +667,91 @@ mod tests {
             assert!(!panics(&space, |m| m.copy(src, dst, len)), "native {src:#x} → {dst:#x}, {len}");
             assert!(!sim_panics(src, dst, len), "sim {src:#x} → {dst:#x}, {len}");
         }
+    }
+
+    /// A window step that passes each unit through and stores it as words,
+    /// declaring a kernel region it never touches.
+    struct PassThrough(Option<Region>);
+
+    impl<const W: usize> UnitStep<W> for PassThrough {
+        fn region(&self) -> Option<Region> {
+            self.0
+        }
+
+        fn unit<K: Mem>(&mut self, _k: &mut K, unit: [u32; W]) -> [u32; W] {
+            unit
+        }
+
+        fn store<K: Mem>(&mut self, k: &mut K, addr: usize, unit: [u32; W]) {
+            k.write_words_be(addr, unit);
+        }
+    }
+
+    #[test]
+    fn window_spans_outside_memory_or_overlapping_panic_on_both_memories() {
+        let mut space = AddressSpace::new();
+        let r = space.alloc("buf", 512, 8);
+        let table = space.alloc_kind("table", 64, 8, crate::RegionKind::Table);
+        let (base, end) = (space.data_base(), space.data_base() + space.data_size());
+        let host = crate::HostModel::ss10_30();
+        // Two 8-byte units: each span is 16 bytes.
+        let window = |src, dst, kernel: Option<(usize, usize)>| {
+            (Window { src, dst, units: 2 }, kernel.map(|(base, len)| Region { base, len, ..table }))
+        };
+        let on_both = |(w, kernel): (Window, Option<Region>)| {
+            let native = panics(&space, |m| m.window::<2>(w, &mut PassThrough(kernel)));
+            let mut sim = crate::SimMem::new(&space, &host);
+            let sim = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.window::<2>(w, &mut PassThrough(kernel))
+            }));
+            (native, sim.is_err())
+        };
+        for (w, what) in [
+            (window(end - 8, r.base, None), "source crossing the end"),
+            (window(base - 8, r.at(64), None), "source crossing the start"),
+            (window(r.base, end - 15, None), "destination crossing the end"),
+            (window(r.base, end + 64, None), "destination outside the arena"),
+            (window(r.base, r.at(64), Some((end - 32, 64))), "kernel crossing the end"),
+            (window(r.base, r.at(8), None), "source and destination overlapping"),
+            (window(r.at(64), r.at(56), None), "destination overlapping the source from below"),
+            (window(r.base, r.at(64), Some((r.at(12), 8))), "kernel overlapping the source"),
+            (window(r.base, r.at(64), Some((r.at(40), 64))), "kernel overlapping the destination"),
+        ] {
+            assert_eq!(on_both(w), (true, true), "{what}");
+        }
+        // Adjacent spans and the last units that fit do not panic.
+        for w in [
+            window(r.base, r.at(16), Some((table.base, table.len))),
+            window(r.base, r.at(16), Some((r.at(32), 8))),
+            window(end - 32, end - 16, None),
+            window(base, end - 16, Some((base + 16, 8))),
+        ] {
+            assert_eq!(on_both(w), (false, false), "{:?}", w.0);
+        }
+    }
+
+    #[test]
+    fn a_window_moves_what_the_per_unit_loop_moves_on_both_memories() {
+        use crate::cache::AccessKind::{Read, Write};
+        use crate::trace::TraceEvent;
+        let (space, r) = fixture();
+        let data: Vec<u8> = (0..16).map(|i| i * 7 + 1).collect();
+        let w = Window { src: r.base, dst: r.at(32), units: 2 };
+        let mut arena = space.native_arena();
+        let mut native = NativeMem::new(&mut arena);
+        native.bytes_mut(r.base, 16).copy_from_slice(&data);
+        native.window::<2>(w, &mut PassThrough(None));
+        assert_eq!(native.bytes(r.at(32), 16), &data[..]);
+        let mut sim = crate::SimMem::new(&space, &crate::HostModel::ss10_30());
+        sim.poke(r.base, &data);
+        sim.start_trace(64);
+        sim.window::<2>(w, &mut PassThrough(None));
+        assert_eq!(sim.peek(r.at(32), 16), &data[..]);
+        // Per unit: a two-word read, then the step's two-word store.
+        let event = |addr, kind| TraceEvent { addr, len: 4, kind };
+        let unit = |i: usize| [(0, Read), (4, Read), (32, Write), (36, Write)].map(|(o, k)| event(r.at(8 * i + o), k));
+        let want: Vec<TraceEvent> = unit(0).into_iter().chain(unit(1)).collect();
+        assert_eq!(sim.take_trace().expect("started").events(), &want[..]);
     }
 
     #[test]

@@ -82,6 +82,13 @@ impl Region {
         assert!(off < self.len, "offset {off} out of region {} (len {})", self.name, self.len);
         self.base + off
     }
+
+    /// The smallest region covering both, named and classified as `self`
+    /// (for a kernel whose tables, key and scratch lie back to back).
+    pub fn hull(self, other: Region) -> Region {
+        let base = self.base.min(other.base);
+        Region { base, len: self.end().max(other.end()) - base, ..self }
+    }
 }
 
 #[cfg(test)]

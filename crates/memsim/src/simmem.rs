@@ -9,7 +9,7 @@
 use crate::cache::{AccessKind, CacheSim, ServiceLevel};
 use crate::host::HostModel;
 use crate::layout::AddressSpace;
-use crate::mem::{CodeRegion, Mem, PhaseTag};
+use crate::mem::{window_by_units, CodeRegion, Mem, PhaseTag, UnitStep, Window};
 use crate::region::RegionKind;
 use crate::stats::RunStats;
 use crate::trace::Trace;
@@ -267,6 +267,19 @@ impl Mem for SimMem {
                 + 10 * s.memory_accesses
         };
         (work(&self.buckets[0]), work(&self.buckets[1]))
+    }
+
+    /// The per-unit loop, in its order, after the same proof of the spans
+    /// as [`crate::NativeMem`] makes (which books nothing).
+    fn window<const W: usize>(&mut self, w: Window, step: &mut impl UnitStep<W>) {
+        if w.units == 0 {
+            return;
+        }
+        let _ = w.spans::<W>(step.region(), &mut self.arena, self.base);
+        window_by_units(self, &w, |m, at, unit| {
+            let out = step.unit(m, unit);
+            step.store(m, at, out);
+        });
     }
 }
 

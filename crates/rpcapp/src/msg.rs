@@ -17,7 +17,11 @@
 //!   consumes decrypted units, captures the header words into registers,
 //!   and writes the file chunk into application memory at the cipher's
 //!   output granularity (the integrated "unmarshalling and copying" of
-//!   Figure 5).
+//!   Figure 5). Once the header has placed the chunk, the rest of it is
+//!   the sink's span, which the fused loop's steady state fills as one
+//!   [`memsim::Mem::window`]. It writes the application buffer and
+//!   nothing else: a segment that cannot be the next in-order one never
+//!   reaches it ([`crate::paths`] only checksums those).
 //! * The **admission rule** — what makes a payload a reply. (1) It is a
 //!   whole number of cipher units: [`crate::paths`] tests that before
 //!   any pass runs and before TCP state moves (the `assert_eq!`s in
@@ -253,6 +257,15 @@ impl<M: Mem, const LAST: bool> WordSource<M> for RangeSource<LAST> {
             _ => unit_by_words(self, m),
         }
     }
+
+    /// The whole data units of the range, up to its last whole data word.
+    #[inline(always)]
+    fn take_run<const W: usize>(&mut self, max: usize) -> (usize, usize) {
+        let Some(k) = self.next.checked_sub(hdr_words(LAST)) else { return (0, 0) };
+        let run = (self.burst_end.saturating_sub(self.next) / W).min(max);
+        self.next += W * run;
+        (self.msg.data_addr + 4 * k, run)
+    }
 }
 
 /// The admission rule's transport clause, spelled once for replies and
@@ -359,7 +372,6 @@ pub struct UnmarshalSink<const LAST: bool> {
     place: Placement,
     /// Why nothing is placed — `None` once the header has placed the chunk.
     refused: Option<Reject>,
-    anchored: bool,
 }
 
 /// The sink of the Figure 2 format.
@@ -378,18 +390,7 @@ impl<const LAST: bool> UnmarshalSink<LAST> {
             hdr_seen: 0,
             place: Placement { dst: 0, end: 0 },
             refused: Some(Reject::BadFormat("reply prefix")),
-            anchored: false,
         }
-    }
-
-    /// Deliver into a linear staging buffer at `addr`, ignoring the
-    /// header's placement offset. Receive-side pre-manipulation
-    /// (paper §3.2.2): when a segment's verdict is not yet known and it
-    /// cannot be the next in-order one, the fused pass must still run
-    /// (the checksum feeds the ACK decision) but must not place bytes
-    /// into application memory a reject would then have to roll back.
-    pub fn staging(addr: usize, cap: usize) -> Self {
-        UnmarshalSink { anchored: true, ..Self::new(addr, cap) }
     }
 
     /// Bound the message by the `payload_len` bytes the transport
@@ -411,13 +412,11 @@ impl<const LAST: bool> UnmarshalSink<LAST> {
         }
     }
 
-    /// File offset and XDR opaque length from the RPC header; a staging
-    /// sink writes linearly instead (the header offset points into a
-    /// file this buffer does not hold). Once per message: out of the
-    /// loop body.
+    /// File offset and XDR opaque length from the RPC header. Once per
+    /// message: out of the loop body.
     #[cold]
     fn place_chunk(&mut self) {
-        let offset = if self.anchored { 0 } else { self.prefix[3] as usize };
+        let offset = self.prefix[3] as usize;
         let declared = self.prefix[PREFIX_WORDS - 1] as usize;
         match Placement::resolve(self.app_addr, self.app_cap, offset, declared, self.payload_len) {
             Ok(place) => (self.place, self.refused) = (place, None),
@@ -472,6 +471,17 @@ impl<M: Mem, const LAST: bool> UnitSink<M> for UnmarshalSink<LAST> {
             }
             self.place.place(m, w, grain);
         }
+    }
+
+    /// The placed chunk's whole units, once the header has placed it.
+    #[inline(always)]
+    fn span(&self, unit_len: usize) -> (usize, usize) {
+        (self.place.dst, self.place.left() / unit_len)
+    }
+
+    #[inline(always)]
+    fn advance(&mut self, len: usize) {
+        self.place.dst += len;
     }
 }
 
@@ -613,7 +623,7 @@ mod tests {
 
     /// The sink under a peer we did not write, in either format: every
     /// whole-unit truncation of a decrypted reply, each under every
-    /// single-bit flip, through both constructors, into a buffer that
+    /// single-bit flip, into a buffer that
     /// ends where the arena ends. No panic and no store past the buffer
     /// (`NativeMem` would catch it); what `finish` admits lies inside the
     /// buffer and inside the payload; and only the whole message is
@@ -631,9 +641,8 @@ mod tests {
         while let Some(w) = src.next_word(&mut m) {
             valid.push(w);
         }
-        let mut run = |words: &[u32], staged: bool| {
-            let sink = if staged { UnmarshalSink::<LAST>::staging } else { UnmarshalSink::<LAST>::new };
-            let mut sink = sink(app.base, CAP).within(4 * words.len());
+        let mut run = |words: &[u32]| {
+            let mut sink = UnmarshalSink::<LAST>::new(app.base, CAP).within(4 * words.len());
             for pair in words.chunks(2) {
                 let mut unit = UnitBuf::new(8);
                 unit.set_word(0, pair[0]);
@@ -642,28 +651,25 @@ mod tests {
             }
             assert_eq!(sink.finish().ok(), sink.meta().map(|(_, meta)| meta));
             if let Ok(meta) = sink.finish() {
-                let at = if staged { 0 } else { meta.offset as usize };
-                assert!(at + meta.data_len as usize <= CAP, "{meta:?} admitted outside the buffer");
+                assert!(meta.offset as usize + meta.data_len as usize <= CAP, "{meta:?} admitted outside the buffer");
                 assert!(4 + meta.marshalled_len() <= 4 * words.len(), "{meta:?} admitted outside the payload");
                 assert_eq!(sink.data_written(), meta.data_len as usize);
             }
             sink.finish()
         };
-        for staged in [false, true] {
-            assert_eq!(run(&valid, staged), Ok(sent));
-            for cut in (0..valid.len()).step_by(2) {
-                assert!(run(&valid[..cut], staged).is_err(), "cut at word {cut}");
-                for bit in 0..32 * cut {
-                    let mut flipped = valid[..cut].to_vec();
-                    flipped[bit / 32] ^= 1 << (bit % 32);
-                    assert!(run(&flipped, staged).is_err(), "cut at word {cut}, bit {bit}");
-                }
-            }
-            for bit in 0..32 * valid.len() {
-                let mut flipped = valid.clone();
+        assert_eq!(run(&valid), Ok(sent));
+        for cut in (0..valid.len()).step_by(2) {
+            assert!(run(&valid[..cut]).is_err(), "cut at word {cut}");
+            for bit in 0..32 * cut {
+                let mut flipped = valid[..cut].to_vec();
                 flipped[bit / 32] ^= 1 << (bit % 32);
-                let _ = run(&flipped, staged);
+                assert!(run(&flipped).is_err(), "cut at word {cut}, bit {bit}");
             }
+        }
+        for bit in 0..32 * valid.len() {
+            let mut flipped = valid.clone();
+            flipped[bit / 32] ^= 1 << (bit % 32);
+            let _ = run(&flipped);
         }
     }
 

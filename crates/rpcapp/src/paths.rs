@@ -10,11 +10,12 @@
 //! marshals/encrypts/checksums in registers and stores straight into the
 //! ring, one loop per message part in the B→C→A order of Figure 4 (one
 //! linear part in the trailer format); `fused_recv` is one
-//! checksum+decrypt+unmarshal loop straight into the application buffer
-//! — or into staging, for a segment that cannot be the next in-order one
-//! — with the accept/reject verdict in the final stage (the three-stage
+//! checksum+decrypt+unmarshal loop straight into the application buffer,
+//! with the accept/reject verdict in the final stage (the three-stage
 //! split of §2.1: `poll_input`, the loop, `finish_recv`, shaped by
-//! [`ilp_core::three_stage()`]). Every receiver starts in
+//! [`ilp_core::three_stage()`]). A segment that is not the next in-order
+//! one is only checksummed, on both paths: its verdict is a reject, and
+//! what it carries is manipulated when it is delivered. Every receiver starts in
 //! `recv_whole_units` and ends in [`UnmarshalSink::finish`]: the
 //! admission rule of [`crate::msg`].
 //!
@@ -70,11 +71,8 @@ pub struct Scratch {
     pub encrypt_buf: Region,
     /// Non-ILP: decryption output buffer.
     pub decrypt_buf: Region,
-    /// ILP staging (§3.2.2 pre-manipulation): the receive loop's target
-    /// for segments that are not the next in-order one — their fused
-    /// pass must not touch application memory, since the final stage
-    /// will reject them — and the early-manipulation send experiment's
-    /// holding buffer.
+    /// ILP staging (§3.2.2 pre-manipulation): the early-manipulation send
+    /// experiment's holding buffer. No receive writes it.
     pub staging: Region,
     /// Fused send loop footprint (marshal + encrypt + checksum + store
     /// — the paper's ~3% code-size cost of inlining).
@@ -501,32 +499,21 @@ pub fn recv_chunk_non_ilp<C: CipherKernel, M: Mem>(
     })
 }
 
-/// The fused receive loop over the staged payload of `d`, a reply in
-/// either format: `stages` (decrypt, with or without the checksum tap),
-/// then unmarshal — into `app_out` when `d` is the next in-order
-/// segment. An out-of-order or duplicate segment is certain to be
-/// rejected by the final stage — the fused pass still runs in full (its
-/// checksum drives the repeat-ACK decision) but unmarshals into staging,
-/// so a stale retransmission that was corrupted in flight cannot
-/// scribble over bytes the application already owns (§3.2.2). Returns
-/// the sink's verdict on the decrypted fields
-/// ([`UnmarshalSink::finish`]), for the final stage to render.
+/// The fused receive loop over the staged payload of `d`, the next
+/// in-order segment, a reply in either format: `stages` (decrypt, with or
+/// without the checksum tap), then unmarshal into `app_out`. Returns the
+/// sink's verdict on the decrypted fields ([`UnmarshalSink::finish`]), for
+/// the final stage to render.
 fn fused_recv<const LAST: bool, M: Mem>(
-    s: &Scratch,
+    code: CodeRegion,
     m: &mut M,
     stages: &mut impl UnitStage<M>,
     d: &Delivered,
     app_out: Region,
 ) -> Result<ReplyMeta, Reject> {
-    let sink = if d.in_order {
-        UnmarshalSink::<LAST>::new(app_out.base, app_out.len)
-    } else {
-        UnmarshalSink::staging(s.staging.base, s.staging.len)
-    };
-    let mut sink = sink.within(d.payload_len);
+    let mut sink = UnmarshalSink::<LAST>::new(app_out.base, app_out.len).within(d.payload_len);
     let mut source = OpaqueSource::new(d.payload_addr, d.payload_len);
-    ilp_run(m, &mut source, stages, &mut sink, 1, Some(s.code_ilp_recv))
-        .expect("negotiated unit fits registers");
+    ilp_run(m, &mut source, stages, &mut sink, 1, Some(code)).expect("negotiated unit fits registers");
     sink.finish()
 }
 
@@ -536,7 +523,11 @@ fn fused_recv<const LAST: bool, M: Mem>(
 /// the fused checksum+decrypt+unmarshal loop straight off the staging
 /// buffer (and cannot reject), and the final stage renders the
 /// accept/reject verdict — checksum and unmarshalling errors are both
-/// known there, before any TCP state was touched.
+/// known there, before any TCP state was touched. A segment that is not
+/// the next in-order one is certain to be rejected there: its integrated
+/// stage is the checksum pass alone, as on the non-ILP path (its sum
+/// still drives the hold and repeat-ACK decision), so nothing is
+/// decrypted that will not be delivered.
 pub(crate) fn recv_chunk_fused<const LAST: bool, C: CipherKernel + Copy, M: Mem>(
     s: &Scratch,
     cipher: C,
@@ -555,8 +546,13 @@ pub(crate) fn recv_chunk_fused<const LAST: bool, C: CipherKernel + Copy, M: Mem>
             path,
             |_m| Ok(d),
             |m, d| {
+                if !d.in_order {
+                    m.fetch(s.code_checksum);
+                    let sum = checksum_buf(m, d.payload_addr, d.payload_len);
+                    return (sum, Err(Reject::Malformed("out-of-order segment")));
+                }
                 let mut stages = Fused::new(ChecksumTap::new(), DecryptStage::new(cipher));
-                let admitted = fused_recv::<LAST, M>(s, m, &mut stages, d, app_out);
+                let admitted = fused_recv::<LAST, M>(s.code_ilp_recv, m, &mut stages, d, app_out);
                 (stages.a.sum(), admitted)
             },
             |m, obs, d, (sum, admitted)| {
@@ -637,7 +633,7 @@ pub fn recv_reply_ilp_late<C: CipherKernel + Copy, M: Mem>(
         // Later, at application level: fused decrypt+unmarshal (no
         // checksum tap — already verified, hence accepted, hence in order).
         let mut decrypt = DecryptStage::new(cipher);
-        fused_recv::<LENGTH_FIRST, M>(&scratch, m, &mut decrypt, &d, app_out)
+        fused_recv::<LENGTH_FIRST, M>(scratch.code_ilp_recv, m, &mut decrypt, &d, app_out)
     })
 }
 
@@ -882,8 +878,8 @@ mod tests {
     /// and require a checksum reject followed by recovery through the
     /// sender's timer with the file intact. With `lose_first` the kernel
     /// drops chunk 0, so the damaged chunk 1 arrives out of order and is
-    /// unmarshalled into staging. Returns the reassembled file as
-    /// it stood right after the reject.
+    /// only checksummed. Returns the reassembled file as it stood right
+    /// after the reject.
     fn flipped_bit_is_rejected_then_recovered(trailer: bool, lose_first: bool, bit: usize) -> Vec<u8> {
         use crate::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
         let mut after_reject = Vec::new();
@@ -939,11 +935,11 @@ mod tests {
     #[test]
     fn any_flipped_bit_of_the_first_32_payload_bytes_is_rejected_then_recovered() {
         // Both formats (length / header words before the data, then the
-        // first data words) through both constructors of the sink. A
-        // damaged segment that is not the next in-order one unmarshals
-        // into staging in either format: the reassembled file is
-        // untouched when the reject is rendered (the trailer receive
-        // used to write it straight into application memory).
+        // first data words), in order and out of order. A damaged segment
+        // that is not the next in-order one is only checksummed in either
+        // format: the reassembled file is untouched when the reject is
+        // rendered (the trailer receive used to write it straight into
+        // application memory).
         for bit in 0..256 {
             for trailer in [false, true] {
                 flipped_bit_is_rejected_then_recovered(trailer, false, bit);
@@ -961,13 +957,73 @@ mod tests {
         // chunk's offset 1000 into 13331 — inside the file, so the
         // in-order fused pass writes the chunk there, over bytes the
         // application may already own, and only then does the final
-        // stage reject the segment (bits 112–127 all behave so). PR 5
-        // closed this for segments that are not the next in-order one
-        // (they unmarshal into staging); for the in-order one it is open
-        // — see ROADMAP, zero-copy receive.
+        // stage reject the segment (bits 112–127 all behave so). Segments
+        // that are not the next in-order one are safe (they are only
+        // checksummed); for the in-order one it is open — see ROADMAP,
+        // zero-copy receive.
         let file = flipped_bit_is_rejected_then_recovered(false, false, 8 * 14);
         let stray = file.iter().enumerate().filter(|&(i, &b)| b != 0 && !(1000..2000).contains(&i));
         assert_eq!(stray.count(), 0, "the rejected chunk was written outside its own range");
+    }
+
+    /// What a receiver on `path` does with the segments of `case`, each of
+    /// which it must reject: every verdict; then its `rcv_nxt`, ACK count
+    /// and whole state (held segments included), and the sender's state
+    /// once it has read every ACK. A rejected segment writes neither the
+    /// application buffer nor the shared staging buffer.
+    fn rejects_on(path: Path, case: &str) -> (Vec<Result<ReplyMeta, Reject>>, u32, u64, String, String) {
+        let mut out = None;
+        with_world(|s, m| {
+            let file = s.file;
+            let faults = match case {
+                "duplicate" => utcp::FaultPlan { dup_every: 1, ..Default::default() },
+                _ => utcp::FaultPlan { drop_at: 1, ..Default::default() },
+            };
+            s.lb.set_faults(faults);
+            for seq in 0..2 {
+                send_reply_ilp(s, m, &meta(seq, 1000 * seq, 1000), file.at(1000 * seq as usize)).unwrap();
+            }
+            if case == "corrupted out of order" {
+                let slot = s.lb.peek(s.rx.endpoint()).expect("chunk 1 is queued").addr;
+                m.bytes_mut(slot + utcp::IP_HEADER_LEN + utcp::TCP_HEADER_LEN + 100, 1)[0] ^= 0x10;
+            }
+            let mut verdicts = Vec::new();
+            let snapshot = |s: &Suite<_>, m: &NativeMem<'_>| {
+                [s.app_out, s.scratch.staging].map(|r| m.bytes(r.base, r.len).to_vec())
+            };
+            loop {
+                let before = snapshot(s, m);
+                let Some(verdict) = recv_reply(path, s, m) else { break };
+                if verdict.is_err() {
+                    assert!(before == snapshot(s, m), "{path:?} {case}: a rejected segment wrote memory");
+                }
+                verdicts.push(verdict);
+            }
+            pump_acks(s, m);
+            out = Some((verdicts, s.rx.rcv_nxt(), s.rx.stats.acks_sent, format!("{:?}", s.rx), format!("{:?}", s.tx)));
+        });
+        out.expect("the world ran")
+    }
+
+    #[test]
+    fn a_segment_that_will_not_be_delivered_is_rejected_alike_and_writes_nothing() {
+        // An out-of-order segment, a duplicate and a corrupted out-of-order
+        // segment: the ILP receive only checksums them, as the non-ILP one
+        // does, so both render the same verdict from the same state.
+        let malformed = Err(Reject::Malformed("out-of-order segment"));
+        for (case, want) in [
+            ("out of order", vec![malformed]),
+            ("duplicate", vec![Ok(meta(0, 0, 1000)), malformed, Ok(meta(1, 1000, 1000)), malformed]),
+            ("corrupted out of order", vec![]),
+        ] {
+            let [ilp, non_ilp] = [Path::Ilp, Path::NonIlp].map(|path| rejects_on(path, case));
+            assert_eq!(ilp, non_ilp, "{case}");
+            if want.is_empty() {
+                assert!(matches!(ilp.0[..], [Err(Reject::BadChecksum { .. })]), "{case}: {:?}", ilp.0);
+            } else {
+                assert_eq!(ilp.0, want, "{case}");
+            }
+        }
     }
 
     #[test]

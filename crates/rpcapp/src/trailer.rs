@@ -25,8 +25,9 @@
 //! by the TCP payload length and validates the trailer at the end. The
 //! `exp_trailer` experiment measures both effects. Everything else —
 //! the word view, the sink, the fused send and receive, the admission
-//! rule and the §3.2.2 staging rule for out-of-order segments — is the
-//! header format's code, instantiated for this format.
+//! rule and the rule that a segment which cannot be the next in-order one
+//! is only checksummed — is the header format's code, instantiated for
+//! this format.
 
 use cipher::CipherKernel;
 use memsim::Mem;

@@ -113,24 +113,32 @@ impl RecvSeq {
     /// The held runs as SACK ranges: contiguous held segments merge
     /// into one block, and blocks are ordered most recently changed
     /// first so the sender learns the newest edge even when blocks are
-    /// truncated (RFC 2018 §4).
-    fn sack_ranges(&self) -> Vec<(u32, u32)> {
+    /// truncated (RFC 2018 §4). The first `n` entries of the array are
+    /// the ranges: a pure ACK builds them without allocating.
+    fn sack_ranges(&self) -> ([(u32, u32); OOO_SLOTS], usize) {
         let rcv = self.nxt;
-        let mut segs: Vec<&OooSeg> = self.held.iter().collect();
-        segs.sort_by_key(|s| s.seq.wrapping_sub(rcv));
-        let mut runs: Vec<(u32, u32, u64)> = Vec::new();
-        for s in segs {
-            let end = s.seq.wrapping_add(s.len as u32);
-            match runs.last_mut() {
-                Some(r) if r.1 == s.seq => {
+        let mut segs = [(0u32, 0u32, 0u64); OOO_SLOTS];
+        for (slot, s) in segs.iter_mut().zip(&self.held) {
+            *slot = (s.seq, s.seq.wrapping_add(s.len as u32), s.stamp);
+        }
+        let segs = &mut segs[..self.held.len()];
+        segs.sort_unstable_by_key(|s| s.0.wrapping_sub(rcv));
+        let (mut runs, mut n) = ([(0u32, 0u32, 0u64); OOO_SLOTS], 0);
+        for &(seq, end, stamp) in segs.iter() {
+            match runs[..n].last_mut() {
+                Some(r) if r.1 == seq => {
                     r.1 = end;
-                    r.2 = r.2.max(s.stamp);
+                    r.2 = r.2.max(stamp);
                 }
-                _ => runs.push((s.seq, end, s.stamp)),
+                _ => {
+                    runs[n] = (seq, end, stamp);
+                    n += 1;
+                }
             }
         }
-        runs.sort_by_key(|r| std::cmp::Reverse(r.2));
-        runs.into_iter().map(|(s, e, _)| (s, e)).collect()
+        // Stamps are distinct, so the order is the one a stable sort gives.
+        runs[..n].sort_unstable_by_key(|r| std::cmp::Reverse(r.2));
+        (runs.map(|(s, e, _)| (s, e)), n)
     }
 }
 
@@ -505,13 +513,12 @@ impl Connection {
     /// kernel part as the segment's "payload", so every backend ships
     /// them without change.
     pub(super) fn send_ack<M: Mem>(&mut self, m: &mut M, lb: &mut impl KernelPart) {
-        let ranges;
-        let body = if self.cfg.loss_recovery && !self.rcv.held.is_empty() {
-            ranges = self.rcv.sack_ranges();
-            Body::Sack(&ranges)
+        let (ranges, n) = if self.cfg.loss_recovery && !self.rcv.held.is_empty() {
+            self.rcv.sack_ranges()
         } else {
-            Body::BARE
+            ([(0, 0); OOO_SLOTS], 0)
         };
+        let body = Body::Sack(&ranges[..n]);
         self.stats.acks_sent += 1;
         self.rcv.ack_owed = false;
         self.emit(m, lb, self.snd.nxt, TcpFlags::ACK, body);

@@ -289,6 +289,17 @@ impl<M: Mem> UnitSink<M> for RingWriter {
         store_unit(m, self.base + self.written, unit, grain);
         self.written += unit.len();
     }
+
+    /// The rest of the extent: a window cannot overrun it.
+    #[inline(always)]
+    fn span(&self, unit_len: usize) -> (usize, usize) {
+        (self.base + self.written, (self.len - self.written) / unit_len)
+    }
+
+    #[inline(always)]
+    fn advance(&mut self, len: usize) {
+        self.written += len;
+    }
 }
 
 #[cfg(test)]

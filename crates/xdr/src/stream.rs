@@ -42,6 +42,19 @@ pub trait WordSource<M: Mem> {
     {
         unit_by_words(self, m)
     }
+
+    /// Take up to `max` whole units of `W` words that are all data and lie
+    /// back to back in memory, for one [`Mem::window`] to read: `(address,
+    /// units taken)`. `(_, 0)` — the default — when the next unit is not
+    /// all data (a header word, the tail word, padding, a trailer):
+    /// [`Self::next_unit`] produces that one.
+    #[inline(always)]
+    fn take_run<const W: usize>(&mut self, _max: usize) -> (usize, usize)
+    where
+        Self: Sized,
+    {
+        (0, 0)
+    }
 }
 
 /// `W` calls of [`WordSource::next_word`] — what a unit *is*: the default
@@ -147,6 +160,15 @@ impl<M: Mem> WordSource<M> for OpaqueSource {
         self.off += 4 * W;
         unit
     }
+
+    /// The whole units left before the tail word.
+    #[inline(always)]
+    fn take_run<const W: usize>(&mut self, max: usize) -> (usize, usize) {
+        let run = (self.len.saturating_sub(self.off) / (4 * W)).min(max);
+        let at = self.addr + self.off;
+        self.off += 4 * W * run;
+        (at, run)
+    }
 }
 
 /// The word at byte offset `off` (a multiple of 4) of an RFC 1014 opaque
@@ -185,23 +207,41 @@ fn opaque_edge_word<M: Mem>(m: &mut M, addr: usize, len: usize, off: usize) -> u
 pub struct Chain<A, B> {
     a: A,
     b: B,
+    /// Whether `a` has said it is done; its runs are then `b`'s.
+    a_done: bool,
 }
 
 impl<A, B> Chain<A, B> {
     /// `a` then `b`.
     pub fn new(a: A, b: B) -> Self {
-        Chain { a, b }
+        Chain { a, b, a_done: false }
     }
 }
 
 impl<M: Mem, A: WordSource<M>, B: WordSource<M>> WordSource<M> for Chain<A, B> {
     #[inline(always)]
     fn next_word(&mut self, m: &mut M) -> Option<u32> {
-        self.a.next_word(m).or_else(|| self.b.next_word(m))
+        if !self.a_done {
+            match self.a.next_word(m) {
+                Some(w) => return Some(w),
+                None => self.a_done = true,
+            }
+        }
+        self.b.next_word(m)
     }
 
     fn total_words(&self) -> usize {
         self.a.total_words() + self.b.total_words()
+    }
+
+    /// `a`'s runs, then — once `a` has said it is done — `b`'s.
+    #[inline(always)]
+    fn take_run<const W: usize>(&mut self, max: usize) -> (usize, usize) {
+        if self.a_done {
+            self.b.take_run::<W>(max)
+        } else {
+            self.a.take_run::<W>(max)
+        }
     }
 }
 

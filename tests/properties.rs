@@ -20,8 +20,11 @@ use ilp_repro::checksum::internet::{add_buf, checksum_buf, InetChecksum};
 use ilp_repro::cipher::{
     decrypt_buf, encrypt_buf, CipherKernel, Des, SaferK64, SimplifiedSafer, VerySimple,
 };
-use ilp_repro::ilp::{LinearSink, Ordering, PartKind, SegmentPlan, StoreGrain, UnitBuf, UnitSink};
-use ilp_repro::memsim::{AddressSpace, HostModel, Mem, NativeMem, Region, RegionKind, SimMem};
+use ilp_repro::ilp::{
+    ilp_run, ChecksumTap, DecryptStage, EncryptStage, Fused, Identity, LinearSink, Ordering, PartKind, Reject,
+    SegmentPlan, StoreGrain, UnitBuf, UnitSink, UnitStage,
+};
+use ilp_repro::memsim::{AddressSpace, CodeRegion, HostModel, Mem, NativeMem, Region, RegionKind, SimMem};
 use ilp_repro::rpcapp::app::{FileTransfer, Path};
 use ilp_repro::rpcapp::msg::{
     ReplyMeta, UnmarshalSink, WordView, ENC_HDR_LEN, LENGTH_FIRST, LENGTH_LAST, RPC_HDR_WORDS,
@@ -33,7 +36,7 @@ use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::rpcapp::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
 use ilp_repro::utcp::rng::XorShift64;
 use ilp_repro::utcp::{Delivered, FaultPlan, Ipv4Header, SendRing};
-use ilp_repro::xdr::stream::{OpaqueSource, WordSource};
+use ilp_repro::xdr::stream::{Chain, HeaderWords, OpaqueSource, WordSource};
 use ilp_repro::xdr::{XdrDecoder, XdrEncoder};
 
 const CASES: u64 = 256;
@@ -459,11 +462,10 @@ fn unmarshal_word_by_word(
     }
 }
 
-/// The two sinks of the fused receive — in place at the header's offset
-/// (`new`) and linear into staging (`staging`) — store a unit of chunk
-/// data at either grain as exactly the per-word stores they used to make,
-/// for every unit width, and capture, place the tail and drop padding as
-/// before.
+/// The sink of the fused receive, in place at the header's offset, stores
+/// a unit of chunk data at either grain as exactly the per-word stores it
+/// used to make, for every unit width, and captures, places the tail and
+/// drops padding as before.
 #[test]
 fn unmarshal_sinks_store_a_unit_as_its_words() {
     for data_len in (0..=40).chain([1000]) {
@@ -474,14 +476,13 @@ fn unmarshal_sinks_store_a_unit_as_its_words() {
     }
 }
 
-/// One decrypted reply of `data_len` chunk bytes fed to both sinks in
+/// One decrypted reply of `data_len` chunk bytes fed to the sink in
 /// `width`-word units, at both grains, against the per-word model.
 fn unmarshal_sink_units_are_words<const LAST: bool>(data_len: usize, width: usize) {
     let meta = reply_meta(data_len);
     let mut space = AddressSpace::new();
     let data = space.alloc("data", 1024, 8);
     let app = space.alloc_kind("app", 2048, 8, RegionKind::AppData);
-    let staging = space.alloc_kind("staging", 1280, 8, RegionKind::Buffer);
     let file: Vec<u8> = (0..data_len).map(|i| (i * 29 + 3) as u8).collect();
     // The decrypted reply, as the fused receive loop hands it to the sink.
     let source = WordView::<LAST>::new(&meta, data.base, 4 * width).full_source();
@@ -490,31 +491,207 @@ fn unmarshal_sink_units_are_words<const LAST: bool>(data_len: usize, width: usiz
     // The length field and the RPC header, less the length field when it trails.
     let header_words = 1 + RPC_HDR_WORDS - usize::from(LAST);
     let chunk = &reply[header_words..header_words + data_len.div_ceil(4)];
+    let dst = app.at(meta.offset as usize);
     for grain in [StoreGrain::Byte, StoreGrain::Word] {
-        for staged in [false, true] {
-            let (base, cap, dst) = match staged {
-                true => (staging.base, staging.len, staging.base),
-                false => (app.base, app.len, app.at(meta.offset as usize)),
-            };
-            let what = format!("LAST={LAST} data_len={data_len} width {width} {grain:?} staged={staged}");
-            same_work(
-                &mut twins,
-                &what,
-                |m| {
-                    let sink = if staged { UnmarshalSink::<LAST>::staging } else { UnmarshalSink::<LAST>::new };
-                    let mut sink = sink(base, cap).within(4 * reply.len());
-                    for unit in units_of(&reply, width) {
-                        sink.store(m, &unit, grain);
-                    }
-                    (sink.finish(), sink.data_written(), m.peek(dst, data_len).to_vec())
-                },
-                |m| {
-                    unmarshal_word_by_word(m, header_words, chunk, data_len, dst, grain);
-                    (Ok(meta), data_len, m.peek(dst, data_len).to_vec())
-                },
-            );
+        let what = format!("LAST={LAST} data_len={data_len} width {width} {grain:?}");
+        same_work(
+            &mut twins,
+            &what,
+            |m| {
+                let mut sink = UnmarshalSink::<LAST>::new(app.base, app.len).within(4 * reply.len());
+                for unit in units_of(&reply, width) {
+                    sink.store(m, &unit, grain);
+                }
+                (sink.finish(), sink.data_written(), m.peek(dst, data_len).to_vec())
+            },
+            |m| {
+                unmarshal_word_by_word(m, header_words, chunk, data_len, dst, grain);
+                (Ok(meta), data_len, m.peek(dst, data_len).to_vec())
+            },
+        );
+    }
+}
+
+/// Which loop drives a (source, stages, sink) combination: `ilp_run`,
+/// whose steady state is one `Mem::window` per run of whole data units,
+/// or the per-unit loop it replaced.
+#[derive(Debug, Clone, Copy)]
+enum Driver {
+    Windowed,
+    PerUnit,
+}
+
+/// Drive `source → stages → sink` in `W`-word units, fetching `code` once
+/// a unit.
+fn drive<const W: usize, M: Mem>(
+    how: Driver,
+    m: &mut M,
+    code: CodeRegion,
+    source: &mut impl WordSource<M>,
+    stages: &mut impl UnitStage<M>,
+    sink: &mut impl UnitSink<M>,
+) {
+    match how {
+        Driver::Windowed => {
+            let run = ilp_run(m, source, stages, sink, 4 * W, Some(code)).expect("a unit of at most four words");
+            assert_eq!(run.exchange_unit, 4 * W);
+        }
+        Driver::PerUnit => {
+            let grain = StoreGrain::from_output_grain(stages.output_grain());
+            let mut unit = UnitBuf::new(4 * W);
+            for _ in 0..source.total_words() / W {
+                for (i, w) in source.next_unit::<W>(m).into_iter().enumerate() {
+                    unit.set_word(i, w);
+                }
+                m.fetch(code);
+                stages.process(m, &mut unit);
+                sink.store(m, &unit, grain);
+            }
         }
     }
+}
+
+/// A world for every combination: a cipher, the file chunk, the send
+/// ring, a flat buffer for ciphertext and one for plaintext, and three
+/// receive buffers.
+struct WindowWorld<C> {
+    space: AddressSpace,
+    cipher: C,
+    data: Region,
+    ring: Region,
+    cipher_out: Region,
+    plain_out: Region,
+    apps: [Region; 3],
+    code: CodeRegion,
+}
+
+impl<C: CipherKernel> WindowWorld<C> {
+    fn new(alloc: fn(&mut AddressSpace) -> C) -> Self {
+        let mut space = AddressSpace::new();
+        let cipher = alloc(&mut space);
+        let data = space.alloc_kind("data", 1280, 8, RegionKind::AppData);
+        let ring = space.alloc_kind("ring", 2048, 64, RegionKind::Ring);
+        let [cipher_out, plain_out] = ["cipher_out", "plain_out"].map(|n| space.alloc(n, 2048, 8));
+        let apps = ["app0", "app1", "app2"].map(|n| space.alloc_kind(n, 2048, 8, RegionKind::AppData));
+        let code = space.alloc_code("fused_loop", 1024);
+        WindowWorld { space, cipher, data, ring, cipher_out, plain_out, apps, code }
+    }
+
+    /// The chunk bytes every world starts with.
+    fn file(&self) -> Vec<u8> {
+        (0..self.data.len).map(|i| (i * 53 + 17) as u8).collect()
+    }
+}
+
+/// Every (source, stages, sink) combination the paths run, over a reply
+/// of `data_len` chunk bytes in format `LAST`, in `W`-word units: the
+/// fused send part by part into a ring extent and whole into a flat
+/// buffer, the marshalling alone, the fused receive of that ciphertext
+/// in place, the late receive (decrypt and unmarshal alone), the
+/// unmarshalling alone, and header words chained before an opaque body.
+/// Returns the checksums, the verdicts and every byte written.
+fn every_combination<C: CipherKernel, const W: usize, const LAST: bool, M: Mem>(
+    how: Driver,
+    m: &mut M,
+    w: &WindowWorld<C>,
+    data_len: usize,
+    peek: impl Fn(&M, Region) -> Vec<u8>,
+) -> (Vec<u16>, Vec<Result<ReplyMeta, Reject>>, Vec<u8>) {
+    let (meta, code, c) = (reply_meta(data_len), w.code, w.cipher);
+    let view = WordView::<LAST>::new(&meta, w.data.base, 4 * W);
+    let padded = meta.padded_len(4 * W);
+    let (mut sums, mut verdicts) = (Vec::new(), Vec::new());
+    let mut ring = SendRing::new(w.ring);
+    let extent = ring.alloc(padded, 0).expect("fits");
+    let mut send = Fused::new(EncryptStage::new(c), ChecksumTap::new());
+    for (start, end) in send_ranges::<LAST>(&meta, 4 * W) {
+        let mut sink = ring.writer_at(extent, 4 * start);
+        drive::<W, M>(how, m, code, &mut view.range_source(start, end), &mut send, &mut sink);
+    }
+    sums.push(send.b.sum().fold());
+    let mut send = Fused::new(EncryptStage::new(c), ChecksumTap::new());
+    drive::<W, M>(how, m, code, &mut view.full_source(), &mut send, &mut LinearSink::new(w.cipher_out.base));
+    sums.push(send.b.sum().fold());
+    drive::<W, M>(how, m, code, &mut view.full_source(), &mut Identity, &mut LinearSink::new(w.plain_out.base));
+    let [fused, late, unmarshal] = w.apps.map(|app| UnmarshalSink::<LAST>::new(app.base, app.len).within(padded));
+    let mut recv = Fused::new(ChecksumTap::new(), DecryptStage::new(c));
+    let mut sink = fused;
+    drive::<W, M>(how, m, code, &mut OpaqueSource::new(w.cipher_out.base, padded), &mut recv, &mut sink);
+    sums.push(recv.a.sum().fold());
+    verdicts.push(sink.finish());
+    let mut sink = late;
+    drive::<W, M>(how, m, code, &mut OpaqueSource::new(w.cipher_out.base, padded), &mut DecryptStage::new(c), &mut sink);
+    verdicts.push(sink.finish());
+    let mut sink = unmarshal;
+    drive::<W, M>(how, m, code, &mut OpaqueSource::new(w.plain_out.base, padded), &mut Identity, &mut sink);
+    verdicts.push(sink.finish());
+    // As many header words as make the chained stream whole units.
+    let header: Vec<u32> = (0..W - data_len.div_ceil(4) % W).map(|i| 0xAB00 + i as u32).collect();
+    let mut chained = Chain::new(HeaderWords::new(&header), OpaqueSource::new(w.data.base, data_len));
+    let mut send = Fused::new(EncryptStage::new(c), ChecksumTap::new());
+    drive::<W, M>(how, m, code, &mut chained, &mut send, &mut LinearSink::new(w.plain_out.base));
+    sums.push(send.b.sum().fold());
+    let written = [w.ring, w.cipher_out, w.plain_out, w.apps[0], w.apps[1], w.apps[2]];
+    (sums, verdicts, written.iter().flat_map(|&r| peek(m, r)).collect())
+}
+
+/// `every_combination` windowed and per unit: on twin `SimMem`s the same
+/// result and the same accesses, event by event, with the same counts; on
+/// two `NativeMem` arenas the same result, checksums and bytes.
+fn windowed_equals_per_unit<C: CipherKernel, const W: usize, const LAST: bool>(w: &WindowWorld<C>) {
+    for data_len in [0, 1, 5, 37, 100, 1000] {
+        let what = format!("{} W={W} LAST={LAST} data_len={data_len}", C::NAME);
+        let host = HostModel::ss10_30();
+        let [mut windowed, mut per_unit] = [(); 2].map(|()| {
+            let mut m = SimMem::new(&w.space, &host);
+            w.cipher.init_world(&mut m);
+            m.poke(w.data.base, &w.file());
+            let _ = m.take_stats();
+            m.start_trace(1 << 18);
+            m
+        });
+        let peek = |m: &SimMem, r: Region| m.peek(r.base, r.len).to_vec();
+        let got = every_combination::<C, W, LAST, _>(Driver::Windowed, &mut windowed, w, data_len, peek);
+        let want = every_combination::<C, W, LAST, _>(Driver::PerUnit, &mut per_unit, w, data_len, peek);
+        assert_eq!(got, want, "{what}: SimMem results");
+        assert!(got.1.iter().filter(|v| v.is_ok()).count() >= 2, "{what}: the replies were admitted");
+        let (tw, tp) = (windowed.take_trace().expect("tracing"), per_unit.take_trace().expect("tracing"));
+        assert_eq!(tw.dropped, 0, "{what}: trace window too small");
+        assert!(tw.events() == tp.events(), "{what}: access stream");
+        assert_eq!(format!("{:?}", windowed.stats()), format!("{:?}", per_unit.stats()), "{what}: counts");
+        let [mut a, mut b] = [(); 2].map(|()| w.space.native_arena());
+        let [mut windowed, mut per_unit] = [&mut a, &mut b].map(|arena| {
+            let mut m = NativeMem::new(arena);
+            w.cipher.init_world(&mut m);
+            m.bytes_mut(w.data.base, w.data.len).copy_from_slice(&w.file());
+            m
+        });
+        let peek = |m: &NativeMem<'_>, r: Region| m.bytes(r.base, r.len).to_vec();
+        let got = every_combination::<C, W, LAST, _>(Driver::Windowed, &mut windowed, w, data_len, peek);
+        let want = every_combination::<C, W, LAST, _>(Driver::PerUnit, &mut per_unit, w, data_len, peek);
+        assert_eq!(got, want, "{what}: NativeMem results");
+    }
+}
+
+/// The fused loops' steady state is a window: for every (source,
+/// stages, sink) combination the paths use, in both formats, at every
+/// unit width a cipher allows (1–4 words for the word cipher, 2 and 4 for
+/// the experiment's 8-byte one), `ilp_run` does what the per-unit loop
+/// did — on `SimMem` every access in order, natively every byte and
+/// checksum.
+#[test]
+fn windowed_loops_equal_the_per_unit_loop() {
+    let word = WindowWorld::new(VerySimple::alloc);
+    windowed_equals_per_unit::<_, 1, LENGTH_FIRST>(&word);
+    windowed_equals_per_unit::<_, 2, LENGTH_LAST>(&word);
+    windowed_equals_per_unit::<_, 3, LENGTH_FIRST>(&word);
+    windowed_equals_per_unit::<_, 3, LENGTH_LAST>(&word);
+    windowed_equals_per_unit::<_, 4, LENGTH_FIRST>(&word);
+    let safer = WindowWorld::new(SimplifiedSafer::alloc);
+    windowed_equals_per_unit::<_, 2, LENGTH_FIRST>(&safer);
+    windowed_equals_per_unit::<_, 2, LENGTH_LAST>(&safer);
+    windowed_equals_per_unit::<_, 4, LENGTH_FIRST>(&safer);
+    windowed_equals_per_unit::<_, 4, LENGTH_LAST>(&safer);
 }
 
 /// `NativeMem::copy` (one range check and `copy_within`) leaves exactly

@@ -93,6 +93,11 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In("crates/rpcapp/src"), Text("payload_len % C::UNIT"), 1, ADMIT),
     (In("crates/rpcapp/src"), Text("fn resolve("), 1, ADMIT),
     (In("crates/rpcapp/src"), Text("unreachable!"), 0, "no trait method whose body says it must not be called"),
+    (In("crates/rpcapp/src"), Text("UnmarshalSink::staging|fn staging(|anchored"), 0, "deleted on purpose: a segment that will not be delivered is only checksummed"),
+    (In("crates"), Text("fn window<const W"), 3, "one steady-state operation: Mem::window, natively and instrumented"),
+    (In("crates"), Text("window_by_units("), 2, "one per-unit window loop, run by SimMem and one-memory stages"),
+    (Body("crates/core/src/pipeline.rs", "fn run_units"), Text(".window"), 0, "run_units reaches the window through the stages' steady state"),
+    (Body("crates/utcp/src/conn/recv.rs", "fn sack_ranges"), Text("Vec"), 0, "a SACK-bearing ACK allocates nothing"),
     (In("crates/obs/src"), Text("fn overwritten"), 1, "one bounded ring; the trace and flight rings alias it"),
     (In("crates/obs/src"), Text("other: &Ring"), 1, "one ring merge, Ring::merge_from"),
     (In("crates/obs/src"), Text("other: &TraceRing|other: &FlightRing"), 0, "one ring merge, Ring::merge_from"),
