@@ -11,7 +11,7 @@
 //! round per block, 16 rounds, is exactly the kind of table traffic that
 //! drowns an ILP loop.
 
-use crate::kernel::CipherKernel;
+use crate::kernel::{unit_out, CipherKernel};
 use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
 use memsim::{CodeRegion, Mem};
@@ -218,8 +218,9 @@ impl CipherKernel for Des {
         self.crypt(m, unit, false)
     }
 
-    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
-        self.crypt(m, unit, true)
+    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64, out: &mut [u8]) {
+        let out = unit_out::<8>(out);
+        *out = self.crypt(m, unit, true).to_be_bytes();
     }
 
     /// The classic worked-example key.
@@ -257,7 +258,9 @@ mod tests {
         des.init(&mut m, 0x1334_5779_9BBC_DFF1);
         let ct = des.encrypt_unit(&mut m, 0x0123_4567_89AB_CDEF);
         assert_eq!(ct, 0x85E8_1354_0F0A_B405);
-        assert_eq!(des.decrypt_unit(&mut m, ct), 0x0123_4567_89AB_CDEF);
+        let mut out = [0u8; 8];
+        des.decrypt_unit(&mut m, ct, &mut out);
+        assert_eq!(u64::from_be_bytes(out), 0x0123_4567_89AB_CDEF);
     }
 
     #[test]
@@ -269,7 +272,9 @@ mod tests {
         for i in 0..32u64 {
             let block = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let e = des.encrypt_unit(&mut m, block);
-            assert_eq!(des.decrypt_unit(&mut m, e), block);
+            let mut out = [0u8; 8];
+            des.decrypt_unit(&mut m, e, &mut out);
+            assert_eq!(u64::from_be_bytes(out), block);
         }
     }
 
@@ -280,7 +285,9 @@ mod tests {
         let mut m = NativeMem::new(&mut arena);
         des.init(&mut m, 0);
         let e = des.encrypt_unit(&mut m, 0x1234_5678_9ABC_DEF0);
-        assert_eq!(des.decrypt_unit(&mut m, e), 0x1234_5678_9ABC_DEF0);
+        let mut out = [0u8; 8];
+        des.decrypt_unit(&mut m, e, &mut out);
+        assert_eq!(u64::from_be_bytes(out), 0x1234_5678_9ABC_DEF0);
     }
 
     #[test]

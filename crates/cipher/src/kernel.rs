@@ -41,8 +41,16 @@ pub trait CipherKernel: Copy {
     /// Encrypt one unit held in registers.
     fn encrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64;
 
-    /// Decrypt one unit held in registers.
-    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64;
+    /// Decrypt one unit held in registers, storing each plaintext byte, in
+    /// wire order, into `out` as the kernel computes it. `out` is where the
+    /// plaintext goes — inside a window, the unit's place in the
+    /// destination — or, for a caller that wants the value in a register,
+    /// a local array. (Encryption returns its unit packed: its last step,
+    /// the 2-PHT, is register work on the whole unit.)
+    ///
+    /// # Panics
+    /// Panics unless `out` is [`Self::UNIT`] bytes long.
+    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64, out: &mut [u8]);
 
     /// Unit size as a value (for plan negotiation).
     fn unit(&self) -> usize {
@@ -88,6 +96,16 @@ pub fn unpack(unit: u64, len: usize) -> [u8; 8] {
     out
 }
 
+/// `out` as the `N`-byte unit a kernel decrypts into.
+///
+/// # Panics
+/// Panics unless `out` is `N` bytes long.
+#[inline(always)]
+pub(crate) fn unit_out<const N: usize>(out: &mut [u8]) -> &mut [u8; N] {
+    let len = out.len();
+    out.try_into().unwrap_or_else(|_| panic!("a {len}-byte destination for a {N}-byte cipher unit"))
+}
+
 /// Layered (non-ILP) encryption pass: read `len` bytes at `src` word-wise,
 /// encrypt unit by unit, write to `dst` at the cipher's output granularity.
 ///
@@ -119,7 +137,9 @@ fn pass<C: CipherKernel, M: Mem, const DECRYPT: bool>(c: C, m: &mut M, src: usiz
 }
 
 /// A cipher's unit kernel as a window step: the window's words, packed
-/// big-endian into the high bytes of the kernel's `u64`, one way or back.
+/// big-endian into the high bytes of the kernel's `u64`, one way or back —
+/// decrypted straight into the unit's destination, encrypted into a packed
+/// unit whose bytes are then emitted.
 struct Pass<C, const DECRYPT: bool>(C);
 
 impl<C: CipherKernel, const W: usize, const DECRYPT: bool> UnitStep<W> for Pass<C, DECRYPT> {
@@ -129,10 +149,13 @@ impl<C: CipherKernel, const W: usize, const DECRYPT: bool> UnitStep<W> for Pass<
     }
 
     #[inline(always)]
-    fn unit<K: Mem>(&mut self, k: &mut K, unit: [u32; W]) -> [u32; W] {
+    fn emit<K: Mem>(&mut self, k: &mut K, unit: [u32; W], out: &mut [u8]) {
         let packed = unit.iter().fold(0u64, |x, &w| x << 32 | u64::from(w)) << (64 - 32 * W);
-        let out = if DECRYPT { self.0.decrypt_unit(k, packed) } else { self.0.encrypt_unit(k, packed) };
-        core::array::from_fn(|i| (out >> (32 - 32 * i)) as u32)
+        if DECRYPT {
+            self.0.decrypt_unit(k, packed, out);
+        } else {
+            out.copy_from_slice(&self.0.encrypt_unit(k, packed).to_be_bytes()[..4 * W]);
+        }
     }
 
     /// At the cipher's output granularity: single bytes for the SAFER
@@ -184,12 +207,17 @@ pub(crate) mod kat {
         let mut arena = space.native_arena();
         let mut m = NativeMem::new(&mut arena);
         c.init_world(&mut m);
+        let decrypt = |m: &mut NativeMem<'_>, unit: u64| {
+            let mut out = [0u8; 8];
+            c.decrypt_unit(m, unit, &mut out[..C::UNIT]);
+            u64::from_be_bytes(out)
+        };
         for (plain, cipher) in known {
             assert_eq!(c.encrypt_unit(&mut m, plain), cipher, "encrypt {plain:#018x}");
-            assert_eq!(c.decrypt_unit(&mut m, cipher), plain, "decrypt {cipher:#018x}");
+            assert_eq!(decrypt(&mut m, cipher), plain, "decrypt {cipher:#018x}");
         }
         let enc = fold(blocks().take(n).map(|x| c.encrypt_unit(&mut m, x)));
-        let dec = fold(blocks().take(n).map(|x| c.decrypt_unit(&mut m, x)));
+        let dec = fold(blocks().take(n).map(|x| decrypt(&mut m, x)));
         (enc, dec)
     }
 
@@ -228,8 +256,8 @@ mod tests {
             m.compute(1);
             unit ^ 0xFEED_FACE_CAFE_F00D
         }
-        fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
-            self.encrypt_unit(m, unit)
+        fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64, out: &mut [u8]) {
+            *unit_out(out) = self.encrypt_unit(m, unit).to_be_bytes();
         }
     }
 

@@ -28,7 +28,7 @@
 //! (bijectivity, key sensitivity, decrypt∘encrypt = id for many
 //! keys/blocks/round counts).
 
-use crate::kernel::{pack, unpack, CipherKernel};
+use crate::kernel::{pack, unit_out, unpack, CipherKernel};
 use crate::tables::{exp_table, ExpLogTables};
 use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
@@ -175,7 +175,8 @@ impl CipherKernel for SaferK64 {
         pack(&b)
     }
 
-    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
+    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64, out: &mut [u8]) {
+        let out = unit_out::<8>(out);
         m.fetch(self.code_dec);
         let mut b = unpack(unit, 8);
         // Undo output transformation.
@@ -196,7 +197,7 @@ impl CipherKernel for SaferK64 {
                 m.compute(4);
             }
         }
-        pack(&b)
+        *out = b;
     }
 
     fn init_world<M: Mem>(&self, m: &mut M) {
@@ -250,7 +251,9 @@ mod tests {
             c.init(&mut m, KEY);
             for block in [0u64, u64::MAX, 0x0123_4567_89AB_CDEF] {
                 let e = c.encrypt_unit(&mut m, block);
-                assert_eq!(c.decrypt_unit(&mut m, e), block, "rounds {rounds}");
+                let mut out = [0u8; 8];
+                c.decrypt_unit(&mut m, e, &mut out);
+                assert_eq!(u64::from_be_bytes(out), block, "rounds {rounds}");
             }
         }
     }

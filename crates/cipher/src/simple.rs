@@ -15,7 +15,7 @@
 //! Its 4-byte natural unit (vs the block ciphers' 8) also exercises the
 //! LCM processing-unit negotiation of `ilp-core`.
 
-use crate::kernel::CipherKernel;
+use crate::kernel::{unit_out, CipherKernel};
 use memsim::layout::AddressSpace;
 use memsim::{CodeRegion, Mem};
 
@@ -68,11 +68,12 @@ impl CipherKernel for VerySimple {
         u64::from(Self::encrypt_word(w)) << 32
     }
 
-    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
+    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64, out: &mut [u8]) {
+        let out = unit_out::<4>(out);
         m.fetch(self.code_dec);
         m.compute(Self::OPS_PER_WORD);
         let w = (unit >> 32) as u32;
-        u64::from(Self::decrypt_word(w)) << 32
+        *out = Self::decrypt_word(w).to_be_bytes();
     }
 }
 
@@ -98,7 +99,9 @@ mod tests {
         let unit = 0xCAFE_BABE_0000_0000u64;
         let enc = c.encrypt_unit(&mut m, unit);
         assert_ne!(enc, unit);
-        assert_eq!(c.decrypt_unit(&mut m, enc), unit);
+        let mut out = [0u8; 4];
+        c.decrypt_unit(&mut m, enc, &mut out);
+        assert_eq!(u64::from(u32::from_be_bytes(out)) << 32, unit);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! explosion of the paper's Figure 14 when the cipher is fused into the
 //! ILP loop.
 
-use crate::kernel::CipherKernel;
+use crate::kernel::{unit_out, CipherKernel};
 use crate::tables::ExpLogTables;
 use memsim::layout::AddressSpace;
 use memsim::region::{Region, RegionKind};
@@ -158,7 +158,8 @@ impl CipherKernel for SimplifiedSafer {
     }
 
     #[inline(always)]
-    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
+    fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64, out: &mut [u8]) {
+        let out = unit_out::<8>(out);
         m.fetch(self.code_dec);
         // Inverse PHT, its intermediates staged through the *second*
         // scratch half — the decrypt side needs its own byte vector
@@ -170,9 +171,10 @@ impl CipherKernel for SimplifiedSafer {
         let base = self.region.base;
         m.write_bytes(base + SCRATCH + 8, inverse_pht(unit).to_be_bytes());
         let staged: [u8; 8] = m.read_bytes(base + SCRATCH + 8);
-        // Inverse substitution and key mix.
+        // Inverse substitution and key mix, each plaintext byte stored
+        // where it goes as it is computed — the paper's "write single bytes
+        // into the memory".
         let key: [u8; KEY_LEN] = m.read_bytes(base + KEY);
-        let mut out = [0u8; 8];
         for j in 0..8 {
             out[j] = if XOR_EXP_POS[j] {
                 m.lookup_u8(base + LOG, staged[j]) ^ key[j]
@@ -181,7 +183,6 @@ impl CipherKernel for SimplifiedSafer {
             };
             m.compute(Self::OPS_PER_BYTE); // inverse ops cost what the forward ops cost
         }
-        u64::from_be_bytes(out)
     }
 
     fn init_world<M: Mem>(&self, m: &mut M) {
@@ -215,7 +216,9 @@ mod tests {
         c.init(&mut m, KEY);
         for block in [0u64, 1, u64::MAX, 0x0123_4567_89AB_CDEF, 0xDEAD_BEEF_0BAD_F00D] {
             let enc = c.encrypt_unit(&mut m, block);
-            assert_eq!(c.decrypt_unit(&mut m, enc), block, "block {block:#x}");
+            let mut out = [0u8; 8];
+            c.decrypt_unit(&mut m, enc, &mut out);
+            assert_eq!(u64::from_be_bytes(out), block, "block {block:#x}");
         }
     }
 
@@ -334,7 +337,11 @@ mod tests {
              scratch+0:r scratch+1:r scratch+2:r scratch+3:r scratch+4:r scratch+5:r scratch+6:r scratch+7:r"
         );
         assert_eq!(
-            accesses(&|m| c.decrypt_unit(m, 0x0123_4567_89AB_CDEF)),
+            accesses(&|m| {
+                let mut out = [0u8; 8];
+                c.decrypt_unit(m, 0x0123_4567_89AB_CDEF, &mut out);
+                u64::from_be_bytes(out)
+            }),
             "scratch+8:w scratch+9:w scratch+10:w scratch+11:w scratch+12:w scratch+13:w scratch+14:w scratch+15:w \
              scratch+8:r scratch+9:r scratch+10:r scratch+11:r scratch+12:r scratch+13:r scratch+14:r scratch+15:r \
              key+0:r key+1:r key+2:r key+3:r key+4:r key+5:r key+6:r key+7:r \
@@ -356,7 +363,7 @@ mod tests {
         let e = c.encrypt_unit(&mut m, 0xFFFF_FFFF_FFFF_FFFF);
         let after_enc: Vec<u8> = m.peek(c.region.at(SCRATCH + 8), 8).to_vec();
         assert_eq!(after_enc, vec![0u8; 8], "encrypt must not touch the high half");
-        let _ = c.decrypt_unit(&mut m, e);
+        c.decrypt_unit(&mut m, e, &mut [0u8; 8]);
         let after_dec: Vec<u8> = m.peek(c.region.at(SCRATCH + 8), 8).to_vec();
         assert_ne!(after_dec, vec![0u8; 8], "decrypt stages through the high half");
     }

@@ -122,6 +122,22 @@ pub trait StaticStage: Copy {
         None
     }
 
+    /// Transform `unit` as [`Self::apply`] does, as the last stage of a
+    /// chain, and emit the result into `out`: the unit's `len()` bytes in
+    /// wire order. Inside a window `out` is the unit's place in the
+    /// destination. The default emits the transformed unit's big-endian
+    /// words; a stage whose kernel computes its output a byte at a time
+    /// (decryption) stores each byte into `out` as it computes it instead
+    /// of packing the bytes into words.
+    ///
+    /// # Panics
+    /// Panics unless `out` is `unit.len()` bytes long.
+    #[inline(always)]
+    fn emit<M: Mem>(&mut self, m: &mut M, mut unit: UnitBuf, out: &mut [u8]) {
+        self.apply(m, &mut unit);
+        unit.write_be(out);
+    }
+
     /// The one region the stage's kernels touch; default `None`, for a
     /// stage that touches no memory.
     fn region(&self) -> Option<Region> {
@@ -163,8 +179,9 @@ impl<M: Mem, S: StaticStage> UnitStage<M> for S {
 }
 
 /// Static stages as one unit's step of a window: fetch the loop body, run
-/// the stages in registers, and — on an instrumented memory — store at the
-/// loop's grain.
+/// the stages in registers, the last one emitting into the unit's
+/// destination, and — on an instrumented memory — store at the loop's
+/// grain.
 struct Steady<S> {
     stages: S,
     unit: UnitBuf,
@@ -179,18 +196,38 @@ impl<S: StaticStage, const W: usize> UnitStep<W> for Steady<S> {
     }
 
     #[inline(always)]
-    fn unit<K: Mem>(&mut self, k: &mut K, words: [u32; W]) -> [u32; W] {
+    fn emit<K: Mem>(&mut self, k: &mut K, words: [u32; W], out: &mut [u8]) {
         self.unit.load(words);
         if let Some(code) = self.code {
             k.fetch(code);
         }
-        self.stages.apply(k, &mut self.unit);
-        self.unit.to_array()
+        self.stages.emit(k, self.unit, out);
     }
 
     #[inline(always)]
     fn store<K: Mem>(&mut self, k: &mut K, addr: usize, words: [u32; W]) {
         store_words(k, addr, words, self.grain);
+    }
+}
+
+/// Cipher unit `i` of `unit`, packed big-endian into the high bytes of a
+/// `u64` as [`CipherKernel`] takes it.
+#[inline(always)]
+fn cipher_unit<C: CipherKernel>(unit: &UnitBuf, i: usize) -> u64 {
+    match C::UNIT {
+        8 => unit.chunk64(i),
+        4 => u64::from(unit.word(i)) << 32,
+        u => unreachable!("unsupported cipher unit {u}"),
+    }
+}
+
+/// Replace cipher unit `i` of `unit` with the packed `v`.
+#[inline(always)]
+fn set_cipher_unit<C: CipherKernel>(unit: &mut UnitBuf, i: usize, v: u64) {
+    match C::UNIT {
+        8 => unit.set_chunk64(i, v),
+        4 => unit.set_word(i, (v >> 32) as u32),
+        u => unreachable!("unsupported cipher unit {u}"),
     }
 }
 
@@ -214,20 +251,9 @@ impl<C: CipherKernel> StaticStage for EncryptStage<C> {
 
     #[inline(always)]
     fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf) {
-        match C::UNIT {
-            8 => {
-                for i in 0..unit.chunks64() {
-                    let out = self.cipher.encrypt_unit(m, unit.chunk64(i));
-                    unit.set_chunk64(i, out);
-                }
-            }
-            4 => {
-                for i in 0..unit.words() {
-                    let out = self.cipher.encrypt_unit(m, u64::from(unit.word(i)) << 32);
-                    unit.set_word(i, (out >> 32) as u32);
-                }
-            }
-            u => unreachable!("unsupported cipher unit {u}"),
+        for i in 0..unit.len() / C::UNIT {
+            let out = self.cipher.encrypt_unit(m, cipher_unit::<C>(unit, i));
+            set_cipher_unit::<C>(unit, i, out);
         }
     }
 
@@ -258,22 +284,24 @@ impl<C: CipherKernel> StaticStage for DecryptStage<C> {
         C::UNIT
     }
 
+    /// Each cipher unit decrypted into a local array and put back in the
+    /// unit — for a caller that wants the plaintext in registers: the
+    /// per-unit path, or a stage ahead of another.
     #[inline(always)]
     fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf) {
-        match C::UNIT {
-            8 => {
-                for i in 0..unit.chunks64() {
-                    let out = self.cipher.decrypt_unit(m, unit.chunk64(i));
-                    unit.set_chunk64(i, out);
-                }
-            }
-            4 => {
-                for i in 0..unit.words() {
-                    let out = self.cipher.decrypt_unit(m, u64::from(unit.word(i)) << 32);
-                    unit.set_word(i, (out >> 32) as u32);
-                }
-            }
-            u => unreachable!("unsupported cipher unit {u}"),
+        for i in 0..unit.len() / C::UNIT {
+            let mut out = [0u8; 8];
+            self.cipher.decrypt_unit(m, cipher_unit::<C>(unit, i), &mut out[..C::UNIT]);
+            set_cipher_unit::<C>(unit, i, u64::from_be_bytes(out));
+        }
+    }
+
+    /// Each plaintext byte stored into `out` as the kernel computes it.
+    #[inline(always)]
+    fn emit<M: Mem>(&mut self, m: &mut M, unit: UnitBuf, out: &mut [u8]) {
+        assert_eq!(out.len(), unit.len(), "a {}-byte destination for a {}-byte unit", out.len(), unit.len());
+        for (i, out) in out.chunks_exact_mut(C::UNIT).enumerate() {
+            self.cipher.decrypt_unit(m, cipher_unit::<C>(&unit, i), out);
         }
     }
 
@@ -367,7 +395,8 @@ impl StaticStage for CrcStage {
 }
 
 /// Static fusion of two stages: `a` then `b`, flattened by
-/// monomorphisation into one loop body.
+/// monomorphisation into one loop body. In a window `b` is the stage that
+/// emits into the destination ([`StaticStage::emit`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Fused<A, B> {
     /// First stage.
@@ -392,6 +421,13 @@ impl<A: StaticStage, B: StaticStage> StaticStage for Fused<A, B> {
     fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf) {
         self.a.apply(m, unit);
         self.b.apply(m, unit);
+    }
+
+    /// `a` transforms; `b`, the chain's last stage, emits.
+    #[inline(always)]
+    fn emit<M: Mem>(&mut self, m: &mut M, mut unit: UnitBuf, out: &mut [u8]) {
+        self.a.apply(m, &mut unit);
+        self.b.emit(m, unit, out);
     }
 
     fn ordering(&self) -> Ordering {

@@ -88,17 +88,24 @@ impl UnitBuf {
         core::array::from_fn(|i| self.words[i])
     }
 
+    /// Write the unit into `out`: its words big-endian, `len()` bytes in
+    /// wire order.
+    ///
+    /// # Panics
+    /// Panics unless `out` is `len()` bytes long.
+    #[inline(always)]
+    pub fn write_be(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), self.len, "a {}-byte destination for a {}-byte unit", out.len(), self.len);
+        for (slot, w) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.words) {
+            *slot = w.to_be_bytes();
+        }
+    }
+
     /// Byte `i` in wire (big-endian) order (for grain-1 stores).
     #[inline(always)]
     pub fn byte(&self, i: usize) -> u8 {
         debug_assert!(i < self.len);
         (self.words[i / 4] >> (24 - 8 * (i % 4))) as u8
-    }
-
-    /// Number of 8-byte chunks (valid only for 8/16-byte units).
-    #[inline(always)]
-    pub fn chunks64(&self) -> usize {
-        self.len / 8
     }
 }
 
@@ -140,7 +147,6 @@ mod tests {
         let mut u = UnitBuf::new(16);
         u.set_chunk64(0, 1);
         u.set_chunk64(1, 2);
-        assert_eq!(u.chunks64(), 2);
         assert_eq!(u.chunk64(1), 2);
     }
 
@@ -152,7 +158,7 @@ mod tests {
             for (i, w) in wire[..len].chunks_exact(4).enumerate() {
                 u.set_word(i, u32::from_be_bytes(w.try_into().unwrap()));
             }
-            assert_eq!((u.len(), u.words(), u.chunks64()), (len, len / 4, len / 8));
+            assert_eq!((u.len(), u.words()), (len, len / 4));
             for (i, &b) in wire[..len].iter().enumerate() {
                 assert_eq!(u.byte(i), b, "byte {i} of a {len}-byte unit");
             }

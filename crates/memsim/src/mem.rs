@@ -26,18 +26,21 @@
 //!
 //! **A chunk's steady state** is one operation, [`Mem::window`]: whole
 //! units read at a source span, transformed by a [`UnitStep`] whose
-//! kernels touch one region, stored at a destination span. `NativeMem`
+//! kernels touch one region, emitted into a destination span. `NativeMem`
 //! proves the three spans in its arena and pairwise disjoint once, then
 //! walks `chunks_exact` over the two disjoint borrowed spans with the
-//! kernels on a `NativeMem` over their region alone — with nothing left
-//! to alias, the optimiser drops the per-unit checks a burst still pays.
-//! An instrumented memory runs [`window_by_units`], the per-unit loop in
-//! its order.
+//! kernels on a `NativeMem` over their region alone, and the step writes
+//! each unit's bytes straight into its destination slice — with nothing
+//! left to alias, the optimiser drops the per-unit checks a burst still
+//! pays. An instrumented memory runs [`window_by_units`], the per-unit
+//! loop in its order, with the step emitting into a local buffer whose
+//! store it books at the step's grain.
 //!
 //! **What the burst operations promise every `Mem`.**
 //! [`Mem::read_bytes`] / [`Mem::write_bytes`] are "`N` one-byte accesses
 //! at ascending addresses" and [`Mem::lookup_u8`] is "one byte of a
-//! 256-byte table". Their defaults are written in `read::<1>` /
+//! 256-byte table"; [`Mem::fill_bytes`] is `len` one-byte writes of one
+//! value. Their defaults are written in `read::<1>` /
 //! `write::<1>`, so an instrumented memory books exactly the byte-grain
 //! traffic the kernel means — eight `B1` reads, never one `B8` — and
 //! returns and leaves exactly what the one-byte calls would. Likewise the
@@ -210,6 +213,16 @@ pub trait Mem {
         }
     }
 
+    /// `len` one-byte writes of `v` at `addr`, `addr + 1`, … in ascending
+    /// order — a byte fill, issued as one operation so an uninstrumented
+    /// memory can check the range once.
+    #[inline(always)]
+    fn fill_bytes(&mut self, addr: usize, len: usize, v: u8) {
+        for i in 0..len {
+            self.write_u8(addr + i, v);
+        }
+    }
+
     /// One one-byte read of entry `idx` of the 256-byte table at `table`.
     /// The whole window `[table, table + 256)` must lie in memory.
     #[inline(always)]
@@ -284,12 +297,14 @@ pub trait Mem {
 
     /// The `w.units` exchange units of a chunk's steady state, one after
     /// another: `W` words read at `w.src`, transformed by `step` — whose
-    /// kernels touch no memory but [`UnitStep::region`] — and stored at
-    /// `w.dst`, each span advancing `4W` bytes a unit. An instrumented memory books
-    /// exactly what the per-unit loop books ([`window_by_units`]);
-    /// [`NativeMem`] proves the three spans once and walks pre-sliced
-    /// windows. Either memory panics before its first access when a span
-    /// leaves memory or two spans overlap.
+    /// kernels touch no memory but [`UnitStep::region`] — and emitted at
+    /// `w.dst`, each span advancing `4W` bytes a unit. An instrumented
+    /// memory books exactly what the per-unit loop books
+    /// ([`window_by_units`]): the step emits into a local buffer, which
+    /// [`UnitStep::store`] writes at the step's grain; [`NativeMem`] proves
+    /// the three spans once and hands the step each unit's pre-sliced
+    /// destination, which it writes itself. Either memory panics before its
+    /// first access when a span leaves memory or two spans overlap.
     fn window<const W: usize>(&mut self, w: Window, step: &mut impl UnitStep<W>);
 }
 
@@ -338,15 +353,22 @@ pub trait UnitStep<const W: usize> {
     /// kernels' addresses and the window's region share one base.
     fn region(&self) -> Option<Region>;
 
-    /// Transform `unit`; the step's kernels reach memory only through `k`,
-    /// and only inside [`Self::region`].
-    fn unit<K: Mem>(&mut self, k: &mut K, unit: [u32; W]) -> [u32; W];
+    /// Transform `unit` and emit the result — `4W` bytes in wire order —
+    /// into `out`, byte by byte as the step's last kernel computes them, or
+    /// as the unit's big-endian words. Natively `out` is the unit's place in
+    /// the window's destination; on an instrumented memory it is a local
+    /// buffer that [`Self::store`] then books. The step's kernels reach
+    /// memory only through `k`, and only inside [`Self::region`].
+    ///
+    /// # Panics
+    /// Panics unless `out` is `4W` bytes long.
+    fn emit<K: Mem>(&mut self, k: &mut K, unit: [u32; W], out: &mut [u8]);
 
-    /// Store a transformed unit at `addr` of an instrumented memory, at the
+    /// Store an emitted unit at `addr` of an instrumented memory, at the
     /// step's grain: the `W` four-byte or `4W` one-byte writes of
     /// [`Mem::write_words_be`] / [`Mem::write_words_as_bytes`]. (Natively
-    /// both are the unit's `4W` big-endian bytes, which the window writes
-    /// itself.)
+    /// the step emitted straight into the destination: nothing is left to
+    /// store.)
     fn store<K: Mem>(&mut self, k: &mut K, addr: usize, unit: [u32; W]);
 }
 
@@ -457,6 +479,13 @@ impl Mem for NativeMem<'_> {
         self.write::<N>(addr, bytes);
     }
 
+    /// One slice check for the fill, then `fill`.
+    #[inline(always)]
+    fn fill_bytes(&mut self, addr: usize, len: usize, v: u8) {
+        let i = addr - self.base;
+        self.arena[i..i + len].fill(v);
+    }
+
     /// One slice check for the table window: after it the index, a `u8`
     /// into 256 bytes, cannot be out of range, and look-ups in the same
     /// table share the check.
@@ -492,9 +521,10 @@ impl Mem for NativeMem<'_> {
     /// One proof for the chunk — source, destination and kernel region in
     /// the arena and pairwise disjoint — then `chunks_exact` over the two
     /// spans, with the step's kernels on a memory over the kernel region
-    /// alone. Over disjoint borrowed slices the optimiser drops every
-    /// per-unit bounds check of the source, the destination and the
-    /// kernels' fixed-offset accesses (DESIGN.md §18, row 15).
+    /// alone and each unit emitted straight into its destination slice.
+    /// Over disjoint borrowed slices the optimiser drops every per-unit
+    /// bounds check of the source, the destination and the kernels'
+    /// fixed-offset accesses (DESIGN.md §18, row 15).
     #[inline(always)]
     fn window<const W: usize>(&mut self, w: Window, step: &mut impl UnitStep<W>) {
         if w.units == 0 {
@@ -505,11 +535,7 @@ impl Mem for NativeMem<'_> {
         let mut k = NativeMem::with_base(kernel, region.map_or(0, |r| r.base));
         for (s, d) in src.chunks_exact(4 * W).zip(dst.chunks_exact_mut(4 * W)) {
             let (words, _) = s.as_chunks::<4>();
-            let out = step.unit(&mut k, core::array::from_fn(|i| u32::from_be_bytes(words[i])));
-            let (slots, _) = d.as_chunks_mut::<4>();
-            for (slot, word) in slots.iter_mut().zip(out) {
-                *slot = word.to_be_bytes();
-            }
+            step.emit(&mut k, core::array::from_fn(|i| u32::from_be_bytes(words[i])), d);
         }
     }
 }
@@ -678,8 +704,10 @@ mod tests {
             self.0
         }
 
-        fn unit<K: Mem>(&mut self, _k: &mut K, unit: [u32; W]) -> [u32; W] {
-            unit
+        fn emit<K: Mem>(&mut self, _k: &mut K, unit: [u32; W], out: &mut [u8]) {
+            for (slot, w) in out.as_chunks_mut::<4>().0.iter_mut().zip(unit) {
+                *slot = w.to_be_bytes();
+            }
         }
 
         fn store<K: Mem>(&mut self, k: &mut K, addr: usize, unit: [u32; W]) {
@@ -904,6 +932,35 @@ mod tests {
         let s = m.stats();
         assert_eq!((s.reads.by_size(crate::SizeClass::B1), s.reads.total()), (9, 9), "never one B8");
         assert_eq!((s.writes.by_size(crate::SizeClass::B1), s.writes.total()), (4, 4));
+    }
+
+    #[test]
+    fn a_fill_is_its_one_byte_writes_on_both_memories() {
+        use crate::cache::AccessKind::Write;
+        use crate::trace::TraceEvent;
+        let (space, r) = fixture();
+        // Natively: the bytes `len` `write_u8`s leave, and a panic on a
+        // fill that leaves the arena by one byte at either end.
+        let (mut a, mut b) = (space.native_arena(), space.native_arena());
+        let (mut fill, mut bytes) = (NativeMem::new(&mut a), NativeMem::new(&mut b));
+        for (addr, len, v) in [(r.at(3), 17, 0xA5), (r.at(8), 0, 0x11), (r.base, 64, 0), (r.at(40), 9, 0x7E)] {
+            fill.fill_bytes(addr, len, v);
+            (0..len).for_each(|i| bytes.write_u8(addr + i, v));
+        }
+        assert_eq!(fill.bytes(r.base, r.len), bytes.bytes(r.base, r.len));
+        let (base, end) = (space.data_base(), space.data_base() + space.data_size());
+        assert!(panics(&space, |m| m.fill_bytes(end - 7, 8, 1)), "fill crossing the end");
+        assert!(panics(&space, |m| m.fill_bytes(base - 1, 8, 1)), "fill crossing the start");
+        assert!(!panics(&space, |m| m.fill_bytes(end - 8, 8, 1)));
+        // Instrumented: `len` one-byte writes at ascending addresses.
+        let mut m = crate::SimMem::new(&space, &crate::HostModel::ss10_30());
+        m.start_trace(64);
+        m.fill_bytes(r.at(5), 6, 0xC3);
+        let want: Vec<TraceEvent> = (0..6).map(|i| TraceEvent { addr: r.at(5 + i), len: 1, kind: Write }).collect();
+        assert_eq!(m.take_trace().expect("started").events(), &want[..]);
+        assert_eq!(m.peek(r.at(4), 8), &[0, 0xC3, 0xC3, 0xC3, 0xC3, 0xC3, 0xC3, 0]);
+        let s = m.stats();
+        assert_eq!((s.writes.by_size(crate::SizeClass::B1), s.writes.total(), s.reads.total()), (6, 6, 0));
     }
 
     #[test]

@@ -270,15 +270,17 @@ impl Mem for SimMem {
     }
 
     /// The per-unit loop, in its order, after the same proof of the spans
-    /// as [`crate::NativeMem`] makes (which books nothing).
+    /// as [`crate::NativeMem`] makes (which books nothing): the step emits
+    /// each unit into a local `4W`-byte buffer, then books its store.
     fn window<const W: usize>(&mut self, w: Window, step: &mut impl UnitStep<W>) {
         if w.units == 0 {
             return;
         }
         let _ = w.spans::<W>(step.region(), &mut self.arena, self.base);
         window_by_units(self, &w, |m, at, unit| {
-            let out = step.unit(m, unit);
-            step.store(m, at, out);
+            let mut out = [[0u8; 4]; W];
+            step.emit(m, unit, out.as_flattened_mut());
+            step.store(m, at, out.map(u32::from_be_bytes));
         });
     }
 }

@@ -3,8 +3,11 @@
 //! Functionally this is exactly what the paper asks of its kernel
 //! component — "similar functionality as UDP without checksum" — except
 //! the UDP is real: every [`KernelPart::send`](utcp::KernelPart::send)
-//! becomes one `sendto(2)` and a receive that finds its queue empty
-//! drains `recvfrom(2)`. The inner bytes are the same IPv4 + TCP +
+//! becomes one `send(2)` on a socket `connect`ed to the peer, and a
+//! receive that finds its queue empty drains `recvfrom(2)`. A connected
+//! socket is cheaper per datagram (the kernel resolves the route once, not
+//! per send) and hears its peer only: a datagram from any other address
+//! never reaches the codec. The inner bytes are the same IPv4 + TCP +
 //! payload datagram the loop-back carries, framed by the length-checked
 //! codec in [`crate::codec`]; the connection state machine above cannot
 //! tell the backends apart (the equivalence test in
@@ -26,9 +29,10 @@ pub type UdpBackend = Backend<Udp>;
 #[derive(Debug)]
 pub struct Udp {
     socket: UdpSocket,
-    /// Destination for outgoing datagrams. Until one is set, the sender
-    /// of the first frame that passes the codec becomes it (server mode:
-    /// the client dials first), and a send counts a drop.
+    /// Destination for outgoing datagrams, and the one address the
+    /// socket is connected to. Until one is set, the sender of the first
+    /// frame that passes the codec becomes it (server mode: the client
+    /// dials first), and a send counts a drop.
     peer: Option<SocketAddr>,
 }
 
@@ -54,16 +58,26 @@ impl UdpBackend {
         self.link.socket.local_addr()
     }
 
-    /// Set the destination for outgoing datagrams.
+    /// Set the destination for outgoing datagrams and connect the socket
+    /// to it: from then on only `addr` is heard.
     ///
     /// # Errors
-    /// `InvalidInput` when `addr` resolves to nothing.
+    /// `InvalidInput` when `addr` resolves to nothing; whatever the OS
+    /// returns for `connect`.
     pub fn set_peer<A: ToSocketAddrs>(&mut self, addr: A) -> io::Result<()> {
         let resolved = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
-        self.link.peer = Some(resolved);
+        self.link.connect(resolved)
+    }
+}
+
+impl Udp {
+    /// Connect the socket to `peer` and send there from now on.
+    fn connect(&mut self, peer: SocketAddr) -> io::Result<()> {
+        self.socket.connect(peer)?;
+        self.peer = Some(peer);
         Ok(())
     }
 }
@@ -72,8 +86,10 @@ impl Link for Udp {
     fn send(&mut self, frame: &mut Vec<u8>, len: usize, tag: Option<SegTag>, fill: impl FnOnce(&mut [u8]))
         -> io::Result<()> {
         codec::encode_into(frame, len, tag, fill).expect("assembled datagram is within codec bounds");
-        let peer = self.peer.ok_or(io::ErrorKind::NotConnected)?;
-        self.socket.send_to(frame, peer).map(drop)
+        if self.peer.is_none() {
+            return Err(io::ErrorKind::NotConnected.into());
+        }
+        self.socket.send(frame).map(drop)
     }
 
     // Inlined into the drain, which then reads, decodes and deposits in
@@ -84,7 +100,9 @@ impl Link for Udp {
         let Ok(frame) = codec::decode_frame(&buf[..n]) else {
             return Ok(None);
         };
-        self.peer.get_or_insert(from);
+        if self.peer.is_none() {
+            self.connect(from)?;
+        }
         Ok(Some(frame))
     }
 }
@@ -221,12 +239,12 @@ mod tests {
         let rx = b.register(8080);
         let mut arena = space.native_arena();
         let mut m = NativeMem::new(&mut arena);
-        // Raw socket sends bypassing the codec: garbage on the wire.
-        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
-        let dest = b.local_addr().unwrap();
-        raw.send_to(b"definitely not a frame", dest).unwrap();
-        raw.send_to(&[], dest).unwrap();
-        raw.send_to(&[b'I', b'L', 1, 1, 0xFF, 0xFF], dest).unwrap(); // oversized decl
+        // Raw sends from the peer's socket (the one address b hears),
+        // bypassing the codec: garbage on the wire.
+        let raw = &a.link.socket;
+        raw.send(b"definitely not a frame").unwrap();
+        raw.send(&[]).unwrap();
+        raw.send(&[b'I', b'L', 1, 1, 0xFF, 0xFF]).unwrap(); // oversized decl
         let deadline = Instant::now() + Duration::from_secs(5);
         while b.counters().corrupted < 3 && Instant::now() < deadline {
             assert!(b.recv_into(&mut m, rx).is_none());
@@ -234,6 +252,37 @@ mod tests {
         }
         assert_eq!(b.counters().corrupted, 3);
         let _ = a;
+    }
+
+    #[test]
+    fn a_third_sockets_datagram_is_never_delivered() {
+        // b is connected to a. A codec-valid datagram for b's registered
+        // port, sent from any other address, is dropped by the OS: it is
+        // neither delivered nor counted, and the peer's next datagram is
+        // the first and only one b sees.
+        let mut space = AddressSpace::new();
+        let Some((mut a, mut b)) = pair(&mut space) else {
+            eprintln!("skipping: sandbox denies UDP sockets");
+            return;
+        };
+        let rx = b.register(8080);
+        let user = space.alloc("user", 4096, 8);
+        let frame = space.alloc("frame", IP_HEADER_LEN + TCP_HEADER_LEN, 8);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        utcp::Ipv4Header::at(frame.base).build(&mut m, 0x0A00_0001, 0x0A00_0002, TCP_HEADER_LEN, 9, 0, false, 64);
+        TcpHeader::at(frame.at(IP_HEADER_LEN)).build(&mut m, 1111, 8080, 77, 0, TcpFlags::ACK, 512);
+        let wire = codec::encode(m.bytes(frame.base, frame.len)).expect("admissible");
+        let third = UdpSocket::bind("127.0.0.1:0").expect("bind a third socket");
+        third.send_to(&wire, b.local_addr().unwrap()).unwrap();
+        TcpHeader::at(user.base).build(&mut m, 1111, 8080, 42, 0, TcpFlags::DATA, 512);
+        a.send(&mut m, 0x0A00_0001, 0x0A00_0002, 8080, user.base, user.at(64), 16);
+        let d = recv_deadline(&mut b, &mut m, rx).expect("the peer's datagram");
+        assert_eq!(TcpHeader::at(d.addr + IP_HEADER_LEN).seq(&mut m), 42, "the peer's, not the third socket's");
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(b.recv_into(&mut m, rx).is_none());
+        let c = b.counters();
+        assert_eq!((c.received, c.corrupted, c.unroutable), (1, 0, 0));
     }
 
     #[test]
@@ -357,8 +406,8 @@ mod tests {
         TcpHeader::at(frame.at(IP_HEADER_LEN)).build(&mut m, 1111, 8080, 77, 0, TcpFlags::DATA, 512);
         let wire = codec::encode(m.bytes(frame.base, frame.len)).expect("MAX_INNER is admissible");
         m.bytes_mut(tcb.base, tcb.len).fill(0xA5);
-        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
-        raw.send_to(&wire, b.local_addr().unwrap()).unwrap();
+        // From the peer's socket, the one address b hears.
+        a.link.socket.send(&wire).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while conn.stats.rejected == 0 && Instant::now() < deadline {
             assert!(conn.poll_input(&mut m, &mut b).is_none(), "oversized datagram surfaced");

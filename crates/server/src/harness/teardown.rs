@@ -101,9 +101,7 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
             sess.tx.listen();
             sess.xfer = Transfer::default();
             c.rx.reopen(&mut self.lb, client_iss(g));
-            for j in 0..self.cfg.file_len {
-                m.write_u8(c.app_out.at(j), 0);
-            }
+            m.fill_bytes(c.app_out.base, self.cfg.file_len, 0);
         }
         self.accept.rearm();
         self.rounds.rearm();

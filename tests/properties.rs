@@ -22,7 +22,7 @@ use ilp_repro::cipher::{
 };
 use ilp_repro::ilp::{
     ilp_run, ChecksumTap, DecryptStage, EncryptStage, Fused, Identity, LinearSink, Ordering, PartKind, Reject,
-    SegmentPlan, StoreGrain, UnitBuf, UnitSink, UnitStage,
+    SegmentPlan, StaticStage, StoreGrain, UnitBuf, UnitSink, UnitStage,
 };
 use ilp_repro::memsim::{AddressSpace, CodeRegion, HostModel, Mem, NativeMem, Region, RegionKind, SimMem};
 use ilp_repro::rpcapp::app::{FileTransfer, Path};
@@ -694,6 +694,205 @@ fn windowed_loops_equal_the_per_unit_loop() {
     windowed_equals_per_unit::<_, 4, LENGTH_LAST>(&safer);
 }
 
+/// One kernel's world for the decrypt emission: the kernel, a source of
+/// ciphertext-like bytes, three destinations and a loop body.
+struct EmitWorld<C> {
+    space: AddressSpace,
+    cipher: C,
+    src: Region,
+    dst: [Region; 3],
+    code: CodeRegion,
+}
+
+/// Bytes in an [`EmitWorld`]'s source and destinations: a whole number of
+/// units at every width.
+const EMIT_LEN: usize = 240;
+
+impl<C: CipherKernel> EmitWorld<C> {
+    fn new(alloc: impl FnOnce(&mut AddressSpace) -> C) -> Self {
+        let mut space = AddressSpace::new();
+        let cipher = alloc(&mut space);
+        let src = space.alloc_kind("ciphertext", EMIT_LEN, 8, RegionKind::Buffer);
+        let dst = ["fused", "late", "layered"].map(|n| space.alloc_kind(n, EMIT_LEN, 8, RegionKind::AppData));
+        let code = space.alloc_code("recv_loop", 1024);
+        EmitWorld { space, cipher, src, dst, code }
+    }
+
+    /// The source bytes every memory starts with.
+    fn ciphertext(&self) -> Vec<u8> {
+        (0..EMIT_LEN).map(|i| (i * 151 + 29) as u8 ^ (i >> 3) as u8).collect()
+    }
+}
+
+/// The three decrypting passes, in `W`-word units: the fused receive's
+/// stages (a checksum tap, then the decrypt stage) and the decrypt stage
+/// alone, each driven `how`; and the layered `decrypt_buf` — windowed — or
+/// the per-unit loop it stands for, which decrypts each cipher unit into a
+/// local array and stores it at the cipher's grain. Returns the tap's sum
+/// and every byte written.
+fn decrypt_passes<C: CipherKernel, const W: usize, M: Mem>(
+    how: Driver,
+    m: &mut M,
+    w: &EmitWorld<C>,
+    peek: impl Fn(&M, Region) -> Vec<u8>,
+) -> (u16, Vec<u8>) {
+    let (c, src, [fused, late, layered]) = (w.cipher, w.src.base, w.dst);
+    let mut recv = Fused::new(ChecksumTap::new(), DecryptStage::new(c));
+    drive::<W, M>(how, m, w.code, &mut OpaqueSource::new(src, EMIT_LEN), &mut recv, &mut LinearSink::new(fused.base));
+    let (source, sink) = (&mut OpaqueSource::new(src, EMIT_LEN), &mut LinearSink::new(late.base));
+    drive::<W, M>(how, m, w.code, source, &mut DecryptStage::new(c), sink);
+    match how {
+        Driver::Windowed => decrypt_buf(&c, m, src, layered.base, EMIT_LEN),
+        Driver::PerUnit => {
+            for off in (0..EMIT_LEN).step_by(C::UNIT) {
+                let words: Vec<u32> = (0..C::UNIT / 4).map(|i| m.read_u32_be(src + off + 4 * i)).collect();
+                let packed = words.iter().fold(0u64, |x, &w| x << 32 | u64::from(w)) << (64 - 8 * C::UNIT);
+                let mut out = [0u8; 8];
+                c.decrypt_unit(m, packed, &mut out[..C::UNIT]);
+                for (i, word) in out[..C::UNIT].chunks_exact(4).enumerate() {
+                    let (addr, word) = (layered.base + off + 4 * i, <[u8; 4]>::try_from(word).expect("a word"));
+                    match C::OUTPUT_GRAIN {
+                        1 => m.write_bytes(addr, word),
+                        _ => m.write_u32_be(addr, u32::from_be_bytes(word)),
+                    }
+                }
+            }
+        }
+    }
+    (recv.a.sum().fold(), [fused, late, layered].iter().flat_map(|&r| peek(m, r)).collect())
+}
+
+/// For one kernel at width `W`: each stage's emission into a destination
+/// equals its packed result (`apply`, then the unit's big-endian words);
+/// and the decrypting passes, whose steady state emits straight into the
+/// window's destination, leave on two `NativeMem` arenas the bytes the
+/// per-unit loop leaves, and ask twin `SimMem`s for the same accesses,
+/// event by event, with the same counts.
+fn emitting_equals_the_packed_result<C: CipherKernel, const W: usize>(w: &EmitWorld<C>) {
+    let what = format!("{} W={W}", C::NAME);
+    let [mut a, mut b] = [(); 2].map(|()| w.space.native_arena());
+    let [mut windowed, mut per_unit] = [&mut a, &mut b].map(|arena| {
+        let mut m = NativeMem::new(arena);
+        w.cipher.init_world(&mut m);
+        m.bytes_mut(w.src.base, EMIT_LEN).copy_from_slice(&w.ciphertext());
+        m
+    });
+    let mut rng = XorShift64::new(0x5EED ^ (W as u64) << 8 ^ C::UNIT as u64);
+    for _ in 0..64 {
+        let mut unit = UnitBuf::new(4 * W);
+        for i in 0..W {
+            unit.set_word(i, rng.next_u32());
+        }
+        let recv = Fused::new(ChecksumTap::new(), DecryptStage::new(w.cipher));
+        let (mut emitting, mut packing) = (recv, recv);
+        let mut emitted = [[0u8; 16]; 3];
+        DecryptStage::new(w.cipher).emit(&mut windowed, unit, &mut emitted[0][..4 * W]);
+        emitting.emit(&mut windowed, unit, &mut emitted[1][..4 * W]);
+        EncryptStage::new(w.cipher).emit(&mut windowed, unit, &mut emitted[2][..4 * W]);
+        let mut packed = [[0u8; 16]; 3];
+        let stages: [&mut dyn UnitStage<NativeMem>; 3] =
+            [&mut DecryptStage::new(w.cipher), &mut packing, &mut EncryptStage::new(w.cipher)];
+        for (stage, packed) in stages.into_iter().zip(&mut packed) {
+            let mut u = unit;
+            stage.process(&mut per_unit, &mut u);
+            u.write_be(&mut packed[..4 * W]);
+        }
+        assert_eq!(emitted, packed, "{what}: emitted vs packed, unit {unit:?}");
+        assert_eq!(emitting.a.sum().fold(), packing.a.sum().fold(), "{what}: the tap ahead of the emitting stage");
+    }
+    let peek = |m: &NativeMem<'_>, r: Region| m.bytes(r.base, r.len).to_vec();
+    let got = decrypt_passes::<C, W, _>(Driver::Windowed, &mut windowed, w, peek);
+    let want = decrypt_passes::<C, W, _>(Driver::PerUnit, &mut per_unit, w, peek);
+    assert_eq!(got, want, "{what}: NativeMem bytes");
+    let host = HostModel::ss10_30();
+    let [mut windowed, mut per_unit] = [(); 2].map(|()| {
+        let mut m = SimMem::new(&w.space, &host);
+        w.cipher.init_world(&mut m);
+        m.poke(w.src.base, &w.ciphertext());
+        let _ = m.take_stats();
+        m.start_trace(1 << 17);
+        m
+    });
+    let peek = |m: &SimMem, r: Region| m.peek(r.base, r.len).to_vec();
+    let got = decrypt_passes::<C, W, _>(Driver::Windowed, &mut windowed, w, peek);
+    let want = decrypt_passes::<C, W, _>(Driver::PerUnit, &mut per_unit, w, peek);
+    assert_eq!(got, want, "{what}: SimMem bytes");
+    let (tw, tp) = (windowed.take_trace().expect("tracing"), per_unit.take_trace().expect("tracing"));
+    assert_eq!(tw.dropped, 0, "{what}: trace window too small");
+    assert!(tw.events() == tp.events(), "{what}: access stream");
+    assert_eq!(format!("{:?}", windowed.stats()), format!("{:?}", per_unit.stats()), "{what}: counts");
+}
+
+/// Decryption stores each plaintext byte where it goes — for every kernel
+/// (the experiment's simplified SAFER, SAFER K-64 at one, the default and
+/// eight rounds, DES and the word cipher) and every unit width of 1, 2
+/// and 4 words the kernel allows (an 8-byte cipher unit needs two words),
+/// emitting into a destination equals the packed result, natively and
+/// instrumented.
+#[test]
+fn decrypt_emission_equals_the_packed_result_for_every_kernel() {
+    let safer = EmitWorld::new(SimplifiedSafer::alloc);
+    emitting_equals_the_packed_result::<_, 2>(&safer);
+    emitting_equals_the_packed_result::<_, 4>(&safer);
+    for rounds in [1, ilp_repro::cipher::safer::DEFAULT_ROUNDS, 8] {
+        let full = EmitWorld::new(|space| SaferK64::alloc(space, rounds));
+        emitting_equals_the_packed_result::<_, 2>(&full);
+        emitting_equals_the_packed_result::<_, 4>(&full);
+    }
+    let des = EmitWorld::new(Des::alloc);
+    emitting_equals_the_packed_result::<_, 2>(&des);
+    emitting_equals_the_packed_result::<_, 4>(&des);
+    let word = EmitWorld::new(VerySimple::alloc);
+    emitting_equals_the_packed_result::<_, 1>(&word);
+    emitting_equals_the_packed_result::<_, 2>(&word);
+    emitting_equals_the_packed_result::<_, 4>(&word);
+}
+
+/// Whether `f` panics.
+fn panics(f: impl FnOnce()) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+}
+
+/// On `m`, a decrypt destination of each wrong length panics, and so does
+/// each stage's emission into a destination a word short or long of its
+/// unit; destinations of the right length do not.
+fn wrong_destinations_panic<C: CipherKernel, M: Mem>(c: C, m: &mut M, what: &str) {
+    for len in [0, C::UNIT - 1, C::UNIT + 1, 2 * C::UNIT] {
+        assert!(panics(|| c.decrypt_unit(m, 7, &mut vec![0u8; len])), "{what}: {len}-byte decrypt_unit");
+    }
+    assert!(!panics(|| c.decrypt_unit(m, 7, &mut vec![0u8; C::UNIT])), "{what}: a unit's destination");
+    let unit = UnitBuf::new(8);
+    for len in [4, 8, 12] {
+        let emits = [
+            panics(|| DecryptStage::new(c).emit(m, unit, &mut vec![0u8; len])),
+            panics(|| Fused::new(ChecksumTap::new(), DecryptStage::new(c)).emit(m, unit, &mut vec![0u8; len])),
+            panics(|| EncryptStage::new(c).emit(m, unit, &mut vec![0u8; len])),
+        ];
+        assert_eq!(emits, [len != 8; 3], "{what}: emitting an 8-byte unit into {len} bytes");
+    }
+}
+
+/// A destination slice of the wrong length panics on both memories, for
+/// every kernel and every emitting stage.
+#[test]
+fn a_destination_of_the_wrong_length_panics_on_both_memories() {
+    fn on_both<C: CipherKernel>(alloc: impl FnOnce(&mut AddressSpace) -> C) {
+        let mut space = AddressSpace::new();
+        let c = alloc(&mut space);
+        let mut arena = space.native_arena();
+        let mut native = NativeMem::new(&mut arena);
+        c.init_world(&mut native);
+        wrong_destinations_panic(c, &mut native, &format!("{} on NativeMem", C::NAME));
+        let mut sim = SimMem::new(&space, &HostModel::ss10_30());
+        c.init_world(&mut sim);
+        wrong_destinations_panic(c, &mut sim, &format!("{} on SimMem", C::NAME));
+    }
+    on_both(SimplifiedSafer::alloc);
+    on_both(|space| SaferK64::alloc(space, 2));
+    on_both(Des::alloc);
+    on_both(VerySimple::alloc);
+}
+
 /// `NativeMem::copy` (one range check and `copy_within`) leaves exactly
 /// what the default word copy with its byte tail leaves on an
 /// instrumented twin, for disjoint ranges of 0..=2048 bytes at any
@@ -811,7 +1010,9 @@ fn unit_roundtrip<C: CipherKernel>(
     let mut m = NativeMem::new(&mut arena);
     init(&mut m);
     let e = c.encrypt_unit(&mut m, block);
-    assert_eq!(c.decrypt_unit(&mut m, e), block);
+    let mut out = [0u8; 8];
+    c.decrypt_unit(&mut m, e, &mut out[..C::UNIT]);
+    assert_eq!(u64::from_be_bytes(out), block);
 }
 
 #[test]

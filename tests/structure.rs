@@ -31,6 +31,7 @@ use Pattern::{FilesOver, Text};
 
 const LABELS: &str = "a label enum is declared through labels!, which writes its name() from the one list";
 const SAFER: &str = "a SAFER unit kernel addresses key and scratch as base + constant, in bursts, never per byte";
+const ONE_DECRYPT: &str = "one decrypt per kernel, storing into the destination it is given: no *_into twin";
 const MEM: &str = "a kernel, source, stage or sink is written against Mem, not against one memory";
 const ADMIT: &str = "each clause of the reply admission rule is spelled once";
 const KERNEL: &str = "crates/utcp/src/kernelpart.rs crates/netback/src";
@@ -81,6 +82,11 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In("crates examples"), Text("trait SuiteInit|trait WorldInit"), 0, "one init hook, CipherKernel::init_world"),
     (Body("crates/cipher/src/simplified.rs", "fn encrypt_unit"), Text(".at(|read_u8(|write_u8("), 0, SAFER),
     (Body("crates/cipher/src/simplified.rs", "fn decrypt_unit"), Text(".at(|read_u8(|write_u8("), 0, SAFER),
+    (In("crates/cipher/src/simplified.rs"), Text("fn decrypt_unit"), 1, ONE_DECRYPT),
+    (In("crates/cipher/src/safer.rs"), Text("fn decrypt_unit"), 1, ONE_DECRYPT),
+    (In("crates/cipher/src/des.rs"), Text("fn decrypt_unit"), 1, ONE_DECRYPT),
+    (In("crates/cipher/src/simple.rs"), Text("fn decrypt_unit"), 1, ONE_DECRYPT),
+    (In("crates/cipher/src crates/core/src crates/memsim/src"), Text("fn *_into"), 0, ONE_DECRYPT),
     (In("crates/cipher/src crates/core/src crates/xdr/src/stream.rs crates/utcp/src/ring.rs"), Text("NativeMem|SimMem"), 0, MEM),
     (In("crates/rpcapp/src/msg.rs crates/rpcapp/src/trailer.rs crates/rpcapp/src/paths.rs"), Text("NativeMem|SimMem"), 0, MEM),
     (In("crates/core/src"), Text("StoreGrain::Byte =>"), 1, "a store grain becomes Mem accesses in store_words"),
