@@ -213,6 +213,26 @@ pub trait Mem {
         }
     }
 
+    /// `out.len()` one-byte reads at `addr`, `addr + 1`, … in ascending
+    /// order into `out` — a run of bytes whose length is known only at
+    /// run time (a datagram leaving the kernel part), issued as one
+    /// operation so an uninstrumented memory can check the range once.
+    #[inline(always)]
+    fn read_slice(&mut self, addr: usize, out: &mut [u8]) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.read_u8(addr + i);
+        }
+    }
+
+    /// `bytes.len()` one-byte writes at `addr`, `addr + 1`, … in
+    /// ascending order (a datagram deposited into a kernel slot).
+    #[inline(always)]
+    fn write_slice(&mut self, addr: usize, bytes: &[u8]) {
+        for (i, &b) in bytes.iter().enumerate() {
+            self.write_u8(addr + i, b);
+        }
+    }
+
     /// `len` one-byte writes of `v` at `addr`, `addr + 1`, … in ascending
     /// order — a byte fill, issued as one operation so an uninstrumented
     /// memory can check the range once.
@@ -477,6 +497,20 @@ impl Mem for NativeMem<'_> {
     #[inline(always)]
     fn write_bytes<const N: usize>(&mut self, addr: usize, bytes: [u8; N]) {
         self.write::<N>(addr, bytes);
+    }
+
+    /// One slice check for the run, then `copy_from_slice`.
+    #[inline(always)]
+    fn read_slice(&mut self, addr: usize, out: &mut [u8]) {
+        let i = addr - self.base;
+        out.copy_from_slice(&self.arena[i..i + out.len()]);
+    }
+
+    /// One slice check for the run, then `copy_from_slice`.
+    #[inline(always)]
+    fn write_slice(&mut self, addr: usize, bytes: &[u8]) {
+        let i = addr - self.base;
+        self.arena[i..i + bytes.len()].copy_from_slice(bytes);
     }
 
     /// One slice check for the fill, then `fill`.
@@ -849,6 +883,24 @@ mod tests {
         }
     }
 
+    /// One run write on `burst`, the one-byte writes it stands for on
+    /// `bytes`.
+    fn write_slice_both<M: Mem>(burst: &mut M, bytes: &mut M, addr: usize, data: &[u8]) {
+        burst.write_slice(addr, data);
+        for (i, &b) in data.iter().enumerate() {
+            bytes.write_u8(addr + i, b);
+        }
+    }
+
+    /// One run read of `len` bytes on `burst` against `len` one-byte
+    /// reads on `bytes`.
+    fn read_slice_both<M: Mem>(burst: &mut M, bytes: &mut M, addr: usize, len: usize) {
+        let mut got = [0u8; 16];
+        burst.read_slice(addr, &mut got[..len]);
+        let want: Vec<u8> = (0..len).map(|i| bytes.read_u8(addr + i)).collect();
+        assert_eq!(&got[..len], &want[..], "read_slice of {len} at {addr:#x}");
+    }
+
     /// One word-burst read on `burst` against `W` `read_u32_be` on `words`.
     fn read_words_both<const W: usize, M: Mem>(burst: &mut M, words: &mut M, addr: usize) {
         let got: [u32; W] = burst.read_words_be(addr);
@@ -869,7 +921,7 @@ mod tests {
             x
         };
         for _ in 0..20_000 {
-            let (op, data) = (next() % 21, next().to_be_bytes());
+            let (op, data) = (next() % 23, next().to_be_bytes());
             let addr = r.base + next() as usize % (r.len - 16);
             match op {
                 0 => write_both::<1, M>(burst, bytes, addr, data),
@@ -888,6 +940,8 @@ mod tests {
                 14 | 15 => write_words_both::<2, M>(burst, bytes, addr, data, op == 15),
                 16 | 17 => write_words_both::<3, M>(burst, bytes, addr, data, op == 17),
                 18 | 19 => write_words_both::<4, M>(burst, bytes, addr, data, op == 19),
+                20 => write_slice_both(burst, bytes, addr, &data[..next() as usize % 9]),
+                21 => read_slice_both(burst, bytes, addr, next() as usize % 17),
                 _ => {
                     let table = r.base + next() as usize % (r.len - 255);
                     let idx = data[0];

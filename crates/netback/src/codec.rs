@@ -137,11 +137,17 @@ pub fn encode(inner: &[u8]) -> Result<Vec<u8>, CodecError> {
     Ok(frame)
 }
 
-/// Build a frame in `frame` (cleared first, its capacity reused): the
-/// envelope, the segment-trace tag if any (a [`KIND_TRACED`] frame),
-/// then `inner_len` bytes that `fill` writes in place — for a sender
-/// that keeps one frame buffer and has its datagram somewhere other
-/// than a slice.
+/// Bytes a frame of an `inner_len`-byte datagram takes: the envelope,
+/// the tag if there is one, the datagram.
+pub fn frame_len(inner_len: usize, tag: Option<SegTag>) -> usize {
+    HEADER_LEN + if tag.is_some() { TAG_LEN } else { 0 } + inner_len
+}
+
+/// Append a frame to `frame` (its capacity reused): the envelope, the
+/// segment-trace tag if any (a [`KIND_TRACED`] frame), then `inner_len`
+/// bytes that `fill` writes in place — for a sender that keeps one
+/// buffer, builds a train of frames in it back to back, and has its
+/// datagram somewhere other than a slice.
 ///
 /// # Errors
 /// [`CodecError::Oversized`] / [`CodecError::Runt`] when `inner_len` is
@@ -160,7 +166,6 @@ pub fn encode_into(
     if inner_len < MIN_INNER {
         return Err(CodecError::Runt { len: inner_len });
     }
-    frame.clear();
     frame.extend_from_slice(&MAGIC);
     frame.push(VERSION);
     frame.push(if tag.is_some() { KIND_TRACED } else { KIND_SEGMENT });
@@ -297,6 +302,7 @@ mod tests {
             let len = MIN_INNER + rng.below((MAX_INNER - MIN_INNER) as u64 + 1) as usize;
             let inner: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             let tag = (round % 2 == 1).then_some(SegTag { conn: round, chunk: round ^ 7, xmit: 1 });
+            frame.clear();
             encode_into(&mut frame, len, tag, |dst| dst.copy_from_slice(&inner)).unwrap();
             let reference = match tag {
                 Some(_) => framed(&inner, tag),

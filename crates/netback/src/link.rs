@@ -1,27 +1,37 @@
 //! [`Backend`]: the kernel part over a real descriptor, written once for
 //! every device. A [`Link`] is the per-device half — the descriptor, how
 //! a datagram is framed on it, its read and its write — and everything
-//! else is here: the kernel slots, the staging region, the frame buffer,
+//! else is here: the kernel slots, the staging region, the send train,
 //! the [`PortDemux`], the IPv4 ident, the counters and the trace context.
 //!
 //! Memory discipline: arriving datagrams are deposited into kernel
 //! buffer slots *inside the instrumented address space* (one
-//! `write_u8` per byte, charged to the System phase), and outgoing
-//! datagrams are assembled there by the same
+//! [`Mem::write_slice`] per datagram, charged to the System phase), and
+//! outgoing datagrams are assembled there by the same
 //! [`utcp::kernelpart::system_copy`] the loop-back runs, before being
-//! read out into the frame — so both system copies remain visible to the
-//! memory model even though a real kernel is doing the actual I/O
-//! underneath.
+//! read out into the train ([`Mem::read_slice`]) — so both system copies
+//! remain visible to the memory model even though a real kernel is
+//! doing the actual I/O underneath.
 //!
 //! The descriptor is non-blocking and touched only when it has to be.
-//! Three rules, one policy, no knob: *queue first* — a receive serves
+//! Four rules, one policy, no knob: *queue first* — a receive serves
 //! the endpoint's queue and goes to the descriptor only when that queue
 //! is empty; *bounded drain* — a drain takes no more datagrams than
 //! there are free kernel slots in the [`SlotPool`] the loop-back uses
-//! too, and the rest wait in the kernel's buffer, which is the
-//! back-pressure a slot pool alone cannot give; *one frame
-//! buffer* — a send builds its frame in place in a buffer the backend
-//! owns, so it allocates nothing. A receive never waits, so a lost
+//! too, and the rest wait in the link or the kernel's buffer, which is
+//! the back-pressure a slot pool alone cannot give; *one train buffer*
+//! — a send builds its frame in place, behind the frames still waiting,
+//! in a buffer the backend owns, so it allocates nothing once the
+//! buffer has grown; *trains* — a burst of sends leaves as one write.
+//! A send leaves at once when it is the first since the last
+//! [`recv_into`](KernelPart::recv_into) or carries no payload (SYN,
+//! SYN-ACK, bare ACK, FIN, RST), behind any train that waits; every
+//! other send joins the train. The train leaves at the next
+//! `recv_into`, before a frame of another size or one that would take
+//! it past [`TRAIN_FRAMES`] frames or [`TRAIN_BYTES`] bytes, and when
+//! the backend is dropped — always through [`Backend::flush`]. So a lone
+//! stop-and-wait chunk and every control segment cross as one datagram,
+//! and nothing deferred is lost. A receive never waits, so a lost
 //! datagram can never hang a poll loop — timeouts and retransmission are
 //! the [`utcp::Connection`]'s job, exactly as over the loop-back.
 
@@ -38,39 +48,53 @@ use utcp::{PortDemux, SlotPool, SLOT_LEN};
 
 /// Number of receive slots.
 const SLOTS: usize = 64;
+/// Most frames in one train (the kernel's segment limit allows more).
+pub const TRAIN_FRAMES: usize = 64;
+/// Most bytes in one train: the largest UDP payload over IPv4.
+pub const TRAIN_BYTES: usize = 65_507;
 
 /// The per-device half of a [`Backend`]: a non-blocking descriptor, how
 /// one datagram is framed on it, and its two system calls.
 pub trait Link {
-    /// Frame `len` datagram bytes in `frame` (cleared first, its
-    /// capacity reused): the device's envelope and `tag`, if it carries
-    /// either, then the bytes `fill` writes in place. Then write the
-    /// frame to the descriptor.
-    ///
-    /// # Errors
-    /// The write's error, or the device's reason not to write (a socket
-    /// with no peer yet).
-    fn send(&mut self, frame: &mut Vec<u8>, len: usize, tag: Option<SegTag>, fill: impl FnOnce(&mut [u8]))
-        -> io::Result<()>;
+    /// Bytes the frame of a `len`-byte datagram takes on the device,
+    /// with `tag` if the device carries it.
+    fn frame_len(&self, len: usize, tag: Option<SegTag>) -> usize;
 
-    /// Read one frame into `buf` and return the datagram it carries with
-    /// its tag, or `None` for a frame the device's envelope rejects.
+    /// Append the frame of `len` datagram bytes to `train` (its
+    /// capacity reused): the device's envelope and `tag`, if it carries
+    /// either, then the bytes `fill` writes in place.
+    fn frame(&self, train: &mut Vec<u8>, len: usize, tag: Option<SegTag>, fill: impl FnOnce(&mut [u8]));
+
+    /// Write `train`, frames of `frame_len` bytes back to back, to the
+    /// descriptor and return how many of its frames the device took: 0
+    /// on a refused write, or when the device has no peer yet.
+    fn send(&mut self, train: &[u8], frame_len: usize) -> usize;
+
+    /// Hand out the next frame the descriptor holds — from the last
+    /// read while it lasts, else from a new read — as the datagram it
+    /// carries with its tag, or `None` for a frame the device's envelope
+    /// rejects.
     ///
     /// # Errors
     /// The read's error: `WouldBlock` once the descriptor is empty.
-    fn recv<'b>(&mut self, buf: &'b mut [u8]) -> io::Result<Option<(&'b [u8], Option<SegTag>)>>;
+    fn recv(&mut self) -> io::Result<Option<(&[u8], Option<SegTag>)>>;
 }
 
 /// A [`KernelPart`] over one [`Link`].
 #[derive(Debug)]
-pub struct Backend<L> {
+pub struct Backend<L: Link> {
     pub(crate) link: L,
     /// Kernel buffer slots arriving datagrams are deposited into.
     slots: SlotPool,
     /// Staging area outgoing datagrams are assembled in.
     staging: Region,
-    /// The outgoing frame, built in place for every send.
-    frame: Vec<u8>,
+    /// The waiting train: `frames` frames of `frame_len` bytes each,
+    /// built in place by every send.
+    train: Vec<u8>,
+    frames: usize,
+    frame_len: usize,
+    /// No send since the last `recv_into`: the next one leaves at once.
+    fresh: bool,
     /// Per-port receive queues, with the tags that rode beside them.
     pub(crate) demux: PortDemux,
     next_ident: u16,
@@ -90,7 +114,10 @@ impl<L: Link> Backend<L> {
             link,
             slots: SlotPool::alloc(space, "link_slots", SLOTS),
             staging: space.alloc_kind("link_staging", SLOT_LEN, 64, RegionKind::Kernel),
-            frame: Vec::with_capacity(codec::HEADER_LEN + codec::TAG_LEN + SLOT_LEN),
+            train: Vec::with_capacity(codec::HEADER_LEN + codec::TAG_LEN + SLOT_LEN),
+            frames: 0,
+            frame_len: 0,
+            fresh: true,
             demux: PortDemux::default(),
             next_ident: 1,
             counts: KernelCounters::default(),
@@ -99,13 +126,26 @@ impl<L: Link> Backend<L> {
         }
     }
 
+    /// Write the waiting train, if any, to the link: the one place a
+    /// train leaves. Each of its frames counts as sent, or as dropped
+    /// when the link refuses it (TCP retransmits those).
+    pub fn flush(&mut self) {
+        if self.frames == 0 {
+            return;
+        }
+        let took = self.link.send(&self.train, self.frame_len);
+        self.counts.sent += took as u64;
+        self.counts.dropped += (self.frames - took) as u64;
+        self.train.clear();
+        self.frames = 0;
+    }
+
     /// Move datagrams from the descriptor into the per-port queues,
     /// depositing each into a free kernel slot via `m`, until the
     /// descriptor is empty or no slot is free.
     fn drain<M: Mem>(&mut self, m: &mut M) {
-        let mut buf = [0u8; codec::HEADER_LEN + codec::TAG_LEN + SLOT_LEN];
         while self.slots.n_free() > 0 {
-            let (inner, tag) = match self.link.recv(&mut buf) {
+            let (inner, tag) = match self.link.recv() {
                 Ok(Some(frame)) => frame,
                 Ok(None) => {
                     self.counts.corrupted += 1;
@@ -130,13 +170,17 @@ impl<L: Link> Backend<L> {
             // Receive-side system copy into a free kernel slot.
             let slot = self.slots.take().expect("the loop runs while a slot is free");
             m.phase_push(PhaseTag::System);
-            for (i, &b) in inner.iter().enumerate() {
-                m.write_u8(slot + i, b);
-            }
+            m.write_slice(slot, inner);
             m.compute(30);
             m.phase_pop();
             self.demux.push(id, Datagram { addr: slot, len: inner.len() }, tag);
         }
+    }
+}
+
+impl<L: Link> Drop for Backend<L> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -162,22 +206,31 @@ impl<L: Link> KernelPart for Backend<L> {
         m.phase_push(PhaseTag::System);
         let ident = &mut self.next_ident;
         let len = system_copy(m, self.staging.base, src_ip, dst_ip, ident, hdr_addr, payload_addr, payload_len);
+        let tag = self.send_ctx.take();
+        let frame_len = self.link.frame_len(len, tag);
+        let alone = self.fresh || payload_len == 0;
+        self.fresh = false;
+        if alone
+            || frame_len != self.frame_len
+            || self.frames == TRAIN_FRAMES
+            || self.train.len() + frame_len > TRAIN_BYTES
+        {
+            self.flush();
+        }
         // Read the assembled datagram out of instrumented memory into
-        // the frame, straight behind its envelope.
-        let staging = self.staging;
-        let sent = self.link.send(&mut self.frame, len, self.send_ctx.take(), |inner| {
-            for (i, b) in inner.iter_mut().enumerate() {
-                *b = m.read_u8(staging.at(i));
-            }
-        });
+        // the train, straight behind its envelope.
+        let staging = self.staging.base;
+        self.link.frame(&mut self.train, len, tag, |inner| m.read_slice(staging, inner));
+        (self.frames, self.frame_len) = (self.frames + 1, frame_len);
         m.phase_pop();
-        match sent {
-            Ok(()) => self.counts.sent += 1,
-            Err(_) => self.counts.dropped += 1,
+        if alone {
+            self.flush();
         }
     }
 
     fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram> {
+        self.flush();
+        self.fresh = true;
         self.slots.end_loan();
         if self.demux.pending(id) == 0 {
             self.drain(m);
@@ -216,37 +269,44 @@ mod tests {
     use utcp::wire::{TcpFlags, TcpHeader};
     use utcp::{Ipv4Header, IP_HEADER_LEN, TCP_HEADER_LEN};
 
-    /// A link in memory: what the backend writes lands in `sent`, what
-    /// it reads comes from `inbox`, and `reads` counts its reads. With
-    /// `envelope` a frame is a codec frame (as on a socket), without it
-    /// the bare datagram (as on a TUN device).
+    /// A link in memory: each train the backend writes lands in `sent`
+    /// with its frame length, the frames it reads come from `inbox`, and
+    /// `reads` counts its reads. With `envelope` a frame is a codec frame
+    /// (as on a socket), without it the bare datagram (as on a TUN
+    /// device).
     #[derive(Debug, Default)]
     struct Wire {
         envelope: bool,
-        sent: VecDeque<Vec<u8>>,
+        sent: VecDeque<(Vec<u8>, usize)>,
         inbox: VecDeque<Vec<u8>>,
+        last: Vec<u8>,
         reads: usize,
     }
 
     impl Link for Wire {
-        fn send(&mut self, frame: &mut Vec<u8>, len: usize, tag: Option<SegTag>, fill: impl FnOnce(&mut [u8]))
-            -> io::Result<()> {
-            if self.envelope {
-                codec::encode_into(frame, len, tag, fill).unwrap();
-            } else {
-                frame.clear();
-                frame.resize(len, 0);
-                fill(frame);
-            }
-            self.sent.push_back(frame.clone());
-            Ok(())
+        fn frame_len(&self, len: usize, tag: Option<SegTag>) -> usize {
+            if self.envelope { codec::frame_len(len, tag) } else { len }
         }
 
-        fn recv<'b>(&mut self, buf: &'b mut [u8]) -> io::Result<Option<(&'b [u8], Option<SegTag>)>> {
+        fn frame(&self, train: &mut Vec<u8>, len: usize, tag: Option<SegTag>, fill: impl FnOnce(&mut [u8])) {
+            if self.envelope {
+                codec::encode_into(train, len, tag, fill).unwrap();
+            } else {
+                let at = train.len();
+                train.resize(at + len, 0);
+                fill(&mut train[at..]);
+            }
+        }
+
+        fn send(&mut self, train: &[u8], frame_len: usize) -> usize {
+            self.sent.push_back((train.to_vec(), frame_len));
+            train.len() / frame_len
+        }
+
+        fn recv(&mut self) -> io::Result<Option<(&[u8], Option<SegTag>)>> {
             self.reads += 1;
-            let frame = self.inbox.pop_front().ok_or(io::ErrorKind::WouldBlock)?;
-            buf[..frame.len()].copy_from_slice(&frame);
-            let frame = &buf[..frame.len()];
+            self.last = self.inbox.pop_front().ok_or(io::ErrorKind::WouldBlock)?;
+            let frame = &self.last[..];
             Ok(if self.envelope { codec::decode_frame(frame).ok() } else { Some((frame, None)) })
         }
     }
@@ -262,8 +322,8 @@ mod tests {
     }
 
     /// Send segments `seqs` to `port` from `tx` (each carrying its
-    /// sequence number as its one payload byte) and put their frames on
-    /// `rx`'s link.
+    /// sequence number as its one payload byte), flush the train they
+    /// wait in, and put their frames on `rx`'s link.
     fn carry<M: Mem>(tx: &mut Backend<Wire>, rx: &mut Backend<Wire>, m: &mut M, user: Region, port: u16,
         seqs: std::ops::Range<u32>) {
         for seq in seqs {
@@ -271,7 +331,10 @@ mod tests {
             m.write_u8(user.at(64), seq as u8);
             tx.send(m, 0x0A00_0001, 0x0A00_0002, port, user.base, user.at(64), 1);
         }
-        rx.link.inbox.extend(tx.link.sent.drain(..));
+        tx.flush();
+        for (train, frame_len) in tx.link.sent.drain(..) {
+            rx.link.inbox.extend(train.chunks(frame_len).map(<[u8]>::to_vec));
+        }
     }
 
     /// A delivered datagram's sequence number, after checking that its

@@ -24,6 +24,7 @@ use obs::SegTag;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
+use utcp::SLOT_LEN;
 
 /// `TUNSETIFF` ioctl request number (x86-64/aarch64 Linux).
 const TUNSETIFF: u64 = 0x4004_54ca;
@@ -60,6 +61,8 @@ pub struct Tun {
     dev: File,
     /// Interface name the kernel actually assigned.
     name: String,
+    /// The last packet read: one kernel slot.
+    buf: Vec<u8>,
 }
 
 impl TunBackend {
@@ -100,7 +103,7 @@ impl TunBackend {
         }
         let end = req.name.iter().position(|&b| b == 0).unwrap_or(req.name.len());
         let name = String::from_utf8_lossy(&req.name[..end]).into_owned();
-        Ok(Backend::new(space, Tun { dev, name }))
+        Ok(Backend::new(space, Tun { dev, name, buf: vec![0; SLOT_LEN] }))
     }
 
     /// The interface name the kernel assigned (e.g. `ilp0`).
@@ -110,21 +113,25 @@ impl TunBackend {
 }
 
 impl Link for Tun {
-    fn send(&mut self, frame: &mut Vec<u8>, len: usize, _: Option<SegTag>, fill: impl FnOnce(&mut [u8]))
-        -> io::Result<()> {
-        frame.clear();
-        frame.resize(len, 0);
-        fill(frame);
-        match self.dev.write(frame)? {
-            n if n == len => Ok(()),
-            _ => Err(io::ErrorKind::WriteZero.into()),
-        }
+    fn frame_len(&self, len: usize, _: Option<SegTag>) -> usize {
+        len
     }
 
-    fn recv<'b>(&mut self, buf: &'b mut [u8]) -> io::Result<Option<(&'b [u8], Option<SegTag>)>> {
-        match self.dev.read(buf)? {
+    fn frame(&self, train: &mut Vec<u8>, len: usize, _: Option<SegTag>, fill: impl FnOnce(&mut [u8])) {
+        let at = train.len();
+        train.resize(at + len, 0);
+        fill(&mut train[at..]);
+    }
+
+    /// No offload: one write per frame.
+    fn send(&mut self, train: &[u8], frame_len: usize) -> usize {
+        train.chunks(frame_len).filter(|frame| matches!(self.dev.write(frame), Ok(n) if n == frame.len())).count()
+    }
+
+    fn recv(&mut self) -> io::Result<Option<(&[u8], Option<SegTag>)>> {
+        match self.dev.read(&mut self.buf)? {
             0 => Err(io::ErrorKind::UnexpectedEof.into()),
-            n => Ok(Some((&buf[..n], None))),
+            n => Ok(Some((&self.buf[..n], None))),
         }
     }
 }

@@ -2,30 +2,38 @@
 //!
 //! Functionally this is exactly what the paper asks of its kernel
 //! component — "similar functionality as UDP without checksum" — except
-//! the UDP is real: every [`KernelPart::send`](utcp::KernelPart::send)
-//! becomes one `send(2)` on a socket `connect`ed to the peer, and a
-//! receive that finds its queue empty drains `recvfrom(2)`. A connected
-//! socket is cheaper per datagram (the kernel resolves the route once, not
-//! per send) and hears its peer only: a datagram from any other address
-//! never reaches the codec. The inner bytes are the same IPv4 + TCP +
-//! payload datagram the loop-back carries, framed by the length-checked
-//! codec in [`crate::codec`]; the connection state machine above cannot
-//! tell the backends apart (the equivalence test in
-//! `tests/equivalence.rs` holds it to byte-identical delivery). The slot
-//! pool, the drain and the send are [`Backend`]'s; [`Udp`] is the socket.
+//! the UDP is real: a train [`Backend`] flushes becomes one `sendmsg`
+//! on a socket `connect`ed to the peer, cut into one datagram per frame
+//! by the kernel (`UDP_SEGMENT`), and a receive that finds its queue
+//! empty drains `recvmsg`, which with `UDP_GRO` on returns a whole train
+//! at once; the link hands the drain one frame of it per call
+//! (the `sys` module has the calls). A connected socket is cheaper per
+//! datagram (the kernel resolves the route once, not per send) and
+//! hears its peer only: a datagram from any other address never reaches
+//! the codec. The inner bytes are the same IPv4 + TCP + payload datagram
+//! the loop-back carries, framed by the length-checked codec in
+//! [`crate::codec`]; the connection state machine above cannot tell the
+//! backends apart (the equivalence test in `tests/equivalence.rs` holds
+//! it to byte-identical delivery). The slot pool, the drain, the send
+//! and the train rules are [`Backend`]'s; [`Udp`] is the socket.
 
-use crate::codec;
 use crate::link::{Backend, Link};
+use crate::{codec, sys};
 use memsim::layout::AddressSpace;
 use obs::SegTag;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 
+/// Bytes one read can return: the largest UDP datagram, or a train of
+/// them coalesced.
+const READ_LEN: usize = 65_535;
+
 /// The kernel part over one UDP socket.
 pub type UdpBackend = Backend<Udp>;
 
-/// The [`Link`] of a [`UdpBackend`]: a non-blocking UDP socket, the
-/// codec envelope (which carries the trace tag) and the peer.
+/// The [`Link`] of a [`UdpBackend`]: a non-blocking UDP socket with
+/// `UDP_GRO` on, the codec envelope (which carries the trace tag), the
+/// peer, and the last train read.
 #[derive(Debug)]
 pub struct Udp {
     socket: UdpSocket,
@@ -34,20 +42,32 @@ pub struct Udp {
     /// frame that passes the codec becomes it (server mode: the client
     /// dials first), and a send counts a drop.
     peer: Option<SocketAddr>,
+    /// The last read: allocated once, never zeroed — `recvmsg` writes it
+    /// and its return sets the length.
+    read: Vec<u8>,
+    /// Its segment size, where its next frame starts, and its sender
+    /// (read only while there is no peer).
+    seg: usize,
+    at: usize,
+    from: Option<SocketAddr>,
 }
 
 impl UdpBackend {
-    /// Bind a socket on `addr` (e.g. `"127.0.0.1:0"`) and allocate the
-    /// backend's kernel-slot and staging regions in `space`.
+    /// Bind a socket on `addr` (e.g. `"127.0.0.1:0"`), turn `UDP_GRO`
+    /// on, and allocate the backend's kernel-slot and staging regions in
+    /// `space`.
     ///
     /// # Errors
     /// Whatever the OS returns for `bind` — notably `EPERM` in
-    /// sandboxes that deny socket creation; callers are expected to
-    /// skip gracefully in that case.
+    /// sandboxes that deny socket creation — or for `UDP_GRO` on a
+    /// kernel older than 5.0; callers are expected to skip gracefully in
+    /// that case.
     pub fn bind(space: &mut AddressSpace, addr: &str) -> io::Result<Self> {
         let socket = UdpSocket::bind(addr)?;
         socket.set_nonblocking(true)?;
-        Ok(Backend::new(space, Udp { socket, peer: None }))
+        sys::enable_gro(&socket)?;
+        let link = Udp { socket, peer: None, read: Vec::with_capacity(READ_LEN), seg: 0, at: 0, from: None };
+        Ok(Backend::new(space, link))
     }
 
     /// The socket's local address (port resolved after a `:0` bind).
@@ -69,39 +89,53 @@ impl UdpBackend {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
-        self.link.connect(resolved)
+        connect(&self.link.socket, &mut self.link.peer, resolved)
     }
 }
 
-impl Udp {
-    /// Connect the socket to `peer` and send there from now on.
-    fn connect(&mut self, peer: SocketAddr) -> io::Result<()> {
-        self.socket.connect(peer)?;
-        self.peer = Some(peer);
-        Ok(())
-    }
+/// Connect `socket` to `to` and make it the `peer` sends go to.
+fn connect(socket: &UdpSocket, peer: &mut Option<SocketAddr>, to: SocketAddr) -> io::Result<()> {
+    socket.connect(to)?;
+    *peer = Some(to);
+    Ok(())
 }
 
 impl Link for Udp {
-    fn send(&mut self, frame: &mut Vec<u8>, len: usize, tag: Option<SegTag>, fill: impl FnOnce(&mut [u8]))
-        -> io::Result<()> {
-        codec::encode_into(frame, len, tag, fill).expect("assembled datagram is within codec bounds");
-        if self.peer.is_none() {
-            return Err(io::ErrorKind::NotConnected.into());
+    fn frame_len(&self, len: usize, tag: Option<SegTag>) -> usize {
+        codec::frame_len(len, tag)
+    }
+
+    fn frame(&self, train: &mut Vec<u8>, len: usize, tag: Option<SegTag>, fill: impl FnOnce(&mut [u8])) {
+        codec::encode_into(train, len, tag, fill).expect("assembled datagram is within codec bounds");
+    }
+
+    fn send(&mut self, train: &[u8], frame_len: usize) -> usize {
+        match self.peer {
+            Some(_) if sys::send_train(&self.socket, train, frame_len).is_ok() => train.len() / frame_len,
+            _ => 0,
         }
-        self.socket.send(frame).map(drop)
     }
 
     // Inlined into the drain, which then reads, decodes and deposits in
     // one function; out of line, `udp_small` measured 2.5 % slower (E37).
     #[inline]
-    fn recv<'b>(&mut self, buf: &'b mut [u8]) -> io::Result<Option<(&'b [u8], Option<SegTag>)>> {
-        let (n, from) = self.socket.recv_from(buf)?;
-        let Ok(frame) = codec::decode_frame(&buf[..n]) else {
+    fn recv(&mut self) -> io::Result<Option<(&[u8], Option<SegTag>)>> {
+        if self.at >= self.read.len() {
+            let read = sys::recv_train(&self.socket, &mut self.read, self.peer.is_none())?;
+            (self.seg, self.at, self.from) = (read.seg, 0, read.from);
+            if read.truncated {
+                self.read.clear();
+                return Ok(None);
+            }
+        }
+        let end = self.read.len().min(self.at + self.seg);
+        let frame = codec::decode_frame(&self.read[self.at..end]);
+        self.at = end;
+        let Ok(frame) = frame else {
             return Ok(None);
         };
-        if self.peer.is_none() {
-            self.connect(from)?;
+        if let (None, Some(from)) = (self.peer, self.from) {
+            connect(&self.socket, &mut self.peer, from)?;
         }
         Ok(Some(frame))
     }
@@ -110,6 +144,7 @@ impl Link for Udp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim::region::Region;
     use memsim::{Mem, NativeMem};
     use std::time::{Duration, Instant};
     use utcp::kernelpart::{Datagram, EndpointId};
@@ -205,6 +240,7 @@ mod tests {
         let tag = SegTag { conn: 3, chunk: 41, xmit: 2 };
         a.set_send_ctx(Some(tag));
         a.send(&mut m, 0x0A00_0001, 0x0A00_0002, 8080, user.base, user.at(64), 8);
+        a.flush();
         let plain = recv_deadline(&mut b, &mut m, rx).expect("untraced datagram");
         assert_eq!(b.take_recv_ctx(), None);
         let traced = recv_deadline(&mut b, &mut m, rx).expect("traced datagram");
@@ -227,6 +263,210 @@ mod tests {
             }
             assert_eq!(plain_bytes[i], traced_bytes[i], "inner byte {i} differs");
         }
+    }
+
+    /// Send a data segment to `port` with sequence number `seq` and
+    /// `len` payload bytes, each `seq as u8`.
+    fn send_seg(net: &mut UdpBackend, m: &mut NativeMem<'_>, user: Region, port: u16, seq: u32, len: usize) {
+        TcpHeader::at(user.base).build(m, 1111, port, seq, 0, TcpFlags::DATA, 512);
+        m.fill_bytes(user.at(64), len, seq as u8);
+        net.send(m, 0x0A00_0001, 0x0A00_0002, port, user.base, user.at(64), len);
+    }
+
+    /// Send a bare ACK to `port`.
+    fn send_bare(net: &mut UdpBackend, m: &mut NativeMem<'_>, user: Region, port: u16) {
+        TcpHeader::at(user.base).build(m, 1111, port, 0, 0, TcpFlags::ACK, 512);
+        net.send(m, 0x0A00_0001, 0x0A00_0002, port, user.base, user.base, 0);
+    }
+
+    /// The next datagram at `id` — a segment `send_seg` sent, its bytes
+    /// checked — as (sequence number, payload length); a bare ACK reads
+    /// as (0, 0).
+    fn recv_seg(net: &mut UdpBackend, m: &mut NativeMem<'_>, id: EndpointId) -> (u32, usize) {
+        let d = recv_deadline(net, m, id).expect("a datagram over 127.0.0.1");
+        assert!(utcp::Ipv4Header::at(d.addr).verify(m));
+        let seq = TcpHeader::at(d.addr + IP_HEADER_LEN).seq(m);
+        let len = d.len - IP_HEADER_LEN - TCP_HEADER_LEN;
+        assert!(m.bytes(d.addr + IP_HEADER_LEN + TCP_HEADER_LEN, len).iter().all(|&b| b == seq as u8), "seq {seq}");
+        (seq, len)
+    }
+
+    /// Nothing more reaches `id` within 20 ms.
+    fn quiet(net: &mut UdpBackend, m: &mut NativeMem<'_>, id: EndpointId) -> bool {
+        std::thread::sleep(Duration::from_millis(20));
+        net.recv_into(m, id).is_none()
+    }
+
+    #[test]
+    fn a_burst_of_equal_frames_leaves_as_one_train_on_the_next_receive() {
+        const N: u32 = 12;
+        let mut space = AddressSpace::new();
+        let Some((mut a, mut b)) = pair(&mut space) else {
+            eprintln!("skipping: sandbox denies UDP sockets");
+            return;
+        };
+        let (a_ep, b_ep) = (a.register(1111), b.register(8080));
+        let user = space.alloc("user", 4096, 8);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        let tag = |seq: u32| SegTag { conn: 3, chunk: seq, xmit: 1 };
+        for seq in 0..N {
+            a.set_send_ctx(Some(tag(seq)));
+            send_seg(&mut a, &mut m, user, 8080, seq, 16);
+        }
+        // The first send leaves at once; the rest wait for a receive.
+        assert_eq!(a.counters().sent, 1);
+        assert_eq!(recv_seg(&mut b, &mut m, b_ep), (0, 16));
+        assert_eq!(b.take_recv_ctx(), Some(tag(0)));
+        assert!(quiet(&mut b, &mut m, b_ep));
+        assert!(a.recv_into(&mut m, a_ep).is_none());
+        assert_eq!(a.counters().sent, u64::from(N));
+        for seq in 1..N {
+            assert_eq!(recv_seg(&mut b, &mut m, b_ep), (seq, 16));
+            assert_eq!(b.take_recv_ctx(), Some(tag(seq)));
+        }
+        // One read carried the train, cut at the size the kernel reported.
+        let frame = codec::frame_len(IP_HEADER_LEN + TCP_HEADER_LEN + 16, Some(tag(0)));
+        assert_eq!((b.link.read.len(), b.link.seg), ((N as usize - 1) * frame, frame));
+        let c = b.counters();
+        assert_eq!((c.received, c.corrupted, c.dropped), (u64::from(N), 0, 0));
+    }
+
+    #[test]
+    fn the_first_send_after_a_receive_and_every_bare_segment_leave_at_once() {
+        let mut space = AddressSpace::new();
+        let Some((mut a, mut b)) = pair(&mut space) else {
+            eprintln!("skipping: sandbox denies UDP sockets");
+            return;
+        };
+        let (a_ep, b_ep) = (a.register(1111), b.register(8080));
+        let user = space.alloc("user", 4096, 8);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        send_seg(&mut a, &mut m, user, 8080, 1, 16);
+        send_seg(&mut a, &mut m, user, 8080, 2, 16);
+        // A bare ACK takes the waiting segment with it, in order.
+        send_bare(&mut a, &mut m, user, 8080);
+        send_seg(&mut a, &mut m, user, 8080, 3, 16);
+        // After a receive, the first send leaves at once again.
+        assert!(a.recv_into(&mut m, a_ep).is_none());
+        send_seg(&mut a, &mut m, user, 8080, 4, 16);
+        send_seg(&mut a, &mut m, user, 8080, 5, 16);
+        // Never polled since, the sender has put 1, 2, the ACK, 3 and 4 on the wire.
+        for want in [(1, 16), (2, 16), (0, 0), (3, 16), (4, 16)] {
+            assert_eq!(recv_seg(&mut b, &mut m, b_ep), want);
+        }
+        assert!(quiet(&mut b, &mut m, b_ep), "5 waits for the sender's next receive");
+        assert_eq!(a.counters().sent, 5);
+        a.flush();
+        assert_eq!(recv_seg(&mut b, &mut m, b_ep), (5, 16));
+    }
+
+    #[test]
+    fn a_size_change_65_frames_and_a_dropped_backend_each_end_a_train() {
+        let mut space = AddressSpace::new();
+        let Some((mut a, mut b)) = pair(&mut space) else {
+            eprintln!("skipping: sandbox denies UDP sockets");
+            return;
+        };
+        let b_ep = b.register(8080);
+        let user = space.alloc("user", 4096, 8);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        send_seg(&mut a, &mut m, user, 8080, 0, 16);
+        for seq in 1..=65 {
+            send_seg(&mut a, &mut m, user, 8080, seq, 16);
+        }
+        assert_eq!(a.counters().sent, 65, "the first alone, then a train of 64; the 65th waits");
+        send_seg(&mut a, &mut m, user, 8080, 66, 32);
+        assert_eq!(a.counters().sent, 66, "a frame of another size ends the train");
+        drop(a);
+        for seq in 0..=65 {
+            assert_eq!(recv_seg(&mut b, &mut m, b_ep), (seq, 16));
+        }
+        assert_eq!(recv_seg(&mut b, &mut m, b_ep), (66, 32), "the dropped backend sent what waited");
+        assert!(quiet(&mut b, &mut m, b_ep));
+        assert_eq!(b.counters().received, 67);
+    }
+
+    #[test]
+    fn a_train_larger_than_the_free_slots_leaves_its_rest_in_the_link() {
+        let mut space = AddressSpace::new();
+        let Some((mut a, mut b)) = pair(&mut space) else {
+            eprintln!("skipping: sandbox denies UDP sockets");
+            return;
+        };
+        let (idle, busy) = (b.register(80), b.register(81));
+        let user = space.alloc("user", 4096, 8);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        // One alone, then trains of 64 and 35.
+        for seq in 0..100 {
+            send_seg(&mut a, &mut m, user, 81, seq, 16);
+        }
+        a.flush();
+        std::thread::sleep(Duration::from_millis(20));
+        // A receive on an empty endpoint drains 64: the lone frame and 63
+        // of the train; one frame waits in the link, the next train in
+        // the socket.
+        assert!(b.recv_into(&mut m, idle).is_none());
+        assert_eq!(b.pending(busy), 64);
+        assert_eq!(b.link.read.len() - b.link.at, b.link.seg, "one frame left in the link");
+        let queued = |b: &UdpBackend, m: &NativeMem<'_>| -> Vec<(usize, Vec<u8>)> {
+            b.demux.queued_datagrams().map(|d| (d.addr, m.bytes(d.addr, d.len).to_vec())).collect()
+        };
+        let waiting = queued(&b, &m);
+        for seq in 0..10 {
+            assert_eq!(recv_seg(&mut b, &mut m, busy), (seq, 16));
+        }
+        // The next drain fills the ten free slots: the link's one, then
+        // nine from the next train.
+        assert!(b.recv_into(&mut m, idle).is_none());
+        assert_eq!(b.pending(busy), 64);
+        let still = queued(&b, &m);
+        for (addr, bytes) in waiting.iter().skip(10) {
+            assert!(still.contains(&(*addr, bytes.clone())), "queued datagram at {addr:#x} changed");
+        }
+        for seq in 10..100 {
+            assert_eq!(recv_seg(&mut b, &mut m, busy), (seq, 16));
+        }
+        let c = b.counters();
+        assert_eq!((c.received, c.corrupted, c.queue_peak), (100, 0, 64));
+    }
+
+    #[test]
+    fn a_peerless_backend_adopts_its_first_sender_then_reads_trains() {
+        let mut space = AddressSpace::new();
+        let (Ok(mut server), Ok(mut client)) =
+            (UdpBackend::bind(&mut space, "127.0.0.1:0"), UdpBackend::bind(&mut space, "127.0.0.1:0"))
+        else {
+            eprintln!("skipping: sandbox denies UDP sockets");
+            return;
+        };
+        client.set_peer(server.local_addr().unwrap()).unwrap();
+        let (s_ep, c_ep) = (server.register(8080), client.register(8080));
+        let user = space.alloc("user", 4096, 8);
+        let mut arena = space.native_arena();
+        let mut m = NativeMem::new(&mut arena);
+        // With no peer yet, each frame of a train counts as dropped.
+        for seq in 0..3 {
+            send_seg(&mut server, &mut m, user, 8080, seq, 16);
+        }
+        server.flush();
+        assert_eq!((server.counters().sent, server.counters().dropped), (0, 3));
+        for seq in 0..20 {
+            send_seg(&mut client, &mut m, user, 8080, seq, 16);
+        }
+        client.flush();
+        for seq in 0..20 {
+            assert_eq!(recv_seg(&mut server, &mut m, s_ep), (seq, 16));
+        }
+        assert_eq!(server.link.peer, Some(client.local_addr().unwrap()));
+        assert_eq!(server.link.read.len(), 19 * server.link.seg, "the train came in one read");
+        // Adopted, the server's sends reach the client.
+        send_seg(&mut server, &mut m, user, 8080, 7, 16);
+        assert_eq!(recv_seg(&mut client, &mut m, c_ep), (7, 16));
+        assert_eq!((server.counters().sent, server.counters().dropped), (1, 3));
     }
 
     #[test]

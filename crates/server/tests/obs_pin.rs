@@ -37,6 +37,15 @@
 //! `ilp.work.ilp.integrated.by_layer.fused` 830 823 → 789 355); every
 //! count, verdict and key is as it was, and the non-ILP digests did not
 //! move.
+//!
+//! The six `SimMem` digests' recorder and Prometheus parts (the observe
+//! world on both paths and the blackout; no bundle) were re-recorded
+//! when every pure ACK began to be checksum-verified before it is
+//! honoured (EXPERIMENTS E42): a bare ACK used to be taken on trust, and
+//! now costs one header sum, so the simulated work the spans carry
+//! moved (`BENCH_observe` `ilp.work.ilp.total` 989 806 → 990 606,
+//! `non_ilp.work.non_ilp.total` 1 098 513 → 1 099 313); every count,
+//! verdict and key is as it was.
 
 use memsim::layout::AddressSpace;
 use memsim::{HostModel, SimMem};
@@ -123,12 +132,12 @@ fn blackout_world() -> [u64; 3] {
 fn the_observe_world_reports_what_it_did_on_the_parent() {
     assert_eq!(
         observe_world(Path::Ilp),
-        [0x0F8E_8B3C_247C_6EDA, 0xD424_D64C_0374_C5A6, 0xD5F4_620F_F19B_B6AA],
+        [0x9BA2_00A0_22CF_B100, 0xD424_D64C_0374_C5A6, 0x252D_9359_6072_EE37],
         "ILP"
     );
     assert_eq!(
         observe_world(Path::NonIlp),
-        [0x66FC_6E0C_65B1_EFA8, 0xD424_D64C_0374_C5A6, 0x2608_DDA2_F53E_EDBC],
+        [0x2254_3E55_1BE9_DF9F, 0xD424_D64C_0374_C5A6, 0x8BFF_9326_681C_E03F],
         "non-ILP"
     );
 }
@@ -150,6 +159,6 @@ fn its_two_shard_twin_reports_what_it_did_on_the_parent() {
 fn a_blackout_is_diagnosed_as_it_was_on_the_parent() {
     assert_eq!(
         blackout_world(),
-        [0x232D_FDD1_75D6_4766, 0x53DB_903F_9200_662D, 0x8511_5B29_C5A7_447D]
+        [0x5520_4A81_C01D_4D5A, 0x53DB_903F_9200_662D, 0x3709_6BA8_DC07_8D67]
     );
 }

@@ -112,6 +112,8 @@ pub trait KernelPart {
     /// Send one TPDU: encapsulate the TCP header at `hdr_addr` and
     /// `payload_len` bytes at `payload_addr` in IPv4 and hand the
     /// datagram to the network. `payload_len` may be zero (pure ACK).
+    /// A send may wait in the kernel part until that part's next
+    /// [`recv_into`](KernelPart::recv_into).
     #[allow(clippy::too_many_arguments)]
     fn send<M: Mem>(
         &mut self,

@@ -298,8 +298,7 @@ impl Connection {
             }
 
             if flags.contains(TcpFlags::FIN) && payload_len == 0 {
-                // A FIN moves the machine, so verify it first (a plain
-                // ACK's fields are guarded by `process_ack` instead).
+                // A FIN moves the machine, so verify it first.
                 if self.control_sum(m, hdr, opt_len, opt_len).finish() != 0 {
                     self.stats.rejected += 1;
                     continue;
@@ -333,18 +332,16 @@ impl Connection {
             }
 
             if payload_len == 0 && flags.contains(TcpFlags::ACK) {
-                let sacks = if opt_len > 0 {
-                    // An option-bearing ACK must be verified before the
-                    // scoreboard honours it — a corrupted SACK range
-                    // would mark never-received data as received.
-                    if self.control_sum(m, hdr, opt_len, opt_len).finish() != 0 {
-                        self.stats.rejected += 1;
-                        continue;
-                    }
-                    hdr.sack_blocks(m)
-                } else {
-                    SackBlocks::default()
-                };
+                // A pure ACK, bare or SACK-bearing, is verified before
+                // `process_ack` honours it: a flipped `ack` bit would
+                // release unacknowledged bytes, a flipped `window` bit
+                // open the window, a flipped SACK range mark
+                // never-received data as received.
+                if self.control_sum(m, hdr, opt_len, opt_len).finish() != 0 {
+                    self.stats.rejected += 1;
+                    continue;
+                }
+                let sacks = if opt_len > 0 { hdr.sack_blocks(m) } else { SackBlocks::default() };
                 self.process_ack(m, k, ack, window, &sacks);
                 continue; // keep polling for data
             }

@@ -21,6 +21,64 @@ fn corrupted_payload_rejected_without_state_change() {
     assert_eq!(w.rx.stats.rejected, 1);
 }
 
+/// A real pure ACK waiting in the sender's queue, and the arena it is
+/// in. Bare: the receiver accepted 256 bytes and ACKed them, and 768
+/// more are in flight. With SACK: the first of two 100-byte segments was
+/// dropped, and the receiver ACKs the second with one SACK block.
+fn queued_pure_ack(sack: bool) -> (World, Vec<u8>, crate::kernelpart::Datagram) {
+    let mut w = world();
+    let mut arena = w.space.native_arena();
+    let mut m = NativeMem::new(&mut arena);
+    if sack {
+        w.lb.set_faults(FaultPlan { drop_every: 1, ..Default::default() });
+        w.tx.send_buf(&mut m, &mut w.lb, w.src.base, 100).unwrap();
+        w.lb.set_faults(FaultPlan::default());
+        w.tx.send_buf(&mut m, &mut w.lb, w.src.base, 100).unwrap();
+        assert_eq!(accept_one(&mut w, &mut m), Some(Err(Reject::Malformed("out-of-order segment"))));
+    } else {
+        w.tx.send_buf(&mut m, &mut w.lb, w.src.base, 256).unwrap();
+        assert_eq!(accept_one(&mut w, &mut m), Some(Ok(())));
+        w.tx.send_buf(&mut m, &mut w.lb, w.src.at(256), 768).unwrap();
+    }
+    let ack = w.lb.peek(w.tx.endpoint()).expect("the ACK waits for the sender");
+    let tcp_len = TCP_HEADER_LEN + if sack { 12 } else { 0 };
+    assert_eq!(ack.len, IP_HEADER_LEN + tcp_len, "a pure ACK: header and options only");
+    (w, arena, ack)
+}
+
+#[test]
+fn every_single_bit_flip_of_a_pure_ack_is_rejected_and_moves_nothing() {
+    let state = |tx: &Connection| (tx.snd_una(), tx.peer_window(), tx.rec.clone());
+    for sack in [false, true] {
+        // Unflipped, the ACK moves the sender: the case is live.
+        let (mut w, mut arena, _) = queued_pure_ack(sack);
+        let mut m = NativeMem::new(&mut arena);
+        let before = state(&w.tx);
+        assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none());
+        assert_ne!(state(&w.tx), before, "sack {sack}: a good ACK moves the sender");
+        // Every single-bit flip of its TCP header and options. Bit 9 of
+        // the bare ACK's ack field, unverified, once released 512 bytes
+        // the receiver had never acknowledged.
+        let (_, _, ack) = queued_pure_ack(sack);
+        for bit in 0..8 * (ack.len - IP_HEADER_LEN) {
+            let (mut w, mut arena, ack) = queued_pure_ack(sack);
+            let mut m = NativeMem::new(&mut arena);
+            let at = ack.addr + IP_HEADER_LEN + bit / 8;
+            let flipped = m.read_u8(at) ^ (0x80 >> (bit % 8));
+            m.write_u8(at, flipped);
+            let (before, rejected) = (state(&w.tx), w.tx.stats.rejected);
+            // A flip of the ACK flag makes it a segment for the final
+            // stage; drive it there as a receiver would.
+            while let Some(d) = w.tx.poll_input(&mut m, &mut w.lb) {
+                let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
+                assert!(w.tx.finish_recv(&mut m, &mut w.lb, &d, sum).is_err());
+            }
+            assert_eq!(state(&w.tx), before, "sack {sack}, bit {bit}: the sender moved");
+            assert_eq!(w.tx.stats.rejected, rejected + 1, "sack {sack}, bit {bit}: not rejected once");
+        }
+    }
+}
+
 #[test]
 fn duplicate_segment_rejected_but_reacked() {
     let mut w = world();

@@ -30,12 +30,12 @@ done
 # dependency list moved; nothing under benchmark/ is this script's to change.
 git checkout -q -- benchmark/Cargo.lock 2>/dev/null || true
 
-echo "== fused stays fused: no out-of-line word source, unit source, stage, stage or step emission, sink, unit store, Mem word burst, Mem window, native copy, working-set walk or SimplifiedSafer unit kernel in the native binary =="
+echo "== fused stays fused: no out-of-line word source, unit source, stage, stage or step emission, sink, unit store, Mem word burst or run, Mem window, native copy, working-set walk or SimplifiedSafer unit kernel in the native binary =="
 if command -v objdump >/dev/null; then
     # (`! pipeline` would not trip `set -e`; hence `if …; then exit 1`.)
     # A `memmove` call inside a native copy is fine; a copy symbol is not.
     if objdump -d -C benchmark/target/release/ilpbench \
-        | grep -E '^[0-9a-f]+ <.* as (xdr::stream::WordSource<M>>::next_word|ilp_core::stage::UnitStage<M>>::process|ilp_core::pipeline::UnitSink<M>>::store|ilp_core::stage::StaticStage>::(apply|emit)|memsim::mem::UnitStep<[^>]*>>::(emit|store))>:|^[0-9a-f]+ <.*SimplifiedSafer.*::(en|de)crypt_unit>:|^[0-9a-f]+ <.*::(next_unit|unit_by_words|store_unit|store_words|read_words_be|write_words_be|write_words_as_bytes|foreign_working_set|window|window_by_units|steady|take_run)>:|^[0-9a-f]+ <.*NativeMem.*::copy>:'; then
+        | grep -E '^[0-9a-f]+ <.* as (xdr::stream::WordSource<M>>::next_word|ilp_core::stage::UnitStage<M>>::process|ilp_core::pipeline::UnitSink<M>>::store|ilp_core::stage::StaticStage>::(apply|emit)|memsim::mem::UnitStep<[^>]*>>::(emit|store))>:|^[0-9a-f]+ <.*SimplifiedSafer.*::(en|de)crypt_unit>:|^[0-9a-f]+ <.*::(next_unit|unit_by_words|store_unit|store_words|read_words_be|write_words_be|write_words_as_bytes|foreign_working_set|window|window_by_units|steady|take_run)>:|^[0-9a-f]+ <.*NativeMem.*::copy>:|^[0-9a-f]+ <.*memsim.*::(read_slice|write_slice)>:'; then
         echo "the fused loops and the kernel parts call the symbols above once per word, unit or datagram"
         exit 1
     fi

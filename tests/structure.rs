@@ -35,6 +35,7 @@ const ONE_DECRYPT: &str = "one decrypt per kernel, storing into the destination 
 const MEM: &str = "a kernel, source, stage or sink is written against Mem, not against one memory";
 const ADMIT: &str = "each clause of the reply admission rule is spelled once";
 const KERNEL: &str = "crates/utcp/src/kernelpart.rs crates/netback/src";
+const UNSAFE: &str = "unsafe {|unsafe fn|unsafe impl|extern \"C\"";
 const OPEN: &str = "parse_syn|client_poll_syn_ack|client_send_syn|server_send_syn_ack|LISTEN_PORT|ctrl_port|\
                     SYN_RETRY_TICKS|peer_synced|hs_scratch|lookup_port";
 
@@ -61,8 +62,13 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In("crates/memsim/src/mem.rs"), Text("step_by(64)"), 1, "the walk is said once, in memsim"),
     (Body("crates/utcp/src/conn/recv.rs", "pub fn finish_recv"), Text("send_ack("), 2, "a duplicate, a drained burst"),
     (In("crates/netback/src"), Text("KernelPart for"), 1, "one kernel part over a real descriptor, link::Backend"),
-    (In("crates/netback/src"), Text("socket.recv_from"), 1, "UdpBackend reads its socket at one site"),
-    (Body("crates/netback/src/udp.rs", "fn recv<"), Text("socket.recv_from"), 1, "the one site is Udp's Link::recv"),
+    (In("crates examples"), Text("recvmsg("), 2, "UdpBackend reads its socket at one site: sys's recvmsg, declared and called"),
+    (Body("crates/netback/src/udp.rs", "fn recv("), Text("sys::recv_train("), 1, "the one site is reached from Udp's Link::recv"),
+    (In("crates examples"), Text("sendmsg("), 2, "a train leaves by one call: sys's sendmsg, declared and called"),
+    (In("crates/netback/src"), Text("socket.send(|socket.recv"), 0, "the socket is written and read through sys only"),
+    (In("crates examples"), Text(UNSAFE), 10, "unsafe code lives in netback's sys and tun only"),
+    (In("crates/netback/src/sys.rs crates/netback/src/tun.rs"), Text(UNSAFE), 10, "unsafe code lives in netback's sys and tun only"),
+    (In("crates/netback/src/link.rs"), Text("write_u8(|read_u8("), 0, "the backend's system copies are one Mem::{read_slice, write_slice} each"),
     (In("crates/netback/src/ipv4.rs"), Text("fn build("), 0, "outgoing headers are built by system_copy"),
     (In(KERNEL), Text("Ipv4Header::at(*.build("), 1, "one send-side system copy, kernelpart::system_copy"),
     (In(KERNEL), Text("compute(30)"), 2, "a crossing's trap path: system_copy's, and the drain's deposit"),
