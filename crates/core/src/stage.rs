@@ -380,8 +380,10 @@ impl StaticStage for CrcStage {
 
     #[inline(always)]
     fn apply<M: Mem>(&mut self, m: &mut M, unit: &mut UnitBuf) {
-        for i in 0..unit.len() {
-            self.state = self.crc.update_byte(m, self.state, unit.byte(i));
+        for i in 0..unit.words() {
+            for byte in unit.word(i).to_be_bytes() {
+                self.state = self.crc.update_byte(m, self.state, byte);
+            }
         }
     }
 

@@ -101,8 +101,9 @@ impl UnitBuf {
         }
     }
 
-    /// Byte `i` in wire (big-endian) order (for grain-1 stores).
-    #[inline(always)]
+    /// Byte `i` in wire (big-endian) order: what the word views must
+    /// agree with.
+    #[cfg(test)]
     pub fn byte(&self, i: usize) -> u8 {
         debug_assert!(i < self.len);
         (self.words[i / 4] >> (24 - 8 * (i % 4))) as u8

@@ -48,4 +48,4 @@ pub mod udp;
 pub mod tun;
 
 pub use codec::{encode, CodecError, HEADER_LEN, MAX_INNER};
-pub use udp::UdpBackend;
+pub use udp::{SockCalls, UdpBackend};

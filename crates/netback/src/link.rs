@@ -27,9 +27,11 @@
 //! [`recv_into`](KernelPart::recv_into) or carries no payload (SYN,
 //! SYN-ACK, bare ACK, FIN, RST), behind any train that waits; every
 //! other send joins the train. The train leaves at the next
-//! `recv_into`, before a frame of another size or one that would take
-//! it past [`TRAIN_FRAMES`] frames or [`TRAIN_BYTES`] bytes, and when
-//! the backend is dropped — always through [`Backend::flush`]. So a lone
+//! `recv_into`, when the connection above calls
+//! [`flush`](KernelPart::flush) because its send closed the window or
+//! filled the ring, before a frame of another size or one that would
+//! take it past [`TRAIN_FRAMES`] frames or [`TRAIN_BYTES`] bytes, and
+//! when the backend is dropped — always through that `flush`. So a lone
 //! stop-and-wait chunk and every control segment cross as one datagram,
 //! and nothing deferred is lost. A receive never waits, so a lost
 //! datagram can never hang a poll loop — timeouts and retransmission are
@@ -126,20 +128,6 @@ impl<L: Link> Backend<L> {
         }
     }
 
-    /// Write the waiting train, if any, to the link: the one place a
-    /// train leaves. Each of its frames counts as sent, or as dropped
-    /// when the link refuses it (TCP retransmits those).
-    pub fn flush(&mut self) {
-        if self.frames == 0 {
-            return;
-        }
-        let took = self.link.send(&self.train, self.frame_len);
-        self.counts.sent += took as u64;
-        self.counts.dropped += (self.frames - took) as u64;
-        self.train.clear();
-        self.frames = 0;
-    }
-
     /// Move datagrams from the descriptor into the per-port queues,
     /// depositing each into a free kernel slot via `m`, until the
     /// descriptor is empty or no slot is free.
@@ -226,6 +214,20 @@ impl<L: Link> KernelPart for Backend<L> {
         if alone {
             self.flush();
         }
+    }
+
+    /// Write the waiting train, if any, to the link: the one place a
+    /// train leaves. Each of its frames counts as sent, or as dropped
+    /// when the link refuses it (TCP retransmits those).
+    fn flush(&mut self) {
+        if self.frames == 0 {
+            return;
+        }
+        let took = self.link.send(&self.train, self.frame_len);
+        self.counts.sent += took as u64;
+        self.counts.dropped += (self.frames - took) as u64;
+        self.train.clear();
+        self.frames = 0;
     }
 
     fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram> {

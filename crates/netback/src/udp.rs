@@ -50,6 +50,19 @@ pub struct Udp {
     seg: usize,
     at: usize,
     from: Option<SocketAddr>,
+    /// The system calls it made.
+    calls: SockCalls,
+}
+
+/// The system calls a [`Udp`] link made on its socket: each train it
+/// wrote is one `sendmsg`, each read one `recvmsg`, an empty one
+/// included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SockCalls {
+    /// Trains written.
+    pub sendmsg: u64,
+    /// Reads, whether or not they found a train.
+    pub recvmsg: u64,
 }
 
 impl UdpBackend {
@@ -66,7 +79,8 @@ impl UdpBackend {
         let socket = UdpSocket::bind(addr)?;
         socket.set_nonblocking(true)?;
         sys::enable_gro(&socket)?;
-        let link = Udp { socket, peer: None, read: Vec::with_capacity(READ_LEN), seg: 0, at: 0, from: None };
+        let read = Vec::with_capacity(READ_LEN);
+        let link = Udp { socket, peer: None, read, seg: 0, at: 0, from: None, calls: SockCalls::default() };
         Ok(Backend::new(space, link))
     }
 
@@ -76,6 +90,11 @@ impl UdpBackend {
     /// Propagates the OS error from `getsockname`.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.link.socket.local_addr()
+    }
+
+    /// The system calls made on the socket so far.
+    pub fn sock_calls(&self) -> SockCalls {
+        self.link.calls
     }
 
     /// Set the destination for outgoing datagrams and connect the socket
@@ -110,10 +129,11 @@ impl Link for Udp {
     }
 
     fn send(&mut self, train: &[u8], frame_len: usize) -> usize {
-        match self.peer {
-            Some(_) if sys::send_train(&self.socket, train, frame_len).is_ok() => train.len() / frame_len,
-            _ => 0,
+        if self.peer.is_none() {
+            return 0;
         }
+        self.calls.sendmsg += 1;
+        if sys::send_train(&self.socket, train, frame_len).is_ok() { train.len() / frame_len } else { 0 }
     }
 
     // Inlined into the drain, which then reads, decodes and deposits in
@@ -121,6 +141,7 @@ impl Link for Udp {
     #[inline]
     fn recv(&mut self) -> io::Result<Option<(&[u8], Option<SegTag>)>> {
         if self.at >= self.read.len() {
+            self.calls.recvmsg += 1;
             let read = sys::recv_train(&self.socket, &mut self.read, self.peer.is_none())?;
             (self.seg, self.at, self.from) = (read.seg, 0, read.from);
             if read.truncated {

@@ -113,7 +113,7 @@ pub trait KernelPart {
     /// `payload_len` bytes at `payload_addr` in IPv4 and hand the
     /// datagram to the network. `payload_len` may be zero (pure ACK).
     /// A send may wait in the kernel part until that part's next
-    /// [`recv_into`](KernelPart::recv_into).
+    /// [`recv_into`](KernelPart::recv_into) or [`flush`](KernelPart::flush).
     #[allow(clippy::too_many_arguments)]
     fn send<M: Mem>(
         &mut self,
@@ -137,6 +137,14 @@ pub trait KernelPart {
     /// again — [`Connection::poll_input`](crate::conn::Connection::poll_input)
     /// copies them into its staging buffer straight away.
     fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<Datagram>;
+
+    /// Send whatever this kernel part holds back now. A connection calls
+    /// it when a data send leaves no room for another segment of its
+    /// length — nothing more will join the waiting sends until an ACK
+    /// comes back, so holding them any longer only delays that ACK. The
+    /// default does nothing: a part that holds nothing back (the
+    /// loop-back) needs no body, and a wrapping part must forward it.
+    fn flush(&mut self) {}
 
     /// Number of datagrams already queued for an endpoint. Advisory (a
     /// real backend may have more in the socket buffer): it feeds

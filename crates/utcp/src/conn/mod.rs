@@ -322,7 +322,7 @@ impl Connection {
     /// stray segments with a RST built from them.
     fn teardown_total(&mut self) {
         self.ring.ack(self.snd.nxt);
-        self.snd.flush();
+        self.snd.forget_flight();
         self.rec.restart(self.snd.nxt);
         self.rcv.drop_held();
         self.trace = SegTrace::new(self.trace.every);

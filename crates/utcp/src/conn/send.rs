@@ -107,7 +107,7 @@ impl SendSeq {
     }
 
     /// Declare everything sent acknowledged and stop timing it (reset).
-    pub(super) fn flush(&mut self) {
+    pub(super) fn forget_flight(&mut self) {
         self.una = self.nxt;
         self.rtt_probe = None;
     }
@@ -368,6 +368,11 @@ impl Connection {
             }
         }
         self.ship(m, k.kernel(), body); // step 5
+        if !(self.snd.window_allows(extent.len) && self.ring.fits(extent.len)) {
+            // No segment of this length can follow until an ACK returns:
+            // whatever the kernel part holds back waits for nothing more.
+            k.kernel().flush();
+        }
         k.span(m, Stage::Final, Layer::Tcp, t);
         if K::Obs::ENABLED {
             k.obs().flight(self.obs_id, self.flight_snap(FlightEdge::Send));

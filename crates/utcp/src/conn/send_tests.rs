@@ -322,3 +322,152 @@ fn buffer_full_surfaces_as_delay_signal() {
     assert_eq!(tx.send_buf(&mut m, &mut lb, src.base, 100), Err(SendError::BufferFull));
     let _ = &mut w;
 }
+
+/// What a connection asked of its kernel part: a send of so many
+/// payload bytes, or a flush.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KernelCall {
+    Send(usize),
+    Flush,
+}
+
+/// The loop-back, logging every send and flush asked of it.
+struct Logged<'a> {
+    lb: &'a mut Loopback,
+    log: Vec<KernelCall>,
+}
+
+impl KernelPart for Logged<'_> {
+    fn register(&mut self, port: u16) -> EndpointId {
+        self.lb.register(port)
+    }
+    #[allow(clippy::too_many_arguments)]
+    fn send<M: Mem>(&mut self, m: &mut M, src: u32, dst: u32, port: u16, hdr: usize, payload: usize, len: usize) {
+        self.log.push(KernelCall::Send(len));
+        self.lb.send(m, src, dst, port, hdr, payload, len);
+    }
+    fn recv_into<M: Mem>(&mut self, m: &mut M, id: EndpointId) -> Option<crate::kernelpart::Datagram> {
+        self.lb.recv_into(m, id)
+    }
+    fn flush(&mut self) {
+        self.log.push(KernelCall::Flush);
+    }
+    fn pending(&self, id: EndpointId) -> usize {
+        self.lb.pending(id)
+    }
+    fn counters(&self) -> crate::backend::KernelCounters {
+        self.lb.counters()
+    }
+}
+
+/// A pair opened by the three-way handshake over a `Logged` loop-back
+/// (16 KiB send ring), its arena, and what the open logged.
+fn opened_pair() -> (World, Vec<u8>, Vec<KernelCall>) {
+    let mut space = AddressSpace::new();
+    let mut lb = Loopback::new(&mut space);
+    let cfg = UtcpConfig { local_port: 1000, peer_port: 2000, ..Default::default() };
+    let mut tx = Connection::new(&mut space, &mut lb, cfg, 1000);
+    let mut rx = Connection::new(&mut space, &mut lb, cfg.mirror(), 5000);
+    let src = space.alloc("src", 4096, 8);
+    let dst_check = space.alloc("dst_check", 4096, 8);
+    let mut arena = space.native_arena();
+    let mut m = NativeMem::new(&mut arena);
+    let mut k = Logged { lb: &mut lb, log: Vec::new() };
+    rx.listen();
+    tx.connect(&mut m, &mut k); // SYN
+    assert!(rx.poll_input(&mut m, &mut k).is_none()); // SYN-ACK
+    assert!(tx.poll_input(&mut m, &mut k).is_none()); // ACK
+    assert!(rx.poll_input(&mut m, &mut k).is_none());
+    assert_eq!((tx.life.state, rx.life.state), (State::Established, State::Established));
+    let log = k.log;
+    (World { space, lb, tx, rx, src, dst_check }, arena, log)
+}
+
+/// Send `len`-byte segments until one is refused; returns, for each
+/// accepted send, whether a flush followed it, and the refusal.
+fn flushes_until_refused(w: &mut World, m: &mut NativeMem<'_>, len: usize) -> (Vec<bool>, SendError) {
+    let mut k = Logged { lb: &mut w.lb, log: Vec::new() };
+    let mut flushed = Vec::new();
+    loop {
+        if let Err(e) = w.tx.send_buf(m, &mut k, w.src.base, len) {
+            assert!(k.log.is_empty(), "a refused send asks nothing of the kernel part");
+            return (flushed, e);
+        }
+        match k.log.drain(..).as_slice() {
+            [KernelCall::Send(n)] if *n == len => flushed.push(false),
+            [KernelCall::Send(n), KernelCall::Flush] if *n == len => flushed.push(true),
+            other => panic!("send {}: {other:?}", flushed.len()),
+        }
+    }
+}
+
+/// `n` accepted sends, only the last of them followed by a flush.
+fn last_of(n: usize) -> Vec<bool> {
+    (0..n).map(|i| i + 1 == n).collect()
+}
+
+#[test]
+fn the_send_that_closes_the_peer_window_or_cwnd_flushes_the_kernel_part() {
+    // No SYN, SYN-ACK or ACK of the open flushes.
+    let (mut w, mut arena, open) = opened_pair();
+    assert_eq!(open, [KernelCall::Send(0); 3]);
+    let mut m = NativeMem::new(&mut arena);
+    // Peer window: four of 250 fill 1 000 bytes.
+    w.tx.snd.peer_window = 1000;
+    assert_eq!(flushes_until_refused(&mut w, &mut m, 250), (last_of(4), SendError::WindowClosed));
+    // Its ACK is bare and flushes nothing.
+    let mut k = Logged { lb: &mut w.lb, log: Vec::new() };
+    let mut received = 0;
+    while let Some(d) = w.rx.poll_input(&mut m, &mut k) {
+        let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
+        received += usize::from(w.rx.finish_recv(&mut m, &mut k, &d, sum).is_ok());
+    }
+    while w.tx.poll_input(&mut m, &mut k).is_some() {}
+    assert_eq!((received, k.log.as_slice()), (4, &[KernelCall::Send(0)][..]), "one ACK for the burst");
+    assert_eq!(w.tx.in_flight(), 0);
+    // Congestion window: 2 MSS grown by the 1 000 acked bytes holds
+    // four segments of 1 000, not five.
+    w.tx.snd.peer_window = u16::MAX;
+    assert_eq!(w.tx.cwnd(), 2 * 1536 + 1000);
+    assert_eq!(flushes_until_refused(&mut w, &mut m, 1000), (last_of(4), SendError::WindowClosed));
+    // The RTO retransmission goes out with the window still closed (it
+    // collapsed to one MSS): it flushes too.
+    let mut k = Logged { lb: &mut w.lb, log: Vec::new() };
+    while w.tx.stats.retransmits == 0 {
+        w.tx.tick(&mut m, &mut k);
+    }
+    assert_eq!(k.log, [KernelCall::Send(1000), KernelCall::Flush]);
+    // The FIN is bare and flushes nothing.
+    k.log.clear();
+    w.tx.close(&mut m, &mut k);
+    assert_eq!(k.log, [KernelCall::Send(0)]);
+}
+
+#[test]
+fn the_send_that_fills_the_ring_flushes_the_kernel_part_wrap_waste_included() {
+    // Ring-limited: sixteen of 1 024 fill 16 KiB.
+    let (mut w, mut arena, _) = opened_pair();
+    let mut m = NativeMem::new(&mut arena);
+    (w.tx.snd.peer_window, w.tx.snd.cwnd) = (u16::MAX, 1 << 20);
+    assert_eq!(flushes_until_refused(&mut w, &mut m, 1024), (last_of(16), SendError::BufferFull));
+
+    // Wrap waste decides: a 500-byte segment and fourteen of 1 000 put
+    // the tail at 14 500; acking the 500 leaves 2 384 bytes free. The
+    // next 1 000 ends at 15 500, and the one after it would have to skip
+    // the 884-byte fragment at the end, which the ring no longer has
+    // room for — though 1 384 bytes are free.
+    let (mut w, mut arena, _) = opened_pair();
+    let mut m = NativeMem::new(&mut arena);
+    (w.tx.snd.peer_window, w.tx.snd.cwnd) = (u16::MAX, 1 << 20);
+    let mut k = Logged { lb: &mut w.lb, log: Vec::new() };
+    w.tx.send_buf(&mut m, &mut k, w.src.base, 500).unwrap();
+    for _ in 0..14 {
+        w.tx.send_buf(&mut m, &mut k, w.src.base, 1000).unwrap();
+    }
+    assert!(!k.log.contains(&KernelCall::Flush));
+    let ack = w.tx.snd_una().wrapping_add(500);
+    w.tx.process_ack(&mut m, &mut k, ack, u16::MAX, &SackBlocks::default());
+    assert_eq!(w.tx.ring.free_bytes(), 16 * 1024 - 14_000);
+    assert_eq!(flushes_until_refused(&mut w, &mut m, 1000), (last_of(1), SendError::BufferFull));
+    assert!(w.tx.can_send(1000), "can_send ignores wrap waste: it would have missed this flush");
+}

@@ -90,12 +90,10 @@ impl SendRing {
         self.extents.len()
     }
 
-    /// Reserve a contiguous extent of `len` bytes for the segment
-    /// starting at `seq`. Returns `None` when the ring is too full — the
-    /// paper's "not enough space … all data manipulations are delayed
-    /// until there is enough buffer space available again".
-    pub fn alloc(&mut self, len: usize, seq: u32) -> Option<Extent> {
-        assert!(len > 0 && len <= self.capacity(), "segment larger than the ring");
+    /// Where a `len`-byte extent would go — its offset and the tail
+    /// fragment skipped before it — or `None` when the ring has no room
+    /// for it, wrap waste included.
+    fn place(&self, len: usize) -> Option<(usize, usize)> {
         // Wrap whenever the segment does not fit between the tail and the
         // end — including the saturated case `tail == capacity`, where the
         // skipped fragment is empty (`waste == 0`). Deciding the wrap by
@@ -112,7 +110,22 @@ impl SendRing {
         if self.used + len + waste > self.capacity() {
             return None;
         }
-        let off = if wrap { 0 } else { self.tail };
+        Some((if wrap { 0 } else { self.tail }, waste))
+    }
+
+    /// Whether [`SendRing::alloc`] would grant `len` bytes now: the same
+    /// test, wrap waste included, without reserving anything.
+    pub fn fits(&self, len: usize) -> bool {
+        self.place(len).is_some()
+    }
+
+    /// Reserve a contiguous extent of `len` bytes for the segment
+    /// starting at `seq`. Returns `None` when the ring is too full — the
+    /// paper's "not enough space … all data manipulations are delayed
+    /// until there is enough buffer space available again".
+    pub fn alloc(&mut self, len: usize, seq: u32) -> Option<Extent> {
+        assert!(len > 0 && len <= self.capacity(), "segment larger than the ring");
+        let (off, waste) = self.place(len)?;
         let extent = Extent { off, len, seq, waste_before: waste };
         self.tail = off + len;
         self.used += len + waste;
@@ -511,6 +524,36 @@ mod tests {
             }
             r.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn fits_answers_exactly_what_alloc_grants() {
+        // Seeded walks over rings of several sizes, the tail landing at
+        // every offset: whatever `fits` says of a length, `alloc` of that
+        // length does — the wrap-waste refusals included.
+        let (mut by_waste, mut by_space) = (0, 0);
+        for (seed, cap) in [(1u64, 100usize), (2, 256), (3, 512), (4, 8192)] {
+            let mut rng = crate::rng::XorShift64::new(seed);
+            let (_s, mut r) = ring(cap);
+            let mut seq = 0u32;
+            for _ in 0..4000 {
+                if rng.below(3) < 2 {
+                    let len = 1 + rng.index(cap / 2);
+                    let fits = r.fits(len);
+                    if !fits && r.free_bytes() >= len {
+                        by_waste += 1;
+                    } else if !fits {
+                        by_space += 1;
+                    }
+                    let got = r.alloc(len, seq);
+                    assert_eq!(fits, got.is_some(), "cap {cap}, len {len}");
+                    seq = got.map_or(seq, |e| e.end_seq());
+                } else if let Some(front) = r.oldest() {
+                    r.ack(front.end_seq());
+                }
+            }
+        }
+        assert!(by_waste > 0 && by_space > 0, "refused by wrap waste {by_waste}, by space {by_space}");
     }
 
     #[test]

@@ -62,6 +62,8 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In("crates/memsim/src/mem.rs"), Text("step_by(64)"), 1, "the walk is said once, in memsim"),
     (Body("crates/utcp/src/conn/recv.rs", "pub fn finish_recv"), Text("send_ack("), 2, "a duplicate, a drained burst"),
     (In("crates/netback/src"), Text("KernelPart for"), 1, "one kernel part over a real descriptor, link::Backend"),
+    (In("crates/utcp/src"), Text(".flush()"), 1, "one flush: the data send that leaves no room for another of its length"),
+    (In("crates/netback/src"), Text("fn flush"), 1, "the backend's flush is its KernelPart::flush, with no inherent twin"),
     (In("crates examples"), Text("recvmsg("), 2, "UdpBackend reads its socket at one site: sys's recvmsg, declared and called"),
     (Body("crates/netback/src/udp.rs", "fn recv("), Text("sys::recv_train("), 1, "the one site is reached from Udp's Link::recv"),
     (In("crates examples"), Text("sendmsg("), 2, "a train leaves by one call: sys's sendmsg, declared and called"),
