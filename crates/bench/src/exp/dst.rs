@@ -52,8 +52,8 @@ pub fn run(args: &[String]) -> Result<Option<Json>, String> {
     let mut table = Table::new(vec!["metric", "value"]);
     table.row(vec!["seeds".into(), format!("{} from {:#x}", opts.seeds, opts.base_seed)]);
     table.row(vec![
-        "kind mix (ring/transfer/sharded)".into(),
-        format!("{}/{}/{}", kinds[0], kinds[1], kinds[2]),
+        "kind mix (ring/transfer)".into(),
+        format!("{}/{}", kinds[0], kinds[1]),
     ]);
     table.row(vec![
         "faults (drop/dup/reorder/corrupt/delay)".into(),

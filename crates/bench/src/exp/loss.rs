@@ -32,7 +32,6 @@ const POINTS: [(u16, f64); 4] = [(0, 0.0), (66, 0.1), (655, 1.0), (3277, 5.0)];
 fn loss_config(drop: u16, loss_recovery: bool) -> ServerConfig {
     ServerConfig {
         n_conns: 1,
-        conn_base: 0,
         file_len: FILE_LEN,
         chunk: 512,
         weights: Vec::new(),

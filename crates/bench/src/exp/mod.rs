@@ -16,7 +16,6 @@ pub mod micro;
 pub mod placement;
 pub mod segtrace;
 pub mod server_scale;
-pub mod shard_scale;
 pub mod store_grain;
 pub mod sweep;
 pub mod trace;

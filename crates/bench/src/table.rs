@@ -16,7 +16,7 @@
 
 use crate::exp::{
     atom_axp, calibrate, churn, ciphers, des_ablation, dispatch, dst, health, loss, micro,
-    placement, segtrace, server_scale, shard_scale, store_grain, sweep, trace,
+    placement, segtrace, server_scale, store_grain, sweep, trace,
 };
 use crate::gate::{gate_file, Check, FileManifest, Mode, Policy};
 use obs::Json;
@@ -168,29 +168,6 @@ pub static TABLE: &[Row] = &[
         ],
     ),
     reporting(
-        "exp_shard_scale",
-        "shard scale — wall-clock throughput, shards × connections (native)",
-        Some(shard_scale::run),
-        "BENCH_shard_scale.json",
-        &[
-            // Each shard is its own virtual-clock world, so what it
-            // delivered and in how many rounds is exact; how long the
-            // threads took, and how many the host has, is not.
-            e("experiment"),
-            e("reps"),
-            e("points.0.conns"),
-            e("points.0.shards"),
-            e("points.0.payload_bytes"),
-            e("points.0.max_shard_rounds"),
-            e("points.0.per_shard_rounds.0"),
-            e("table.columns.0"),
-            r("host_threads"),
-            r("points.0.wall_us"),
-            r("points.0.mbps"),
-            r("points.0.speedup_vs_1shard"),
-        ],
-    ),
-    reporting(
         "exp_dst",
         "deterministic simulation — 200-seed fault sweep under cross-layer oracles",
         Some(dst::run),
@@ -207,7 +184,6 @@ pub static TABLE: &[Row] = &[
             e("passed"),
             e("kind_counts.0"),
             e("kind_counts.1"),
-            e("kind_counts.2"),
             e("faults.dropped"),
             e("faults.duplicated"),
             e("faults.reordered"),

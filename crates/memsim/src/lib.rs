@@ -89,26 +89,3 @@ pub use region::{Region, RegionKind};
 pub use simmem::SimMem;
 pub use stats::{AccessCounts, RunStats, SizeClass};
 pub use trace::{Trace, TraceEvent};
-
-/// Threading contract, asserted at compile time.
-///
-/// The sharded server (`crates/server/src/shard.rs`) confines one memory
-/// world — an [`AddressSpace`], its arena, and the [`SimMem`] /
-/// [`NativeMem`] over it, with all work counters — to one OS thread;
-/// worlds are built *inside* their worker and never shared, so no
-/// counter or cache state needs atomics. What must hold for that design
-/// is only that the world types can *move into* a spawned worker (and
-/// its results move back out), i.e. that they are `Send`. The crate is
-/// `#![forbid(unsafe_code)]` and every type owns plain data, so `Send`
-/// falls out automatically — these assertions exist to keep it that way
-/// (a stray `Rc` or raw-pointer field would fail to compile here).
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<AddressSpace>();
-    assert_send::<SimMem>();
-    assert_send::<HostModel>();
-    assert_send::<CacheSim>();
-    assert_send::<RunStats>();
-    assert_send::<Region>();
-    assert_send::<NativeMem<'static>>();
-};

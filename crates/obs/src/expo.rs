@@ -110,10 +110,9 @@ pub fn prometheus_text_with_health(r: &Recorder, verdicts: &[Verdict]) -> String
 /// caller's `label` — arbitrary text, escaped by the JSON renderer like
 /// everything else — and one `thread_name` metadata event per
 /// connection row in the ring makes `chrome://tracing` show `conn 7`
-/// instead of a bare thread id. Each shard exports its ring under its
-/// own pid, so the concatenation loads as one timeline with every
-/// process row labelled, and global connection ids (`conn_base`) keep
-/// merged shard exports unambiguous.
+/// instead of a bare thread id. Each process exports its ring under its
+/// own pid (the two ends of a `serve_udp` transfer, say), so the
+/// concatenation loads as one timeline with every process row labelled.
 pub fn chrome_trace_events(trace: &TraceRing, label: &str, pid: u64) -> Vec<Json> {
     let meta = |name: &str, tid: u64, value: &str| {
         Json::obj()
@@ -247,18 +246,18 @@ mod tests {
     }
 
     #[test]
-    fn merged_shard_traces_carry_per_process_labels() {
-        // Two shards export under distinct pids; the concatenated
+    fn two_process_traces_carry_per_process_labels() {
+        // Two processes export under distinct pids; the concatenated
         // document must label every process row and keep each instant
-        // under its own shard's pid.
+        // under its own process's pid.
         let mut a = Recorder::new(8);
         a.tick(2);
         a.event(EventKind::ChunkSent, 0, 1);
         let mut b = Recorder::new(8);
         b.tick(4);
         b.event(EventKind::ChunkSent, 5, 1);
-        let mut evs = chrome_trace_events(a.trace(), "shard 0", 0);
-        evs.extend(chrome_trace_events(b.trace(), "shard 1", 1));
+        let mut evs = chrome_trace_events(a.trace(), "process 0", 0);
+        evs.extend(chrome_trace_events(b.trace(), "process 1", 1));
         let doc = chrome_trace_doc(evs);
         let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         let labels: Vec<(u64, &str)> = events
@@ -271,20 +270,20 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(labels, vec![(0, "shard 0"), (1, "shard 1")]);
+        assert_eq!(labels, vec![(0, "process 0"), (1, "process 1")]);
         let instants: Vec<u64> = events
             .iter()
             .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("i"))
             .map(|e| e.get("pid").and_then(|p| p.as_f64()).unwrap() as u64)
             .collect();
-        assert_eq!(instants, vec![0, 1], "each instant stays under its shard's pid");
+        assert_eq!(instants, vec![0, 1], "each instant stays under its process's pid");
         assert!(
             events
                 .iter()
                 .any(|e| e.get("name").and_then(|n| n.as_str()) == Some("thread_name")
                     && e.get("pid") == Some(&Json::U64(1))
                     && e.get("tid") == Some(&Json::U64(5))),
-            "shard 1's connection row is labelled under pid 1"
+            "process 1's connection row is labelled under pid 1"
         );
     }
 

@@ -18,11 +18,8 @@
 //! * a set of **detectors** ([`analyze`]) — pure functions over a
 //!   finished [`Recorder`] plus per-connection harness views
 //!   ([`ConnView`]) and kernel-part queue stats ([`QueueStat`]) that
-//!   raise named, structured [`Verdict`]s. Because analysis is a pure
-//!   function of merged telemetry, sharded and unsharded runs that
-//!   merge to the same recorder produce byte-identical verdicts — the
-//!   S = 1 equivalence the rest of the observability stack already
-//!   pins down.
+//!   raise named, structured [`Verdict`]s. Analysis is a pure function
+//!   of that telemetry: the same run produces byte-identical verdicts.
 //!
 //! The detector catalogue (the thresholds are this module's constants):
 //!
@@ -61,8 +58,7 @@ pub struct FlightRec {
 }
 
 /// A connection's flight recorder: a [`Ring`] of [`FLIGHT_CAPACITY`]
-/// snapshots (one capacity crate-wide, so shard rings merge
-/// structurally).
+/// snapshots (one capacity crate-wide).
 pub type FlightRing = Ring<FlightRec>;
 
 impl FlightRing {
@@ -135,12 +131,11 @@ pub const FAIRNESS_MIN: f64 = 0.6;
 pub const FAIRNESS_MIN_CONNS: usize = 2;
 
 /// Per-connection facts only the harness knows, snapshotted for
-/// analysis. Connection ids are *global* (shard `conn_base` + local
-/// index), so views from different shards concatenate without
-/// collision.
+/// analysis. A connection's id is its index in the harness, the same
+/// id its flight ring and segment traces are keyed by.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnView {
-    /// Global connection id.
+    /// Connection id.
     pub conn: u32,
     /// Handshake completed.
     pub established: bool,
@@ -245,7 +240,7 @@ pub fn jain(shares: &[f64]) -> f64 {
 
 /// Run every detector over a finished recorder plus the harness-side
 /// views, returning verdicts sorted by `(detector, conn, window)` so
-/// the output is deterministic and shard-merge invariant.
+/// the output is deterministic.
 pub fn analyze(rec: &Recorder, views: &[ConnView], queue: QueueStat) -> Vec<Verdict> {
     let mut out = Vec::new();
 
@@ -384,8 +379,7 @@ const BUNDLE_SERIES: [Counter; 4] = [
 /// Assemble the diagnostic bundle for a set of verdicts: the verdicts
 /// themselves, the offending connections' flight-recorder dumps and
 /// views, the relevant series windows, the queue stat, and the newest
-/// trace-ring slice. Pure function of merged telemetry — S = 1 sharded
-/// output is byte-identical to unsharded.
+/// trace-ring slice. A pure function of its inputs.
 pub fn bundle(
     rec: &Recorder,
     views: &[ConnView],
@@ -450,9 +444,8 @@ pub fn bundle(
 }
 
 /// The whole diagnosis in one call: [`analyze`], then [`bundle`]
-/// around what it found. Every world with
-/// a recorder, views and a queue stat (one harness, a joined sharded
-/// run) reports through here.
+/// around what it found. Every world with a recorder, views and a queue
+/// stat reports through here.
 pub fn diagnose(rec: &Recorder, views: &[ConnView], queue: QueueStat) -> Json {
     let verdicts = analyze(rec, views, queue);
     bundle(rec, views, queue, &verdicts)
@@ -486,17 +479,6 @@ mod tests {
         assert_eq!(r.total_pushed(), FLIGHT_CAPACITY as u64 + 5);
         assert_eq!(r.overwritten(), 5);
         assert_eq!(r.iter().next().unwrap().snap.una, 5, "oldest evicted");
-    }
-
-    #[test]
-    fn flight_ring_merge_into_fresh_is_identity() {
-        let mut a = FlightRing::new(FLIGHT_CAPACITY);
-        for i in 0..FLIGHT_CAPACITY as u32 + 3 {
-            a.push(FlightRec { tick: i as u64, snap: snap(FlightEdge::Send, i, 8) });
-        }
-        let mut fresh = FlightRing::new(FLIGHT_CAPACITY);
-        fresh.merge_from(&a);
-        assert_eq!(fresh.to_json().render(), a.to_json().render());
     }
 
     fn view(conn: u32) -> ConnView {

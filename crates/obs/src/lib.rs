@@ -33,13 +33,13 @@
 //! * [`timeseries`] — [`timeseries::SeriesRecorder`], the windowed
 //!   view: every counter delta and sample also lands in a fixed-width
 //!   virtual-clock window, with tiered 2× coarsening of old windows so
-//!   arbitrarily long runs fit in bounded memory, window-aligned merge
-//!   across shard recorders, and an ASCII sparkline renderer;
+//!   arbitrarily long runs fit in bounded memory, and an ASCII
+//!   sparkline renderer;
 //! * [`health`] — the cross-layer health engine: per-connection flight
 //!   recorders (tiny snapshot rings fed through the same compile-away
 //!   hook), named anomaly detectors (retransmit storm, RTO spiral,
 //!   stall, queue saturation, fairness collapse) run as pure functions
-//!   over merged telemetry, and diagnostic-bundle assembly;
+//!   over the recorded telemetry, and diagnostic-bundle assembly;
 //! * [`segtrace`] — per-segment causal tracing: span chains keyed by
 //!   (connection, chunk) with a virtual-clock timestamp at every
 //!   lifecycle edge, out-of-band context propagation across the kernel

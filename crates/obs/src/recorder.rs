@@ -43,7 +43,7 @@ pub struct Recorder {
     /// (see [`crate::health`]).
     flights: BTreeMap<u32, FlightRing>,
     /// Per-segment causal traces (see [`crate::segtrace`]), keyed by
-    /// global connection id + chunk seq.
+    /// connection id + chunk seq.
     segs: SegStore,
     now: u64,
 }
@@ -69,7 +69,7 @@ impl Recorder {
         }
     }
 
-    /// Per-connection flight recorders, keyed by global connection id.
+    /// Per-connection flight recorders, keyed by connection id.
     pub fn flights(&self) -> &BTreeMap<u32, FlightRing> {
         &self.flights
     }
@@ -134,39 +134,6 @@ impl Recorder {
     /// The last virtual tick reported via [`SpanObserver::tick`].
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// Fold another recorder into this one: counters and the work matrix
-    /// add, histograms merge bucket-wise (exact count/sum/min/max), the
-    /// traces concatenate with drop accounting, the windowed series
-    /// merge window-aligned (see
-    /// [`crate::timeseries::SeriesRecorder::merge_from`]; the series
-    /// configs must match), and `now` takes the later clock. This is how
-    /// the sharded server unifies per-shard recorders into one report;
-    /// merging is associative and (up to trace interleaving order)
-    /// commutative, and merging a recorder into a fresh one of the same
-    /// trace capacity reproduces its [`Recorder::to_json`] byte for
-    /// byte.
-    ///
-    /// Trace events keep their shard-local connection indices; callers
-    /// that need global attribution should emit per-shard sections (see
-    /// the server's shard report) rather than re-labelling events.
-    pub fn merge(&mut self, other: &Recorder) {
-        self.totals.absorb(&other.totals);
-        for p in 0..N_PATHS {
-            for s in 0..N_STAGES {
-                for l in 0..N_LAYERS {
-                    self.work[p][s][l] += other.work[p][s][l];
-                }
-            }
-        }
-        self.trace.merge_from(&other.trace);
-        self.series.merge_from(&other.series);
-        for (&conn, ring) in &other.flights {
-            self.flight_ring(conn).merge_from(ring);
-        }
-        self.segs.merge_from(&other.segs);
-        self.now = self.now.max(other.now);
     }
 
     /// The whole recorder as a JSON tree — counters, per-metric summary
@@ -332,60 +299,6 @@ mod tests {
         assert_eq!(r.counter(Counter::Retransmits), 0);
         assert_eq!(r.hist(Metric::ChunkLatencyTicks).count(), 2);
         assert_eq!(r.hist(Metric::ChunkLatencyTicks).sum(), 30);
-    }
-
-    /// A recorder with a bit of everything in it.
-    fn busy_recorder(seed: u64) -> Recorder {
-        let mut r = Recorder::new(4);
-        r.count(Counter::ChunksSent, seed + 2);
-        r.count(Counter::Retransmits, seed);
-        r.sample(Metric::ChunkLatencyTicks, 3 * seed + 1);
-        r.sample(Metric::ChunkBytes, 1024);
-        r.span(
-            PathLabel::Ilp,
-            Stage::Integrated,
-            Layer::Fused,
-            Work { user: 10 * seed, system: seed },
-        );
-        for t in 0..seed + 3 {
-            r.tick(t);
-            r.event(EventKind::ChunkSent, seed as u32, t);
-        }
-        r
-    }
-
-    #[test]
-    fn merge_into_fresh_recorder_is_identity() {
-        let orig = busy_recorder(5);
-        let mut merged = Recorder::new(orig.trace().capacity());
-        merged.merge(&orig);
-        assert_eq!(merged.to_json().render(), orig.to_json().render());
-    }
-
-    #[test]
-    fn merge_adds_counters_histograms_work_and_traces() {
-        let a = busy_recorder(2);
-        let b = busy_recorder(7);
-        let mut m = Recorder::new(4);
-        m.merge(&a);
-        m.merge(&b);
-        assert_eq!(m.counter(Counter::ChunksSent), a.counter(Counter::ChunksSent) + 9);
-        let h = m.hist(Metric::ChunkLatencyTicks);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 7 + 22);
-        assert_eq!(h.min(), Some(7));
-        assert_eq!(h.max(), Some(22));
-        assert_eq!(
-            m.work(PathLabel::Ilp, Stage::Integrated, Layer::Fused),
-            20 + 70,
-            "user work adds"
-        );
-        assert_eq!(m.work(PathLabel::Ilp, Stage::Integrated, Layer::Kernel), 9);
-        assert_eq!(
-            m.trace().total_pushed(),
-            a.trace().total_pushed() + b.trace().total_pushed()
-        );
-        assert_eq!(m.now(), 9, "later clock wins");
     }
 
     #[test]

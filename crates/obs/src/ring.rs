@@ -66,28 +66,3 @@ impl<T> Ring<T> {
         head.iter().chain(tail.iter())
     }
 }
-
-impl<T: Copy> Ring<T> {
-    /// Fold another ring into this one: `other`'s retained entries are
-    /// appended oldest-first (overwriting our oldest on overflow, as any
-    /// push does), and its overwritten count is carried over so
-    /// [`Ring::total_pushed`] / [`Ring::overwritten`] stay honest across
-    /// the merge. Merging a ring into a fresh one of the same capacity
-    /// reproduces it exactly — the property the sharded server's report
-    /// merge relies on.
-    ///
-    /// Accounting invariants, preserved across arbitrarily chained
-    /// merges (each push bumps `pushed` by one, and the carried
-    /// `other.overwritten()` term commutes with those bumps):
-    ///
-    /// * `total_pushed == len + overwritten` (definitional);
-    /// * `merged.total_pushed == self.total_pushed + other.total_pushed`
-    ///   — no entry, retained or dropped, is ever double-counted or
-    ///   forgotten.
-    pub fn merge_from(&mut self, other: &Ring<T>) {
-        for &entry in other.iter() {
-            self.push(entry);
-        }
-        self.pushed += other.overwritten();
-    }
-}

@@ -12,7 +12,7 @@
 //!
 //! # Identity and propagation
 //!
-//! A trace is keyed by `(global connection id, chunk seq)`; a single
+//! A trace is keyed by `(connection id, chunk seq)`; a single
 //! *transmission* of that chunk is a [`SegTag`] (the key plus a
 //! transmission ordinal). Sender-side marks are emitted by
 //! `utcp::Connection` and the server pipeline. Receiver-side marks need
@@ -70,7 +70,7 @@ pub const MAX_TRACE_EVENTS: usize = 96;
 /// Identity of one transmission of one traced chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegTag {
-    /// Global connection id (`obs_id`; shard merges stay clean unions).
+    /// Connection id (`obs_id`: the connection's harness index).
     pub conn: u32,
     /// Chunk sequence number within the connection's transfer.
     pub chunk: u32,
@@ -644,38 +644,6 @@ impl SegStore {
         (c[0], c[1], c[2])
     }
 
-    /// Union-merge another store (shards trace disjoint connections, so
-    /// keys never collide; on a collision the event lists concatenate).
-    pub fn merge_from(&mut self, other: &SegStore) {
-        for (k, tr) in &other.traces {
-            match self.traces.get_mut(k) {
-                Some(mine) => {
-                    for r in &tr.events {
-                        mine.push(*r, &mut self.truncated_events);
-                    }
-                }
-                None => {
-                    if self.traces.len() >= self.max_traces {
-                        self.dropped_traces += 1;
-                    } else {
-                        self.traces.insert(*k, tr.clone());
-                    }
-                }
-            }
-        }
-        for (k, p) in &other.pending {
-            if let Some(mine) =
-                Self::note_in(&mut self.pending, self.max_traces, &mut self.refused_pending, *k)
-            {
-                mine.enqueue = mine.enqueue.min(p.enqueue);
-                mine.first_send = mine.first_send.min(p.first_send);
-            }
-        }
-        self.dropped_traces += other.dropped_traces;
-        self.refused_pending += other.refused_pending;
-        self.truncated_events += other.truncated_events;
-    }
-
     /// The store as JSON: every retained trace (key order, so identical
     /// stores render byte-identically), origin counts, exact component
     /// totals, and drop accounting.
@@ -699,7 +667,7 @@ impl SegStore {
     /// recorded tick while incomplete), each transmission's wire hop is
     /// a child `wire#n` span, the hold span covers arrival → accept,
     /// and instantaneous edges emit as instants. `pid` groups the spans
-    /// under one process row (shards export with their shard index).
+    /// under one process row (one per exporting process).
     pub fn chrome_spans(&self, pid: u64) -> Vec<Json> {
         let mut out = Vec::new();
         let dur = |name: &str, t0: u64, t1: u64, tid: u64, args: Json| {
@@ -920,36 +888,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_fresh_store_is_identity() {
-        let mut s = SegStore::default();
-        clean_trace(&mut s);
-        s.record(4, tag(3, 0, 0), SegEv::Enqueue { traced: false });
-        s.record(9, tag(3, 0, 1), SegEv::Send { kind: XmitKind::Fast, traced: true });
-        let mut fresh = SegStore::default();
-        fresh.merge_from(&s);
-        assert_eq!(fresh.to_json().render(), s.to_json().render());
-    }
-
-    #[test]
-    fn merge_unions_disjoint_connections() {
-        let mut a = SegStore::default();
-        clean_trace(&mut a);
-        let mut b = SegStore::default();
-        b.record(1, tag(7, 0, 0), SegEv::Enqueue { traced: true });
-        b.record(2, tag(7, 0, 0), SegEv::Send { kind: XmitKind::Fresh, traced: true });
-        let mut m = SegStore::default();
-        m.merge_from(&a);
-        m.merge_from(&b);
-        assert_eq!(m.len(), 2);
-        assert!(m.get(2, 0).is_some() && m.get(7, 0).is_some());
-        // Order of merge does not change the render (BTreeMap keys).
-        let mut m2 = SegStore::default();
-        m2.merge_from(&b);
-        m2.merge_from(&a);
-        assert_eq!(m.to_json().render(), m2.to_json().render());
-    }
-
-    #[test]
     fn trace_cap_drops_with_accounting() {
         let mut s = SegStore::new(2);
         for c in 0..4u32 {
@@ -982,11 +920,6 @@ mod tests {
         }
         assert_eq!(ledger(&s), Some(Json::U64(2)));
         assert_eq!(s.refused_pending, 2);
-        // A merge is bounded the same way and carries the count.
-        let mut m = SegStore::new(1);
-        m.merge_from(&s);
-        assert_eq!(ledger(&m), Some(Json::U64(1)));
-        assert_eq!(m.refused_pending, 2 + 1);
     }
 
     #[test]

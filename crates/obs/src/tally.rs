@@ -1,8 +1,7 @@
 //! The one counters-plus-histograms aggregate: a value per [`Counter`]
 //! and a histogram per [`Metric`]. A recorder's run totals and the body
 //! of every time-series window are this type, and folding two of them
-//! ([`Tally::absorb`]) is how windows coarsen and how shard recorders
-//! merge.
+//! ([`Tally::absorb`]) is how a time series coarsens its old windows.
 
 use crate::hist::Histogram;
 use crate::span::{Counter, Metric};
@@ -39,11 +38,6 @@ impl Tally {
     /// The histogram behind a metric.
     pub fn hist(&self, m: Metric) -> &Histogram {
         &self.hists[m.index()]
-    }
-
-    /// Whether nothing has been counted or sampled.
-    pub fn is_blank(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0) && self.hists.iter().all(|h| h.count() == 0)
     }
 
     /// Fold another tally in: counters add, histograms merge bucket-wise

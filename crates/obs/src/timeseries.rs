@@ -3,10 +3,10 @@
 //! The run-level aggregates in [`crate::recorder::Recorder`] answer
 //! *how much* — total chunks, total retransmits, the latency histogram
 //! of the whole run — but not *when*: a retransmit storm in the middle
-//! of a run, slow-start warm-up, or per-shard fairness drift all vanish
-//! into one number. A [`SeriesRecorder`] buckets every counter delta
-//! and every histogram sample into fixed-width virtual-clock windows,
-//! so the report can show a trajectory instead of a total.
+//! of a run, slow-start warm-up, or per-connection fairness drift all
+//! vanish into one number. A [`SeriesRecorder`] buckets every counter
+//! delta and every histogram sample into fixed-width virtual-clock
+//! windows, so the report can show a trajectory instead of a total.
 //!
 //! ## Bounded memory: a ring of recent windows plus 2× coarsening
 //!
@@ -20,19 +20,6 @@
 //! recent history stays sharp, old history fades to coarser resolution
 //! instead of being dropped. Coarsening loses no data — counters add
 //! and histograms merge exactly — only time resolution.
-//!
-//! ## Window-aligned merge
-//!
-//! Two recorders with the same [`SeriesConfig`] merge window-by-window:
-//! windows covering the same aligned tick range add together, and a
-//! finer window folds into the coarser window containing its range.
-//! Because the coarsening schedule is a pure function of how many base
-//! windows a recorder has sealed, shard recorders that advanced their
-//! virtual clocks in lock-step coarsen identically and merge exactly;
-//! shards that ran different lengths fold the shorter series into the
-//! longer one's structure. Merging into a fresh recorder reproduces the
-//! original byte-for-byte — the property the sharded server's S = 1
-//! equivalence test pins down.
 
 use std::collections::VecDeque;
 
@@ -154,11 +141,6 @@ impl SeriesRecorder {
         self.sealed
     }
 
-    /// Nothing recorded and no clock observed yet.
-    fn is_unused(&self) -> bool {
-        self.sealed == 0 && self.last_tick == 0 && self.cur.start == 0 && self.cur.tally.is_blank()
-    }
-
     /// The virtual clock advanced. Crossing a window boundary seals the
     /// open window into the tiered store; the clock never moves
     /// backwards within one recorder.
@@ -226,80 +208,6 @@ impl SeriesRecorder {
     /// A series always retains at least its open window.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Fold another series into this one, window-aligned.
-    ///
-    /// Requires identical [`SeriesConfig`]s. The less-evolved series
-    /// (fewer sealed base windows) is folded into the structure of the
-    /// more-evolved one: same-range windows add, finer windows land in
-    /// the coarser window containing their range. Merging into a fresh
-    /// recorder clones `other` exactly.
-    ///
-    /// # Panics
-    /// Panics when the configs differ — summing windows of different
-    /// widths would silently misalign every series.
-    pub fn merge_from(&mut self, other: &SeriesRecorder) {
-        assert_eq!(
-            self.cfg, other.cfg,
-            "series merge requires identical window configs"
-        );
-        if other.is_unused() {
-            return;
-        }
-        if self.is_unused() {
-            *self = other.clone();
-            return;
-        }
-        if other.sealed > self.sealed {
-            let mut merged = other.clone();
-            merged.fold_in(self);
-            *self = merged;
-        } else {
-            self.fold_in(other);
-        }
-    }
-
-    /// Fold a series with `sealed <= self.sealed` into our structure.
-    fn fold_in(&mut self, other: &SeriesRecorder) {
-        for lvl in other.levels.iter().rev() {
-            for w in lvl {
-                self.add_window(w);
-            }
-        }
-        if other.cur.start == self.cur.start {
-            self.cur.tally.absorb(&other.cur.tally);
-        } else if !other.cur.tally.is_blank() {
-            self.add_window(&other.cur);
-        }
-        self.last_tick = self.last_tick.max(other.last_tick);
-    }
-
-    /// Land a foreign window in the retained window covering its range.
-    fn add_window(&mut self, w: &Window) {
-        if w.start == self.cur.start && w.span == 1 {
-            self.cur.tally.absorb(&w.tally);
-            return;
-        }
-        // Finest level first: prefer adding at matching resolution.
-        for lvl in self.levels.iter_mut() {
-            for mine in lvl.iter_mut() {
-                if mine.start <= w.start && w.start + w.span <= mine.start + mine.span {
-                    mine.tally.absorb(&w.tally);
-                    return;
-                }
-            }
-        }
-        // No covering window: the series grew with clock gaps or from a
-        // different history. Keep the data — insert at the level whose
-        // span matches, in start order.
-        let k = w.span.trailing_zeros() as usize;
-        while self.levels.len() <= k {
-            self.levels.push(VecDeque::new());
-        }
-        let lvl = &mut self.levels[k];
-        let pos = lvl.partition_point(|m| m.start < w.start);
-        lvl.insert(pos, w.clone());
     }
 
     /// Per-window values of one counter, oldest first.
@@ -425,72 +333,6 @@ mod tests {
         let wins: Vec<&Window> = sr.iter().collect();
         assert!(wins[0].span > 1, "old history coarsened");
         assert_eq!(wins[wins.len() - 1].span, 1, "open window is base width");
-    }
-
-    #[test]
-    fn merge_into_fresh_recorder_is_identity() {
-        let mut sr = SeriesRecorder::new(cfg(4, 4));
-        drive(&mut sr, 0..137);
-        let mut fresh = SeriesRecorder::new(cfg(4, 4));
-        fresh.merge_from(&sr);
-        assert_eq!(fresh.to_json().render(), sr.to_json().render());
-        // And merging nothing into a live recorder changes nothing.
-        let before = sr.to_json().render();
-        let blank = SeriesRecorder::new(cfg(4, 4));
-        sr.merge_from(&blank);
-        assert_eq!(sr.to_json().render(), before);
-    }
-
-    #[test]
-    fn lockstep_series_merge_window_by_window() {
-        let mut a = SeriesRecorder::new(cfg(8, 4));
-        let mut b = SeriesRecorder::new(cfg(8, 4));
-        drive(&mut a, 0..300);
-        drive(&mut b, 0..300);
-        let mut m = SeriesRecorder::new(cfg(8, 4));
-        m.merge_from(&a);
-        m.merge_from(&b);
-        // Identical clocks => identical structure, every window doubled.
-        assert_eq!(m.len(), a.len());
-        for (mw, aw) in m.iter().zip(a.iter()) {
-            assert_eq!(mw.counter(Counter::ChunksSent), 2 * aw.counter(Counter::ChunksSent));
-            assert_eq!(
-                mw.hist(Metric::ChunkLatencyTicks).count(),
-                2 * aw.hist(Metric::ChunkLatencyTicks).count()
-            );
-            assert_eq!(mw.start, aw.start);
-            assert_eq!(mw.span, aw.span);
-        }
-    }
-
-    #[test]
-    fn unequal_length_series_fold_into_the_longer_structure() {
-        let mut long = SeriesRecorder::new(cfg(2, 4));
-        let mut short = SeriesRecorder::new(cfg(2, 4));
-        drive(&mut long, 0..4000);
-        drive(&mut short, 0..700);
-        let total = 4000 + 700;
-        // Both merge orders preserve every count and adopt the longer
-        // structure.
-        let mut ab = long.clone();
-        ab.merge_from(&short);
-        let mut ba = short.clone();
-        ba.merge_from(&long);
-        for m in [&ab, &ba] {
-            let counted: u64 = m.iter().map(|w| w.counter(Counter::ChunksSent)).sum();
-            assert_eq!(counted, total);
-            assert_eq!(m.len(), long.len(), "merged series keeps the evolved structure");
-            assert_eq!(m.last_tick(), 3999);
-        }
-        assert_eq!(ab.to_json().render(), ba.to_json().render(), "merge is commutative");
-    }
-
-    #[test]
-    #[should_panic(expected = "identical window configs")]
-    fn mismatched_configs_refuse_to_merge() {
-        let mut a = SeriesRecorder::new(cfg(8, 4));
-        let b = SeriesRecorder::new(cfg(16, 4));
-        a.merge_from(&b);
     }
 
     #[test]

@@ -93,73 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_fresh_ring_reproduces_the_original() {
-        for pushes in [0usize, 2, 4, 9] {
-            let mut orig = TraceRing::new(4);
-            for t in 0..pushes as u64 {
-                orig.push(ev(t));
-            }
-            let mut merged = TraceRing::new(4);
-            merged.merge_from(&orig);
-            assert_eq!(merged.total_pushed(), orig.total_pushed(), "pushes {pushes}");
-            assert_eq!(merged.overwritten(), orig.overwritten(), "pushes {pushes}");
-            let a: Vec<u64> = orig.iter().map(|e| e.tick).collect();
-            let b: Vec<u64> = merged.iter().map(|e| e.tick).collect();
-            assert_eq!(a, b, "pushes {pushes}");
-        }
-    }
-
-    #[test]
-    fn merge_concatenates_and_accounts_drops() {
-        let mut a = TraceRing::new(3);
-        for t in 0..5 {
-            a.push(ev(t)); // retains 2,3,4; 2 overwritten
-        }
-        let mut b = TraceRing::new(3);
-        b.push(ev(10));
-        b.push(ev(11));
-        b.merge_from(&a);
-        // b pushed 2 + 3 retained from a; ring keeps the newest 3.
-        let ticks: Vec<u64> = b.iter().map(|e| e.tick).collect();
-        assert_eq!(ticks, [2, 3, 4]);
-        assert_eq!(b.total_pushed(), 2 + 5, "a's overwritten events still count");
-        assert_eq!(b.overwritten(), 4);
-    }
-
-    #[test]
-    fn chained_merges_of_full_rings_keep_drop_accounting_consistent() {
-        // Build several rings that have all wrapped (overwritten > 0).
-        let full = |base: u64, pushes: u64| {
-            let mut r = TraceRing::new(4);
-            for t in 0..pushes {
-                r.push(ev(base + t));
-            }
-            assert!(r.overwritten() > 0, "ring must have wrapped");
-            r
-        };
-        let rings = [full(0, 9), full(100, 6), full(200, 13), full(300, 5)];
-        let mut acc = TraceRing::new(4);
-        let mut expected_total = 0u64;
-        for r in &rings {
-            acc.merge_from(r);
-            expected_total += r.total_pushed();
-            // The definitional identity holds at every step...
-            assert_eq!(
-                acc.total_pushed(),
-                acc.len() as u64 + acc.overwritten(),
-                "total_pushed == len + overwritten"
-            );
-            // ...and so does additivity: nothing double-counted, nothing
-            // forgotten, no matter how many merges came before.
-            assert_eq!(acc.total_pushed(), expected_total);
-        }
-        // The survivors are the newest `capacity` events pushed — the
-        // last ring's retained window (it pushed 4 retained events).
-        let ticks: Vec<u64> = acc.iter().map(|e| e.tick).collect();
-        assert_eq!(ticks, [301, 302, 303, 304]);
-    }
-
-    #[test]
     fn partial_fill_iterates_in_push_order() {
         let mut r = TraceRing::new(8);
         for t in [5, 1, 9] {

@@ -87,7 +87,7 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
                 // Chunk 0 enters the app queue the moment the session
                 // establishes.
                 if sess.chunks_total() > 0 {
-                    self.seg_enqueue(obs, (self.cfg.conn_base + i) as u32, 0);
+                    self.seg_enqueue(obs, i as u32, 0);
                 }
             }
         }

@@ -33,7 +33,7 @@
 //! with one `rearm` (DESIGN §20 has the ownership table):
 //!
 //! * `world` — [`ServerConfig`], the identity scheme (ports, IPs, ISSs,
-//!   file patterns as functions of a connection's global index),
+//!   file patterns as functions of a connection's index),
 //!   construction and per-world initialisation. Nothing here changes
 //!   after construction.
 //! * `accept` — step 1: each client's dial state.

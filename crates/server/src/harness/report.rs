@@ -86,7 +86,7 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
     pub fn verify_output_prefix<M: Mem>(&self, m: &mut M, i: usize, bytes: usize) -> bool {
         let c = &self.clients[i];
         let limit = bytes.min(self.cfg.file_len);
-        (0..limit).all(|j| m.read_u8(c.app_out.at(j)) == file_pattern(self.cfg.conn_base + i, j))
+        (0..limit).all(|j| m.read_u8(c.app_out.at(j)) == file_pattern(i, j))
     }
 
     /// Client `i`'s receive-side connection (read-only; simulation
@@ -108,7 +108,7 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
         (got.bytes, got.chunks, got.rejected)
     }
 
-    /// Per-connection health views at the current instant, in global
+    /// Per-connection health views at the current instant, in
     /// connection order. These are the harness-side facts the
     /// [`obs::health`] detectors cannot read from the recorder alone:
     /// establishment/done state, sender RTO/cwnd/in-flight, the last
@@ -120,7 +120,7 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
             .zip(&self.rounds.got)
             .enumerate()
             .map(|(i, (sess, got))| ConnView {
-                conn: (self.cfg.conn_base + i) as u32,
+                conn: i as u32,
                 established: self.accept.dials[i].established,
                 done: sess.xfer.state == SessionState::Done,
                 in_flight: sess.tx.in_flight(),

@@ -109,7 +109,7 @@ impl Rounds {
 }
 
 impl<C, K: KernelPart> ScaleHarness<C, K> {
-    /// App-enqueue mark for `chunk` of global connection `g`: the
+    /// App-enqueue mark for `chunk` of connection `g`: the
     /// moment the chunk became available to the transport (established
     /// for chunk 0, previous chunk handed off for the rest). Plain host
     /// bookkeeping — no [`Mem`] traffic.
@@ -288,7 +288,7 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
                         if let Some(chunk) = granted {
                             // The next chunk becomes available as soon
                             // as this one was handed to the transport.
-                            self.seg_enqueue(obs, (self.cfg.conn_base + id.index()) as u32, chunk);
+                            self.seg_enqueue(obs, id.index() as u32, chunk);
                         }
                     }
                 }

@@ -96,11 +96,10 @@ impl<C, K: KernelPart> ScaleHarness<C, K> {
                 SessionState::Done,
                 "reopen_wave requires every session Done"
             );
-            let g = self.cfg.conn_base + i;
-            sess.tx.reopen(&mut self.lb, server_iss(g));
+            sess.tx.reopen(&mut self.lb, server_iss(i));
             sess.tx.listen();
             sess.xfer = Transfer::default();
-            c.rx.reopen(&mut self.lb, client_iss(g));
+            c.rx.reopen(&mut self.lb, client_iss(i));
             m.fill_bytes(c.app_out.base, self.cfg.file_len, 0);
         }
         self.accept.rearm();

@@ -81,7 +81,7 @@ fn clean_run_raises_no_health_verdicts() {
     h.run(&mut m, &mut sched, (Path::Ilp, &mut rec));
     let verdicts = h.health(&rec);
     assert!(verdicts.is_empty(), "clean loop-back run must be healthy: {verdicts:?}");
-    // Flight recorders exist for every connection (global ids) and
+    // Flight recorders exist for every connection (harness indices) and
     // the diagnostic bundle is well-formed even with no verdicts.
     for i in 0..4 {
         assert!(rec.flights().contains_key(&(i as u32)), "flight ring for conn {i}");

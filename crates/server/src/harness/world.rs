@@ -1,9 +1,9 @@
 //! The world: what a harness is built from and who is who in it.
 //!
-//! Everything about connection `g` — `g` being its *global* index,
-//! [`ServerConfig::conn_base`] + its index in this harness — follows
-//! from `g` through the functions below, so nothing stores a port, an
-//! IP or an ISS. Nothing in this part changes after construction.
+//! Everything about connection `g` — `g` being its index in this
+//! harness — follows from `g` through the functions below, so nothing
+//! stores a port, an IP or an ISS. Nothing in this part changes after
+//! construction.
 
 use cipher::{CipherKernel, SimplifiedSafer, VerySimple};
 use memsim::layout::AddressSpace;
@@ -51,13 +51,6 @@ pub fn file_pattern(conn: usize, j: usize) -> u8 {
 pub struct ServerConfig {
     /// Number of concurrent connections.
     pub n_conns: usize,
-    /// Global index of this harness's first connection. Ports, client
-    /// IPs, initial sequence numbers, and file patterns are all derived
-    /// from `conn_base + i`, so several harnesses (the shards of a
-    /// sharded server, see [`crate::shard`]) can serve disjoint slices
-    /// of one logical connection space without colliding. `conn_base 0`
-    /// is the plain single-harness world.
-    pub conn_base: usize,
     /// File length per connection, bytes.
     pub file_len: usize,
     /// Maximum payload bytes per reply chunk.
@@ -90,7 +83,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             n_conns: 4,
-            conn_base: 0,
             file_len: 4096,
             chunk: 1024,
             weights: Vec::new(),
@@ -147,12 +139,7 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
     /// loop-back constructors — a real network faults by itself).
     pub fn with_cipher_over(space: &mut AddressSpace, cipher: C, cfg: ServerConfig, mut lb: K) -> Self {
         assert!(cfg.n_conns >= 1, "a server needs at least one connection");
-        assert!(
-            cfg.conn_base + cfg.n_conns <= 10_000,
-            "port scheme supports at most 10000 connections (base {} + {})",
-            cfg.conn_base,
-            cfg.n_conns
-        );
+        assert!(cfg.n_conns <= 10_000, "port scheme supports at most 10000 connections, not {}", cfg.n_conns);
         assert!(cfg.chunk > 0 && cfg.chunk + 64 <= 1536, "chunk must fit one TPDU");
         // Allocation order is layout, and layout is every simulated
         // number: shared scratch, then per connection sender, file,
@@ -160,7 +147,7 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
         let scratch = Scratch::alloc(space);
         let mut table = ConnTable::new();
         let mut clients = Vec::with_capacity(cfg.n_conns);
-        for g in cfg.conn_base..cfg.conn_base + cfg.n_conns {
+        for g in 0..cfg.n_conns {
             let tx_cfg = UtcpConfig {
                 local_port: server_data_port(g),
                 peer_port: client_data_port(g),
@@ -172,8 +159,8 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
             };
             let mut tx = Connection::new(space, &mut lb, tx_cfg, server_iss(g));
             tx.listen();
-            // Flight-recorder rings are keyed by this id; using the
-            // *global* index keeps shard merges a clean union.
+            // Flight-recorder rings and segment traces are keyed by
+            // this id: the connection's harness index.
             tx.set_obs_id(g as u32);
             tx.set_seg_sampling(cfg.trace_every);
             let file = space.alloc_kind("srv_file", cfg.file_len.max(64), 64, RegionKind::AppData);
@@ -207,7 +194,7 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
         self.cipher.init_world(m);
         for (i, sess) in self.table.iter().enumerate() {
             for j in 0..sess.file_len {
-                m.write_u8(sess.file.at(j), file_pattern(self.cfg.conn_base + i, j));
+                m.write_u8(sess.file.at(j), file_pattern(i, j));
             }
         }
     }

@@ -38,11 +38,8 @@
 //!   (server, N clients, shared kernel part) in one [`memsim`] address
 //!   space and drives transfers to completion over either memory world.
 //!   One struct in five parts — world, accept, round, teardown, report —
-//!   each owning the state it writes (see the module's own docs).
-//! * [`shard`] — multi-threaded serving: the connection space split
-//!   into contiguous slices, one fully independent harness world per
-//!   OS thread, per-shard recorders merged into one report after the
-//!   join.
+//!   each owning the state it writes (see the module's own docs). A
+//!   process runs one such world on one thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +49,6 @@ pub mod conn_table;
 pub mod harness;
 pub mod pipeline;
 pub mod sched;
-pub mod shard;
 pub mod stats;
 
 pub use clock::VirtualClock;
@@ -60,5 +56,4 @@ pub use conn_table::{ConnId, ConnTable, Session, SessionState, Transfer};
 pub use harness::{AggregateReport, Path, ScaleHarness, ServerConfig, SERVER_IP};
 pub use pipeline::Scratch;
 pub use sched::{DeficitRoundRobin, RoundRobin, Scheduler};
-pub use shard::{run_sharded, shard_configs, SchedPolicy, ShardOutcome, ShardedReport};
 pub use stats::{jain_fairness, PerConnStats};

@@ -4,9 +4,9 @@
 //! commit *before* `obs` was folded onto one ring, one tally and one
 //! declaration per label set (`58db63b`), for the world
 //! `examples/observe.rs` runs — eight connections, every 11th datagram
-//! dropped, every 13th corrupted, every chunk traced — and for its
-//! two-shard twin. A change to `obs` that moves one has changed what a
-//! report says — find out why, do not re-record.
+//! dropped, every 13th corrupted, every chunk traced — and for a
+//! blackout. A change to `obs` that moves one has changed what a report
+//! says — find out why, do not re-record.
 //!
 //! Two keys of the recorder's `segtrace` object are left out of the
 //! digest on purpose: `pending` (the promotion ledger's size, which the
@@ -19,7 +19,7 @@
 //! faults meet a three-datagram open.
 //!
 //! The six `SimMem` digests (the observe world on both paths and the
-//! blackout; not the bundles, not the native two-shard twin) were
+//! blackout; not the bundles, not the two-shard twin of the time) were
 //! re-recorded when the loop-back began to take kernel slots from a free
 //! pool (EXPERIMENTS E39): a datagram now reuses the slot its
 //! predecessor freed, so the slot lines evict other cache lines and the
@@ -50,7 +50,6 @@
 use memsim::layout::AddressSpace;
 use memsim::{HostModel, SimMem};
 use obs::{prometheus_text_with_health, Json, Recorder, SeriesConfig, Verdict};
-use server::shard::{run_sharded, SchedPolicy};
 use server::{Path, RoundRobin, ScaleHarness, ServerConfig};
 use utcp::FaultPlan;
 
@@ -98,12 +97,6 @@ fn observe_world(path: Path) -> [u64; 3] {
     digests(&rec, &h.diagnostics(&rec), &h.health(&rec))
 }
 
-fn sharded_twin(path: Path) -> [u64; 3] {
-    let report = run_sharded(&observe_cfg(), 2, path, SchedPolicy::RoundRobin, TRACE_CAP);
-    assert_eq!(report.corrupted_conn(), None);
-    digests(&report.merged, &report.diagnostics(), &report.health())
-}
-
 /// A clean start, then the network goes dark (`sim::health`'s blackout
 /// shape): both connections spiral and stall, so the bundle carries
 /// verdicts, their sort order and the offenders' flight dumps.
@@ -140,19 +133,6 @@ fn the_observe_world_reports_what_it_did_on_the_parent() {
         [0x2254_3E55_1BE9_DF9F, 0xD424_D64C_0374_C5A6, 0x8BFF_9326_681C_E03F],
         "non-ILP"
     );
-}
-
-/// On `NativeMem` no work is counted and the two paths put the same
-/// bytes on the wire, so both report the same thing.
-#[test]
-fn its_two_shard_twin_reports_what_it_did_on_the_parent() {
-    for path in [Path::Ilp, Path::NonIlp] {
-        assert_eq!(
-            sharded_twin(path),
-            [0x7254_0838_3721_CFA1, 0xDDDF_A7F3_F121_4032, 0x3901_C051_ABF5_3009],
-            "{path:?}"
-        );
-    }
 }
 
 #[test]

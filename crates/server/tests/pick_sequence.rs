@@ -1,6 +1,6 @@
 //! The pick sequence is the program: every simulated baseline (the
 //! 1 → 1 024-connection scale sweep, the DST sweep, churn, loss, health,
-//! trace, shard) is a function of which connection the scheduler names
+//! trace) is a function of which connection the scheduler names
 //! at each pick. These tests pin that sequence for three shapes as
 //! FNV-1a digests recorded on the commit *before* the harness stopped
 //! rebuilding its ready set per pick, and check — at every pick — the

@@ -13,7 +13,7 @@
 
 use memsim::layout::AddressSpace;
 use obs::Counter;
-use server::{AggregateReport, DeficitRoundRobin, Path, RoundRobin, SchedPolicy, Scheduler, ServerConfig};
+use server::{AggregateReport, DeficitRoundRobin, Path, RoundRobin, Scheduler, ServerConfig};
 use utcp::{Connection, Loopback, SendRing};
 
 use crate::lifecycle::Steps;
@@ -280,7 +280,7 @@ fn server_config(sc: &Scenario) -> ServerConfig {
     }
 }
 
-/// Everything one observed single-threaded run yields: its report, each
+/// Everything one observed run yields: its report, each
 /// client's progress, the fault mix, the oracle evaluations and the
 /// steps they observed.
 type TransferRun = (AggregateReport, Vec<(u64, u64, u64)>, FaultTotals, u64, Steps);
@@ -375,56 +375,4 @@ pub(crate) fn run_transfer(sc: &Scenario, mutant: Mutant) -> Result<ScenarioStat
     stats.faults.absorb(non_faults);
     stats.steps.absorb(non_steps);
     Ok(stats)
-}
-
-/// Sharded scenario: post-run oracles over a multi-threaded run —
-/// global delivery, zero cross-talk, and merged-recorder conservation
-/// (merged counters must equal the per-shard sums, and the merged
-/// series must conserve the merged counters). `server::run_sharded`
-/// builds its shards' worlds itself, so no mutant reaches them.
-pub(crate) fn run_sharded_scenario(sc: &Scenario) -> Result<ScenarioStats, String> {
-    let cfg = server_config(sc);
-    let shards = 2 + usize::from(sc.n_conns >= 4);
-    let policy = if sc.deficit {
-        SchedPolicy::Deficit { quantum: sc.chunk as u32 }
-    } else {
-        SchedPolicy::RoundRobin
-    };
-    let rep = server::run_sharded(&cfg, shards, Path::Ilp, policy, 128);
-    let expected = (sc.n_conns * sc.file_len) as u64;
-    if rep.payload_bytes() != expected {
-        return Err(format!("sharded: delivered {} bytes, expected {expected}", rep.payload_bytes()));
-    }
-    if let Some((shard, conn)) = rep.corrupted_conn() {
-        return Err(format!("sharded: shard {shard} corrupted connection {conn}"));
-    }
-    let mut checks = 2u64;
-    for c in Counter::ALL {
-        let sum: u64 = rep.shards.iter().map(|s| s.recorder.counter(c)).sum();
-        if rep.merged.counter(c) != sum {
-            return Err(format!(
-                "sharded: merged counter {} = {} but shards sum to {sum}",
-                c.name(),
-                rep.merged.counter(c)
-            ));
-        }
-        checks += 1;
-    }
-    checks += check_conservation(&rep.merged).map_err(|e| format!("sharded: obs: {e}"))?;
-    // The merged store is a union of per-shard stores over disjoint
-    // global connection slices; the same completeness bar applies.
-    checks += check_segtrace(&rep.merged, cfg.trace_every, sc.n_conns, sc.file_len.div_ceil(sc.chunk))
-        .map_err(|e| format!("sharded: {e}"))?;
-    Ok(ScenarioStats {
-        faults: FaultTotals {
-            dropped: rep.merged.counter(Counter::FaultDrops),
-            corrupted: rep.merged.counter(Counter::FaultCorruptions),
-            ..Default::default()
-        },
-        oracle_checks: checks,
-        rounds: rep.max_rounds(),
-        payload_bytes: rep.payload_bytes(),
-        retransmits: rep.retransmits(),
-        steps: Steps::default(),
-    })
 }

@@ -9,7 +9,7 @@
 use utcp::rng::XorShift64;
 use utcp::{FaultPlan, FaultProbs};
 
-use crate::runner::{run_ring, run_sharded_scenario, run_transfer, Mutant, ScenarioStats, Spec};
+use crate::runner::{run_ring, run_transfer, Mutant, ScenarioStats, Spec};
 use crate::shrink::calmer;
 
 /// Fork ids of the component streams hanging off a spec's seed (every
@@ -38,9 +38,6 @@ obs::labels! {
         /// ILP and the non-ILP path with per-tick oracles, then compared
         /// for behavioural equivalence.
         Transfer => "transfer",
-        /// A sharded (multi-threaded) run with post-run oracles: global
-        /// delivery, zero cross-talk, and merged-recorder conservation.
-        Sharded => "sharded",
     }
 }
 
@@ -65,7 +62,7 @@ pub struct Scenario {
     pub seed: u64,
     /// World kind.
     pub kind: ScenarioKind,
-    /// Concurrent connections (1..=6; ≥ 2 for [`ScenarioKind::Sharded`]).
+    /// Concurrent connections (1..=6).
     pub n_conns: usize,
     /// File length per connection, bytes.
     pub file_len: usize,
@@ -98,13 +95,9 @@ impl Spec for Scenario {
         let mut shape = root.fork(stream::SHAPE);
         let kind = match shape.below(8) {
             0..=2 => ScenarioKind::Ring,
-            3..=6 => ScenarioKind::Transfer,
-            _ => ScenarioKind::Sharded,
+            _ => ScenarioKind::Transfer,
         };
-        let n_conns = match kind {
-            ScenarioKind::Sharded => 2 + shape.index(5), // 2..=6
-            _ => 1 + shape.index(6),                     // 1..=6
-        };
+        let n_conns = 1 + shape.index(6);
         let chunk = [64, 128, 256, 512][shape.index(4)];
         // 2..=6 chunks per file keeps a sweep of thousands of seeds
         // inside the CI budget while still exercising multi-chunk
@@ -140,27 +133,21 @@ impl Spec for Scenario {
         Scenario { seed, kind, n_conns, file_len, chunk, ring_capacity, deficit, probs }
     }
 
-    /// Ring fuzz, or a transfer world on both paths, or a sharded run.
-    /// (A mutant cannot reach the sharded kind's worlds.)
+    /// Ring fuzz, or a transfer world on both paths.
     fn run(&self, mutant: Mutant) -> Result<ScenarioStats, String> {
         match self.kind {
             ScenarioKind::Ring => run_ring(self, mutant),
             ScenarioKind::Transfer => run_transfer(self, mutant),
-            ScenarioKind::Sharded => run_sharded_scenario(self),
         }
     }
 
-    /// Simpler kind, fewer connections, shorter file, plain scheduling,
-    /// then calmer faults.
+    /// Fewer connections, shorter file, plain scheduling, then calmer
+    /// faults.
     fn simpler(&self) -> Vec<Scenario> {
         let sc = self;
         let mut out = Vec::new();
-        if sc.kind == ScenarioKind::Sharded {
-            out.push(Scenario { kind: ScenarioKind::Transfer, ..*sc });
-        }
-        let min_conns = if sc.kind == ScenarioKind::Sharded { 2 } else { 1 };
-        if sc.n_conns > min_conns {
-            out.push(Scenario { n_conns: (sc.n_conns / 2).max(min_conns), ..*sc });
+        if sc.n_conns > 1 {
+            out.push(Scenario { n_conns: (sc.n_conns / 2).max(1), ..*sc });
             out.push(Scenario { n_conns: sc.n_conns - 1, ..*sc });
         }
         if sc.file_len > sc.chunk {
@@ -230,9 +217,6 @@ mod tests {
         for seed in 0..512u64 {
             let sc = Scenario::from_seed(seed);
             assert!((1..=6).contains(&sc.n_conns));
-            if sc.kind == ScenarioKind::Sharded {
-                assert!(sc.n_conns >= 2, "sharding needs at least two connections");
-            }
             assert!(sc.file_len >= 2 * sc.chunk && sc.file_len <= 6 * sc.chunk);
             assert!(sc.chunk >= 64 && sc.chunk + 64 <= 1536);
             if sc.kind != ScenarioKind::Ring {

@@ -90,7 +90,7 @@ pub fn shrink<S: Spec>(spec: &S, mutant: Mutant) -> (S, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Scenario, ScenarioKind};
+    use crate::scenario::Scenario;
 
     #[test]
     fn ladder_candidates_are_strictly_simpler() {
@@ -99,7 +99,6 @@ mod tests {
             let simpler = cand.n_conns < sc.n_conns
                 || cand.file_len < sc.file_len
                 || (sc.deficit && !cand.deficit)
-                || (sc.kind == ScenarioKind::Sharded && cand.kind == ScenarioKind::Transfer)
                 || probs_sum(&cand) < probs_sum(&sc);
             assert!(simpler, "candidate {cand:?} does not simplify {sc:?}");
         }

@@ -185,9 +185,8 @@ pub struct Connection {
     /// Accumulated TIME_WAIT residency across incarnations, in ticks.
     time_wait_ticks: u64,
     /// Connection id stamped on flight-recorder snapshots and health
-    /// events. The harness overrides it with the *global* connection
-    /// index (shard `conn_base` + slot) so shard-merged flight maps
-    /// never collide; standalone connections default to the local port.
+    /// events. The harness overrides it with the connection's harness
+    /// index; standalone connections default to the local port.
     obs_id: u32,
     snd: SendSeq,
     rcv: RecvSeq,

@@ -34,6 +34,7 @@ const SAFER: &str = "a SAFER unit kernel addresses key and scratch as base + con
 const ONE_DECRYPT: &str = "one decrypt per kernel, storing into the destination it is given: no *_into twin";
 const MEM: &str = "a kernel, source, stage or sink is written against Mem, not against one memory";
 const ADMIT: &str = "each clause of the reply admission rule is spelled once";
+const MERGE: &str = "nothing merges recorders: a process runs one harness world";
 const KERNEL: &str = "crates/utcp/src/kernelpart.rs crates/netback/src";
 const UNSAFE: &str = "unsafe {|unsafe fn|unsafe impl|extern \"C\"";
 const OPEN: &str = "parse_syn|client_poll_syn_ack|client_send_syn|server_send_syn_ack|LISTEN_PORT|ctrl_port|\
@@ -113,8 +114,11 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (Body("crates/core/src/pipeline.rs", "fn run_units"), Text(".window"), 0, "run_units reaches the window through the stages' steady state"),
     (Body("crates/utcp/src/conn/recv.rs", "fn sack_ranges"), Text("Vec"), 0, "a SACK-bearing ACK allocates nothing"),
     (In("crates/obs/src"), Text("fn overwritten"), 1, "one bounded ring; the trace and flight rings alias it"),
-    (In("crates/obs/src"), Text("other: &Ring"), 1, "one ring merge, Ring::merge_from"),
-    (In("crates/obs/src"), Text("other: &TraceRing|other: &FlightRing"), 0, "one ring merge, Ring::merge_from"),
+    (In("crates/obs/src"), Text("other: &Ring"), 0, MERGE),
+    (In("crates/obs/src"), Text("other: &TraceRing|other: &FlightRing"), 0, MERGE),
+    (In("crates/obs/src"), Text("fn merge_from|other: &Recorder"), 0, MERGE),
+    (In("crates/server/src crates/sim/src crates/bench/src"), Text("conn_base"), 0, "a connection's identity is its harness index"),
+    (In("crates/server/src crates/sim/src"), Text("std::thread"), 0, "one world per process, on one thread"),
     (In("crates examples"), Text("AtomicU64|ConnState|HealthConfig|fn lifecycle"), 0, "deleted on purpose"),
     (In("crates/utcp/src/conn/lifecycle.rs"), Text("fn tag("), 0, "no State::tag: a state's label is its name()"),
     (In("crates"), Text("fn jain"), 1, "one Jain fairness index"),
