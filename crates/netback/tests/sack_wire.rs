@@ -11,6 +11,7 @@
 //! backends) must agree on every TCP byte.
 
 use checksum::internet::checksum_buf;
+use ilp_core::Reject;
 use memsim::{AddressSpace, NativeMem};
 use netback::UdpBackend;
 use std::time::{Duration, Instant};
@@ -77,11 +78,12 @@ fn deliver_ooo<K: KernelPart>(
 ) {
     loop {
         if let Some(d) = rx.poll_input(m, net) {
-            assert!(rx.verify_checksum(m, &d), "clean wire, checksum must hold");
             assert!(!d.in_order, "the segment must land ahead of rcv_nxt");
             let sum = checksum_buf(m, d.payload_addr, d.payload_len);
-            // Out of order: rejected for delivery, held for SACK.
-            assert!(rx.finish_recv(m, net, &d, sum).is_err());
+            // Out of order: rejected for delivery, held for SACK — and
+            // not for its checksum, on a clean wire.
+            let verdict = rx.finish_recv(m, net, &d, sum);
+            assert_eq!(verdict, Err(Reject::Malformed("out-of-order segment")));
             return;
         }
         assert!(Instant::now() < deadline, "data segment never arrived");

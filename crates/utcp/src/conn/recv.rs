@@ -1,11 +1,10 @@
 //! The receive-sequence part: `RCV.NXT`, the staging buffer, the
 //! out-of-order hold and the peer's FIN mark — plus the receive path
 //! (paper Figure 5): the *initial* stage ([`Connection::poll_input`]:
-//! system copy, admission, header parse, control dispatch) and the
+//! system copy, then parse → verify → dispatch) and the
 //! *final* stage ([`Connection::finish_recv`]: accept or reject, ACK).
 //! Where a segment's bytes are placed is decided here and nowhere else.
 
-use checksum::internet::add_buf;
 use checksum::{InetChecksum, PseudoHeader};
 use ilp_core::Reject;
 use memsim::region::Region;
@@ -176,11 +175,13 @@ impl Connection {
         self.rcv.staging
     }
 
-    /// Poll the kernel part. Pure ACKs are consumed internally (returning
-    /// `None`); a data segment is staged into the receive buffer and
-    /// returned for the integrated stage. This is the receive-side system
-    /// copy + the *initial* control operations (demux happened in the
-    /// kernel part; header parsing happens here).
+    /// Poll the kernel part. Each segment is parsed, verified by its one
+    /// control sum and dispatched: control segments (RST, the open, FIN,
+    /// pure ACKs) are consumed internally (returning `None`); a data
+    /// segment is staged into the receive buffer and returned for the
+    /// integrated stage, its payload still unverified. This is the
+    /// receive-side system copy + the *initial* control operations (demux
+    /// happened in the kernel part; header parsing happens here).
     ///
     /// The whole poll — kernel IP validation, the system copy into
     /// staging (attributed to the kernel layer via the system counter),
@@ -232,6 +233,7 @@ impl Connection {
                 self.stats.rejected += 1;
                 continue;
             }
+            // Parse: the header must fit the datagram, the payload the MTU.
             let hdr = TcpHeader::at(self.rcv.staging.base + IP_HEADER_LEN);
             let seq = hdr.seq(m);
             let ack = hdr.ack(m);
@@ -253,64 +255,70 @@ impl Connection {
             }
             m.compute(40); // header prediction / initial parse
 
-            if flags.contains(TcpFlags::RST) {
-                // A RST is destructive, so unlike a plain ACK its header
-                // is checksum-verified before it is honoured; it must be
-                // a bare header and fall inside the receive window.
-                // TIME_WAIT ignores RSTs so a late one cannot cut the
-                // 2·MSL quiet period short.
-                let sum = self.control_sum(m, hdr, opt_len + payload_len, 0);
-                let seq_ok = seq.wrapping_sub(self.rcv.nxt) <= u32::from(self.cfg.window);
-                if opt_len != 0
-                    || payload_len != 0
-                    || sum.finish() != 0
-                    || !seq_ok
-                    || matches!(self.life.state, State::TimeWait | State::Closed)
-                {
-                    self.stats.rejected += 1;
-                    continue;
-                }
-                self.stats.resets_received += 1;
-                self.teardown_total();
-                self.set_state(State::Closed);
-                continue;
-            }
-
             if self.life.state == State::Closed {
-                // A segment for a dead connection: answer with a RST so
-                // the peer tears down instead of retransmitting into the
-                // void (RFC 793: "if the connection does not exist ...
-                // a reset is sent").
+                // A segment for a dead connection: answer anything but a
+                // RST with a RST so the peer tears down instead of
+                // retransmitting into the void (RFC 793 CLOSED: "if the
+                // connection does not exist ... a reset is sent").
                 self.stats.rejected += 1;
-                self.send_rst(m, k.kernel());
+                if !flags.contains(TcpFlags::RST) {
+                    self.send_rst(m, k.kernel());
+                }
                 continue;
             }
 
+            // Verify: one control sum over the header, its options and
+            // (in the pseudo-header) the payload's length. A segment
+            // without payload is judged here, before any of its fields
+            // moves state; data carries the sum to the final stage,
+            // where the payload's joins it.
+            let control_sum = self.control_sum(m, hdr, opt_len + payload_len, opt_len);
+            if payload_len == 0 && control_sum.finish() != 0 {
+                self.stats.rejected += 1;
+                continue;
+            }
+
+            // Dispatch (RFC 793 §3.9). A RST and the open must be a bare
+            // fixed header; TIME_WAIT ignores RSTs so a late one cannot
+            // cut the 2·MSL quiet period short.
+            let bare = opt_len + payload_len == 0;
+            if flags.contains(TcpFlags::RST) {
+                let seq_ok = seq.wrapping_sub(self.rcv.nxt) <= u32::from(self.cfg.window);
+                if bare && seq_ok && self.life.state != State::TimeWait {
+                    self.stats.resets_received += 1;
+                    self.teardown_total();
+                    self.set_state(State::Closed);
+                } else {
+                    self.stats.rejected += 1;
+                }
+                continue;
+            }
             if flags.contains(TcpFlags::SYN) || self.life.state.opening() {
-                // The open moves the machine too: verified first, and
-                // only ever a bare fixed header.
-                if opt_len + payload_len != 0 || self.control_sum(m, hdr, 0, 0).finish() != 0 {
+                if bare {
+                    self.handle_open(m, k.kernel(), flags, seq, ack, window);
+                } else {
                     self.stats.rejected += 1;
-                    continue;
                 }
-                self.handle_open(m, k.kernel(), flags, seq, ack, window);
+                continue;
+            }
+            if payload_len == 0 {
+                if flags.contains(TcpFlags::FIN) {
+                    if flags.contains(TcpFlags::ACK) {
+                        self.process_ack(m, k, ack, window, &SackBlocks::default());
+                    }
+                    self.handle_fin(m, k, seq);
+                } else if flags.contains(TcpFlags::ACK) {
+                    let sacks = if opt_len > 0 { hdr.sack_blocks(m) } else { SackBlocks::default() };
+                    self.process_ack(m, k, ack, window, &sacks);
+                } else {
+                    // None of ACK, SYN, FIN or RST: it asks for nothing,
+                    // and an empty delivery would count as an accept.
+                    self.stats.rejected += 1;
+                }
                 continue;
             }
 
-            if flags.contains(TcpFlags::FIN) && payload_len == 0 {
-                // A FIN moves the machine, so verify it first.
-                if self.control_sum(m, hdr, opt_len, opt_len).finish() != 0 {
-                    self.stats.rejected += 1;
-                    continue;
-                }
-                if flags.contains(TcpFlags::ACK) {
-                    self.process_ack(m, k, ack, window, &SackBlocks::default());
-                }
-                self.handle_fin(m, k, seq);
-                continue;
-            }
-
-            if payload_len > 0 && self.rcv.fin_rcvd.is_some() {
+            if self.rcv.fin_rcvd.is_some() {
                 #[cfg(feature = "mutation")]
                 if self.accept_after_fin_bug {
                     // Deliberately wrong (see
@@ -330,25 +338,6 @@ impl Connection {
                 self.send_ack(m, k.kernel());
                 continue;
             }
-
-            if payload_len == 0 && flags.contains(TcpFlags::ACK) {
-                // A pure ACK, bare or SACK-bearing, is verified before
-                // `process_ack` honours it: a flipped `ack` bit would
-                // release unacknowledged bytes, a flipped `window` bit
-                // open the window, a flipped SACK range mark
-                // never-received data as received.
-                if self.control_sum(m, hdr, opt_len, opt_len).finish() != 0 {
-                    self.stats.rejected += 1;
-                    continue;
-                }
-                let sacks = if opt_len > 0 { hdr.sack_blocks(m) } else { SackBlocks::default() };
-                self.process_ack(m, k, ack, window, &sacks);
-                continue; // keep polling for data
-            }
-
-            // Checksum field as received: a correct segment folds to
-            // 0xFFFF overall once the payload sum joins.
-            let control_sum = self.control_sum(m, hdr, opt_len + payload_len, opt_len);
 
             k.seg(ctx, SegEv::KernelRecv);
             return Some(Delivered {
@@ -436,14 +425,6 @@ impl Connection {
             ctx: d.ctx,
         });
         true
-    }
-
-    /// Non-ILP checksum verification: a separate read pass over the
-    /// staged payload (step 2 of Figure 5).
-    pub fn verify_checksum<M: Mem>(&self, m: &mut M, d: &Delivered) -> bool {
-        let mut sum = d.control_sum;
-        add_buf(m, d.payload_addr, d.payload_len, &mut sum);
-        sum.finish() == 0
     }
 
     /// **Final stage**: accept or reject the staged segment given the

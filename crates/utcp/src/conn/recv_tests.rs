@@ -12,7 +12,7 @@ fn corrupted_payload_rejected_without_state_change() {
     // Corrupt one staged byte after the system copy.
     let b = m.read_u8(d.payload_addr + 10);
     m.write_u8(d.payload_addr + 10, b ^ 0xFF);
-    assert!(!w.rx.verify_checksum(&mut m, &d));
+    assert!(!verify_checksum(&mut m, &d));
     let rcv_before = w.rx.rcv.nxt;
     let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
     let verdict = w.rx.finish_recv(&mut m, &mut w.lb, &d, sum);
@@ -46,37 +46,93 @@ fn queued_pure_ack(sack: bool) -> (World, Vec<u8>, crate::kernelpart::Datagram) 
     (w, arena, ack)
 }
 
+/// The receiver's FIN|ACK (`close`) or RST (`abort`) waiting in the
+/// sender's queue, and the arena it is in: a bare header either way.
+fn queued_close(rst: bool) -> (World, Vec<u8>, crate::kernelpart::Datagram) {
+    let mut w = world();
+    let mut arena = w.space.native_arena();
+    let mut m = NativeMem::new(&mut arena);
+    if rst {
+        w.rx.abort(&mut m, &mut w.lb);
+    } else {
+        w.rx.close(&mut m, &mut w.lb);
+    }
+    let seg = w.lb.peek(w.tx.endpoint()).expect("the segment waits for the sender");
+    assert_eq!(seg.len, IP_HEADER_LEN + TCP_HEADER_LEN, "a bare header");
+    (w, arena, seg)
+}
+
+/// Every segment without payload is verified before dispatch: no
+/// single-bit flip of a pure ACK (bare or SACK-bearing), a FIN|ACK or a
+/// RST moves any part of the connection or a counter but `rejected`.
 #[test]
 fn every_single_bit_flip_of_a_pure_ack_is_rejected_and_moves_nothing() {
-    let state = |tx: &Connection| (tx.snd_una(), tx.peer_window(), tx.rec.clone());
-    for sack in [false, true] {
-        // Unflipped, the ACK moves the sender: the case is live.
-        let (mut w, mut arena, _) = queued_pure_ack(sack);
+    let state = |c: &Connection| {
+        let stats = ConnStats { rejected: 0, ..c.stats };
+        (c.snd.clone(), c.rcv.clone(), c.rec.clone(), c.life.clone(), stats)
+    };
+    type Queued = fn() -> (World, Vec<u8>, crate::kernelpart::Datagram);
+    let cases: [(&str, Queued); 4] = [
+        ("bare ACK", || queued_pure_ack(false)),
+        ("SACK ACK", || queued_pure_ack(true)),
+        ("FIN|ACK", || queued_close(false)),
+        ("RST", || queued_close(true)),
+    ];
+    for (what, queued) in cases {
+        // Unflipped, the segment moves the sender: the case is live.
+        let (mut w, mut arena, _) = queued();
         let mut m = NativeMem::new(&mut arena);
         let before = state(&w.tx);
         assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none());
-        assert_ne!(state(&w.tx), before, "sack {sack}: a good ACK moves the sender");
+        assert_ne!(state(&w.tx), before, "{what}: the untouched segment moves the sender");
         // Every single-bit flip of its TCP header and options. Bit 9 of
         // the bare ACK's ack field, unverified, once released 512 bytes
         // the receiver had never acknowledged.
-        let (_, _, ack) = queued_pure_ack(sack);
-        for bit in 0..8 * (ack.len - IP_HEADER_LEN) {
-            let (mut w, mut arena, ack) = queued_pure_ack(sack);
+        let (_, _, seg) = queued();
+        for bit in 0..8 * (seg.len - IP_HEADER_LEN) {
+            let (mut w, mut arena, seg) = queued();
             let mut m = NativeMem::new(&mut arena);
-            let at = ack.addr + IP_HEADER_LEN + bit / 8;
+            let at = seg.addr + IP_HEADER_LEN + bit / 8;
             let flipped = m.read_u8(at) ^ (0x80 >> (bit % 8));
             m.write_u8(at, flipped);
             let (before, rejected) = (state(&w.tx), w.tx.stats.rejected);
-            // A flip of the ACK flag makes it a segment for the final
-            // stage; drive it there as a receiver would.
-            while let Some(d) = w.tx.poll_input(&mut m, &mut w.lb) {
-                let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
-                assert!(w.tx.finish_recv(&mut m, &mut w.lb, &d, sum).is_err());
-            }
-            assert_eq!(state(&w.tx), before, "sack {sack}, bit {bit}: the sender moved");
-            assert_eq!(w.tx.stats.rejected, rejected + 1, "sack {sack}, bit {bit}: not rejected once");
+            assert!(w.tx.poll_input(&mut m, &mut w.lb).is_none(), "{what}, bit {bit}: delivered");
+            assert_eq!(state(&w.tx), before, "{what}, bit {bit}: the sender moved");
+            assert_eq!(w.tx.stats.rejected, rejected + 1, "{what}, bit {bit}: not rejected once");
         }
     }
+}
+
+/// A segment without payload and without ACK, SYN, FIN or RST asks for
+/// nothing. Even with a valid checksum it is rejected in the poll: handed
+/// on as an empty delivery, the final stage would book it accepted and
+/// ACK it.
+#[test]
+fn a_verified_segment_with_no_payload_and_no_control_flag_is_rejected() {
+    let (mut w, mut arena, ack) = queued_pure_ack(false);
+    let mut m = NativeMem::new(&mut arena);
+    let hdr = TcpHeader::at(ack.addr + IP_HEADER_LEN);
+    m.write_u8(hdr.addr() + 13, 0); // the flags byte
+    hdr.set_checksum(&mut m, 0);
+    let pseudo = PseudoHeader {
+        src: w.tx.cfg.peer_ip,
+        dst: w.tx.cfg.local_ip,
+        protocol: PROTO_TCP,
+        tcp_len: TCP_HEADER_LEN as u16,
+    };
+    let csum = hdr.segment_checksum(&mut m, pseudo, InetChecksum::new());
+    hdr.set_checksum(&mut m, csum);
+    let (before, rcv_nxt) = (w.tx.stats, w.tx.rcv_nxt());
+    // Drive whatever surfaces through the final stage, as a receiver would.
+    let mut delivered = 0;
+    while let Some(d) = w.tx.poll_input(&mut m, &mut w.lb) {
+        delivered += 1;
+        let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
+        let _ = w.tx.finish_recv(&mut m, &mut w.lb, &d, sum);
+    }
+    let after = (w.tx.stats.accepted, w.tx.stats.acks_sent, w.tx.rcv_nxt());
+    assert_eq!(after, (before.accepted, before.acks_sent, rcv_nxt), "a phantom accept");
+    assert_eq!((delivered, w.tx.stats.rejected), (0, before.rejected + 1));
 }
 
 #[test]
@@ -220,7 +276,7 @@ fn corrupted_tpdu_rejected_by_checksum_and_recovered_by_retransmission() {
             }
         }
         while let Some(d) = w.rx.poll_input(&mut m, &mut w.lb) {
-            let clean = w.rx.verify_checksum(&mut m, &d);
+            let clean = verify_checksum(&mut m, &d);
             let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
             let rcv_before = w.rx.rcv.nxt;
             match w.rx.finish_recv(&mut m, &mut w.lb, &d, sum) {

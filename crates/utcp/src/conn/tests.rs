@@ -7,7 +7,7 @@ use super::*;
 use crate::ip::Ipv4Header;
 use crate::kernelpart::{FaultPlan, Loopback};
 use crate::wire::SackBlocks;
-use checksum::internet::checksum_buf;
+use checksum::internet::{add_buf, checksum_buf};
 use ilp_core::Reject;
 use memsim::NativeMem;
 
@@ -73,11 +73,19 @@ fn send_burst(w: &mut World, m: &mut NativeMem<'_>, n: usize, len: usize) {
     }
 }
 
+/// Non-ILP checksum verification: a separate read pass over the staged
+/// payload (step 2 of Figure 5).
+fn verify_checksum(m: &mut NativeMem<'_>, d: &Delivered) -> bool {
+    let mut sum = d.control_sum;
+    add_buf(m, d.payload_addr, d.payload_len, &mut sum);
+    sum.finish() == 0
+}
+
 /// Drive one message through: send, receive, verify, ack.
 fn transfer(w: &mut World, m: &mut NativeMem<'_>, len: usize) -> Vec<u8> {
     w.tx.send_buf(m, &mut w.lb, w.src.base, len).unwrap();
     let d = w.rx.poll_input(m, &mut w.lb).expect("data segment");
-    assert!(w.rx.verify_checksum(m, &d));
+    assert!(verify_checksum(m, &d));
     let payload = m.bytes(d.payload_addr, d.payload_len).to_vec();
     let sum = checksum_buf(m, d.payload_addr, d.payload_len);
     w.rx.finish_recv(m, &mut w.lb, &d, sum).unwrap();
@@ -166,7 +174,7 @@ fn unregistered_port_makes_new_arrivals_unroutable() {
     // The already-queued datagram stays readable through the old
     // endpoint handle…
     let d = w.rx.poll_input(&mut m, &mut w.lb).expect("queued before release");
-    assert!(w.rx.verify_checksum(&mut m, &d));
+    assert!(verify_checksum(&mut m, &d));
     let sum = checksum_buf(&mut m, d.payload_addr, d.payload_len);
     w.rx.finish_recv(&mut m, &mut w.lb, &d, sum).unwrap();
     // …but a fresh arrival has no route.

@@ -102,7 +102,6 @@ fn ilp_and_non_ilp_wire_bytes_identical() {
             send_reply_ilp(suite, m, &meta, file.base).unwrap();
             let d2 = suite.rx.poll_input(m, &mut suite.lb).unwrap();
             assert_eq!(wire_non, m.bytes(d2.payload_addr, d2.payload_len), "wire bytes differ");
-            assert!(suite.rx.verify_checksum(m, &d2));
             let sum2 = checksum_buf(m, d2.payload_addr, d2.payload_len);
             suite.rx.finish_recv(m, &mut suite.lb, &d2, sum2).unwrap();
         });
@@ -952,7 +951,9 @@ fn corruption_anywhere_is_rejected() {
     for_each_seed(|rng| {
         let payload = bytes(rng, 8..512);
         with_flipped_datagram(rng, &payload, |suite, m, d| {
-            assert!(!suite.rx.verify_checksum(m, &d), "corruption must not verify");
+            let sum = checksum_buf(m, d.payload_addr, d.payload_len);
+            let verdict = suite.rx.finish_recv(m, &mut suite.lb, &d, sum);
+            assert!(matches!(verdict, Err(Reject::BadChecksum { .. })), "corruption must not verify");
         });
     });
 }

@@ -62,6 +62,7 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In("crates/utcp/src"), Text("step_by(64)"), 0, "the context-switch walk is Mem::foreign_working_set"),
     (In("crates/memsim/src/mem.rs"), Text("step_by(64)"), 1, "the walk is said once, in memsim"),
     (Body("crates/utcp/src/conn/recv.rs", "pub fn finish_recv"), Text("send_ack("), 2, "a duplicate, a drained burst"),
+    (In("crates/utcp/src/conn/recv.rs"), Text("self.control_sum("), 1, "every segment is verified at one site, before dispatch"),
     (In("crates/netback/src"), Text("KernelPart for"), 1, "one kernel part over a real descriptor, link::Backend"),
     (In("crates/utcp/src"), Text(".flush()"), 1, "one flush: the data send that leaves no room for another of its length"),
     (In("crates/netback/src"), Text("fn flush"), 1, "the backend's flush is its KernelPart::flush, with no inherent twin"),
