@@ -13,6 +13,7 @@ pub mod dst;
 pub mod health;
 pub mod loss;
 pub mod micro;
+pub mod observe;
 pub mod placement;
 pub mod segtrace;
 pub mod server_scale;

@@ -24,9 +24,10 @@
 use crate::report::{banner, us, Table};
 use memsim::{AddressSpace, HostModel, RunStats, SimMem};
 use obs::Json;
+use rpcapp::app::Path;
 use rpcapp::msg::ReplyMeta;
 use rpcapp::paths::{
-    pump_acks, recv_reply_ilp, recv_reply_ilp_late, send_reply_ilp, send_reply_ilp_staged,
+    pump_acks, recv_reply, recv_reply_ilp_late, send_reply, send_reply_ilp_staged,
 };
 use rpcapp::suite::Suite;
 use rpcapp::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
@@ -42,6 +43,11 @@ type SendFn = fn(
     usize,
 ) -> Result<usize, utcp::SendError>;
 type RecvFn = fn(&mut Suite<cipher::SimplifiedSafer>, &mut SimMem) -> rpcapp::paths::RecvOutcome;
+
+/// The default ILP send: the whole loop delayed until the ring has room.
+const SEND_ILP: SendFn = |s, m, meta, data_addr| send_reply(Path::Ilp, s, m, meta, data_addr);
+/// The default ILP receive: manipulation at the read system call.
+const RECV_ILP: RecvFn = |s, m| recv_reply(Path::Ilp, s, m);
 
 /// One side's user-phase result: µs per packet and the access totals.
 struct Side {
@@ -92,9 +98,9 @@ pub fn placement(_: &[String]) -> Result<Option<Json>, String> {
     banner("§3.2.2", "data-manipulation placement policies (SS10-30, 1 kbyte)");
     let host = HostModel::ss10_30();
 
-    let (send_base, recv_early) = run(&host, send_reply_ilp, recv_reply_ilp);
-    let (_, recv_late) = run(&host, send_reply_ilp, recv_reply_ilp_late);
-    let (send_staged, _) = run(&host, send_reply_ilp_staged, recv_reply_ilp);
+    let (send_base, recv_early) = run(&host, SEND_ILP, RECV_ILP);
+    let (_, recv_late) = run(&host, SEND_ILP, recv_reply_ilp_late);
+    let (send_staged, _) = run(&host, send_reply_ilp_staged, RECV_ILP);
 
     println!("receive placement (paper: within ≈5 µs of each other):");
     println!("  early (at the read syscall, fused checksum): {} µs", us(recv_early.us));
@@ -117,7 +123,7 @@ pub fn trailer(_: &[String]) -> Result<Option<Json>, String> {
         println!("--- {} ---", host.name);
         let mut t = Table::new(vec!["format", "send µs", "recv µs", "send accesses", "recv accesses"]);
         let formats: [(&str, SendFn, RecvFn); 2] = [
-            ("header (B→C→A)", send_reply_ilp, recv_reply_ilp),
+            ("header (B→C→A)", SEND_ILP, RECV_ILP),
             ("trailer (linear)", send_reply_ilp_trailer, recv_reply_ilp_trailer),
         ];
         for (format, send, recv) in formats {

@@ -11,11 +11,12 @@
 use crate::report::banner;
 use memsim::{AddressSpace, HostModel, SimMem};
 use obs::Json;
+use rpcapp::app::Path;
 use rpcapp::msg::ReplyMeta;
-use rpcapp::paths::{recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp};
+use rpcapp::paths::{recv_reply, send_reply};
 use rpcapp::suite::Suite;
 
-fn trace_one(ilp: bool) {
+fn trace_one(path: Path) {
     let mut space = AddressSpace::new();
     let mut suite = Suite::simplified(&mut space);
     let file = suite.file;
@@ -23,16 +24,14 @@ fn trace_one(ilp: bool) {
     suite.init_world(&mut m);
     // Warm one packet, then trace the second.
     let meta = |seq| ReplyMeta { request_id: 1, seq, offset: 0, last: 0, data_len: 1024 };
-    let send = if ilp { send_reply_ilp } else { send_reply_non_ilp };
-    let recv = if ilp { recv_reply_ilp } else { recv_reply_non_ilp };
-    send(&mut suite, &mut m, &meta(0), file.base).unwrap();
-    assert!(matches!(recv(&mut suite, &mut m), Some(Ok(_))));
+    send_reply(path, &mut suite, &mut m, &meta(0), file.base).unwrap();
+    assert!(matches!(recv_reply(path, &mut suite, &mut m), Some(Ok(_))));
     m.start_trace(2_000_000);
-    send(&mut suite, &mut m, &meta(1), file.base).unwrap();
-    assert!(matches!(recv(&mut suite, &mut m), Some(Ok(_))));
+    send_reply(path, &mut suite, &mut m, &meta(1), file.base).unwrap();
+    assert!(matches!(recv_reply(path, &mut suite, &mut m), Some(Ok(_))));
     let trace = m.take_trace().expect("trace enabled");
 
-    println!("--- {} ---", if ilp { "ILP" } else { "non-ILP" });
+    println!("--- {} ---", if path == Path::Ilp { "ILP" } else { "non-ILP" });
     println!("accesses traced: {} (dropped {})", trace.events().len(), trace.dropped);
     println!("1-byte-store share: {:.1}%", trace.byte_store_fraction() * 100.0);
     println!("top regions by traffic:");
@@ -55,8 +54,8 @@ fn trace_one(ilp: bool) {
 /// Run the analysis.
 pub fn run(_: &[String]) -> Result<Option<Json>, String> {
     banner("§4.2 trace", "access-trace analysis of one 1 KB packet (SS10-30)");
-    trace_one(false);
-    trace_one(true);
+    trace_one(Path::NonIlp);
+    trace_one(Path::Ilp);
     println!("(non-ILP shows more total traffic with short reuse distances — the");
     println!(" intermediate buffers; ILP shows less traffic but a higher byte-store");
     println!(" share, the §4.2 signature of fusing a byte-grain cipher)");

@@ -16,7 +16,7 @@
 
 use crate::exp::{
     atom_axp, calibrate, churn, ciphers, des_ablation, dispatch, dst, health, loss, micro,
-    placement, segtrace, server_scale, store_grain, sweep, trace,
+    observe, placement, segtrace, server_scale, store_grain, sweep, trace,
 };
 use crate::gate::{gate_file, Check, FileManifest, Mode, Policy};
 use obs::Json;
@@ -31,20 +31,20 @@ pub struct Row {
     pub name: &'static str,
     /// What it reproduces.
     pub paper: &'static str,
-    /// The runner; `None` when the report is written outside this crate.
-    pub run: Option<Runner>,
+    /// The runner.
+    pub run: Runner,
     /// The report the row emits, and the paths gated in it.
     pub report: Option<FileManifest>,
 }
 
 const fn row(name: &'static str, paper: &'static str, run: Runner) -> Row {
-    Row { name, paper, run: Some(run), report: None }
+    Row { name, paper, run, report: None }
 }
 
 const fn reporting(
     name: &'static str,
     paper: &'static str,
-    run: Option<Runner>,
+    run: Runner,
     file: &'static str,
     checks: &'static [Check],
 ) -> Row {
@@ -85,7 +85,7 @@ pub static TABLE: &[Row] = &[
     reporting(
         "exp_micro",
         "§1 — fused XDR+checksum microbenchmark (native CPU)",
-        Some(micro::run),
+        micro::run,
         "BENCH_micro.json",
         &[],
     ),
@@ -98,8 +98,8 @@ pub static TABLE: &[Row] = &[
     row("exp_trailer", "§5 — header format vs trailer format", placement::trailer),
     reporting(
         "observe",
-        "observed 8-connection server — written by `cargo run --release --example observe`",
-        None,
+        "observed 8-connection server — stage×layer work, counters, series, trace",
+        observe::run,
         "BENCH_observe.json",
         &[
             e("experiment"),
@@ -140,7 +140,7 @@ pub static TABLE: &[Row] = &[
     reporting(
         "exp_server_scale",
         "server scale — 1→1024 connections on the simulated SS10-30",
-        Some(server_scale::run),
+        server_scale::run,
         "BENCH_server_scale.json",
         &[
             e("experiment"),
@@ -170,7 +170,7 @@ pub static TABLE: &[Row] = &[
     reporting(
         "exp_dst",
         "deterministic simulation — 200-seed fault sweep under cross-layer oracles",
-        Some(dst::run),
+        dst::run,
         "BENCH_dst.json",
         &[
             // The whole sweep is seed-deterministic: scenario mix,
@@ -200,7 +200,7 @@ pub static TABLE: &[Row] = &[
     reporting(
         "exp_health",
         "health engine — trigger matrix, no-false-positive sweep, hot-path identity",
-        Some(health::run),
+        health::run,
         "BENCH_health.json",
         &[
             // The verdict counts of the pinned trigger worlds are
@@ -236,7 +236,7 @@ pub static TABLE: &[Row] = &[
     reporting(
         "exp_loss",
         "loss recovery — goodput vs loss rate, fast retransmit vs RTO-only",
-        Some(loss::run),
+        loss::run,
         "BENCH_loss.json",
         &[
             // The goodput-vs-loss curve is virtual-clock output on a
@@ -279,7 +279,7 @@ pub static TABLE: &[Row] = &[
     reporting(
         "exp_segtrace",
         "segment tracing — critical-path decomposition, determinism, zero perturbation",
-        Some(segtrace::run),
+        segtrace::run,
         "BENCH_trace.json",
         &[
             // The segment-trace store is virtual-clock output on a
@@ -326,7 +326,7 @@ pub static TABLE: &[Row] = &[
     reporting(
         "exp_churn",
         "connection churn — connect→transfer→close→reopen waves + teardown sweep",
-        Some(churn::run),
+        churn::run,
         "BENCH_churn.json",
         &[
             // Connection churn is virtual-clock output on a fixed
@@ -367,8 +367,7 @@ pub static TABLE: &[Row] = &[
 /// Run one row; write its report if it returned one.
 fn run_row(row: &Row, args: &[String]) -> Result<(), String> {
     let fail = |e: String| format!("{}: {e}", row.name);
-    let run = row.run.ok_or_else(|| fail(format!("not run from here ({})", row.paper)))?;
-    match (run(args).map_err(fail)?, &row.report) {
+    match ((row.run)(args).map_err(fail)?, &row.report) {
         (None, None) => Ok(()),
         (Some(doc), Some(fm)) => {
             obs::write_report(std::path::Path::new(fm.file), &doc)
@@ -419,7 +418,7 @@ pub fn dispatch(table: &[Row], args: &[String]) -> Result<(), String> {
             Ok(())
         }
         ("ci", []) => {
-            let reporting = table.iter().filter(|row| row.run.is_some() && row.report.is_some());
+            let reporting = table.iter().filter(|row| row.report.is_some());
             all(reporting.map(|row| {
                 println!("== {} ==", row.name);
                 run_row(row, &[])
@@ -461,8 +460,5 @@ mod tests {
         let table = [row("exp_broken", "a row that fails", broken)];
         let err = dispatch(&table, &argv(&["exp_broken", "--seeds", "3"])).unwrap_err();
         assert_eq!(err, "exp_broken: oracle tripped with 2 args");
-        // A row whose report comes from elsewhere cannot be run here.
-        let err = dispatch(TABLE, &argv(&["observe"])).unwrap_err();
-        assert!(err.starts_with("observe: not run from here"), "{err}");
     }
 }

@@ -29,8 +29,6 @@ pub enum Reject {
         /// Computed value.
         computed: u16,
     },
-    /// Demultiplexing found no matching connection.
-    NoConnection,
     /// The packet was malformed before the loop could run.
     Malformed(&'static str),
     /// Unmarshalling failed after decryption.
@@ -43,7 +41,6 @@ impl core::fmt::Display for Reject {
             Reject::BadChecksum { expected, computed } => {
                 write!(f, "checksum mismatch: header {expected:#06x}, computed {computed:#06x}")
             }
-            Reject::NoConnection => write!(f, "no matching connection"),
             Reject::Malformed(what) => write!(f, "malformed packet: {what}"),
             Reject::BadFormat(what) => write!(f, "unmarshalling failed: {what}"),
         }
@@ -144,11 +141,11 @@ mod tests {
                 m,
                 &mut NoopObserver,
                 PathLabel::Ilp,
-                |_m| Err::<u32, _>(Reject::NoConnection),
+                |_m| Err::<u32, _>(Reject::Malformed("short header")),
                 |_m, _ctx: &u32| loop_ran = true,
                 |_m, _obs, _ctx, _out| Ok(()),
             );
-            assert_eq!(out, Err(Reject::NoConnection));
+            assert_eq!(out, Err(Reject::Malformed("short header")));
             assert!(!loop_ran, "integrated stage must not run after initial reject");
         });
     }
@@ -172,7 +169,6 @@ mod tests {
 
     #[test]
     fn reject_display_messages() {
-        assert!(Reject::NoConnection.to_string().contains("connection"));
         assert!(Reject::Malformed("short").to_string().contains("short"));
         assert!(Reject::BadFormat("bool").to_string().contains("bool"));
         assert!(Reject::BadChecksum { expected: 1, computed: 2 }.to_string().contains("0x0001"));

@@ -346,32 +346,6 @@ pub fn send_reply<C: CipherKernel + Copy, M: Mem>(
     send_chunk(path, &s.scratch, &s.cipher, m, &mut s.tx, &mut s.lb, meta, data_addr)
 }
 
-/// [`send_chunk_non_ilp`] on the suite's own pair.
-///
-/// # Errors
-/// Propagates transport back-pressure ([`SendError`]).
-pub fn send_reply_non_ilp<C: CipherKernel, M: Mem>(
-    s: &mut Suite<C>,
-    m: &mut M,
-    meta: &ReplyMeta,
-    data_addr: usize,
-) -> Result<usize, SendError> {
-    send_chunk_non_ilp(&s.scratch, &s.cipher, m, &mut s.tx, &mut s.lb, meta, data_addr)
-}
-
-/// [`send_chunk_ilp`] on the suite's own pair.
-///
-/// # Errors
-/// Propagates transport back-pressure ([`SendError`]).
-pub fn send_reply_ilp<C: CipherKernel + Copy, M: Mem>(
-    s: &mut Suite<C>,
-    m: &mut M,
-    meta: &ReplyMeta,
-    data_addr: usize,
-) -> Result<usize, SendError> {
-    send_chunk_ilp(&s.scratch, s.cipher, m, &mut s.tx, &mut s.lb, meta, data_addr)
-}
-
 /// **ILP send with early manipulation** (§3.2.2's alternative policy):
 /// when the ring is full, data manipulations can run "as early as
 /// possible" into a staging buffer; once space frees up, only a copy and
@@ -606,16 +580,6 @@ pub fn recv_reply<C: CipherKernel + Copy, M: Mem>(
     recv_chunk(path, &s.scratch, &s.cipher, m, &mut s.rx, &mut s.lb, s.app_out)
 }
 
-/// [`recv_chunk_non_ilp`] on the suite's own pair.
-pub fn recv_reply_non_ilp<C: CipherKernel, M: Mem>(s: &mut Suite<C>, m: &mut M) -> RecvOutcome {
-    recv_chunk_non_ilp(&s.scratch, &s.cipher, m, &mut s.rx, &mut s.lb, s.app_out)
-}
-
-/// [`recv_chunk_ilp`] on the suite's own pair.
-pub fn recv_reply_ilp<C: CipherKernel + Copy, M: Mem>(s: &mut Suite<C>, m: &mut M) -> RecvOutcome {
-    recv_chunk_ilp(&s.scratch, s.cipher, m, &mut s.rx, &mut s.lb, s.app_out)
-}
-
 /// **ILP receive, late-manipulation variant** (§3.2.2): TCP verifies the
 /// checksum and acknowledges immediately (its own read pass), and the
 /// fused decrypt+unmarshal loop runs later, "very close to the
@@ -671,8 +635,8 @@ mod tests {
         s.init_world(&mut m);
         fill_file(&s, &mut m, 1024);
         let meta0 = meta(0, 0, 1000);
-        send_reply_non_ilp(&mut s, &mut m, &meta0, file.base).unwrap();
-        let got = recv_reply_non_ilp(&mut s, &mut m).expect("delivered").expect("accepted");
+        send_reply(Path::NonIlp, &mut s, &mut m, &meta0, file.base).unwrap();
+        let got = recv_reply(Path::NonIlp, &mut s, &mut m).expect("delivered").expect("accepted");
         assert_eq!(got, meta0);
         for i in 0..1000 {
             assert_eq!(
@@ -695,8 +659,8 @@ mod tests {
         s.init_world(&mut m);
         fill_file(&s, &mut m, 1024);
         let meta0 = meta(0, 0, 1000);
-        send_reply_ilp(&mut s, &mut m, &meta0, file.base).unwrap();
-        let got = recv_reply_ilp(&mut s, &mut m).expect("delivered").expect("accepted");
+        send_reply(Path::Ilp, &mut s, &mut m, &meta0, file.base).unwrap();
+        let got = recv_reply(Path::Ilp, &mut s, &mut m).expect("delivered").expect("accepted");
         assert_eq!(got, meta0);
         for i in 0..1000 {
             assert_eq!(m.bytes(s.app_out.at(i), 1)[0], ((i * 31 + 7) % 256) as u8);
@@ -717,14 +681,14 @@ mod tests {
         fill_file(&s, &mut m, 512);
         let meta0 = meta(0, 0, 500);
 
-        send_reply_non_ilp(&mut s, &mut m, &meta0, file.base).unwrap();
+        send_reply(Path::NonIlp, &mut s, &mut m, &meta0, file.base).unwrap();
         let d1 = s.rx.poll_input(&mut m, &mut s.lb).unwrap();
         let wire1: Vec<u8> = m.bytes(d1.payload_addr, d1.payload_len).to_vec();
         let sum1 = checksum_buf(&mut m, d1.payload_addr, d1.payload_len);
         s.rx.finish_recv(&mut m, &mut s.lb, &d1, sum1).unwrap();
         pump_acks(&mut s, &mut m);
 
-        send_reply_ilp(&mut s, &mut m, &meta0, file.base).unwrap();
+        send_reply(Path::Ilp, &mut s, &mut m, &meta0, file.base).unwrap();
         let d2 = s.rx.poll_input(&mut m, &mut s.lb).unwrap();
         let wire2: Vec<u8> = m.bytes(d2.payload_addr, d2.payload_len).to_vec();
         assert_eq!(wire1, wire2, "ILP and non-ILP wire bytes must be identical");
@@ -743,12 +707,12 @@ mod tests {
         s.init_world(&mut m);
         fill_file(&s, &mut m, 600);
         let a = meta(0, 0, 300);
-        send_reply_ilp(&mut s, &mut m, &a, file.base).unwrap();
-        assert_eq!(recv_reply_non_ilp(&mut s, &mut m).unwrap().unwrap(), a);
+        send_reply(Path::Ilp, &mut s, &mut m, &a, file.base).unwrap();
+        assert_eq!(recv_reply(Path::NonIlp, &mut s, &mut m).unwrap().unwrap(), a);
         pump_acks(&mut s, &mut m);
         let b = meta(1, 300, 300);
-        send_reply_non_ilp(&mut s, &mut m, &b, file.at(300)).unwrap();
-        assert_eq!(recv_reply_ilp(&mut s, &mut m).unwrap().unwrap(), b);
+        send_reply(Path::NonIlp, &mut s, &mut m, &b, file.at(300)).unwrap();
+        assert_eq!(recv_reply(Path::Ilp, &mut s, &mut m).unwrap().unwrap(), b);
     }
 
     #[test]
@@ -762,8 +726,8 @@ mod tests {
             m.write_u8(file.at(i), i as u8);
         }
         let meta0 = meta(0, 0, 250);
-        send_reply_ilp(&mut s, &mut m, &meta0, file.base).unwrap();
-        let got = recv_reply_ilp(&mut s, &mut m).expect("delivered").expect("accepted");
+        send_reply(Path::Ilp, &mut s, &mut m, &meta0, file.base).unwrap();
+        let got = recv_reply(Path::Ilp, &mut s, &mut m).expect("delivered").expect("accepted");
         assert_eq!(got, meta0);
         for i in 0..250 {
             assert_eq!(m.bytes(s.app_out.at(i), 1)[0], i as u8);
@@ -780,7 +744,7 @@ mod tests {
         s.init_world(&mut m);
         fill_file(&s, &mut m, 512);
         let meta0 = meta(0, 0, 512);
-        send_reply_ilp(&mut s, &mut m, &meta0, file.base).unwrap();
+        send_reply(Path::Ilp, &mut s, &mut m, &meta0, file.base).unwrap();
         let got = recv_reply_ilp_late(&mut s, &mut m).unwrap().unwrap();
         assert_eq!(got, meta0);
         for i in 0..512 {
@@ -799,7 +763,7 @@ mod tests {
         fill_file(&s, &mut m, 512);
         let meta0 = meta(0, 0, 480);
         send_reply_ilp_staged(&mut s, &mut m, &meta0, file.base).unwrap();
-        let got = recv_reply_ilp(&mut s, &mut m).unwrap().unwrap();
+        let got = recv_reply(Path::Ilp, &mut s, &mut m).unwrap().unwrap();
         assert_eq!(got, meta0);
     }
 
@@ -814,7 +778,7 @@ mod tests {
             s.init_world(&mut m);
             fill_file(&s, &mut m, 256);
             let meta0 = meta(0, 0, 200);
-            send_reply_ilp(&mut s, &mut m, &meta0, file.base).unwrap();
+            send_reply(Path::Ilp, &mut s, &mut m, &meta0, file.base).unwrap();
             // Corrupt the datagram in the kernel buffer before delivery.
             let d_peek = s.rx.poll_input(&mut m, &mut s.lb).unwrap();
             let b = m.bytes(d_peek.payload_addr, 1)[0];
@@ -848,7 +812,7 @@ mod tests {
         // Fill the 16 KB ring without draining ACKs.
         let mut sent = 0;
         loop {
-            match send_reply_ilp(&mut s, &mut m, &chunk, file.base) {
+            match send_reply(Path::Ilp, &mut s, &mut m, &chunk, file.base) {
                 Ok(_) => sent += 1,
                 Err(SendError::WindowClosed) | Err(SendError::BufferFull) => break,
                 Err(e) => panic!("unexpected {e}"),
@@ -857,7 +821,7 @@ mod tests {
         }
         assert!(sent >= 2);
         assert!(matches!(
-            send_reply_non_ilp(&mut s, &mut m, &chunk, file.base),
+            send_reply(Path::NonIlp, &mut s, &mut m, &chunk, file.base),
             Err(SendError::WindowClosed) | Err(SendError::BufferFull)
         ));
     }
@@ -886,7 +850,7 @@ mod tests {
         with_world(|s, m| {
             let file = s.file;
             let recv = |s: &mut Suite<_>, m: &mut NativeMem<'_>| {
-                if trailer { recv_reply_ilp_trailer(s, m) } else { recv_reply_ilp(s, m) }
+                if trailer { recv_reply_ilp_trailer(s, m) } else { recv_reply(Path::Ilp, s, m) }
             };
             let chunks = if lose_first { 2 } else { 1 };
             if lose_first {
@@ -897,7 +861,7 @@ mod tests {
                 if trailer {
                     send_reply_ilp_trailer(s, m, &chunk, addr).unwrap();
                 } else {
-                    send_reply_ilp(s, m, &chunk, addr).unwrap();
+                    send_reply(Path::Ilp, s, m, &chunk, addr).unwrap();
                 }
             }
             // The receiver's queue holds the last chunk alone (`lose_first` drops chunk 0).
@@ -981,7 +945,7 @@ mod tests {
             };
             s.lb.set_faults(faults);
             for seq in 0..2 {
-                send_reply_ilp(s, m, &meta(seq, 1000 * seq, 1000), file.at(1000 * seq as usize)).unwrap();
+                send_reply(Path::Ilp, s, m, &meta(seq, 1000 * seq, 1000), file.at(1000 * seq as usize)).unwrap();
             }
             if case == "corrupted out of order" {
                 let slot = s.lb.peek(s.rx.endpoint()).expect("chunk 1 is queued").addr;
@@ -1118,9 +1082,9 @@ mod tests {
         fill_file(&s, &mut m, 1000);
         let _ = m.take_stats();
         let chunk = meta(0, 0, 1000);
-        send_reply_ilp(&mut s, &mut m, &chunk, file.base).unwrap();
+        send_reply(Path::Ilp, &mut s, &mut m, &chunk, file.base).unwrap();
         let send = m.take_stats();
-        assert_eq!(recv_reply_ilp(&mut s, &mut m).unwrap().unwrap(), chunk);
+        assert_eq!(recv_reply(Path::Ilp, &mut s, &mut m).unwrap().unwrap(), chunk);
         let recv = m.take_stats();
         assert_eq!(
             access_stream(&send),

@@ -162,7 +162,7 @@ mod tests {
         let mut m2 = SimMem::new(&space2, &HostModel::ss20_60());
         s2.init_world(&mut m2);
         let _ = m2.take_phase_stats();
-        crate::paths::send_reply_ilp(&mut s2, &mut m2, &meta0, file2.base).unwrap();
+        crate::paths::send_reply(crate::app::Path::Ilp, &mut s2, &mut m2, &meta0, file2.base).unwrap();
         let (user2, _) = m2.take_phase_stats();
 
         // Within one block of each other in traffic (formats differ by

@@ -50,7 +50,6 @@ fn reject_counter(r: &Reject) -> Counter {
         Reject::BadChecksum { .. } => Counter::RejectChecksum,
         Reject::Malformed(_) => Counter::RejectOutOfOrder,
         Reject::BadFormat(_) => Counter::RejectBadFormat,
-        Reject::NoConnection => Counter::RejectNoConnection,
     }
 }
 

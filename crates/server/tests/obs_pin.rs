@@ -3,7 +3,7 @@
 //! These digests (FNV-1a over the rendered text) were recorded on the
 //! commit *before* `obs` was folded onto one ring, one tally and one
 //! declaration per label set (`58db63b`), for the world
-//! `examples/observe.rs` runs — eight connections, every 11th datagram
+//! `bench observe` runs — eight connections, every 11th datagram
 //! dropped, every 13th corrupted, every chunk traced — and for a
 //! blackout. A change to `obs` that moves one has changed what a report
 //! says — find out why, do not re-record.

@@ -69,7 +69,7 @@ impl Trigger {
 pub fn run_trigger(trigger: Trigger) -> Result<Vec<Verdict>, String> {
     let verdicts = match trigger {
         Trigger::Storm => storm_world()?,
-        Trigger::Blackout => blackout_world()?,
+        Trigger::Blackout => blackout()?.2,
         Trigger::Saturation => saturation_world()?,
         Trigger::Fairness => fairness_world()?,
     };
@@ -133,21 +133,25 @@ const BLACKOUT_WARMUP: u64 = 10;
 /// warm-up entries.
 const BLACKOUT_TICKS: u64 = 620;
 
-/// Clean start, then the network goes completely dark. Mid-transfer
-/// connections keep data in flight forever: back-offs spiral with
-/// `snd_una` frozen (RtoSpiral) and delivery stops for multiples of
-/// the capped RTO (Stall).
-fn blackout_world() -> Result<Vec<Verdict>, String> {
+/// The blackout incident: a clean start, then the network goes
+/// completely dark. Mid-transfer connections keep data in flight
+/// forever: back-offs spiral with `snd_una` frozen (RtoSpiral) and
+/// delivery stops for multiples of the capped RTO (Stall). Every chunk
+/// is traced (`trace_every: 1`, context beside the datagrams), so a
+/// report can decompose where delivery time went. Returns the world, its
+/// recorder and its verdicts.
+pub fn blackout() -> Result<(World, Recorder, Vec<Verdict>), String> {
     let cfg = ServerConfig {
         n_conns: 2,
         file_len: 64 * 1024,
         chunk: 512,
+        trace_every: 1,
         ..Default::default()
     };
     let mut w = World::new(cfg);
+    let mut rec = recorder();
     let (h, mut m) = w.parts();
     let mut sched = RoundRobin::new();
-    let mut rec = recorder();
     let mut run = h.begin_run::<Recorder>();
     for _ in 0..BLACKOUT_WARMUP {
         if !h.step(&mut m, &mut sched, Path::Ilp, &mut rec, &mut run) {
@@ -170,7 +174,7 @@ fn blackout_world() -> Result<Vec<Verdict>, String> {
             return Err(format!("blackout: {} named conns {conns:?}, want [0, 1]", det.name()));
         }
     }
-    Ok(verdicts)
+    Ok((w, rec, verdicts))
 }
 
 /// A slot pool far too small for the workload: four connections

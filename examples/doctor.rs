@@ -18,17 +18,8 @@
 //! cargo run --release --example doctor
 //! ```
 
-use ilp_repro::obs::{sparkline, Counter, Recorder, SeriesConfig, Verdict};
-use ilp_repro::server::{Path, RoundRobin, ServerConfig};
-use ilp_repro::utcp::FaultPlan;
-use sim::health::{run_clean, run_trigger, Trigger};
-use sim::World;
-
-/// Same series shape as the sim's health oracles: 16-tick windows so
-/// short incident runs still seal several.
-fn recorder() -> Recorder {
-    Recorder::with_series(256, SeriesConfig { window_ticks: 16, ring: 4 })
-}
+use ilp_repro::obs::{sparkline, Counter, Verdict};
+use sim::health::{blackout, run_clean, run_trigger, Trigger};
 
 fn print_verdicts(verdicts: &[Verdict]) {
     if verdicts.is_empty() {
@@ -46,36 +37,6 @@ fn print_verdicts(verdicts: &[Verdict]) {
             v.detail
         );
     }
-}
-
-/// The blackout incident, reconstructed here so we hold the harness and
-/// recorder (the sim oracle only returns the verdicts): clean warm-up,
-/// then every datagram vanishes while two transfers are mid-flight.
-fn blackout_incident() -> (Vec<Verdict>, ilp_repro::obs::Json, Recorder) {
-    // `trace_every: 1`: every chunk's causal span chain is captured, so
-    // the incident report can decompose where delivery time went.
-    let cfg = ServerConfig {
-        n_conns: 2,
-        file_len: 64 * 1024,
-        chunk: 512,
-        trace_every: 1,
-        ..Default::default()
-    };
-    let mut w = World::new(cfg);
-    let (h, mut m) = w.parts();
-    let mut sched = RoundRobin::new();
-    let mut rec = recorder();
-    let mut run = h.begin_run::<Recorder>();
-    for _ in 0..10 {
-        assert!(h.step(&mut m, &mut sched, Path::Ilp, &mut rec, &mut run), "warm-up finished");
-    }
-    h.lb.set_faults(FaultPlan { drop_every: 1, ..Default::default() });
-    for _ in 0..620 {
-        assert!(h.step(&mut m, &mut sched, Path::Ilp, &mut rec, &mut run), "blackout finished");
-    }
-    let verdicts = h.health(&rec);
-    let bundle = h.diagnostics(&rec);
-    (verdicts, bundle, rec)
 }
 
 fn main() {
@@ -98,7 +59,8 @@ fn main() {
 
     // Deep dive: the blackout, with full evidence.
     println!("incident report: network blackout mid-transfer");
-    let (verdicts, bundle, rec) = blackout_incident();
+    let (world, rec, verdicts) = blackout().unwrap_or_else(|e| panic!("{e}"));
+    let bundle = world.h.diagnostics(&rec);
     print_verdicts(&verdicts);
 
     println!("\n  conn 0 flight recorder (newest-first tail of {} slots):", 16);

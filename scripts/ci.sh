@@ -61,9 +61,6 @@ cargo test -q --offline -p netback --features tun
 echo "== docs: no broken intra-doc links =="
 RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" cargo doc --offline --no-deps --workspace -q
 
-echo "== observability: the observed server writes the report the observe row gates =="
-cargo run -q --release --offline --example observe
-
 echo "== wire: two-process transfer over real UDP sockets =="
 cargo build -q --release --offline --example serve_udp
 if ./target/release/examples/serve_udp probe; then

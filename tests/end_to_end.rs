@@ -75,9 +75,7 @@ fn simulated_world_delivers_identical_file() {
 #[test]
 fn ilp_sender_talks_to_non_ilp_receiver_and_back() {
     use ilp_repro::rpcapp::msg::ReplyMeta;
-    use ilp_repro::rpcapp::paths::{
-        pump_acks, recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp,
-    };
+    use ilp_repro::rpcapp::paths::{pump_acks, recv_reply, send_reply};
     let mut space = AddressSpace::new();
     let mut suite = Suite::simplified(&mut space);
     let file = suite.file;
@@ -88,8 +86,14 @@ fn ilp_sender_talks_to_non_ilp_receiver_and_back() {
         m.write_u8(file.at(i), (i % 241) as u8);
     }
     // Alternate all four combinations over a sequence of chunks.
-    for (i, (ilp_send, ilp_recv)) in
-        [(true, true), (true, false), (false, true), (false, false)].iter().enumerate()
+    for (i, (send_path, recv_path)) in [
+        (Path::Ilp, Path::Ilp),
+        (Path::Ilp, Path::NonIlp),
+        (Path::NonIlp, Path::Ilp),
+        (Path::NonIlp, Path::NonIlp),
+    ]
+    .into_iter()
+    .enumerate()
     {
         let meta = ReplyMeta {
             request_id: 9,
@@ -98,16 +102,8 @@ fn ilp_sender_talks_to_non_ilp_receiver_and_back() {
             last: 0,
             data_len: 512,
         };
-        if *ilp_send {
-            send_reply_ilp(&mut suite, &mut m, &meta, file.at(i * 512)).unwrap();
-        } else {
-            send_reply_non_ilp(&mut suite, &mut m, &meta, file.at(i * 512)).unwrap();
-        }
-        let got = if *ilp_recv {
-            recv_reply_ilp(&mut suite, &mut m)
-        } else {
-            recv_reply_non_ilp(&mut suite, &mut m)
-        };
+        send_reply(send_path, &mut suite, &mut m, &meta, file.at(i * 512)).unwrap();
+        let got = recv_reply(recv_path, &mut suite, &mut m);
         assert_eq!(got.unwrap().unwrap(), meta);
         pump_acks(&mut suite, &mut m);
     }

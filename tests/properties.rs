@@ -29,9 +29,7 @@ use ilp_repro::rpcapp::app::{FileTransfer, Path};
 use ilp_repro::rpcapp::msg::{
     ReplyMeta, UnmarshalSink, WordView, ENC_HDR_LEN, LENGTH_FIRST, LENGTH_LAST, RPC_HDR_WORDS,
 };
-use ilp_repro::rpcapp::paths::{
-    pump_acks, recv_reply_ilp, recv_reply_non_ilp, send_reply_ilp, send_reply_non_ilp,
-};
+use ilp_repro::rpcapp::paths::{pump_acks, recv_reply, send_reply};
 use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::rpcapp::trailer::{recv_reply_ilp_trailer, send_reply_ilp_trailer};
 use ilp_repro::utcp::rng::XorShift64;
@@ -92,14 +90,14 @@ fn ilp_and_non_ilp_wire_bytes_identical() {
                 last: 1,
                 data_len: payload.len() as u32,
             };
-            send_reply_non_ilp(suite, m, &meta, file.base).unwrap();
+            send_reply(Path::NonIlp, suite, m, &meta, file.base).unwrap();
             let d1 = suite.rx.poll_input(m, &mut suite.lb).unwrap();
             let wire_non = m.bytes(d1.payload_addr, d1.payload_len).to_vec();
             let sum1 = checksum_buf(m, d1.payload_addr, d1.payload_len);
             suite.rx.finish_recv(m, &mut suite.lb, &d1, sum1).unwrap();
             pump_acks(suite, m);
 
-            send_reply_ilp(suite, m, &meta, file.base).unwrap();
+            send_reply(Path::Ilp, suite, m, &meta, file.base).unwrap();
             let d2 = suite.rx.poll_input(m, &mut suite.lb).unwrap();
             assert_eq!(wire_non, m.bytes(d2.payload_addr, d2.payload_len), "wire bytes differ");
             let sum2 = checksum_buf(m, d2.payload_addr, d2.payload_len);
@@ -113,7 +111,8 @@ fn delivered_data_equals_sent_data() {
     for_each_seed(|rng| {
         let payload = bytes(rng, 1..1200);
         let offset = rng.index(8) * 1536;
-        let (ilp_send, ilp_recv) = (rng.below(2) == 1, rng.below(2) == 1);
+        let path = |ilp: bool| if ilp { Path::Ilp } else { Path::NonIlp };
+        let (send_path, recv_path) = (path(rng.below(2) == 1), path(rng.below(2) == 1));
         with_world(&[], |suite, m| {
             let src = suite.file.at(offset);
             m.bytes_mut(src, payload.len()).copy_from_slice(&payload);
@@ -124,13 +123,8 @@ fn delivered_data_equals_sent_data() {
                 last: 1,
                 data_len: payload.len() as u32,
             };
-            if ilp_send {
-                send_reply_ilp(suite, m, &meta, src).unwrap();
-            } else {
-                send_reply_non_ilp(suite, m, &meta, src).unwrap();
-            }
-            let got = if ilp_recv { recv_reply_ilp(suite, m) } else { recv_reply_non_ilp(suite, m) };
-            assert_eq!(got.unwrap().unwrap(), meta);
+            send_reply(send_path, suite, m, &meta, src).unwrap();
+            assert_eq!(recv_reply(recv_path, suite, m).unwrap().unwrap(), meta);
             assert_eq!(m.bytes(suite.app_out.at(offset), payload.len()), payload);
         });
     });
@@ -155,8 +149,8 @@ fn truncated_authentic_reply_gets_one_verdict_from_both_receivers() {
         IlpTrailer,
     }
     let recv = |by: Receiver, suite: &mut Suite<SimplifiedSafer>, m: &mut NativeMem<'_>| match by {
-        Receiver::NonIlp => recv_reply_non_ilp(suite, m),
-        Receiver::Ilp => recv_reply_ilp(suite, m),
+        Receiver::NonIlp => recv_reply(Path::NonIlp, suite, m),
+        Receiver::Ilp => recv_reply(Path::Ilp, suite, m),
         Receiver::IlpTrailer => recv_reply_ilp_trailer(suite, m),
     };
     let payload: Vec<u8> = (0..1000).map(|i| (i * 31 + 7) as u8).collect();
@@ -169,7 +163,7 @@ fn truncated_authentic_reply_gets_one_verdict_from_both_receivers() {
             if trailer {
                 send_reply_ilp_trailer(suite, m, &meta, file.base).unwrap();
             } else {
-                send_reply_ilp(suite, m, &meta, file.base).unwrap();
+                send_reply(Path::Ilp, suite, m, &meta, file.base).unwrap();
             }
             let d = suite.rx.poll_input(m, &mut suite.lb).unwrap();
             wire = m.bytes(d.payload_addr, d.payload_len).to_vec();
@@ -937,7 +931,7 @@ fn with_flipped_datagram(
             last: 1,
             data_len: payload.len() as u32,
         };
-        send_reply_ilp(suite, m, &meta, suite.file.base).unwrap();
+        send_reply(Path::Ilp, suite, m, &meta, suite.file.base).unwrap();
         let d = suite.rx.poll_input(m, &mut suite.lb).unwrap();
         let at = d.payload_addr + (pos_roll % d.payload_len as u64) as usize;
         let b = m.read_u8(at);
@@ -966,7 +960,7 @@ fn non_ilp_receiver_rejects_any_flip() {
             assert!(suite.rx.finish_recv(m, &mut suite.lb, &d, sum).is_err());
             // Nothing else is queued, and asking must not disturb the
             // connection.
-            assert!(recv_reply_non_ilp(suite, m).is_none());
+            assert!(recv_reply(Path::NonIlp, suite, m).is_none());
         });
     });
 }

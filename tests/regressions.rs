@@ -17,7 +17,7 @@
 use ilp_repro::memsim::{AddressSpace, NativeMem};
 use ilp_repro::rpcapp::app::{FileTransfer, Path};
 use ilp_repro::rpcapp::msg::ReplyMeta;
-use ilp_repro::rpcapp::paths::{pump_acks, recv_reply_non_ilp, send_reply_non_ilp};
+use ilp_repro::rpcapp::paths::{pump_acks, recv_reply, send_reply};
 use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::utcp::{FaultPlan, SendError};
 
@@ -54,13 +54,13 @@ fn mod2_drop_phase_locks_with_the_rto_cycle() {
                 last: u32::from(next_chunk + 1 == chunks),
                 data_len: CHUNK.min(FILE_LEN - offset) as u32,
             };
-            match send_reply_non_ilp(suite, m, &meta, suite.file.at(offset)) {
+            match send_reply(Path::NonIlp, suite, m, &meta, suite.file.at(offset)) {
                 Ok(_) => next_chunk += 1,
                 Err(SendError::BufferFull | SendError::WindowClosed) => break,
                 Err(e) => panic!("transfer failed: {e}"),
             }
         }
-        while let Some(outcome) = recv_reply_non_ilp(suite, m) {
+        while let Some(outcome) = recv_reply(Path::NonIlp, suite, m) {
             if outcome.is_ok() {
                 delivered += 1;
             }

@@ -6,7 +6,7 @@ use ilp_repro::ilp::Reject;
 use ilp_repro::memsim::{AddressSpace, Mem, NativeMem};
 use ilp_repro::rpcapp::app::Path;
 use ilp_repro::rpcapp::msg::ReplyMeta;
-use ilp_repro::rpcapp::paths::{recv_reply, recv_reply_ilp, send_chunk, send_reply_ilp};
+use ilp_repro::rpcapp::paths::{recv_reply, send_chunk, send_reply};
 use ilp_repro::rpcapp::suite::Suite;
 use ilp_repro::utcp::{Connection, Ipv4Header, UtcpConfig, IP_HEADER_LEN};
 
@@ -28,7 +28,7 @@ fn random_corruption_never_panics_or_delivers() {
             m.write_u8(file.at(i), i as u8);
         }
         let meta = ReplyMeta { request_id: 1, seq: 0, offset: 0, last: 1, data_len: 500 };
-        send_reply_ilp(&mut s, &mut m, &meta, file.base).unwrap();
+        send_reply(Path::Ilp, &mut s, &mut m, &meta, file.base).unwrap();
 
         // Corrupt 1–4 bytes of the queued datagram, anywhere.
         // (Peek at the kernel slot through the loop-back queue.)
@@ -81,25 +81,25 @@ fn bad_ip_headers_dropped_by_kernel_demux() {
     let queued = |s: &Suite<_>| Ipv4Header::at(s.lb.peek(s.rx.endpoint()).expect("a queued datagram").addr);
 
     // Case 1: length field inconsistent with the datagram.
-    send_reply_ilp(&mut s, &mut m, &meta, file.base).unwrap();
+    send_reply(Path::Ilp, &mut s, &mut m, &meta, file.base).unwrap();
     // Rebuild the header with a lying total length (checksum stays valid).
     queued(&s).build(&mut m, 0x0A000001, 0x0A000002, 8, 1, 0, false, 64);
-    assert!(recv_reply_ilp(&mut s, &mut m).is_none(), "length lie must be dropped");
+    assert!(recv_reply(Path::Ilp, &mut s, &mut m).is_none(), "length lie must be dropped");
     assert_eq!(s.rx.stats.accepted, 0);
 
     // Case 2: wrong destination address.
-    send_reply_ilp(&mut s, &mut m, &meta, file.base).unwrap();
+    send_reply(Path::Ilp, &mut s, &mut m, &meta, file.base).unwrap();
     let hdr = queued(&s);
     let plen = hdr.total_len(&mut m) - IP_HEADER_LEN;
     hdr.build(&mut m, 0x0A000001, 0x7F000001, plen, 2, 0, false, 64);
-    assert!(recv_reply_ilp(&mut s, &mut m).is_none(), "wrong dst must be dropped");
+    assert!(recv_reply(Path::Ilp, &mut s, &mut m).is_none(), "wrong dst must be dropped");
 
     // The connection is not poisoned: a clean message still flows (the
     // sender retransmits the dropped ones on RTO, but we just send a new
     // in-order message after resetting via retransmission).
     for _ in 0..40 {
         s.tx.tick(&mut m, &mut s.lb);
-        if let Some(Ok(got)) = recv_reply_ilp(&mut s, &mut m) {
+        if let Some(Ok(got)) = recv_reply(Path::Ilp, &mut s, &mut m) {
             assert_eq!(got.data_len, 96);
             return;
         }

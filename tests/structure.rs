@@ -37,6 +37,7 @@ const ADMIT: &str = "each clause of the reply admission rule is spelled once";
 const MERGE: &str = "nothing merges recorders: a process runs one harness world";
 const KERNEL: &str = "crates/utcp/src/kernelpart.rs crates/netback/src";
 const UNSAFE: &str = "unsafe {|unsafe fn|unsafe impl|extern \"C\"";
+const REPLY_FORMS: &str = "send_reply_ilp(|send_reply_non_ilp|recv_reply_ilp(|recv_reply_non_ilp";
 const OPEN: &str = "parse_syn|client_poll_syn_ack|client_send_syn|server_send_syn_ack|LISTEN_PORT|ctrl_port|\
                     SYN_RETRY_TICKS|peer_synced|hs_scratch|lookup_port";
 
@@ -127,6 +128,11 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In("crates/obs/src/segtrace.rs"), Text("fn name("), 1, "SegEv's: its names depend on its payload"),
     (In("crates/obs/src/health.rs crates/utcp/src/conn/lifecycle.rs"), Text("fn name("), 0, LABELS),
     (In("crates/sim/src/scenario.rs crates/sim/src/health.rs"), Text("fn name("), 0, LABELS),
+    (In("crates/bench/src/table.rs"), Text("Option<Runner>"), 0, "every row has a runner: bench writes every report it gates"),
+    (In("examples"), Text("BENCH_"), 0, "a gated report is written by its bench row"),
+    (In("examples"), Text("Recorder::with_series"), 0, "one recorder shape, sim::world::recorder"),
+    (In("crates/rpcapp/src"), Text(REPLY_FORMS), 0, "one suite form per direction: send_reply and recv_reply over a Path"),
+    (In("crates"), Text("Reject::NoConnection"), 0, "a datagram for no connection is the kernel part's unroutable"),
 ];
 
 /// Every `.rs` file under `path` (or `path` itself), sorted.
