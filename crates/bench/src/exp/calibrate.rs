@@ -13,7 +13,7 @@ pub fn run(_: &[String]) -> Result<Option<Json>, String> {
         "host", "size", "pSendN", "mSendN", "pSendI", "mSendI", "pRecvN", "mRecvN", "pRecvI", "mRecvI", "pTputI", "mTputI");
     for host in HostModel::all() {
         for size in [256usize, 1024] {
-            let cfg = MeasureCfg { chunk: size, packets: 30, warmup: 5, attribute_regions: false };
+            let cfg = MeasureCfg { chunk: size, packets: 30, warmup: 5 };
             let ilp = measure(&host, cfg, Path::Ilp);
             let non = measure(&host, cfg, Path::NonIlp);
             let p = paper::table1(host.name, size).unwrap();

@@ -10,7 +10,7 @@
 //! pollution — and how aggregate throughput and fairness behave as the
 //! connection count grows three orders of magnitude.
 //!
-//! Total offered load is held near [`TOTAL_PAYLOAD`] by shrinking the
+//! Total offered load is held near 256 KiB (`TOTAL_PAYLOAD`) by shrinking the
 //! per-connection file as N grows, so rows are comparable and the sweep
 //! stays tractable under cache simulation.
 //!

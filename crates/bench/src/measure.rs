@@ -36,9 +36,6 @@ pub struct MeasureCfg {
     pub packets: usize,
     /// Warm-up packets excluded from the counters.
     pub warmup: usize,
-    /// Attribute accesses to regions (needed for Fig. 13 breakdowns;
-    /// costs a lookup per access).
-    pub attribute_regions: bool,
 }
 
 impl MeasureCfg {
@@ -49,14 +46,14 @@ impl MeasureCfg {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(60);
-        MeasureCfg { chunk, packets, warmup: 8, attribute_regions: false }
+        MeasureCfg { chunk, packets, warmup: 8 }
     }
 
     /// Volume configuration for the Fig. 13/14 access-count experiments:
     /// enough packets to carry `mb` megabytes of payload.
     pub fn volume(chunk: usize, mb: f64) -> Self {
         let packets = ((mb * 1e6) / chunk as f64).ceil() as usize;
-        MeasureCfg { chunk, packets, warmup: 4, attribute_regions: false }
+        MeasureCfg { chunk, packets, warmup: 4 }
     }
 }
 
@@ -144,7 +141,7 @@ fn run<C: CipherKernel + Copy>(
     mut suite: Suite<C>,
 ) -> Measurement {
     let mut m = SimMem::new(&space, host);
-    m.set_region_attribution(cfg.attribute_regions);
+    m.set_region_attribution(false);
     suite.init_world(&mut m);
     let file = suite.file;
 
@@ -225,7 +222,7 @@ mod tests {
     use super::*;
 
     fn quick(chunk: usize) -> MeasureCfg {
-        MeasureCfg { chunk, packets: 12, warmup: 3, attribute_regions: false }
+        MeasureCfg { chunk, packets: 12, warmup: 3 }
     }
 
     #[test]

@@ -110,11 +110,6 @@ impl SimMem {
         self.buckets[0].clone()
     }
 
-    /// System-phase statistics only (system copies / kernel work).
-    pub fn system_stats(&self) -> RunStats {
-        self.buckets[1].clone()
-    }
-
     /// Return the combined statistics for the measurement window just
     /// finished and start a fresh window. Cache **contents** persist
     /// (warmth carries across windows, as on real hardware); only

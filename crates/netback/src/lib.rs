@@ -17,9 +17,9 @@
 //!   127.0.0.1 then play the paper's sender/receiver pair with the
 //!   kernel's real syscall, copy, and scheduling costs in the path
 //!   (`examples/serve_udp.rs`).
-//! * `tun::TunBackend` (feature `tun`, off by default) — writes the raw
-//!   IPv4 packets to a `/dev/net/tun` descriptor instead of framing
-//!   them in UDP; the device plumbing needs `ioctl`.
+//! * [`tun::TunBackend`] — writes the raw IPv4 packets to a
+//!   `/dev/net/tun` descriptor instead of framing them in UDP; the
+//!   device plumbing needs `ioctl`.
 //!
 //! Both queue through the same [`utcp::PortDemux`] the loop-back holds,
 //! assemble what they send with the loop-back's
@@ -42,10 +42,9 @@ pub mod ipv4;
 pub mod link;
 #[allow(unsafe_code)]
 mod sys;
-pub mod udp;
-#[cfg(feature = "tun")]
 #[allow(unsafe_code)]
 pub mod tun;
+pub mod udp;
 
 pub use codec::{encode, CodecError, HEADER_LEN, MAX_INNER};
 pub use udp::{SockCalls, UdpBackend};

@@ -1,5 +1,4 @@
-//! [`TunBackend`]: the kernel part over a Linux TUN device (feature
-//! `tun`, off by default).
+//! [`TunBackend`]: the kernel part over a Linux TUN device.
 //!
 //! Where [`crate::udp::UdpBackend`] wraps each datagram in a UDP frame,
 //! a TUN device hands the kernel the raw IPv4 packet itself: the bytes
@@ -10,8 +9,11 @@
 //!
 //! Exercising it end-to-end needs `/dev/net/tun`, `CAP_NET_ADMIN`, and
 //! interface/route configuration that test environments rarely grant.
-//! The smoke test opens the device when it exists and silently skips
-//! otherwise; the slot pool, drain and send it runs are [`Backend`]'s,
+//! `cargo test` checks the `ifreq` the ioctl is handed; the smoke test
+//! that opens the device creates a host interface, so it is `#[ignore]`d
+//! and runs only when asked (`cargo test -p netback -- --ignored
+//! opens_and_sends`; it skips where the device or the capability is
+//! missing). The slot pool, drain and send it runs are [`Backend`]'s,
 //! tested without a device in `link.rs`.
 //!
 //! The `unsafe` here is confined to two `extern "C"` declarations
@@ -47,6 +49,20 @@ struct IfReq {
     _pad: [u8; 22],
 }
 
+impl IfReq {
+    /// The request for a TUN interface named `ifname` (a `%d` in it is
+    /// the kernel's to fill), without packet-information prefix.
+    fn tun(ifname: &str) -> io::Result<Self> {
+        let mut req = IfReq { name: [0; 16], flags: IFF_TUN | IFF_NO_PI, _pad: [0; 22] };
+        let bytes = ifname.as_bytes();
+        if bytes.len() >= req.name.len() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "interface name too long"));
+        }
+        req.name[..bytes.len()].copy_from_slice(bytes);
+        Ok(req)
+    }
+}
+
 extern "C" {
     fn ioctl(fd: i32, request: u64, arg: *mut IfReq) -> i32;
     fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
@@ -74,13 +90,8 @@ impl TunBackend {
     /// without `CAP_NET_ADMIN`, or whatever the `TUNSETIFF` ioctl
     /// returns. Callers are expected to skip gracefully.
     pub fn open(space: &mut AddressSpace, ifname: &str) -> io::Result<Self> {
+        let mut req = IfReq::tun(ifname)?;
         let dev = OpenOptions::new().read(true).write(true).open("/dev/net/tun")?;
-        let mut req = IfReq { name: [0; 16], flags: IFF_TUN | IFF_NO_PI, _pad: [0; 22] };
-        let bytes = ifname.as_bytes();
-        if bytes.len() >= req.name.len() {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "interface name too long"));
-        }
-        req.name[..bytes.len()].copy_from_slice(bytes);
         let fd = dev.as_raw_fd();
         // SAFETY: `req` is a properly initialised, live `ifreq`-layout
         // struct and `fd` is an open descriptor; TUNSETIFF reads/writes
@@ -143,9 +154,27 @@ mod tests {
     use utcp::KernelPart;
     use utcp::wire::{TcpFlags, TcpHeader};
 
-    /// Open the device if the environment allows; skip silently
-    /// otherwise (missing /dev/net/tun, or no CAP_NET_ADMIN).
+    /// What `TUNSETIFF` reads: the kernel's 40-byte `ifreq`, the name
+    /// NUL-terminated in its 16 bytes, TUN without packet information,
+    /// and the request number `_IOW('T', 202, int)`.
     #[test]
+    fn the_tunsetiff_request_is_the_kernels_ifreq() {
+        assert_eq!(std::mem::size_of::<IfReq>(), 40);
+        assert_eq!(TUNSETIFF, 1 << 30 | (std::mem::size_of::<i32>() as u64) << 16 | u64::from(b'T') << 8 | 202);
+        let req = IfReq::tun("ilp%d").unwrap();
+        assert_eq!(&req.name[..6], b"ilp%d\0");
+        assert_eq!(req.flags, 0x1001);
+        assert!(IfReq::tun("fifteen-bytes-x").is_ok());
+        let long = IfReq::tun("sixteen-bytes-xx").err().expect("no room for the NUL");
+        assert_eq!(long.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// Open the device if the environment allows; skip silently
+    /// otherwise (missing /dev/net/tun, or no CAP_NET_ADMIN). Where it
+    /// is allowed this creates a transient `ilp%d` interface on the
+    /// host, hence run only when asked.
+    #[test]
+    #[ignore = "creates a host TUN interface"]
     fn opens_and_sends_when_the_environment_allows() {
         if !std::path::Path::new("/dev/net/tun").exists() {
             eprintln!("skipping: /dev/net/tun not present");

@@ -51,10 +51,12 @@ use memsim::{CodeRegion, Mem};
 use obs::{Layer, SegEv, Stage};
 use utcp::{observed, Connection, Delivered, KernelCtx, SendError};
 use xdr::stream::OpaqueSource;
+use xdr::XdrEncoder;
 
 use crate::app::Path;
 use crate::msg::{
     ReplyMeta, ReplyUnmarshalSink, UnmarshalSink, WordView, ENC_HDR_LEN, LENGTH_FIRST, PREFIX_BYTES,
+    RPC_HDR_WORDS,
 };
 use crate::suite::{Suite, MAX_MSG};
 
@@ -130,8 +132,8 @@ impl Scratch {
 
 /// Non-ILP marshalling pass: build the complete plaintext message
 /// (encryption header + RPC header + XDR data + alignment) in
-/// `marshal_buf`. One read of the application data, one write of the
-/// message.
+/// `marshal_buf` with the XDR runtime's encoder. One read of the
+/// application data, one write of the message.
 fn marshal_pass<C: CipherKernel, M: Mem>(
     s: &Scratch,
     m: &mut M,
@@ -140,32 +142,15 @@ fn marshal_pass<C: CipherKernel, M: Mem>(
 ) -> usize {
     m.fetch(s.code_marshal);
     let padded = meta.padded_len(C::UNIT);
-    let out = s.marshal_buf.base;
-    for (i, w) in meta.prefix_words().iter().enumerate() {
-        m.write_u32_be(out + 4 * i, *w);
-        m.compute(1);
+    let mut enc = XdrEncoder::new(m, s.marshal_buf.base);
+    // The prefix's last word is the opaque length `put_opaque_from` writes.
+    for w in &meta.prefix_words()[..RPC_HDR_WORDS] {
+        enc.put_u32(*w);
     }
-    let data_len = meta.data_len as usize;
-    let words = data_len / 4;
-    for i in 0..words {
-        let w = m.read_u32_be(data_addr + 4 * i);
-        m.write_u32_be(out + PREFIX_BYTES + 4 * i, w);
-        m.compute(1);
-    }
-    let tail = data_len - words * 4;
-    if tail > 0 {
-        let mut w = 0u32;
-        for k in 0..tail {
-            w |= u32::from(m.read_u8(data_addr + words * 4 + k)) << (24 - 8 * k);
-        }
-        m.compute(tail as u32 + 1);
-        m.write_u32_be(out + PREFIX_BYTES + 4 * words, w);
-    }
+    enc.put_opaque_from(data_addr, meta.data_len as usize);
     // Alignment bytes to the cipher block.
-    let body_end = PREFIX_BYTES + xdr::runtime::pad4(data_len);
-    for off in (body_end..padded).step_by(4) {
-        m.write_u32_be(out + off, 0);
-        m.compute(1);
+    while enc.written() < padded {
+        enc.put_u32(0);
     }
     padded
 }

@@ -47,6 +47,18 @@ fn single_connection_degenerates_to_the_paper_setup() {
 }
 
 #[test]
+fn the_largest_chunk_the_send_path_takes_is_served() {
+    // 1 508 bytes pad to exactly one MTU with the header words; 1 509 would not fit.
+    for path in [Path::Ilp, Path::NonIlp] {
+        let cfg = ServerConfig { n_conns: 1, file_len: 3 * 1508, chunk: 1508, ..Default::default() };
+        let (report, corrupted) = run(cfg, path);
+        assert_eq!((report.payload_bytes, corrupted), (3 * 1508, None), "{path:?}");
+    }
+    let too_big = ServerConfig { chunk: 1509, ..Default::default() };
+    assert!(std::panic::catch_unwind(|| run(too_big, Path::Ilp)).is_err());
+}
+
+#[test]
 fn weighted_scheduler_skews_early_shares() {
     let cfg = ServerConfig {
         n_conns: 3,

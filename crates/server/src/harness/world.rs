@@ -5,10 +5,11 @@
 //! stores a port, an IP or an ISS. Nothing in this part changes after
 //! construction.
 
-use cipher::{CipherKernel, SimplifiedSafer, VerySimple};
+use cipher::{CipherKernel, SimplifiedSafer};
 use memsim::layout::AddressSpace;
 use memsim::region::RegionKind;
 use memsim::Mem;
+use rpcapp::ReplyMeta;
 use utcp::{Connection, FaultPlan, KernelPart, Loopback, UtcpConfig};
 
 use super::{accept::Acceptor, round::Rounds, ClientSide, ScaleHarness};
@@ -111,14 +112,6 @@ impl ScaleHarness<SimplifiedSafer> {
     }
 }
 
-impl ScaleHarness<VerySimple> {
-    /// Build with the very simple cipher.
-    pub fn very_simple(space: &mut AddressSpace, cfg: ServerConfig) -> Self {
-        let cipher = VerySimple::alloc(space);
-        Self::with_cipher(space, cipher, cfg)
-    }
-}
-
 impl<C: CipherKernel + Copy> ScaleHarness<C> {
     /// Assemble the world around an already-allocated cipher, over the
     /// deterministic loop-back kernel part.
@@ -140,7 +133,8 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
     pub fn with_cipher_over(space: &mut AddressSpace, cipher: C, cfg: ServerConfig, mut lb: K) -> Self {
         assert!(cfg.n_conns >= 1, "a server needs at least one connection");
         assert!(cfg.n_conns <= 10_000, "port scheme supports at most 10000 connections, not {}", cfg.n_conns);
-        assert!(cfg.chunk > 0 && cfg.chunk + 64 <= 1536, "chunk must fit one TPDU");
+        let padded = ReplyMeta { data_len: cfg.chunk as u32, ..Default::default() }.padded_len(C::UNIT);
+        assert!(cfg.chunk > 0 && padded <= utcp::MTU, "chunk must fit one TPDU");
         // Allocation order is layout, and layout is every simulated
         // number: shared scratch, then per connection sender, file,
         // receiver, output.
@@ -155,7 +149,6 @@ impl<C: CipherKernel + Copy, K: KernelPart> ScaleHarness<C, K> {
                 peer_ip: client_ip(g),
                 ring_capacity: cfg.ring_capacity,
                 loss_recovery: cfg.loss_recovery,
-                ..Default::default()
             };
             let mut tx = Connection::new(space, &mut lb, tx_cfg, server_iss(g));
             tx.listen();

@@ -62,28 +62,33 @@ impl Trigger {
             Trigger::Fairness => &[Detector::FairnessCollapse],
         }
     }
+
+    /// Pass `verdicts` through when their detectors are exactly
+    /// [`Trigger::expected`].
+    pub fn check(self, verdicts: Vec<Verdict>) -> Result<Vec<Verdict>, String> {
+        let got = detectors_of(&verdicts);
+        if got != self.expected() {
+            return Err(format!(
+                "{}: expected detectors {:?}, got {:?} ({} verdicts)",
+                self.name(),
+                self.expected(),
+                got,
+                verdicts.len()
+            ));
+        }
+        Ok(verdicts)
+    }
 }
 
 /// Run one trigger scenario and verify its verdict list is exactly the
 /// pinned expectation. Returns the verdicts for reporting.
 pub fn run_trigger(trigger: Trigger) -> Result<Vec<Verdict>, String> {
-    let verdicts = match trigger {
+    trigger.check(match trigger {
         Trigger::Storm => storm_world()?,
         Trigger::Blackout => blackout()?.2,
         Trigger::Saturation => saturation_world()?,
         Trigger::Fairness => fairness_world()?,
-    };
-    let got = detectors_of(&verdicts);
-    if got != trigger.expected() {
-        return Err(format!(
-            "{}: expected detectors {:?}, got {:?} ({} verdicts)",
-            trigger.name(),
-            trigger.expected(),
-            got,
-            verdicts.len()
-        ));
-    }
-    Ok(verdicts)
+    })
 }
 
 /// Drive a world to completion under a recorder and return its

@@ -218,7 +218,7 @@ mod tests {
             let sc = Scenario::from_seed(seed);
             assert!((1..=6).contains(&sc.n_conns));
             assert!(sc.file_len >= 2 * sc.chunk && sc.file_len <= 6 * sc.chunk);
-            assert!(sc.chunk >= 64 && sc.chunk + 64 <= 1536);
+            assert!((64..=512).contains(&sc.chunk));
             if sc.kind != ScenarioKind::Ring {
                 assert!(sc.ring_capacity >= 2 * (sc.chunk + 64), "ring holds ≥ 2 padded chunks");
             }

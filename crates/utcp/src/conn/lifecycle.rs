@@ -5,7 +5,7 @@
 use memsim::Mem;
 use obs::{FlightEdge, SpanObserver};
 
-use super::{Body, Connection};
+use super::{Body, Connection, INITIAL_RTO};
 use crate::backend::{KernelCtx, KernelPart};
 use crate::wire::TcpFlags;
 
@@ -247,12 +247,12 @@ impl Connection {
     /// Our SYN is acknowledged: the connection is open. Like the FIN's,
     /// the SYN's sequence number feeds neither the RTT estimator (Karn: a
     /// resent SYN's ACK is ambiguous) nor the congestion window, and the
-    /// data phase starts from the configured RTO (RFC 6298 §5.7).
+    /// data phase starts from the initial RTO (RFC 6298 §5.7).
     fn syn_acked<M: Mem>(&mut self, m: &mut M, window: u16) {
         self.snd.una = self.snd.nxt;
         self.snd.peer_window = window;
         self.snd.last_progress = self.ticks;
-        self.snd.rto = self.cfg.rto_ticks;
+        self.snd.rto = INITIAL_RTO;
         self.rec.restart(self.snd.una);
         self.set_state(State::Established);
         self.touch_state(m);

@@ -269,11 +269,11 @@ fn a_lost_syn_syn_ack_or_final_ack_is_resent_by_the_rto() {
         w.rx.connect(&mut m, &mut w.lb);
         let took = open_within(&mut w, &mut m, 100);
         assert_eq!(w.lb.dropped, 1, "{what}");
-        assert!(took >= w.rx.cfg.rto_ticks, "{what}: open after {took} ticks, before any RTO");
+        assert!(took >= INITIAL_RTO, "{what}: open after {took} ticks, before any RTO");
         assert!(w.tx.stats.retransmits + w.rx.stats.retransmits >= 1, "{what}: the timer resent");
         assert_eq!((w.tx.rcv_nxt(), w.rx.rcv_nxt()), (5001, 1001), "{what}");
         assert_eq!((w.tx.in_flight(), w.rx.in_flight()), (0, 0), "{what}");
-        assert_eq!(w.tx.rto(), w.tx.cfg.rto_ticks, "{what}: the data phase starts from the configured RTO");
+        assert_eq!(w.tx.rto(), INITIAL_RTO, "{what}: the data phase starts from the initial RTO");
     }
 }
 
@@ -319,7 +319,7 @@ fn a_corrupted_syn_or_syn_ack_is_rejected_by_its_checksum() {
     let syn = take_flipped(&mut m, &mut w.lb, w.tx.endpoint());
     assert!(w.tx.poll_input(&mut m, &mut Feed(Some(syn))).is_none());
     assert_eq!((w.tx.state(), w.tx.stats.rejected), (State::Listen, 1));
-    for _ in 0..w.rx.cfg.rto_ticks {
+    for _ in 0..INITIAL_RTO {
         w.rx.tick(&mut m, &mut w.lb);
     }
     assert_eq!(w.rx.stats.retransmits, 1, "the RTO resent the SYN");

@@ -70,6 +70,18 @@ use recv::{RecvSeq, OOO_SLOTS};
 use segtrace::SegTrace;
 use send::SendSeq;
 
+/// Maximum TPDU payload in bytes — one TSDU = one TPDU ≤ this — and the
+/// MSS congestion control counts in. Fixed, like the 20-byte header: the
+/// paper's TCP negotiates nothing.
+pub const MTU: usize = 1536;
+
+/// The receive window every connection advertises, in bytes.
+pub const WINDOW: u16 = 16 * 1024;
+
+/// Initial retransmission timeout in ticks, refined by RTT estimation
+/// once samples arrive.
+pub const INITIAL_RTO: u32 = 8;
+
 /// Connection parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct UtcpConfig {
@@ -81,15 +93,8 @@ pub struct UtcpConfig {
     pub local_ip: u32,
     /// Peer IPv4 address (pseudo-header).
     pub peer_ip: u32,
-    /// Maximum TPDU payload (one TSDU = one TPDU ≤ this).
-    pub mtu: usize,
     /// Ring (retransmission) buffer capacity.
     pub ring_capacity: usize,
-    /// Initial retransmission timeout in ticks (refined by RTT
-    /// estimation once samples arrive).
-    pub rto_ticks: u32,
-    /// Advertised receive window.
-    pub window: u16,
     /// Enable duplicate-ACK fast retransmit / fast recovery and SACK
     /// (RFC 5681 / RFC 2018). When off, the connection is the RTO-only
     /// baseline: the sender ignores duplicate ACKs and the receiver
@@ -105,10 +110,7 @@ impl Default for UtcpConfig {
             peer_port: 0,
             local_ip: 0x0A00_0001,
             peer_ip: 0x0A00_0002,
-            mtu: 1536,
             ring_capacity: 16 * 1024,
-            rto_ticks: 8,
-            window: 16 * 1024,
             loss_recovery: true,
         }
     }
@@ -242,12 +244,12 @@ impl Connection {
         );
         let staging = space.alloc_kind(
             "tcp_recv",
-            cfg.mtu + IP_HEADER_LEN + TCP_HEADER_LEN + 12,
+            MTU + IP_HEADER_LEN + TCP_HEADER_LEN + 12,
             64,
             RegionKind::Buffer,
         );
         let tcb = space.alloc_kind("tcb", 64, 8, RegionKind::State);
-        let hold = space.alloc_kind("tcp_ooo", OOO_SLOTS * cfg.mtu, 64, RegionKind::Buffer);
+        let hold = space.alloc_kind("tcp_ooo", OOO_SLOTS * MTU, 64, RegionKind::Buffer);
         let code_tcp = space.alloc_code("utcp_control", 3 * 1024);
         Connection {
             cfg,
@@ -259,7 +261,7 @@ impl Connection {
             ticks: 0,
             time_wait_ticks: 0,
             obs_id: cfg.local_port as u32,
-            snd: SendSeq::new(&cfg, iss, 0),
+            snd: SendSeq::new(iss, 0),
             rcv: RecvSeq::new(staging, hold),
             rec: Recovery::new(iss),
             life: Lifecycle::new(),
@@ -348,7 +350,7 @@ impl Connection {
         self.ring.ack(self.snd.nxt); // reset the ring tail for the new stream
         lb.unregister(self.cfg.local_port); // idempotent if already released
         self.endpoint = lb.register(self.cfg.local_port);
-        self.snd = SendSeq::new(&self.cfg, iss, self.ticks);
+        self.snd = SendSeq::new(iss, self.ticks);
         self.rcv.restart();
         self.rec.restart(iss);
         self.life = Lifecycle::new();
@@ -419,7 +421,7 @@ impl Connection {
             seq,
             self.rcv.nxt,
             flags,
-            self.cfg.window,
+            WINDOW,
         );
         let (addr, len, sum) = match body {
             Body::Data { addr, len, sum } => (addr, len, sum),

@@ -27,7 +27,7 @@ fn fast_retransmit_recovers_single_drop_without_rto() {
     assert!(!w.tx.in_recovery(), "the recovery-point ACK closed the episode");
     // Fast recovery halves to ssthresh (≥ 2 MSS) instead of the
     // timeout's collapse to one MSS.
-    assert!(w.tx.cwnd() >= 2 * 1536, "halved, not collapsed: cwnd {}", w.tx.cwnd());
+    assert!(w.tx.cwnd() >= 2 * MTU as u32, "halved, not collapsed: cwnd {}", w.tx.cwnd());
 }
 
 #[test]

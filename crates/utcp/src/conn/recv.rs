@@ -11,7 +11,7 @@ use memsim::region::Region;
 use memsim::Mem;
 use obs::{FlightEdge, Layer, SegEv, SegTag, SpanObserver, Stage};
 
-use super::{Body, Connection, State};
+use super::{Body, Connection, State, MTU, WINDOW};
 use crate::backend::{KernelCtx, KernelPart};
 use crate::ip::{Ipv4Header, IP_HEADER_LEN, PROTO_TCP};
 use crate::wire::{SackBlocks, TcpFlags, TcpHeader, MAX_SACK_BLOCKS, TCP_HEADER_LEN};
@@ -247,7 +247,7 @@ impl Connection {
             }
             let opt_len = hdr_len - TCP_HEADER_LEN;
             let payload_len = tcp_total - hdr_len;
-            if payload_len > self.cfg.mtu {
+            if payload_len > MTU {
                 // One TSDU = one TPDU ≤ MTU, and the out-of-order hold
                 // slots are MTU-sized.
                 self.stats.rejected += 1;
@@ -283,7 +283,7 @@ impl Connection {
             // cut the 2·MSL quiet period short.
             let bare = opt_len + payload_len == 0;
             if flags.contains(TcpFlags::RST) {
-                let seq_ok = seq.wrapping_sub(self.rcv.nxt) <= u32::from(self.cfg.window);
+                let seq_ok = seq.wrapping_sub(self.rcv.nxt) <= u32::from(WINDOW);
                 if bare && seq_ok && self.life.state != State::TimeWait {
                     self.stats.resets_received += 1;
                     self.teardown_total();
@@ -387,7 +387,7 @@ impl Connection {
         m.fetch(self.code_tcp);
         m.compute(10); // reassembly-queue lookup
         Some(Delivered {
-            payload_addr: self.rcv.hold.at(held.slot * self.cfg.mtu),
+            payload_addr: self.rcv.hold.at(held.slot * MTU),
             payload_len: held.len,
             seq: held.seq,
             control_sum: held.control_sum,
@@ -402,7 +402,7 @@ impl Connection {
     /// either way). Returns whether the segment entered the hold.
     fn store_out_of_order<M: Mem>(&mut self, m: &mut M, d: &Delivered) -> bool {
         let dist = d.seq.wrapping_sub(self.rcv.nxt);
-        if d.payload_len == 0 || dist == 0 || dist > u32::from(self.cfg.window) {
+        if d.payload_len == 0 || dist == 0 || dist > u32::from(WINDOW) {
             return false;
         }
         let held = &mut self.rcv.held;
@@ -414,7 +414,7 @@ impl Connection {
             used[s.slot] = true;
         }
         let slot = (0..OOO_SLOTS).find(|&i| !used[i]).expect("a free slot exists");
-        m.copy(d.payload_addr, self.rcv.hold.at(slot * self.cfg.mtu), d.payload_len);
+        m.copy(d.payload_addr, self.rcv.hold.at(slot * MTU), d.payload_len);
         self.rcv.stamp += 1;
         held.push(OooSeg {
             seq: d.seq,

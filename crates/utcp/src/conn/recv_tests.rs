@@ -390,6 +390,6 @@ fn oversized_datagrams_are_refused_before_any_copy() {
     // whole staging buffer.
     feed(&mut m, &mut w.rx, 2048);
     // Fits staging, but its payload exceeds the MTU-sized hold slot.
-    assert!(staging - IP_HEADER_LEN - TCP_HEADER_LEN > w.rx.cfg.mtu);
+    assert!(staging - IP_HEADER_LEN - TCP_HEADER_LEN > MTU);
     feed(&mut m, &mut w.rx, staging);
 }

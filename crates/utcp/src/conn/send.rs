@@ -8,7 +8,7 @@ use checksum::InetChecksum;
 use memsim::Mem;
 use obs::{Counter, EventKind, FlightEdge, Layer, SegEv, SpanObserver, Stage, XmitKind};
 
-use super::{Body, Connection, UtcpConfig};
+use super::{Body, Connection, INITIAL_RTO, MTU, WINDOW};
 use crate::backend::{KernelCtx, KernelPart};
 use crate::ring::{Extent, RingWriter};
 use crate::wire::{SackBlocks, TcpFlags};
@@ -25,7 +25,7 @@ pub enum SendError {
     TooLarge {
         /// Requested payload length.
         len: usize,
-        /// Configured MTU.
+        /// The payload bound, [`MTU`](super::MTU).
         mtu: usize,
     },
     /// The send direction is shut: the connection left
@@ -47,6 +47,20 @@ impl core::fmt::Display for SendError {
 }
 
 impl std::error::Error for SendError {}
+
+/// RTO floor in ticks: sub-tick loop-back RTTs still need a timer that
+/// cannot fire on the very next tick.
+const RTO_FLOOR: u32 = 2;
+
+/// RTO cap in ticks: 16× the initial RTO.
+const RTO_CAP: u32 = 16 * INITIAL_RTO;
+
+/// Clamp a raw RTO into [`RTO_FLOOR`, `RTO_CAP`]. Every RTO the
+/// connection adopts — the estimator's update and the timeout back-off —
+/// goes through here.
+pub(super) fn clamp_rto(raw: u32) -> u32 {
+    raw.clamp(RTO_FLOOR, RTO_CAP)
+}
 
 /// Send-sequence space of one incarnation (RFC 793 §3.2's send
 /// variables, Jacobson's window, RFC 6298's estimator).
@@ -85,18 +99,18 @@ pub(super) struct SendSeq {
 impl SendSeq {
     /// An empty flight at `iss`, slow start at 2 MSS, no RTT sample;
     /// `now` is the clock the retransmission timer counts from.
-    pub(super) fn new(cfg: &UtcpConfig, iss: u32, now: u32) -> Self {
+    pub(super) fn new(iss: u32, now: u32) -> Self {
         SendSeq {
             una: iss,
             nxt: iss,
-            peer_window: cfg.window,
+            peer_window: WINDOW,
             last_progress: now,
-            cwnd: 2 * cfg.mtu as u32,
+            cwnd: 2 * MTU as u32,
             ssthresh: u32::MAX / 4,
             acked_in_avoidance: 0,
             srtt8: 0,
             rttvar4: 0,
-            rto: cfg.rto_ticks,
+            rto: INITIAL_RTO,
             rtt_probe: None,
         }
     }
@@ -183,7 +197,7 @@ impl Connection {
     /// Maximum segment size in bytes (one chunk's payload budget; the
     /// congestion-control unit).
     pub fn mss(&self) -> u32 {
-        self.cfg.mtu as u32
+        MTU as u32
     }
 
     /// Current slow-start threshold in bytes.
@@ -221,26 +235,6 @@ impl Connection {
         self.snd.peer_window
     }
 
-    /// The single source of truth for RTO bounds — every clamp (the
-    /// RTT-estimator update *and* the exponential timeout back-off)
-    /// goes through here, so the floor and cap can never drift apart
-    /// again. Floor: a quarter of the configured initial RTO, but
-    /// never below 2 ticks (sub-tick loop-back RTTs still need a timer
-    /// that cannot fire on the very next tick). Cap: 16× the
-    /// configured initial RTO, raised to the floor for degenerate
-    /// configs (`rto_ticks` of 0 or 1).
-    pub(super) fn rto_bounds(&self) -> (u32, u32) {
-        let floor = (self.cfg.rto_ticks / 4).max(2);
-        let cap = 16u32.saturating_mul(self.cfg.rto_ticks).max(floor);
-        (floor, cap)
-    }
-
-    /// Clamp a raw RTO value into [`Connection::rto_bounds`].
-    pub(super) fn clamp_rto(&self, raw: u32) -> u32 {
-        let (floor, cap) = self.rto_bounds();
-        raw.clamp(floor, cap)
-    }
-
     /// Validate a send of `len` bytes and reserve ring space. The
     /// lifecycle gate comes first: once the send direction is shut
     /// (FIN queued, reset, or never opened) no amount of draining can
@@ -251,8 +245,8 @@ impl Connection {
         if !self.life.state.may_send_data() {
             return Err(SendError::Closing);
         }
-        if len > self.cfg.mtu {
-            return Err(SendError::TooLarge { len, mtu: self.cfg.mtu });
+        if len > MTU {
+            return Err(SendError::TooLarge { len, mtu: MTU });
         }
         if !self.snd.window_allows(len) {
             return Err(SendError::WindowClosed);
@@ -264,7 +258,7 @@ impl Connection {
     /// paper's buffer-availability check before entering the loop).
     pub fn can_send(&self, len: usize) -> bool {
         self.life.state.may_send_data()
-            && len <= self.cfg.mtu
+            && len <= MTU
             && self.snd.window_allows(len)
             && self.ring.free_bytes() >= len // conservative: ignores wrap waste
     }
@@ -425,10 +419,10 @@ impl Connection {
     }
 
     /// The RTO back-off, one per expiry: restart the timer and double
-    /// the timeout inside [`Connection::rto_bounds`].
+    /// the timeout inside [`clamp_rto`]'s bounds.
     fn back_off<O: SpanObserver>(&mut self, obs: &mut O) {
         self.snd.last_progress = self.ticks;
-        self.snd.rto = self.clamp_rto(self.snd.rto.saturating_mul(2));
+        self.snd.rto = clamp_rto(self.snd.rto.saturating_mul(2));
         if O::ENABLED {
             obs.count(Counter::RtoBackoffs, 1);
             obs.event(EventKind::RtoBackoff, self.obs_id, self.snd.rto as u64);
@@ -481,7 +475,7 @@ impl Connection {
         self.stats.acks_received += 1;
         // RTT sample (Karn-filtered) → Jacobson estimator → RTO.
         if let Some(raw) = self.snd.rtt_sample(ack, self.ticks) {
-            self.snd.rto = self.clamp_rto(raw);
+            self.snd.rto = clamp_rto(raw);
         }
         // Frozen during recovery: a partial ACK fills the next hole
         // instead of opening the window.

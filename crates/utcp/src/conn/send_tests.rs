@@ -10,7 +10,7 @@ fn cwnd_opens_across_an_epoch() {
     let mut arena = w.space.native_arena();
     let mut m = NativeMem::new(&mut arena);
     let initial = w.tx.cwnd();
-    assert_eq!(initial, 2 * w.tx.cfg.mtu as u32, "slow start begins at 2 MSS");
+    assert_eq!(initial, 2 * MTU as u32, "slow start begins at 2 MSS");
     let mut prev = initial;
     for round in 0..32usize {
         m.bytes_mut(w.src.base, 512).copy_from_slice(&[round as u8; 512]);
@@ -131,9 +131,9 @@ fn one_ack_for_a_burst_grows_cwnd_exactly_as_the_per_segment_acks_would() {
         }
         assert_eq!(burst.tx.snd, single.tx.snd, "headroom {headroom}");
         assert_eq!((burst.tx.stats.acks_received, single.tx.stats.acks_received), (1, 6));
-        let grown = burst.tx.cwnd() - 2 * 1536;
+        let grown = burst.tx.cwnd() - 2 * MTU as u32;
         match headroom {
-            0 => assert_eq!(grown, 1536, "avoidance: one MSS per cwnd of acknowledged bytes"),
+            0 => assert_eq!(grown, MTU as u32, "avoidance: one MSS per cwnd of acknowledged bytes"),
             1000 => assert_eq!(grown, 1000, "slow start to ssthresh, then not yet a full cwnd"),
             _ => assert_eq!(grown, 6 * 512, "slow start: the bytes acknowledged"),
         }
@@ -187,7 +187,7 @@ fn slow_start_opens_the_window() {
     let mut w = world();
     let mut arena = w.space.native_arena();
     let mut m = NativeMem::new(&mut arena);
-    let mss = 1536u32;
+    let mss = MTU as u32;
     assert_eq!(w.tx.cwnd(), 2 * mss, "initial window = 2 MSS");
     // Each acknowledged message grows cwnd by up to one MSS while in
     // slow start.
@@ -227,8 +227,8 @@ fn timeout_collapses_to_slow_start_and_backs_off_rto() {
         w.tx.tick(&mut m, &mut w.lb);
     }
     assert!(w.tx.stats.retransmits > 0, "RTO must have fired");
-    assert_eq!(w.tx.cwnd(), 1536, "timeout collapses cwnd to one MSS");
-    assert!(w.tx.rto() > rto_before || w.tx.rto() == 16 * 8, "RTO backs off");
+    assert_eq!(w.tx.cwnd(), MTU as u32, "timeout collapses cwnd to one MSS");
+    assert!(w.tx.rto() > rto_before || w.tx.rto() == 16 * INITIAL_RTO, "RTO backs off");
     let _ = cwnd_before;
 }
 
@@ -270,34 +270,10 @@ fn stale_acks_leave_cwnd_untouched() {
 
 #[test]
 fn rto_floor_and_cap_are_unified() {
-    let mut space = AddressSpace::new();
-    let mut lb = Loopback::new(&mut space);
-    let mk = |space: &mut AddressSpace, lb: &mut Loopback, port: u16, ticks: u32| {
-        let cfg = UtcpConfig {
-            local_port: port,
-            peer_port: port + 1,
-            rto_ticks: ticks,
-            ..Default::default()
-        };
-        Connection::new(space, lb, cfg, 0)
-    };
-    // Default config keeps the historical bounds (floor 2, cap 128).
-    let c = mk(&mut space, &mut lb, 10, 8);
-    assert_eq!(c.rto_bounds(), (2, 128));
-    assert_eq!(c.clamp_rto(0), 2);
-    assert_eq!(c.clamp_rto(1_000), 128);
-    // Tiny initial RTO: the floor holds, the cap stays above it.
-    let c = mk(&mut space, &mut lb, 20, 1);
-    assert_eq!(c.rto_bounds(), (2, 16));
-    // Degenerate zero: both bounds collapse onto the 2-tick floor.
-    let c = mk(&mut space, &mut lb, 30, 0);
-    assert_eq!(c.rto_bounds(), (2, 2));
-    assert_eq!(c.clamp_rto(77), 2);
-    // Large initial RTO: the estimator can no longer undercut it
-    // down to a hardcoded 2 ticks.
-    let c = mk(&mut space, &mut lb, 40, 100);
-    assert_eq!(c.rto_bounds(), (25, 1600));
-    assert_eq!(c.clamp_rto(1), 25);
+    // The historical bounds: floor 2 ticks, cap 16 × the initial RTO.
+    assert_eq!(INITIAL_RTO, 8);
+    assert_eq!([0, 2, INITIAL_RTO, 128].map(send::clamp_rto), [2, 2, INITIAL_RTO, 128]);
+    assert_eq!(send::clamp_rto(1_000), 128);
 }
 
 #[test]
@@ -428,7 +404,7 @@ fn the_send_that_closes_the_peer_window_or_cwnd_flushes_the_kernel_part() {
     // Congestion window: 2 MSS grown by the 1 000 acked bytes holds
     // four segments of 1 000, not five.
     w.tx.snd.peer_window = u16::MAX;
-    assert_eq!(w.tx.cwnd(), 2 * 1536 + 1000);
+    assert_eq!(w.tx.cwnd(), 2 * MTU as u32 + 1000);
     assert_eq!(flushes_until_refused(&mut w, &mut m, 1000), (last_of(4), SendError::WindowClosed));
     // The RTO retransmission goes out with the window still closed (it
     // collapsed to one MSS): it flushes too.

@@ -76,7 +76,7 @@ pub mod rng;
 pub mod wire;
 
 pub use backend::{observed, KernelCounters, KernelCtx, KernelPart, Observed};
-pub use conn::{Connection, Delivered, SendError, State, UtcpConfig, MSL_TICKS};
+pub use conn::{Connection, Delivered, SendError, State, UtcpConfig, INITIAL_RTO, MSL_TICKS, MTU, WINDOW};
 pub use demux::PortDemux;
 pub use kernelpart::{Datagram, EndpointId, FaultDice, FaultPlan, FaultProbs, Loopback, SlotPool, SLOT_LEN};
 pub use ring::{RingWriter, SendRing};

@@ -108,13 +108,14 @@ impl<'m, M: Mem> XdrEncoder<'m, M> {
         }
         let tail = len - words * 4;
         if tail > 0 {
-            // Assemble the final word in a register: tail bytes + zeros.
+            // Assemble the final word in a register: tail bytes + zeros,
+            // one operation per byte and one for the word.
             let mut w = 0u32;
             for i in 0..tail {
                 let b = self.mem.read_u8(src + words * 4 + i);
                 w |= u32::from(b) << (24 - 8 * i);
             }
-            self.mem.compute(tail as u32);
+            self.mem.compute(tail as u32 + 1);
             self.mem.write_u32_be(self.cursor, w);
             self.cursor += 4;
         }

@@ -49,17 +49,19 @@ fn main() {
 
     // The trigger matrix — each world's verdict set is pinned exactly
     // by sim::health, so a detector drifting over- or under-sensitive
-    // fails here too.
+    // fails here too. The blackout runs once: its row and the deep dive
+    // below read the same world.
+    let (world, rec, verdicts) = blackout().unwrap_or_else(|e| panic!("{e}"));
     for t in Trigger::ALL {
-        let verdicts = run_trigger(t).unwrap_or_else(|e| panic!("{e}"));
-        println!("  {} world ({} verdicts):", t.name(), verdicts.len());
-        print_verdicts(&verdicts);
+        let row = if t == Trigger::Blackout { t.check(verdicts.clone()) } else { run_trigger(t) };
+        let row = row.unwrap_or_else(|e| panic!("{e}"));
+        println!("  {} world ({} verdicts):", t.name(), row.len());
+        print_verdicts(&row);
         println!();
     }
 
     // Deep dive: the blackout, with full evidence.
     println!("incident report: network blackout mid-transfer");
-    let (world, rec, verdicts) = blackout().unwrap_or_else(|e| panic!("{e}"));
     let bundle = world.h.diagnostics(&rec);
     print_verdicts(&verdicts);
 

@@ -13,7 +13,7 @@ use ilp_repro::memsim::HostModel;
 use ilp_repro::rpcapp::app::Path;
 
 fn cfg(chunk: usize) -> MeasureCfg {
-    MeasureCfg { chunk, packets: 24, warmup: 5, attribute_regions: false }
+    MeasureCfg { chunk, packets: 24, warmup: 5 }
 }
 
 fn within(measured: f64, paper_value: f64, tolerance: f64) -> bool {

@@ -35,6 +35,7 @@ const ONE_DECRYPT: &str = "one decrypt per kernel, storing into the destination 
 const MEM: &str = "a kernel, source, stage or sink is written against Mem, not against one memory";
 const ADMIT: &str = "each clause of the reply admission rule is spelled once";
 const MERGE: &str = "nothing merges recorders: a process runs one harness world";
+const FIXED: &str = "the MSS, the window and the initial RTO are utcp::{MTU, WINDOW, INITIAL_RTO}, not settings";
 const KERNEL: &str = "crates/utcp/src/kernelpart.rs crates/netback/src";
 const UNSAFE: &str = "unsafe {|unsafe fn|unsafe impl|extern \"C\"";
 const REPLY_FORMS: &str = "send_reply_ilp(|send_reply_non_ilp|recv_reply_ilp(|recv_reply_non_ilp";
@@ -133,6 +134,12 @@ const ROWS: &[(Scope, Pattern, usize, &str)] = &[
     (In("examples"), Text("Recorder::with_series"), 0, "one recorder shape, sim::world::recorder"),
     (In("crates/rpcapp/src"), Text(REPLY_FORMS), 0, "one suite form per direction: send_reply and recv_reply over a Path"),
     (In("crates"), Text("Reject::NoConnection"), 0, "a datagram for no connection is the kernel part's unroutable"),
+    (Body("crates/utcp/src/conn/mod.rs", "pub struct UtcpConfig"), Text("pub mtu|pub window|pub rto_ticks"), 0, FIXED),
+    (In("crates"), Text("cfg.mtu|rto_ticks"), 0, FIXED),
+    (In("crates/server/src"), Text("1536"), 0, "a chunk's TPDU bound is utcp::MTU over the send path's padded_len"),
+    (In("crates/netback"), Text("feature = \"tun\""), 0, "the TUN backend is always compiled, so the workspace build, clippy and tests cover it"),
+    (In("crates/netback/Cargo.toml"), Text("[features]"), 0, "netback has no features"),
+    (In("crates"), Text("fn very_simple"), 1, "one very-simple-cipher builder, Suite::very_simple"),
 ];
 
 /// Every `.rs` file under `path` (or `path` itself), sorted.
